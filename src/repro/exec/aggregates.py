@@ -64,7 +64,7 @@ def agg_max(values: Iterable[Any], distinct: bool = False) -> Any:
 
 
 def compute_aggregate(
-    func: str, values: Optional[list[Any]], n_rows: int, distinct: bool,
+    func: str, values: Optional[Iterable[Any]], n_rows: int, distinct: bool,
     guard=None,
 ) -> Any:
     """Dispatch one aggregate; ``values`` is None for COUNT(*).

@@ -1,4 +1,4 @@
-"""The QGM interpreter.
+"""The QGM executor.
 
 Each box kind has an evaluation routine; SPJ boxes are first compiled by the
 planner (:mod:`repro.plan.planner`) into a step list that fixes access paths,
@@ -6,6 +6,12 @@ join order and correlated-subquery placement. There is exactly **one**
 executor: nested iteration and the decorrelated strategies differ only in
 the QGM they hand over, which mirrors how the paper compares rewrites inside
 a single system (Starburst).
+
+Expressions are not interpreted per row. The first time a box runs, its
+expressions and plan steps are compiled into closures (:func:`plan_box`,
+"compiled plans" below) that are kept beside the physical plan, so every
+later invocation of the box -- each outer row of a nested iteration, each
+hit of a cached plan -- only calls them.
 
 Common-subexpression handling follows the paper:
 
@@ -23,15 +29,28 @@ Common-subexpression handling follows the paper:
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from dataclasses import dataclass
+from itertools import repeat
+from operator import concat, itemgetter
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    NamedTuple,
+    Optional,
+    Sequence,
+    TYPE_CHECKING,
+)
 
 from ..errors import ExecutionError
 from ..qgm.analysis import external_column_refs, parent_edges
+from ..qgm.expr import ColumnRef, column_refs, conjuncts
 from ..qgm.model import (
     BaseTableBox,
     Box,
     GroupByBox,
     OuterJoinBox,
+    Quantifier,
     QueryGraph,
     SelectBox,
     SetOpBox,
@@ -50,7 +69,14 @@ from ..sql import ast
 from ..storage.catalog import Catalog
 from ..types import sort_key
 from .aggregates import compute_aggregate
-from .evaluate import Env, evaluate, predicate_holds, scalar_subquery_value
+from .evaluate import (
+    Compiled,
+    Env,
+    compile_expr,
+    flat_position,
+    reads_only,
+    scalar_subquery_value,
+)
 from .metrics import Metrics
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
@@ -105,11 +131,12 @@ class ExecutionContext:
             tracer.attach(self.metrics)
         self._root = root
         self._parents = parent_edges(root)
-        self._plans: dict[int, SelectPlan] = {}
+        #: box id -> SelectPlan / GroupByPlan / OuterJoinPlan, closures
+        #: compiled (see :func:`plan_box`).
+        self._plans: dict[int, Any] = {}
         self._cache: dict[int, list[tuple]] = {}
         self._correlated: dict[int, bool] = {}
         self._executions: dict[int, int] = {}
-        self._colpos: dict[int, dict[str, int]] = {}
 
     # -- helpers -----------------------------------------------------------
 
@@ -118,34 +145,27 @@ class ExecutionContext:
         if self.guard is not None:
             self.guard.check()
 
-    def column_position(self, box: Box, column: str) -> int:
-        """Ordinal of ``column`` in ``box``'s output row (cached)."""
-        positions = self._colpos.get(box.id)
-        if positions is None:
-            positions = {name: i for i, name in enumerate(box.output_names())}
-            self._colpos[box.id] = positions
-        try:
-            return positions[column]
-        except KeyError:
-            raise ExecutionError(
-                f"box {box.id} has no output column {column!r}"
-            ) from None
-
     def seed_plans(self, plans: dict) -> None:
-        """Pre-populate the per-box plan cache (``{box.id: SelectPlan}``).
+        """Pre-populate the per-box plan table (``{box.id: plan}``, as
+        :func:`plan_box` returns them).
 
         Plan-cache hits seed the plans computed at fill time; the shared
-        dict is copied from, never mutated, so one cached entry can serve
-        concurrent executions."""
+        dict is copied from, never mutated, so one cached entry -- and the
+        closures compiled into it -- can serve concurrent executions. A
+        :class:`SelectPlan` straight from the planner is compiled in place
+        when its box first runs, so it must not be seeded into contexts
+        that run concurrently."""
         self._plans.update(plans)
 
-    def plan(self, box: SelectBox) -> SelectPlan:
-        """The (cached) physical plan for one SPJ box."""
+    def plan(self, box: Box):
+        """The (cached) plan for one SPJ, GROUP BY or outer-join box, its
+        expressions compiled: built the first time the box runs, reused by
+        every later invocation of it."""
         plan = self._plans.get(box.id)
         if plan is None:
-            if self.faults is not None:
+            if self.faults is not None and isinstance(box, SelectBox):
                 self.faults.trigger("plan.select", detail=f"box {box.id}")
-            plan = plan_select_box(self.catalog, box, guard=self.guard)
+            plan = plan_box(self.catalog, box, guard=self.guard)
             self._plans[box.id] = plan
         return plan
 
@@ -259,126 +279,36 @@ class ExecutionContext:
 
     def _rows_select(self, box: SelectBox, outer_env: Env) -> list[tuple]:
         plan = self.plan(box)
+        compiled = plan.compiled
+        if compiled is None:
+            # Seeded straight from the planner, not yet compiled.
+            compiled = plan.compiled = compile_select(plan)
         tracer = self.tracer
-        envs: list[Env] = [outer_env]
-        for index, step in enumerate(plan.steps):
-            if not envs:
+        # What the box's expressions read (see "compiled plans" below): the
+        # flat row of the quantifiers bound so far, or an Env.
+        members: list = [()] if compiled.positional else [outer_env]
+        for index, run in enumerate(compiled.steps):
+            if not members:
                 break
             if tracer is None:
-                envs = self._apply_step(box, step, envs, outer_env)
+                self.checkpoint()
+                members = run(self, members, outer_env)
                 continue
             frame = tracer.begin(
-                ("step", box.id, index), step_label(step), "step",
-                rows_in=len(envs),
+                ("step", box.id, index), step_label(plan.steps[index]), "step",
+                rows_in=len(members),
             )
-            out: Optional[list[Env]] = None
+            out: Optional[list] = None
             try:
-                out = self._apply_step(box, step, envs, outer_env)
-                envs = out
+                self.checkpoint()
+                out = run(self, members, outer_env)
+                members = out
             finally:
                 tracer.end(frame, rows_out=0 if out is None else len(out))
-        rows = [
-            tuple(evaluate(output.expr, env, self) for output in box.outputs)
-            for env in envs
-        ]
+        rows = list(compiled.project(members, self))
         if box.distinct:
             rows = _dedupe(rows)
         return rows
-
-    def _apply_step(
-        self, box: SelectBox, step, envs: list[Env], outer_env: Env
-    ) -> list[Env]:
-        self.checkpoint()
-        if isinstance(step, ScanStep):
-            q = step.quantifier
-            if self.faults is not None:
-                self.faults.trigger("exec.join", detail=f"scan {q.name}")
-            if step.correlated_to_self:
-                result: list[Env] = []
-                for env in envs:
-                    self.metrics.subquery_invocations += 1
-                    child_rows = self.box_rows(q.box, env)
-                    self.metrics.rows_joined += len(child_rows)
-                    result.extend(env.bind(q, row) for row in child_rows)
-                return result
-            child_rows = self.box_rows(q.box, outer_env)
-            self.metrics.rows_joined += len(child_rows) * len(envs)
-            return [env.bind(q, row) for env in envs for row in child_rows]
-
-        if isinstance(step, IndexLookupStep):
-            q = step.quantifier
-            if self.faults is not None:
-                self.faults.trigger(
-                    "storage.index_lookup", detail=step.index_name
-                )
-            table = self.catalog.table(q.box.table_name)
-            index = table.indexes.get(step.index_name)
-            if index is None:
-                raise ExecutionError(
-                    f"index {step.index_name!r} disappeared during execution"
-                )
-            result = []
-            for env in envs:
-                key_values = [evaluate(e, env, self) for e in step.key_exprs]
-                key = key_values[0] if len(key_values) == 1 else tuple(key_values)
-                self.metrics.index_lookups += 1
-                row_ids = index.lookup(key)
-                self.metrics.index_rows += len(row_ids)
-                result.extend(env.bind(q, table.fetch(rid)) for rid in row_ids)
-            return result
-
-        if isinstance(step, HashJoinStep):
-            q = step.quantifier
-            if self.faults is not None:
-                self.faults.trigger("exec.join", detail=f"hash join {q.name}")
-            null_safe = step.null_safe or (False,) * len(step.build_exprs)
-            child_rows = self.box_rows(q.box, outer_env)
-            buckets: dict[tuple, list[tuple]] = {}
-            n_built = 0
-            for row in child_rows:
-                row_env = outer_env.bind(q, row)
-                key = _join_key(
-                    [evaluate(e, row_env, self) for e in step.build_exprs],
-                    null_safe,
-                )
-                if key is None:
-                    continue
-                buckets.setdefault(key, []).append(row)
-                n_built += 1
-            # The build side is a transient materialisation: it lives for
-            # the probe phase only, so it counts against the live/high-water
-            # figures and is released when the step completes.
-            self.metrics.materialize(n_built)
-            self.checkpoint()
-            try:
-                result = []
-                for env in envs:
-                    key = _join_key(
-                        [evaluate(e, env, self) for e in step.probe_exprs],
-                        null_safe,
-                    )
-                    if key is None:
-                        continue
-                    matches = buckets.get(key, ())
-                    self.metrics.rows_joined += len(matches)
-                    result.extend(env.bind(q, row) for row in matches)
-                return result
-            finally:
-                self.metrics.release(n_built)
-
-        if isinstance(step, PredicateStep):
-            return [
-                env for env in envs if predicate_holds(step.predicate, env, self)
-            ]
-
-        if isinstance(step, SubqueryEvalStep):
-            node = step.node
-            return [
-                env.with_value(id(node), scalar_subquery_value(node, env, self))
-                for env in envs
-            ]
-
-        raise ExecutionError(f"unknown plan step {step!r}")
 
     # -- GROUP BY ---------------------------------------------------------------
 
@@ -386,54 +316,46 @@ class ExecutionContext:
         q = box.quantifier
         if self.faults is not None:
             self.faults.trigger("exec.group", detail=f"box {box.id}")
+        plan = self.plan(box)
         input_rows = self.box_rows(q.box, env)
         self.metrics.rows_grouped += len(input_rows)
         self.checkpoint()
 
-        groups: dict[tuple, list[Env]] = {}
-        order: list[tuple] = []
-        for row in input_rows:
-            row_env = env.bind(q, row)
-            key = tuple(evaluate(g, row_env, self) for g in box.group_by)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(row_env)
+        # What the compiled expressions read: the input rows themselves,
+        # or one Env per row when some expression looks beyond them.
+        members = (
+            input_rows if plan.positional
+            else [env.bind(q, row) for row in input_rows]
+        )
+        groups: dict[tuple, list] = {}
+        for key, member in zip(plan.keys(members, self), members):
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [member]
+            else:
+                group.append(member)
 
         if box.is_scalar and not groups:
             groups[()] = []
-            order.append(())
 
         # The grouping work table holds the full input partitioned by key
         # until aggregation finishes -- a transient materialisation.
         self.metrics.materialize(len(input_rows))
         self.checkpoint()
         try:
+            guard = self.guard
             rows: list[tuple] = []
-            for key in order:
-                member_envs = groups[key]
-                representative = member_envs[0] if member_envs else env
+            for group in groups.values():
                 values = []
-                for output in box.outputs:
-                    expr = output.expr
-                    if isinstance(expr, ast.AggregateCall):
-                        if expr.argument is None:
-                            value = compute_aggregate(
-                                expr.func, None, len(member_envs), expr.distinct,
-                                guard=self.guard,
-                            )
-                        else:
-                            arg_values = [
-                                evaluate(expr.argument, e, self)
-                                for e in member_envs
-                            ]
-                            value = compute_aggregate(
-                                expr.func, arg_values, len(member_envs),
-                                expr.distinct, guard=self.guard,
-                            )
+                for func, distinct, argument, value in plan.outputs:
+                    if func is None:
+                        values.append(value(group[0] if group else env, self))
                     else:
-                        value = evaluate(expr, representative, self)
-                    values.append(value)
+                        values.append(compute_aggregate(
+                            func,
+                            None if argument is None else argument(group, self),
+                            len(group), distinct, guard=guard,
+                        ))
                 rows.append(tuple(values))
             return rows
         finally:
@@ -492,68 +414,418 @@ class ExecutionContext:
 
     def _rows_outerjoin(self, box: OuterJoinBox, env: Env) -> list[tuple]:
         left_q, right_q = box.preserved, box.null_producing
+        plan = self.plan(box)
         left_rows = self.box_rows(left_q.box, env)
         right_rows = self.box_rows(right_q.box, env)
         null_row = (None,) * len(right_q.box.output_names())
+        condition = plan.condition
 
-        equi = _equi_condition(box)
-        rows: list[tuple] = []
-        if equi is not None:
-            left_keys, right_keys, null_safe = equi
-            buckets: dict[tuple, list[tuple]] = {}
-            n_built = 0
-            for row in right_rows:
-                row_env = env.bind(right_q, row)
-                key = _join_key(
-                    [evaluate(e, row_env, self) for e in right_keys], null_safe
-                )
-                if key is None:
-                    continue
-                buckets.setdefault(key, []).append(row)
+        # Flat ``left + right`` rows when nothing else is read, else Envs.
+        if plan.positional:
+            lefts, pair = left_rows, concat
+        else:
+            lefts = [env.bind(left_q, row) for row in left_rows]
+
+            def pair(left: Env, row: tuple) -> Env:
+                return left.bind(right_q, row)
+
+        buckets: Optional[dict[tuple, list[tuple]]] = None
+        n_built = 0
+        if plan.left_keys is not None:
+            null_safe = plan.null_safe
+            rights = (
+                right_rows if plan.positional
+                else [env.bind(right_q, row) for row in right_rows]
+            )
+            buckets = {}
+            for key, row in zip(plan.right_keys(rights, self), right_rows):
+                if None in key:
+                    key = _join_key(key, null_safe)
+                    if key is None:
+                        continue
+                bucket = buckets.get(key)
+                if bucket is None:
+                    buckets[key] = [row]
+                else:
+                    bucket.append(row)
                 n_built += 1
-            # Transient build-side materialisation, as in HashJoinStep.
+            # Transient build-side materialisation, as in a hash-join step.
             self.metrics.materialize(n_built)
             self.checkpoint()
-            try:
-                for lrow in left_rows:
-                    lenv = env.bind(left_q, lrow)
-                    key = _join_key(
-                        [evaluate(e, lenv, self) for e in left_keys], null_safe
-                    )
-                    matches = [] if key is None else buckets.get(key, [])
-                    matched = False
-                    for rrow in matches:
-                        combined = lenv.bind(right_q, rrow)
-                        if box.condition is None or predicate_holds(
-                            box.condition, combined, self
-                        ):
-                            matched = True
-                            self.metrics.rows_joined += 1
-                            rows.append(self._project_oj(box, combined))
-                    if not matched:
-                        rows.append(
-                            self._project_oj(box, lenv.bind(right_q, null_row))
-                        )
-            finally:
-                self.metrics.release(n_built)
+            left_keys = plan.left_keys(lefts, self)
         else:
-            for lrow in left_rows:
-                lenv = env.bind(left_q, lrow)
-                matched = False
-                for rrow in right_rows:
-                    combined = lenv.bind(right_q, rrow)
-                    if box.condition is None or predicate_holds(
-                        box.condition, combined, self
-                    ):
-                        matched = True
-                        self.metrics.rows_joined += 1
-                        rows.append(self._project_oj(box, combined))
-                if not matched:
-                    rows.append(self._project_oj(box, lenv.bind(right_q, null_row)))
-        return rows
+            left_keys = repeat(None)
 
-    def _project_oj(self, box: OuterJoinBox, env: Env) -> tuple:
-        return tuple(evaluate(o.expr, env, self) for o in box.outputs)
+        joined: list = []
+        n_joined = 0
+        try:
+            for key, left in zip(left_keys, lefts):
+                if buckets is None:
+                    matches: Sequence[tuple] = right_rows
+                else:
+                    if None in key:
+                        key = _join_key(key, null_safe)
+                    matches = () if key is None else buckets.get(key, ())
+                matched = False
+                for row in matches:
+                    both = pair(left, row)
+                    if condition is None or condition(both, self) is True:
+                        matched = True
+                        n_joined += 1
+                        joined.append(both)
+                if not matched:
+                    joined.append(pair(left, null_row))
+            return list(plan.project(joined, self))
+        finally:
+            self.metrics.rows_joined += n_joined
+            self.metrics.release(n_built)
+
+
+# -- compiled plans -------------------------------------------------------------
+#
+# Everything below runs once per box, not per row: it resolves a box's
+# expressions into closures (repro.exec.evaluate) and its plan steps into
+# ``run(ctx, members, outer_env)`` functions. No closure captures an
+# ExecutionContext, so the result is stored beside the physical plan and
+# shared by every invocation of the box and every execution of a cached
+# graph.
+#
+# A box is compiled in one of two modes. *Positional*: all its expressions
+# read only the box's own quantifiers (no outer reference, no subquery), so
+# the rows bound so far are kept as one flat tuple -- each quantifier's
+# columns at a fixed offset -- and expressions index it. Otherwise its
+# bindings live in an Env, which also carries the outer bindings that
+# correlated references and nested boxes need. Either way the compiled
+# expressions take ``(member, ctx)``; only how a member is extended by one
+# more row differs.
+
+#: One compiled plan step: the members after the step, given those before.
+StepFunction = Callable[["ExecutionContext", list, Env], list]
+#: One value (or tuple of values) per member of a batch, lazily.
+BatchFunction = Callable[[Sequence, "ExecutionContext"], Iterable]
+#: Quantifier -> position of its first column in a flat row; ``None`` = Env.
+Offsets = Optional[dict[Quantifier, int]]
+
+
+@dataclass(frozen=True)
+class CompiledSelect:
+    """The executable form of a :class:`SelectPlan` (its ``compiled``)."""
+
+    positional: bool
+    steps: tuple[StepFunction, ...]
+    #: members -> output rows (before DISTINCT).
+    project: BatchFunction
+
+
+class CompiledOutput(NamedTuple):
+    """One GROUP BY output: an aggregate (``func`` set; ``argument`` maps
+    a group's members to its input values, ``None`` for ``COUNT(*)``) or a
+    plain expression evaluated on a representative member (``value``)."""
+
+    func: Optional[str] = None
+    distinct: bool = False
+    argument: Optional[BatchFunction] = None
+    value: Optional[Compiled] = None
+
+
+@dataclass(frozen=True)
+class GroupByPlan:
+    positional: bool
+    keys: BatchFunction
+    outputs: tuple[CompiledOutput, ...]
+
+
+@dataclass(frozen=True)
+class OuterJoinPlan:
+    positional: bool
+    #: Hash keys of an all-equality ON condition, else all three ``None``.
+    left_keys: Optional[BatchFunction]
+    right_keys: Optional[BatchFunction]
+    null_safe: Optional[tuple[bool, ...]]
+    condition: Optional[Compiled]
+    project: BatchFunction
+
+
+def plan_box(catalog: Catalog, box: Box, guard=None):
+    """The executor's plan for one box, its expressions compiled: a
+    :class:`SelectPlan` (cost-based, see :mod:`repro.plan.planner`) for an
+    SPJ box, a :class:`GroupByPlan` or :class:`OuterJoinPlan` for those
+    kinds, ``None`` for kinds that evaluate no expression."""
+    if isinstance(box, SelectBox):
+        plan = plan_select_box(catalog, box, guard=guard)
+        plan.compiled = compile_select(plan)
+        return plan
+    if isinstance(box, GroupByBox):
+        return _compile_groupby(box)
+    if isinstance(box, OuterJoinBox):
+        return _compile_outerjoin(box)
+    return None
+
+
+def compile_select(plan: SelectPlan) -> CompiledSelect:
+    """Compile the steps and the projection of one SPJ plan."""
+    box = plan.box
+    offsets = None
+    # A child correlated to this box is run once per member and reads this
+    # box's bindings from the Env it is handed.
+    if reads_only(box.own_exprs(), box.quantifiers) and not any(
+        isinstance(step, ScanStep) and step.correlated_to_self
+        for step in plan.steps
+    ):
+        offsets = _flat_offsets(plan.join_order)
+    return CompiledSelect(
+        positional=offsets is not None,
+        steps=tuple(_compile_step(step, offsets) for step in plan.steps),
+        project=_compile_tuples([o.expr for o in box.outputs], offsets),
+    )
+
+
+def _flat_offsets(quantifiers: Iterable[Quantifier]) -> dict[Quantifier, int]:
+    """Where each quantifier's columns start when their rows are
+    concatenated in this order."""
+    offsets, width = {}, 0
+    for q in quantifiers:
+        offsets[q] = width
+        width += len(q.box.output_names())
+    return offsets
+
+
+def _extender(q: Quantifier, offsets: Offsets) -> Callable:
+    """``extend(member, row)``: the member with a row of ``q`` bound too."""
+    if offsets is not None:
+        return concat
+    # Env.bind, spelled out: one call per row instead of two.
+    return lambda env, row: Env({**env.bindings, q: row}, env.values)
+
+
+def _compile_values(expr: ast.Expr, offsets: Offsets = None) -> BatchFunction:
+    """``expr`` over a batch of members."""
+    if offsets is not None and isinstance(expr, ColumnRef):
+        getter = itemgetter(flat_position(expr, offsets))
+        return lambda members, ctx: map(getter, members)
+    fn = compile_expr(expr, offsets)
+    return lambda members, ctx: map(fn, members, repeat(ctx))
+
+
+def _compile_tuples(
+    exprs: Sequence[ast.Expr], offsets: Offsets = None
+) -> BatchFunction:
+    """The tuple of ``exprs`` over a batch of members: join and group keys,
+    projections."""
+    if len(exprs) == 1:
+        values = _compile_values(exprs[0], offsets)
+        return lambda members, ctx: zip(values(members, ctx))
+    if offsets is not None and exprs and all(
+        isinstance(e, ColumnRef) for e in exprs
+    ):
+        getter = itemgetter(*[flat_position(e, offsets) for e in exprs])
+        return lambda members, ctx: map(getter, members)
+    fns = tuple(compile_expr(e, offsets) for e in exprs)
+
+    def tuple_of(member, ctx):
+        return tuple([fn(member, ctx) for fn in fns])
+
+    return lambda members, ctx: map(tuple_of, members, repeat(ctx))
+
+
+def _compile_step(step, offsets: Offsets) -> StepFunction:
+    if isinstance(step, ScanStep):
+        return _compile_scan(step, offsets)
+    if isinstance(step, IndexLookupStep):
+        return _compile_index_lookup(step, offsets)
+    if isinstance(step, HashJoinStep):
+        return _compile_hash_join(step, offsets)
+    if isinstance(step, PredicateStep):
+        predicate = compile_expr(step.predicate, offsets)
+        # WHERE semantics: UNKNOWN does not qualify.
+        return lambda ctx, members, outer_env: [
+            m for m in members if predicate(m, ctx) is True
+        ]
+    if isinstance(step, SubqueryEvalStep):
+        node = step.node
+        key = id(node)
+        return lambda ctx, envs, outer_env: [
+            env.with_value(key, scalar_subquery_value(node, env, ctx))
+            for env in envs
+        ]
+    raise ExecutionError(f"unknown plan step {step!r}")
+
+
+def _compile_scan(step: ScanStep, offsets: Offsets) -> StepFunction:
+    q = step.quantifier
+    child = q.box
+    detail = f"scan {q.name}"
+    extend = _extender(q, offsets)
+
+    def scan_per_env(ctx, envs, outer_env):
+        if ctx.faults is not None:
+            ctx.faults.trigger("exec.join", detail=detail)
+        metrics = ctx.metrics
+        result: list[Env] = []
+        for env in envs:
+            metrics.subquery_invocations += 1
+            child_rows = ctx.box_rows(child, env)
+            metrics.rows_joined += len(child_rows)
+            result.extend([env.bind(q, row) for row in child_rows])
+        return result
+
+    def scan(ctx, members, outer_env):
+        if ctx.faults is not None:
+            ctx.faults.trigger("exec.join", detail=detail)
+        child_rows = ctx.box_rows(child, outer_env)
+        ctx.metrics.rows_joined += len(child_rows) * len(members)
+        return [extend(m, row) for m in members for row in child_rows]
+
+    return scan_per_env if step.correlated_to_self else scan
+
+
+def _compile_index_lookup(step: IndexLookupStep, offsets: Offsets) -> StepFunction:
+    q = step.quantifier
+    table_name = q.box.table_name
+    index_name = step.index_name
+    extend = _extender(q, offsets)
+    keys = (
+        _compile_values(step.key_exprs[0], offsets)
+        if len(step.key_exprs) == 1
+        else _compile_tuples(step.key_exprs, offsets)
+    )
+
+    def index_lookup(ctx, members, outer_env):
+        if ctx.faults is not None:
+            ctx.faults.trigger("storage.index_lookup", detail=index_name)
+        table = ctx.catalog.table(table_name)
+        index = table.indexes.get(index_name)
+        if index is None:
+            raise ExecutionError(
+                f"index {index_name!r} disappeared during execution"
+            )
+        metrics = ctx.metrics
+        lookup, fetch = index.lookup, table.fetch
+        result = []
+        for key, member in zip(keys(members, ctx), members):
+            metrics.index_lookups += 1
+            row_ids = lookup(key)
+            metrics.index_rows += len(row_ids)
+            result.extend([extend(member, fetch(rid)) for rid in row_ids])
+        return result
+
+    return index_lookup
+
+
+def _compile_hash_join(step: HashJoinStep, offsets: Offsets) -> StepFunction:
+    q = step.quantifier
+    child = q.box
+    detail = f"hash join {q.name}"
+    extend = _extender(q, offsets)
+    null_safe = step.null_safe if any(step.null_safe) else None
+    # The build side is plain columns of ``q`` (see the planner): it reads
+    # the child's rows as they are, whatever the rest of the box reads.
+    build_keys = _compile_tuples(step.build_exprs, {q: 0})
+    probe_keys = _compile_tuples(step.probe_exprs, offsets)
+
+    def hash_join(ctx, members, outer_env):
+        if ctx.faults is not None:
+            ctx.faults.trigger("exec.join", detail=detail)
+        metrics = ctx.metrics
+        child_rows = ctx.box_rows(child, outer_env)
+        buckets: dict[tuple, list[tuple]] = {}
+        n_built = 0
+        for key, row in zip(build_keys(child_rows, ctx), child_rows):
+            if None in key:
+                key = _join_key(key, null_safe)
+                if key is None:
+                    continue
+            bucket = buckets.get(key)
+            if bucket is None:
+                buckets[key] = [row]
+            else:
+                bucket.append(row)
+            n_built += 1
+        # The build side is a transient materialisation: it lives for
+        # the probe phase only, so it counts against the live/high-water
+        # figures and is released when the step completes.
+        metrics.materialize(n_built)
+        ctx.checkpoint()
+        n_joined = 0
+        try:
+            result = []
+            for key, member in zip(probe_keys(members, ctx), members):
+                if None in key:
+                    key = _join_key(key, null_safe)
+                    if key is None:
+                        continue
+                matches = buckets.get(key)
+                if matches is not None:
+                    n_joined += len(matches)
+                    result.extend([extend(member, row) for row in matches])
+            return result
+        finally:
+            metrics.rows_joined += n_joined
+            metrics.release(n_built)
+
+    return hash_join
+
+
+def _compile_groupby(box: GroupByBox) -> GroupByPlan:
+    q = box.quantifier
+    aggregates = [
+        o.expr for o in box.outputs if isinstance(o.expr, ast.AggregateCall)
+    ]
+    plain = [
+        o.expr for o in box.outputs
+        if not isinstance(o.expr, ast.AggregateCall)
+    ]
+    arguments = [a.argument for a in aggregates if a.argument is not None]
+    # A scalar aggregate over no rows evaluates its plain outputs against
+    # the outer Env, so those keep the Env mode.
+    positional = reads_only([*box.group_by, *plain, *arguments], (q,)) and not (
+        box.is_scalar and plain
+    )
+    offsets = {q: 0} if positional else None
+    outputs = []
+    for output in box.outputs:
+        expr = output.expr
+        if not isinstance(expr, ast.AggregateCall):
+            outputs.append(CompiledOutput(value=compile_expr(expr, offsets)))
+        elif expr.argument is None:
+            outputs.append(CompiledOutput(expr.func, expr.distinct))
+        else:
+            outputs.append(CompiledOutput(
+                expr.func, expr.distinct,
+                _compile_values(expr.argument, offsets),
+            ))
+    return GroupByPlan(
+        positional, _compile_tuples(box.group_by, offsets), tuple(outputs)
+    )
+
+
+def _compile_outerjoin(box: OuterJoinBox) -> OuterJoinPlan:
+    left_q, right_q = box.preserved, box.null_producing
+    positional = reads_only(box.own_exprs(), (left_q, right_q))
+    offsets = right_alone = None
+    if positional:
+        offsets = _flat_offsets((left_q, right_q))
+        right_alone = {right_q: 0}
+    left_keys = right_keys = null_safe = None
+    equi = _equi_condition(box)
+    if equi is not None:
+        left_exprs, right_exprs, flags = equi
+        # Left keys read columns of the preserved side only, which start
+        # the flat row: the same closures serve the left row alone.
+        left_keys = _compile_tuples(left_exprs, offsets)
+        right_keys = _compile_tuples(right_exprs, right_alone)
+        null_safe = flags if any(flags) else None
+    return OuterJoinPlan(
+        positional=positional,
+        left_keys=left_keys,
+        right_keys=right_keys,
+        null_safe=null_safe,
+        condition=(
+            None if box.condition is None
+            else compile_expr(box.condition, offsets)
+        ),
+        project=_compile_tuples([o.expr for o in box.outputs], offsets),
+    )
 
 
 class _NullKey:
@@ -568,8 +840,13 @@ class _NullKey:
 _NULL_KEY = _NullKey()
 
 
-def _join_key(values: list, null_safe: tuple[bool, ...]):
-    """Hashable join key; None when any non-null-safe component is NULL."""
+def _join_key(values: tuple, null_safe: Optional[tuple[bool, ...]]):
+    """The hashable form of join-key ``values`` that hold a NULL (the
+    others are their own keys): ``None`` when a component that is not
+    null-safe is NULL -- at once when ``null_safe`` is ``None``, the join
+    having no ``<=>`` pair at all."""
+    if null_safe is None:
+        return None
     key = []
     for value, safe in zip(values, null_safe):
         if value is None:
@@ -595,8 +872,6 @@ def _equi_condition(box: OuterJoinBox):
     """Split the ON condition into hashable equi-keys when it is a
     conjunction of (possibly null-safe) equalities between the two sides;
     None otherwise. Returns (left_keys, right_keys, null_safe_flags)."""
-    from ..qgm.expr import column_refs, conjuncts
-
     if box.condition is None:
         return None
     left_keys: list[ast.Expr] = []
@@ -625,6 +900,8 @@ def _equi_condition(box: OuterJoinBox):
     if not left_keys:
         return None
     return tuple(left_keys), tuple(right_keys), tuple(null_safe)
+
+
 
 
 def execute_graph(

@@ -380,18 +380,19 @@ class PlanCache:
         Runs the standard pipeline over the parameterized text (literals
         as ``?``): parse, bind, the *requested* strategy's rewrite (no
         fallback -- a degraded plan is one submission's accident, not the
-        shape's plan), then precomputed physical plans for every SPJ box.
+        shape's plan), then the executor's plan for every box, expressions
+        compiled (:func:`repro.exec.executor.plan_box`), so hits neither
+        plan nor compile.
         Any typed failure tombstones the shape instead; later misses skip
         the re-attempt. The fill deliberately uses a private, quiet
         rewrite engine: no validation hooks, no fault injection, no
         events -- the live query already ran with all of those."""
         from ..errors import ReproError
+        from ..exec.executor import plan_box
         from ..qgm import build_qgm, iter_boxes
-        from ..qgm.model import SelectBox
         from ..rewrite import RewriteEngine
         from ..sql import ast
         from ..sql.parser import parse_statement
-        from .planner import plan_select_box
 
         try:
             statement = parse_statement(prepared.parameterized_sql)
@@ -406,8 +407,9 @@ class PlanCache:
             plans: dict = {}
             try:
                 for box in iter_boxes(graph.root):
-                    if isinstance(box, SelectBox):
-                        plans[box.id] = plan_select_box(catalog, box)
+                    plan = plan_box(catalog, box)
+                    if plan is not None:
+                        plans[box.id] = plan
             except ReproError:
                 # Planning hiccups are not fatal: hits re-plan lazily.
                 plans = {}

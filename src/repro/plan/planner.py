@@ -21,7 +21,7 @@ paper measures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Any, Optional, Union
 
 from ..errors import PlanError
 from ..qgm.analysis import external_column_refs
@@ -65,12 +65,17 @@ class HashJoinStep:
 
     ``null_safe[i]`` marks ``<=>`` key pairs: NULL keys participate (NULL
     matches NULL) instead of being dropped as ordinary equality requires.
+    Left out, every pair is an ordinary equality.
     """
 
     quantifier: Quantifier
     build_exprs: tuple[ast.Expr, ...]  # over the new quantifier
     probe_exprs: tuple[ast.Expr, ...]  # over already-bound quantifiers/outer
     null_safe: tuple[bool, ...] = ()
+
+    def __post_init__(self) -> None:
+        if not self.null_safe:
+            self.null_safe = (False,) * len(self.build_exprs)
 
 
 @dataclass
@@ -117,6 +122,10 @@ class SelectPlan:
     scalar_placement: dict[int, int] = field(default_factory=dict)
     #: Quantifiers in chosen join order (barrier i binds order[i-1]).
     join_order: list[Quantifier] = field(default_factory=list)
+    #: The executor's closures for ``steps`` and the projection
+    #: (:func:`repro.exec.executor.compile_select`); the planner, and the
+    #: rewrites that only ask it for a placement, leave it empty.
+    compiled: Optional[Any] = field(default=None, repr=False, compare=False)
 
 
 def _own_refs(box: SelectBox, expr: ast.Expr) -> set[int]:

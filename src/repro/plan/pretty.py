@@ -70,8 +70,7 @@ def _step_to_text(step, own: set[int]) -> str:
         pairs = ", ".join(
             f"{expr_to_text(b, own)} {'<=>' if ns else '='} {expr_to_text(p, own)}"
             for b, p, ns in zip(
-                step.build_exprs, step.probe_exprs,
-                step.null_safe or (False,) * len(step.build_exprs),
+                step.build_exprs, step.probe_exprs, step.null_safe
             )
         )
         return f"hash join {step.quantifier.name} on {pairs}"

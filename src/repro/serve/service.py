@@ -58,6 +58,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
+from array import array
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
@@ -700,7 +701,9 @@ class QueryService:
         self._cancelled = 0
         self._in_flight = 0
         self._rejected_with_hint = 0
-        self._latencies: list[float] = []
+        #: One sample per finished ticket for the life of the service, so
+        #: kept unboxed (8 bytes a sample, not a float object and a slot).
+        self._latencies = array("d")
         #: Exponentially-weighted mean query latency (seconds); drives the
         #: ``retry_after_hint`` on queue-full rejections. None until the
         #: first completion -- with no data, rejections carry no hint.
@@ -754,7 +757,7 @@ class QueryService:
         self._rejected_futile = 0
         self._retry_storm_rejected = 0
         self._brownout_transitions: list[dict] = []
-        self._queue_wait_samples: list[float] = []
+        self._queue_wait_samples = array("d")  # per ticket, as _latencies
         # shared plan cache (thread-safe; its own lock sits between the
         # service and catalog ranks in the section-9 order)
         self._plan_cache = plan_cache

@@ -35,7 +35,9 @@ class HashIndex:
         self.name = name
         self.column_positions = tuple(column_positions)
         self.unique = unique
-        self._map: dict[Any, list[int]] = {}
+        #: key -> row ids; a key with one row (every key of a unique
+        #: index) maps to the bare id, which saves a list per key.
+        self._map: dict[Any, Any] = {}
 
     def _key_of(self, row: Sequence[Any]) -> Any:
         if len(self.column_positions) == 1:
@@ -45,12 +47,17 @@ class HashIndex:
     def insert(self, row_id: int, row: Sequence[Any]) -> None:
         """Index ``row`` stored at ``row_id``."""
         key = self._key_of(row)
-        bucket = self._map.setdefault(key, [])
-        if self.unique and bucket and not self._key_has_null(key):
+        bucket = self._map.get(key)
+        if bucket is None:
+            self._map[key] = row_id
+        elif self.unique and not self._key_has_null(key):
             raise SchemaError(
                 f"unique index {self.name!r} violated for key {key!r}"
             )
-        bucket.append(row_id)
+        elif type(bucket) is int:
+            self._map[key] = [bucket, row_id]
+        else:
+            bucket.append(row_id)
 
     @staticmethod
     def _key_has_null(key: Any) -> bool:
@@ -65,10 +72,15 @@ class HashIndex:
         """
         if self._key_has_null(key):
             return []
-        return self._map.get(key, [])
+        bucket = self._map.get(key)
+        if bucket is None:
+            return []
+        return [bucket] if type(bucket) is int else bucket
 
     def __len__(self) -> int:
-        return sum(len(b) for b in self._map.values())
+        return sum(
+            1 if type(b) is int else len(b) for b in self._map.values()
+        )
 
 
 class SortedIndex:

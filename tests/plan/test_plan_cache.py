@@ -237,6 +237,93 @@ class TestPlanCache:
             assert cache.hits == 1, strategy
 
 
+
+# -- compiled closures ride along with the cached plan -------------------------
+
+class TestCompiledClosures:
+    """The expressions of a cached shape are compiled once, at fill time;
+    every hit -- whatever its ``?`` values, whichever thread runs it --
+    executes those same closures."""
+
+    SQL = (
+        "select e.building, count(*), sum(e.salary) from emp e, dept d "
+        "where e.building = d.building and e.salary > {} and d.budget < {} "
+        "group by e.building order by e.building"
+    )
+
+    @staticmethod
+    def _compiled(cache):
+        (entry,) = cache._entries.values()
+        # SPJ boxes keep their closures on the SelectPlan; GROUP BY boxes
+        # are stored as their compiled plan.
+        return {
+            box_id: getattr(plan, "compiled", plan)
+            for box_id, plan in entry.plans.items()
+        }
+
+    @staticmethod
+    def _forbid_compiling(monkeypatch):
+        from repro.exec import executor
+
+        def trap(*args, **kwargs):
+            raise AssertionError("a plan-cache hit compiled something")
+
+        for name in ("plan_box", "compile_select", "compile_expr"):
+            monkeypatch.setattr(executor, name, trap)
+
+    def test_hits_with_different_values_reuse_the_closures(
+        self, db, plain, cache, monkeypatch
+    ):
+        literals = [(50.0, 9000.0), (120.0, 15000.0)]
+        expected = [plain.execute(self.SQL.format(*pair)).rows for pair in literals]
+        assert expected[0] != expected[1]
+        db.execute(self.SQL.format(*literals[0]))  # miss, fill
+        before = self._compiled(cache)
+        assert len(before) >= 2 and all(c is not None for c in before.values())
+        self._forbid_compiling(monkeypatch)
+        for pair, rows in zip(literals, expected):
+            assert db.execute(self.SQL.format(*pair)).rows == rows
+        after = self._compiled(cache)
+        assert after.keys() == before.keys()
+        assert all(after[box_id] is before[box_id] for box_id in before)
+        assert cache.snapshot()["hits"] == 2
+
+    def test_concurrent_hits_share_closures_and_keep_their_own_values(
+        self, db, plain, cache, monkeypatch
+    ):
+        import threading
+
+        literals = [(50.0, 9000.0), (120.0, 15000.0)]
+        expected = [plain.execute(self.SQL.format(*pair)).rows for pair in literals]
+        assert expected[0] != expected[1]
+        db.execute(self.SQL.format(*literals[0]))  # miss, fill
+        before = self._compiled(cache)
+        self._forbid_compiling(monkeypatch)
+        barrier = threading.Barrier(2)
+        failures: list = []
+
+        def work(i: int) -> None:
+            try:
+                barrier.wait(10)
+                for _ in range(25):
+                    rows = db.execute(self.SQL.format(*literals[i])).rows
+                    if rows != expected[i]:
+                        failures.append((i, rows))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                failures.append((i, exc))
+
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+            assert not thread.is_alive()
+        assert not failures
+        after = self._compiled(cache)
+        assert all(after[box_id] is before[box_id] for box_id in before)
+        assert cache.snapshot()["hits"] == 50
+
+
 # -- staleness: the generation stamp -------------------------------------------
 
 class TestInvalidation:

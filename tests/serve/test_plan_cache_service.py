@@ -91,19 +91,38 @@ class TestInsertRaces:
         cache = PlanCache()
         db = Database(load_empdept(), plan_cache=cache)
         sql = "select name from emp where building = 'b1' order by name"
-        expected = db.execute(sql).rows
+        expected = db.execute(sql).rows  # fills the entry, pre-DDL epoch
+        first_bump = threading.Event()
+        ddl_done = threading.Event()
 
         def work(i: int) -> None:
             if i == 0:  # DDL churn
-                for k in range(15):
-                    db.execute("create index emp_bldg on emp (building)")
-                    db.execute("drop index emp_bldg on emp")
+                try:
+                    for k in range(15):
+                        db.execute("create index emp_bldg on emp (building)")
+                        first_bump.set()
+                        db.execute("drop index emp_bldg on emp")
+                finally:
+                    first_bump.set()
+                    ddl_done.set()
                 return
-            for _ in range(40):
+            # The overlap is arranged, not hoped for: no reader starts
+            # before the catalog has moved past the primed entry's epoch
+            # (so its first lookup finds that entry stale), and each keeps
+            # reading until the DDL thread has bumped the epoch under it
+            # at least once more, however fast 40 reads go by.
+            assert first_bump.wait(30), "DDL thread never got going"
+            started_at = db.catalog.generation()
+            reads = 0
+            while reads < 40 or (
+                db.catalog.generation() == started_at
+                and not ddl_done.is_set()
+            ):
                 try:
                     assert db.execute(sql).rows == expected
                 except ReproError:
                     pass  # typed failures are allowed under DDL races
+                reads += 1
 
         results = _run_threads(6, work)
         assert not any(isinstance(r, Exception) for r in results), results
