@@ -11,6 +11,7 @@ benchmark here is a compressed, informational run.
 
 import statistics
 import time
+from dataclasses import replace
 
 import pytest
 
@@ -18,7 +19,7 @@ from repro import Database, QueryService
 from repro.serve import overload as overload_module
 from repro.serve import service as service_module
 from repro.serve.overload import OverloadConfig
-from repro.serve.soak import OverloadPhase, run_overload_soak
+from repro.serve.soak import OverloadPhase, overload_scenario, run_scenario
 from repro.tpcd import EMP_DEPT_QUERY, load_empdept
 
 #: The disabled path may not regress past half again the enabled one
@@ -100,21 +101,22 @@ def test_bench_overload_goodput():
     """A compressed phased soak (informational -- the gated comparison
     is the CI ``repro soak --overload`` run): both sides reconcile and
     the adaptive side produces goodput under overload."""
-    report = run_overload_soak(
+    scenario = overload_scenario(
         seed=42, workers=2, max_queue=16, scale=0.002,
         phases=(
             OverloadPhase("warmup", 0.8, 40.0),
             OverloadPhase("overload", 1.5, 250.0),
             OverloadPhase("recovery", 0.5, 20.0),
         ),
-        require_win=False,
     )
-    assert report.adaptive.violations == []
-    assert report.fifo.violations == []
-    assert report.adaptive.goodput > 0
+    report = run_scenario(replace(scenario, gates=()))
+    adaptive, fifo = report.sides["adaptive"], report.sides["fifo"]
+    assert adaptive.violations == []
+    assert fifo.violations == []
+    assert adaptive.goodput > 0
     print(
-        f"\noverload goodput: adaptive {report.adaptive.goodput} "
-        f"({report.adaptive.futile_executions} futile) vs FIFO "
-        f"{report.fifo.goodput} ({report.fifo.futile_executions} futile) "
-        f"of {report.adaptive.offered} offered"
+        f"\noverload goodput: adaptive {adaptive.goodput} "
+        f"({adaptive.futile_executions} futile) vs FIFO "
+        f"{fifo.goodput} ({fifo.futile_executions} futile) "
+        f"of {adaptive.offered} offered"
     )

@@ -96,24 +96,29 @@ def test_bench_plan_cache_goodput():
     strictly more within-deadline queries than cache-off at identical
     offered load, and hit/miss/invalidation counters reconcile exactly
     against the emitted ``plan.cache_*`` events (checked inside
-    ``run_plan_cache_soak``; any mismatch is a violation)."""
-    from repro.serve.soak import OverloadPhase, run_plan_cache_soak
+    ``run_scenario``; any mismatch is a violation)."""
+    from repro.serve.soak import (
+        OverloadPhase,
+        plan_cache_scenario,
+        run_scenario,
+    )
 
-    report = run_plan_cache_soak(
+    report = run_scenario(plan_cache_scenario(
         seed=42, workers=2, max_queue=16, scale=0.002,
         phases=(
             OverloadPhase("warmup", 0.8, 40.0),
             OverloadPhase("steady", 2.0, 400.0),
         ),
-        require_win=True,
-    )
-    assert report.cached.violations == []
-    assert report.baseline.violations == []
+    ))
+    cached, baseline = report.sides["cached"], report.sides["baseline"]
+    cache = cached.stats.plan_cache
+    assert cached.violations == []
+    assert baseline.violations == []
     assert report.violations == [], [str(v) for v in report.violations]
-    assert report.cached.goodput > report.baseline.goodput
-    assert report.hit_rate > 0.9
+    assert cached.goodput > baseline.goodput
+    assert cache["hit_rate"] > 0.9
     print(
-        f"\nplan-cache goodput: cached {report.cached.goodput} vs "
-        f"uncached {report.baseline.goodput} of {report.cached.offered} "
-        f"offered; hit_rate={report.hit_rate} cache={report.cache}"
+        f"\nplan-cache goodput: cached {cached.goodput} vs "
+        f"uncached {baseline.goodput} of {cached.offered} "
+        f"offered; hit_rate={cache['hit_rate']} cache={cache}"
     )

@@ -147,472 +147,188 @@ def cmd_shell(args: argparse.Namespace) -> int:
             print(f"error: {exc}")
 
 
-def _cmd_worker_soak(args: argparse.Namespace) -> int:
-    """The ``repro soak --real-workers`` path: chaos-soak the real
-    shared-nothing executor.
-
-    Each epoch runs one full section-6 query on a fresh pool of real
-    worker processes, SIGKILLs one worker mid-query (unless ``--no-kill``)
-    and injects any ``--faults`` process-level sites on top. Exit ``0``
-    when every epoch produced the reference answer (directly or via a
-    recorded degradation) or a typed error AND the ``worker.*`` event
-    counts reconcile with the pool counters; ``1`` on any violation;
-    ``2`` on bad configuration.
-    """
-    import faulthandler
+def _write_profile(profiler, title: str, speedscope_out, collapsed_out) -> None:
+    """Export a finished sampling profile; print its top operators."""
     import json
 
-    from .serve.soak import run_worker_soak
+    if speedscope_out:
+        with open(speedscope_out, "w") as handle:
+            json.dump(profiler.speedscope(title), handle, sort_keys=True)
+            handle.write("\n")
+        print(f"wrote {speedscope_out} ({profiler.sample_count} samples)")
+    if collapsed_out:
+        with open(collapsed_out, "w") as handle:
+            handle.write(profiler.collapsed())
+        print(f"wrote {collapsed_out}")
+    top = list(profiler.operator_samples().items())[:10]
+    if top:
+        print("profile: operator samples (top 10):")
+        for name, samples in top:
+            print(f"  {name:<32} {samples:>6}")
 
-    # Worker recovery is bounded by task_timeout * attempts per epoch; a
-    # minute per epoch is a generous hang watchdog. A replaced stderr
-    # (in-process test capture) has no fileno -- run unguarded then.
+
+def _summarise_service(title: str, report, args) -> None:
+    """One line per side, then whatever the side under test recorded:
+    breakers, traced operators, slow queries, overload control, cache."""
+    for side in report.sides.values():
+        stats = side.stats
+        print(
+            f"{title} [{side.label}]: {side.elapsed:.1f}s, "
+            f"{stats.submitted} submitted "
+            f"({stats.completed} ok / {stats.failed} failed / "
+            f"{stats.cancelled} cancelled / {stats.rejected} "
+            f"rejected), {side.throughput_qps:.1f} q/s, "
+            f"p50 {stats.latency_p50_ms} ms, "
+            f"p95 {stats.latency_p95_ms} ms, "
+            f"{side.goodput} within deadline, "
+            f"{side.futile_executions} futile executions, "
+            f"{side.outcomes.get('late', 0)} late, "
+            f"{side.checked_answers} answers checked, "
+            f"{len(stats.breaker_transitions)} breaker transitions"
+        )
+    side = report.primary
+    stats = side.stats
+    for strategy, snapshot in sorted(stats.breakers.items()):
+        print(f"  breaker[{strategy}]: {snapshot['state']}")
+    if side.operator_totals:
+        print("  per-operator totals (traced queries, top 10 by elapsed):")
+        for op in side.operator_totals[:10]:
+            print(
+                f"    {op['name']:<32} calls={op['calls']:>6} "
+                f"rows_out={op['rows_out']:>8} "
+                f"elapsed={op['elapsed_ms']:>10.3f}ms"
+            )
+    if stats.slow_queries or stats.slow_total:
+        from .obs import render_slow_log
+
+        slow = stats.slow_queries
+        print(
+            f"  slow queries (> {args.slow_ms} ms): "
+            f"{stats.slow_total} total, showing {min(len(slow), 5)}"
+        )
+        print(render_slow_log(slow[-5:], indent="    "))
+    if stats.overload:
+        print(
+            f"  {side.label}: shed={stats.shed} "
+            f"expired_in_queue={stats.expired_in_queue} "
+            f"rejected_futile={stats.rejected_futile} "
+            f"retry_storm_rejected={stats.retry_storm_rejected} "
+            f"brownout_transitions={len(stats.brownout_transitions)}"
+        )
+        for step in stats.brownout_transitions:
+            print(
+                f"    brownout {step['from']} -> {step['to']} "
+                f"({step['rung']}) at utilization "
+                f"{step['utilization']:.2f}"
+            )
+    if stats.plan_cache:
+        print("  cache: " + " ".join(
+            f"{name}={stats.plan_cache.get(name)}" for name in (
+                "hit_rate", "hits", "misses", "invalidations", "entries",
+            )
+        ))
+
+
+def _summarise_worker(title: str, report) -> None:
+    side, facts = report.primary, report.facts
+    outcomes = ", ".join(
+        f"{k}={v}" for k, v in sorted(side.outcomes.items())
+    )
+    print(
+        f"{title}: {side.offered} epochs x "
+        f"{facts['n_workers']} workers "
+        f"in {side.elapsed:.2f}s -- {outcomes or 'no epochs'}; "
+        f"{facts['kills']} kills, {facts['workers_lost']} workers lost, "
+        f"{facts['retries']} retries, "
+        f"recovery {facts['recovery_time_s']:.3f}s, "
+        f"{facts['messages']} messages"
+    )
+    for kind, n in sorted(report.event_counts.items()):
+        print(f"  {kind:<18} {n}")
+
+
+def cmd_soak(args: argparse.Namespace) -> int:
+    """``repro soak``: the soak harness, one shell for every scenario.
+
+    By default the chaos scenario: a seeded mixed workload (EMP/DEPT +
+    TPC-D Q1/Q2/Q3) across worker threads with injected faults, random
+    cancellations and tight deadlines; ``--overload``, ``--plan-cache``
+    and ``--real-workers`` pick another (:mod:`repro.serve.soak`). Every
+    run verifies the metamorphic invariant per query, the counter and
+    event reconciliation and the scenario's gates. Exit codes: ``0`` all
+    invariants held, ``1`` at least one violation (wrong answer, untyped
+    error, hang, counter mismatch, lost A/B win), ``2`` bad configuration.
+    A ``faulthandler`` watchdog -- per side, 3x the scenario's expected
+    duration (at least 30 s) plus 60 s -- dumps every thread's stack and
+    kills the process if the run wedges, rather than hang CI.
+    """
+    import contextlib
+    import faulthandler
+    import functools
+    import json
+
+    from .obs import EventLog, FileSink, RingSink, TeeSink
+    from .serve import soak
+
+    profile = bool(args.profile_out or args.profile_collapsed)
+    # Operator attribution needs the tracer's span stack.
+    trace = args.trace or profile or bool(args.trace_out)
+    common = dict(seed=args.seed, workers=args.workers,
+                  max_queue=args.max_queue, scale=args.scale)
+    if args.real_workers:
+        sides, expected = 1, args.epochs * soak.WORKER_EPOCH_SECONDS
+        run = functools.partial(
+            soak.run_worker_soak,
+            epochs=args.epochs, n_workers=args.workers, seed=args.seed,
+            faults=args.faults, kill_per_epoch=not args.no_kill, trace=trace,
+        )
+    else:
+        if args.overload:
+            scenario = soak.overload_scenario(**common)
+        elif args.plan_cache:
+            scenario = soak.plan_cache_scenario(**common)
+        else:
+            scenario = soak.chaos_scenario(
+                seconds=args.seconds, faults=args.faults,
+                cancel_rate=args.cancel_rate,
+                tight_deadline_rate=args.tight_deadline_rate,
+                breaker_threshold=args.breaker_threshold,
+                breaker_cooldown=args.breaker_cooldown,
+                fault_scope=args.fault_scope, slow_query_ms=args.slow_ms,
+                trace=trace, **common,
+            )
+        sides, expected = len(scenario.sides), scenario.arrivals.seconds
+        run = functools.partial(soak.run_scenario, scenario)
+
+    # A replaced stderr (in-process test capture) has no fileno -- run
+    # unguarded then.
     watchdog = True
     try:
         faulthandler.enable()
         faulthandler.dump_traceback_later(
-            args.epochs * 60.0 + 120.0, exit=True
+            sides * (max(expected * 3, 30.0) + 60.0), exit=True
         )
     except (OSError, RuntimeError):
         watchdog = False
-    events_log = None
-    file_sink = None
-    ring = None
+    events_log = file_sink = ring = None
     if args.events_out:
-        from .obs import EventLog, FileSink, RingSink, TeeSink
-
-        ring = RingSink(capacity=65536)
-        file_sink = FileSink(args.events_out, mode="w")
-        events_log = EventLog(TeeSink(ring, file_sink))
-    try:
-        try:
-            report = run_worker_soak(
-                epochs=args.epochs,
-                n_workers=args.workers,
-                seed=args.seed,
-                faults=args.faults,
-                kill_per_epoch=not args.no_kill,
-                events=events_log,
-                # The tee log is fresh, so forcing reconciliation is safe.
-                reconcile=True if events_log is not None else None,
-                trace=args.trace or bool(args.trace_out),
-            )
-        except ValueError as exc:
-            print(f"soak: bad configuration: {exc}", file=sys.stderr)
-            return 2
-    finally:
-        if watchdog:
-            faulthandler.cancel_dump_traceback_later()
-        if file_sink is not None:
-            file_sink.close()
-    if ring is not None:
-        from .obs import validate_events
-
-        try:
-            count = validate_events(ring.events())
-        except ReproError as exc:
-            print(f"soak: event stream invalid: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote {args.events_out} ({count} events)")
-    if args.trace_out:
-        if report.traces:
-            with open(args.trace_out, "w") as handle:
-                json.dump(report.traces[-1], handle, indent=2,
-                          sort_keys=True)
-                handle.write("\n")
-            print(f"wrote {args.trace_out} "
-                  f"({report.trace_reconciled}/{len(report.traces)} epochs "
-                  f"reconciled)")
-        else:
-            print("soak: no traced epochs to export", file=sys.stderr)
-    if not args.no_history:
-        from .bench import history as bench_history
-        from .errors import HistoryError
-
-        try:
-            record = bench_history.make_record(
-                "worker_soak",
-                epochs=report.epochs,
-                n_workers=report.n_workers,
-                seconds=round(report.seconds, 3),
-                kills=report.kills,
-                workers_lost=report.workers_lost,
-                retries=report.retries,
-                recovery_time_s=round(report.recovery_time, 6),
-                messages=report.messages,
-                ok=report.ok,
-                seed=args.seed,
-                faults=args.faults or "",
-            )
-            written = bench_history.append_record(record, path=args.history)
-        except HistoryError as exc:
-            print(f"soak: history not recorded: {exc}", file=sys.stderr)
-        else:
-            if written is not None:
-                print(f"appended history record to {written}")
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report.as_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.json}")
-    outcomes = ", ".join(
-        f"{k}={v}" for k, v in sorted(report.outcomes.items())
-    )
-    print(
-        f"worker soak: {report.epochs} epochs x {report.n_workers} workers "
-        f"in {report.seconds:.2f}s -- {outcomes or 'no epochs'}; "
-        f"{report.kills} kills, {report.workers_lost} workers lost, "
-        f"{report.retries} retries, recovery {report.recovery_time:.3f}s, "
-        f"{report.messages} messages"
-    )
-    for kind, n in sorted(report.event_counts.items()):
-        print(f"  {kind:<18} {n}")
-    if not report.ok:
-        for violation in report.violations:
-            print(f"VIOLATION: {violation}", file=sys.stderr)
-        return 1
-    print("worker soak: all invariants held")
-    return 0
-
-
-def _cmd_overload_soak(args: argparse.Namespace) -> int:
-    """``repro soak --overload``: the phased overload comparison.
-
-    Replays one seeded open-loop arrival schedule (warmup, sustained
-    overload, recovery) against two fresh services -- adaptive overload
-    control and the FIFO baseline -- and compares within-deadline
-    goodput and futile executions at identical offered load. Exit codes
-    mirror ``repro soak``: ``0`` the adaptive side won and every
-    invariant held, ``1`` a violation (lost win, wrong answer, hang, or
-    counter mismatch), ``2`` bad configuration.
-    """
-    import faulthandler
-    import json
-
-    from .serve.soak import OVERLOAD_PHASES, run_overload_soak
-
-    faulthandler.enable()
-    # Two replays of the same schedule plus drains; generous watchdog.
-    budget = sum(phase.seconds for phase in OVERLOAD_PHASES)
-    faulthandler.dump_traceback_later(budget * 6 + 120.0, exit=True)
-    events_log = None
-    file_sink = None
-    ring = None
-    if args.events_out:
-        from .obs import EventLog, FileSink, RingSink, TeeSink
-
-        ring = RingSink(capacity=65536)
-        file_sink = FileSink(args.events_out, mode="w")
-        events_log = EventLog(TeeSink(ring, file_sink))
-    try:
-        try:
-            report = run_overload_soak(
-                seed=args.seed,
-                workers=args.workers,
-                max_queue=args.max_queue,
-                scale=args.scale,
-                events=events_log,
-            )
-        except ValueError as exc:
-            print(f"soak: bad configuration: {exc}", file=sys.stderr)
-            return 2
-    finally:
-        faulthandler.cancel_dump_traceback_later()
-        if file_sink is not None:
-            file_sink.close()
-
-    if ring is not None:
-        from .obs import validate_events
-
-        try:
-            count = validate_events(ring.events())
-        except ReproError as exc:
-            print(f"soak: event stream invalid: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote {args.events_out} ({count} events)")
-    stats = report.adaptive.stats
-    if not args.no_history:
-        from .bench import history as bench_history
-        from .errors import HistoryError
-
-        try:
-            record = bench_history.make_record(
-                "service_overload",
-                seed=args.seed,
-                workers=args.workers,
-                scale=args.scale,
-                throughput_qps=round(report.adaptive.goodput_qps, 2),
-                latency_p50_ms=stats.latency_p50_ms,
-                latency_p95_ms=stats.latency_p95_ms,
-                goodput=report.adaptive.goodput,
-                fifo_goodput=report.fifo.goodput,
-                futile_executions=report.adaptive.futile_executions,
-                fifo_futile_executions=report.fifo.futile_executions,
-                shed=stats.shed,
-                expired_in_queue=stats.expired_in_queue,
-                rejected_futile=stats.rejected_futile,
-                brownout_transitions=len(stats.brownout_transitions),
-            )
-            written = bench_history.append_record(
-                record, path=args.history
-            )
-        except HistoryError as exc:
-            print(f"soak: history not recorded: {exc}", file=sys.stderr)
-        else:
-            if written is not None:
-                print(f"appended history record to {written}")
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report.as_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.json}")
-    for side in (report.adaptive, report.fifo):
-        print(
-            f"overload soak [{side.label}]: {side.offered} offered, "
-            f"{side.goodput} within deadline "
-            f"({side.goodput_qps:.1f} good q/s), "
-            f"{side.futile_executions} futile executions, "
-            f"{side.late_completions} late, "
-            f"{side.checked_answers} answers checked"
-        )
-    print(
-        f"  adaptive: shed={stats.shed} "
-        f"expired_in_queue={stats.expired_in_queue} "
-        f"rejected_futile={stats.rejected_futile} "
-        f"retry_storm_rejected={stats.retry_storm_rejected} "
-        f"brownout_transitions={len(stats.brownout_transitions)}"
-    )
-    for step in stats.brownout_transitions:
-        print(
-            f"    brownout {step['from']} -> {step['to']} "
-            f"({step['rung']}) at utilization "
-            f"{step['utilization']:.2f}"
-        )
-    if not report.ok:
-        for violation in (
-            report.violations
-            + report.adaptive.violations
-            + report.fifo.violations
-        ):
-            print(f"VIOLATION: {violation}", file=sys.stderr)
-        return 1
-    print("overload soak: adaptive beat the FIFO baseline; "
-          "all invariants held")
-    return 0
-
-
-def _cmd_plan_cache_soak(args: argparse.Namespace) -> int:
-    """``repro soak --plan-cache``: the plan-cache A/B comparison.
-
-    Replays one seeded open-loop template workload (the chaos-soak
-    queries plus a parameterized salary family) against two fresh FIFO
-    services -- plan cache on and off -- and compares within-deadline
-    goodput at identical offered load. The cached side must win strictly,
-    sustain a hit rate above 0.9, and its ``plan.cache_*`` events must
-    reconcile exactly against the cache counters. Exit codes mirror
-    ``repro soak``: ``0`` all gates held, ``1`` a violation, ``2`` bad
-    configuration.
-    """
-    import faulthandler
-    import json
-
-    from .serve.soak import PLAN_CACHE_PHASES, run_plan_cache_soak
-
-    faulthandler.enable()
-    budget = sum(phase.seconds for phase in PLAN_CACHE_PHASES)
-    faulthandler.dump_traceback_later(budget * 6 + 120.0, exit=True)
-    events_log = None
-    file_sink = None
-    ring = None
-    if args.events_out:
-        from .obs import EventLog, FileSink, RingSink, TeeSink
-
         ring = RingSink(capacity=262144)
         file_sink = FileSink(args.events_out, mode="w")
         events_log = EventLog(TeeSink(ring, file_sink))
-    try:
-        try:
-            report = run_plan_cache_soak(
-                seed=args.seed,
-                workers=args.workers,
-                max_queue=args.max_queue,
-                scale=args.scale,
-                events=events_log,
-                # With a tee'd log the ring is fresh: reconciliation
-                # against the cache counters stays exact.
-                reconcile=True if events_log is not None else None,
-            )
-        except ValueError as exc:
-            print(f"soak: bad configuration: {exc}", file=sys.stderr)
-            return 2
-    finally:
-        faulthandler.cancel_dump_traceback_later()
-        if file_sink is not None:
-            file_sink.close()
-
-    if ring is not None:
-        from .obs import validate_events
-
-        try:
-            count = validate_events(ring.events())
-        except ReproError as exc:
-            print(f"soak: event stream invalid: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote {args.events_out} ({count} events)")
-    stats = report.cached.stats
-    if not args.no_history:
-        from .bench import history as bench_history
-        from .errors import HistoryError
-
-        try:
-            record = bench_history.make_record(
-                "service_plan_cache",
-                seed=args.seed,
-                workers=args.workers,
-                scale=args.scale,
-                throughput_qps=round(report.cached.goodput_qps, 2),
-                latency_p50_ms=stats.latency_p50_ms,
-                latency_p95_ms=stats.latency_p95_ms,
-                goodput=report.cached.goodput,
-                baseline_goodput=report.baseline.goodput,
-                hit_rate=report.hit_rate,
-                hits=report.cache.get("hits", 0),
-                misses=report.cache.get("misses", 0),
-                invalidations=report.cache.get("invalidations", 0),
-            )
-            written = bench_history.append_record(
-                record, path=args.history
-            )
-        except HistoryError as exc:
-            print(f"soak: history not recorded: {exc}", file=sys.stderr)
-        else:
-            if written is not None:
-                print(f"appended history record to {written}")
-    if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report.as_dict(), handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.json}")
-    if args.bench_out:
-        bench = {
-            "benchmark": "service_plan_cache",
-            "workers": args.workers,
-            "scale": args.scale,
-            "seed": args.seed,
-            "goodput": report.cached.goodput,
-            "baseline_goodput": report.baseline.goodput,
-            "throughput_qps": round(report.cached.goodput_qps, 2),
-            "goodput_qps": round(report.cached.goodput_qps, 2),
-            "baseline_goodput_qps": round(report.baseline.goodput_qps, 2),
-            "latency_p50_ms": stats.latency_p50_ms,
-            "latency_p95_ms": stats.latency_p95_ms,
-            "hit_rate": report.hit_rate,
-            "hits": report.cache.get("hits", 0),
-            "misses": report.cache.get("misses", 0),
-            "invalidations": report.cache.get("invalidations", 0),
-        }
-        with open(args.bench_out, "w") as handle:
-            json.dump(bench, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.bench_out}")
-    for side in (report.cached, report.baseline):
-        print(
-            f"plan-cache soak [{side.label}]: {side.offered} offered, "
-            f"{side.goodput} within deadline "
-            f"({side.goodput_qps:.1f} good q/s), "
-            f"{side.futile_executions} futile executions, "
-            f"{side.checked_answers} answers checked"
-        )
-    print(
-        f"  cache: hit_rate={report.hit_rate} "
-        f"hits={report.cache.get('hits', 0)} "
-        f"misses={report.cache.get('misses', 0)} "
-        f"invalidations={report.cache.get('invalidations', 0)} "
-        f"entries={report.cache.get('entries', 0)}"
-    )
-    if not report.ok:
-        for violation in (
-            report.violations
-            + report.cached.violations
-            + report.baseline.violations
-        ):
-            print(f"VIOLATION: {violation}", file=sys.stderr)
-        return 1
-    print("plan-cache soak: cached side beat the uncached baseline; "
-          "all invariants held")
-    return 0
-
-
-def cmd_soak(args: argparse.Namespace) -> int:
-    """``repro soak``: the chaos soak harness for the query service.
-
-    Runs a seeded mixed workload (EMP/DEPT + TPC-D Q1/Q2/Q3) across worker
-    threads with injected faults, random cancellations and tight
-    deadlines, then verifies the metamorphic invariant per query and the
-    service counter reconciliation. Exit codes: ``0`` all invariants held,
-    ``1`` at least one violation (wrong answer, untyped error, hang, or
-    counter mismatch), ``2`` bad configuration. A ``faulthandler`` watchdog
-    is armed for 3x the soak duration (+60 s), so a deadlocked service
-    fails with thread stacks instead of hanging the runner.
-    """
-    import contextlib
-    import faulthandler
-    import json
-
-    from .serve.soak import run_soak
-
-    if args.real_workers:
-        return _cmd_worker_soak(args)
-    if args.overload:
-        return _cmd_overload_soak(args)
-    if args.plan_cache:
-        return _cmd_plan_cache_soak(args)
-    faulthandler.enable()
-    # A hard watchdog: if the soak (including drain) wedges, dump every
-    # thread's stack and kill the process rather than hang CI.
-    faulthandler.dump_traceback_later(
-        max(args.seconds * 3, 30.0) + 60.0, exit=True
-    )
-    events_log = None
-    file_sink = None
-    ring = None
-    if args.events_out:
-        from .obs import EventLog, FileSink, RingSink, TeeSink
-
-        ring = RingSink(capacity=65536)
-        file_sink = FileSink(args.events_out, mode="w")
-        events_log = EventLog(TeeSink(ring, file_sink))
     profiler_ctx = contextlib.nullcontext(None)
-    if args.profile_out or args.profile_collapsed:
+    if profile:
         from .obs import profiling
 
-        # Operator attribution needs the tracer's span stack.
-        args.trace = True
         profiler_ctx = profiling(interval=args.profile_interval)
     try:
-        try:
-            with profiler_ctx as profiler:
-                report = run_soak(
-                    workers=args.workers,
-                    seconds=args.seconds,
-                    seed=args.seed,
-                    faults=args.faults,
-                    scale=args.scale,
-                    cancel_rate=args.cancel_rate,
-                    tight_deadline_rate=args.tight_deadline_rate,
-                    max_queue=args.max_queue,
-                    breaker_threshold=args.breaker_threshold,
-                    breaker_cooldown=args.breaker_cooldown,
-                    fault_scope=args.fault_scope,
-                    trace=args.trace,
-                    events=events_log,
-                    slow_query_ms=args.slow_ms,
-                )
-        except ValueError as exc:
-            print(f"soak: bad configuration: {exc}", file=sys.stderr)
-            return 2
+        with profiler_ctx as profiler:
+            report = run(events=events_log)
+    except ValueError as exc:
+        print(f"soak: bad configuration: {exc}", file=sys.stderr)
+        return 2
     finally:
-        faulthandler.cancel_dump_traceback_later()
+        if watchdog:
+            faulthandler.cancel_dump_traceback_later()
         if file_sink is not None:
             file_sink.close()
 
@@ -626,108 +342,47 @@ def cmd_soak(args: argparse.Namespace) -> int:
             return 1
         print(f"wrote {args.events_out} ({count} events)")
     if profiler is not None:
-        if args.profile_out:
-            with open(args.profile_out, "w") as handle:
-                json.dump(profiler.speedscope("repro soak"), handle,
-                          sort_keys=True)
-                handle.write("\n")
-            print(
-                f"wrote {args.profile_out} "
-                f"({profiler.sample_count} samples)"
-            )
-        if args.profile_collapsed:
-            with open(args.profile_collapsed, "w") as handle:
-                handle.write(profiler.collapsed())
-            print(f"wrote {args.profile_collapsed}")
-        top = list(profiler.operator_samples().items())[:8]
-        if top:
-            print("  profiler operator samples (top 8):")
-            for name, samples in top:
-                print(f"    {name:<32} {samples:>6}")
+        _write_profile(profiler, "repro soak", args.profile_out,
+                       args.profile_collapsed)
+    def write_json(path, payload, note="") -> None:
+        with open(path, "w") as handle:
+            json.dump(payload, handle, indent=2, sort_keys=True)
+            handle.write("\n")
+        print(f"wrote {path}{note}")
+
+    if args.trace_out and report.traces:
+        write_json(
+            args.trace_out, report.traces[-1],
+            f" ({report.facts['trace_reconciled']}/{len(report.traces)} "
+            f"epochs reconciled)",
+        )
+    elif args.trace_out:
+        print("soak: no traced epochs to export", file=sys.stderr)
     if not args.no_history:
         from .bench import history as bench_history
         from .errors import HistoryError
 
         try:
-            record = bench_history.record_from_soak(
-                report,
-                workers=args.workers,
-                seed=args.seed,
-                scale=args.scale,
-                faults=args.faults or "",
-            )
             written = bench_history.append_record(
-                record, path=args.history
+                report.history_record(), path=args.history
             )
         except HistoryError as exc:
             print(f"soak: history not recorded: {exc}", file=sys.stderr)
         else:
             if written is not None:
                 print(f"appended history record to {written}")
-
-    payload = report.as_dict()
     if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.json}")
-    if args.bench_out:
-        stats = report.stats
-        bench = {
-            "benchmark": "service_soak",
-            "workers": args.workers,
-            "seconds": round(report.seconds, 3),
-            "scale": args.scale,
-            "seed": args.seed,
-            "faults": args.faults or "",
-            "throughput_qps": round(report.throughput(), 2),
-            "latency_p50_ms": stats.latency_p50_ms,
-            "latency_p95_ms": stats.latency_p95_ms,
-            "submitted": stats.submitted,
-            "completed": stats.completed,
-            "failed": stats.failed,
-            "cancelled": stats.cancelled,
-            "rejected": stats.rejected,
-        }
-        with open(args.bench_out, "w") as handle:
-            json.dump(bench, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.bench_out}")
-    print(
-        f"soak: {report.seconds:.1f}s, {report.stats.submitted} submitted "
-        f"({report.stats.completed} ok / {report.stats.failed} failed / "
-        f"{report.stats.cancelled} cancelled / {report.stats.rejected} "
-        f"rejected), {report.throughput():.1f} q/s, "
-        f"p50 {report.stats.latency_p50_ms} ms, "
-        f"p95 {report.stats.latency_p95_ms} ms, "
-        f"{report.checked_answers} answers checked, "
-        f"{len(report.stats.breaker_transitions)} breaker transitions"
-    )
-    for strategy, snapshot in sorted(report.stats.breakers.items()):
-        print(f"  breaker[{strategy}]: {snapshot['state']}")
-    if report.operator_totals:
-        print("  per-operator totals (traced queries, top 10 by elapsed):")
-        for op in report.operator_totals[:10]:
-            print(
-                f"    {op['name']:<32} calls={op['calls']:>6} "
-                f"rows_out={op['rows_out']:>8} "
-                f"elapsed={op['elapsed_ms']:>10.3f}ms"
-            )
-    if args.slow_ms is not None:
-        from .obs import render_slow_log
-
-        slow = report.stats.slow_queries
-        print(
-            f"  slow queries (> {args.slow_ms} ms): "
-            f"{report.stats.slow_total} total, showing {min(len(slow), 5)}"
-        )
-        if slow:
-            print(render_slow_log(slow[-5:], indent="    "))
+        write_json(args.json, report.as_dict())
+    title = "soak" if report.scenario == "chaos" else f"{report.scenario} soak"
+    if args.real_workers:
+        _summarise_worker(title, report)
+    else:
+        _summarise_service(title, report, args)
     if not report.ok:
-        for violation in report.violations:
+        for violation in report.all_violations():
             print(f"VIOLATION: {violation}", file=sys.stderr)
         return 1
-    print("soak: all invariants held")
+    print(f"{title}: all invariants held")
     return 0
 
 
@@ -1279,8 +934,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     samples taken while a traced query executes are attributed to its
     plan operators (``op:`` frames at the flamegraph root).
     """
-    import json
-
     from .errors import EventLogError
     from .obs import profiling
 
@@ -1300,25 +953,10 @@ def cmd_profile(args: argparse.Namespace) -> int:
     except EventLogError as exc:
         print(f"profile: {exc}", file=sys.stderr)
         return 2
-    if args.speedscope_out:
-        with open(args.speedscope_out, "w") as handle:
-            json.dump(
-                profiler.speedscope(" ".join(command)), handle, sort_keys=True
-            )
-            handle.write("\n")
-        print(f"wrote {args.speedscope_out} "
-              f"({profiler.sample_count} samples)")
-    if args.collapsed_out:
-        with open(args.collapsed_out, "w") as handle:
-            handle.write(profiler.collapsed())
-        print(f"wrote {args.collapsed_out}")
     if not args.speedscope_out and not args.collapsed_out:
         print(profiler.collapsed(), end="")
-    top = list(profiler.operator_samples().items())[:10]
-    if top:
-        print("profile: operator samples (top 10):")
-        for name, samples in top:
-            print(f"  {name:<32} {samples:>6}")
+    _write_profile(profiler, " ".join(command), args.speedscope_out,
+                   args.collapsed_out)
     return code
 
 
@@ -1420,53 +1058,39 @@ def main(argv: list[str] | None = None) -> int:
     p_soak.add_argument("--scale", type=float, default=0.005,
                         help="TPC-D scale factor for the soak database")
     p_soak.add_argument("--cancel-rate", type=float, default=0.05,
-                        dest="cancel_rate",
                         help="probability a background canceller targets an "
                              "in-flight query each tick")
     p_soak.add_argument("--tight-deadline-rate", type=float, default=0.1,
-                        dest="tight_deadline_rate",
                         help="fraction of submissions given a millisecond "
                              "deadline")
-    p_soak.add_argument("--max-queue", type=int, default=64, dest="max_queue")
-    p_soak.add_argument("--breaker-threshold", type=int, default=3,
-                        dest="breaker_threshold")
-    p_soak.add_argument("--breaker-cooldown", type=float, default=1.0,
-                        dest="breaker_cooldown")
+    p_soak.add_argument("--max-queue", type=int, default=64)
+    p_soak.add_argument("--breaker-threshold", type=int, default=3)
+    p_soak.add_argument("--breaker-cooldown", type=float, default=1.0)
     p_soak.add_argument("--fault-scope", choices=["shared", "worker"],
-                        default="shared", dest="fault_scope")
+                        default="shared")
     p_soak.add_argument("--trace", action="store_true",
                         help="trace every query; report per-operator totals "
                              "(with --real-workers: run each epoch under a "
                              "coordinator tracer that grafts worker spans)")
     p_soak.add_argument("--trace-out", default=None, metavar="PATH",
-                        dest="trace_out",
                         help="with --real-workers, write the last epoch's "
                              "v2 trace export (grafted worker spans) as "
                              "JSON -- feed it to 'repro why --trace' "
                              "(implies --trace)")
     p_soak.add_argument("--json", default=None, metavar="PATH",
                         help="write the full report as JSON")
-    p_soak.add_argument("--bench-out", default=None, metavar="PATH",
-                        dest="bench_out",
-                        help="write a throughput/latency baseline JSON "
-                             "(e.g. BENCH_service.json)")
     p_soak.add_argument("--events-out", default=None, metavar="PATH",
-                        dest="events_out",
                         help="stream structured lifecycle events as JSONL "
                              "(validated after the run)")
     p_soak.add_argument("--profile-out", default=None, metavar="PATH",
-                        dest="profile_out",
                         help="write a speedscope JSON profile of the soak "
                              "(implies --trace for operator attribution)")
     p_soak.add_argument("--profile-collapsed", default=None, metavar="PATH",
-                        dest="profile_collapsed",
                         help="write a collapsed-stack (flamegraph.pl) "
                              "profile (implies --trace)")
     p_soak.add_argument("--profile-interval", type=float, default=0.002,
-                        dest="profile_interval",
                         help="profiler sampling interval in seconds")
-    p_soak.add_argument("--slow-ms", type=float, default=None,
-                        dest="slow_ms", metavar="MS",
+    p_soak.add_argument("--slow-ms", type=float, default=None, metavar="MS",
                         help="capture queries slower than this threshold "
                              "on the service slow-query log")
     p_soak.add_argument("--history", default=None, metavar="PATH",
@@ -1474,29 +1098,27 @@ def main(argv: list[str] | None = None) -> int:
                              "(default BENCH_history.jsonl; "
                              "REPRO_BENCH_HISTORY overrides)")
     p_soak.add_argument("--no-history", action="store_true",
-                        dest="no_history",
                         help="skip the perf-history append")
-    p_soak.add_argument("--real-workers", action="store_true",
-                        dest="real_workers",
-                        help="chaos-soak the real worker-process executor "
-                             "instead of the query service (--workers then "
-                             "counts processes; one is SIGKILLed per epoch)")
-    p_soak.add_argument("--overload", action="store_true",
-                        help="run the phased overload soak instead: replay "
-                             "one open-loop arrival schedule against "
-                             "adaptive overload control and the FIFO "
-                             "baseline, and compare within-deadline "
-                             "goodput")
-    p_soak.add_argument("--plan-cache", action="store_true",
-                        dest="plan_cache",
-                        help="run the plan-cache A/B soak instead: replay "
-                             "one open-loop template workload with the "
-                             "plan cache on and off, gate on strict "
-                             "goodput win + hit rate > 0.9 + exact "
-                             "counter/event reconciliation")
+    which = p_soak.add_mutually_exclusive_group()
+    which.add_argument("--real-workers", action="store_true",
+                       help="chaos-soak the real worker-process executor "
+                            "instead of the query service (--workers then "
+                            "counts processes; one is SIGKILLed per epoch)")
+    which.add_argument("--overload", action="store_true",
+                       help="run the phased overload soak instead: replay "
+                            "one open-loop arrival schedule against "
+                            "adaptive overload control and the FIFO "
+                            "baseline, and compare within-deadline "
+                            "goodput")
+    which.add_argument("--plan-cache", action="store_true",
+                       help="run the plan-cache A/B soak instead: replay "
+                            "one open-loop template workload with the "
+                            "plan cache on and off, gate on strict "
+                            "goodput win + hit rate > 0.9 + exact "
+                            "counter/event reconciliation")
     p_soak.add_argument("--epochs", type=int, default=4,
                         help="query epochs for --real-workers")
-    p_soak.add_argument("--no-kill", action="store_true", dest="no_kill",
+    p_soak.add_argument("--no-kill", action="store_true",
                         help="with --real-workers, skip the per-epoch "
                              "SIGKILL (fault spec only)")
     p_soak.set_defaults(fn=cmd_soak)

@@ -250,31 +250,3 @@ def phase_totals_from_stats(stats) -> dict:
                 data["sum"] / count * 1000.0, 3
             )
     return fields
-
-
-def record_from_soak(report, benchmark: str = "service_soak",
-                     **fields) -> dict:
-    """A history record distilled from a
-    :class:`~repro.serve.soak.SoakReport` (throughput, percentiles,
-    outcome counters, per-operator totals, per-phase means)."""
-    stats = report.stats
-    operator_totals = {
-        op["name"]: op.get("elapsed_ms", 0.0)
-        for op in (report.operator_totals or [])
-    }
-    return make_record(
-        benchmark,
-        **phase_totals_from_stats(stats),
-        seconds=round(report.seconds, 3),
-        throughput_qps=round(report.throughput(), 2),
-        latency_p50_ms=stats.latency_p50_ms,
-        latency_p95_ms=stats.latency_p95_ms,
-        submitted=stats.submitted,
-        completed=stats.completed,
-        failed=stats.failed,
-        cancelled=stats.cancelled,
-        rejected=stats.rejected,
-        ok=report.ok,
-        operator_totals=operator_totals,
-        **fields,
-    )

@@ -287,7 +287,7 @@ def profiling(
     """Run a block under an active, started profiler::
 
         with profiling(interval=0.002) as prof:
-            run_soak(...)
+            run_scenario(chaos_scenario(seconds=5, trace=True))
         print(prof.collapsed())
     """
     prof = profiler if profiler is not None else SamplingProfiler(**kwargs)

@@ -10,9 +10,11 @@ Public surface:
 * :class:`~repro.serve.overload.OverloadConfig` and friends -- adaptive
   overload control (deadline-aware admission, priority shedding, the
   brownout degradation ladder, retry-storm protection);
-* :func:`~repro.serve.soak.run_soak` -- the chaos soak harness behind
-  ``python -m repro soak`` (and :func:`~repro.serve.soak.run_overload_soak`
-  behind ``python -m repro soak --overload``).
+* :func:`~repro.serve.soak.run_scenario` -- the soak harness behind
+  ``python -m repro soak``: one driver and one verifier over a
+  :class:`~repro.serve.soak.Scenario` (the chaos, ``--overload`` and
+  ``--plan-cache`` scenarios), reporting a
+  :class:`~repro.serve.soak.SoakReport`.
 """
 
 from .breaker import BreakerTransition, CircuitBreaker
@@ -28,7 +30,7 @@ from .overload import (
     normalize_sql,
 )
 from .service import QueryService, ServiceStats, Ticket
-from .soak import SoakReport, run_soak
+from .soak import Scenario, SoakReport, run_scenario
 
 __all__ = [
     "QueryService",
@@ -45,6 +47,7 @@ __all__ = [
     "PRIORITIES",
     "fingerprint",
     "normalize_sql",
+    "Scenario",
     "SoakReport",
-    "run_soak",
+    "run_scenario",
 ]

@@ -1,21 +1,30 @@
-"""Chaos soak harness: mixed workload, faults, cancels, tight deadlines.
+"""The soak harness: scenarios of one driver, one verifier, one report.
 
-``run_soak`` drives a :class:`~repro.serve.service.QueryService` with a
-seeded mixed workload (the section-2 EMP/DEPT COUNT-bug query plus TPC-D
-Q1/Q2/Q3 at a small scale factor) across worker threads while injecting
-deterministic faults, cancelling random in-flight queries, and giving a
-fraction of submissions deadlines too tight to meet. It then checks the
-PR-2 metamorphic invariant *per query*:
+A :class:`Scenario` names a workload, an arrival source (closed-loop and
+time-boxed, or an open-loop seeded schedule), one or two sides that
+differ only in the :class:`~repro.serve.service.QueryService` keywords
+they pass, and the cross-side gates ("adaptive goodput >= FIFO").
+:func:`run_scenario` replays the arrivals against a fresh service per
+side and hands every submitted ticket to :func:`verify_side`, which
+checks the PR-2 metamorphic invariant *per query*:
 
 * a completed query's rows must equal the fault-free reference answer for
   the strategy that actually produced them (per-strategy references,
   because Kim's method loses COUNT-bug rows by design);
 * a failed query's error must be a *typed* engine error
   (:class:`~repro.errors.ReproError` subclass) -- never a raw traceback;
+* a traced query's phase durations must sum to its latency;
 * the service's counters must reconcile: every submission is accounted
-  for as completed, failed, cancelled or rejected; and
+  for as completed, failed, cancelled, shed, expired or rejected; and
 * the service must not hang (the CLI arms ``faulthandler`` so a deadlock
   dumps stacks instead of stalling CI).
+
+Three scenarios ship: :func:`chaos_scenario` (faults, random cancels and
+tight deadlines at once), :func:`overload_scenario` (adaptive overload
+control vs FIFO) and :func:`plan_cache_scenario` (plan cache on vs off).
+:func:`run_worker_soak` keeps its own epoch loop -- its system under test
+is :func:`repro.parallel.run_real`, not the query service -- but returns
+the same :class:`SoakReport`.
 
 Everything that varies is derived from ``seed`` via ``random.Random``, so
 a soak run is reproducible up to thread scheduling: the *workload* (query
@@ -28,20 +37,23 @@ from __future__ import annotations
 import random
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from ..api.database import Database
 from ..errors import AdmissionRejected, ReproError
 from ..faults import FaultRegistry
 from ..guard import Limits
+from ..obs.events import EventLog, RingSink, count_by_kind
 from ..obs.phases import check_phase_sum
+from ..plan.cache import PlanCache
 from ..storage import Catalog
-from ..tpcd import QUERY_1, QUERY_2, QUERY_3, load_tpcd
+from ..tpcd import QUERY_1, QUERY_2, QUERY_3, load_empdept, load_tpcd
 from ..tpcd.queries import EMP_DEPT_QUERY
 from ..trace import merge_operator_summaries
 from .overload import PRIORITIES, OverloadConfig
 from .service import QueryService, ServiceStats
+
 
 #: The soak workload: name -> (sql, strategies worth requesting for it).
 #: Kim and Dayal are requested where they are *not* always applicable too
@@ -58,14 +70,37 @@ WORKLOAD: dict[str, tuple[str, tuple[str, ...]]] = {
 }
 
 
+#: Every invariant the harness reports, keyed by :attr:`Violation.kind`.
+VIOLATION_KINDS: dict[str, str] = {
+    # per ticket / per side (verify_side)
+    "hung_query": "a submitted ticket never finished",
+    "phase_sum": "a ticket's phase durations miss its latency",
+    "untyped_error": "a query or worker epoch failed with a non-ReproError",
+    "wrong_answer": "rows differ from the reference of the strategy that ran",
+    "reconciliation": "counters break the section-9 law or their events",
+    # cross-side gates
+    "goodput_regression": "adaptive within-deadline goodput below FIFO",
+    "futile_regression": "adaptive started more futile executions than FIFO",
+    "cache_no_win": "plan-cached goodput not strictly above uncached",
+    "hit_rate": "plan-cache hit rate at or below the required floor",
+    # real-worker epochs
+    "trace_schema": "a grafted trace export fails validation or round-trip",
+    "trace_reconciliation": "grafted spans disagree with the pool's rows",
+}
+
+
 @dataclass
 class Violation:
-    """One broken invariant observed by the soak run."""
+    """One broken invariant observed by a soak run."""
 
-    kind: str       # "wrong_answer" | "untyped_error" | "reconciliation"
+    kind: str       # a key of VIOLATION_KINDS
     query: str      # workload key (or "" for service-level violations)
     strategy: str   # requested strategy
     detail: str
+
+    def __post_init__(self) -> None:
+        if self.kind not in VIOLATION_KINDS:
+            raise ValueError(f"unknown violation kind {self.kind!r}")
 
     def __str__(self) -> str:  # pragma: no cover - display helper
         scope = f" [{self.query}/{self.strategy}]" if self.query else ""
@@ -73,109 +108,146 @@ class Violation:
 
 
 @dataclass
-class SoakReport:
-    """Outcome of one soak run: stats, outcome mix, violations."""
+class SideRecord:
+    """What one side of a scenario did, as judged by :func:`verify_side`."""
 
-    seconds: float
-    stats: ServiceStats
-    outcomes: dict = field(default_factory=dict)  # error type name -> count
-    violations: list = field(default_factory=list)
+    label: str
+    elapsed: float = 0.0
+    stats: Optional[ServiceStats] = None
+    offered: int = 0
+    #: Completed within their own deadline (no deadline counts as met).
+    goodput: int = 0
+    #: Tickets a worker *started* that produced no within-deadline
+    #: answer: late completions, timeouts tripped at/after dequeue,
+    #: other failures. The work the overload layer exists to avoid.
+    futile_executions: int = 0
     checked_answers: int = 0
-    cancels_requested: int = 0
+    #: The arrival source's ``headline`` count per second.
+    throughput_qps: float = 0.0
+    #: "ok" (within deadline) / "late" / error class name -> count.
+    outcomes: dict = field(default_factory=dict)
+    violations: list = field(default_factory=list)
     #: Per-operator totals merged across every traced query (largest
-    #: elapsed first); populated only when the soak ran with ``trace=True``.
+    #: elapsed first); empty unless the side's service traced.
     operator_totals: list = field(default_factory=list)
 
     @property
-    def ok(self) -> bool:
-        return not self.violations
+    def goodput_qps(self) -> float:
+        return self.goodput / self.elapsed if self.elapsed > 0 else 0.0
 
-    def throughput(self) -> float:
-        """Finished queries per second (completed + failed + cancelled)."""
-        finished = (
-            self.stats.completed + self.stats.failed + self.stats.cancelled
-        )
-        return finished / self.seconds if self.seconds > 0 else 0.0
+
+@dataclass
+class SoakReport:
+    """Outcome of one soak run: per-side records plus what spans sides."""
+
+    scenario: str
+    #: Name of the run's perf-history record (``service_soak``, ...).
+    benchmark: str
+    #: label -> :class:`SideRecord`; the first side is the one under test.
+    sides: dict = field(default_factory=dict)
+    #: Cross-side violations: failed gates, event/counter mismatches.
+    violations: list = field(default_factory=list)
+    #: Counts of the reconciled event family (``plan.cache_*``/``worker.*``).
+    event_counts: dict = field(default_factory=dict)
+    #: Scenario-level scalars echoed into JSON and the history record:
+    #: the knobs the run was configured with, the worker-pool counters.
+    facts: dict = field(default_factory=dict)
+    #: One exported v2 trace per traced real-worker epoch (JSON-ready).
+    traces: list = field(default_factory=list)
+
+    @property
+    def primary(self) -> SideRecord:
+        return next(iter(self.sides.values()))
+
+    def all_violations(self) -> list:
+        per_side = [v for s in self.sides.values() for v in s.violations]
+        return self.violations + per_side
+
+    @property
+    def ok(self) -> bool:
+        return not self.all_violations()
 
     def as_dict(self) -> dict:
         return {
             "ok": self.ok,
-            "seconds": round(self.seconds, 3),
-            "throughput_qps": round(self.throughput(), 2),
-            "checked_answers": self.checked_answers,
-            "cancels_requested": self.cancels_requested,
-            "outcomes": dict(sorted(self.outcomes.items())),
+            "scenario": self.scenario,
+            **self.facts,
+            "event_counts": self.event_counts,
             "violations": [str(v) for v in self.violations],
-            "operator_totals": self.operator_totals,
-            "stats": self.stats.as_dict(),
+            "traces": self.traces,
+            "sides": {
+                label: {
+                    **vars(side),
+                    "elapsed": round(side.elapsed, 3),
+                    "throughput_qps": round(side.throughput_qps, 2),
+                    "goodput_qps": round(side.goodput_qps, 2),
+                    "violations": [str(v) for v in side.violations],
+                    "stats": side.stats.as_dict() if side.stats else None,
+                }
+                for label, side in self.sides.items()
+            },
         }
+
+    def history_record(self) -> dict:
+        """The run's perf-history record (:mod:`repro.bench.history`):
+        the primary side's rates, latencies and counters in the committed
+        ``BENCH_*.json`` layout, every other side as ``<label>_*`` keys."""
+        from ..bench.history import make_record, phase_totals_from_stats
+
+        primary = self.primary
+        fields = {
+            "seconds": round(primary.elapsed, 3), "ok": self.ok, **self.facts,
+        }
+        stats = primary.stats
+        if stats is not None:  # the worker soak has pool counters instead
+            fields.update(
+                phase_totals_from_stats(stats),
+                throughput_qps=round(primary.throughput_qps, 2),
+                goodput_qps=round(primary.goodput_qps, 2),
+                goodput=primary.goodput,
+                futile_executions=primary.futile_executions,
+                **{name: getattr(stats, name) for name in (
+                    "latency_p50_ms", "latency_p95_ms", "submitted",
+                    "completed", "failed", "cancelled", "rejected", "shed",
+                    "expired_in_queue", "rejected_futile",
+                )},
+                brownout_transitions=len(stats.brownout_transitions),
+                hit_rate=stats.plan_cache.get("hit_rate"),
+                hits=stats.plan_cache_hits,
+                misses=stats.plan_cache_misses,
+                invalidations=stats.plan_cache_invalidations,
+                operator_totals={
+                    op["name"]: op.get("elapsed_ms", 0.0)
+                    for op in primary.operator_totals
+                },
+            )
+            for label, side in list(self.sides.items())[1:]:
+                fields[f"{label}_goodput"] = side.goodput
+                fields[f"{label}_goodput_qps"] = round(side.goodput_qps, 2)
+                fields[f"{label}_futile_executions"] = side.futile_executions
+        return make_record(self.benchmark, **fields)
 
 
 def build_soak_catalog(scale: float = 0.005, seed: int = 7) -> Catalog:
     """The soak database: TPC-D tables at ``scale`` plus the section-2
-    EMP/DEPT tables (with a COUNT-bug department), in one catalog."""
-    from ..storage import Column, Schema
-    from ..types import SQLType
-
-    catalog = load_tpcd(scale_factor=scale, seed=seed)
-    dept = catalog.create_table(
-        "dept",
-        Schema(
-            [
-                Column("name", SQLType.STR, nullable=False),
-                Column("budget", SQLType.FLOAT),
-                Column("num_emps", SQLType.INT),
-                Column("building", SQLType.STR),
-            ],
-            primary_key=["name"],
-        ),
+    EMP/DEPT tables (with a COUNT-bug building), in one catalog."""
+    catalog = load_empdept(
+        n_depts=24, n_emps=160, n_buildings=8, seed=seed,
+        catalog=load_tpcd(scale_factor=scale, seed=seed),
     )
-    emp = catalog.create_table(
-        "emp",
-        Schema(
-            [
-                Column("empno", SQLType.INT, nullable=False),
-                Column("name", SQLType.STR),
-                Column("building", SQLType.STR),
-                Column("salary", SQLType.FLOAT),
-            ],
-            primary_key=["empno"],
-        ),
-    )
-    rng = random.Random(seed)
-    buildings = [f"B{i}" for i in range(8)]
-    for d in range(24):
-        # Building B7 gets departments but no employees: the COUNT bug.
-        dept.insert(
-            (
-                f"dept{d}",
-                float(rng.randrange(500, 20000)),
-                rng.randrange(0, 6),
-                rng.choice(buildings),
-            )
-        )
-    for e in range(160):
-        emp.insert(
-            (
-                e,
-                f"emp{e}",
-                rng.choice(buildings[:-1]),
-                float(rng.randrange(50, 200)),
-            )
-        )
     # Deterministic sentinels so the reference answer is non-trivial at
     # every seed: ``d_bug`` lives in the employee-free building (nested
     # iteration returns it, Kim's COUNT bug drops it), while ``d_busy``
     # out-counts its building's staff (every strategy returns it).
+    dept = catalog.table("dept")
     dept.insert(("d_bug", 5000.0, 3, "B7"))
     dept.insert(("d_busy", 5000.0, 500, "B0"))
-    emp.create_index("emp_building", ["building"])
     return catalog
 
 
 def compute_references(
     catalog: Catalog,
-    workload: Optional[dict] = None,
+    workload: dict = WORKLOAD,
 ) -> dict[tuple[str, str], tuple[str, object]]:
     """Fault-free reference outcomes per (query, strategy).
 
@@ -183,8 +255,6 @@ def compute_references(
     -- a strategy that is statically inapplicable (Kim on Q3, say) is a
     legitimate *typed* reference outcome, not a soak failure.
     """
-    if workload is None:
-        workload = WORKLOAD
     reference_db = Database(
         catalog=catalog, validate=False, faults=FaultRegistry(0, ())
     )
@@ -200,437 +270,114 @@ def compute_references(
     return references
 
 
-def run_soak(
-    workers: int = 8,
-    seconds: float = 20.0,
-    seed: int = 42,
-    faults: Optional[str] = None,
-    scale: float = 0.005,
-    cancel_rate: float = 0.05,
-    tight_deadline_rate: float = 0.1,
-    max_queue: int = 64,
-    breaker_threshold: int = 3,
-    breaker_cooldown: float = 1.0,
-    fault_scope: str = "shared",
-    default_limits: Optional[Limits] = None,
-    trace: bool = False,
-    trace_history: int = 256,
-    events=None,
-    slow_query_ms: Optional[float] = None,
-) -> SoakReport:
-    """Run the chaos soak and verify every invariant (see module doc).
+def verify_side(
+    label: str,
+    submitted: list,
+    references: dict,
+    stats: ServiceStats,
+    elapsed: float,
+) -> SideRecord:
+    """The one verifier: judge every ``(ticket, workload key, deadline)``
+    the harness submitted to one service, then the service's counters.
 
-    ``faults`` is a ``seed:site=rate`` spec (:mod:`repro.faults` syntax);
-    ``cancel_rate`` is the per-submission probability that a background
-    canceller targets the query mid-flight; ``tight_deadline_rate`` is the
-    fraction of submissions given a deadline of a few milliseconds.
-    ``trace=True`` runs every query under a tracer and reports merged
-    per-operator totals (``SoakReport.operator_totals``) from the last
-    ``trace_history`` queries. ``events`` (a
-    :class:`repro.obs.events.EventLog`) streams the service's structured
-    lifecycle events; ``slow_query_ms`` captures queries over the
-    threshold on the service's slow-query log (both surface through the
-    returned report's ``stats``).
+    Per ticket: it finished; its phase durations (when accounted) sum to
+    its latency; a failure is a typed :class:`~repro.errors.ReproError`;
+    a completion equals the fault-free reference of the strategy that
+    effectively ran (degradations folded in). Per side: ``stats`` obeys
+    the section-9 conservation law.
     """
-    rng = random.Random(seed)
-    catalog = build_soak_catalog(scale=scale, seed=seed)
-    references = compute_references(catalog)
-    registry = FaultRegistry.parse(faults) if faults else None
-    kwargs = {"faults": registry} if registry is not None else {}
-    base_db = Database(catalog=catalog, validate=False, **kwargs)
-    if default_limits is None:
-        # A backstop so no single query can run away with a worker: roomy
-        # enough that fault-free queries never trip it.
-        default_limits = Limits(timeout=30.0, max_rows_scanned=50_000_000)
-
-    service = QueryService(
-        base_db,
-        workers=workers,
-        max_queue=max_queue,
-        default_limits=default_limits,
-        breaker_threshold=breaker_threshold,
-        breaker_cooldown=breaker_cooldown,
-        fault_scope=fault_scope,
-        trace=trace,
-        trace_history=trace_history,
-        events=events,
-        slow_query_ms=slow_query_ms,
+    record = SideRecord(
+        label=label,
+        elapsed=elapsed,
+        stats=stats,
+        offered=stats.submitted,
+        operator_totals=merge_operator_summaries(stats.recent_traces),
     )
-    submitted: list[tuple] = []  # (ticket, workload key)
-    cancels = [0]
-    stop = threading.Event()
 
-    def canceller() -> None:
-        """Randomly cancel in-flight queries (seeded choice, wall-clock
-        paced)."""
-        cancel_rng = random.Random(seed ^ 0x5A5A)
-        while not stop.wait(0.002):
-            with service._lock:
-                in_flight = list(service._tickets.keys())
-            if in_flight and cancel_rng.random() < cancel_rate:
-                if service.cancel(cancel_rng.choice(in_flight)):
-                    cancels[0] += 1
+    def count(outcome: str) -> None:
+        record.outcomes[outcome] = record.outcomes.get(outcome, 0) + 1
 
-    canceller_thread = threading.Thread(target=canceller, daemon=True)
-    canceller_thread.start()
+    def violation(kind: str, detail: str) -> None:  # of the ticket in hand
+        record.violations.append(Violation(kind, name, ticket.strategy, detail))
 
-    start = time.monotonic()
-    try:
-        while time.monotonic() - start < seconds:
-            name = rng.choice(list(WORKLOAD))
-            sql, strategies = WORKLOAD[name]
-            strategy = rng.choice(strategies)
-            deadline = None
-            if rng.random() < tight_deadline_rate:
-                deadline = rng.uniform(0.0005, 0.01)
-            try:
-                ticket = service.submit(sql, strategy=strategy,
-                                        deadline=deadline)
-                submitted.append((ticket, name))
-            except AdmissionRejected as exc:
-                # Counted by the service. Honour the service's backoff
-                # hint when it offers one (capped -- this thread is also
-                # the clock of the soak), else a token pause: the point
-                # is to let the queue drain, not hammer admission.
-                hint = exc.retry_after_hint
-                time.sleep(min(hint, 0.05) if hint else 0.001)
-        service.drain(timeout=max(30.0, seconds))
-    finally:
-        stop.set()
-        canceller_thread.join(timeout=5.0)
-        service.close(drain=True, timeout=max(30.0, seconds))
-    elapsed = time.monotonic() - start
-
-    # -- verification ------------------------------------------------------
-    report = SoakReport(
-        seconds=elapsed,
-        stats=service.stats(),
-        cancels_requested=cancels[0],
-        operator_totals=merge_operator_summaries(service.recent_traces()),
-    )
-    for ticket, name in submitted:
+    for ticket, name, deadline in submitted:
         if not ticket.done:
-            report.violations.append(
-                Violation("hung_query", name, ticket.strategy,
-                          f"query {ticket.query_id} never finished")
-            )
+            violation("hung_query", f"query {ticket.query_id} never finished")
             continue
         if ticket.phases is not None and ticket.latency is not None:
-            # The sum-to-latency invariant, on every completed query
+            # The sum-to-latency invariant, on every terminal ticket
             # (failed and cancelled included -- their residual time lands
             # in ``drain``).
-            problem = check_phase_sum(
-                ticket.phases.durations, ticket.latency
-            )
+            problem = check_phase_sum(ticket.phases.durations, ticket.latency)
             if problem is not None:
-                report.violations.append(
-                    Violation("phase_sum", name, ticket.strategy,
-                              f"query {ticket.query_id}: {problem}")
-                )
+                violation("phase_sum", f"query {ticket.query_id}: {problem}")
         error = ticket.error()
         if error is not None:
-            label = type(error).__name__
-            report.outcomes[label] = report.outcomes.get(label, 0) + 1
+            count(type(error).__name__)
             if not isinstance(error, ReproError):
-                report.violations.append(
-                    Violation("untyped_error", name, ticket.strategy,
-                              f"{label}: {error}")
-                )
+                violation("untyped_error", f"{type(error).__name__}: {error}")
+            if ticket.started_at is not None:
+                record.futile_executions += 1
             continue
-        report.outcomes["ok"] = report.outcomes.get("ok", 0) + 1
+        if deadline is None or (
+            ticket.latency is not None and ticket.latency <= deadline
+        ):
+            record.goodput += 1
+            count("ok")
+        else:
+            record.futile_executions += 1
+            count("late")
         result = ticket.result()
         effective = ticket.strategy
         for event in result.degradations:
             effective = event.fallback or effective
         expected = references.get((name, effective))
         if expected is None or expected[0] != "rows":
-            report.violations.append(
-                Violation(
-                    "wrong_answer", name, ticket.strategy,
-                    f"completed via {effective!r} but the fault-free "
-                    f"reference for it is {expected!r}",
-                )
+            violation(
+                "wrong_answer",
+                f"completed via {effective!r} but the fault-free "
+                f"reference for it is {expected!r}",
             )
             continue
-        report.checked_answers += 1
+        record.checked_answers += 1
         if sorted(result.rows) != expected[1]:
-            report.violations.append(
-                Violation(
-                    "wrong_answer", name, ticket.strategy,
-                    f"rows differ from the fault-free {effective!r} answer "
-                    f"(got {len(result.rows)}, expected "
-                    f"{len(expected[1])})",
-                )
+            violation(
+                "wrong_answer",
+                f"rows differ from the fault-free {effective!r} answer "
+                f"(got {len(result.rows)}, expected {len(expected[1])})",
             )
-    stats = report.stats
     if not stats.reconciles():
-        report.violations.append(
-            Violation(
-                "reconciliation", "", "",
-                f"submitted={stats.submitted} != completed={stats.completed}"
-                f" + failed={stats.failed} + cancelled={stats.cancelled}"
-                f" + rejected={stats.rejected}",
+        record.violations.append(Violation("reconciliation", "", "", ", ".join(
+            f"{counter}={getattr(stats, counter)}" for counter in (
+                "submitted", "admitted", "rejected", "completed", "failed",
+                "cancelled", "shed", "expired_in_queue", "in_flight",
+                "queue_depth",
             )
-        )
-    return report
+        )))
+    return record
 
 
-# -- the real-worker chaos soak ------------------------------------------------
-
-@dataclass
-class WorkerSoakReport:
-    """Outcome of one real-worker chaos soak (see :func:`run_worker_soak`).
-
-    The metamorphic invariant is the process-level version of the PR-2
-    property: with workers being killed mid-query, every epoch must end in
-    the fault-free reference answer (directly, or via recorded
-    degradation to local execution) or a typed engine error -- never a
-    wrong answer, never a hang, never a raw traceback.
-    """
-
-    epochs: int
-    n_workers: int
-    seconds: float
-    outcomes: dict = field(default_factory=dict)  # "ok"/"degraded"/error name
-    violations: list = field(default_factory=list)
-    kills: int = 0
-    workers_lost: int = 0
-    retries: int = 0
-    recovery_time: float = 0.0
-    messages: int = 0
-    #: Per-kind ``worker.*`` event counts from the run's event log.
-    event_counts: dict = field(default_factory=dict)
-    #: Epochs whose grafted trace reconciled exactly (traced runs only).
-    trace_reconciled: int = 0
-    #: One exported v2 trace per traced epoch (JSON-ready).
-    traces: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-    def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "epochs": self.epochs,
-            "n_workers": self.n_workers,
-            "seconds": round(self.seconds, 3),
-            "outcomes": dict(sorted(self.outcomes.items())),
-            "violations": [str(v) for v in self.violations],
-            "kills": self.kills,
-            "workers_lost": self.workers_lost,
-            "retries": self.retries,
-            "recovery_time": round(self.recovery_time, 6),
-            "messages": self.messages,
-            "event_counts": dict(sorted(self.event_counts.items())),
-            "trace_reconciled": self.trace_reconciled,
-            "traces": self.traces,
-        }
+def reconcile_events(
+    log: EventLog, prefix: str, expected: dict, report: SoakReport
+) -> None:
+    """Closed-loop check of an event family against the counters it
+    mirrors: keep the per-kind counts of ``prefix`` events on the report
+    and record a violation for every kind in ``expected`` whose count
+    differs. ``log`` must retain its events in memory (a ring sink)."""
+    counts = count_by_kind(log.events())
+    report.event_counts = {
+        kind: n for kind, n in counts.items() if kind.startswith(prefix)
+    }
+    for kind, want in expected.items():
+        got = counts.get(kind, 0)
+        if got != want:
+            report.violations.append(Violation(
+                "reconciliation", kind, "",
+                f"{got} {kind} events but the counters say {want}",
+            ))
 
 
-def run_worker_soak(
-    epochs: int = 4,
-    n_workers: int = 3,
-    seed: int = 42,
-    faults: Optional[str] = None,
-    n_depts: int = 24,
-    n_emps: int = 120,
-    kill_per_epoch: bool = True,
-    events=None,
-    reconcile: Optional[bool] = None,
-    trace: bool = False,
-) -> WorkerSoakReport:
-    """Chaos-soak the real shared-nothing executor
-    (:mod:`repro.parallel.workers`).
-
-    Each epoch runs one full section-6 query (strategies alternate between
-    nested iteration and the decorrelated plan) on a fresh pool of
-    ``n_workers`` real processes. ``kill_per_epoch`` SIGKILLs one worker
-    right after data placement -- the guaranteed crash the acceptance
-    criterion demands -- and ``faults`` (a ``seed:site=rate`` spec, e.g.
-    ``"7:worker.crash=0.05"``) injects the process-level sites on top,
-    re-seeded per epoch (``base_seed + epoch``) so epochs draw independent
-    deterministic schedules.
-
-    Every epoch's answer is checked against the fault-free single-process
-    reference; violations follow :class:`Violation`. The run's
-    ``worker.*`` events are reconciled against the pool counters
-    (lost/retry/degraded), the same closed-loop check the service soak
-    applies to :class:`ServiceStats`.
-
-    ``trace=True`` runs each epoch under a coordinator
-    :class:`~repro.trace.Tracer`: workers ship their span trees back and
-    the pool grafts them (kills included -- the failed attempt appears as
-    a ``retried`` dispatch span). Each epoch's export is schema-validated,
-    round-tripped, and reconciled *exactly* -- grafted
-    ``metric_totals()["rows_scanned"]`` must equal the pool's
-    ``rows_processed`` -- or a ``trace_reconciliation`` violation is
-    recorded.
-    """
-    from ..obs.events import EventLog, RingSink, count_by_kind
-    from ..parallel import local_reference, run_real
-    from ..tpcd import load_empdept
-    from ..trace import Tracer
-    from ..trace.tracer import trace_round_trips, validate_trace
-
-    catalog = load_empdept(
-        n_depts=n_depts, n_emps=n_emps, n_buildings=8, seed=seed
-    )
-    dept_rows = list(catalog.table("dept").rows)
-    emp_rows = list(catalog.table("emp").rows)
-    reference = local_reference(dept_rows, emp_rows)
-    base = FaultRegistry.parse(faults) if faults else None
-    log = events if events is not None else EventLog(RingSink(65536))
-
-    report = WorkerSoakReport(epochs=epochs, n_workers=n_workers, seconds=0.0)
-    start = time.monotonic()
-    for epoch in range(epochs):
-        strategy = (
-            "magic_decorrelated" if epoch % 2 == 0 else "nested_iteration"
-        )
-        registry = (
-            FaultRegistry(base.seed + epoch, base.rules)
-            if base is not None else None
-        )
-
-        def kill_one(pool, epoch=epoch):
-            if kill_per_epoch:
-                pool.kill_worker(epoch % n_workers)
-                report.kills += 1
-
-        # Each epoch is one "query" to the event log (query_id = epoch),
-        # so ``repro why <epoch>`` can join the timeline with the
-        # epoch's grafted trace from the same run.
-        epoch_started = time.monotonic()
-        log.emit("query.submitted", query_id=epoch, strategy=strategy)
-        tracer = Tracer() if trace else None
-        try:
-            run = run_real(
-                strategy,
-                dept_rows,
-                emp_rows,
-                n_workers,
-                faults=registry,
-                events=log,
-                degrade=True,
-                on_pool=kill_one,
-                tracer=tracer,
-                heartbeat_interval=0.02,
-                heartbeat_timeout=0.3,
-                task_timeout=3.0,
-            )
-        except ReproError as exc:
-            label = type(exc).__name__
-            report.outcomes[label] = report.outcomes.get(label, 0) + 1
-            log.emit(
-                "query.finished", query_id=epoch, outcome="failed",
-                strategy=strategy, error_type=label,
-                latency_ms=round(
-                    (time.monotonic() - epoch_started) * 1000, 3
-                ),
-            )
-            continue
-        except Exception as exc:  # noqa: BLE001 - the invariant under test
-            report.violations.append(
-                Violation(
-                    "untyped_error", strategy, "real",
-                    f"{type(exc).__name__}: {exc}",
-                )
-            )
-            log.emit(
-                "query.finished", query_id=epoch, outcome="failed",
-                strategy=strategy, error_type=type(exc).__name__,
-                latency_ms=round(
-                    (time.monotonic() - epoch_started) * 1000, 3
-                ),
-            )
-            continue
-        report.workers_lost += run.workers_lost
-        report.retries += run.retries
-        report.recovery_time += run.recovery_time
-        report.messages += run.messages
-        if tracer is not None:
-            export = tracer.export(
-                sql=EMP_DEPT_QUERY, strategy=strategy, epoch=epoch
-            )
-            try:
-                validate_trace(export)
-                round_trips = trace_round_trips(export)
-            except ReproError as exc:
-                report.violations.append(
-                    Violation("trace_schema", strategy, "real",
-                              f"epoch {epoch}: {exc}")
-                )
-            else:
-                if not round_trips:
-                    report.violations.append(
-                        Violation("trace_schema", strategy, "real",
-                                  f"epoch {epoch}: export does not "
-                                  f"round-trip")
-                    )
-                scanned = tracer.metric_totals()["rows_scanned"]
-                if scanned != run.rows_processed:
-                    report.violations.append(
-                        Violation(
-                            "trace_reconciliation", strategy, "real",
-                            f"epoch {epoch}: grafted spans account "
-                            f"{scanned} rows_scanned but the pool "
-                            f"accepted {run.rows_processed}",
-                        )
-                    )
-                else:
-                    report.trace_reconciled += 1
-            report.traces.append(export)
-        label = "degraded" if run.degraded else "ok"
-        report.outcomes[label] = report.outcomes.get(label, 0) + 1
-        log.emit(
-            "query.finished", query_id=epoch, outcome="completed",
-            strategy=strategy, degraded=run.degraded,
-            latency_ms=round((time.monotonic() - epoch_started) * 1000, 3),
-            workers_lost=run.workers_lost, retries=run.retries,
-            messages=run.messages, rows_processed=run.rows_processed,
-        )
-        if run.answer != reference:
-            report.violations.append(
-                Violation(
-                    "wrong_answer", strategy, "real",
-                    f"epoch {epoch}: {len(run.answer)} rows != reference "
-                    f"{len(reference)} rows "
-                    f"(lost={run.workers_lost}, retries={run.retries})",
-                )
-            )
-    report.seconds = time.monotonic() - start
-
-    # -- event reconciliation: by default only when we own the log's ring
-    # (a caller-supplied log may hold unrelated events); ``reconcile=True``
-    # forces it for callers that pass a *fresh* log (the CLI's tee to disk).
-    if reconcile is None:
-        reconcile = events is None
-    if reconcile:
-        counts = count_by_kind(log.events())
-        report.event_counts = {
-            kind: n for kind, n in counts.items() if kind.startswith("worker.")
-        }
-        degraded = report.outcomes.get("degraded", 0)
-        expected = {
-            "worker.lost": report.workers_lost,
-            "worker.retry": report.retries,
-            "worker.degraded": degraded,
-        }
-        for kind, want in expected.items():
-            got = counts.get(kind, 0)
-            if got != want:
-                report.violations.append(
-                    Violation(
-                        "reconciliation", kind, "real",
-                        f"{got} {kind} events but counters say {want}",
-                    )
-                )
-    else:
-        report.event_counts = {}
-    return report
-
-# -- the phased overload soak --------------------------------------------------
+# -- arrival sources -----------------------------------------------------------
 
 @dataclass(frozen=True)
 class OverloadPhase:
@@ -656,7 +403,6 @@ class Arrival:
     """One scheduled submission (offsets from soak start, seconds)."""
 
     offset: float
-    phase: str
     query: str
     strategy: str
     deadline: float
@@ -664,7 +410,7 @@ class Arrival:
 
 
 def overload_schedule(
-    phases=OVERLOAD_PHASES, seed: int = 42, workload: Optional[dict] = None
+    phases=OVERLOAD_PHASES, seed: int = 42, workload: dict = WORKLOAD
 ) -> list[Arrival]:
     """The seeded open-loop arrival schedule: Poisson arrivals per phase,
     each with a workload query, strategy, deadline and priority class.
@@ -673,8 +419,6 @@ def overload_schedule(
     two sides of an A/B comparison replay the *identical* offered load,
     which is what makes their goodput comparable.
     """
-    if workload is None:
-        workload = WORKLOAD
     rng = random.Random(seed)
     names = list(workload)
     schedule: list[Arrival] = []
@@ -702,104 +446,100 @@ def overload_schedule(
                 deadline = rng.uniform(0.08, 0.4)
             priority = rng.choices(PRIORITIES, weights=(2, 6, 2))[0]
             schedule.append(Arrival(
-                offset=now, phase=phase.name, query=query,
-                strategy=strategy, deadline=deadline, priority=priority,
+                offset=now, query=query, strategy=strategy,
+                deadline=deadline, priority=priority,
             ))
     return schedule
 
 
-@dataclass
-class OverloadSideReport:
-    """One side of the overload comparison (adaptive or FIFO baseline)."""
+@dataclass(frozen=True)
+class ClosedLoop:
+    """Time-boxed closed-loop arrivals: one submitter offers seeded
+    workload picks as fast as admission lets it for ``seconds``, a
+    ``tight_deadline_rate`` fraction of them with a deadline of a few
+    milliseconds, while a background canceller targets an in-flight
+    query with probability ``cancel_rate`` per tick."""
 
-    label: str
-    elapsed: float
-    offered: int
-    #: Completed within their own deadline -- the goodput numerator.
-    goodput: int
-    goodput_qps: float
-    #: Tickets a worker *started* that produced no within-deadline
-    #: answer: late completions, timeouts tripped at/after dequeue,
-    #: other failures. The work the overload layer exists to avoid.
-    futile_executions: int
-    late_completions: int
-    checked_answers: int
-    outcomes: dict = field(default_factory=dict)
-    violations: list = field(default_factory=list)
-    stats: Optional[ServiceStats] = None
+    seconds: float
+    cancel_rate: float
+    tight_deadline_rate: float
 
-    def as_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "elapsed": round(self.elapsed, 3),
-            "offered": self.offered,
-            "goodput": self.goodput,
-            "goodput_qps": round(self.goodput_qps, 2),
-            "futile_executions": self.futile_executions,
-            "late_completions": self.late_completions,
-            "checked_answers": self.checked_answers,
-            "outcomes": dict(sorted(self.outcomes.items())),
-            "violations": [str(v) for v in self.violations],
-            "stats": self.stats.as_dict() if self.stats else None,
-        }
+    def headline(self, record: SideRecord) -> int:
+        """Few arrivals carry a deadline: count everything that finished."""
+        stats = record.stats
+        return stats.completed + stats.failed + stats.cancelled
+
+    def drive(self, service, workload: dict, seed: int, submitted: list) -> None:
+        """Offer the load, then wait for the service to go idle."""
+        rng = random.Random(seed)
+        names = list(workload)
+        stop = threading.Event()
+
+        def canceller() -> None:
+            """Randomly cancel in-flight queries (seeded choice, wall-clock
+            paced) through the public surface only: the candidates are
+            the harness's own tickets that are not yet done."""
+            cancel_rng = random.Random(seed ^ 0x5A5A)
+            live: list = []
+            seen = 0
+            while not stop.wait(0.002):
+                fresh = submitted[seen:]  # appends are atomic; a snapshot
+                seen += len(fresh)
+                live = [
+                    ticket for ticket in live + [entry[0] for entry in fresh]
+                    if not ticket.done
+                ]
+                if live and cancel_rng.random() < self.cancel_rate:
+                    service.cancel(cancel_rng.choice(live).query_id)
+
+        canceller_thread = threading.Thread(target=canceller, daemon=True)
+        canceller_thread.start()
+        start = time.monotonic()
+        try:
+            while time.monotonic() - start < self.seconds:
+                name = rng.choice(names)
+                sql, strategies = workload[name]
+                strategy = rng.choice(strategies)
+                deadline = None
+                if rng.random() < self.tight_deadline_rate:
+                    deadline = rng.uniform(0.0005, 0.01)
+                try:
+                    ticket = service.submit(sql, strategy=strategy,
+                                            deadline=deadline)
+                    submitted.append((ticket, name, deadline))
+                except AdmissionRejected as exc:
+                    # Counted by the service. Honour the service's backoff
+                    # hint when it offers one (capped -- this thread is also
+                    # the clock of the soak), else a token pause: the point
+                    # is to let the queue drain, not hammer admission.
+                    hint = exc.retry_after_hint
+                    time.sleep(min(hint, 0.05) if hint else 0.001)
+            service.drain(timeout=max(DRAIN_TIMEOUT, self.seconds))
+        finally:
+            stop.set()
+            canceller_thread.join(timeout=5.0)
 
 
-@dataclass
-class OverloadSoakReport:
-    """The phased overload soak: adaptive vs FIFO at identical load."""
+@dataclass(frozen=True)
+class OpenLoop:
+    """Open-loop arrivals: replay :func:`overload_schedule` for
+    ``phases`` at its own pace, whatever the service does -- no retry on
+    rejection, so every side of a scenario sees the identical offered
+    load."""
 
-    seed: int
-    adaptive: OverloadSideReport
-    fifo: OverloadSideReport
-    #: Comparison-level violations (goodput regression, lost win).
-    violations: list = field(default_factory=list)
+    phases: tuple
+
+    def headline(self, record: SideRecord) -> int:
+        """Every arrival carries a deadline: count those that met theirs."""
+        return record.goodput
 
     @property
-    def ok(self) -> bool:
-        return not (
-            self.violations
-            or self.adaptive.violations
-            or self.fifo.violations
-        )
+    def seconds(self) -> float:
+        return sum(phase.seconds for phase in self.phases)
 
-    def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "seed": self.seed,
-            "adaptive": self.adaptive.as_dict(),
-            "fifo": self.fifo.as_dict(),
-            "violations": [str(v) for v in self.violations],
-        }
-
-
-def _run_overload_side(
-    label: str,
-    schedule: list[Arrival],
-    catalog: Catalog,
-    references: dict,
-    workers: int,
-    max_queue: int,
-    overload: Optional[OverloadConfig],
-    events=None,
-    plan_cache=None,
-    workload: Optional[dict] = None,
-) -> OverloadSideReport:
-    """Replay one arrival schedule against a fresh service."""
-    if workload is None:
-        workload = WORKLOAD
-    base_db = Database(catalog=catalog, validate=False)
-    service = QueryService(
-        base_db,
-        workers=workers,
-        max_queue=max_queue,
-        default_limits=Limits(timeout=30.0, max_rows_scanned=50_000_000),
-        overload=overload,
-        events=events,
-        plan_cache=plan_cache,
-    )
-    submitted: list[tuple] = []
-    start = time.monotonic()
-    try:
+    def drive(self, service, workload: dict, seed: int, submitted: list) -> None:
+        schedule = overload_schedule(self.phases, seed, workload)
+        start = time.monotonic()
         for arrival in schedule:
             delay = start + arrival.offset - time.monotonic()
             if delay > 0:
@@ -812,152 +552,197 @@ def _run_overload_side(
                     deadline=arrival.deadline,
                     priority=arrival.priority,
                 )
-                submitted.append((ticket, arrival))
+                submitted.append((ticket, arrival.query, arrival.deadline))
             except AdmissionRejected:
                 pass  # counted by the service; open loop, no retry
-        service.drain(timeout=60.0)
-        if overload is not None:
-            # Give the brownout ladder its recovery edges now that the
-            # queue is empty (bounded: the cooldowns are short).
-            wall = time.monotonic() + 5.0
-            while (
-                service.evaluate_overload() > 0
-                and time.monotonic() < wall
-            ):
-                time.sleep(0.05)
-    finally:
-        service.close(drain=True, timeout=60.0)
-    elapsed = time.monotonic() - start
+        service.drain(timeout=DRAIN_TIMEOUT)
 
-    report = OverloadSideReport(
-        label=label, elapsed=elapsed, offered=len(schedule),
-        goodput=0, goodput_qps=0.0, futile_executions=0,
-        late_completions=0, checked_answers=0,
+
+# -- scenarios and the one driver ----------------------------------------------
+
+#: Seconds a side may take to go idle (and then to close) after its last
+#: arrival before the run is declared hung.
+DRAIN_TIMEOUT = 60.0
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One soak: what is offered, how it arrives, to which service
+    configurations, and what must hold across them.
+
+    ``sides`` maps a label to the :class:`QueryService` keywords that
+    side passes on top of the scenario-wide ones; the first side is the
+    one under test: it receives the run's event log and headlines the
+    perf-history record. ``gates`` are ``(violation kind, holds)`` pairs,
+    ``holds`` a predicate over the finished side records in order -- a
+    scenario with no gates only verifies per side. ``rewritable_only``
+    restricts each query to the strategies that rewrite it cleanly (see
+    :func:`_cacheable_workload`). A scenario is single-use when a side
+    holds a stateful keyword (the plan cache).
+    """
+
+    name: str
+    benchmark: str
+    arrivals: object  # ClosedLoop | OpenLoop
+    sides: dict
+    gates: tuple = ()
+    workload: dict = field(default_factory=lambda: WORKLOAD)
+    rewritable_only: bool = False
+    seed: int = 42
+    workers: int = 4
+    max_queue: int = 32
+    scale: float = 0.005
+    #: A ``seed:site=rate`` spec (:mod:`repro.faults` syntax), every side.
+    faults: Optional[str] = None
+
+
+def _run_side(
+    scenario: Scenario, label: str, catalog: Catalog, references: dict,
+    events: Optional[EventLog],
+) -> SideRecord:
+    """Replay the scenario's arrivals against one fresh service."""
+    faults = scenario.faults  # unset: the Database's own (environment) default
+    kwargs = {"faults": FaultRegistry.parse(faults)} if faults else {}
+    service = QueryService(
+        Database(catalog=catalog, validate=False, **kwargs),
+        workers=scenario.workers,
+        max_queue=scenario.max_queue,
+        # A backstop so no single query can run away with a worker: roomy
+        # enough that fault-free queries never trip it.
+        default_limits=Limits(timeout=30.0, max_rows_scanned=50_000_000),
+        events=events,
+        **scenario.sides[label],
     )
-    for ticket, arrival in submitted:
-        if not ticket.done:
-            report.violations.append(Violation(
-                "hung_query", arrival.query, arrival.strategy,
-                f"query {ticket.query_id} never finished",
-            ))
-            continue
-        error = ticket.error()
-        if error is not None:
-            name = type(error).__name__
-            report.outcomes[name] = report.outcomes.get(name, 0) + 1
-            if not isinstance(error, ReproError):
-                report.violations.append(Violation(
-                    "untyped_error", arrival.query, arrival.strategy,
-                    f"{name}: {error}",
-                ))
-            if ticket.started_at is not None:
-                report.futile_executions += 1
-            continue
-        in_deadline = (
-            ticket.latency is not None
-            and ticket.latency <= arrival.deadline
-        )
-        if in_deadline:
-            report.goodput += 1
-            report.outcomes["ok"] = report.outcomes.get("ok", 0) + 1
-        else:
-            report.late_completions += 1
-            report.futile_executions += 1
-            report.outcomes["late"] = report.outcomes.get("late", 0) + 1
-        result = ticket.result()
-        effective = ticket.strategy
-        for event in result.degradations:
-            effective = event.fallback or effective
-        expected = references.get((arrival.query, effective))
-        if expected is None or expected[0] != "rows":
-            report.violations.append(Violation(
-                "wrong_answer", arrival.query, arrival.strategy,
-                f"completed via {effective!r} but the fault-free "
-                f"reference for it is {expected!r}",
-            ))
-            continue
-        report.checked_answers += 1
-        if sorted(result.rows) != expected[1]:
-            report.violations.append(Violation(
-                "wrong_answer", arrival.query, arrival.strategy,
-                f"rows differ from the fault-free {effective!r} answer "
-                f"(got {len(result.rows)}, expected {len(expected[1])})",
-            ))
-    report.goodput_qps = (
-        report.goodput / elapsed if elapsed > 0 else 0.0
-    )
-    report.stats = service.stats()
-    if not report.stats.reconciles():
-        stats = report.stats
-        report.violations.append(Violation(
-            "reconciliation", "", "",
-            f"admitted={stats.admitted} != completed={stats.completed}"
-            f" + failed={stats.failed} + cancelled={stats.cancelled}"
-            f" + shed={stats.shed}"
-            f" + expired_in_queue={stats.expired_in_queue}",
+    arrivals = scenario.arrivals
+    submitted: list[tuple] = []  # (ticket, workload key, deadline)
+    start = time.monotonic()
+    try:
+        arrivals.drive(service, scenario.workload, scenario.seed, submitted)
+        # Give the brownout ladder its recovery edges now that the queue
+        # is empty (bounded: the cooldowns are short; level 0 at once
+        # without overload control).
+        wall = time.monotonic() + 5.0
+        while service.evaluate_overload() > 0 and time.monotonic() < wall:
+            time.sleep(0.05)
+    finally:
+        service.close(drain=True, timeout=max(DRAIN_TIMEOUT, arrivals.seconds))
+    elapsed = time.monotonic() - start
+    record = verify_side(label, submitted, references, service.stats(), elapsed)
+    if elapsed > 0:
+        record.throughput_qps = arrivals.headline(record) / elapsed
+    return record
+
+
+def run_scenario(
+    scenario: Scenario, events: Optional[EventLog] = None
+) -> SoakReport:
+    """Run every side of ``scenario`` over one catalog and verify it.
+
+    ``events`` (a fresh :class:`repro.obs.events.EventLog` that retains
+    its events in memory) streams the first side's lifecycle events; the
+    harness uses a ring of its own when none is given. The stream's
+    ``plan.cache_*`` counts are reconciled exactly against the first
+    side's cache counters (both zero without a plan cache).
+    """
+    catalog = build_soak_catalog(scale=scenario.scale, seed=scenario.seed)
+    references = compute_references(catalog, scenario.workload)
+    if scenario.rewritable_only:
+        scenario = replace(scenario, workload=_cacheable_workload(
+            scenario.workload, references
         ))
+    log = events if events is not None else EventLog(RingSink(262144))
+    report = SoakReport(
+        scenario=scenario.name,
+        benchmark=scenario.benchmark,
+        facts={
+            "seed": scenario.seed, "workers": scenario.workers,
+            "scale": scenario.scale, "faults": scenario.faults or "",
+        },
+    )
+    for label in scenario.sides:
+        report.sides[label] = _run_side(
+            scenario, label, catalog, references,
+            None if report.sides else log,
+        )
+    sides = list(report.sides.values())
+    stats = sides[0].stats
+    reconcile_events(log, "plan.cache_", {
+        "plan.cache_hit": stats.plan_cache_hits,
+        "plan.cache_miss": stats.plan_cache_misses,
+        "plan.cache_invalidated": stats.plan_cache_invalidations,
+    }, report)
+    for kind, holds in scenario.gates:
+        if not holds(*sides):
+            numbers = "; ".join(
+                f"{side.label}: {side.goodput} within deadline, "
+                f"{side.futile_executions} futile" for side in sides
+            )
+            report.violations.append(Violation(
+                kind, "", "",
+                f"{VIOLATION_KINDS[kind]} at identical offered load "
+                f"({numbers}; plan cache: {stats.plan_cache or 'off'})",
+            ))
     return report
 
 
-def run_overload_soak(
+def chaos_scenario(
+    seconds: float = 20.0,
+    cancel_rate: float = 0.05,
+    tight_deadline_rate: float = 0.1,
+    workers: int = 8,
+    max_queue: int = 64,
     seed: int = 42,
-    workers: int = 4,
-    max_queue: int = 32,
     scale: float = 0.005,
-    phases=OVERLOAD_PHASES,
-    overload: Optional[OverloadConfig] = None,
-    events=None,
-    require_win: bool = True,
-) -> OverloadSoakReport:
-    """Replay one seeded open-loop arrival schedule twice -- adaptive
-    overload control vs the FIFO baseline -- and compare goodput.
+    faults: Optional[str] = None,
+    **service,
+) -> Scenario:
+    """The chaos soak: the mixed workload against one service under
+    injected ``faults``, random cancels and tight deadlines, all at once.
+    ``service`` passes further :class:`QueryService` keywords to that one
+    side: ``breaker_threshold``/``breaker_cooldown``, ``fault_scope``,
+    ``slow_query_ms``, and ``trace=True`` to run every query under a
+    tracer (merged per-operator totals of the last 256 land on the side
+    record, a phase timeline on every ticket)."""
+    return Scenario(
+        "chaos", "service_soak",
+        ClosedLoop(seconds, cancel_rate, tight_deadline_rate),
+        sides={"chaos": {
+            "breaker_threshold": 3, "breaker_cooldown": 1.0,
+            "trace_history": 256, **service,
+        }},
+        workers=workers, max_queue=max_queue, seed=seed, scale=scale,
+        faults=faults,
+    )
+
+
+def overload_scenario(phases=OVERLOAD_PHASES, **knobs) -> Scenario:
+    """The phased overload soak: one seeded open-loop schedule replayed
+    against adaptive overload control and the FIFO baseline (``knobs``:
+    the :class:`Scenario` fields ``seed``/``workers``/``max_queue``/``scale``).
 
     The offered load is *identical* on both sides (same schedule, same
     catalog), so the comparison isolates the overload layer: the
     adaptive side must complete at least as many queries within their
-    deadlines while starting fewer futile executions. ``require_win``
-    turns those two comparisons into violations (the CI gate);
-    exploratory runs can disable it and read the numbers instead.
-
-    ``events`` (when given) receives the *adaptive* side's event stream
-    -- brownout transitions, sheds and expiries land there; the FIFO
-    baseline by definition has none.
+    deadlines while starting no more futile executions. Its event stream
+    is the one recorded -- brownout transitions, sheds and expiries land
+    there; the FIFO baseline by definition has none.
     """
-    catalog = build_soak_catalog(scale=scale, seed=seed)
-    references = compute_references(catalog)
-    schedule = overload_schedule(phases=phases, seed=seed)
-    if overload is None:
-        # Short dwell/cooldown so a seconds-long soak walks the ladder
-        # down *and* back up; production defaults are far more patient.
-        overload = OverloadConfig(
-            brownout_dwell_s=0.3, brownout_cooldown_s=0.8,
-        )
-    adaptive = _run_overload_side(
-        "adaptive", schedule, catalog, references,
-        workers, max_queue, overload, events=events,
+    # Short dwell/cooldown so a seconds-long soak walks the ladder down
+    # *and* back up; production defaults are far more patient.
+    config = OverloadConfig(brownout_dwell_s=0.3, brownout_cooldown_s=0.8)
+    return Scenario(
+        "overload", "service_overload", OpenLoop(tuple(phases)),
+        sides={"adaptive": {"overload": config}, "fifo": {}},
+        gates=(
+            ("goodput_regression", lambda a, fifo: a.goodput >= fifo.goodput),
+            ("futile_regression", lambda a, fifo:
+                a.futile_executions <= fifo.futile_executions),
+        ),
+        **knobs,
     )
-    fifo = _run_overload_side(
-        "fifo", schedule, catalog, references,
-        workers, max_queue, None,
-    )
-    report = OverloadSoakReport(seed=seed, adaptive=adaptive, fifo=fifo)
-    if require_win:
-        if adaptive.goodput < fifo.goodput:
-            report.violations.append(Violation(
-                "goodput_regression", "", "",
-                f"adaptive completed {adaptive.goodput} within deadline "
-                f"vs FIFO {fifo.goodput} at identical offered load",
-            ))
-        if adaptive.futile_executions > fifo.futile_executions:
-            report.violations.append(Violation(
-                "futile_regression", "", "",
-                f"adaptive started {adaptive.futile_executions} futile "
-                f"executions vs FIFO {fifo.futile_executions}",
-            ))
-    return report
 
 
-# -- the plan-cache A/B soak ---------------------------------------------------
+# -- the plan-cache A/B scenario -----------------------------------------------
 
 #: A parameterized query family: one *template* (same shape, different
 #: literals), so the plan cache pays one fill for the whole family. The
@@ -977,16 +762,14 @@ PLAN_CACHE_PHASES: tuple[OverloadPhase, ...] = (
 )
 
 
-def plan_cache_workload() -> dict:
-    """The template workload: the chaos-soak queries plus the
-    parameterized salary family (8 literal variants of one template)."""
-    workload = dict(WORKLOAD)
-    for index, value in enumerate(PARAM_QUERY_VALUES):
-        workload[f"param{index}"] = (
-            PARAM_QUERY_TEMPLATE.format(value),
-            ("ni", "magic", "magic_opt"),
-        )
-    return workload
+#: The template workload: the chaos-soak queries plus the parameterized
+#: salary family (8 literal variants of one template).
+PLAN_CACHE_WORKLOAD = {**WORKLOAD, **{
+    f"param{index}": (
+        PARAM_QUERY_TEMPLATE.format(value), ("ni", "magic", "magic_opt"),
+    )
+    for index, value in enumerate(PARAM_QUERY_VALUES)
+}}
 
 
 def _cacheable_workload(workload: dict, references: dict) -> dict:
@@ -1005,123 +788,213 @@ def _cacheable_workload(workload: dict, references: dict) -> dict:
     return filtered
 
 
-@dataclass
-class PlanCacheSoakReport:
-    """The plan-cache A/B soak: cached vs uncached at identical load.
-
-    ``cache`` is the cache's final :meth:`~repro.plan.cache.PlanCache.
-    snapshot`; ``event_counts`` the ``plan.cache_*`` counts from the run's
-    event log (empty when the caller supplied the log -- it may hold
-    unrelated events)."""
-
-    seed: int
-    cached: OverloadSideReport
-    baseline: OverloadSideReport
-    cache: dict = field(default_factory=dict)
-    event_counts: dict = field(default_factory=dict)
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not (
-            self.violations
-            or self.cached.violations
-            or self.baseline.violations
-        )
-
-    @property
-    def hit_rate(self) -> float:
-        return self.cache.get("hit_rate") or 0.0
-
-    def as_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "seed": self.seed,
-            "hit_rate": self.hit_rate,
-            "cache": self.cache,
-            "event_counts": dict(sorted(self.event_counts.items())),
-            "cached": self.cached.as_dict(),
-            "baseline": self.baseline.as_dict(),
-            "violations": [str(v) for v in self.violations],
-        }
+#: The cached side must sustain a hit rate strictly above this.
+MIN_HIT_RATE = 0.9
 
 
-def run_plan_cache_soak(
-    seed: int = 42,
-    workers: int = 4,
-    max_queue: int = 32,
-    scale: float = 0.005,
-    phases=PLAN_CACHE_PHASES,
-    capacity: int = 256,
-    min_hit_rate: float = 0.9,
-    events=None,
-    require_win: bool = True,
-    reconcile: Optional[bool] = None,
-) -> PlanCacheSoakReport:
-    """Replay one seeded open-loop template workload twice -- plan cache
-    on vs off -- on plain FIFO services, and compare goodput.
+def plan_cache_scenario(phases=PLAN_CACHE_PHASES, **knobs) -> Scenario:
+    """The plan-cache A/B soak: one seeded open-loop template workload
+    replayed on plain FIFO services with the plan cache on and off
+    (``knobs`` as for :func:`overload_scenario`).
 
     The offered load is *identical* on both sides (same schedule, same
-    catalog, no DML), so the comparison isolates the cache: with
-    ``require_win`` the cached side must complete strictly more queries
-    within their deadlines and sustain a hit rate above ``min_hit_rate``.
-    The cached side's ``plan.cache_*`` events are reconciled exactly
-    against the cache's counters (skipped for a caller-supplied ``events``
-    log unless ``reconcile=True``, mirroring :func:`run_worker_soak`).
+    catalog, no DML), so the comparison isolates the cache: the cached
+    side must complete strictly more queries within their deadlines and
+    sustain a hit rate above :data:`MIN_HIT_RATE`; the driver reconciles
+    its ``plan.cache_*`` events exactly against the cache's counters.
     """
-    from ..obs.events import EventLog, RingSink, count_by_kind
-    from ..plan.cache import PlanCache
+    return Scenario(
+        "plan-cache", "service_plan_cache", OpenLoop(tuple(phases)),
+        sides={"cached": {"plan_cache": PlanCache()}, "baseline": {}},
+        gates=(
+            ("cache_no_win", lambda cached, base: cached.goodput > base.goodput),
+            ("hit_rate", lambda cached, base:
+                (cached.stats.plan_cache.get("hit_rate") or 0.0)
+                > MIN_HIT_RATE),
+        ),
+        workload=PLAN_CACHE_WORKLOAD,
+        rewritable_only=True,
+        **knobs,
+    )
 
-    catalog = build_soak_catalog(scale=scale, seed=seed)
-    workload = plan_cache_workload()
-    references = compute_references(catalog, workload=workload)
-    workload = _cacheable_workload(workload, references)
-    schedule = overload_schedule(phases=phases, seed=seed, workload=workload)
-    log = events if events is not None else EventLog(RingSink(262144))
-    cache = PlanCache(capacity=capacity)
-    cached = _run_overload_side(
-        "cached", schedule, catalog, references,
-        workers, max_queue, None,
-        events=log, plan_cache=cache, workload=workload,
+
+# -- the real-worker chaos soak ------------------------------------------------
+
+#: Expected wall-clock per real-worker epoch: recovery is bounded by
+#: ``task_timeout`` x attempts, so this is generous. Sizes the CLI watchdog.
+WORKER_EPOCH_SECONDS = 20.0
+
+
+def run_worker_soak(
+    epochs: int = 4,
+    n_workers: int = 3,
+    seed: int = 42,
+    faults: Optional[str] = None,
+    n_depts: int = 24,
+    n_emps: int = 120,
+    kill_per_epoch: bool = True,
+    events=None,
+    trace: bool = False,
+) -> SoakReport:
+    """Chaos-soak the real shared-nothing executor
+    (:mod:`repro.parallel.workers`).
+
+    Each epoch runs one full section-6 query (strategies alternate between
+    nested iteration and the decorrelated plan) on a fresh pool of
+    ``n_workers`` real processes. ``kill_per_epoch`` SIGKILLs one worker
+    right after data placement -- the guaranteed crash the acceptance
+    criterion demands -- and ``faults`` (a ``seed:site=rate`` spec, e.g.
+    ``"7:worker.crash=0.05"``) injects the process-level sites on top,
+    re-seeded per epoch (``base_seed + epoch``) so epochs draw independent
+    deterministic schedules.
+
+    Every epoch's answer is checked against the fault-free single-process
+    reference; violations follow :class:`Violation`. The run's
+    ``worker.*`` events (on ``events``, a fresh in-memory log, else a
+    ring of the harness's own) are reconciled against the pool counters
+    (lost/retry/degraded) by :func:`reconcile_events`.
+
+    ``trace=True`` runs each epoch under a coordinator
+    :class:`~repro.trace.Tracer`: workers ship their span trees back and
+    the pool grafts them (kills included -- the failed attempt appears as
+    a ``retried`` dispatch span). Each epoch's export is schema-validated,
+    round-tripped, and reconciled *exactly* -- grafted
+    ``metric_totals()["rows_scanned"]`` must equal the pool's
+    ``rows_processed`` -- or a ``trace_reconciliation`` violation is
+    recorded.
+    """
+    from ..parallel import local_reference, run_real
+    from ..trace import Tracer
+    from ..trace.tracer import trace_round_trips, validate_trace
+
+    catalog = load_empdept(
+        n_depts=n_depts, n_emps=n_emps, n_buildings=8, seed=seed
     )
-    baseline = _run_overload_side(
-        "baseline", schedule, catalog, references,
-        workers, max_queue, None, workload=workload,
+    dept_rows = list(catalog.table("dept").rows)
+    emp_rows = list(catalog.table("emp").rows)
+    reference = local_reference(dept_rows, emp_rows)
+    base = FaultRegistry.parse(faults) if faults else None
+    log = events if events is not None else EventLog(RingSink(65536))
+
+    side = SideRecord(label="real", offered=epochs)
+    report = SoakReport(
+        scenario="worker",
+        benchmark="worker_soak",
+        sides={"real": side},
+        facts={
+            "seed": seed, "faults": faults or "",
+            "epochs": epochs, "n_workers": n_workers,
+            "kills": 0, "workers_lost": 0, "retries": 0, "messages": 0,
+            "recovery_time_s": 0.0, "trace_reconciled": 0,
+        },
     )
-    report = PlanCacheSoakReport(
-        seed=seed, cached=cached, baseline=baseline, cache=cache.snapshot(),
-    )
-    if reconcile is None:
-        reconcile = events is None
-    if reconcile:
-        counts = count_by_kind(log.events())
-        report.event_counts = {
-            kind: n for kind, n in counts.items()
-            if kind.startswith("plan.cache_")
-        }
-        expected = {
-            "plan.cache_hit": report.cache["hits"],
-            "plan.cache_miss": report.cache["misses"],
-            "plan.cache_invalidated": report.cache["invalidations"],
-        }
-        for kind, want in expected.items():
-            got = counts.get(kind, 0)
-            if got != want:
-                report.violations.append(Violation(
-                    "reconciliation", kind, "",
-                    f"{got} {kind} events but the cache counted {want}",
-                ))
-    if require_win:
-        if cached.goodput <= baseline.goodput:
-            report.violations.append(Violation(
-                "cache_no_win", "", "",
-                f"cached completed {cached.goodput} within deadline vs "
-                f"uncached {baseline.goodput} at identical offered load",
-            ))
-        if report.hit_rate <= min_hit_rate:
-            report.violations.append(Violation(
-                "hit_rate", "", "",
-                f"hit rate {report.hit_rate} <= required {min_hit_rate} "
-                f"({report.cache})",
-            ))
+    facts = report.facts
+
+    def violation(kind: str, detail: str) -> None:
+        side.violations.append(
+            Violation(kind, strategy, "real", f"epoch {epoch}: {detail}")
+        )
+
+    start = time.monotonic()
+    for epoch in range(epochs):
+        strategy = (
+            "magic_decorrelated" if epoch % 2 == 0 else "nested_iteration"
+        )
+        registry = (
+            FaultRegistry(base.seed + epoch, base.rules)
+            if base is not None else None
+        )
+
+        def kill_one(pool, epoch=epoch):
+            if kill_per_epoch:
+                pool.kill_worker(epoch % n_workers)
+                facts["kills"] += 1
+
+        # Each epoch is one "query" to the event log (query_id = epoch),
+        # so ``repro why <epoch>`` can join the timeline with the
+        # epoch's grafted trace from the same run.
+        epoch_started = time.monotonic()
+        log.emit("query.submitted", query_id=epoch, strategy=strategy)
+        tracer = Tracer() if trace else None
+        try:
+            run = run_real(
+                strategy,
+                dept_rows,
+                emp_rows,
+                n_workers,
+                faults=registry,
+                events=log,
+                degrade=True,
+                on_pool=kill_one,
+                tracer=tracer,
+                heartbeat_interval=0.02,
+                heartbeat_timeout=0.3,
+                task_timeout=3.0,
+            )
+        except Exception as exc:  # noqa: BLE001 - the invariant under test
+            label = type(exc).__name__
+            if isinstance(exc, ReproError):
+                side.outcomes[label] = side.outcomes.get(label, 0) + 1
+            else:
+                violation("untyped_error", f"{label}: {exc}")
+            log.emit(
+                "query.finished", query_id=epoch, outcome="failed",
+                strategy=strategy, error_type=label,
+                latency_ms=round(
+                    (time.monotonic() - epoch_started) * 1000, 3
+                ),
+            )
+            continue
+        facts["workers_lost"] += run.workers_lost
+        facts["retries"] += run.retries
+        facts["recovery_time_s"] += run.recovery_time
+        facts["messages"] += run.messages
+        if tracer is not None:
+            export = tracer.export(
+                sql=EMP_DEPT_QUERY, strategy=strategy, epoch=epoch
+            )
+            try:
+                validate_trace(export)
+                round_trips = trace_round_trips(export)
+            except ReproError as exc:
+                violation("trace_schema", str(exc))
+            else:
+                if not round_trips:
+                    violation("trace_schema", "export does not round-trip")
+                scanned = tracer.metric_totals()["rows_scanned"]
+                if scanned != run.rows_processed:
+                    violation(
+                        "trace_reconciliation",
+                        f"grafted spans account {scanned} rows_scanned "
+                        f"but the pool accepted {run.rows_processed}",
+                    )
+                else:
+                    facts["trace_reconciled"] += 1
+            report.traces.append(export)
+        label = "degraded" if run.degraded else "ok"
+        side.outcomes[label] = side.outcomes.get(label, 0) + 1
+        log.emit(
+            "query.finished", query_id=epoch, outcome="completed",
+            strategy=strategy, degraded=run.degraded,
+            latency_ms=round((time.monotonic() - epoch_started) * 1000, 3),
+            workers_lost=run.workers_lost, retries=run.retries,
+            messages=run.messages, rows_processed=run.rows_processed,
+        )
+        side.checked_answers += 1
+        if run.answer == reference:
+            side.goodput += 1
+        else:
+            violation(
+                "wrong_answer",
+                f"{len(run.answer)} rows != reference {len(reference)} rows "
+                f"(lost={run.workers_lost}, retries={run.retries})",
+            )
+    side.elapsed = time.monotonic() - start
+    side.throughput_qps = side.goodput_qps
+    facts["recovery_time_s"] = round(facts["recovery_time_s"], 6)
+    reconcile_events(log, "worker.", {
+        "worker.lost": facts["workers_lost"],
+        "worker.retry": facts["retries"],
+        "worker.degraded": side.outcomes.get("degraded", 0),
+    }, report)
     return report

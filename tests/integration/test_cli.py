@@ -1,11 +1,23 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from repro.__main__ import main
+
+
+def assert_has_baseline_keys(history_path, baseline_name):
+    """The run appended one history record carrying every key of the
+    committed baseline ``repro bench-compare`` reads it against."""
+    (record,) = [json.loads(line) for line in open(history_path)]
+    path = Path(__file__).resolve().parents[2] / baseline_name
+    baseline = json.loads(path.read_text())
+    assert set(baseline) <= set(record)
+    assert record["benchmark"] == baseline["benchmark"]
 
 
 def run_cli(*args, input_text=None):
@@ -137,7 +149,118 @@ class TestParallel:
         assert "--faults" in result.stderr
 
 
-class TestWorkerSoakCLI:
+class TestSoakCLI:
+    """Every scenario through the one ``repro soak`` shell, in process."""
+
+    @staticmethod
+    def compress(monkeypatch, gated):
+        """Compress the A/B scenarios to seconds-long phases; ``gated``
+        keeps their gates (a ~1 s comparison is too noisy to *pass* a
+        unit test on, so the passing runs drop them)."""
+        from dataclasses import replace
+
+        from repro.serve import soak
+
+        phases = (
+            soak.OverloadPhase("warmup", 0.4, 40.0),
+            soak.OverloadPhase("steady", 0.8, 200.0),
+        )
+        for name in ("overload_scenario", "plan_cache_scenario"):
+            build = getattr(soak, name)
+
+            def short(build=build, **knobs):
+                scenario = build(phases=phases, **knobs)
+                return scenario if gated else replace(scenario, gates=())
+
+            monkeypatch.setattr(soak, name, short)
+
+    def test_chaos_scenario_without_a_stderr_fileno(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # ``faulthandler`` cannot arm on a stderr with no file descriptor;
+        # the shell runs unguarded instead of raising.
+        import io
+
+        monkeypatch.setattr(sys, "stderr", io.StringIO())
+        events = tmp_path / "events.jsonl"
+        history = tmp_path / "history.jsonl"
+        code = main([
+            "soak", "--seconds", "0.5", "--workers", "2", "--scale", "0.002",
+            "--faults", "7:rewrite.strategy=0.1", "--trace",
+            "--history", str(history),
+            "--events-out", str(events), "--json", str(tmp_path / "r.json"),
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "soak [chaos]:" in out
+        assert "soak: all invariants held" in out
+        assert events.exists()
+        assert_has_baseline_keys(history, "BENCH_service.json")
+
+    @pytest.mark.parametrize("flag, side, held", [
+        ("--overload", "adaptive", "overload soak: all invariants held"),
+        ("--plan-cache", "cached", "plan-cache soak: all invariants held"),
+    ])
+    def test_ab_scenarios(
+        self, monkeypatch, tmp_path, capsys, flag, side, held
+    ):
+        self.compress(monkeypatch, gated=False)
+        history = tmp_path / "history.jsonl"
+        code = main([
+            "soak", flag, "--workers", "2", "--max-queue", "8",
+            "--scale", "0.002", "--history", str(history),
+            "--json", str(tmp_path / "r.json"),
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert f"soak [{side}]:" in out
+        assert held in out
+        assert_has_baseline_keys(
+            history, "BENCH_" + flag.strip("-").replace("-", "_") + ".json"
+        )
+
+    def test_a_failed_gate_exits_1(self, capsys, monkeypatch):
+        from repro.serve import soak
+
+        self.compress(monkeypatch, gated=True)
+        monkeypatch.setattr(soak, "MIN_HIT_RATE", 1.0)  # unreachable floor
+        code = main([
+            "soak", "--plan-cache", "--workers", "2", "--max-queue", "8",
+            "--scale", "0.002", "--no-history",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "VIOLATION: hit_rate" in captured.err
+        assert "all invariants held" not in captured.out
+
+    def test_a_wrong_reference_exits_1(self, capsys, monkeypatch):
+        from repro.serve import soak
+
+        real = soak.compute_references
+
+        def wrong(catalog, workload=soak.WORKLOAD):
+            return {
+                key: ("rows", [("not", "the", "answer")])
+                for key in real(catalog, workload)
+            }
+
+        monkeypatch.setattr(soak, "compute_references", wrong)
+        code = main([
+            "soak", "--seconds", "0.3", "--workers", "2", "--scale", "0.002",
+            "--cancel-rate", "0", "--tight-deadline-rate", "0",
+            "--no-history",
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "VIOLATION: wrong_answer" in captured.err
+        assert "all invariants held" not in captured.out
+
+    def test_scenario_flags_are_mutually_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["soak", "--overload", "--plan-cache"])
+        assert excinfo.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
     def test_real_workers_chaos_soak_in_process(self, tmp_path, capsys):
         events = tmp_path / "events.jsonl"
         code = main([

@@ -27,7 +27,7 @@ from repro.obs import (
     load_events,
     validate_events,
 )
-from repro.serve.soak import run_soak
+from repro.serve.soak import chaos_scenario, run_scenario
 
 QUERY = (
     "SELECT name FROM dept D WHERE D.budget < 10000 AND D.num_emps > "
@@ -48,15 +48,18 @@ def _no_ambient_env(monkeypatch):
 
 def _soak_events(faults=None, slow_query_ms=None):
     sink = RingSink(capacity=200_000)
-    report = run_soak(
-        workers=4, seconds=1.5, seed=11, scale=0.002, faults=faults,
-        events=EventLog(sink), slow_query_ms=slow_query_ms,
+    report = run_scenario(
+        chaos_scenario(
+            workers=4, seconds=1.5, seed=11, scale=0.002, faults=faults,
+            slow_query_ms=slow_query_ms,
+        ),
+        events=EventLog(sink),
     )
     return report, sink.events()
 
 
 def _assert_reconciles(report, events):
-    stats = report.stats
+    stats = report.primary.stats
     kinds = count_by_kind(events)
     assert validate_events(events) == len(events)
     # Admission edges, one event per counter increment.
@@ -87,7 +90,7 @@ def _assert_reconciles(report, events):
 class TestReconciliation:
     def test_drained_soak_reconciles_exactly(self):
         report, events = _soak_events()
-        assert report.ok, report.problems
+        assert report.ok, [str(v) for v in report.all_violations()]
         _assert_reconciles(report, events)
         assert count_by_kind(events).get("fault.fired", 0) == 0
 
@@ -109,8 +112,9 @@ class TestReconciliation:
     def test_slow_query_events_match_slow_total(self):
         report, events = _soak_events(slow_query_ms=0.0)
         kinds = count_by_kind(events)
-        assert kinds.get("query.slow", 0) == report.stats.slow_total
-        assert report.stats.slow_total >= report.stats.completed
+        stats = report.primary.stats
+        assert kinds.get("query.slow", 0) == stats.slow_total
+        assert stats.slow_total >= stats.completed
 
 
 class TestEventsJsonSchema:

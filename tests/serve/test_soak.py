@@ -1,18 +1,29 @@
 """Short, seeded chaos soaks (the CI job runs the long ones)."""
 
 import json
+from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
+from repro.errors import ExecutionError
+from repro.obs.phases import PhaseTimeline
+from repro.serve.service import ServiceStats, Ticket
 from repro.serve.soak import (
+    VIOLATION_KINDS,
     WORKLOAD,
     OverloadPhase,
+    SideRecord,
+    Violation,
     build_soak_catalog,
+    chaos_scenario,
     compute_references,
+    overload_scenario,
     overload_schedule,
-    run_overload_soak,
-    run_soak,
+    plan_cache_scenario,
+    run_scenario,
     run_worker_soak,
+    verify_side,
 )
 
 
@@ -22,7 +33,7 @@ class TestSoak:
         # Faults + cancels + tight deadlines for ~1.5 s: every query must
         # produce the reference answer or a typed error, and the service
         # counters must reconcile.
-        report = run_soak(
+        report = run_scenario(chaos_scenario(
             workers=4,
             seconds=1.5,
             seed=7,
@@ -32,15 +43,16 @@ class TestSoak:
             tight_deadline_rate=0.2,
             breaker_threshold=2,
             breaker_cooldown=0.2,
-        )
-        assert report.ok, [str(v) for v in report.violations]
-        assert report.stats.reconciles()
-        assert report.checked_answers > 0
-        assert report.stats.submitted > 0
+        ))
+        side = report.primary
+        assert report.ok, [str(v) for v in report.all_violations()]
+        assert side.stats.reconciles()
+        assert side.checked_answers > 0
+        assert side.stats.submitted > 0
         json.dumps(report.as_dict())  # the CLI --json payload serialises
 
     def test_worker_fault_scope_soak(self):
-        report = run_soak(
+        report = run_scenario(chaos_scenario(
             workers=2,
             seconds=1.0,
             seed=11,
@@ -49,9 +61,9 @@ class TestSoak:
             cancel_rate=0.0,
             tight_deadline_rate=0.0,
             fault_scope="worker",
-        )
-        assert report.ok, [str(v) for v in report.violations]
-        assert report.stats.completed > 0
+        ))
+        assert report.ok, [str(v) for v in report.all_violations()]
+        assert report.primary.stats.completed > 0
 
 
 @pytest.mark.slow
@@ -66,10 +78,12 @@ class TestWorkerSoak:
             faults="11:worker.crash=0.05",
             n_depts=12, n_emps=60,
         )
-        assert report.ok, [str(v) for v in report.violations]
-        assert report.kills == 2
-        assert report.workers_lost >= report.kills
-        assert report.event_counts["worker.lost"] == report.workers_lost
+        assert report.ok, [str(v) for v in report.all_violations()]
+        assert report.facts["kills"] == 2
+        assert report.facts["workers_lost"] >= report.facts["kills"]
+        assert (
+            report.event_counts["worker.lost"] == report.facts["workers_lost"]
+        )
         assert report.event_counts["worker.spawned"] == 2 * 3
         json.dumps(report.as_dict())  # the CLI --json payload serialises
 
@@ -79,8 +93,9 @@ class TestWorkerSoak:
             kill_per_epoch=False, n_depts=12, n_emps=60,
         )
         assert report.ok
-        assert report.kills == 0 and report.workers_lost == 0
-        assert report.outcomes == {"ok": 2}
+        assert report.facts["kills"] == 0
+        assert report.facts["workers_lost"] == 0
+        assert report.primary.outcomes == {"ok": 2}
 
 
 class TestOverloadSchedule:
@@ -102,9 +117,9 @@ class TestOverloadSchedule:
 class TestOverloadSoak:
     def test_short_phased_soak_reconciles_on_both_sides(self):
         # A compressed phase plan (the CI job runs the real one): both
-        # sides must answer correctly and reconcile; the win requirement
-        # is off because a ~2 s run is too noisy to gate on.
-        report = run_overload_soak(
+        # sides must answer correctly and reconcile; the scenario runs
+        # without its gates because a ~2 s run is too noisy to gate on.
+        scenario = overload_scenario(
             seed=13,
             workers=2,
             max_queue=8,
@@ -114,16 +129,17 @@ class TestOverloadSoak:
                 OverloadPhase("overload", 1.0, 250.0),
                 OverloadPhase("recovery", 0.4, 20.0),
             ),
-            require_win=False,
         )
-        assert report.adaptive.violations == []
-        assert report.fifo.violations == []
-        assert report.adaptive.offered == report.fifo.offered
-        assert report.adaptive.stats.reconciles()
-        assert report.fifo.stats.reconciles()
+        report = run_scenario(replace(scenario, gates=()))
+        adaptive, fifo = report.sides["adaptive"], report.sides["fifo"]
+        assert adaptive.violations == []
+        assert fifo.violations == []
+        assert adaptive.offered == fifo.offered
+        assert adaptive.stats.reconciles()
+        assert fifo.stats.reconciles()
         # The FIFO baseline has no overload machinery at all.
-        assert report.fifo.stats.shed == 0
-        assert report.fifo.stats.expired_in_queue == 0
+        assert fifo.stats.shed == 0
+        assert fifo.stats.expired_in_queue == 0
         json.dumps(report.as_dict())  # the CLI --json payload serialises
 
 
@@ -146,3 +162,156 @@ class TestReferences:
         kind_kim, rows_kim = references[("empdept", "kim")]
         assert kind_ni == kind_kim == "rows"
         assert rows_ni != rows_kim
+
+
+# -- the one verifier, fed hand-built tickets ----------------------------------
+
+ROWS = [("d_bug",), ("d_busy",)]
+REFERENCES = {
+    ("empdept", "ni"): ("rows", sorted(ROWS)),
+    ("empdept", "magic"): ("rows", sorted(ROWS)),
+    ("empdept", "kim"): ("error", "RewriteError"),
+}
+CLEAN_STATS = dict(submitted=1, admitted=1, completed=1)
+
+
+def finished_ticket(strategy="ni", rows=ROWS, error=None, fallback=None,
+                    latency=0.01, phases=None, done=True):
+    """A terminal :class:`Ticket` as the service would leave it."""
+    ticket = Ticket(1, "select ...", strategy, guard=None, submitted_at=0.0)
+    ticket.started_at = 0.0
+    if done:
+        ticket.latency = latency
+        ticket.phases = phases
+        ticket._error = error
+        ticket._result = SimpleNamespace(
+            rows=list(rows),
+            degradations=[SimpleNamespace(fallback=fallback)] if fallback
+            else [],
+        )
+        ticket._event.set()
+    return ticket
+
+
+def timeline(**durations):
+    phases = PhaseTimeline(start=0.0)
+    phases.durations.update(durations)
+    return phases
+
+
+def verdict(ticket=None, deadline=None, **stats):
+    submitted = [(ticket, "empdept", deadline)] if ticket else []
+    return verify_side(
+        "side", submitted, REFERENCES,
+        ServiceStats(**(stats or CLEAN_STATS)), elapsed=1.0,
+    )
+
+
+#: kind -> hand-built inputs that must raise exactly that violation.
+VERIFIER_CASES = {
+    "wrong_answer": [
+        dict(ticket=finished_ticket(rows=[("someone else",)])),
+        # Completed via a strategy whose fault-free reference is an
+        # error -- requested directly, or reached through a degradation.
+        dict(ticket=finished_ticket(strategy="kim")),
+        dict(ticket=finished_ticket(strategy="magic", fallback="kim")),
+    ],
+    "untyped_error": [
+        dict(ticket=finished_ticket(error=RuntimeError("boom")),
+             submitted=1, admitted=1, failed=1),
+    ],
+    "hung_query": [
+        dict(ticket=finished_ticket(done=False),
+             submitted=1, admitted=1, in_flight=1),
+    ],
+    "phase_sum": [
+        dict(ticket=finished_ticket(
+            latency=0.010, phases=timeline(queue=0.004, execute=0.004),
+        )),
+    ],
+    "reconciliation": [
+        dict(submitted=2, admitted=1, completed=1),          # a lost submit
+        dict(submitted=1, admitted=1),                       # a lost finish
+        dict(submitted=3, admitted=3, completed=1, shed=1),  # section-9 law
+    ],
+}
+GATE_KINDS = {"goodput_regression", "futile_regression", "cache_no_win",
+              "hit_rate"}
+WORKER_KINDS = {"trace_schema", "trace_reconciliation"}
+
+
+class TestVerifier:
+    def test_the_kinds_are_one_enumerated_set(self):
+        # Every kind the harness can emit is verified here, gated below,
+        # or belongs to the traced real-worker epochs.
+        assert (
+            set(VERIFIER_CASES) | GATE_KINDS | WORKER_KINDS
+            == set(VIOLATION_KINDS)
+        )
+        with pytest.raises(ValueError):
+            Violation("made_up_kind", "", "", "never emitted")
+
+    @pytest.mark.parametrize("kind", VERIFIER_CASES)
+    def test_each_kind_is_raised(self, kind):
+        for case in VERIFIER_CASES[kind]:
+            record = verdict(**case)
+            assert [v.kind for v in record.violations] == [kind], case
+
+    def test_clean_tickets_raise_none(self):
+        for ticket in (
+            finished_ticket(),
+            finished_ticket(strategy="kim", fallback="magic"),
+            finished_ticket(latency=0.010,
+                            phases=timeline(queue=0.004, execute=0.006)),
+        ):
+            record = verdict(ticket)
+            assert record.violations == []
+            assert record.checked_answers == record.goodput == 1
+            assert record.outcomes == {"ok": 1}
+
+    def test_typed_errors_and_late_answers_are_futile_not_violations(self):
+        failed = verdict(
+            finished_ticket(error=ExecutionError("typed")),
+            submitted=1, admitted=1, failed=1,
+        )
+        assert failed.violations == []
+        assert failed.outcomes == {"ExecutionError": 1}
+        late = verdict(finished_ticket(latency=0.5), deadline=0.1)
+        assert late.violations == []
+        assert late.outcomes == {"late": 1}
+        assert late.checked_answers == 1     # late, but still verified
+        assert failed.futile_executions == late.futile_executions == 1
+        assert failed.goodput == late.goodput == 0
+
+
+class TestGates:
+    @staticmethod
+    def side(goodput, futile=0, hit_rate=None):
+        return SideRecord(
+            "side", goodput=goodput, futile_executions=futile,
+            stats=ServiceStats(plan_cache={"hit_rate": hit_rate}),
+        )
+
+    def failed(self, scenario, primary, other):
+        return {
+            kind for kind, holds in scenario.gates
+            if not holds(primary, other)
+        }
+
+    def test_every_gate_bites_and_passes(self):
+        overload, cached = overload_scenario(), plan_cache_scenario()
+        side = self.side
+        assert self.failed(overload, side(5, 1), side(6, 0)) == {
+            "goodput_regression", "futile_regression",
+        }
+        assert self.failed(overload, side(6, 1), side(6, 1)) == set()
+        # The cache must win *strictly*, above the hit-rate floor.
+        assert self.failed(cached, side(6, hit_rate=0.9), side(6)) == {
+            "cache_no_win", "hit_rate",
+        }
+        assert self.failed(cached, side(7, hit_rate=0.95), side(6)) == set()
+        assert GATE_KINDS == {
+            kind for scenario in (overload, cached)
+            for kind, _ in scenario.gates
+        }
+        assert chaos_scenario().gates == ()
