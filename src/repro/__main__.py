@@ -680,7 +680,7 @@ def _lint_units(args: argparse.Namespace) -> list[tuple[str, str]]:
 def cmd_lint(args: argparse.Namespace) -> int:
     """``repro lint``: static analysis of queries, scripts and modules.
 
-    Each positional target may be SQL text, a ``.sql`` script (split into
+    Each target argument may be SQL text, a ``.sql`` script (split into
     statements), or a Python file/directory (run through the concurrency
     lint, :mod:`repro.analyze.conc`). ``--json`` emits one machine-readable
     report instead of human output.

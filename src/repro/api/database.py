@@ -436,7 +436,7 @@ class Database:
             self.catalog, entry.graph.root, cse_mode,
             guard=guard, faults=self.faults, params=prepared.values,
         )
-        ctx.seed_plans(entry.plans)
+        ctx.seed_plans(entry.plans, entry.shared)
         rows, metrics = execute_graph(
             entry.graph, self.catalog, cse_mode=cse_mode, ctx=ctx
         )

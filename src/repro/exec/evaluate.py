@@ -1,40 +1,45 @@
 """Expression compilation with SQL three-valued logic.
 
 :func:`compile_expr` turns an expression tree into a Python closure
-``fn(env, ctx)``: node kind, operator function, column ordinal, ``negated``
+``fn(row, ctx)``: node kind, operator function, column slot, ``negated``
 flags and function name/arity are resolved once, so evaluating a row costs
-one call per node and no dispatch. ``env`` is an :class:`Env` -- the
-bindings of quantifiers to current rows -- and ``ctx`` the running
+one call per node and no dispatch. ``row`` is the flat tuple of the box the
+expression belongs to and ``ctx`` the running
 :class:`~repro.exec.executor.ExecutionContext`. Closures never capture a
-context: ``?`` parameters and subquery invocation go through the ``ctx``
-argument, which is what lets one compiled plan serve every execution of a
-cached query graph, concurrently.
+context or a row: ``?`` parameters and subquery invocation go through the
+``ctx`` argument, which is what lets one compiled plan serve every
+execution of a cached query graph, concurrently.
 
-Subquery expression nodes run the nested box through the executor with the
-current env as the outer environment; this *is* nested iteration, and every
-such run is counted in ``metrics.subquery_invocations``. Scalar subqueries
-whose values were pre-computed by a ``SubqueryEvalStep`` are read from the
-env cache instead.
+Every column reference is resolved here, at compile time, to a slot of that
+row through ``offsets`` (:data:`Offsets`). The row starts with the values
+the box's subtree reads from enclosing boxes (:func:`outer_refs`, one slot
+each) -- whoever runs the box hands them over, having picked them out of
+its own row (:func:`outer_values`) -- and goes on with the box's own
+members. A reference that is neither is an error before any row is read.
 
-An operator that iterates the rows of known quantifiers and whose
-expressions read nothing else (:func:`reads_only`) compiles them with
-``offsets`` instead: the closure's first argument is then the row tuple
-itself and no :class:`Env` is allocated.
+Subquery expression nodes run the nested box through the executor, handing
+it its outer values out of the current row; this *is* nested iteration, and
+every such run is counted in ``metrics.subquery_invocations``. A scalar
+subquery whose value a ``SubqueryEvalStep`` already put into the row is
+read from its slot instead.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional
 
 from ..errors import ExecutionError
+from ..qgm.analysis import box_children
+from ..qgm.model import Box, Quantifier
 from ..qgm.expr import (
-    BOX_SUBQUERY_TYPES,
     BoxExists,
     BoxInSubquery,
     BoxQuantifiedComparison,
     BoxScalarSubquery,
     ColumnRef,
-    walk_expr,
+    column_refs,
 )
 from ..sql import ast
 from ..types import (
@@ -47,33 +52,21 @@ from ..types import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
-    from ..qgm.model import Box, Quantifier
     from .executor import ExecutionContext
 
-#: A compiled expression: ``fn(env, ctx)``, or ``fn(row, ctx)`` when it was
-#: compiled with ``offsets``.
-Compiled = Callable[[Any, "ExecutionContext"], Any]
+#: A compiled expression: ``fn(row, ctx)`` over the flat row of its box.
+Compiled = Callable[[tuple, "ExecutionContext"], Any]
+#: What sits where in a box's flat row (:func:`row_layout`). Four kinds of
+#: key: a quantifier of the box -> where its columns start; ``(quantifier,
+#: column)`` of an outer reference -> the slot of the value handed down; a
+#: scalar subquery node a ``SubqueryEvalStep`` evaluates -> the slot of its
+#: value; a box this one runs -> the slots of that box's outer values.
+Offsets = Mapping[Any, Any]
+#: The outer values of a box to run, out of a row of the box running it.
+Pick = Callable[[tuple], tuple]
 
 
-class Env:
-    """Quantifier bindings plus cached scalar-subquery values."""
-
-    __slots__ = ("bindings", "values")
-
-    def __init__(self, bindings: Optional[dict] = None, values: Optional[dict] = None):
-        self.bindings: dict = bindings if bindings is not None else {}
-        self.values: dict = values if values is not None else {}
-
-    def bind(self, quantifier, row: tuple) -> "Env":
-        """A new Env extending this one with ``quantifier -> row``."""
-        return Env({**self.bindings, quantifier: row}, self.values)
-
-    def with_value(self, key: int, value: Any) -> "Env":
-        """A new Env caching a pre-computed scalar subquery value."""
-        return Env(self.bindings, {**self.values, key: value})
-
-
-def column_position(box: "Box", column: str) -> int:
+def column_position(box: Box, column: str) -> int:
     """Ordinal of ``column`` in ``box``'s output row."""
     try:
         return box.output_names().index(column)
@@ -83,39 +76,79 @@ def column_position(box: "Box", column: str) -> int:
         ) from None
 
 
-def flat_position(ref: ColumnRef, offsets: Mapping["Quantifier", int]) -> int:
-    """Where ``ref``'s column sits in a flat row laid out by ``offsets``
-    (quantifier -> position of its first column)."""
+def flat_position(ref: ColumnRef, offsets: Offsets) -> int:
+    """Where ``ref``'s value sits in a flat row laid out by ``offsets``."""
     quantifier = ref.quantifier
-    return offsets[quantifier] + column_position(quantifier.box, ref.column)
+    start = offsets.get(quantifier)
+    if start is not None:
+        return start + column_position(quantifier.box, ref.column)
+    slot = offsets.get((quantifier, ref.column))
+    if slot is None:
+        raise ExecutionError(
+            f"unbound quantifier {quantifier.name!r} while evaluating {ref!r}"
+        )
+    return slot
 
 
-def reads_only(exprs: Iterable[ast.Expr], quantifiers) -> bool:
-    """Can ``exprs`` be evaluated from the rows of ``quantifiers`` alone --
-    no reference to any other quantifier, no subquery to invoke?"""
-    for expr in exprs:
-        for node in walk_expr(expr):
-            if isinstance(node, ColumnRef):
-                if node.quantifier not in quantifiers:
-                    return False
-            elif isinstance(node, BOX_SUBQUERY_TYPES):
-                return False
-    return True
+def outer_refs(box: Box, below: Optional[Iterable[tuple]] = None) -> tuple[ColumnRef, ...]:
+    """The distinct columns ``box``'s subtree reads from quantifiers outside
+    itself, in a fixed order: the values whoever runs the box hands it, and
+    the first slots of its row. Empty = the box is uncorrelated. ``below``
+    is the same for each child of the box, when the caller has them: a box
+    composes its order from its children's, so it and whoever runs it agree
+    on it by construction."""
+    if below is None:
+        below = [outer_refs(child) for child in box_children(box)]
+    owned = set(box.child_quantifiers())
+    refs: dict[tuple, ColumnRef] = {}
+    for ref in chain((r for e in box.own_exprs() for r in column_refs(e)), *below):
+        if ref.quantifier not in owned:
+            refs.setdefault((ref.quantifier, ref.column), ref)
+    return tuple(refs.values())
 
 
-def compile_expr(
-    expr: ast.Expr, offsets: Optional[Mapping["Quantifier", int]] = None
-) -> Compiled:
-    """Compile ``expr`` to a closure yielding its SQL value (``None`` =
-    NULL / UNKNOWN).
+def row_layout(box: Box, members: Iterable) -> tuple[tuple[ColumnRef, ...], dict]:
+    """The outer references of ``box`` and the layout of its flat row: their
+    values first, one slot each, then ``members`` in order -- a quantifier
+    takes one slot per column, a pre-evaluated scalar subquery node one --
+    and, for every box this one runs, where that box's outer values sit."""
+    children = {child: outer_refs(child) for child in box_children(box)}
+    params = outer_refs(box, children.values())
+    offsets: dict = {
+        (ref.quantifier, ref.column): slot for slot, ref in enumerate(params)
+    }
+    width = len(params)
+    for member in members:
+        offsets[member] = width
+        if isinstance(member, Quantifier):
+            width += len(member.box.output_names())
+        else:
+            width += 1
+    for child, refs in children.items():
+        offsets[child] = tuple(flat_position(ref, offsets) for ref in refs)
+    return params, offsets
 
-    With ``offsets`` (quantifier -> position of its first column in a flat
-    row) the closure reads a row tuple instead of an :class:`Env`; the
-    caller has checked :func:`reads_only` over exactly those quantifiers.
+
+def outer_values(box: Box, offsets: Offsets) -> Pick:
+    """``pick(row)``: the outer values of ``box`` out of a row laid out by
+    ``offsets`` -- the row of the box that runs it."""
+    slots = offsets[box]
+    if not slots:
+        return lambda row: ()
+    if len(slots) == 1:
+        (slot,) = slots
+        return lambda row: (row[slot],)
+    return itemgetter(*slots)
+
+
+def compile_expr(expr: ast.Expr, offsets: Offsets) -> Compiled:
+    """Compile ``expr`` to a closure over a flat row laid out by ``offsets``,
+    yielding its SQL value (``None`` = NULL / UNKNOWN).
 
     Everything that does not depend on the data is checked here, so an
-    unknown column, an unknown function or a wrong argument count raises
-    :class:`ExecutionError` whether or not any row reaches the expression.
+    unknown column, an unbound quantifier, an unknown function or a wrong
+    argument count raises :class:`ExecutionError` whether or not any row
+    reaches the expression.
     """
 
     def compile_(node: ast.Expr) -> Compiled:
@@ -123,28 +156,14 @@ def compile_expr(
 
     if isinstance(expr, ast.Literal):
         value = expr.value
-        return lambda env, ctx: value
+        return lambda row, ctx: value
     if isinstance(expr, ColumnRef):
-        if offsets is not None:
-            flat = flat_position(expr, offsets)
-            return lambda row, ctx: row[flat]
-        quantifier = expr.quantifier
-        position = column_position(quantifier.box, expr.column)
-
-        def column(env, ctx):
-            try:
-                return env.bindings[quantifier][position]
-            except KeyError:
-                raise ExecutionError(
-                    f"unbound quantifier {quantifier.name!r} while evaluating "
-                    f"{expr!r}"
-                ) from None
-
-        return column
+        flat = flat_position(expr, offsets)
+        return lambda row, ctx: row[flat]
     if isinstance(expr, ast.Parameter):
         index = expr.index
 
-        def parameter(env, ctx):
+        def parameter(row, ctx):
             try:
                 return ctx.params[index]
             except IndexError:
@@ -158,34 +177,34 @@ def compile_expr(
         left, right = compile_(expr.left), compile_(expr.right)
         if expr.op == "||":
 
-            def concat(env, ctx):
-                a, b = left(env, ctx), right(env, ctx)
+            def concat(row, ctx):
+                a, b = left(row, ctx), right(row, ctx)
                 if a is None or b is None:
                     return None
                 return str(a) + str(b)
 
             return concat
         arithmetic = ARITHMETIC[expr.op]
-        return lambda env, ctx: arithmetic(left(env, ctx), right(env, ctx))
+        return lambda row, ctx: arithmetic(left(row, ctx), right(row, ctx))
     if isinstance(expr, ast.UnaryMinus):
         operand = compile_(expr.operand)
 
-        def minus(env, ctx):
-            value = operand(env, ctx)
+        def minus(row, ctx):
+            value = operand(row, ctx)
             return None if value is None else -value
 
         return minus
     if isinstance(expr, ast.Comparison):
         compare = COMPARISONS[expr.op]
         left, right = compile_(expr.left), compile_(expr.right)
-        return lambda env, ctx: compare(left(env, ctx), right(env, ctx))
+        return lambda row, ctx: compare(left(row, ctx), right(row, ctx))
     if isinstance(expr, ast.And):
         items = tuple(compile_(item) for item in expr.items)
 
-        def conjunction(env, ctx):
+        def conjunction(row, ctx):
             result: Truth = True
             for item in items:
-                truth = item(env, ctx)
+                truth = item(row, ctx)
                 if truth is False:
                     return False
                 if truth is None:
@@ -196,10 +215,10 @@ def compile_expr(
     if isinstance(expr, ast.Or):
         items = tuple(compile_(item) for item in expr.items)
 
-        def disjunction(env, ctx):
+        def disjunction(row, ctx):
             result: Truth = False
             for item in items:
-                truth = item(env, ctx)
+                truth = item(row, ctx)
                 if truth is True:
                     return True
                 if truth is None:
@@ -209,26 +228,26 @@ def compile_expr(
         return disjunction
     if isinstance(expr, ast.Not):
         operand = compile_(expr.operand)
-        return lambda env, ctx: tv_not(operand(env, ctx))
+        return lambda row, ctx: tv_not(operand(row, ctx))
     if isinstance(expr, ast.IsNull):
         operand = compile_(expr.operand)
         if expr.negated:
-            return lambda env, ctx: operand(env, ctx) is not None
-        return lambda env, ctx: operand(env, ctx) is None
+            return lambda row, ctx: operand(row, ctx) is not None
+        return lambda row, ctx: operand(row, ctx) is None
     if isinstance(expr, ast.Like):
         operand, pattern = compile_(expr.operand), compile_(expr.pattern)
         return _negate_if(
             expr.negated,
-            lambda env, ctx: sql_like(operand(env, ctx), pattern(env, ctx)),
+            lambda row, ctx: sql_like(operand(row, ctx), pattern(row, ctx)),
         )
     if isinstance(expr, ast.Between):
         operand = compile_(expr.operand)
         low, high = compile_(expr.low), compile_(expr.high)
         at_least, at_most = COMPARISONS[">="], COMPARISONS["<="]
 
-        def between(env, ctx):
-            value = operand(env, ctx)
-            lower, upper = low(env, ctx), high(env, ctx)
+        def between(row, ctx):
+            value = operand(row, ctx)
+            lower, upper = low(row, ctx), high(row, ctx)
             return tv_and(at_least(value, lower), at_most(value, upper))
 
         return _negate_if(expr.negated, between)
@@ -237,11 +256,11 @@ def compile_expr(
         items = tuple(compile_(item) for item in expr.items)
         equal = COMPARISONS["="]
 
-        def in_list(env, ctx):
-            value = operand(env, ctx)
+        def in_list(row, ctx):
+            value = operand(row, ctx)
             result: Truth = False
             for item in items:
-                truth = equal(value, item(env, ctx))
+                truth = equal(value, item(row, ctx))
                 if truth is True:
                     return True
                 if truth is None:
@@ -258,69 +277,54 @@ def compile_expr(
             None if expr.otherwise is None else compile_(expr.otherwise)
         )
 
-        def case(env, ctx):
+        def case(row, ctx):
             for condition, value in whens:
-                if condition(env, ctx) is True:
-                    return value(env, ctx)
-            return None if otherwise is None else otherwise(env, ctx)
+                if condition(row, ctx) is True:
+                    return value(row, ctx)
+            return None if otherwise is None else otherwise(row, ctx)
 
         return case
     if isinstance(expr, ast.FunctionCall):
         return _compile_function(expr, tuple(compile_(a) for a in expr.args))
     if isinstance(expr, BoxScalarSubquery):
-        key = id(expr)
-
-        def scalar(env, ctx):
-            values = env.values
-            if key in values:
-                return values[key]
-            return scalar_subquery_value(expr, env, ctx)
-
-        return scalar
+        slot = offsets.get(expr)
+        if slot is not None:
+            return lambda row, ctx: row[slot]
+        box, pick = expr.box, outer_values(expr.box, offsets)
+        return lambda row, ctx: scalar_subquery_value(box, pick(row), ctx)
     if isinstance(expr, BoxExists):
-        box = expr.box
+        box, pick = expr.box, outer_values(expr.box, offsets)
         if expr.negated:
-            return lambda env, ctx: not ctx.subquery_rows(box, env, first_only=True)
-        return lambda env, ctx: bool(ctx.subquery_rows(box, env, first_only=True))
+            return lambda row, ctx: not ctx.subquery_rows(box, pick(row))
+        return lambda row, ctx: bool(ctx.subquery_rows(box, pick(row)))
     if isinstance(expr, BoxInSubquery):
         operand = compile_(expr.operand)
-        box = expr.box
+        box, pick = expr.box, outer_values(expr.box, offsets)
         equal = COMPARISONS["="]
         return _negate_if(
             expr.negated,
-            lambda env, ctx: _any(
-                equal, operand(env, ctx), ctx.subquery_rows(box, env)
+            lambda row, ctx: _any(
+                equal, operand(row, ctx), ctx.subquery_rows(box, pick(row))
             ),
         )
     if isinstance(expr, BoxQuantifiedComparison):
         operand = compile_(expr.operand)
-        box = expr.box
+        box, pick = expr.box, outer_values(expr.box, offsets)
         compare = COMPARISONS[expr.op]
         quantify = _any if expr.quantifier_kind == "any" else _all
-        return lambda env, ctx: quantify(
-            compare, operand(env, ctx), ctx.subquery_rows(box, env)
+        return lambda row, ctx: quantify(
+            compare, operand(row, ctx), ctx.subquery_rows(box, pick(row))
         )
     if isinstance(expr, ast.AggregateCall):
         raise ExecutionError("aggregate call evaluated outside a GROUP BY box")
     raise ExecutionError(f"cannot evaluate expression {expr!r}")
 
 
-def evaluate(expr: ast.Expr, env: Env, ctx: "ExecutionContext") -> Any:
-    """Compile and evaluate ``expr`` once -- for one-off callers; operators
-    compile once per box and keep the closure."""
-    return compile_expr(expr)(env, ctx)
-
-
-def predicate_holds(expr: ast.Expr, env: Env, ctx: "ExecutionContext") -> bool:
-    """WHERE semantics: UNKNOWN does not qualify."""
-    return evaluate(expr, env, ctx) is True
-
-
 def scalar_subquery_value(
-    node: BoxScalarSubquery, env: Env, ctx: "ExecutionContext"
+    box: Box, outer: tuple, ctx: "ExecutionContext"
 ) -> Any:
-    """Run a scalar subquery: 0 rows -> NULL, >1 row -> error."""
-    rows = ctx.subquery_rows(node.box, env)
+    """Run a scalar subquery box: 0 rows -> NULL, >1 row -> error."""
+    rows = ctx.subquery_rows(box, outer)
     if len(rows) > 1:
         raise ExecutionError("scalar subquery returned more than one row")
     if not rows:
@@ -334,7 +338,7 @@ def scalar_subquery_value(
 def _negate_if(negated: bool, truth: Compiled) -> Compiled:
     if not negated:
         return truth
-    return lambda env, ctx: tv_not(truth(env, ctx))
+    return lambda row, ctx: tv_not(truth(row, ctx))
 
 
 def _any(compare, value: Any, rows: list[tuple]) -> Truth:
@@ -384,9 +388,9 @@ def _compile_function(expr: ast.FunctionCall, args: tuple[Compiled, ...]) -> Com
         )
     if name == "coalesce":
 
-        def coalesce(env, ctx):
+        def coalesce(row, ctx):
             for arg in args:
-                value = arg(env, ctx)
+                value = arg(row, ctx)
                 if value is not None:
                     return value
             return None
@@ -396,15 +400,15 @@ def _compile_function(expr: ast.FunctionCall, args: tuple[Compiled, ...]) -> Com
     if name == "nullif":
         second = args[1]
 
-        def nullif(env, ctx):
-            a, b = first(env, ctx), second(env, ctx)
+        def nullif(row, ctx):
+            a, b = first(row, ctx), second(row, ctx)
             return None if a == b else a
 
         return nullif
     apply = {"abs": abs, "upper": _upper, "lower": _lower}[name]
 
-    def function(env, ctx):
-        value = first(env, ctx)
+    def function(row, ctx):
+        value = first(row, ctx)
         return None if value is None else apply(value)
 
     return function

@@ -11,7 +11,9 @@ Expressions are not interpreted per row. The first time a box runs, its
 expressions and plan steps are compiled into closures (:func:`plan_box`,
 "compiled plans" below) that are kept beside the physical plan, so every
 later invocation of the box -- each outer row of a nested iteration, each
-hit of a cached plan -- only calls them.
+hit of a cached plan -- only calls them. Rows have one representation, the
+flat tuple; a correlated box is handed the outer values it reads as the
+first slots of its row.
 
 Common-subexpression handling follows the paper:
 
@@ -31,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from operator import concat, itemgetter
+from operator import itemgetter
 from typing import (
     Any,
     Callable,
@@ -43,14 +45,13 @@ from typing import (
 )
 
 from ..errors import ExecutionError
-from ..qgm.analysis import external_column_refs, parent_edges
+from ..qgm.analysis import shared_boxes
 from ..qgm.expr import ColumnRef, column_refs, conjuncts
 from ..qgm.model import (
     BaseTableBox,
     Box,
     GroupByBox,
     OuterJoinBox,
-    Quantifier,
     QueryGraph,
     SelectBox,
     SetOpBox,
@@ -71,10 +72,12 @@ from ..types import sort_key
 from .aggregates import compute_aggregate
 from .evaluate import (
     Compiled,
-    Env,
+    Offsets,
+    Pick,
     compile_expr,
     flat_position,
-    reads_only,
+    outer_values,
+    row_layout,
     scalar_subquery_value,
 )
 from .metrics import Metrics
@@ -130,12 +133,14 @@ class ExecutionContext:
         if tracer is not None:
             tracer.attach(self.metrics)
         self._root = root
-        self._parents = parent_edges(root)
-        #: box id -> SelectPlan / GroupByPlan / OuterJoinPlan, closures
-        #: compiled (see :func:`plan_box`).
+        #: box id -> SelectPlan / GroupByPlan / OuterJoinPlan / SetOpPlan,
+        #: closures compiled (see :func:`plan_box`).
         self._plans: dict[int, Any] = {}
+        #: ids of the boxes with several parents -- the one fact about the
+        #: graph no single box's plan holds; derived on first use unless
+        #: seeded.
+        self._shared: Optional[frozenset[int]] = None
         self._cache: dict[int, list[tuple]] = {}
-        self._correlated: dict[int, bool] = {}
         self._executions: dict[int, int] = {}
 
     # -- helpers -----------------------------------------------------------
@@ -145,54 +150,56 @@ class ExecutionContext:
         if self.guard is not None:
             self.guard.check()
 
-    def seed_plans(self, plans: dict) -> None:
+    def seed_plans(
+        self, plans: dict, shared: Optional[frozenset[int]] = None
+    ) -> None:
         """Pre-populate the per-box plan table (``{box.id: plan}``, as
-        :func:`plan_box` returns them).
+        :func:`plan_box` returns them) and, with ``shared``, the graph fact
+        that travels beside it (:func:`~repro.qgm.analysis.shared_boxes`).
 
-        Plan-cache hits seed the plans computed at fill time; the shared
+        Plan-cache hits seed what was computed at fill time; the shared
         dict is copied from, never mutated, so one cached entry -- and the
         closures compiled into it -- can serve concurrent executions. A
         :class:`SelectPlan` straight from the planner is compiled in place
         when its box first runs, so it must not be seeded into contexts
-        that run concurrently."""
+        that run concurrently. Whatever is not seeded is derived on first
+        use."""
         self._plans.update(plans)
+        self._shared = shared
 
     def plan(self, box: Box):
-        """The (cached) plan for one SPJ, GROUP BY or outer-join box, its
-        expressions compiled: built the first time the box runs, reused by
-        every later invocation of it."""
+        """The compiled plan of one SPJ, GROUP BY, set-operation or
+        outer-join box: built the first time the box runs, reused by every
+        later invocation of it."""
         plan = self._plans.get(box.id)
         if plan is None:
             if self.faults is not None and isinstance(box, SelectBox):
                 self.faults.trigger("plan.select", detail=f"box {box.id}")
             plan = plan_box(self.catalog, box, guard=self.guard)
             self._plans[box.id] = plan
+        if isinstance(plan, SelectPlan):
+            if plan.compiled is None:
+                # Seeded straight from the planner, not yet compiled.
+                plan.compiled = compile_select(plan)
+            return plan.compiled
         return plan
 
-    def is_box_correlated(self, box: Box) -> bool:
-        """Does ``box``'s subtree reference quantifiers outside itself?"""
-        cached = self._correlated.get(box.id)
-        if cached is None:
-            cached = bool(external_column_refs(box))
-            self._correlated[box.id] = cached
-        return cached
-
-    def subquery_rows(
-        self, box: Box, env: Env, first_only: bool = False
-    ) -> list[tuple]:
+    def subquery_rows(self, box: Box, outer: tuple) -> list[tuple]:
         """Execute a subquery box from an expression context (one invocation)."""
         self.metrics.subquery_invocations += 1
         self.checkpoint()
         if self.faults is not None:
             self.faults.trigger("exec.subquery", detail=f"box {box.id}")
-        return self.box_rows(box, env)
+        return self.box_rows(box, outer)
 
     # -- box dispatch ------------------------------------------------------
 
-    def box_rows(self, box: Box, env: Env) -> list[tuple]:
-        """The output rows of ``box`` under ``env``, with CSE caching."""
-        correlated = self.is_box_correlated(box)
-        if not correlated:
+    def box_rows(self, box: Box, outer: tuple = ()) -> list[tuple]:
+        """The output rows of ``box``, with CSE caching. ``outer`` holds the
+        values its subtree reads from enclosing boxes, as whoever runs it
+        picked them (:func:`~repro.exec.evaluate.outer_values`); a box that
+        is handed none is uncorrelated, and only such a result is kept."""
+        if not outer:
             cached = self._cache.get(box.id)
             if cached is not None:
                 if self.tracer is not None:
@@ -202,33 +209,38 @@ class ExecutionContext:
                 return cached
         tracer = self.tracer
         if tracer is None:
-            return self._execute_box(box, env, correlated)
+            return self._execute_box(box, outer)
         frame = tracer.begin(("box", box.id), box_label(box), "operator")
         rows: Optional[list[tuple]] = None
         try:
-            rows = self._execute_box(box, env, correlated)
+            rows = self._execute_box(box, outer)
             return rows
         finally:
             tracer.end(frame, rows_out=0 if rows is None else len(rows))
 
-    def _execute_box(
-        self, box: Box, env: Env, correlated: bool
-    ) -> list[tuple]:
-        if not isinstance(box, BaseTableBox):
-            count = self._executions.get(box.id, 0) + 1
-            self._executions[box.id] = count
-            if count > 1:
-                self.metrics.boxes_recomputed += 1
-        rows = self._compute(box, env)
-        if not correlated and not isinstance(box, BaseTableBox) and (
-            len(self._parents.get(box.id, ())) <= 1
-            or self.cse_mode == "materialize"
+    def _execute_box(self, box: Box, outer: tuple) -> list[tuple]:
+        if isinstance(box, BaseTableBox):
+            return self._rows_base(box)
+        count = self._executions.get(box.id, 0) + 1
+        self._executions[box.id] = count
+        if count > 1:
+            self.metrics.boxes_recomputed += 1
+        rows = self._compute(box, outer)
+        if not outer and (
+            self.cse_mode == "materialize"
             or self._forces_materialisation(box)
+            or not self._is_shared(box)
         ):
             self._cache[box.id] = rows
             self.metrics.materialize(len(rows))
             self.checkpoint()
         return rows
+
+    def _is_shared(self, box: Box) -> bool:
+        """Does ``box`` have several parents?"""
+        if self._shared is None:
+            self._shared = shared_boxes(self._root)
+        return box.id in self._shared
 
     def release_materializations(self) -> None:
         """Drop every CSE/temp cache, releasing its rows from the live
@@ -252,18 +264,23 @@ class ExecutionContext:
             return True
         return isinstance(box, SelectBox) and box.distinct
 
-    def _compute(self, box: Box, env: Env) -> list[tuple]:
-        if isinstance(box, BaseTableBox):
-            return self._rows_base(box)
+    def _compute(self, box: Box, outer: tuple) -> list[tuple]:
+        plan = self.plan(box)
+        if plan is None:
+            raise ExecutionError(f"cannot execute box kind {box.kind!r}")
+        if len(outer) != len(plan.params):
+            # Nobody binds them: checked before the box reads any row.
+            raise ExecutionError(
+                f"unbound quantifier: box {box.id} reads {list(plan.params)} "
+                f"from enclosing boxes and was handed {len(outer)} value(s)"
+            )
         if isinstance(box, SelectBox):
-            return self._rows_select(box, env)
+            return self._rows_select(box, plan, outer)
         if isinstance(box, GroupByBox):
-            return self._rows_groupby(box, env)
+            return self._rows_groupby(box, plan, outer)
         if isinstance(box, SetOpBox):
-            return self._rows_setop(box, env)
-        if isinstance(box, OuterJoinBox):
-            return self._rows_outerjoin(box, env)
-        raise ExecutionError(f"cannot execute box kind {box.kind!r}")
+            return self._rows_setop(box, plan, outer)
+        return self._rows_outerjoin(box, plan, outer)
 
     # -- base table --------------------------------------------------------
 
@@ -277,31 +294,28 @@ class ExecutionContext:
 
     # -- SPJ ------------------------------------------------------------------
 
-    def _rows_select(self, box: SelectBox, outer_env: Env) -> list[tuple]:
-        plan = self.plan(box)
-        compiled = plan.compiled
-        if compiled is None:
-            # Seeded straight from the planner, not yet compiled.
-            compiled = plan.compiled = compile_select(plan)
+    def _rows_select(
+        self, box: SelectBox, compiled: "CompiledSelect", outer: tuple
+    ) -> list[tuple]:
         tracer = self.tracer
-        # What the box's expressions read (see "compiled plans" below): the
-        # flat row of the quantifiers bound so far, or an Env.
-        members: list = [()] if compiled.positional else [outer_env]
+        # One member per combination of rows bound so far: the outer values,
+        # then what each step appended (see "compiled plans" below).
+        members: list[tuple] = [outer]
         for index, run in enumerate(compiled.steps):
             if not members:
                 break
             if tracer is None:
                 self.checkpoint()
-                members = run(self, members, outer_env)
+                members = run(self, members, outer)
                 continue
             frame = tracer.begin(
-                ("step", box.id, index), step_label(plan.steps[index]), "step",
+                ("step", box.id, index), compiled.labels[index], "step",
                 rows_in=len(members),
             )
             out: Optional[list] = None
             try:
                 self.checkpoint()
-                out = run(self, members, outer_env)
+                out = run(self, members, outer)
                 members = out
             finally:
                 tracer.end(frame, rows_out=0 if out is None else len(out))
@@ -312,21 +326,17 @@ class ExecutionContext:
 
     # -- GROUP BY ---------------------------------------------------------------
 
-    def _rows_groupby(self, box: GroupByBox, env: Env) -> list[tuple]:
-        q = box.quantifier
+    def _rows_groupby(
+        self, box: GroupByBox, plan: "GroupByPlan", outer: tuple
+    ) -> list[tuple]:
         if self.faults is not None:
             self.faults.trigger("exec.group", detail=f"box {box.id}")
-        plan = self.plan(box)
-        input_rows = self.box_rows(q.box, env)
+        input_rows = self.box_rows(box.quantifier.box, plan.inputs[0](outer))
         self.metrics.rows_grouped += len(input_rows)
         self.checkpoint()
 
-        # What the compiled expressions read: the input rows themselves,
-        # or one Env per row when some expression looks beyond them.
-        members = (
-            input_rows if plan.positional
-            else [env.bind(q, row) for row in input_rows]
-        )
+        # A member is the outer values, then the input row.
+        members = [outer + row for row in input_rows] if outer else input_rows
         groups: dict[tuple, list] = {}
         for key, member in zip(plan.keys(members, self), members):
             group = groups.get(key)
@@ -349,7 +359,10 @@ class ExecutionContext:
                 values = []
                 for func, distinct, argument, value in plan.outputs:
                     if func is None:
-                        values.append(value(group[0] if group else env, self))
+                        # Over no rows, the input columns are NULL.
+                        values.append(value(
+                            group[0] if group else outer + plan.no_row, self
+                        ))
                     else:
                         values.append(compute_aggregate(
                             func,
@@ -363,10 +376,15 @@ class ExecutionContext:
 
     # -- set operations ------------------------------------------------------
 
-    def _rows_setop(self, box: SetOpBox, env: Env) -> list[tuple]:
+    def _rows_setop(
+        self, box: SetOpBox, plan: "SetOpPlan", outer: tuple
+    ) -> list[tuple]:
         from collections import Counter
 
-        child_rows = [self.box_rows(q.box, env) for q in box.quantifiers]
+        child_rows = [
+            self.box_rows(q.box, pick(outer))
+            for q, pick in zip(box.quantifiers, plan.inputs)
+        ]
         if box.op == "union":
             merged: list[tuple] = []
             for rows in child_rows:
@@ -412,33 +430,24 @@ class ExecutionContext:
 
     # -- outer join -----------------------------------------------------------
 
-    def _rows_outerjoin(self, box: OuterJoinBox, env: Env) -> list[tuple]:
+    def _rows_outerjoin(
+        self, box: OuterJoinBox, plan: "OuterJoinPlan", outer: tuple
+    ) -> list[tuple]:
         left_q, right_q = box.preserved, box.null_producing
-        plan = self.plan(box)
-        left_rows = self.box_rows(left_q.box, env)
-        right_rows = self.box_rows(right_q.box, env)
+        left_rows = self.box_rows(left_q.box, plan.inputs[0](outer))
+        right_rows = self.box_rows(right_q.box, plan.inputs[1](outer))
         null_row = (None,) * len(right_q.box.output_names())
         condition = plan.condition
 
-        # Flat ``left + right`` rows when nothing else is read, else Envs.
-        if plan.positional:
-            lefts, pair = left_rows, concat
-        else:
-            lefts = [env.bind(left_q, row) for row in left_rows]
-
-            def pair(left: Env, row: tuple) -> Env:
-                return left.bind(right_q, row)
+        # A member is the outer values, then the left row, then the right.
+        lefts = [outer + row for row in left_rows] if outer else left_rows
 
         buckets: Optional[dict[tuple, list[tuple]]] = None
         n_built = 0
         if plan.left_keys is not None:
             null_safe = plan.null_safe
-            rights = (
-                right_rows if plan.positional
-                else [env.bind(right_q, row) for row in right_rows]
-            )
             buckets = {}
-            for key, row in zip(plan.right_keys(rights, self), right_rows):
+            for key, row in zip(plan.right_keys(right_rows, self), right_rows):
                 if None in key:
                     key = _join_key(key, null_safe)
                     if key is None:
@@ -468,13 +477,13 @@ class ExecutionContext:
                     matches = () if key is None else buckets.get(key, ())
                 matched = False
                 for row in matches:
-                    both = pair(left, row)
+                    both = left + row
                     if condition is None or condition(both, self) is True:
                         matched = True
                         n_joined += 1
                         joined.append(both)
                 if not matched:
-                    joined.append(pair(left, null_row))
+                    joined.append(left + null_row)
             return list(plan.project(joined, self))
         finally:
             self.metrics.rows_joined += n_joined
@@ -485,34 +494,39 @@ class ExecutionContext:
 #
 # Everything below runs once per box, not per row: it resolves a box's
 # expressions into closures (repro.exec.evaluate) and its plan steps into
-# ``run(ctx, members, outer_env)`` functions. No closure captures an
-# ExecutionContext, so the result is stored beside the physical plan and
-# shared by every invocation of the box and every execution of a cached
-# graph.
+# ``run(ctx, members, outer)`` functions. No closure captures an
+# ExecutionContext or a row, so the result is stored beside the physical
+# plan and shared by every invocation of the box and every execution of a
+# cached graph.
 #
-# A box is compiled in one of two modes. *Positional*: all its expressions
-# read only the box's own quantifiers (no outer reference, no subquery), so
-# the rows bound so far are kept as one flat tuple -- each quantifier's
-# columns at a fixed offset -- and expressions index it. Otherwise its
-# bindings live in an Env, which also carries the outer bindings that
-# correlated references and nested boxes need. Either way the compiled
-# expressions take ``(member, ctx)``; only how a member is extended by one
-# more row differs.
+# Row layout. The members of a box are flat tuples: first the values the
+# box's subtree reads from enclosing boxes (``params``, one slot each, the
+# ``outer`` tuple the box is run with), then what the box binds, in plan-step
+# order -- the columns of each quantifier in join order for an SPJ box, with
+# one slot for each scalar subquery value a SubqueryEvalStep evaluates where
+# that step runs; the input row for GROUP BY; ``left + right`` for an outer
+# join. Every reference, own or outer, is a fixed slot of that tuple. A box
+# that runs another one -- a child of its FROM list, a subquery of one of
+# its expressions -- picks that box's outer values out of its own row
+# (``outer_values``): out of ``outer`` when the child is run once, out of
+# each member when it is run per member.
 
-#: One compiled plan step: the members after the step, given those before.
-StepFunction = Callable[["ExecutionContext", list, Env], list]
+#: One compiled plan step: the members after the step, given those before
+#: and the outer values the box was handed.
+StepFunction = Callable[["ExecutionContext", list, tuple], list]
 #: One value (or tuple of values) per member of a batch, lazily.
 BatchFunction = Callable[[Sequence, "ExecutionContext"], Iterable]
-#: Quantifier -> position of its first column in a flat row; ``None`` = Env.
-Offsets = Optional[dict[Quantifier, int]]
 
 
 @dataclass(frozen=True)
 class CompiledSelect:
     """The executable form of a :class:`SelectPlan` (its ``compiled``)."""
 
-    positional: bool
+    #: The outer references of the box's subtree: the first slots of a row.
+    params: tuple[ColumnRef, ...]
     steps: tuple[StepFunction, ...]
+    #: ``step_label`` of each step, for traces.
+    labels: tuple[str, ...]
     #: members -> output rows (before DISTINCT).
     project: BatchFunction
 
@@ -530,14 +544,20 @@ class CompiledOutput(NamedTuple):
 
 @dataclass(frozen=True)
 class GroupByPlan:
-    positional: bool
+    params: tuple[ColumnRef, ...]
+    #: One :data:`Pick` per child quantifier (here and below).
+    inputs: tuple[Pick, ...]
     keys: BatchFunction
     outputs: tuple[CompiledOutput, ...]
+    #: An all-NULL input row: what the plain outputs of a scalar aggregate
+    #: over no rows are evaluated on.
+    no_row: tuple
 
 
 @dataclass(frozen=True)
 class OuterJoinPlan:
-    positional: bool
+    params: tuple[ColumnRef, ...]
+    inputs: tuple[Pick, ...]
     #: Hash keys of an all-equality ON condition, else all three ``None``.
     left_keys: Optional[BatchFunction]
     right_keys: Optional[BatchFunction]
@@ -546,11 +566,17 @@ class OuterJoinPlan:
     project: BatchFunction
 
 
+@dataclass(frozen=True)
+class SetOpPlan:
+    params: tuple[ColumnRef, ...]
+    inputs: tuple[Pick, ...]
+
+
 def plan_box(catalog: Catalog, box: Box, guard=None):
     """The executor's plan for one box, its expressions compiled: a
     :class:`SelectPlan` (cost-based, see :mod:`repro.plan.planner`) for an
-    SPJ box, a :class:`GroupByPlan` or :class:`OuterJoinPlan` for those
-    kinds, ``None`` for kinds that evaluate no expression."""
+    SPJ box, a :class:`GroupByPlan`, :class:`OuterJoinPlan` or
+    :class:`SetOpPlan` for those kinds, ``None`` for a base table."""
     if isinstance(box, SelectBox):
         plan = plan_select_box(catalog, box, guard=guard)
         plan.compiled = compile_select(plan)
@@ -559,65 +585,48 @@ def plan_box(catalog: Catalog, box: Box, guard=None):
         return _compile_groupby(box)
     if isinstance(box, OuterJoinBox):
         return _compile_outerjoin(box)
+    if isinstance(box, SetOpBox):
+        params, offsets = row_layout(box, ())
+        return SetOpPlan(params, _inputs(box, offsets))
     return None
+
+
+def _inputs(box: Box, offsets: Offsets) -> tuple[Pick, ...]:
+    """One :data:`Pick` per child quantifier of ``box``."""
+    return tuple(outer_values(q.box, offsets) for q in box.child_quantifiers())
 
 
 def compile_select(plan: SelectPlan) -> CompiledSelect:
     """Compile the steps and the projection of one SPJ plan."""
     box = plan.box
-    offsets = None
-    # A child correlated to this box is run once per member and reads this
-    # box's bindings from the Env it is handed.
-    if reads_only(box.own_exprs(), box.quantifiers) and not any(
-        isinstance(step, ScanStep) and step.correlated_to_self
-        for step in plan.steps
-    ):
-        offsets = _flat_offsets(plan.join_order)
+    params, offsets = row_layout(box, [
+        step.node if isinstance(step, SubqueryEvalStep) else step.quantifier
+        for step in plan.steps if not isinstance(step, PredicateStep)
+    ])
     return CompiledSelect(
-        positional=offsets is not None,
+        params=params,
         steps=tuple(_compile_step(step, offsets) for step in plan.steps),
+        labels=tuple(step_label(step) for step in plan.steps),
         project=_compile_tuples([o.expr for o in box.outputs], offsets),
     )
 
 
-def _flat_offsets(quantifiers: Iterable[Quantifier]) -> dict[Quantifier, int]:
-    """Where each quantifier's columns start when their rows are
-    concatenated in this order."""
-    offsets, width = {}, 0
-    for q in quantifiers:
-        offsets[q] = width
-        width += len(q.box.output_names())
-    return offsets
-
-
-def _extender(q: Quantifier, offsets: Offsets) -> Callable:
-    """``extend(member, row)``: the member with a row of ``q`` bound too."""
-    if offsets is not None:
-        return concat
-    # Env.bind, spelled out: one call per row instead of two.
-    return lambda env, row: Env({**env.bindings, q: row}, env.values)
-
-
-def _compile_values(expr: ast.Expr, offsets: Offsets = None) -> BatchFunction:
+def _compile_values(expr: ast.Expr, offsets: Offsets) -> BatchFunction:
     """``expr`` over a batch of members."""
-    if offsets is not None and isinstance(expr, ColumnRef):
+    if isinstance(expr, ColumnRef):
         getter = itemgetter(flat_position(expr, offsets))
         return lambda members, ctx: map(getter, members)
     fn = compile_expr(expr, offsets)
     return lambda members, ctx: map(fn, members, repeat(ctx))
 
 
-def _compile_tuples(
-    exprs: Sequence[ast.Expr], offsets: Offsets = None
-) -> BatchFunction:
+def _compile_tuples(exprs: Sequence[ast.Expr], offsets: Offsets) -> BatchFunction:
     """The tuple of ``exprs`` over a batch of members: join and group keys,
     projections."""
     if len(exprs) == 1:
         values = _compile_values(exprs[0], offsets)
         return lambda members, ctx: zip(values(members, ctx))
-    if offsets is not None and exprs and all(
-        isinstance(e, ColumnRef) for e in exprs
-    ):
+    if exprs and all(isinstance(e, ColumnRef) for e in exprs):
         getter = itemgetter(*[flat_position(e, offsets) for e in exprs])
         return lambda members, ctx: map(getter, members)
     fns = tuple(compile_expr(e, offsets) for e in exprs)
@@ -638,15 +647,15 @@ def _compile_step(step, offsets: Offsets) -> StepFunction:
     if isinstance(step, PredicateStep):
         predicate = compile_expr(step.predicate, offsets)
         # WHERE semantics: UNKNOWN does not qualify.
-        return lambda ctx, members, outer_env: [
+        return lambda ctx, members, outer: [
             m for m in members if predicate(m, ctx) is True
         ]
     if isinstance(step, SubqueryEvalStep):
-        node = step.node
-        key = id(node)
-        return lambda ctx, envs, outer_env: [
-            env.with_value(key, scalar_subquery_value(node, env, ctx))
-            for env in envs
+        box = step.node.box
+        pick = outer_values(box, offsets)
+        # The value takes the next slot of the row.
+        return lambda ctx, members, outer: [
+            m + (scalar_subquery_value(box, pick(m), ctx),) for m in members
         ]
     raise ExecutionError(f"unknown plan step {step!r}")
 
@@ -655,42 +664,41 @@ def _compile_scan(step: ScanStep, offsets: Offsets) -> StepFunction:
     q = step.quantifier
     child = q.box
     detail = f"scan {q.name}"
-    extend = _extender(q, offsets)
+    pick = outer_values(child, offsets)
 
-    def scan_per_env(ctx, envs, outer_env):
+    def scan_per_member(ctx, members, outer):
         if ctx.faults is not None:
             ctx.faults.trigger("exec.join", detail=detail)
         metrics = ctx.metrics
-        result: list[Env] = []
-        for env in envs:
+        result: list[tuple] = []
+        for m in members:
             metrics.subquery_invocations += 1
-            child_rows = ctx.box_rows(child, env)
+            child_rows = ctx.box_rows(child, pick(m))
             metrics.rows_joined += len(child_rows)
-            result.extend([env.bind(q, row) for row in child_rows])
+            result.extend([m + row for row in child_rows])
         return result
 
-    def scan(ctx, members, outer_env):
+    def scan(ctx, members, outer):
         if ctx.faults is not None:
             ctx.faults.trigger("exec.join", detail=detail)
-        child_rows = ctx.box_rows(child, outer_env)
+        child_rows = ctx.box_rows(child, pick(outer))
         ctx.metrics.rows_joined += len(child_rows) * len(members)
-        return [extend(m, row) for m in members for row in child_rows]
+        return [m + row for m in members for row in child_rows]
 
-    return scan_per_env if step.correlated_to_self else scan
+    return scan_per_member if step.correlated_to_self else scan
 
 
 def _compile_index_lookup(step: IndexLookupStep, offsets: Offsets) -> StepFunction:
     q = step.quantifier
     table_name = q.box.table_name
     index_name = step.index_name
-    extend = _extender(q, offsets)
     keys = (
         _compile_values(step.key_exprs[0], offsets)
         if len(step.key_exprs) == 1
         else _compile_tuples(step.key_exprs, offsets)
     )
 
-    def index_lookup(ctx, members, outer_env):
+    def index_lookup(ctx, members, outer):
         if ctx.faults is not None:
             ctx.faults.trigger("storage.index_lookup", detail=index_name)
         table = ctx.catalog.table(table_name)
@@ -706,7 +714,7 @@ def _compile_index_lookup(step: IndexLookupStep, offsets: Offsets) -> StepFuncti
             metrics.index_lookups += 1
             row_ids = lookup(key)
             metrics.index_rows += len(row_ids)
-            result.extend([extend(member, fetch(rid)) for rid in row_ids])
+            result.extend([member + fetch(rid) for rid in row_ids])
         return result
 
     return index_lookup
@@ -716,18 +724,18 @@ def _compile_hash_join(step: HashJoinStep, offsets: Offsets) -> StepFunction:
     q = step.quantifier
     child = q.box
     detail = f"hash join {q.name}"
-    extend = _extender(q, offsets)
+    pick = outer_values(child, offsets)
     null_safe = step.null_safe if any(step.null_safe) else None
     # The build side is plain columns of ``q`` (see the planner): it reads
-    # the child's rows as they are, whatever the rest of the box reads.
+    # the child's rows as they are.
     build_keys = _compile_tuples(step.build_exprs, {q: 0})
     probe_keys = _compile_tuples(step.probe_exprs, offsets)
 
-    def hash_join(ctx, members, outer_env):
+    def hash_join(ctx, members, outer):
         if ctx.faults is not None:
             ctx.faults.trigger("exec.join", detail=detail)
         metrics = ctx.metrics
-        child_rows = ctx.box_rows(child, outer_env)
+        child_rows = ctx.box_rows(child, pick(outer))
         buckets: dict[tuple, list[tuple]] = {}
         n_built = 0
         for key, row in zip(build_keys(child_rows, ctx), child_rows):
@@ -757,7 +765,7 @@ def _compile_hash_join(step: HashJoinStep, offsets: Offsets) -> StepFunction:
                 matches = buckets.get(key)
                 if matches is not None:
                     n_joined += len(matches)
-                    result.extend([extend(member, row) for row in matches])
+                    result.extend([member + row for row in matches])
             return result
         finally:
             metrics.rows_joined += n_joined
@@ -768,20 +776,7 @@ def _compile_hash_join(step: HashJoinStep, offsets: Offsets) -> StepFunction:
 
 def _compile_groupby(box: GroupByBox) -> GroupByPlan:
     q = box.quantifier
-    aggregates = [
-        o.expr for o in box.outputs if isinstance(o.expr, ast.AggregateCall)
-    ]
-    plain = [
-        o.expr for o in box.outputs
-        if not isinstance(o.expr, ast.AggregateCall)
-    ]
-    arguments = [a.argument for a in aggregates if a.argument is not None]
-    # A scalar aggregate over no rows evaluates its plain outputs against
-    # the outer Env, so those keep the Env mode.
-    positional = reads_only([*box.group_by, *plain, *arguments], (q,)) and not (
-        box.is_scalar and plain
-    )
-    offsets = {q: 0} if positional else None
+    params, offsets = row_layout(box, (q,))
     outputs = []
     for output in box.outputs:
         expr = output.expr
@@ -795,28 +790,30 @@ def _compile_groupby(box: GroupByBox) -> GroupByPlan:
                 _compile_values(expr.argument, offsets),
             ))
     return GroupByPlan(
-        positional, _compile_tuples(box.group_by, offsets), tuple(outputs)
+        params=params,
+        inputs=_inputs(box, offsets),
+        keys=_compile_tuples(box.group_by, offsets),
+        outputs=tuple(outputs),
+        no_row=(None,) * len(q.box.output_names()),
     )
 
 
 def _compile_outerjoin(box: OuterJoinBox) -> OuterJoinPlan:
     left_q, right_q = box.preserved, box.null_producing
-    positional = reads_only(box.own_exprs(), (left_q, right_q))
-    offsets = right_alone = None
-    if positional:
-        offsets = _flat_offsets((left_q, right_q))
-        right_alone = {right_q: 0}
+    params, offsets = row_layout(box, (left_q, right_q))
     left_keys = right_keys = null_safe = None
     equi = _equi_condition(box)
     if equi is not None:
         left_exprs, right_exprs, flags = equi
-        # Left keys read columns of the preserved side only, which start
-        # the flat row: the same closures serve the left row alone.
+        # Left keys read columns of the preserved side only, which come
+        # before the right row: the same closures serve a member that has
+        # no right row yet. Right keys read the right row alone.
         left_keys = _compile_tuples(left_exprs, offsets)
-        right_keys = _compile_tuples(right_exprs, right_alone)
+        right_keys = _compile_tuples(right_exprs, {right_q: 0})
         null_safe = flags if any(flags) else None
     return OuterJoinPlan(
-        positional=positional,
+        params=params,
+        inputs=_inputs(box, offsets),
         left_keys=left_keys,
         right_keys=right_keys,
         null_safe=null_safe,
@@ -902,8 +899,6 @@ def _equi_condition(box: OuterJoinBox):
     return tuple(left_keys), tuple(right_keys), tuple(null_safe)
 
 
-
-
 def execute_graph(
     graph: QueryGraph,
     catalog: Catalog,
@@ -952,7 +947,7 @@ def execute_graph(
 
 def _run_graph(graph: QueryGraph, ctx: ExecutionContext) -> list[tuple]:
     ctx.checkpoint()
-    rows = list(ctx.box_rows(graph.root, Env()))
+    rows = list(ctx.box_rows(graph.root))
     if graph.order_by:
         rows.sort(
             key=lambda row: tuple(

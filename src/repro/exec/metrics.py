@@ -9,7 +9,7 @@ this repository therefore reports these counters next to wall time:
   209 invocations for its queries);
 * ``rows_scanned`` -- base-table rows read by sequential scans;
 * ``index_lookups`` / ``index_rows`` -- probes into indexes and rows fetched;
-* ``rows_joined`` -- env combinations produced by join steps;
+* ``rows_joined`` -- row combinations produced by join steps;
 * ``rows_grouped`` -- input rows consumed by aggregation;
 * ``boxes_recomputed`` -- how many times shared (common-subexpression)
   boxes were re-executed, separating Mag from OptMag behaviour;

@@ -238,7 +238,12 @@ class CachedPlan:
     strategy: str
     param_count: int = 0
     graph: Optional[Any] = None
+    #: ``{box.id: plan}`` with every expression compiled, and beside it the
+    #: fact about the graph the executor would otherwise derive per
+    #: execution (:func:`~repro.qgm.analysis.shared_boxes`); ``None`` =
+    #: not computed, hits derive it.
     plans: dict = field(default_factory=dict)
+    shared: Optional[frozenset[int]] = None
 
     @property
     def is_tombstone(self) -> bool:
@@ -381,8 +386,8 @@ class PlanCache:
         as ``?``): parse, bind, the *requested* strategy's rewrite (no
         fallback -- a degraded plan is one submission's accident, not the
         shape's plan), then the executor's plan for every box, expressions
-        compiled (:func:`repro.exec.executor.plan_box`), so hits neither
-        plan nor compile.
+        compiled (:func:`repro.exec.executor.plan_box`), and which boxes are
+        shared, so hits neither plan, compile nor walk the graph.
         Any typed failure tombstones the shape instead; later misses skip
         the re-attempt. The fill deliberately uses a private, quiet
         rewrite engine: no validation hooks, no fault injection, no
@@ -390,6 +395,7 @@ class PlanCache:
         from ..errors import ReproError
         from ..exec.executor import plan_box
         from ..qgm import build_qgm, iter_boxes
+        from ..qgm.analysis import shared_boxes
         from ..rewrite import RewriteEngine
         from ..sql import ast
         from ..sql.parser import parse_statement
@@ -419,6 +425,7 @@ class PlanCache:
                 param_count=len(prepared.values),
                 graph=graph,
                 plans=plans,
+                shared=shared_boxes(graph.root),
             )
         except ReproError:
             entry = CachedPlan(

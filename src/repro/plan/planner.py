@@ -42,7 +42,7 @@ class ScanStep:
     """Materialise-and-iterate over a child box's rows.
 
     When ``correlated_to_self`` the child references quantifiers of this box
-    and is re-executed (and counted as a subquery invocation) per env row.
+    and is re-executed (and counted as a subquery invocation) per member row.
     """
 
     quantifier: Quantifier
@@ -85,7 +85,8 @@ class PredicateStep:
 
 @dataclass
 class SubqueryEvalStep:
-    """Evaluate a scalar subquery once per env row and cache its value."""
+    """Evaluate a scalar subquery once per member row; its value takes the
+    next slot of the row."""
 
     node: BoxScalarSubquery
 
@@ -115,7 +116,7 @@ def step_label(step: Step) -> str:
 class SelectPlan:
     box: SelectBox
     steps: list[Step]
-    #: Estimated env cardinality after the final step (for diagnostics).
+    #: Estimated member cardinality after the final step (for diagnostics).
     estimated_rows: float
     #: id(scalar node) -> barrier index where it is evaluated; consumed by
     #: the magic decorrelation rewrite to form the supplementary table.
@@ -226,7 +227,7 @@ def plan_select_box(catalog: Catalog, box: SelectBox, guard=None) -> SelectPlan:
         ]
         if not feasible:
             raise PlanError(f"scalar subquery of box {box.id} cannot be placed")
-        # Cheapest point = fewest invocations = smallest env cardinality.
+        # Cheapest point = fewest invocations = smallest member cardinality.
         best_barrier = min(feasible, key=lambda i: (barriers[i]["rows"], i))
         scalar_barrier[id(node)] = best_barrier
 

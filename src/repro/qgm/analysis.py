@@ -66,6 +66,16 @@ def parent_edges(root: Box) -> dict[int, list[Box]]:
     return parents
 
 
+def shared_boxes(root: Box) -> frozenset[int]:
+    """ids of the boxes with several parents: the common subexpressions
+    whose re-execution ``cse_mode`` governs."""
+    return frozenset(
+        box_id
+        for box_id, parents in parent_edges(root).items()
+        if len(parents) > 1
+    )
+
+
 def quantifier_owner_map(root: Box) -> dict[int, Box]:
     """Map ``id(quantifier)`` to the box whose FROM it belongs to."""
     owners: dict[int, Box] = {}

@@ -187,7 +187,7 @@ class GroupByBox(Box):
 
 
 class SetOpBox(Box):
-    """UNION [ALL] / INTERSECT / EXCEPT. Children are matched positionally."""
+    """UNION [ALL] / INTERSECT / EXCEPT. Children are matched by position."""
 
     kind = "setop"
 

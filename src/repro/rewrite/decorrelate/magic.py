@@ -413,7 +413,7 @@ class MagicDecorrelator:
         self, box: SetOpBox, magic: Box, mapping: dict[tuple[int, str], str]
     ) -> list[str]:
         """Set-operation absorb: every arm absorbs the same magic table and
-        appends the binding columns positionally."""
+        appends the binding columns by position."""
         arm_columns = [
             self._absorb(q.box, magic, mapping) for q in box.quantifiers
         ]
@@ -429,7 +429,7 @@ class MagicDecorrelator:
             existing.add(name)
             box._output_names.append(name)
             added.append(name)
-        # Arms expose the columns positionally; ensure every arm added
+        # Arms expose the columns by position; ensure every arm added
         # them at the end in the same order (guaranteed by recursion).
         for arm_cols in arm_columns:
             if len(arm_cols) != len(mapping):

@@ -1,11 +1,13 @@
-"""Compile-once box plans: the positional mode (expressions read the row
-tuple, no ``Env`` per row) and the ``Env`` mode give the same rows and do
-the same counted work, with and without a tracer or a guard."""
+"""Compile-once box plans: a box that reads a value from an enclosing box
+and the same box without the outer reference give the same rows and do the
+same counted work, with and without a tracer or a guard. Both run on flat
+tuples; the correlated one is handed its outer values as the first slots."""
 
 import pytest
 
 from repro import Database
-from repro.exec.evaluate import Env
+from repro.errors import ExecutionError
+from repro.exec.evaluate import outer_refs
 from repro.exec.executor import ExecutionContext
 from repro.guard import Limits, guard_for
 from repro.qgm.model import (
@@ -28,8 +30,10 @@ SETTINGS = {
     },
 }
 
-#: Whether a box's result is kept as a temp depends on its being
-#: correlated, which is exactly what tells the Env variant from the others.
+#: The result of a box that was handed outer values belongs to that one
+#: invocation and is by design not kept as a temp; the uncorrelated twin's
+#: is, once per query. That -- not how rows are represented -- is the only
+#: difference in counted work between the two.
 MATERIALISATION = ("rows_materialized", "rows_freed", "peak_rows_materialized")
 
 
@@ -39,6 +43,11 @@ def _table(catalog, name: str) -> BaseTableBox:
 
 def _emp(catalog) -> BaseTableBox:
     return _table(catalog, "emp")
+
+
+def _outer() -> Quantifier:
+    """A quantifier of some enclosing box; the boxes below only read it."""
+    return Quantifier("o", BaseTableBox("dept", ["name", "budget"]))
 
 
 def _group_by_building(catalog, key_of):
@@ -58,19 +67,25 @@ def _group_by_building(catalog, key_of):
     )
 
 
-def _run(catalog, box, env, setting):
+def _run(catalog, box, outer, setting):
+    """``box`` run the way an enclosing box would run it: handed ``outer``,
+    one value per outer reference of its subtree."""
     ctx = ExecutionContext(catalog, box, **SETTINGS[setting]())
-    rows = ctx.box_rows(box, env)
-    return rows, ctx.metrics.as_dict(), ctx.plan(box)
+    rows = ctx.box_rows(box, outer)
+    return rows, ctx.metrics.as_dict()
+
+
+def _without(work: dict, names) -> dict:
+    return {name: value for name, value in work.items() if name not in names}
 
 
 @pytest.mark.parametrize("setting", sorted(SETTINGS))
 def test_group_by_paths_agree(empdept_catalog, setting):
     """A bare-column key (``itemgetter``), an expression key over the input
-    row (positional closures) and a key that also reads an outer binding
-    (one Env per row) partition and aggregate alike."""
+    row and a key that also reads an outer value partition and aggregate
+    alike."""
     catalog = empdept_catalog
-    outer = Quantifier("o", BaseTableBox("dept", ["name"]))
+    outer = _outer()
     bare = _group_by_building(catalog, lambda e: e.ref("building"))
     expression = _group_by_building(
         catalog, lambda e: ast.BinaryOp("||", e.ref("building"), ast.Literal(""))
@@ -78,31 +93,37 @@ def test_group_by_paths_agree(empdept_catalog, setting):
     correlated = _group_by_building(
         catalog, lambda e: ast.BinaryOp("||", e.ref("building"), outer.ref("name"))
     )
+    assert outer_refs(bare) == () and outer_refs(expression) == ()
+    assert [repr(ref) for ref in outer_refs(correlated)] == ["o.name"]
 
-    bare_rows, bare_work, bare_plan = _run(catalog, bare, Env(), setting)
-    expr_rows, expr_work, expr_plan = _run(catalog, expression, Env(), setting)
-    env_rows, env_work, env_plan = _run(
-        catalog, correlated, Env({outer: ("",)}), setting
-    )
+    bare_rows, bare_work = _run(catalog, bare, (), setting)
+    expr_rows, expr_work = _run(catalog, expression, (), setting)
+    outer_rows, outer_work = _run(catalog, correlated, ("",), setting)
 
-    assert bare_plan.positional and expr_plan.positional
-    assert not env_plan.positional
     assert bare_rows == [
         ("B1", 3, 310.0, "alice"), ("B2", 2, 175.0, "dan"),
         ("B3", 1, 70.0, "frank"),
     ]
-    assert expr_rows == bare_rows and env_rows == bare_rows
+    assert expr_rows == bare_rows and outer_rows == bare_rows
     assert expr_work == bare_work
-    for name in MATERIALISATION:
-        del env_work[name], bare_work[name]
-    assert env_work == bare_work
+    assert _without(outer_work, MATERIALISATION) == _without(
+        bare_work, MATERIALISATION
+    )
+    # The grouping work table is transient either way; only the kept
+    # result differs.
+    assert bare_work["rows_materialized"] == (
+        outer_work["rows_materialized"] + len(bare_rows)
+    )
+    rows, _ = _run(catalog, correlated, ("!",), setting)
+    assert [row[0] for row in rows] == ["B1!", "B2!", "B3!"]
 
 
 def test_scalar_group_by_over_no_rows(empdept_catalog):
-    """The aggregate-only scalar box is positional and still emits its one
-    row over an empty input; with a plain output beside the aggregates it
-    keeps the Env mode, whose empty group reads the outer Env."""
+    """A scalar aggregate still emits its one row over an empty input. A
+    plain output beside the aggregates is then evaluated on a row whose
+    input columns are NULL -- and whose outer values are the ones handed."""
     catalog = empdept_catalog
+    outer = _outer()
     empty = SelectBox()
     e0 = empty.add_quantifier(_emp(catalog), "e")
     empty.predicates = [ast.Comparison("<", e0.ref("salary"), ast.Literal(0))]
@@ -120,18 +141,22 @@ def test_scalar_group_by_over_no_rows(empdept_catalog):
         OutputColumn("one", ast.Literal(1)),
         OutputColumn("n", ast.AggregateCall("count", q.ref("salary"))),
     ])
-    rows, _, plan = _run(catalog, aggregates, Env(), "bare")
-    assert plan.positional and rows == [(0, None)]
-    rows, _, plan = _run(catalog, with_plain, Env(), "bare")
-    assert not plan.positional and rows == [(1, 0)]
+    with_outer = scalar(lambda q: [
+        OutputColumn("who", outer.ref("name")),
+        OutputColumn("n", ast.AggregateCall("count", None)),
+        OutputColumn("input", q.ref("salary")),
+    ])
+    assert _run(catalog, aggregates, (), "bare")[0] == [(0, None)]
+    assert _run(catalog, with_plain, (), "bare")[0] == [(1, 0)]
+    assert _run(catalog, with_outer, ("sales",), "bare")[0] == [("sales", 0, None)]
 
 
 @pytest.mark.parametrize("setting", sorted(SETTINGS))
 def test_outer_join_paths_agree(empdept_catalog, setting):
-    """``dept left join emp on building`` over flat ``left + right`` rows
-    and, with an outer reference in the projection, over Envs."""
+    """``dept left join emp on building`` with a literal in the projection
+    and with an outer value there instead."""
     catalog = empdept_catalog
-    outer = Quantifier("o", BaseTableBox("dept", ["name"]))
+    outer = _outer()
 
     def join(label):
         d = Quantifier("d", _table(catalog, "dept"))
@@ -146,34 +171,58 @@ def test_outer_join_paths_agree(empdept_catalog, setting):
             ],
         )
 
-    flat_rows, flat_work, flat_plan = _run(
-        catalog, join(ast.Literal("x")), Env(), setting
+    flat_rows, flat_work = _run(catalog, join(ast.Literal("x")), (), setting)
+    outer_rows, outer_work = _run(
+        catalog, join(outer.ref("name")), ("x",), setting
     )
-    env_rows, env_work, env_plan = _run(
-        catalog, join(outer.ref("name")), Env({outer: ("x",)}), setting
-    )
-    assert flat_plan.positional and not env_plan.positional
     assert ("d_low", None, "x") in flat_rows  # preserved, no employee in B9
     assert ("sales", "alice", "x") in flat_rows
-    assert env_rows == flat_rows
-    for name in MATERIALISATION:
-        del env_work[name], flat_work[name]
-    assert env_work == flat_work
+    assert outer_rows == flat_rows
+    assert _without(outer_work, MATERIALISATION) == _without(
+        flat_work, MATERIALISATION
+    )
 
 
 @pytest.mark.parametrize("setting", sorted(SETTINGS))
 def test_select_paths_agree(empdept_catalog, setting):
-    """The same join through SQL: alone it runs on flat rows; beside an
-    (always true) EXISTS it has a subquery to hand an Env to."""
+    """The same join with ``e.salary * 2`` and with ``e.salary * o.budget``,
+    handed 2; then through SQL, alone and beside an (always true) EXISTS
+    it has a subquery to run for."""
+    catalog = empdept_catalog
+    outer = _outer()
+
+    def join(factor):
+        box = SelectBox()
+        d = box.add_quantifier(_table(catalog, "dept"), "d")
+        e = box.add_quantifier(_emp(catalog), "e")
+        box.predicates = [
+            ast.Comparison("=", d.ref("building"), e.ref("building")),
+            ast.Comparison(">", e.ref("salary"), ast.Literal(85)),
+        ]
+        box.outputs = [
+            OutputColumn("dept", d.ref("name")),
+            OutputColumn("emp", e.ref("name")),
+            OutputColumn("pay", ast.BinaryOp("*", e.ref("salary"), factor)),
+        ]
+        return box
+
+    flat_rows, flat_work = _run(catalog, join(ast.Literal(2)), (), setting)
+    outer_rows, outer_work = _run(catalog, join(outer.ref("budget")), (2,), setting)
+    assert len(flat_rows) == 12 and ("d_null", "erin", 190.0) in flat_rows
+    assert outer_rows == flat_rows
+    assert _without(outer_work, MATERIALISATION) == _without(
+        flat_work, MATERIALISATION
+    )
+
     flat_sql = (
         "select d.name, e.name, e.salary * 2 from dept d, emp e "
         "where d.building = e.building and e.salary > 85 "
         "order by d.name, e.name"
     )
-    env_sql = flat_sql.replace(
+    exists_sql = flat_sql.replace(
         " order by", " and exists (select 1 from dept x) order by"
     )
-    db = Database(empdept_catalog)
+    db = Database(catalog)
 
     def observed():
         return {
@@ -182,7 +231,22 @@ def test_select_paths_agree(empdept_catalog, setting):
         }[setting]
 
     flat = db.execute(flat_sql, strategy="ni", **observed())
-    env = db.execute(env_sql, strategy="ni", **observed())
-    assert len(flat.rows) == 12
+    beside = db.execute(exists_sql, strategy="ni", **observed())
+    assert sorted(flat.rows) == sorted(flat_rows)
     assert flat.rows[0] == ("d_null", "erin", 190.0)
-    assert env.rows == flat.rows
+    assert beside.rows == flat.rows
+
+
+def test_a_box_must_be_handed_exactly_its_outer_values(empdept_catalog):
+    """Too few or too many is a typed error before any row is read, never a
+    read of some other slot."""
+    outer = _outer()
+    box = _group_by_building(
+        empdept_catalog,
+        lambda e: ast.BinaryOp("||", e.ref("building"), outer.ref("name")),
+    )
+    for handed in ((), ("a", "b")):
+        ctx = ExecutionContext(empdept_catalog, box)
+        with pytest.raises(ExecutionError, match=r"unbound quantifier.*o\.name"):
+            ctx.box_rows(box, handed)
+        assert ctx.metrics.rows_scanned == 0

@@ -1,19 +1,19 @@
-"""Unit tests for the row-context expression evaluator."""
+"""Unit tests for the expression compiler: closures over a flat row."""
 
 import pytest
 
 from repro import Database
 from repro.errors import ExecutionError, SchemaError
-from repro.exec.evaluate import (
-    Env,
-    compile_expr,
-    evaluate,
-    predicate_holds,
-    reads_only,
+from repro.exec.evaluate import compile_expr, outer_refs, outer_values, row_layout
+from repro.exec.executor import ExecutionContext, execute_graph
+from repro.qgm.expr import BoxExists, ColumnRef
+from repro.qgm.model import (
+    BaseTableBox,
+    OutputColumn,
+    Quantifier,
+    QueryGraph,
+    SelectBox,
 )
-from repro.exec.executor import ExecutionContext
-from repro.qgm.expr import ColumnRef
-from repro.qgm.model import BaseTableBox, Quantifier
 from repro.sql import ast
 from repro.sql.parser import parse_expression
 from repro.storage import Catalog, Column, Schema
@@ -32,14 +32,15 @@ def ctx() -> ExecutionContext:
     return context
 
 
-def bound_env(ctx, row):
+def bound(ctx):
+    """A quantifier over ``t`` and the layout of a row that is one row of it."""
     q = Quantifier("q", ctx._test_box)
-    return Env({q: row}), q
+    return q, {q: 0}
 
 
 def const(ctx, text):
-    """Evaluate a constant SQL expression."""
-    return evaluate(parse_expression(text), Env(), ctx)
+    """Evaluate a constant SQL expression: it reads no slot of the row."""
+    return compile_expr(parse_expression(text), {})((), ctx)
 
 
 class TestConstants:
@@ -97,37 +98,49 @@ class TestConstants:
 
 class TestColumnRefs:
     def test_lookup(self, ctx):
-        env, q = bound_env(ctx, (42, "hi"))
-        assert evaluate(ColumnRef(q, "a"), env, ctx) == 42
-        assert evaluate(ColumnRef(q, "b"), env, ctx) == "hi"
+        q, offsets = bound(ctx)
+        assert compile_expr(ColumnRef(q, "a"), offsets)((42, "hi"), ctx) == 42
+        assert compile_expr(ColumnRef(q, "b"), offsets)((42, "hi"), ctx) == "hi"
 
     def test_unbound_quantifier_raises(self, ctx):
-        _, q = bound_env(ctx, (1, "x"))
-        with pytest.raises(ExecutionError):
-            evaluate(ColumnRef(q, "a"), Env(), ctx)
+        """At compile time: no row is needed to see that nothing binds it."""
+        q, _ = bound(ctx)
+        with pytest.raises(ExecutionError, match=r"unbound quantifier 'q'.*q\.a"):
+            compile_expr(ColumnRef(q, "a"), {})
 
     def test_unknown_column_raises(self, ctx):
-        env, q = bound_env(ctx, (1, "x"))
+        q, offsets = bound(ctx)
         with pytest.raises(ExecutionError):
-            evaluate(ColumnRef(q, "zz"), env, ctx)
+            compile_expr(ColumnRef(q, "zz"), offsets)
 
-    def test_env_bind_is_persistent_copy(self, ctx):
-        env, q = bound_env(ctx, (1, "x"))
-        env2 = env.bind(Quantifier("other", ctx._test_box), (2, "y"))
-        assert q in env2.bindings and q in env.bindings
-        assert len(env2.bindings) == 2 and len(env.bindings) == 1
+    def test_outer_reference_reads_the_slot_it_was_handed(self, ctx):
+        """An outer value sits in the slot ``(quantifier, column)`` names,
+        whatever the quantifier's other columns are."""
+        q, offsets = bound(ctx)
+        outer = Quantifier("o", ctx._test_box)
+        expr = ast.Comparison("=", ColumnRef(q, "a"), ColumnRef(outer, "a"))
+        fn = compile_expr(expr, {(outer, "a"): 0, q: 1})
+        assert fn((7, 7, "x"), ctx) is True
+        assert fn((8, 7, "x"), ctx) is False
 
-    def test_env_with_value(self, ctx):
-        env = Env()
-        env2 = env.with_value(123, "cached")
-        assert env2.values[123] == "cached"
-        assert 123 not in env.values
+    def test_scalar_subquery_value_is_read_from_its_slot(self, ctx):
+        """A pre-evaluated scalar subquery is a slot like any other; the
+        nested box is not run (it could not be: ``t`` does not exist as a
+        box here)."""
+        from repro.qgm.expr import BoxScalarSubquery
+
+        node = BoxScalarSubquery(ctx._test_box)
+        fn = compile_expr(
+            ast.BinaryOp("+", node, ast.Literal(1)), {node: 2}
+        )
+        assert fn(("x", "y", 41), ctx) == 42
+        assert ctx.metrics.subquery_invocations == 0
 
 
 class TestPredicateSemantics:
     def test_unknown_is_not_true(self, ctx):
-        expr = parse_expression("NULL = 1")
-        assert predicate_holds(expr, Env(), ctx) is False
+        """WHERE semantics: UNKNOWN does not qualify."""
+        assert const(ctx, "NULL = 1") is not True
 
     def test_aggregate_outside_groupby_raises(self, ctx):
         with pytest.raises(ExecutionError):
@@ -135,7 +148,7 @@ class TestPredicateSemantics:
 
     def test_null_safe_comparison(self, ctx):
         expr = ast.Comparison("<=>", ast.Literal(None), ast.Literal(None))
-        assert evaluate(expr, Env(), ctx) is True
+        assert compile_expr(expr, {})((), ctx) is True
 
 
 # -- the compiler: one truth table over every node kind -----------------------
@@ -218,7 +231,7 @@ TRUTH_TABLE = [
 class TestCompiler:
     @pytest.mark.parametrize("text,expected", TRUTH_TABLE)
     def test_truth_table(self, ctx, text, expected):
-        value = compile_expr(parse_expression(text))(Env(), ctx)
+        value = const(ctx, text)
         # ``is`` for the three truth values: 1 == True must not pass.
         if expected is None or isinstance(expected, bool):
             assert value is expected
@@ -231,7 +244,7 @@ class TestCompiler:
     ])
     def test_null_safe_equality_is_never_unknown(self, ctx, left, right, expected):
         expr = ast.Comparison("<=>", ast.Literal(left), ast.Literal(right))
-        assert compile_expr(expr)(Env(), ctx) is expected
+        assert compile_expr(expr, {})((), ctx) is expected
 
     def test_short_circuit_skips_what_would_raise(self, ctx):
         """TRUE ends an OR and FALSE an AND before the next operand runs;
@@ -250,40 +263,40 @@ class TestCompiler:
         """One closure, different ``?`` values per context: nothing about
         the context is compiled in."""
         fn = compile_expr(
-            ast.Comparison(">", ast.Parameter(0), ast.Parameter(1))
+            ast.Comparison(">", ast.Parameter(0), ast.Parameter(1)), {}
         )
         for params, expected in [((2, 1), True), ((1, 2), False),
                                  ((None, 1), None), ((1, None), None)]:
             other = ExecutionContext(ctx.catalog, ctx._test_box, params=params)
-            assert fn(Env(), other) is expected
+            assert fn((), other) is expected
         with pytest.raises(ExecutionError, match=r"unbound parameter \?1"):
-            fn(Env(), ExecutionContext(ctx.catalog, ctx._test_box, params=(1,)))
+            fn((), ExecutionContext(ctx.catalog, ctx._test_box, params=(1,)))
 
     def test_compile_once_evaluate_many(self, ctx):
-        env, q = bound_env(ctx, (1, "x"))
+        q, offsets = bound(ctx)
         fn = compile_expr(
-            ast.Comparison("=", ColumnRef(q, "a"), ast.Literal(42))
+            ast.Comparison("=", ColumnRef(q, "a"), ast.Literal(42)), offsets
         )
-        assert fn(env, ctx) is False
-        assert fn(Env({q: (42, "y")}), ctx) is True
-        assert fn(Env({q: (None, "z")}), ctx) is None
+        assert fn((1, "x"), ctx) is False
+        assert fn((42, "y"), ctx) is True
+        assert fn((None, "z"), ctx) is None
 
     def test_positional_reads_the_row_itself(self, ctx):
-        """With ``offsets`` the closure takes the flat row, no Env; the
-        value is the Env path's."""
-        env, q = bound_env(ctx, (7, "hi"))
+        """The closure takes the flat row; the same expression gives the
+        same value wherever ``offsets`` puts the quantifier's columns."""
+        q, offsets = bound(ctx)
         expr = ast.BinaryOp(
             "||", ColumnRef(q, "b"), ast.BinaryOp("+", ColumnRef(q, "a"), ast.Literal(1))
         )
-        assert reads_only([expr], (q,))
-        assert compile_expr(expr)(env, ctx) == "hi8"
-        assert compile_expr(expr, {q: 0})((7, "hi"), ctx) == "hi8"
+        assert compile_expr(expr, offsets)((7, "hi"), ctx) == "hi8"
         # ``q``'s columns start at position 2 of a wider flat row.
         assert compile_expr(expr, {q: 2})(("x", "y", 7, "hi"), ctx) == "hi8"
         other = Quantifier("other", ctx._test_box)
-        assert not reads_only(
-            [ast.Comparison("=", ColumnRef(q, "a"), ColumnRef(other, "a"))], (q,)
-        )
+        with pytest.raises(ExecutionError, match="unbound quantifier 'other'"):
+            compile_expr(
+                ast.Comparison("=", ColumnRef(q, "a"), ColumnRef(other, "a")),
+                offsets,
+            )
 
     @pytest.mark.parametrize("text", [
         "upper()", "lower()", "abs()", "abs(1, 2)", "nullif(1)",
@@ -291,7 +304,7 @@ class TestCompiler:
     ])
     def test_function_errors_are_typed_and_raised_at_compile_time(self, text):
         with pytest.raises(ExecutionError, match=text.split("(")[0]):
-            compile_expr(parse_expression(text))
+            compile_expr(parse_expression(text), {})
 
     @pytest.mark.parametrize("text", ["upper()", "abs(a, a)", "bogus(a)"])
     def test_function_errors_do_not_depend_on_the_data(self, text):
@@ -304,3 +317,96 @@ class TestCompiler:
         db.execute("insert into t values (1)")
         with pytest.raises(ExecutionError, match=text.split("(")[0]):
             db.execute(f"select {text} from t")
+
+    def test_unbound_quantifier_does_not_depend_on_the_data(self):
+        """A reference to a quantifier that neither the box nor any box
+        around it owns -- here two levels down, inside an EXISTS -- is the
+        same typed error over an empty table, where no row ever reaches
+        it, and over a populated one."""
+        db = Database()
+        db.execute("create table t (a int)")
+        columns = ["a"]
+        stray = Quantifier("stray", BaseTableBox("t", columns))
+
+        def graph() -> QueryGraph:
+            inner = SelectBox()
+            i = inner.add_quantifier(BaseTableBox("t", columns), "i")
+            inner.predicates = [ast.Comparison("=", i.ref("a"), stray.ref("a"))]
+            inner.outputs = [OutputColumn("a", i.ref("a"))]
+            root = SelectBox()
+            r = root.add_quantifier(BaseTableBox("t", columns), "r")
+            root.predicates = [BoxExists(inner)]
+            root.outputs = [OutputColumn("a", r.ref("a"))]
+            assert [repr(ref) for ref in outer_refs(root)] == ["stray.a"]
+            return QueryGraph(root)
+
+        for _ in range(2):
+            with pytest.raises(ExecutionError, match=r"unbound quantifier.*stray\.a"):
+                execute_graph(graph(), db.catalog)
+            db.execute("insert into t values (1)")
+
+
+class TestRowLayout:
+    """What a box hands the box it runs: the outer references of that box's
+    subtree, one value each, out of fixed slots of its own row."""
+
+    def _nest(self, ctx, columns, through=()):
+        """``outer`` runs ``inner`` as an EXISTS; ``inner`` compares its
+        ``columns`` with ``outer``'s and ``through`` with those of a
+        quantifier of a box further out."""
+        outer, far = SelectBox(), Quantifier("far", ctx._test_box)
+        o = outer.add_quantifier(ctx._test_box, "o")
+        inner = SelectBox()
+        i = inner.add_quantifier(ctx._test_box, "i")
+        inner.predicates = [
+            ast.Comparison("=", i.ref(column), o.ref(column)) for column in columns
+        ] + [
+            ast.Comparison("=", i.ref(column), far.ref(column)) for column in through
+        ]
+        inner.outputs = [OutputColumn("a", i.ref("a"))]
+        outer.predicates = [BoxExists(inner)]
+        outer.outputs = [OutputColumn("a", o.ref("a"))]
+        return outer, o, inner
+
+    def test_one_value_per_distinct_outer_column(self, ctx):
+        outer, o, inner = self._nest(ctx, ["b", "a", "b"])
+        assert [repr(ref) for ref in outer_refs(inner)] == [f"{o.name}.b", f"{o.name}.a"]
+        params, offsets = row_layout(outer, [o])
+        assert params == () and offsets[o] == 0 and offsets[inner] == (1, 0)
+        assert outer_values(inner, offsets)((7, "hi")) == ("hi", 7)
+
+    def test_single_and_no_outer_column(self, ctx):
+        outer, o, inner = self._nest(ctx, ["b"])
+        assert outer_values(inner, row_layout(outer, [o])[1])((7, "hi")) == ("hi",)
+        outer, o, plain = self._nest(ctx, [])
+        assert outer_refs(plain) == () and outer_refs(outer) == ()
+        assert outer_values(plain, row_layout(outer, [o])[1])((7, "hi")) == ()
+
+    def test_a_value_handed_down_is_handed_on(self, ctx):
+        """``outer`` never reads ``far.b`` itself: it is handed the value
+        (slot 0, before its own columns) because ``inner`` reads it, and
+        hands it on."""
+        outer, o, inner = self._nest(ctx, ["a"], through=["b"])
+        params, offsets = row_layout(outer, [o])
+        assert [repr(ref) for ref in params] == ["far.b"]
+        assert params == outer_refs(outer)
+        assert offsets[o] == 1
+        pick = outer_values(inner, offsets)
+        assert dict(zip(map(repr, outer_refs(inner)), pick(("hi", 7, "x")))) == {
+            f"{o.name}.a": 7, "far.b": "hi",
+        }
+
+    def test_members_take_their_slots_in_order(self, ctx):
+        """A quantifier takes one slot per column, a scalar subquery value
+        one; every position is fixed before any row exists."""
+        from repro.qgm.expr import BoxScalarSubquery
+
+        outer, o, inner = self._nest(ctx, ["a"], through=["b"])
+        node = BoxScalarSubquery(inner)
+        outer.predicates = [ast.Comparison("=", o.ref("a"), node)]
+        second = outer.add_quantifier(ctx._test_box, "p")
+        _, offsets = row_layout(outer, [o, node, second])
+        assert (offsets[o], offsets[node], offsets[second]) == (1, 3, 4)
+        fn = compile_expr(outer.predicates[0], offsets)
+        assert fn(("hi", 7, "x", 7, 0, "y"), ctx) is True
+        assert fn(("hi", 7, "x", 8, 0, "y"), ctx) is False
