@@ -8,7 +8,9 @@ expression belongs to and ``ctx`` the running
 :class:`~repro.exec.executor.ExecutionContext`. Closures never capture a
 context or a row: ``?`` parameters and subquery invocation go through the
 ``ctx`` argument, which is what lets one compiled plan serve every
-execution of a cached query graph, concurrently.
+execution of a cached query graph, concurrently. :func:`compile_filter`
+compiles a WHERE predicate over a whole batch of rows; it is the one place
+that knows WHERE keeps only TRUE.
 
 Every column reference is resolved here, at compile time, to a slot of that
 row through ``offsets`` (:data:`Offsets`). The row starts with the values
@@ -26,6 +28,7 @@ read from its slot instead.
 
 from __future__ import annotations
 
+import operator
 from itertools import chain
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional
@@ -64,6 +67,9 @@ Compiled = Callable[[tuple, "ExecutionContext"], Any]
 Offsets = Mapping[Any, Any]
 #: The outer values of a box to run, out of a row of the box running it.
 Pick = Callable[[tuple], tuple]
+#: A compiled WHERE predicate (:func:`compile_filter`): the members of a
+#: batch it is TRUE for.
+Filter = Callable[[list, "ExecutionContext"], list]
 
 
 def column_position(box: Box, column: str) -> int:
@@ -167,10 +173,7 @@ def compile_expr(expr: ast.Expr, offsets: Offsets) -> Compiled:
             try:
                 return ctx.params[index]
             except IndexError:
-                raise ExecutionError(
-                    f"unbound parameter ?{index} "
-                    f"({len(ctx.params)} value(s) supplied)"
-                ) from None
+                raise _unbound_parameter(index, ctx) from None
 
         return parameter
     if isinstance(expr, ast.BinaryOp):
@@ -196,6 +199,28 @@ def compile_expr(expr: ast.Expr, offsets: Offsets) -> Compiled:
         return minus
     if isinstance(expr, ast.Comparison):
         compare = COMPARISONS[expr.op]
+        if isinstance(expr.left, ColumnRef):
+            # A column against a plain operand: both are read where they
+            # are, not through an operand closure each.
+            i = flat_position(expr.left, offsets)
+            operand = expr.right
+            if isinstance(operand, ColumnRef):
+                j = flat_position(operand, offsets)
+                return lambda row, ctx: compare(row[i], row[j])
+            if isinstance(operand, ast.Literal):
+                value = operand.value
+                return lambda row, ctx: compare(row[i], value)
+            if isinstance(operand, ast.Parameter):
+                index = operand.index
+
+                def column_to_parameter(row, ctx):
+                    try:
+                        value = ctx.params[index]
+                    except IndexError:
+                        raise _unbound_parameter(index, ctx) from None
+                    return compare(row[i], value)
+
+                return column_to_parameter
         left, right = compile_(expr.left), compile_(expr.right)
         return lambda row, ctx: compare(left(row, ctx), right(row, ctx))
     if isinstance(expr, ast.And):
@@ -320,6 +345,79 @@ def compile_expr(expr: ast.Expr, offsets: Offsets) -> Compiled:
     raise ExecutionError(f"cannot evaluate expression {expr!r}")
 
 
+def _unbound_parameter(index: int, ctx: "ExecutionContext") -> ExecutionError:
+    return ExecutionError(
+        f"unbound parameter ?{index} ({len(ctx.params)} value(s) supplied)"
+    )
+
+
+#: What each comparison a filter kernel handles comes to over two non-NULL
+#: values of one class, as a C-level call.
+_SAME_CLASS = {
+    "=": operator.eq,
+    "<>": operator.ne,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
+def compile_filter(expr: ast.Expr, offsets: Offsets) -> Filter:
+    """Compile a WHERE predicate over a batch: ``keep(members, ctx)`` is
+    the members ``expr`` is TRUE for -- UNKNOWN does not qualify.
+
+    A column compared with a column (an outer reference is a slot like any
+    other) or with a constant of the batch (a literal, a ``?``) gets a
+    kernel: one list comprehension with no Python call per member. NULL is
+    tested first; two values of one class are comparable (see
+    :mod:`repro.types`) and go to the operator itself; any other pair goes
+    to ``COMPARISONS[op]``, which accepts int against float and raises
+    :class:`~repro.errors.SchemaError` for the rest. Every other
+    expression is evaluated member by member.
+    """
+    if (
+        isinstance(expr, ast.Comparison)
+        and expr.op in _SAME_CLASS
+        and isinstance(expr.left, ColumnRef)
+    ):
+        same_class, compare = _SAME_CLASS[expr.op], COMPARISONS[expr.op]
+        i = flat_position(expr.left, offsets)
+        operand = expr.right
+        if isinstance(operand, ColumnRef):
+            j = flat_position(operand, offsets)
+            return lambda members, ctx: [
+                m for m in members
+                if (a := m[i]) is not None and (b := m[j]) is not None
+                and (
+                    same_class(a, b) if a.__class__ is b.__class__
+                    else compare(a, b)
+                )
+            ]
+        if isinstance(operand, (ast.Literal, ast.Parameter)):
+            # Neither reads the row: evaluated once per batch, so an
+            # unbound ``?`` is the same error as member by member.
+            constant = compile_expr(operand, offsets)
+
+            def column_to_constant(members, ctx):
+                b = constant((), ctx)
+                if b is None:
+                    return []
+                cls = b.__class__
+                return [
+                    m for m in members
+                    if (a := m[i]) is not None
+                    and (same_class(a, b) if a.__class__ is cls else compare(a, b))
+                ]
+
+            return column_to_constant
+    predicate = compile_expr(expr, offsets)
+    return lambda members, ctx: [
+        m for m in members if predicate(m, ctx) is True
+    ]
+
+
 def scalar_subquery_value(
     box: Box, outer: tuple, ctx: "ExecutionContext"
 ) -> Any:
@@ -398,11 +496,11 @@ def _compile_function(expr: ast.FunctionCall, args: tuple[Compiled, ...]) -> Com
         return coalesce
     first = args[0]
     if name == "nullif":
-        second = args[1]
+        second, equal = args[1], COMPARISONS["="]
 
         def nullif(row, ctx):
-            a, b = first(row, ctx), second(row, ctx)
-            return None if a == b else a
+            a = first(row, ctx)
+            return None if equal(a, second(row, ctx)) is True else a
 
         return nullif
     apply = {"abs": abs, "upper": _upper, "lower": _lower}[name]

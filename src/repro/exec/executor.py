@@ -75,6 +75,7 @@ from .evaluate import (
     Offsets,
     Pick,
     compile_expr,
+    compile_filter,
     flat_position,
     outer_values,
     row_layout,
@@ -645,11 +646,8 @@ def _compile_step(step, offsets: Offsets) -> StepFunction:
     if isinstance(step, HashJoinStep):
         return _compile_hash_join(step, offsets)
     if isinstance(step, PredicateStep):
-        predicate = compile_expr(step.predicate, offsets)
-        # WHERE semantics: UNKNOWN does not qualify.
-        return lambda ctx, members, outer: [
-            m for m in members if predicate(m, ctx) is True
-        ]
+        keep = compile_filter(step.predicate, offsets)
+        return lambda ctx, members, outer: keep(members, ctx)
     if isinstance(step, SubqueryEvalStep):
         box = step.node.box
         pick = outer_values(box, offsets)
@@ -671,6 +669,9 @@ def _compile_scan(step: ScanStep, offsets: Offsets) -> StepFunction:
             ctx.faults.trigger("exec.join", detail=detail)
         metrics = ctx.metrics
         result: list[tuple] = []
+        # Counted per member, not once per step: the child box runs inside
+        # this loop, and its checkpoints must see the current
+        # ``subquery_invocations`` for the invocation budget to stay exact.
         for m in members:
             metrics.subquery_invocations += 1
             child_rows = ctx.box_rows(child, pick(m))
@@ -707,15 +708,19 @@ def _compile_index_lookup(step: IndexLookupStep, offsets: Offsets) -> StepFuncti
             raise ExecutionError(
                 f"index {index_name!r} disappeared during execution"
             )
-        metrics = ctx.metrics
         lookup, fetch = index.lookup, table.fetch
-        result = []
-        for key, member in zip(keys(members, ctx), members):
-            metrics.index_lookups += 1
-            row_ids = lookup(key)
-            metrics.index_rows += len(row_ids)
-            result.extend([member + fetch(rid) for rid in row_ids])
-        return result
+        n_lookups = n_rows = 0
+        try:
+            result = []
+            for key, member in zip(keys(members, ctx), members):
+                n_lookups += 1
+                row_ids = lookup(key)
+                n_rows += len(row_ids)
+                result.extend([member + fetch(rid) for rid in row_ids])
+            return result
+        finally:
+            ctx.metrics.index_lookups += n_lookups
+            ctx.metrics.index_rows += n_rows
 
     return index_lookup
 

@@ -109,11 +109,19 @@ def _check_comparable(a: Any, b: Any) -> None:
         raise SchemaError(f"cannot compare {a!r} with {b!r}")
 
 
+# The comparisons below call ``_check_comparable`` only when the operands'
+# classes differ: a SQL value is a bool, an int, a float or a str (module
+# doc), and two values of one of those classes are always comparable. A
+# mismatch is either int against float or an error, and the check tells
+# which. Every error names the operands left, then right.
+
+
 def sql_eq(a: Any, b: Any) -> Truth:
     """SQL ``=``: NULL if either operand is NULL."""
     if a is None or b is None:
         return None
-    _check_comparable(a, b)
+    if a.__class__ is not b.__class__:
+        _check_comparable(a, b)
     return a == b
 
 
@@ -126,7 +134,8 @@ def sql_lt(a: Any, b: Any) -> Truth:
     """SQL ``<``."""
     if a is None or b is None:
         return None
-    _check_comparable(a, b)
+    if a.__class__ is not b.__class__:
+        _check_comparable(a, b)
     return a < b
 
 
@@ -134,18 +143,27 @@ def sql_le(a: Any, b: Any) -> Truth:
     """SQL ``<=``."""
     if a is None or b is None:
         return None
-    _check_comparable(a, b)
+    if a.__class__ is not b.__class__:
+        _check_comparable(a, b)
     return a <= b
 
 
 def sql_gt(a: Any, b: Any) -> Truth:
     """SQL ``>``."""
-    return sql_lt(b, a)
+    if a is None or b is None:
+        return None
+    if a.__class__ is not b.__class__:
+        _check_comparable(a, b)
+    return a > b
 
 
 def sql_ge(a: Any, b: Any) -> Truth:
     """SQL ``>=``."""
-    return sql_le(b, a)
+    if a is None or b is None:
+        return None
+    if a.__class__ is not b.__class__:
+        _check_comparable(a, b)
+    return a >= b
 
 
 def sql_is_not_distinct(a: Any, b: Any) -> Truth:
@@ -157,7 +175,8 @@ def sql_is_not_distinct(a: Any, b: Any) -> Truth:
     """
     if a is None or b is None:
         return a is None and b is None
-    _check_comparable(a, b)
+    if a.__class__ is not b.__class__:
+        _check_comparable(a, b)
     return a == b
 
 

@@ -3,13 +3,17 @@ and the same box without the outer reference give the same rows and do the
 same counted work, with and without a tracer or a guard. Both run on flat
 tuples; the correlated one is handed its outer values as the first slots."""
 
+import re
+
 import pytest
 
 from repro import Database
 from repro.errors import ExecutionError
-from repro.exec.evaluate import outer_refs
+from repro.exec import executor
+from repro.exec.evaluate import compile_expr, compile_filter, outer_refs
 from repro.exec.executor import ExecutionContext
 from repro.guard import Limits, guard_for
+from repro.qgm.expr import ColumnRef
 from repro.qgm.model import (
     BaseTableBox,
     GroupByBox,
@@ -28,6 +32,13 @@ SETTINGS = {
     "limits": lambda: {
         "guard": guard_for(Limits(timeout=60.0, max_rows_materialized=10**6))
     },
+}
+
+#: The same three as keywords of ``Database.execute``.
+OBSERVED = {
+    "bare": lambda: {},
+    "tracer": lambda: {"tracer": Tracer()},
+    "limits": lambda: {"limits": Limits(timeout=60.0)},
 }
 
 #: The result of a box that was handed outer values belongs to that one
@@ -224,12 +235,7 @@ def test_select_paths_agree(empdept_catalog, setting):
     )
     db = Database(catalog)
 
-    def observed():
-        return {
-            "bare": {}, "tracer": {"tracer": Tracer()},
-            "limits": {"limits": Limits(timeout=60.0)},
-        }[setting]
-
+    observed = OBSERVED[setting]
     flat = db.execute(flat_sql, strategy="ni", **observed())
     beside = db.execute(exists_sql, strategy="ni", **observed())
     assert sorted(flat.rows) == sorted(flat_rows)
@@ -250,3 +256,60 @@ def test_a_box_must_be_handed_exactly_its_outer_values(empdept_catalog):
         with pytest.raises(ExecutionError, match=r"unbound quantifier.*o\.name"):
             ctx.box_rows(box, handed)
         assert ctx.metrics.rows_scanned == 0
+
+
+def _member_by_member(expr, offsets):
+    """``compile_filter`` with no kernel: the reference the kernels are
+    held to."""
+    predicate = compile_expr(expr, offsets)
+    return lambda members, ctx: [
+        m for m in members if predicate(m, ctx) is True
+    ]
+
+
+def _tree(span):
+    """What a span says happened, without times or box ids."""
+    return (
+        re.sub(r"\d+([\])])", r"#\1", span.name), span.calls, span.rows_in,
+        span.rows_out, span.metrics, [_tree(c) for c in span.children],
+    )
+
+
+@pytest.mark.parametrize("setting", sorted(SETTINGS))
+def test_filter_kernels_and_the_member_by_member_filter_agree(
+    empdept_catalog, setting, monkeypatch
+):
+    """One correlated query whose WHERE steps are a column against an outer
+    value, against a literal, and two predicates that get no kernel: the
+    rows, the counted work and the trace are those of the same query with
+    every step filtered member by member."""
+    sql = (
+        "select d.name from dept d where d.budget < 10000 "
+        "and (d.name <> 'ops' or d.budget > 0) and d.num_emps > "
+        "(select count(*) from emp e where e.salary < d.budget "
+        "and e.salary > 90 and e.salary + 0 < 110) order by d.name"
+    )
+    observed = OBSERVED[setting]
+
+    def run():
+        result = Database(empdept_catalog).execute(sql, strategy="ni", **observed())
+        roots = [] if result.tracer is None else result.tracer.roots
+        return result.rows, result.metrics.as_dict(), [_tree(r) for r in roots]
+
+    filtered = []
+    monkeypatch.setattr(
+        executor, "compile_filter",
+        lambda expr, offsets: filtered.append(expr) or compile_filter(expr, offsets),
+    )
+    rows, work, trace = run()
+    assert rows == [("research",), ("sales",)]
+    operands = {(type(e.left), type(e.right)) for e in filtered
+                if isinstance(e, ast.Comparison)}
+    assert (ColumnRef, ColumnRef) in operands  # e.salary < d.budget
+    assert (ColumnRef, ast.Literal) in operands
+    assert (ast.BinaryOp, ast.Literal) in operands
+    assert any(isinstance(e, ast.Or) for e in filtered)
+
+    monkeypatch.setattr(executor, "compile_filter", _member_by_member)
+    assert run() == (rows, work, trace)
+    assert bool(trace) == (setting == "tracer")

@@ -223,6 +223,7 @@ TRUTH_TABLE = [
     ("abs(-3)", 3), ("abs(NULL)", None),
     ("nullif(1, 1)", None), ("nullif(1, 2)", 1),
     ("nullif(NULL, 1)", None), ("nullif(1, NULL)", 1),
+    ("nullif(NULL, NULL)", None), ("nullif(1, 1.0)", None),
     ("upper('ab')", "AB"), ("upper(NULL)", None),
     ("lower('AB')", "ab"), ("lower(NULL)", None),
 ]
@@ -245,6 +246,15 @@ class TestCompiler:
     def test_null_safe_equality_is_never_unknown(self, ctx, left, right, expected):
         expr = ast.Comparison("<=>", ast.Literal(left), ast.Literal(right))
         assert compile_expr(expr, {})((), ctx) is expected
+
+    @pytest.mark.parametrize("text", ["nullif(1, 'x')", "nullif(1, TRUE)"])
+    def test_nullif_compares_as_equality_does(self, ctx, text):
+        """Python's ``==`` says ``1 != 'x'`` and ``1 == True``; SQL's ``=``
+        compares neither pair."""
+        equality = text.replace("nullif(", "(").replace(",", " =")
+        for compared in (text, equality):
+            with pytest.raises(SchemaError, match="cannot compare 1 with"):
+                const(ctx, compared)
 
     def test_short_circuit_skips_what_would_raise(self, ctx):
         """TRUE ends an OR and FALSE an AND before the next operand runs;

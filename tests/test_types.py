@@ -102,6 +102,22 @@ class TestComparisons:
         with pytest.raises(SchemaError):
             sql_lt(True, 1)
 
+    @pytest.mark.parametrize("op", ["=", "<>", "<", "<=", ">", ">=", "<=>"])
+    def test_errors_name_the_operands_left_then_right(self, op):
+        with pytest.raises(SchemaError, match="cannot compare 1 with 'x'"):
+            COMPARISONS[op](1, "x")
+        with pytest.raises(SchemaError, match="cannot compare 'x' with 1"):
+            COMPARISONS[op]("x", 1)
+
+    def test_same_class_skips_the_check_and_a_mismatch_does_not(self):
+        # bool is an int to Python, not to SQL; int against float is fine.
+        for compare in set(COMPARISONS.values()):
+            for a, b in ((True, 1), (1, True), (False, 0.0), ("1", 1)):
+                with pytest.raises(SchemaError):
+                    compare(a, b)
+        assert sql_gt(2, 1.5) is True and sql_ge(1.5, 2) is False
+        assert sql_gt(True, False) is True and sql_ge("a", "b") is False
+
     def test_comparison_registry_complete(self):
         for op in ("=", "<>", "!=", "<", "<=", ">", ">="):
             assert op in COMPARISONS

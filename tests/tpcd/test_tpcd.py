@@ -144,6 +144,27 @@ class TestPaperQueriesRun:
         assert len(result.rows) == europeans  # LOJ keeps every supplier
 
 
+def test_q1_variant_under_ni_does_the_pinned_work():
+    """The benchmark ladder's ``q1v/ni`` cell -- its longest -- as counts.
+    A change to the executor that claims cheaper work, not less of it, must
+    leave every one of them where it is; one that claims less work moves
+    them here, on purpose."""
+    db = Database(load_tpcd(scale_factor=0.005, seed=19960226))
+    result = db.execute(QUERY_1_VARIANT, strategy=Strategy.NESTED_ITERATION)
+    assert len(result.rows) == 123
+    work = result.metrics.as_dict()
+    assert {name: work[name] for name in (
+        "subquery_invocations", "rows_scanned", "index_lookups",
+        "index_rows", "total_work",
+    )} == {
+        "subquery_invocations": 241,
+        "rows_scanned": 12_100,
+        "index_lookups": 7_712,
+        "index_rows": 462_672,
+        "total_work": 495_141,
+    }
+
+
 class TestEmpDept:
     def test_load_empdept(self):
         catalog = load_empdept(n_depts=20, n_emps=100, n_buildings=5)
