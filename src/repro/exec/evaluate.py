@@ -9,8 +9,10 @@ expression belongs to and ``ctx`` the running
 context or a row: ``?`` parameters and subquery invocation go through the
 ``ctx`` argument, which is what lets one compiled plan serve every
 execution of a cached query graph, concurrently. :func:`compile_filter`
-compiles a WHERE predicate over a whole batch of rows; it is the one place
-that knows WHERE keeps only TRUE.
+compiles a WHERE predicate over a whole batch of rows, and
+:func:`compile_lookup_filter` over the rows an index lookup fetches, before
+they are joined to anything; the two are the one place that knows WHERE
+keeps only TRUE.
 
 Every column reference is resolved here, at compile time, to a slot of that
 row through ``offsets`` (:data:`Offsets`). The row starts with the values
@@ -70,6 +72,10 @@ Pick = Callable[[tuple], tuple]
 #: A compiled WHERE predicate (:func:`compile_filter`): the members of a
 #: batch it is TRUE for.
 Filter = Callable[[list, "ExecutionContext"], list]
+#: A WHERE predicate applied by the index lookup ahead of it
+#: (:func:`compile_lookup_filter`): ``member + row`` for each of the rows
+#: fetched for ``member`` it is TRUE for.
+LookupFilter = Callable[[tuple, Iterable[tuple], "ExecutionContext"], list]
 
 
 def column_position(box: Box, column: str) -> int:
@@ -416,6 +422,69 @@ def compile_filter(expr: ast.Expr, offsets: Offsets) -> Filter:
     return lambda members, ctx: [
         m for m in members if predicate(m, ctx) is True
     ]
+
+
+def compile_lookup_filter(
+    expr: ast.Expr, offsets: Offsets, quantifier: Quantifier
+) -> Optional[LookupFilter]:
+    """``expr`` as a filter of the rows an index lookup fetches for
+    ``quantifier``, when it is one of :func:`compile_filter`'s kernel shapes
+    with a column of ``quantifier`` on one side and, on the other, a value
+    the member had before the lookup (a slot ahead of the quantifier's) or
+    a constant of the batch; ``None`` for every other expression.
+
+    ``keep(member, rows, ctx)`` is called once per probed key and tests each
+    fetched row's own column by the rules of the kernels above -- NULL
+    first, one class to the operator, any other pair to ``COMPARISONS[op]``
+    with the operands left then right -- so that ``member + row`` is built
+    only for the rows that stay. The other operand is read once per call.
+    """
+    if not (
+        isinstance(expr, ast.Comparison)
+        and expr.op in _SAME_CLASS
+        and isinstance(expr.left, ColumnRef)
+    ):
+        return None
+    fetched_left = expr.left.quantifier is quantifier
+    fetched, other = (
+        (expr.left, expr.right) if fetched_left else (expr.right, expr.left)
+    )
+    if not (isinstance(fetched, ColumnRef) and fetched.quantifier is quantifier):
+        return None
+    if isinstance(other, ColumnRef):
+        if flat_position(other, offsets) >= offsets[quantifier]:
+            return None  # of the fetched row itself, or bound after it
+    elif not isinstance(other, (ast.Literal, ast.Parameter)):
+        return None
+    same_class, compare = _SAME_CLASS[expr.op], COMPARISONS[expr.op]
+    j = column_position(quantifier.box, fetched.column)
+    value = compile_expr(other, offsets)
+
+    if fetched_left:
+
+        def keep(member, rows, ctx):
+            if (b := value(member, ctx)) is None:
+                return []
+            cls = b.__class__
+            return [
+                member + row for row in rows
+                if (a := row[j]) is not None
+                and (same_class(a, b) if a.__class__ is cls else compare(a, b))
+            ]
+
+    else:
+
+        def keep(member, rows, ctx):
+            if (a := value(member, ctx)) is None:
+                return []
+            cls = a.__class__
+            return [
+                member + row for row in rows
+                if (b := row[j]) is not None
+                and (same_class(a, b) if b.__class__ is cls else compare(a, b))
+            ]
+
+    return keep
 
 
 def scalar_subquery_value(

@@ -72,10 +72,12 @@ from ..types import sort_key
 from .aggregates import compute_aggregate
 from .evaluate import (
     Compiled,
+    LookupFilter,
     Offsets,
     Pick,
     compile_expr,
     compile_filter,
+    compile_lookup_filter,
     flat_position,
     outer_values,
     row_layout,
@@ -298,28 +300,33 @@ class ExecutionContext:
     def _rows_select(
         self, box: SelectBox, compiled: "CompiledSelect", outer: tuple
     ) -> list[tuple]:
-        tracer = self.tracer
+        tracer, metrics = self.tracer, self.metrics
         # One member per combination of rows bound so far: the outer values,
         # then what each step appended (see "compiled plans" below).
         members: list[tuple] = [outer]
+        # What the plan as written hands the next step. A lookup that
+        # applies the filter after it hands on what it fetched -- its
+        # ``index_rows``, a lookup emitting one member per fetched row --
+        # so that filter's step still gets its checkpoint and its span.
+        handed = 1
         for index, run in enumerate(compiled.steps):
-            if not members:
+            if not handed:
                 break
-            if tracer is None:
-                self.checkpoint()
-                members = run(self, members, outer)
-                continue
-            frame = tracer.begin(
+            frame = None if tracer is None else tracer.begin(
                 ("step", box.id, index), compiled.labels[index], "step",
-                rows_in=len(members),
+                rows_in=handed,
             )
-            out: Optional[list] = None
+            handed, fetched = 0, metrics.index_rows
             try:
                 self.checkpoint()
-                out = run(self, members, outer)
-                members = out
+                members = run(self, members, outer)
+                if index in compiled.fused:
+                    handed = metrics.index_rows - fetched
+                else:
+                    handed = len(members)
             finally:
-                tracer.end(frame, rows_out=0 if out is None else len(out))
+                if frame is not None:
+                    tracer.end(frame, rows_out=handed)
         rows = list(compiled.project(members, self))
         if box.distinct:
             rows = _dedupe(rows)
@@ -528,6 +535,9 @@ class CompiledSelect:
     steps: tuple[StepFunction, ...]
     #: ``step_label`` of each step, for traces.
     labels: tuple[str, ...]
+    #: Which steps are index lookups that apply the filter step after them
+    #: to what they fetch (see :func:`compile_select`).
+    fused: frozenset[int]
     #: members -> output rows (before DISTINCT).
     project: BatchFunction
 
@@ -598,18 +608,46 @@ def _inputs(box: Box, offsets: Offsets) -> tuple[Pick, ...]:
 
 
 def compile_select(plan: SelectPlan) -> CompiledSelect:
-    """Compile the steps and the projection of one SPJ plan."""
+    """Compile the steps and the projection of one SPJ plan.
+
+    A filter right after an index lookup that tests a column of the fetched
+    row against a value known before the probe
+    (:func:`~repro.exec.evaluate.compile_lookup_filter`) is applied by the
+    lookup itself, which then builds ``member + row`` only for the rows that
+    stay; the filter's own step hands its members on as they are."""
     box = plan.box
     params, offsets = row_layout(box, [
         step.node if isinstance(step, SubqueryEvalStep) else step.quantifier
         for step in plan.steps if not isinstance(step, PredicateStep)
     ])
+    steps: list[StepFunction] = []
+    fused: set[int] = set()
+    for index, step in enumerate(plan.steps):
+        after = plan.steps[index + 1] if index + 1 < len(plan.steps) else None
+        keep = (
+            compile_lookup_filter(after.predicate, offsets, step.quantifier)
+            if isinstance(step, IndexLookupStep) and isinstance(after, PredicateStep)
+            else None
+        )
+        if index - 1 in fused:
+            steps.append(_kept_by_lookup)
+        elif keep is not None:
+            steps.append(_compile_index_lookup(step, offsets, keep))
+            fused.add(index)
+        else:
+            steps.append(_compile_step(step, offsets))
     return CompiledSelect(
         params=params,
-        steps=tuple(_compile_step(step, offsets) for step in plan.steps),
+        steps=tuple(steps),
         labels=tuple(step_label(step) for step in plan.steps),
+        fused=frozenset(fused),
         project=_compile_tuples([o.expr for o in box.outputs], offsets),
     )
+
+
+def _kept_by_lookup(ctx, members, outer):
+    """The step of a filter the lookup ahead of it applied."""
+    return members
 
 
 def _compile_values(expr: ast.Expr, offsets: Offsets) -> BatchFunction:
@@ -689,7 +727,12 @@ def _compile_scan(step: ScanStep, offsets: Offsets) -> StepFunction:
     return scan_per_member if step.correlated_to_self else scan
 
 
-def _compile_index_lookup(step: IndexLookupStep, offsets: Offsets) -> StepFunction:
+def _compile_index_lookup(
+    step: IndexLookupStep, offsets: Offsets, keep: Optional[LookupFilter] = None
+) -> StepFunction:
+    """``keep`` is the filter after the lookup, when the lookup applies it
+    (:func:`compile_select`): the rows counted are the rows fetched either
+    way."""
     q = step.quantifier
     table_name = q.box.table_name
     index_name = step.index_name
@@ -708,7 +751,9 @@ def _compile_index_lookup(step: IndexLookupStep, offsets: Offsets) -> StepFuncti
             raise ExecutionError(
                 f"index {index_name!r} disappeared during execution"
             )
-        lookup, fetch = index.lookup, table.fetch
+        # ``Table.fetch`` without its Python frame per row: ``rows`` is the
+        # table's append-only read surface.
+        lookup, fetch = index.lookup, table.rows.__getitem__
         n_lookups = n_rows = 0
         try:
             result = []
@@ -716,7 +761,10 @@ def _compile_index_lookup(step: IndexLookupStep, offsets: Offsets) -> StepFuncti
                 n_lookups += 1
                 row_ids = lookup(key)
                 n_rows += len(row_ids)
-                result.extend([member + fetch(rid) for rid in row_ids])
+                if keep is None:
+                    result.extend([member + fetch(rid) for rid in row_ids])
+                elif row_ids:
+                    result.extend(keep(member, map(fetch, row_ids), ctx))
             return result
         finally:
             ctx.metrics.index_lookups += n_lookups

@@ -8,11 +8,12 @@ import re
 import pytest
 
 from repro import Database
-from repro.errors import ExecutionError
-from repro.exec import executor
+from repro.errors import BudgetExceeded, ExecutionError, FaultInjectedError
+from repro.exec import evaluate, executor
 from repro.exec.evaluate import compile_expr, compile_filter, outer_refs
 from repro.exec.executor import ExecutionContext
 from repro.guard import Limits, guard_for
+from repro.plan.cache import PlanCache
 from repro.qgm.expr import ColumnRef
 from repro.qgm.model import (
     BaseTableBox,
@@ -313,3 +314,140 @@ def test_filter_kernels_and_the_member_by_member_filter_agree(
     monkeypatch.setattr(executor, "compile_filter", _member_by_member)
     assert run() == (rows, work, trace)
     assert bool(trace) == (setting == "tracer")
+
+
+#: Correlated on two predicates of the index-probed ``emp``: the filter right
+#: after the lookup tests a fetched column against an outer value, drops
+#: rows, meets a NULL (``d_null``) and twice keeps none of what was fetched;
+#: one probe (``d_low``) fetches nothing.
+LOOKUP_SQL = (
+    "select d.name, (select count(*) from emp e where e.empno > d.num_emps "
+    "and e.building = d.building) from dept d where d.budget < 10000 "
+    "order by d.name"
+)
+LOOKUP_ROWS = [
+    ("d_low", 0), ("d_null", 0), ("ops", 2), ("research", 2), ("sales", 0),
+    ("support", 2),
+]
+
+
+def _step_by_step(monkeypatch):
+    """Compile every plan from here on with no lookup applying a filter."""
+    monkeypatch.setattr(
+        executor, "compile_lookup_filter", lambda expr, offsets, quantifier: None
+    )
+
+
+def _observed_run(catalog, sql=LOOKUP_SQL, plan_cache=None, **observed):
+    """(rows or the typed error, counted work, trace) of one execution;
+    with a ``plan_cache``, of the hit after the execution that filled it."""
+    db = Database(catalog, plan_cache=plan_cache)
+    if plan_cache is not None:
+        db.execute(sql, strategy="ni")
+    tracer = observed.get("tracer")
+    try:
+        result = db.execute(sql, strategy="ni", **observed)
+    except (BudgetExceeded, FaultInjectedError) as error:
+        outcome = (type(error).__name__, str(error))
+        metrics = getattr(error, "metrics", None)
+        work = None if metrics is None else metrics.as_dict()
+    else:
+        outcome, work = result.rows, result.metrics.as_dict()
+    roots = [] if tracer is None else tracer.roots
+    return outcome, work, [_tree(r) for r in roots], db
+
+
+@pytest.mark.parametrize("setting,cached", [
+    # A traced execution does not go through the plan cache.
+    ("bare", False), ("limits", False), ("tracer", False),
+    ("bare", True), ("limits", True),
+], ids=lambda value: {False: "cold", True: "cache-hit"}.get(value, value))
+def test_a_lookup_that_filters_and_the_plan_step_by_step_agree(
+    empdept_catalog, setting, cached, monkeypatch
+):
+    """Rows, every count and the trace tree -- the filter's span with its
+    calls and rows in, although the lookup did its work -- are those of the
+    same plan with the lookup and the filter as two passes."""
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
+    applied = []
+    monkeypatch.setattr(
+        executor, "compile_lookup_filter",
+        lambda *args: applied.append(evaluate.compile_lookup_filter(*args))
+        or applied[-1],
+    )
+
+    def run():
+        cache = PlanCache() if cached else None
+        rows, work, trace, _ = _observed_run(
+            empdept_catalog, plan_cache=cache, **OBSERVED[setting]()
+        )
+        assert cache is None or (cache.hits, cache.misses) == (1, 1)
+        return rows, work, trace
+
+    fused = run()
+    assert any(keep is not None for keep in applied)
+    assert fused[0] == LOOKUP_ROWS
+    assert fused[1]["index_lookups"] == 6 and fused[1]["index_rows"] == 12
+    _step_by_step(monkeypatch)
+    assert run() == fused
+    if setting == "tracer":
+        steps = [
+            (name, calls, rows_in, rows_out)
+            for name, calls, rows_in, rows_out, _, _ in _spans(fused[2])
+            if name.startswith(("index lookup", "filter"))
+        ]
+        assert steps[1:] == [
+            ("index lookup e via emp_building", 6, 6, 12),
+            ("filter", 5, 12, 6),  # applied by the lookup; d_low fetched nothing
+            ("filter", 3, 6, 6),  # twice nothing was kept
+        ]
+
+
+def _spans(trees):
+    for tree in trees:
+        yield tree
+        yield from _spans(tree[5])
+
+
+@pytest.mark.parametrize("budget", [
+    {"max_subquery_invocations": 3}, {"max_rows_scanned": 6},
+    {"max_rows_materialized": 1},
+], ids=lambda budget: next(iter(budget)))
+def test_a_budget_trips_on_the_same_checkpoint_either_way(
+    empdept_catalog, budget, monkeypatch
+):
+    """The error, the ``Metrics`` snapshot it carries and the spans open and
+    closed by then are the same: no checkpoint moved."""
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
+
+    def run():
+        outcome, work, trace, _ = _observed_run(
+            empdept_catalog, limits=Limits(**budget), tracer=Tracer()
+        )
+        return outcome, work, trace
+
+    fused = run()
+    assert fused[0][0] == "BudgetExceeded" and fused[1] is not None
+    _step_by_step(monkeypatch)
+    assert run() == fused
+
+
+def test_an_injected_index_fault_fires_at_the_same_probe_either_way(
+    empdept_catalog, monkeypatch
+):
+    """``storage.index_lookup`` is triggered once per lookup step, before
+    the first probe, whether or not the step also filters."""
+    # Seed 1 lets the first two lookup steps through and fails the third.
+    monkeypatch.setenv("REPRO_FAULTS", "1:storage.index_lookup=0.5")
+
+    def run():
+        outcome, work, trace, db = _observed_run(empdept_catalog, tracer=Tracer())
+        return outcome, trace, db.faults.log()
+
+    fused = run()
+    assert fused[0] == (
+        "FaultInjectedError",
+        "injected fault at 'storage.index_lookup' (trigger #2) (emp_building)",
+    )
+    _step_by_step(monkeypatch)
+    assert run() == fused

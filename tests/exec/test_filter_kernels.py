@@ -1,19 +1,30 @@
 """``compile_filter``: whatever the shape of the predicate -- a comparison
 kernel or the member-by-member filter -- a WHERE step keeps exactly the
-members ``COMPARISONS[op]`` is TRUE for and raises exactly when it does."""
+members ``COMPARISONS[op]`` is TRUE for and raises exactly when it does.
+``compile_lookup_filter``: the same when the index lookup ahead of the step
+applies it to the rows it fetches, and which steps it does that for."""
 
 from typing import Callable, NamedTuple, Optional
 
 import pytest
 
 from repro.errors import ExecutionError, SchemaError
-from repro.exec import evaluate
+from repro.exec import evaluate, executor
 from repro.exec.evaluate import compile_filter
-from repro.exec.executor import ExecutionContext
-from repro.qgm.model import BaseTableBox, Quantifier
+from repro.exec.executor import ExecutionContext, compile_select
+from repro.plan.planner import (
+    IndexLookupStep,
+    PredicateStep,
+    ScanStep,
+    SelectPlan,
+    SubqueryEvalStep,
+)
+from repro.qgm.expr import BoxScalarSubquery
+from repro.qgm.model import BaseTableBox, OutputColumn, Quantifier, SelectBox
 from repro.sql import ast
 from repro.storage import Catalog
-from repro.types import COMPARISONS
+from repro.storage.schema import schema_from_pairs
+from repro.types import COMPARISONS, SQLType
 
 OPS = ("=", "<>", "!=", "<", "<=", ">", ">=")
 #: NULL and two values of each class, 2 and 2.0 equal across classes.
@@ -179,3 +190,274 @@ def test_an_unbound_parameter_is_the_existing_error(left):
         keep([(1, 2)], _ctx(params=(7,)))
     assert keep([(7, 2), (8, 2), (None, 2)], _ctx(params=(0, 7))) == [(7, 2)]
     assert keep([(7, 2)], _ctx(params=(0, None))) == []
+
+
+# -- the same comparisons inside the index lookup ahead of them --------------
+#
+# ``select m.k, f.n from m, f where f.k = m.k and <predicate>`` as the plan
+# scan m / index lookup f / filter: ``m(k, v)`` holds one row per member,
+# ``f(k, a, n)`` the rows fetched for member ``k``, numbered by ``n``.
+
+
+class Fused(NamedTuple):
+    """One way to write ``a <op> b`` with one operand in the fetched row.
+    ``predicate(op, m, f, value)`` is the expression over the quantifiers of
+    the plan; ``fetched`` says which operand ``f.a`` is and ``other`` where
+    the second one is: the ``member``'s ``m.v``, the one ``outer`` value
+    of the box, or in the predicate (``literal``, ``parameter``)."""
+
+    predicate: Callable
+    fetched: str
+    other: str
+
+
+FUSED = {
+    "fetched-member": Fused(
+        lambda op, m, f, _: ast.Comparison(op, f.ref("a"), m.ref("v")),
+        "left", "member",
+    ),
+    "member-fetched": Fused(
+        lambda op, m, f, _: ast.Comparison(op, m.ref("v"), f.ref("a")),
+        "right", "member",
+    ),
+    "fetched-outer": Fused(
+        lambda op, m, f, _: ast.Comparison(op, f.ref("a"), OUTER.ref("x")),
+        "left", "outer",
+    ),
+    "outer-fetched": Fused(
+        lambda op, m, f, _: ast.Comparison(op, OUTER.ref("x"), f.ref("a")),
+        "right", "outer",
+    ),
+    "fetched-literal": Fused(
+        lambda op, m, f, b: ast.Comparison(op, f.ref("a"), ast.Literal(b)),
+        "left", "literal",
+    ),
+    "fetched-parameter": Fused(
+        lambda op, m, f, _: ast.Comparison(op, f.ref("a"), ast.Parameter(0)),
+        "left", "parameter",
+    ),
+}
+
+
+def _lookup_plan(predicate_of, then=()):
+    """The plan above around ``predicate_of(m, f)``; ``then(box)`` is what
+    follows the lookup instead of just the filter."""
+    box = SelectBox()
+    m = box.add_quantifier(BaseTableBox("m", ["k", "v"]), "m")
+    f = box.add_quantifier(BaseTableBox("f", ["k", "a", "n"]), "f")
+    predicate = predicate_of(m, f)
+    box.predicates = [predicate]
+    box.outputs = [
+        OutputColumn("member", m.ref("k")), OutputColumn("row", f.ref("n")),
+    ]
+    lookup = IndexLookupStep(f, "f_k", ("k",), (m.ref("k"),))
+    after = then(box) if then else [PredicateStep(predicate)]
+    return SelectPlan(box, [ScanStep(m), lookup, *after], estimated_rows=0.0)
+
+
+def _lookup_catalog(members, fetched):
+    """``members``: the ``v`` of each member; ``fetched``: per member the
+    ``a`` of each row its probe finds."""
+    catalog = Catalog()
+    m = catalog.create_table(
+        "m", schema_from_pairs([("k", SQLType.INT), ("v", SQLType.INT)])
+    )
+    f = catalog.create_table("f", schema_from_pairs(
+        [("k", SQLType.INT), ("a", SQLType.INT), ("n", SQLType.INT)]
+    ))
+    f.create_index("f_k", ["k"])
+    keys = [k for k, values in enumerate(fetched) for _ in values]
+    m.insert_many((k, None) for k in range(len(members)))
+    f.insert_many((k, None, n) for n, k in enumerate(keys))
+    # Values of every class in one column, past the schema's check: what a
+    # kernel does with a pair must not rest on what a schema lets in.
+    m.rows[:] = [(k, v) for k, v in enumerate(members)]
+    f.rows[:] = [
+        (k, a, n)
+        for n, (k, a) in enumerate(zip(keys, (a for row in fetched for a in row)))
+    ]
+    return catalog
+
+
+def _unfused(expr, offsets, quantifier):
+    """``compile_lookup_filter`` for a plan compiled step by step."""
+    return None
+
+
+def _compiled_plan(op, shape, other, fuse, monkeypatch):
+    """The plan around ``shape``'s predicate, its lookup applying the filter
+    (``fuse``) or compiled step by step."""
+    with monkeypatch.context() as patch:
+        if not fuse:
+            patch.setattr(executor, "compile_lookup_filter", _unfused)
+        plan = _lookup_plan(lambda m, f: shape.predicate(op, m, f, other))
+        plan.compiled = compile_select(plan)
+    return plan
+
+
+def _looked_up(op, shape, members, fetched, other=None, *, fuse, monkeypatch):
+    """(kept ``(member, row)`` pairs, counted work) of the plan over the
+    catalog of ``members`` and ``fetched``, or the error it raised."""
+    plan = _compiled_plan(op, shape, other, fuse, monkeypatch)
+    assert plan.compiled.fused == (frozenset({1}) if fuse else frozenset())
+    ctx = ExecutionContext(
+        _lookup_catalog(members, fetched), plan.box,
+        params=(other,) if shape.other == "parameter" else (),
+    )
+    ctx.seed_plans({plan.box.id: plan})
+    try:
+        rows = ctx.box_rows(plan.box, (other,) if shape.other == "outer" else ())
+    except SchemaError as error:
+        return ("SchemaError", str(error))
+    return rows, ctx.metrics.as_dict()
+
+
+def _batches(shape):
+    """(members, fetched, other value, the (a, b) of every fetched row in
+    order) -- each pair alone, then as many at once as the shape holds: every
+    pair when the other operand is the member's, else those sharing it."""
+    flip = (lambda a, b: (a, b)) if shape.fetched == "left" else (
+        lambda a, b: (b, a)
+    )
+    for a, b in PAIRS:  # ``a``: the fetched value, ``b``: the other
+        yield [b], [[a]], b, [flip(a, b)]
+    for b in VALUES:
+        yield [b], [VALUES], b, [flip(a, b) for a in VALUES]
+    if shape.other == "member":
+        yield (
+            VALUES, [VALUES] * len(VALUES), None,
+            [flip(a, b) for b in VALUES for a in VALUES],
+        )
+
+
+@pytest.mark.parametrize("name", sorted(FUSED))
+@pytest.mark.parametrize("op", OPS)
+def test_a_lookup_that_filters_keeps_what_the_filter_after_it_would(
+    op, name, monkeypatch
+):
+    """Rows, every count and the ``SchemaError`` of the first incomparable
+    pair -- operands left then right -- are those of the plan compiled step
+    by step, which in turn are what ``COMPARISONS[op]`` says."""
+    shape = FUSED[name]
+    for members, fetched, other, pairs in _batches(shape):
+        step_by_step = _looked_up(
+            op, shape, members, fetched, other, fuse=False, monkeypatch=monkeypatch
+        )
+        fused = _looked_up(
+            op, shape, members, fetched, other, fuse=True, monkeypatch=monkeypatch
+        )
+        if step_by_step[0] == "SchemaError":
+            # Both name the first incomparable pair, but only the plan
+            # compiled step by step has probed every key by then.
+            assert fused == step_by_step, (members, fetched)
+            assert _outcome(lambda: [COMPARISONS[op](a, b) for a, b in pairs]) == (
+                step_by_step
+            )
+            continue
+        assert fused == step_by_step, (members, fetched)
+        rows, work = fused
+        keys = [k for k, row in enumerate(fetched) for _ in row]
+        assert rows == [
+            (keys[n], n) for n, (a, b) in enumerate(pairs)
+            if COMPARISONS[op](a, b) is True
+        ]
+        assert work["index_lookups"] == len(members)
+        assert work["index_rows"] == len(pairs)
+
+
+@pytest.mark.parametrize("name", sorted(FUSED))
+def test_null_keeps_nothing_and_the_probe_still_counts(name, monkeypatch):
+    shape = FUSED[name]
+    for members, fetched, other in (
+        ([None], [[1, 2, None]], None),  # NULL in the other operand
+        ([1], [[None, None]], 1),  # NULL in the fetched column
+        ([1], [[]], 1),  # nothing fetched at all
+    ):
+        rows, work = _looked_up(
+            "=", shape, members, fetched, other, fuse=True, monkeypatch=monkeypatch
+        )
+        assert rows == []
+        assert work["index_lookups"] == 1
+        assert work["index_rows"] == len(fetched[0])
+
+
+@pytest.mark.parametrize("fuse", [True, False], ids=["fused", "step-by-step"])
+def test_an_unbound_parameter_inside_a_lookup_is_the_existing_error(
+    fuse, monkeypatch
+):
+    plan = _compiled_plan("=", FUSED["fetched-parameter"], None, fuse, monkeypatch)
+
+    def run(fetched):
+        ctx = ExecutionContext(_lookup_catalog([1], fetched), plan.box)
+        ctx.seed_plans({plan.box.id: plan})
+        return ctx.box_rows(plan.box)
+
+    with pytest.raises(
+        ExecutionError, match=r"unbound parameter \?0 \(0 value\(s\) supplied\)"
+    ):
+        run([[7]])
+    # No row fetched, no filter run: nothing reads the parameter.
+    assert run([[]]) == []
+
+
+def _scalar_step(box):
+    """A ``SubqueryEvalStep`` (and the filter reading its value) for ``box``."""
+    inner = SelectBox()
+    u = inner.add_quantifier(BaseTableBox("m", ["k", "v"]), "u")
+    inner.outputs = [OutputColumn("k", u.ref("k"))]
+    node = BoxScalarSubquery(inner)
+    f = box.quantifiers[1]
+    predicate = ast.Comparison("=", f.ref("a"), node)
+    box.predicates = [predicate]
+    return [SubqueryEvalStep(node), PredicateStep(predicate)]
+
+
+def _later_quantifier(box):
+    """A filter reading a quantifier that a step after it binds."""
+    g = box.add_quantifier(BaseTableBox("m", ["k", "v"]), "g")
+    predicate = ast.Comparison("=", box.quantifiers[1].ref("a"), g.ref("v"))
+    box.predicates = [predicate]
+    return [PredicateStep(predicate), ScanStep(g)]
+
+
+NOT_FUSED = {
+    "null-safe": lambda m, f: ast.Comparison("<=>", f.ref("a"), m.ref("v")),
+    "conjunction": lambda m, f: ast.And([
+        ast.Comparison("=", f.ref("a"), m.ref("v")),
+        ast.Comparison(">", f.ref("a"), ast.Literal(0)),
+    ]),
+    "constant-on-the-left": lambda m, f: ast.Comparison(
+        "=", ast.Literal(1), f.ref("a")
+    ),
+    "arithmetic": lambda m, f: ast.Comparison(
+        "=", f.ref("a"), ast.BinaryOp("+", m.ref("v"), ast.Literal(1))
+    ),
+    "both-fetched": lambda m, f: ast.Comparison("=", f.ref("a"), f.ref("k")),
+    "neither-fetched": lambda m, f: ast.Comparison("=", m.ref("v"), ast.Literal(1)),
+}
+
+
+def test_which_steps_a_lookup_applies():
+    """Only the filter right after the lookup, and only a kernel shape with
+    the fetched column against something known before the probe."""
+    for name, shape in FUSED.items():
+        plan = _lookup_plan(lambda m, f: shape.predicate("<", m, f, 1))
+        compiled = compile_select(plan)
+        assert compiled.fused == {1}, name
+        assert len(compiled.steps) == len(compiled.labels) == len(plan.steps) == 3
+    for name, predicate_of in NOT_FUSED.items():
+        assert compile_select(_lookup_plan(predicate_of)).fused == set(), name
+    for then in (_scalar_step, _later_quantifier):
+        plan = _lookup_plan(lambda m, f: ast.Literal(True), then)
+        assert compile_select(plan).fused == set(), then.__name__
+
+    def two_filters(box):
+        first, second = (
+            ast.Comparison(op, box.quantifiers[1].ref("a"), ast.Literal(1))
+            for op in (">=", "<=")
+        )
+        box.predicates = [first, second]
+        return [PredicateStep(first), PredicateStep(second)]
+
+    compiled = compile_select(_lookup_plan(lambda m, f: ast.Literal(True), two_filters))
+    assert compiled.fused == {1} and len(compiled.steps) == 4

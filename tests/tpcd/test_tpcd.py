@@ -17,6 +17,7 @@ from repro.tpcd import (
 )
 from repro.tpcd.schema import NATIONS, REGIONS
 from repro.sql.parser import parse_statement
+from repro.trace import Tracer
 
 
 class TestSchema:
@@ -144,13 +145,20 @@ class TestPaperQueriesRun:
         assert len(result.rows) == europeans  # LOJ keeps every supplier
 
 
-def test_q1_variant_under_ni_does_the_pinned_work():
+@pytest.fixture(scope="module")
+def ladder_db():
+    """The catalog of the benchmark ladder's ``nested_iteration`` cells."""
+    return Database(load_tpcd(scale_factor=0.005, seed=19960226))
+
+
+def test_q1_variant_under_ni_does_the_pinned_work(ladder_db):
     """The benchmark ladder's ``q1v/ni`` cell -- its longest -- as counts.
     A change to the executor that claims cheaper work, not less of it, must
     leave every one of them where it is; one that claims less work moves
     them here, on purpose."""
-    db = Database(load_tpcd(scale_factor=0.005, seed=19960226))
-    result = db.execute(QUERY_1_VARIANT, strategy=Strategy.NESTED_ITERATION)
+    result = ladder_db.execute(
+        QUERY_1_VARIANT, strategy=Strategy.NESTED_ITERATION
+    )
     assert len(result.rows) == 123
     work = result.metrics.as_dict()
     assert {name: work[name] for name in (
@@ -163,6 +171,43 @@ def test_q1_variant_under_ni_does_the_pinned_work():
         "index_rows": 462_672,
         "total_work": 495_141,
     }
+
+
+def test_q1_variant_under_ni_does_it_in_the_pinned_steps(ladder_db):
+    """The same cell step by step: what the traced operator tree says of the
+    correlated SPJ box, the one run once per outer binding. The totals above
+    cannot tell a lookup that hands on 458 864 rows from one that hands on
+    557; these can. Per step: calls, rows in, rows out, index probes, rows
+    fetched."""
+    result = ladder_db.execute(
+        QUERY_1_VARIANT, strategy=Strategy.NESTED_ITERATION, tracer=Tracer()
+    )
+
+    def spans(span):
+        yield span
+        for child in span.children:
+            yield from spans(child)
+
+    (subquery,) = [
+        span for root in result.tracer.roots for span in spans(root)
+        if span.name.startswith("scalar subquery")
+    ]
+    (group_by,) = subquery.children
+    (select,) = group_by.children
+    assert (select.calls, select.rows_out) == (241, 557)
+    assert [
+        (
+            step.name, step.calls, step.rows_in, step.rows_out,
+            step.metrics["index_lookups"], step.metrics["index_rows"],
+        )
+        for step in select.children
+    ] == [
+        ("scan s1", 241, 241, 12_050, 0, 0),
+        ("filter", 241, 12_050, 5_784, 0, 0),
+        ("index lookup ps1 via ps_suppkey_idx", 241, 5_784, 458_864, 5_784, 458_864),
+        ("filter", 241, 458_864, 557, 0, 0),
+        ("filter", 241, 557, 557, 0, 0),
+    ]
 
 
 class TestEmpDept:
