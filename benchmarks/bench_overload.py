@@ -17,7 +17,6 @@ import pytest
 
 from repro import Database, QueryService
 from repro.serve import overload as overload_module
-from repro.serve import service as service_module
 from repro.serve.overload import OverloadConfig
 from repro.serve.soak import OverloadPhase, overload_scenario, run_scenario
 from repro.tpcd import EMP_DEPT_QUERY, load_empdept
@@ -45,7 +44,7 @@ def test_disabled_path_never_touches_the_overload_machinery(
             "overload machinery reached with overload=None"
         )
 
-    monkeypatch.setattr(service_module, "fingerprint", boom)
+    monkeypatch.setattr(overload_module, "fingerprint", boom)
     for name in ("ServiceTimeEstimator", "RetryGovernor",
                  "BrownoutController", "TokenBucket"):
         for attr in ("observe", "estimate", "admit", "take"):

@@ -34,6 +34,11 @@ Documented intentional exceptions (DESIGN section 9) the lint encodes:
   append; taking the service lock there could deadlock against
   ``_breaker()``), so it is deliberately absent from
   :data:`GUARDED_ATTRS`;
+* the admission policy (``QueryService._policy``, see
+  :mod:`repro.serve.overload`) holds the overload-control state and takes
+  no lock of its own: its mutating methods carry the *caller holds the
+  lock* marker and are only ever called inside the service's critical
+  section (``tests/analyze/test_conc.py`` checks the markers);
 * ``Table.rows`` / ``Table.indexes`` *readers* take no lock (append-only
   list, copy-on-write dict) -- only mutations are checked.
 
@@ -90,10 +95,10 @@ CLASS_LOCKS: dict[str, dict[str, str]] = {
 #: under that class's lock (DESIGN section 9, "who owns what").
 GUARDED_ATTRS: dict[str, frozenset[str]] = {
     "queryservice": frozenset({
-        "_queue", "_tickets", "_latencies", "_trace_history",
-        "_queue_depth_samples", "_breakers", "_closed",
-        "_submitted", "_admitted", "_rejected", "_completed", "_failed",
-        "_cancelled", "_in_flight",
+        "_queue", "_tickets", "_closed", "_breakers",
+        "_counts", "_in_flight",
+        "_latencies", "_queue_wait_samples", "_queue_depth_samples",
+        "_phase_samples", "_trace_history",
     }),
     "plancache": frozenset({"_entries", "hits", "misses", "invalidations"}),
     "catalog": frozenset({"_tables", "_views", "_generation"}),

@@ -19,7 +19,7 @@ from typing import Any, Optional, TYPE_CHECKING
 from ..errors import BindError, ExecutionError, ReproError
 from ..exec import Metrics, execute_graph
 from ..faults import FaultRegistry
-from ..guard import ExecutionGuard, Limits
+from ..guard import ExecutionGuard, Limits, guard_for
 from ..qgm import build_qgm, graph_to_text
 from ..qgm.model import QueryGraph
 from ..sql import ast
@@ -376,9 +376,13 @@ class Database:
             # rewrite/optimize/execute marks.
             phases.mark("plan_cache")
         if prepared is not None and prepared.entry is not None:
-            return self._run_cached(
-                prepared, sql=sql, cse_mode=cse_mode,
-                limits=limits, guard=guard, phases=phases,
+            return self._run_guarded(
+                lambda guard: self._run_cached(
+                    prepared, sql=sql, cse_mode=cse_mode, guard=guard,
+                    phases=phases,
+                ),
+                sql=sql, key=prepared.strategy_key,
+                limits=limits, guard=guard,
             )
         statement = parse_statement(sql)
         if not isinstance(statement, (ast.Select, ast.SetOp)):
@@ -394,33 +398,6 @@ class Database:
         return result
 
     def _run_cached(
-        self,
-        prepared,
-        *,
-        sql: str,
-        cse_mode: str,
-        limits: Optional[Limits],
-        guard: Optional[ExecutionGuard],
-        phases=None,
-    ) -> Result:
-        if guard is None and limits is not None:
-            from ..guard import guard_for
-
-            guard = guard_for(limits)
-        if self.events is None and self.slow_log is None:
-            return self._run_cached_inner(
-                prepared, sql=sql, cse_mode=cse_mode, guard=guard,
-                phases=phases,
-            )
-        return self._observe_query(
-            lambda: self._run_cached_inner(
-                prepared, sql=sql, cse_mode=cse_mode, guard=guard,
-                phases=phases,
-            ),
-            sql=sql, key=prepared.strategy_key, guard=guard, tracer=None,
-        )
-
-    def _run_cached_inner(
         self,
         prepared,
         *,
@@ -449,71 +426,39 @@ class Database:
         statement: ast.QueryBody,
         strategy: Strategy,
         cse_mode: str,
-        decorrelate_existential: bool = True,
+        *,
+        sql: Optional[str] = None,
         limits: Optional[Limits] = None,
         guard: Optional[ExecutionGuard] = None,
-        fallback: bool = False,
-        sql: Optional[str] = None,
-        disabled=None,
         tracer: Optional["Tracer"] = None,
-        phases=None,
+        **options: Any,
     ) -> Result:
-        if self.events is None and self.slow_log is None:
-            return self._run_query_inner(
-                statement, strategy, cse_mode,
-                decorrelate_existential=decorrelate_existential,
-                limits=limits, guard=guard, fallback=fallback, sql=sql,
-                disabled=disabled, tracer=tracer, phases=phases,
-            )
-        return self._run_query_observed(
-            statement, strategy, cse_mode,
-            decorrelate_existential=decorrelate_existential,
-            limits=limits, guard=guard, fallback=fallback, sql=sql,
-            disabled=disabled, tracer=tracer, phases=phases,
-        )
-
-    def _run_query_observed(
-        self,
-        statement: ast.QueryBody,
-        strategy: Strategy,
-        cse_mode: str,
-        decorrelate_existential: bool = True,
-        limits: Optional[Limits] = None,
-        guard: Optional[ExecutionGuard] = None,
-        fallback: bool = False,
-        sql: Optional[str] = None,
-        disabled=None,
-        tracer: Optional["Tracer"] = None,
-        phases=None,
-    ) -> Result:
-        key = getattr(strategy, "value", strategy)
+        """Rewrite and execute one query body; ``options`` are the
+        remaining keywords of :meth:`_run_query_inner`, passed through."""
         if sql is None:
             sql = to_sql(statement)
-        if guard is None and limits is not None:
-            from ..guard import guard_for
-
-            guard = guard_for(limits)
-            limits = None
-        run = lambda: self._run_query_inner(  # noqa: E731
-            statement, strategy, cse_mode,
-            decorrelate_existential=decorrelate_existential,
-            limits=limits, guard=guard, fallback=fallback, sql=sql,
-            disabled=disabled, tracer=tracer, phases=phases,
-        )
-        return self._observe_query(
-            run, sql=sql, key=key, guard=guard, tracer=tracer
+        return self._run_guarded(
+            lambda guard: self._run_query_inner(
+                statement, strategy, cse_mode,
+                sql=sql, guard=guard, tracer=tracer, **options,
+            ),
+            sql=sql, key=getattr(strategy, "value", strategy),
+            limits=limits, guard=guard, tracer=tracer,
         )
 
-    def _observe_query(
+    def _run_guarded(
         self,
         run,
         *,
         sql: str,
         key,
+        limits: Optional[Limits],
         guard: Optional[ExecutionGuard],
-        tracer: Optional["Tracer"],
+        tracer: Optional["Tracer"] = None,
     ) -> Result:
-        """The instrumented query path: lifecycle events + slow-query log.
+        """``run(guard)`` -- plainly, or under lifecycle events and the
+        slow-query log when this facade has either. The one place that is
+        decided, and the one place ``limits`` become a guard.
 
         Lifecycle events (``query.started`` / ``query.finished``) are
         emitted only when no outer scope owns the query already -- the
@@ -522,11 +467,15 @@ class Database:
         events (degradations, faults, budget trips) without duplicating
         the service's.
         """
+        if guard is None:
+            guard = guard_for(limits)
+        events = self.events
+        if events is None and self.slow_log is None:
+            return run(guard)
         import time as _time
 
         from ..errors import QueryCancelled
 
-        events = self.events
         if events is not None and guard is not None:
             guard.events = events
         owns_lifecycle = (
@@ -550,7 +499,7 @@ class Database:
             if owns_lifecycle:
                 events.emit("query.started", strategy=key)
             try:
-                result = run()
+                result = run(guard)
                 outcome = "completed"
                 return result
             except QueryCancelled:
@@ -594,17 +543,15 @@ class Database:
         statement: ast.QueryBody,
         strategy: Strategy,
         cse_mode: str,
+        *,
+        sql: str,
         decorrelate_existential: bool = True,
-        limits: Optional[Limits] = None,
         guard: Optional[ExecutionGuard] = None,
         fallback: bool = False,
-        sql: Optional[str] = None,
         disabled=None,
         tracer: Optional["Tracer"] = None,
         phases=None,
     ) -> Result:
-        if sql is None:
-            sql = to_sql(statement)
         degradations: list = []
         if fallback:
             graph, degradations = self.engine.rewrite_with_fallback(
@@ -638,7 +585,7 @@ class Database:
                 phases.mark("optimize")
         rows, metrics = execute_graph(
             graph, self.catalog, cse_mode=cse_mode,
-            limits=limits, guard=guard, faults=self.faults, tracer=tracer,
+            guard=guard, faults=self.faults, tracer=tracer,
         )
         if phases is not None:
             phases.mark("execute")

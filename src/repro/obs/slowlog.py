@@ -25,6 +25,13 @@ from typing import Any, Optional
 from ..errors import EventLogError
 
 
+#: The keys of a per-query summary a slow-query record keeps as they are.
+_SUMMARY_KEYS = (
+    "query_id", "sql", "strategy", "outcome", "latency_ms", "degradations",
+    "metrics", "phases", "brownout_level",
+)
+
+
 class SlowQueryLog:
     """Bounded, thread-safe capture of queries slower than a threshold.
 
@@ -76,14 +83,12 @@ class SlowQueryLog:
         queued or slow because executing" without a separate trace."""
         if latency_ms < self.threshold_ms:
             return None
-        record = {
-            "ts": self._clock(),
+        return self._keep({
             "query_id": query_id,
             "sql": sql,
             "strategy": strategy,
             "outcome": outcome,
             "latency_ms": round(latency_ms, 3),
-            "threshold_ms": self.threshold_ms,
             "degradations": [str(event) for event in degradations],
             "metrics": metrics.as_dict() if metrics is not None else None,
             "operators": (
@@ -92,6 +97,24 @@ class SlowQueryLog:
             ),
             "phases": dict(phases) if phases is not None else None,
             "brownout_level": brownout_level,
+        })
+
+    def capture(self, summary: dict) -> Optional[dict]:
+        """:meth:`observe` for a query that is already summarised (the
+        query service's :meth:`~repro.serve.service.Ticket.summary`): the
+        record is a key-subset of ``summary``, its ``operators`` (absent
+        for an untraced run) cut to ``top_operators``."""
+        if summary["latency_ms"] < self.threshold_ms:
+            return None
+        fields = {key: summary[key] for key in _SUMMARY_KEYS}
+        fields["operators"] = (
+            summary.get("operators", [])[:self.top_operators]
+        )
+        return self._keep(fields)
+
+    def _keep(self, fields: dict) -> dict:
+        record = {
+            "ts": self._clock(), "threshold_ms": self.threshold_ms, **fields
         }
         with self._lock:
             self._ring.append(record)
@@ -99,11 +122,11 @@ class SlowQueryLog:
         if self.events is not None:
             self.events.emit(
                 "query.slow",
-                query_id=query_id,
+                query_id=record["query_id"],
                 latency_ms=record["latency_ms"],
                 threshold_ms=self.threshold_ms,
-                strategy=strategy,
-                outcome=outcome,
+                strategy=record["strategy"],
+                outcome=record["outcome"],
             )
         return record
 

@@ -23,7 +23,11 @@ queries that can still finish:
   configured rungs at sustained high utilization, with hysteresis on an
   injectable clock so it never flaps;
 * :class:`OverloadConfig` -- the knob bundle wiring all of it into the
-  service (``overload=None`` keeps the seed FIFO behaviour exactly).
+  service (``overload=None`` keeps the seed FIFO behaviour exactly);
+* :class:`FifoPolicy` / :class:`AdaptivePolicy` -- the one admission-policy
+  surface the service calls at every point where overload control has a
+  say. The service holds exactly one (:func:`admission_policy`) and never
+  asks which: ``overload=None`` *is* the FIFO policy.
 
 None of these classes take locks: the service mutates them inside its
 own critical section (they are documented as externally synchronized),
@@ -32,9 +36,12 @@ keeping the §9 lock order flat.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Any, Optional
+
+from ..guard import Limits
 
 from ..plan.cache import fingerprint, normalize_sql  # noqa: F401 -- re-export
 
@@ -466,6 +473,399 @@ class OverloadConfig:
         fraction = self.class_quotas.get(priority)
         if fraction is None:
             return None
-        import math
-
         return math.ceil(max_queue * fraction)
+
+
+# -- the admission policy -----------------------------------------------------
+
+@dataclass(frozen=True)
+class Verdict:
+    """One arrival decided; the defaults admit. ``refuse`` is the reason
+    it is turned away (``hint`` its ``retry_after_hint``, ``marker`` an
+    overload-specific ``(kind, payload)`` event emitted beside
+    ``query.rejected``); ``shed`` is the queued ticket evicted to make
+    room -- already out of the queue, ``hint`` the backoff its client is
+    told."""
+
+    refuse: Optional[str] = None
+    hint: Optional[float] = None
+    marker: Optional[tuple[str, dict]] = None
+    shed: Any = None
+
+
+ADMIT = Verdict()
+
+
+class FifoPolicy:
+    """Plain admission, first come first served: what ``overload=None``
+    means, and the whole policy surface -- the service calls these nine
+    methods and reads ``level`` unconditionally. Externally synchronized:
+    all but :meth:`fingerprint` run inside the service's critical
+    section, on the service's own queue."""
+
+    #: Current brownout ladder level (see :data:`BROWNOUT_RUNGS`).
+    level = 0
+
+    def __init__(self, workers: int, max_queue: int):
+        self.workers = workers
+        self.max_queue = max_queue
+        #: Exponentially-weighted mean query latency (seconds); drives the
+        #: ``retry_after_hint`` on queue-full rejections. None until the
+        #: first completion -- with no data, rejections carry no hint.
+        self._latency_ema: Optional[float] = None
+
+    def fingerprint(self, sql: str) -> str:
+        """The shape key of ``sql`` (called outside the lock)."""
+        return ""
+
+    def admit(
+        self, queue, in_flight: int, fp: str, strategy: str, rank: int,
+        deadline: Optional[float], now: float,
+    ) -> Verdict:
+        """Total-capacity rule: admit while admitted-but-unfinished
+        work fits in ``workers + max_queue``.  (Queue depth alone
+        would make ``max_queue=0`` unusable even with idle workers.)
+        Caller holds the lock."""
+        if in_flight + len(queue) < self.workers + self.max_queue:
+            return ADMIT
+        return Verdict("queue full", self._retry_hint(queue, in_flight))
+
+    def _retry_hint(self, queue, in_flight: int) -> Optional[float]:
+        """The backoff estimate attached to a queue-full rejection: a
+        full service clears roughly ``workers`` queries per mean latency,
+        so one slot frees after about ``ema * (depth + 1) / workers``
+        seconds. Deliberately rough -- the point is to replace a client's
+        blind hot-loop with a back-off on the right order of magnitude.
+        ``None`` before the first completion (no data, no hint)."""
+        if self._latency_ema is None:
+            return None
+        return round(
+            self._latency_ema * (len(queue) + 1) / self.workers, 6
+        )
+
+    def budget(self, limits: Limits) -> Limits:
+        """The budgets an admitted ticket runs under."""
+        return limits
+
+    def enqueue(self, queue, ticket) -> None:
+        """Queue an admitted ticket. Caller holds the lock."""
+        queue.append(ticket)
+
+    def expire(self, queue) -> list:
+        """Take the tickets to evict as ``expired_in_queue`` out of the
+        queue. Caller holds the lock."""
+        return []
+
+    def dequeued(self, ticket) -> None:
+        """A worker picked ``ticket`` up. Caller holds the lock."""
+
+    def observe(self, load: int, now: float) -> Optional[dict]:
+        """One pressure sample (``load`` admitted-but-unfinished
+        tickets); the brownout transition record when the ladder
+        stepped. Caller holds the lock."""
+        return None
+
+    def finished(self, ticket, completed: bool) -> None:
+        """A ticket that ran has its latency. Caller holds the lock."""
+        self._latency_ema = (
+            ticket.latency if self._latency_ema is None
+            else 0.2 * ticket.latency + 0.8 * self._latency_ema
+        )
+
+    def stats(self) -> dict:
+        """The :class:`~repro.serve.service.ServiceStats` fields this
+        policy fills (the others keep their zeros). Caller holds the
+        lock."""
+        return {}
+
+
+class AdaptivePolicy(FifoPolicy):
+    """Adaptive overload control, built from an :class:`OverloadConfig`.
+    Owns what the mechanisms learn and count: estimator, retry governor,
+    brownout ladder and its transitions, the class quotas with the
+    per-rank census of the queue, and the counters of its own decisions.
+    A ticket it takes out of the queue is counted here, where queue and
+    census change, and handed back to the service to settle in the same
+    critical section."""
+
+    def __init__(self, config: OverloadConfig, workers: int, max_queue: int):
+        super().__init__(workers, max_queue)
+        self.config = config
+        self.estimator = config.build_estimator()
+        self.governor = config.build_governor()
+        self.brownout = config.build_brownout()
+        self._quotas = [
+            config.quota_for(priority, max_queue)
+            for priority in PRIORITIES  # indexed by rank
+        ]
+        self._queued_by_rank = [0, 0, 0]
+        #: Its own decisions, by :class:`ServiceStats` field.
+        self.counts = dict.fromkeys(
+            ("rejected_futile", "retry_storm_rejected", "shed",
+             "expired_in_queue"), 0,
+        )
+        self.transitions: list[dict] = []
+
+    @property
+    def level(self) -> int:
+        return self.brownout.level
+
+    def fingerprint(self, sql: str) -> str:
+        return fingerprint(sql)
+
+    def admit(
+        self, queue, in_flight: int, fp: str, strategy: str, rank: int,
+        deadline: Optional[float], now: float,
+    ) -> Verdict:
+        """Overload control, in order: gate retry storms, refuse
+        provably-futile work, enforce class quotas -- then the capacity
+        rule, with priority shedding as the last resort before
+        rejection. Caller holds the lock."""
+        config = self.config
+        load = in_flight + len(queue)
+        full = load >= self.workers + self.max_queue
+        if self.governor is not None:
+            if full:
+                allowed, wait_remaining = self.governor.admit(fp, now)
+                if not allowed:
+                    hint = (
+                        round(wait_remaining, 6)
+                        if wait_remaining is not None else None
+                    )
+                    self.counts["retry_storm_rejected"] += 1
+                    return Verdict(
+                        "retry storm", hint,
+                        ("overload.retry_storm", {"retry_after_hint": hint}),
+                    )
+            else:
+                # Early resubmission to a service with capacity is
+                # not a storm -- the hint was only an estimate.
+                self.governor.forgive(fp)
+        if (
+            config.deadline_admission
+            and deadline is not None
+            # Futility rejection only pays when the arrival would
+            # contend for a worker: with idle capacity, executing a
+            # doomed-looking query costs nothing (the estimate may
+            # be wrong; an idle worker is wrong for sure).
+            and load >= self.workers
+        ):
+            # No rejection while the estimator is cold (no evidence).
+            estimate = self.estimator.estimate(fp, strategy)
+            if estimate is not None:
+                wait = self._backlog_seconds(queue, in_flight) / self.workers
+                if wait + estimate > deadline * config.admission_slack:
+                    self.counts["rejected_futile"] += 1
+                    return self._refuse(
+                        "deadline unmeetable", fp, now,
+                        round(wait, 6) if wait > 0 else None,
+                        ("overload.futile", {
+                            "predicted_ms": round((wait + estimate) * 1000, 3),
+                            "deadline_ms": round(deadline * 1000, 3),
+                        }),
+                    )
+        quota = self._quotas[rank]
+        if (
+            quota is not None
+            and load >= self.workers
+            and self._queued_by_rank[rank] >= quota
+        ):
+            return self._refuse(
+                "class quota", fp, now, self._retry_hint(queue, in_flight)
+            )
+        if not full:
+            return ADMIT
+        if (
+            config.shed_lower_priority
+            and queue
+            and queue[-1].rank > rank
+        ):
+            # The queue is priority-ordered (FIFO within class),
+            # so its tail is the newest lowest-priority ticket.
+            victim = queue.pop()
+            self._queued_by_rank[victim.rank] -= 1
+            self.counts["shed"] += 1
+            return Verdict(
+                hint=self._retry_hint(queue, in_flight), shed=victim
+            )
+        return self._refuse(
+            "queue full", fp, now, self._retry_hint(queue, in_flight)
+        )
+
+    def _refuse(
+        self, reason: str, fp: str, now: float, hint: Optional[float],
+        marker: Optional[tuple[str, dict]] = None,
+    ) -> Verdict:
+        """A refusal that tells the retry governor when ``fp`` is welcome
+        back. Caller holds the lock."""
+        if self.governor is not None:
+            self.governor.record_rejection(fp, now, hint)
+        return Verdict(reason, hint, marker)
+
+    def _backlog_seconds(self, queue, in_flight: int) -> float:
+        """Estimated seconds of work already admitted: per-shape
+        estimates for every queued ticket (global mean for cold shapes)
+        plus half a mean per in-flight query (in expectation, running
+        work is half done)."""
+        mean = self.estimator.global_mean() or 0.0
+        queued = 0.0
+        for ticket in queue:
+            estimate = self.estimator.estimate(
+                ticket.fingerprint, ticket.strategy
+            )
+            queued += estimate if estimate is not None else mean
+        return queued + 0.5 * mean * in_flight
+
+    def _retry_hint(self, queue, in_flight: int) -> Optional[float]:
+        """With a warm estimator, the predicted time for the current
+        backlog to clear one slot (per-shape estimates for queued work,
+        half a mean for each in-flight query); the latency-EMA estimate
+        until then."""
+        mean = self.estimator.global_mean()
+        if mean is None:
+            return super()._retry_hint(queue, in_flight)
+        backlog = self._backlog_seconds(queue, in_flight)
+        return round((backlog + mean) / self.workers, 6)
+
+    def budget(self, limits: Limits) -> Limits:
+        """The tighten-budgets brownout rung: scale the row/invocation
+        budgets by ``brownout_limit_scale``. The timeout is *not*
+        scaled -- the deadline is the client's contract, and shrinking it
+        here would corrupt the futility test's arithmetic."""
+        if not self.brownout.tightening_budgets:
+            return limits
+        scale = self.config.brownout_limit_scale
+
+        def scaled(value: Optional[int]) -> Optional[int]:
+            return None if value is None else max(1, int(value * scale))
+
+        return Limits(
+            timeout=limits.timeout,
+            max_rows_scanned=scaled(limits.max_rows_scanned),
+            max_rows_materialized=scaled(limits.max_rows_materialized),
+            max_subquery_invocations=scaled(
+                limits.max_subquery_invocations
+            ),
+        )
+
+    def enqueue(self, queue, ticket) -> None:
+        """Priority order (rank ascending) with FIFO stability inside
+        each class -- the insert walks from the tail, so same-rank
+        traffic stays O(1). Caller holds the lock."""
+        if not queue or queue[-1].rank <= ticket.rank:
+            queue.append(ticket)
+        else:
+            index = len(queue)
+            while index > 0 and queue[index - 1].rank > ticket.rank:
+                index -= 1
+            queue.insert(index, ticket)
+        self._queued_by_rank[ticket.rank] += 1
+
+    def expire(self, queue) -> list:
+        """Eagerly evict queued tickets whose deadline already passed
+        (``expired_in_queue`` outcome) -- the slot frees without a worker
+        dequeue and without burning any execution on a dead query.
+
+        Cancelled tickets are left for the workers: they must resolve as
+        ``cancelled`` (the ``close(drain=False)`` contract), not as
+        expired, even when their deadline also lapsed. Caller holds the
+        lock."""
+        if not self.config.eager_expiry or not queue:
+            return []
+        expired = [
+            ticket for ticket in queue
+            if not ticket.guard.cancelled and ticket.guard.expired()
+        ]
+        if expired:
+            dead = set(id(ticket) for ticket in expired)
+            alive = [ticket for ticket in queue if id(ticket) not in dead]
+            queue.clear()
+            queue.extend(alive)
+            for ticket in expired:
+                self._queued_by_rank[ticket.rank] -= 1
+            self.counts["expired_in_queue"] += len(expired)
+        return expired
+
+    def dequeued(self, ticket) -> None:
+        """Snapshot the ladder at dequeue: the whole run uses one
+        consistent level, however the ladder moves. Caller holds the
+        lock."""
+        self._queued_by_rank[ticket.rank] -= 1
+        ticket.brownout_level = self.brownout.level
+        if self.brownout.forcing_cheapest:
+            # Among magic, the strategy of last resort and the one asked
+            # for; magic when none of them has history for this shape.
+            ticket.forced_strategy = (
+                self.estimator.cheapest(
+                    ticket.fingerprint, ("magic", "ni", ticket.strategy)
+                )
+                or "magic"
+            )
+
+    def observe(self, load: int, now: float) -> Optional[dict]:
+        """Feed current utilization to the brownout ladder; record and
+        return a transition when it steps. Caller holds the lock."""
+        # Pressure = admitted-but-unfinished work per worker: 1.0 means
+        # every worker is spoken for, above 1.0 there is queue backlog
+        # on top. Queue fill against max_queue would be blind here --
+        # admission control deliberately keeps the queue short, so the
+        # overload it is busy managing would never register.
+        utilization = load / self.workers
+        step = self.brownout.observe(utilization, now)
+        if step is None:
+            return None
+        old, new = step
+        record = {
+            "from": old,
+            "to": new,
+            "direction": "down" if new > old else "up",
+            "utilization": round(utilization, 4),
+            "rung": BROWNOUT_RUNGS[new],
+        }
+        self.transitions.append(record)
+        return record
+
+    def finished(self, ticket, completed: bool) -> None:
+        """Learn *execution* time (dequeue to finish) under the requested
+        strategy; queue wait is what admission predicts from these
+        numbers, so it must not pollute them. Failed runs are truncated
+        by their trip point and would bias the estimate low. Caller
+        holds the lock."""
+        super().finished(ticket, completed)
+        if completed:
+            self.estimator.observe(
+                ticket.fingerprint,
+                ticket.strategy,
+                max(
+                    0.0,
+                    ticket.submitted_at + ticket.latency - ticket.started_at,
+                ),
+            )
+
+    def stats(self) -> dict:
+        """The counters above plus the estimator/retry-governor
+        summaries. Caller holds the lock."""
+        summary = {"estimator": self.estimator.as_dict()}
+        penalized = 0
+        if self.governor is not None:
+            penalized = self.governor.penalized
+            summary["retry"] = {
+                "penalized": penalized,
+                "rejected": self.governor.rejected,
+            }
+        return {
+            **self.counts,
+            "retry_penalized": penalized,
+            "brownout_level": self.brownout.level,
+            "brownout_transitions": list(self.transitions),
+            "overload": summary,
+        }
+
+
+def admission_policy(
+    config: Optional[OverloadConfig], workers: int, max_queue: int
+) -> FifoPolicy:
+    """The one policy a service runs: FIFO for ``overload=None``."""
+    if config is None:
+        return FifoPolicy(workers, max_queue)
+    return AdaptivePolicy(config, workers, max_queue)

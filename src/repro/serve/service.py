@@ -48,7 +48,9 @@ while queued (a distinct ``expired_in_queue`` outcome that frees the
 slot without a worker dequeue), and a brownout degradation ladder with
 hysteresis (observability off -> budgets tightened -> cheapest strategy
 forced through the rewrite veto hook). ``overload=None`` (default)
-preserves plain FIFO behaviour exactly. The §9 conservation law
+preserves plain FIFO behaviour exactly: either way the service holds one
+admission policy (:func:`~repro.serve.overload.admission_policy`) and
+calls it unconditionally. The §9 conservation law
 extends to the new outcomes: ``admitted == completed + failed +
 cancelled + shed + expired_in_queue + in_flight + queue_depth``.
 """
@@ -60,7 +62,7 @@ import threading
 import time
 from array import array
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Optional
 
 from ..api.database import Database, Result
@@ -75,13 +77,7 @@ from ..exec.metrics import Metrics
 from ..guard import ExecutionGuard, Limits
 from ..obs.phases import PHASES, PhaseTimeline
 from .breaker import BreakerTransition, CircuitBreaker
-from .overload import (
-    BROWNOUT_RUNGS,
-    PRIORITIES,
-    OverloadConfig,
-    fingerprint,
-    priority_rank,
-)
+from .overload import OverloadConfig, admission_policy, priority_rank
 
 #: Ticket lifecycle states.
 QUEUED = "queued"
@@ -143,6 +139,8 @@ class Ticket:
         #: PhaseTimeline`); None unless the service runs with phase
         #: accounting on. Durations sum to :attr:`latency` exactly.
         self.phases: Optional[PhaseTimeline] = None
+        #: Top operator summaries of a traced run (None when untraced).
+        self.operators: Optional[list[dict]] = None
         self._event = threading.Event()
         self._result: Optional[Result] = None
         self._error: Optional[BaseException] = None
@@ -171,8 +169,46 @@ class Ticket:
         """The stored error (None while unfinished or on success)."""
         return self._error
 
+    def summary(self) -> dict:
+        """The one per-query summary of a finished ticket. The service's
+        trace-ring entry, its ``query.finished`` payload and its
+        slow-query record are key-subsets of this dict (DESIGN §16);
+        ``operators`` is present only for a traced run."""
+        result, error, phases = self._result, self._error, self.phases
+        assert self.latency is not None
+        summary = {
+            "query_id": self.query_id,
+            "sql": self.sql,
+            "strategy": self.strategy,
+            "outcome": self.state,
+            "latency_ms": round(self.latency * 1000, 3),
+            "error_type": type(error).__name__ if error is not None else None,
+            "metrics": (
+                result.metrics.as_dict() if result is not None else None
+            ),
+            "degradations": (
+                [str(event) for event in result.degradations]
+                if result is not None else []
+            ),
+            "phases": phases.as_ms_dict() if phases is not None else None,
+            "brownout_level": self.brownout_level,
+        }
+        if self.operators is not None:
+            summary["operators"] = self.operators
+        return summary
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Ticket(#{self.query_id}, {self.state}, {self.strategy})"
+
+
+#: The keys of :meth:`Ticket.summary` each consumer keeps.
+_TRACE_VIEW = ("query_id", "sql", "strategy", "outcome", "latency_ms", "metrics")
+_FINISHED_VIEW = (
+    "query_id", "outcome", "strategy", "latency_ms", "error_type", "metrics"
+)
+_PHASES_VIEW = ("query_id", "outcome", "latency_ms", "brownout_level", "phases")
+#: The terminal event of a ticket evicted from the queue, by outcome.
+_EVICTED_KIND = {SHED: "overload.shed", EXPIRED: "overload.expired"}
 
 
 #: Histogram bucket upper bounds (``le``), Prometheus-style cumulative.
@@ -182,22 +218,16 @@ LATENCY_BUCKETS: tuple[float, ...] = (
 QUEUE_DEPTH_BUCKETS: tuple[float, ...] = (0, 1, 2, 4, 8, 16, 32, 64)
 
 
-def _check_buckets(name: str, buckets) -> tuple[float, ...]:
-    """Validate user-supplied histogram bounds: non-empty, numeric,
-    strictly increasing. Returns them as a tuple."""
-    bounds = tuple(buckets)
-    if not bounds:
-        raise ValueError(f"{name} must be non-empty")
-    for value in bounds:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ValueError(
-                f"{name} entries must be numbers, got {value!r}"
-            )
-    if any(b <= a for a, b in zip(bounds, bounds[1:])):
-        raise ValueError(
-            f"{name} must be strictly increasing, got {list(bounds)}"
-        )
-    return bounds
+def _string_bounds(histogram: dict) -> dict:
+    """A :func:`_histogram` with its bucket bounds as strings (JSON object
+    keys)."""
+    return {
+        **histogram,
+        "buckets": {
+            str(bound): count
+            for bound, count in histogram.get("buckets", {}).items()
+        },
+    }
 
 
 def _histogram(values, buckets) -> dict:
@@ -268,7 +298,7 @@ class ServiceStats:
     #: only when the service runs with ``trace=True``.
     recent_traces: list = field(default_factory=list)
     #: Bounded ring of slow-query records (insertion order); populated
-    #: only when the service runs with ``slow_query_ms``/``slow_log``.
+    #: only when the service runs with ``slow_query_ms``.
     slow_queries: list = field(default_factory=list)
     #: Total queries over the slow threshold (may exceed the ring size).
     slow_total: int = 0
@@ -315,78 +345,23 @@ class ServiceStats:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "submitted": self.submitted,
-            "admitted": self.admitted,
-            "rejected": self.rejected,
-            "rejected_with_hint": self.rejected_with_hint,
-            "rejected_futile": self.rejected_futile,
-            "retry_storm_rejected": self.retry_storm_rejected,
-            "retry_penalized": self.retry_penalized,
-            "completed": self.completed,
-            "failed": self.failed,
-            "cancelled": self.cancelled,
-            "shed": self.shed,
-            "expired_in_queue": self.expired_in_queue,
-            "in_flight": self.in_flight,
-            "queue_depth": self.queue_depth,
-            "max_queue": self.max_queue,
-            "workers": self.workers,
-            "latency_p50_ms": self.latency_p50_ms,
-            "latency_p95_ms": self.latency_p95_ms,
-            "breakers": self.breakers,
-            "breaker_transitions": [
-                (t.strategy, t.from_state, t.to_state, t.reason)
-                for t in self.breaker_transitions
-            ],
-            "latency_histogram": {
-                **self.latency_histogram,
-                "buckets": {
-                    str(k): v
-                    for k, v in self.latency_histogram.get(
-                        "buckets", {}
-                    ).items()
-                },
-            },
-            "queue_depth_histogram": {
-                **self.queue_depth_histogram,
-                "buckets": {
-                    str(k): v
-                    for k, v in self.queue_depth_histogram.get(
-                        "buckets", {}
-                    ).items()
-                },
-            },
-            "recent_traces": self.recent_traces,
-            "slow_queries": self.slow_queries,
-            "slow_total": self.slow_total,
-            "brownout_level": self.brownout_level,
-            "brownout_transitions": self.brownout_transitions,
-            "queue_wait_histogram": {
-                **self.queue_wait_histogram,
-                "buckets": {
-                    str(k): v
-                    for k, v in self.queue_wait_histogram.get(
-                        "buckets", {}
-                    ).items()
-                },
-            },
-            "phase_histograms": {
-                phase: {
-                    **hist,
-                    "buckets": {
-                        str(k): v
-                        for k, v in hist.get("buckets", {}).items()
-                    },
-                }
-                for phase, hist in self.phase_histograms.items()
-            },
-            "overload": self.overload,
-            "plan_cache_hits": self.plan_cache_hits,
-            "plan_cache_misses": self.plan_cache_misses,
-            "plan_cache_invalidations": self.plan_cache_invalidations,
-            "plan_cache": self.plan_cache,
+        """Every field by name, JSON-ready: histogram bounds become
+        strings and breaker transitions plain tuples."""
+        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data["breaker_transitions"] = [
+            (t.strategy, t.from_state, t.to_state, t.reason)
+            for t in self.breaker_transitions
+        ]
+        for name in (
+            "latency_histogram", "queue_depth_histogram",
+            "queue_wait_histogram",
+        ):
+            data[name] = _string_bounds(data[name])
+        data["phase_histograms"] = {
+            phase: _string_bounds(histogram)
+            for phase, histogram in self.phase_histograms.items()
         }
+        return data
 
     # -- export -------------------------------------------------------------
 
@@ -614,26 +589,20 @@ class QueryService:
         event counts reconcile *exactly* with :class:`ServiceStats`
         counters (emissions share the counters' critical section).
         ``None`` (default) adds no overhead.
-    slow_query_ms / slow_log:
+    slow_query_ms:
         Slow-query capture: any query whose submission-to-completion
         latency exceeds ``slow_query_ms`` is recorded (SQL, strategy,
         outcome, degradations, metrics, top operators when traced) in a
-        bounded ring surfaced on :attr:`ServiceStats.slow_queries` and
-        :meth:`slow_queries`. ``slow_log`` passes a pre-built
-        :class:`repro.obs.slowlog.SlowQueryLog` instead (e.g. shared
-        with a facade). ``None`` (default) adds no overhead.
-    latency_buckets / queue_depth_buckets:
-        Histogram bucket upper bounds for the exported latency and
-        queue-depth histograms; default to :data:`LATENCY_BUCKETS` /
-        :data:`QUEUE_DEPTH_BUCKETS`. Must be non-empty and strictly
-        increasing.
+        bounded ring (:attr:`slow_log`) surfaced on
+        :attr:`ServiceStats.slow_queries` and :meth:`slow_queries`.
+        ``None`` (default) adds no overhead.
     overload:
         An :class:`~repro.serve.overload.OverloadConfig` switches on
         adaptive overload control: deadline-aware admission, priority
         shedding with class quotas, eager expiry of queued tickets, the
         retry-storm governor, and the brownout degradation ladder (see
-        module docstring and DESIGN §14). ``None`` (default) preserves
-        plain FIFO admission exactly.
+        module docstring and DESIGN §14). ``None`` (default) is the FIFO
+        policy: plain admission exactly.
     plan_cache:
         A :class:`~repro.plan.cache.PlanCache` shared by every worker
         facade: repeated query *templates* (same shape, different
@@ -663,9 +632,6 @@ class QueryService:
         trace_history: int = 64,
         events=None,
         slow_query_ms: Optional[float] = None,
-        slow_log=None,
-        latency_buckets=None,
-        queue_depth_buckets=None,
         overload: Optional[OverloadConfig] = None,
         plan_cache=None,
         phases: Optional[bool] = None,
@@ -692,22 +658,21 @@ class QueryService:
         self._tickets: dict[int, Ticket] = {}  # queued or running
         self._ids = itertools.count(1)
         self._closed = False
-        # counters (all guarded by self._lock)
-        self._submitted = 0
-        self._admitted = 0
-        self._rejected = 0
-        self._completed = 0
-        self._failed = 0
-        self._cancelled = 0
+        #: The admission policy (FIFO or adaptive; the service never asks
+        #: which). All its state is guarded by self._lock.
+        self._policy = admission_policy(overload, workers, max_queue)
+        #: Counters, by :class:`ServiceStats` field (guarded by
+        #: self._lock). A ticket that ran is counted under its terminal
+        #: state; the policy counts the ones it evicted from the queue.
+        self._counts = dict.fromkeys(
+            ("submitted", "admitted", "rejected", "rejected_with_hint",
+             COMPLETED, FAILED, CANCELLED), 0,
+        )
         self._in_flight = 0
-        self._rejected_with_hint = 0
         #: One sample per finished ticket for the life of the service, so
         #: kept unboxed (8 bytes a sample, not a float object and a slot).
         self._latencies = array("d")
-        #: Exponentially-weighted mean query latency (seconds); drives the
-        #: ``retry_after_hint`` on queue-full rejections. None until the
-        #: first completion -- with no data, rejections carry no hint.
-        self._latency_ema: Optional[float] = None
+        self._queue_wait_samples = array("d")  # per ticket, as _latencies
         # tracing: bounded ring of per-query summaries + depth samples
         self.trace = trace
         if trace_history < 1:
@@ -718,46 +683,13 @@ class QueryService:
         self.phases = trace if phases is None else phases
         self._phase_samples: dict[str, list[float]] = {}
         self._queue_depth_samples: list[int] = []
-        self._latency_buckets = (
-            LATENCY_BUCKETS if latency_buckets is None
-            else _check_buckets("latency_buckets", latency_buckets)
-        )
-        self._queue_depth_buckets = (
-            QUEUE_DEPTH_BUCKETS if queue_depth_buckets is None
-            else _check_buckets("queue_depth_buckets", queue_depth_buckets)
-        )
         # observability: structured events + slow-query capture
         self.events = events
-        if slow_log is not None:
-            self.slow_log = slow_log
-        elif slow_query_ms is not None:
+        self.slow_log = None
+        if slow_query_ms is not None:
             from ..obs.slowlog import SlowQueryLog
 
             self.slow_log = SlowQueryLog(slow_query_ms, events=events)
-        else:
-            self.slow_log = None
-        # adaptive overload control (all state guarded by self._lock)
-        self._overload = overload
-        if overload is not None:
-            self._estimator = overload.build_estimator()
-            self._governor = overload.build_governor()
-            self._brownout = overload.build_brownout()
-            self._quotas = [
-                overload.quota_for(priority, max_queue)
-                for priority in PRIORITIES  # indexed by rank
-            ]
-        else:
-            self._estimator = None
-            self._governor = None
-            self._brownout = None
-            self._quotas = [None, None, None]
-        self._queued_by_rank = [0, 0, 0]
-        self._shed = 0
-        self._expired_in_queue = 0
-        self._rejected_futile = 0
-        self._retry_storm_rejected = 0
-        self._brownout_transitions: list[dict] = []
-        self._queue_wait_samples = array("d")  # per ticket, as _latencies
         # shared plan cache (thread-safe; its own lock sits between the
         # service and catalog ranks in the section-9 order)
         self._plan_cache = plan_cache
@@ -782,6 +714,13 @@ class QueryService:
         ]
         for thread in self._threads:
             thread.start()
+
+    def _emit(self, kind: str, **payload: Any) -> None:
+        """One service-level event, when there is a log to take it.
+        Lifecycle emissions happen inside the counters' critical section
+        (per-kind counts must reconcile with ServiceStats)."""
+        if self.events is not None:
+            self.events.emit(kind, **payload)
 
     # -- submission ---------------------------------------------------------
 
@@ -815,149 +754,55 @@ class QueryService:
         deadline = (
             deadline if deadline is not None else self.default_deadline
         )
-        overload = self._overload
-        fp = fingerprint(sql) if overload is not None else ""
-        events = self.events
+        policy = self._policy
+        fp = policy.fingerprint(sql)
         with self._lock:
             # Every submission gets an id -- rejected ones included, so
             # their events carry an identity.
             query_id = next(self._ids)
-            self._submitted += 1
-            if events is not None:
-                events.emit(
-                    "query.submitted", query_id=query_id, strategy=key,
-                    priority=priority,
-                )
-            if self._closed:
-                self._rejected += 1
-                if events is not None:
-                    events.emit(
-                        "query.rejected", query_id=query_id,
-                        reason="service closed",
-                    )
-                raise AdmissionRejected(
-                    "service closed", len(self._queue), self.max_queue,
-                    in_flight=self._in_flight,
-                )
-            now = self._clock()
-            # Overload control, in order: evict already-dead tickets (may
-            # free slots), gate retry storms, refuse provably-futile
-            # work, enforce class quotas -- then the capacity rule, with
-            # priority shedding as the last resort before rejection.
-            self._expire_queued_locked(now)
-            full = (
-                self._in_flight + len(self._queue)
-                >= self.workers + self.max_queue
+            self._counts["submitted"] += 1
+            self._emit(
+                "query.submitted", query_id=query_id, strategy=key,
+                priority=priority,
             )
-            if overload is not None and self._governor is not None:
-                if full:
-                    allowed, wait_remaining = self._governor.admit(fp, now)
-                    if not allowed:
-                        hint = (
-                            round(wait_remaining, 6)
-                            if wait_remaining is not None else None
-                        )
-                        self._reject_locked(
-                            query_id, "retry storm", hint,
-                            extra_kind="overload.retry_storm",
-                        )
-                else:
-                    # Early resubmission to a service with capacity is
-                    # not a storm -- the hint was only an estimate.
-                    self._governor.forgive(fp)
-            if (
-                overload is not None
-                and overload.deadline_admission
-                and deadline is not None
-                # Futility rejection only pays when the arrival would
-                # contend for a worker: with idle capacity, executing a
-                # doomed-looking query costs nothing (the estimate may
-                # be wrong; an idle worker is wrong for sure).
-                and self._in_flight + len(self._queue) >= self.workers
-            ):
-                wait, estimate = self._predicted_wait_locked(fp, key)
-                if (
-                    wait is not None
-                    and estimate is not None
-                    and wait + estimate > deadline * overload.admission_slack
-                ):
-                    hint = round(wait, 6) if wait > 0 else None
-                    if self._governor is not None:
-                        self._governor.record_rejection(fp, now, hint)
-                    if events is not None:
-                        events.emit(
-                            "overload.futile", query_id=query_id,
-                            predicted_ms=round((wait + estimate) * 1000, 3),
-                            deadline_ms=round(deadline * 1000, 3),
-                        )
-                    self._reject_locked(
-                        query_id, "deadline unmeetable", hint,
-                    )
-            if overload is not None:
-                quota = self._quotas[rank]
-                would_wait = (
-                    self._in_flight + len(self._queue) >= self.workers
+            if self._closed:
+                self._reject_locked(query_id, "service closed")
+            now = self._clock()
+            # Evict already-dead tickets first (may free slots), then the
+            # policy decides: admit, refuse, or shed a queued ticket to
+            # make room.
+            self._expire_queued_locked(now)
+            verdict = policy.admit(
+                self._queue, self._in_flight, fp, key, rank, deadline, now
+            )
+            if verdict.refuse is not None:
+                self._reject_locked(
+                    query_id, verdict.refuse, verdict.hint, verdict.marker
                 )
-                if (
-                    quota is not None
-                    and would_wait
-                    and self._queued_by_rank[rank] >= quota
-                ):
-                    hint = self._retry_hint_locked()
-                    if self._governor is not None:
-                        self._governor.record_rejection(fp, now, hint)
-                    self._reject_locked(query_id, "class quota", hint)
-            # Total-capacity rule: admit while admitted-but-unfinished
-            # work fits in ``workers + max_queue``.  (Queue depth alone
-            # would make ``max_queue=0`` unusable even with idle workers.)
-            if full:
-                victim = None
-                if (
-                    overload is not None
-                    and overload.shed_lower_priority
-                    and self._queue
-                    and self._queue[-1].rank > rank
-                ):
-                    # The queue is priority-ordered (FIFO within class),
-                    # so its tail is the newest lowest-priority ticket.
-                    victim = self._queue.pop()
-                if victim is None:
-                    hint = self._retry_hint_locked()
-                    if self._governor is not None and overload is not None:
-                        self._governor.record_rejection(fp, now, hint)
-                    self._reject_locked(
-                        query_id, "queue full", hint,
-                        queue_depth=len(self._queue),
-                    )
-                else:
-                    self._resolve_queued_locked(
-                        victim, SHED,
-                        QueryShed(
-                            victim.priority, len(self._queue),
-                            retry_after_hint=self._retry_hint_locked(),
-                        ),
-                        now,
-                    )
-            merged = self._merge_limits(limits, deadline)
-            if (
-                self._brownout is not None
-                and self._brownout.tightening_budgets
-            ):
-                merged = self._tighten_limits(merged)
-            guard = ExecutionGuard(merged, clock=self._clock)
-            if events is not None:
-                guard.events = events
+            victim = verdict.shed
+            if victim is not None:
+                self._settle_locked(
+                    victim, SHED, now,
+                    error=QueryShed(
+                        victim.priority, len(self._queue),
+                        retry_after_hint=verdict.hint,
+                    ),
+                )
+            guard = ExecutionGuard(
+                policy.budget(self._merge_limits(limits, deadline)),
+                clock=self._clock,
+            )
+            guard.events = self.events
             ticket = Ticket(
                 query_id, sql, key, guard, now,
                 cse_mode=cse_mode, priority=priority, rank=rank,
                 fingerprint=fp, deadline_s=deadline,
             )
-            self._admitted += 1
-            if events is not None:
-                events.emit(
-                    "query.admitted", query_id=query_id,
-                    queue_depth=len(self._queue), priority=priority,
-                )
+            self._counts["admitted"] += 1
+            self._emit(
+                "query.admitted", query_id=query_id,
+                queue_depth=len(self._queue), priority=priority,
+            )
             self._tickets[ticket.query_id] = ticket
             self._queue_depth_samples.append(len(self._queue))
             if self.phases:
@@ -968,271 +813,73 @@ class QueryService:
                 # to ticket.latency exactly.
                 ticket.phases = PhaseTimeline(start=now, clock=self._clock)
                 ticket.phases.mark("admit")
-            self._enqueue_locked(ticket)
+            policy.enqueue(self._queue, ticket)
             self._not_empty.notify()
-            self._observe_overload_locked(now)
+            self._observe_locked(now)
             return ticket
 
     def _reject_locked(
         self,
         query_id: int,
         reason: str,
-        hint: Optional[float],
-        extra_kind: Optional[str] = None,
-        queue_depth: Optional[int] = None,
+        hint: Optional[float] = None,
+        marker: Optional[tuple[str, dict]] = None,
     ) -> None:
         """Count, emit and raise one admission rejection (lock held).
 
-        Every rejection emits ``query.rejected`` (so per-kind event
+        Every rejection -- a closed service's included -- emits
+        ``query.rejected`` with the same payload keys (so per-kind event
         counts keep reconciling with ``rejected``); overload-specific
-        reasons add a marker event via ``extra_kind``. Rejections are
+        reasons add their ``marker`` event. Rejections are
         also pressure observations for the brownout ladder -- under a
         storm they may be the *only* clock edges the service sees.
         """
-        self._observe_overload_locked(self._clock())
-        self._rejected += 1
+        self._observe_locked(self._clock())
+        self._counts["rejected"] += 1
         if hint is not None:
-            self._rejected_with_hint += 1
-        if reason == "deadline unmeetable":
-            self._rejected_futile += 1
-        elif reason == "retry storm":
-            self._retry_storm_rejected += 1
-        if self.events is not None:
-            if extra_kind is not None:
-                self.events.emit(
-                    extra_kind, query_id=query_id, retry_after_hint=hint,
-                )
-            payload = {"reason": reason, "retry_after_hint": hint}
-            if queue_depth is not None:
-                payload["queue_depth"] = queue_depth
-            self.events.emit(
-                "query.rejected", query_id=query_id, **payload
-            )
-        raise AdmissionRejected(
-            reason, len(self._queue), self.max_queue,
-            in_flight=self._in_flight, retry_after_hint=hint,
+            self._counts["rejected_with_hint"] += 1
+        depth = len(self._queue)
+        if marker is not None:
+            self._emit(marker[0], query_id=query_id, **marker[1])
+        self._emit(
+            "query.rejected", query_id=query_id, reason=reason,
+            retry_after_hint=hint, queue_depth=depth,
         )
-
-    def _enqueue_locked(self, ticket: Ticket) -> None:
-        """Insert a ticket into the wait queue.
-
-        Plain FIFO without overload control; with it, priority order
-        (rank ascending) with FIFO stability inside each class -- the
-        insert walks from the tail, so same-rank traffic stays O(1).
-        """
-        queue = self._queue
-        if (
-            self._overload is None
-            or not queue
-            or queue[-1].rank <= ticket.rank
-        ):
-            queue.append(ticket)
-        else:
-            index = len(queue)
-            while index > 0 and queue[index - 1].rank > ticket.rank:
-                index -= 1
-            queue.insert(index, ticket)
-        self._queued_by_rank[ticket.rank] += 1
-
-    def _retry_hint_locked(self) -> Optional[float]:
-        """The backoff estimate attached to a queue-full rejection (called
-        with the lock held).
-
-        With overload control and a warm estimator, the hint is the
-        predicted time for the current backlog to clear one slot
-        (per-shape estimates for queued work, half a mean for each
-        in-flight query). Otherwise: a full service clears roughly
-        ``workers`` queries per mean latency, so one slot frees after
-        about ``ema * (depth + 1) / workers`` seconds. Deliberately
-        rough -- the point is to replace a client's blind hot-loop with
-        a back-off on the right order of magnitude. ``None`` before the
-        first completion (no data, no hint)."""
-        if (
-            self._estimator is not None
-            and self._estimator.global_mean() is not None
-        ):
-            backlog = self._backlog_seconds_locked()
-            mean = self._estimator.global_mean()
-            return round((backlog + mean) / self.workers, 6)
-        if self._latency_ema is None:
-            return None
-        return round(
-            self._latency_ema * (len(self._queue) + 1) / self.workers, 6
+        raise AdmissionRejected(
+            reason, depth, self.max_queue,
+            in_flight=self._in_flight, retry_after_hint=hint,
         )
 
     # -- overload control (all helpers called with the lock held) -----------
 
-    def _backlog_seconds_locked(self) -> float:
-        """Estimated seconds of work already admitted: per-shape
-        estimates for every queued ticket (global mean for cold shapes)
-        plus half a mean per in-flight query (in expectation, running
-        work is half done)."""
-        mean = self._estimator.global_mean() or 0.0
-        queued = 0.0
-        for ticket in self._queue:
-            estimate = self._estimator.estimate(
-                ticket.fingerprint, ticket.strategy
-            )
-            queued += estimate if estimate is not None else mean
-        return queued + 0.5 * mean * self._in_flight
-
-    def _predicted_wait_locked(
-        self, fp: str, strategy: str
-    ) -> tuple[Optional[float], Optional[float]]:
-        """``(predicted queue wait, own service-time estimate)`` for one
-        arriving submission -- the futility test's inputs. Both ``None``
-        while the estimator is cold (no evidence, no rejection)."""
-        estimate = self._estimator.estimate(fp, strategy)
-        if estimate is None:
-            return None, None
-        return self._backlog_seconds_locked() / self.workers, estimate
-
     def _expire_queued_locked(self, now: Optional[float] = None) -> None:
-        """Eagerly evict queued tickets whose deadline already passed
-        (``expired_in_queue`` outcome) -- the slot frees without a worker
-        dequeue and without burning any execution on a dead query.
-
-        Cancelled tickets are left for the workers: they must resolve as
-        ``cancelled`` (the ``close(drain=False)`` contract), not as
-        expired, even when their deadline also lapsed. Reads the clock
-        only when overload control is on (stepping fake clocks must not
+        """Settle the queued tickets the policy evicts as expired. Reads
+        the clock only when there is one (stepping fake clocks must not
         tick on the seed paths). Caller holds the lock."""
-        if (
-            self._overload is None
-            or not self._overload.eager_expiry
-            or not self._queue
-        ):
-            return
-        expired = [
-            ticket for ticket in self._queue
-            if not ticket.guard.cancelled and ticket.guard.expired()
-        ]
+        expired = self._policy.expire(self._queue)
         if not expired:
             return
         if now is None:
             now = self._clock()
-        dead = set(id(ticket) for ticket in expired)
-        self._queue = deque(
-            ticket for ticket in self._queue if id(ticket) not in dead
-        )
         for ticket in expired:
-            self._resolve_queued_locked(
-                ticket, EXPIRED,
-                BudgetExceeded(
+            self._settle_locked(
+                ticket, EXPIRED, now,
+                error=BudgetExceeded(
                     "timeout",
                     ticket.guard.limits.timeout,
                     round(now - ticket.submitted_at, 6),
                     metrics=Metrics(),
                 ),
-                now,
             )
         if not self._queue and not self._in_flight:
             self._idle.notify_all()
 
-    def _resolve_queued_locked(
-        self, ticket: Ticket, outcome: str, error: BaseException, now: float
-    ) -> None:
-        """Resolve a ticket evicted from the queue (shed or expired)
-        without a worker ever touching it. Caller holds the lock and
-        has already removed the ticket from ``self._queue``; this
-        settles counters, events and the ticket's future.
-
-        (Distinct from :meth:`_finish`, which takes the lock itself and
-        records run outcomes -- eviction happens *inside* the admission
-        critical section.)"""
-        ticket.state = outcome
-        ticket.latency = now - ticket.submitted_at
-        # Shed/expired tickets are the *longest* waiters; the queue-wait
-        # histogram must see them too, not just the dequeue-to-run path
-        # (sampling only at dequeue biases the exported wait low).
-        self._queue_wait_samples.append(max(0.0, ticket.latency))
-        if ticket.phases is not None:
-            ticket.phases.mark("queue", now)
-            self._record_phases_locked(ticket, outcome)
-        self._tickets.pop(ticket.query_id, None)
-        self._queued_by_rank[ticket.rank] -= 1
-        if outcome == SHED:
-            self._shed += 1
-            kind = "overload.shed"
-        else:
-            self._expired_in_queue += 1
-            kind = "overload.expired"
-        if self.events is not None:
-            # Inside the counters' critical section, like every
-            # lifecycle emission (per-kind counts must reconcile).
-            self.events.emit(
-                kind,
-                query_id=ticket.query_id,
-                priority=ticket.priority,
-                queued_ms=round(ticket.latency * 1000, 3),
-            )
-        ticket._result = None
-        ticket._error = error
-        ticket._event.set()
-
-    def _record_phases_locked(self, ticket: Ticket, outcome: str) -> None:
-        """Fold one terminal ticket's phase budget into the per-phase
-        histogram samples and emit its ``query.phases`` event (inside
-        the counters' critical section, like every lifecycle emission,
-        so the event count reconciles with terminal outcomes exactly).
-        Caller holds the lock and has set ``ticket.latency``."""
-        timeline = ticket.phases
-        for name, seconds in timeline.durations.items():
-            self._phase_samples.setdefault(name, []).append(seconds)
-        if self.events is not None:
-            self.events.emit(
-                "query.phases",
-                query_id=ticket.query_id,
-                outcome=outcome,
-                latency_ms=round(ticket.latency * 1000, 3),
-                brownout_level=ticket.brownout_level,
-                phases=timeline.as_ms_dict(),
-            )
-
-    def _tighten_limits(self, merged: Limits) -> Limits:
-        """The tighten-budgets brownout rung: scale the row/invocation
-        budgets by ``brownout_limit_scale``. The timeout is *not*
-        scaled -- the deadline is the client's contract, and shrinking it
-        here would corrupt the futility test's arithmetic."""
-        scale = self._overload.brownout_limit_scale
-
-        def scaled(value: Optional[int]) -> Optional[int]:
-            return None if value is None else max(1, int(value * scale))
-
-        return Limits(
-            timeout=merged.timeout,
-            max_rows_scanned=scaled(merged.max_rows_scanned),
-            max_rows_materialized=scaled(merged.max_rows_materialized),
-            max_subquery_invocations=scaled(
-                merged.max_subquery_invocations
-            ),
-        )
-
-    def _observe_overload_locked(self, now: float) -> None:
-        """Feed current utilization to the brownout ladder; record and
-        emit a transition when it steps."""
-        if self._brownout is None:
-            return
-        # Pressure = admitted-but-unfinished work per worker: 1.0 means
-        # every worker is spoken for, above 1.0 there is queue backlog
-        # on top. Queue fill against max_queue would be blind here --
-        # admission control deliberately keeps the queue short, so the
-        # overload it is busy managing would never register.
-        utilization = (self._in_flight + len(self._queue)) / self.workers
-        step = self._brownout.observe(utilization, now)
-        if step is None:
-            return
-        old, new = step
-        record = {
-            "from": old,
-            "to": new,
-            "direction": "down" if new > old else "up",
-            "utilization": round(utilization, 4),
-            "rung": BROWNOUT_RUNGS[new],
-        }
-        self._brownout_transitions.append(record)
-        if self.events is not None:
-            self.events.emit("overload.brownout", **record)
+    def _observe_locked(self, now: float) -> None:
+        """Hand the policy one pressure observation; emit the brownout
+        transition when the ladder stepped. Caller holds the lock."""
+        step = self._policy.observe(self._in_flight + len(self._queue), now)
+        if step is not None:
+            self._emit("overload.brownout", **step)
 
     def evaluate_overload(self) -> int:
         """Run one overload-control evaluation outside the submit/finish
@@ -1248,8 +895,8 @@ class QueryService:
         with self._lock:
             now = self._clock()
             self._expire_queued_locked(now)
-            self._observe_overload_locked(now)
-            return self._brownout.level if self._brownout is not None else 0
+            self._observe_locked(now)
+            return self._policy.level
 
     @staticmethod
     def _merge_limits(
@@ -1298,27 +945,21 @@ class QueryService:
         local = self._tls
         db = getattr(local, "db", None)
         if db is None:
-            kwargs: dict[str, Any] = {}
-            if self._db.faults is not None:
-                kwargs["faults"] = (
-                    self._db.faults.replica()
-                    if self.fault_scope == "worker"
-                    else self._db.faults
-                )
-            if self.events is not None:
+            faults = self._db.faults
+            if faults is not None and self.fault_scope == "worker":
+                faults = faults.replica()
+            db = Database(
+                catalog=self._db.catalog,
+                validate=self._db.engine.validate,
+                faults=faults,
                 # Engine-level events (degradations, faults, budget trips)
                 # flow into the service's log; lifecycle events stay with
                 # the service (the worker runs inside the ticket's scope,
                 # so the facade never claims the lifecycle itself).
-                kwargs["events"] = self.events
-            if self._plan_cache is not None:
+                events=self.events,
                 # One shared cache across facades: the whole point is
                 # that worker B hits on the template worker A filled.
-                kwargs["plan_cache"] = self._plan_cache
-            db = Database(
-                catalog=self._db.catalog,
-                validate=self._db.engine.validate,
-                **kwargs,
+                plan_cache=self._plan_cache,
             )
             local.db = db
         return db
@@ -1344,14 +985,13 @@ class QueryService:
         # (it never takes another lock), so emitting under the breaker
         # lock is safe.
         self._transitions.append(event)
-        if self.events is not None:
-            self.events.emit(
-                "breaker.transition",
-                strategy=event.strategy,
-                from_state=event.from_state,
-                to_state=event.to_state,
-                reason=event.reason,
-            )
+        self._emit(
+            "breaker.transition",
+            strategy=event.strategy,
+            from_state=event.from_state,
+            to_state=event.to_state,
+            reason=event.reason,
+        )
 
     def _worker_loop(self) -> None:
         while True:
@@ -1367,7 +1007,6 @@ class QueryService:
                 if not self._queue:
                     return  # closed and drained
                 ticket = self._queue.popleft()
-                self._queued_by_rank[ticket.rank] -= 1
                 ticket.state = RUNNING
                 now = self._clock()
                 ticket.started_at = now
@@ -1378,25 +1017,13 @@ class QueryService:
                     # Reuses the dequeue clock read: the "queue" phase
                     # ends exactly where started_at begins.
                     ticket.phases.mark("queue", now)
-                if self._brownout is not None:
-                    # Snapshot the ladder at dequeue: the whole run uses
-                    # one consistent level, however the ladder moves.
-                    ticket.brownout_level = self._brownout.level
-                    if self._brownout.forcing_cheapest:
-                        ticket.forced_strategy = (
-                            self._estimator.cheapest(
-                                ticket.fingerprint,
-                                ("magic", _LAST_RESORT, ticket.strategy),
-                            )
-                            or "magic"
-                        )
+                self._policy.dequeued(ticket)
                 self._in_flight += 1
             try:
                 self._run_ticket(ticket)
             finally:
                 with self._lock:
                     self._in_flight -= 1
-                    self._tickets.pop(ticket.query_id, None)
                     self._idle.notify_all()
 
     def _run_ticket(self, ticket: Ticket) -> None:
@@ -1449,7 +1076,7 @@ class QueryService:
             result = db.execute(
                 ticket.sql,
                 strategy=ticket.strategy,
-                cse_mode=getattr(ticket, "cse_mode", "recompute"),
+                cse_mode=ticket.cse_mode,
                 guard=ticket.guard,
                 fallback=True,
                 disabled=disabled,
@@ -1481,7 +1108,7 @@ class QueryService:
             # Execution-stage failure: attribute to the strategy whose
             # plan was executing (the last fallback taken, else requested).
             effective = ticket.strategy
-            for event in getattr(db.engine, "degradations", []) or []:
+            for event in db.engine.degradations:
                 effective = event.fallback or effective
             self._breaker(effective).record_failure(
                 f"{type(exc).__name__}: {exc}"
@@ -1503,116 +1130,106 @@ class QueryService:
         error: Optional[BaseException],
         tracer=None,
     ) -> None:
-        # One clock read settles both the measured latency and the final
-        # "drain" phase mark -- sharing the reading is what makes the
-        # phase durations sum to ticket.latency *exactly*.
         end = self._clock()
-        latency = end - ticket.submitted_at
-        phases = ticket.phases
-        if phases is not None:
-            phases.mark("drain", end)
-        summary = None
+        traced = None
         if tracer is not None:
             # Summarise outside the lock (walks the span tree), append
             # inside it (the ring is shared).
-            summary = {
-                "query_id": ticket.query_id,
-                "sql": ticket.sql,
-                "strategy": ticket.strategy,
-                "outcome": outcome,
-                "latency_ms": round(latency * 1000, 3),
-                "metrics": (
-                    result.metrics.as_dict() if result is not None
-                    else tracer.metric_totals()
-                ),
-                "operators": tracer.operator_summaries(top=8),
-            }
+            traced = {"operators": tracer.operator_summaries(top=8)}
+            if result is None:
+                # No Result to read the work from: the ring reports what
+                # the spans recorded.
+                traced["metrics"] = tracer.metric_totals()
         with self._lock:
-            ticket.state = outcome
-            ticket.latency = latency
-            if outcome == COMPLETED:
-                self._completed += 1
-            elif outcome == CANCELLED:
-                self._cancelled += 1
-            else:
-                self._failed += 1
-            self._latencies.append(latency)
-            self._latency_ema = (
-                latency if self._latency_ema is None
-                else 0.2 * latency + 0.8 * self._latency_ema
-            )
-            if (
-                self._estimator is not None
-                and outcome == COMPLETED
-                and ticket.started_at is not None
-            ):
-                # Learn *execution* time (dequeue to finish) under the
-                # requested strategy; queue wait is what admission
-                # predicts from these numbers, so it must not pollute
-                # them. Failed runs are truncated by their trip point
-                # and would bias the estimate low.
-                self._estimator.observe(
-                    ticket.fingerprint,
-                    ticket.strategy,
-                    max(
-                        0.0,
-                        ticket.submitted_at + latency - ticket.started_at,
-                    ),
-                )
-            if self._brownout is not None:
-                # Observed while this query still counts as in flight:
-                # sustained saturation must not flicker at completion
-                # edges. Recovery is driven by the lighter utilization
-                # later submissions (or evaluate_overload) read.
-                self._observe_overload_locked(
-                    ticket.submitted_at + latency
-                )
-            if summary is not None:
-                self._trace_history.append(summary)
-            if self.events is not None:
-                # Emitted in the counters' critical section so per-kind
-                # event counts reconcile exactly with ServiceStats.
-                if outcome == CANCELLED:
-                    self.events.emit(
-                        "query.cancelled", query_id=ticket.query_id
-                    )
-                self.events.emit(
-                    "query.finished",
-                    query_id=ticket.query_id,
-                    outcome=outcome,
-                    strategy=ticket.strategy,
-                    latency_ms=round(latency * 1000, 3),
-                    error_type=(
-                        type(error).__name__ if error is not None else None
-                    ),
-                    metrics=(
-                        result.metrics.as_dict()
-                        if result is not None else None
-                    ),
-                )
-            if phases is not None:
-                self._record_phases_locked(ticket, outcome)
-        if self.slow_log is not None and ticket.brownout_level < 1:
-            # Slow-query capture is shed at the first brownout rung,
-            # together with tracing (see BROWNOUT_RUNGS).
-            self.slow_log.observe(
-                latency * 1000,
-                sql=ticket.sql,
-                strategy=ticket.strategy,
-                query_id=ticket.query_id,
-                outcome=outcome,
-                degradations=(
-                    result.degradations if result is not None else ()
-                ),
-                metrics=result.metrics if result is not None else None,
-                tracer=tracer,
-                phases=(
-                    phases.as_ms_dict() if phases is not None else None
-                ),
-                brownout_level=ticket.brownout_level,
-            )
+            self._settle_locked(ticket, outcome, end, result, error, traced)
+
+    def _settle_locked(
+        self,
+        ticket: Ticket,
+        outcome: str,
+        now: float,
+        result: Optional[Result] = None,
+        error: Optional[BaseException] = None,
+        traced: Optional[dict] = None,
+    ) -> None:
+        """The one way out of the system. Every terminal outcome --
+        completed, failed, cancelled after a run; shed or expired
+        straight from the queue (eviction happens *inside* the admission
+        critical section) -- is settled here, so each ticket gets one
+        latency, one closing phase mark, one counted outcome and one
+        terminal event, and only then its future: the §9 conservation
+        law, events == counters and the phase-sum law hold because this
+        is the only place any of them is written. Caller holds the lock.
+
+        ``now`` is one clock read that settles both the measured latency
+        and the final phase mark -- sharing the reading is what makes the
+        phase durations sum to ticket.latency *exactly*. ``traced`` is
+        the tracer's account of a traced run: its top ``operators``, and
+        the ``metrics`` its spans recorded when there is no result."""
+        ran = ticket.started_at is not None
+        ticket.state = outcome
+        ticket.latency = latency = now - ticket.submitted_at
         ticket._result = result
         ticket._error = error
+        if ran:
+            self._counts[outcome] += 1
+            self._latencies.append(latency)
+            self._policy.finished(ticket, outcome == COMPLETED)
+            # Observed while this query still counts as in flight:
+            # sustained saturation must not flicker at completion
+            # edges. Recovery is driven by the lighter utilization
+            # later submissions (or evaluate_overload) read.
+            self._observe_locked(now)
+        else:
+            # Shed/expired tickets are the *longest* waiters; the
+            # queue-wait histogram must see them too, not just the
+            # dequeue-to-run path (sampling only at dequeue biases the
+            # exported wait low). The policy counted them on eviction.
+            self._queue_wait_samples.append(max(0.0, latency))
+        phases = ticket.phases
+        if phases is not None:
+            phases.mark("drain" if ran else "queue", now)
+            for name, seconds in phases.durations.items():
+                self._phase_samples.setdefault(name, []).append(seconds)
+        events = self.events
+        # Slow-query capture is shed at the first brownout rung,
+        # together with tracing (see BROWNOUT_RUNGS).
+        slow_log = self.slow_log if ran and ticket.brownout_level < 1 else None
+        if traced is not None or events is not None or slow_log is not None:
+            if traced is not None:
+                ticket.operators = traced["operators"]
+            summary = ticket.summary()
+            if traced is not None:
+                self._trace_history.append(
+                    {**{key: summary[key] for key in _TRACE_VIEW}, **traced}
+                )
+            if events is not None:
+                # Emitted in the counters' critical section so per-kind
+                # event counts reconcile exactly with ServiceStats.
+                if not ran:
+                    events.emit(
+                        _EVICTED_KIND[outcome],
+                        query_id=ticket.query_id,
+                        priority=ticket.priority,
+                        queued_ms=summary["latency_ms"],
+                    )
+                else:
+                    if outcome == CANCELLED:
+                        events.emit(
+                            "query.cancelled", query_id=ticket.query_id
+                        )
+                    events.emit(
+                        "query.finished",
+                        **{key: summary[key] for key in _FINISHED_VIEW},
+                    )
+                if phases is not None:
+                    events.emit(
+                        "query.phases",
+                        **{key: summary[key] for key in _PHASES_VIEW},
+                    )
+            if slow_log is not None:
+                slow_log.capture(summary)
+        self._tickets.pop(ticket.query_id, None)
         ticket._event.set()
 
     # -- lifecycle ----------------------------------------------------------
@@ -1623,7 +1240,9 @@ class QueryService:
         ``drain=True`` (default) lets queued and running queries finish;
         ``drain=False`` cancels everything still queued (their tickets
         resolve with :class:`~repro.errors.QueryCancelled`) and interrupts
-        running queries cooperatively.
+        running queries cooperatively. ``timeout`` bounds the whole wait
+        for the pool, not each worker -- in real seconds, since
+        ``Thread.join`` does not run on the injectable clock.
         """
         with self._lock:
             self._closed = True
@@ -1633,8 +1252,12 @@ class QueryService:
                 ]:
                     ticket.guard.cancel()
             self._not_empty.notify_all()
+        deadline = None if timeout is None else time.monotonic() + timeout
         for thread in self._threads:
-            thread.join(timeout)
+            thread.join(
+                None if deadline is None
+                else max(0.0, deadline - time.monotonic())
+            )
 
     def __enter__(self) -> "QueryService":
         return self
@@ -1670,7 +1293,7 @@ class QueryService:
 
     def slow_queries(self) -> list[dict]:
         """The bounded ring of slow-query records (insertion order);
-        empty unless the service runs with ``slow_query_ms``/``slow_log``."""
+        empty unless the service runs with ``slow_query_ms``."""
         if self.slow_log is None:
             return []
         return self.slow_log.records()
@@ -1685,30 +1308,8 @@ class QueryService:
                 self._plan_cache.snapshot()
                 if self._plan_cache is not None else {}
             )
-            overload_summary = {}
-            if self._overload is not None:
-                overload_summary["estimator"] = self._estimator.as_dict()
-                if self._governor is not None:
-                    overload_summary["retry"] = {
-                        "penalized": self._governor.penalized,
-                        "rejected": self._governor.rejected,
-                    }
             return ServiceStats(
-                submitted=self._submitted,
-                admitted=self._admitted,
-                rejected=self._rejected,
-                rejected_with_hint=self._rejected_with_hint,
-                rejected_futile=self._rejected_futile,
-                retry_storm_rejected=self._retry_storm_rejected,
-                retry_penalized=(
-                    self._governor.penalized
-                    if self._governor is not None else 0
-                ),
-                completed=self._completed,
-                failed=self._failed,
-                cancelled=self._cancelled,
-                shed=self._shed,
-                expired_in_queue=self._expired_in_queue,
+                **self._counts,
                 in_flight=self._in_flight,
                 queue_depth=len(self._queue),
                 max_queue=self.max_queue,
@@ -1726,40 +1327,32 @@ class QueryService:
                     for key, breaker in self._breakers.items()
                 },
                 breaker_transitions=list(self._transitions),
-                latency_histogram=_histogram(
-                    latencies, self._latency_buckets
-                ),
+                latency_histogram=_histogram(latencies, LATENCY_BUCKETS),
                 queue_depth_histogram=_histogram(
-                    self._queue_depth_samples, self._queue_depth_buckets
+                    self._queue_depth_samples, QUEUE_DEPTH_BUCKETS
                 ),
                 recent_traces=list(self._trace_history),
-                slow_queries=(
-                    self.slow_log.records()
-                    if self.slow_log is not None else []
-                ),
+                slow_queries=self.slow_queries(),
                 slow_total=(
                     self.slow_log.total if self.slow_log is not None else 0
                 ),
-                brownout_level=(
-                    self._brownout.level
-                    if self._brownout is not None else 0
-                ),
-                brownout_transitions=list(self._brownout_transitions),
                 queue_wait_histogram=_histogram(
-                    self._queue_wait_samples, self._latency_buckets
+                    self._queue_wait_samples, LATENCY_BUCKETS
                 ),
                 phase_histograms={
                     name: _histogram(
-                        self._phase_samples[name], self._latency_buckets
+                        self._phase_samples[name], LATENCY_BUCKETS
                     )
                     for name in PHASES
                     if name in self._phase_samples
                 },
-                overload=overload_summary,
                 plan_cache_hits=cache_summary.get("hits", 0),
                 plan_cache_misses=cache_summary.get("misses", 0),
                 plan_cache_invalidations=cache_summary.get(
                     "invalidations", 0
                 ),
                 plan_cache=cache_summary,
+                # The overload outcomes, brownout state and estimator /
+                # governor summaries: zeros and empties under FIFO.
+                **self._policy.stats(),
             )

@@ -1,13 +1,17 @@
 """The concurrency lint against the real service/storage code: the
 DESIGN section-9 contract must hold in CI, not just in prose."""
 
+import ast
 import os
 
 from repro.analyze.conc import (
+    _CALLER_HOLDS_MARKERS,
+    _MUTATORS,
     CLASS_LOCKS,
     GUARDED_ATTRS,
     LOCK_FREE_BY_DESIGN,
     LOCK_ORDER,
+    _self_attr,
     default_targets,
     iter_python_files,
     lint_paths,
@@ -79,3 +83,79 @@ class QueryService:
                     pass
 '''
     assert lint_source(source, "fixture.py") == []
+
+
+# -- the declared sets against the real service -------------------------------
+
+def _class_def(path, name):
+    with open(path, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    return next(
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef) and node.name == name
+    )
+
+
+def _mutated_self_attrs(function):
+    """``self.x`` names a function rebinds, deletes, subscript-assigns or
+    calls a mutator on -- the lint's own notion of a mutation."""
+    found = set()
+    for node in ast.walk(function):
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif isinstance(node, ast.Delete):
+            targets = node.targets
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in _MUTATORS
+        ):
+            targets = [node.func.value]
+        for target in targets:
+            if isinstance(target, ast.Subscript):
+                target = target.value
+            attr = _self_attr(target)
+            if attr is not None:
+                found.add(attr)
+    return found
+
+
+def test_every_shared_queryservice_attribute_is_declared():
+    """The guarded set cannot go stale: whatever ``__init__`` creates and
+    another method mutates is either checked or documented lock-free."""
+    serve = default_targets()[0]
+    service = _class_def(os.path.join(serve, "service.py"), "QueryService")
+    methods = [n for n in service.body if isinstance(n, ast.FunctionDef)]
+    init = next(m for m in methods if m.name == "__init__")
+    created = {a for a in _mutated_self_attrs(init) if a.startswith("_")}
+    shared = set()
+    for method in methods:
+        if method is not init:
+            shared |= _mutated_self_attrs(method) & created
+    declared = (
+        GUARDED_ATTRS["queryservice"] | LOCK_FREE_BY_DESIGN["queryservice"]
+    )
+    assert shared <= declared, sorted(shared - declared)
+    # ... and nothing is declared that the class no longer has.
+    assert declared <= created, sorted(declared - created)
+
+
+def test_policy_methods_that_mutate_state_say_who_holds_the_lock():
+    serve = default_targets()[0]
+    path = os.path.join(serve, "overload.py")
+    for name in ("FifoPolicy", "AdaptivePolicy"):
+        for method in _class_def(path, name).body:
+            if (
+                not isinstance(method, ast.FunctionDef)
+                or method.name == "__init__"
+                or not _mutated_self_attrs(method)
+            ):
+                continue
+            docstring = (ast.get_docstring(method) or "").lower()
+            assert any(m in docstring for m in _CALLER_HOLDS_MARKERS), (
+                f"{name}.{method.name} mutates policy state without the "
+                "'caller holds the lock' marker"
+            )

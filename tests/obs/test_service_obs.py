@@ -1,4 +1,4 @@
-"""QueryService observability: events, slow-query capture, bucket config."""
+"""QueryService observability: events and slow-query capture."""
 
 import json
 
@@ -6,7 +6,7 @@ import pytest
 
 from repro import Database, FaultRegistry, QueryService, Strategy
 from repro.errors import AdmissionRejected, FaultInjectedError
-from repro.obs import EventLog, RingSink, SlowQueryLog, count_by_kind
+from repro.obs import EventLog, RingSink, count_by_kind
 from repro.tpcd import EMP_DEPT_QUERY
 
 
@@ -26,37 +26,6 @@ class KimFaults(FaultRegistry):
     def trigger(self, site: str, detail: str = "") -> None:
         if site == "rewrite.strategy" and detail == "kim":
             raise FaultInjectedError(site, 0, detail)
-
-
-class TestBucketConfig:
-    def test_defaults_when_unspecified(self, db):
-        from repro.serve.service import LATENCY_BUCKETS, QUEUE_DEPTH_BUCKETS
-
-        with QueryService(db, workers=1) as service:
-            assert service._latency_buckets == LATENCY_BUCKETS
-            assert service._queue_depth_buckets == QUEUE_DEPTH_BUCKETS
-
-    def test_custom_buckets_shape_the_histograms(self, db):
-        with QueryService(
-            db, workers=1,
-            latency_buckets=(0.5, 60.0),
-            queue_depth_buckets=[0, 100],
-        ) as service:
-            service.submit(EMP_DEPT_QUERY, strategy="magic").result(timeout=30)
-            service.drain(timeout=30)
-            stats = service.stats()
-        assert list(stats.latency_histogram["buckets"]) == [0.5, 60.0]
-        assert stats.latency_histogram["buckets"][60.0] == 1
-        assert list(stats.queue_depth_histogram["buckets"]) == [0, 100]
-
-    @pytest.mark.parametrize("bad", [
-        (), [], (1.0, 1.0), (2.0, 1.0), (0.1, "fast"), (True, 2.0),
-    ])
-    def test_bad_buckets_rejected(self, db, bad):
-        with pytest.raises(ValueError):
-            QueryService(db, workers=1, latency_buckets=bad)
-        with pytest.raises(ValueError):
-            QueryService(db, workers=1, queue_depth_buckets=bad)
 
 
 class TestServiceEvents:
@@ -149,14 +118,6 @@ class TestServiceSlowLog:
             stats = service.stats()
         assert stats.slow_total == 0 and stats.slow_queries == []
         assert "repro_slow_queries_total 0" in stats.export("prometheus")
-
-    def test_shared_slow_log_instance(self, db):
-        shared = SlowQueryLog(0.0)
-        with QueryService(db, workers=1, slow_log=shared) as service:
-            service.submit(EMP_DEPT_QUERY).result(timeout=30)
-            service.drain(timeout=30)
-        assert shared.total == 1
-        assert service.slow_log is shared
 
     def test_traced_service_attaches_operators_to_slow_records(self, db):
         with QueryService(
