@@ -398,8 +398,10 @@ def cmd_parallel(args: argparse.Namespace) -> int:
     sites (``worker.crash``/``worker.stall``/``exchange.drop``) into the
     measured runs only.
 
-    Exit ``0`` when all four answers agree (and, fault-free, measured
-    message counts exactly match the simulator); ``1`` otherwise.
+    Exit ``0`` when every answer agrees (and, fault-free, measured
+    message counts *and* row work exactly equal the simulator's -- both
+    run the same plan functions, so any difference is a bug); ``1``
+    otherwise.
     """
     import json
 
@@ -454,8 +456,10 @@ def cmd_parallel(args: argparse.Namespace) -> int:
             json.dump(report, handle, indent=2, sort_keys=True)
             handle.write("\n")
         print(f"wrote {args.json}")
+    calibration = report["calibration"]
     ok = report["answers_agree"] and (
-        report["faulty"] or report["calibration"]["messages_exact"]
+        report["faulty"]
+        or (calibration["messages_exact"] and calibration["rows_exact"])
     )
     return 0 if ok else 1
 

@@ -1,24 +1,30 @@
 """Measured-vs-simulated calibration of the section-6 parallel claim.
 
-The simulator (:mod:`repro.parallel.simulate`) prices the paper's
-shared-nothing execution strategies in abstract cost units; the real
-executor (:mod:`repro.parallel.workers`) measures them in seconds on
-worker processes. This module runs both over the same data and the same
-cluster size and reports how well the simulation predicts reality.
+Both back-ends run the same plan functions (:mod:`repro.parallel.plans`):
+the simulator (:mod:`repro.parallel.simulate`) prices them in abstract
+cost units, the real executor (:mod:`repro.parallel.workers`) measures
+them in seconds on worker processes. This module runs both over the same
+data and the same cluster size and reports how well the simulation
+predicts reality.
 
 Two comparisons, deliberately different in strength:
 
-* **Messages** are directly comparable: both sides count point-to-point
-  messages under the same batching and the same crc32 placement, so in a
-  fault-free run the measured count must *equal* the simulated count --
-  a closed-loop check that the executor implements exactly the exchange
-  plan the simulator priced (``messages_exact``).
+* **Counts** are directly comparable: messages, row work, fragments and
+  task counts come from the one plan, the one repartitioning rule and the
+  one fragment interpreter, so in a fault-free run the measured numbers
+  must *equal* the simulated ones -- a closed-loop check that nothing on
+  either side re-implements the other (``messages_exact``,
+  ``rows_exact``).
 * **Makespans** live in different units (cost units vs. seconds), so the
   comparison is unit-free: the *advantage ratio* ``NI makespan /
   decorrelated makespan`` from each side, scored with the q-error
   ``max(a/b, b/a)`` familiar from cardinality-estimation work -- a
   q-error of 1.0 means the simulator predicts the measured speedup
   perfectly; 2.0 means it is off by at most 2x in either direction.
+  Wall-clock is noisy, so each strategy is measured
+  :data:`MEASURED_RUNS` times (NI and decorrelated alternating, run ``i``
+  of one paired with run ``i`` of the other) and makespan, advantage and
+  its q-error are reported as a median with quartiles.
 
 :func:`run_calibration` produces the report and (optionally) appends one
 ``parallel_section6`` record per strategy plus one ``parallel_calibration``
@@ -28,6 +34,7 @@ criterion asks for.
 
 from __future__ import annotations
 
+import statistics
 from typing import Optional
 
 from ..parallel import (
@@ -38,6 +45,19 @@ from ..parallel import (
 )
 from .history import append_record, make_record
 
+#: Measured runs per strategy; a ratio of two wall-clock times is never
+#: judged from one draw.
+MEASURED_RUNS = 5
+
+#: The counts both back-ends report, fault-free equal by construction.
+_COUNTS = ("messages", "fragments", "rows_processed", "tasks")
+
+#: report key -> (simulated back-end, measured back-end) of one plan.
+_STRATEGIES = {
+    "ni": (simulate_nested_iteration, run_real_nested_iteration),
+    "decorrelated": (simulate_decorrelated, run_real_decorrelated),
+}
+
 
 def qerror(a: float, b: float) -> float:
     """The symmetric ratio error ``max(a/b, b/a)`` (1.0 = perfect); inf
@@ -47,6 +67,16 @@ def qerror(a: float, b: float) -> float:
     if a <= 0 or b <= 0:
         return float("inf")
     return max(a / b, b / a)
+
+
+def _spread(values: list) -> tuple[float, float, float]:
+    """``(q1, median, q3)`` of a sample."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def _ratio(a: float, b: float) -> float:
+    return a / b if b > 0 else 0.0
 
 
 def run_calibration(
@@ -67,37 +97,45 @@ def run_calibration(
     and the calibration summary to the benchmark history. ``faults`` (a
     :class:`~repro.faults.FaultRegistry`) applies to the *measured* runs
     only -- the simulated side stays fault-free as the prediction being
-    tested; with faults injected, ``messages_exact`` is expected to be
-    False (recovery traffic is real) and is reported, not asserted.
-    """
-    sim_ni = simulate_nested_iteration(
-        dept_rows, emp_rows, n_workers, budget_limit=budget_limit
-    )
-    sim_mag = simulate_decorrelated(
-        dept_rows, emp_rows, n_workers, budget_limit=budget_limit
-    )
-    real_ni = run_real_nested_iteration(
-        dept_rows, emp_rows, n_workers, budget_limit=budget_limit,
-        faults=faults.replica() if faults is not None else None,
-        events=events, **pool_kwargs,
-    )
-    real_mag = run_real_decorrelated(
-        dept_rows, emp_rows, n_workers, budget_limit=budget_limit,
-        faults=faults.replica() if faults is not None else None,
-        events=events, **pool_kwargs,
-    )
+    tested; with faults injected, ``messages_exact`` and ``rows_exact``
+    are expected to be False (recovery traffic and re-run fragments are
+    real) and are reported, not asserted.
 
-    answers_agree = (
-        sorted(sim_ni.answer) == sorted(sim_mag.answer)
-        == real_ni.answer == real_mag.answer
+    Counts in the report (and the history rows) are those of each
+    strategy's median-makespan run; the ``*_exact`` facts and
+    ``answers_agree`` must hold for every run.
+    """
+    sims = {
+        name: simulate(dept_rows, emp_rows, n_workers, budget_limit=budget_limit)
+        for name, (simulate, _) in _STRATEGIES.items()
+    }
+    runs: dict[str, list] = {name: [] for name in _STRATEGIES}
+    for _ in range(MEASURED_RUNS):
+        for name, (_, measure) in _STRATEGIES.items():
+            runs[name].append(measure(
+                dept_rows, emp_rows, n_workers, budget_limit=budget_limit,
+                faults=faults.replica() if faults is not None else None,
+                events=events, **pool_kwargs,
+            ))
+
+    def every_run(fact) -> bool:
+        return all(
+            fact(run, sims[name]) for name in runs for run in runs[name]
+        )
+
+    answers_agree = sims["ni"].answer == sims["decorrelated"].answer and (
+        every_run(lambda run, sim: run.answer == sim.answer)
     )
-    sim_advantage = (
-        sim_ni.makespan / sim_mag.makespan if sim_mag.makespan > 0 else 0.0
+    sim_advantage = _ratio(sims["ni"].makespan, sims["decorrelated"].makespan)
+    advantages = [
+        _ratio(ni.makespan, mag.makespan)
+        for ni, mag in zip(runs["ni"], runs["decorrelated"])
+    ]
+    adv_q1, measured_advantage, adv_q3 = _spread(advantages)
+    qe_q1, advantage_qerror, qe_q3 = _spread(
+        [qerror(a, sim_advantage) for a in advantages]
     )
-    measured_advantage = (
-        real_ni.makespan / real_mag.makespan
-        if real_mag.makespan > 0 else 0.0
-    )
+    measured = {name: _measured_dict(runs[name]) for name in runs}
     report = {
         "n_workers": n_workers,
         "dept_rows": len(dept_rows),
@@ -105,51 +143,53 @@ def run_calibration(
         "faulty": faults is not None,
         "answers_agree": answers_agree,
         "simulated": {
-            "ni": {"makespan": sim_ni.makespan,
-                   "messages": sim_ni.messages,
-                   "fragments": sim_ni.fragments},
-            "decorrelated": {"makespan": sim_mag.makespan,
-                             "messages": sim_mag.messages,
-                             "fragments": sim_mag.fragments},
+            **{
+                name: {"makespan": sim.makespan,
+                       **{f: getattr(sim, f) for f in _COUNTS}}
+                for name, sim in sims.items()
+            },
             "advantage": round(sim_advantage, 4),
         },
         "measured": {
-            "ni": _measured_dict(real_ni),
-            "decorrelated": _measured_dict(real_mag),
+            **measured,
+            "runs": MEASURED_RUNS,
             "advantage": round(measured_advantage, 4),
+            "advantage_quartiles": [round(adv_q1, 4), round(adv_q3, 4)],
         },
         "calibration": {
-            # Message counts must match exactly in a fault-free run.
-            "messages_exact": (
-                real_ni.messages == sim_ni.messages
-                and real_mag.messages == sim_mag.messages
+            # Counts must match exactly in a fault-free run.
+            "messages_exact": every_run(
+                lambda run, sim: run.messages == sim.messages
             ),
-            "ni_message_qerror": qerror(real_ni.messages, sim_ni.messages),
+            "rows_exact": every_run(
+                lambda run, sim: run.rows_processed == sim.rows_processed
+            ),
+            "ni_message_qerror": qerror(
+                measured["ni"]["messages"], sims["ni"].messages
+            ),
             "decorrelated_message_qerror": qerror(
-                real_mag.messages, sim_mag.messages
+                measured["decorrelated"]["messages"],
+                sims["decorrelated"].messages,
             ),
             # Unit-free: does the simulator predict the measured speedup?
-            "advantage_qerror": round(
-                qerror(measured_advantage, sim_advantage), 4
-            ),
+            "advantage_qerror": round(advantage_qerror, 4),
+            "advantage_qerror_quartiles": [round(qe_q1, 4), round(qe_q3, 4)],
         },
     }
     if record_history:
-        for run in (real_ni, real_mag):
+        for name, strategy_runs in runs.items():
+            row = dict(measured[name])
             append_record(
                 make_record(
                     "parallel_section6",
-                    strategy=run.strategy,
-                    n_workers=run.n_workers,
-                    makespan_s=round(run.makespan, 6),
-                    messages=run.messages,
-                    fragments=run.fragments,
-                    rows_processed=run.rows_processed,
-                    retries=run.retries,
-                    workers_lost=run.workers_lost,
-                    recovery_time_s=round(run.recovery_time, 6),
-                    degraded=run.degraded,
+                    strategy=strategy_runs[0].strategy,
+                    n_workers=n_workers,
+                    makespan_s=row.pop("makespan"),
+                    makespan_quartiles_s=row.pop("makespan_quartiles"),
+                    recovery_time_s=row.pop("recovery_time"),
+                    runs=MEASURED_RUNS,
                     faulty=faults is not None,
+                    **row,
                 ),
                 path=history_path,
             )
@@ -159,9 +199,13 @@ def run_calibration(
                 n_workers=n_workers,
                 answers_agree=answers_agree,
                 simulated_advantage=round(sim_advantage, 4),
-                measured_advantage=round(measured_advantage, 4),
+                measured_advantage=report["measured"]["advantage"],
+                measured_advantage_quartiles=(
+                    report["measured"]["advantage_quartiles"]
+                ),
                 advantage_qerror=report["calibration"]["advantage_qerror"],
                 messages_exact=report["calibration"]["messages_exact"],
+                rows_exact=report["calibration"]["rows_exact"],
                 faulty=faults is not None,
             ),
             path=history_path,
@@ -169,15 +213,17 @@ def run_calibration(
     return report
 
 
-def _measured_dict(run) -> dict:
+def _measured_dict(runs: list) -> dict:
+    """One strategy's measured row: makespan as median with quartiles,
+    everything else from the median-makespan run."""
+    q1, median, q3 = _spread([run.makespan for run in runs])
+    run = sorted(runs, key=lambda r: r.makespan)[len(runs) // 2]
     return {
-        "makespan": round(run.makespan, 6),
-        "messages": run.messages,
-        "fragments": run.fragments,
-        "retries": run.retries,
-        "workers_lost": run.workers_lost,
+        "makespan": round(median, 6),
+        "makespan_quartiles": [round(q1, 6), round(q3, 6)],
         "recovery_time": round(run.recovery_time, 6),
-        "degraded": run.degraded,
+        **{f: getattr(run, f)
+           for f in _COUNTS + ("retries", "workers_lost", "degraded")},
     }
 
 
@@ -189,27 +235,35 @@ def render_calibration(report: dict) -> str:
     lines = [
         f"section-6 calibration @ {report['n_workers']} workers "
         f"({report['dept_rows']} dept x {report['emp_rows']} emp"
-        f"{', faults injected' if report['faulty'] else ''})",
-        f"{'':>22} {'simulated':>14} {'measured':>14}",
+        f"{', faults injected' if report['faulty'] else ''}; measured: "
+        f"median [q1, q3] of {real['runs']} runs)",
+        f"{'':>28} {'simulated':>14} {'measured':>14}",
     ]
     for strategy in ("ni", "decorrelated"):
+        q1, q3 = real[strategy]["makespan_quartiles"]
         lines.append(
-            f"{strategy + ' makespan':>22} "
+            f"{strategy + ' makespan':>28} "
             f"{sim[strategy]['makespan']:>14.3f} "
-            f"{real[strategy]['makespan']:>14.6f}"
+            f"{real[strategy]['makespan']:>14.6f}  [{q1:.6f}, {q3:.6f}]"
         )
-        lines.append(
-            f"{strategy + ' messages':>22} "
-            f"{sim[strategy]['messages']:>14} "
-            f"{real[strategy]['messages']:>14}"
-        )
+        for count in _COUNTS:
+            lines.append(
+                f"{strategy + ' ' + count:>28} "
+                f"{sim[strategy][count]:>14} "
+                f"{real[strategy][count]:>14}"
+            )
     lines.append(
-        f"{'NI/decorr ratio':>22} {sim['advantage']:>14.3f} "
-        f"{real['advantage']:>14.3f}"
+        f"{'NI/decorr ratio':>28} {sim['advantage']:>14.3f} "
+        f"{real['advantage']:>14.3f}  "
+        f"[{real['advantage_quartiles'][0]:.3f}, "
+        f"{real['advantage_quartiles'][1]:.3f}]"
     )
     lines.append(
         f"messages exact: {cal['messages_exact']}   "
-        f"advantage q-error: {cal['advantage_qerror']:.3f}   "
+        f"rows exact: {cal['rows_exact']}   "
+        f"advantage q-error: {cal['advantage_qerror']:.3f} "
+        f"[{cal['advantage_qerror_quartiles'][0]:.3f}, "
+        f"{cal['advantage_qerror_quartiles'][1]:.3f}]   "
         f"answers agree: {report['answers_agree']}"
     )
     return "\n".join(lines)

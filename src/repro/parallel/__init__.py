@@ -1,6 +1,7 @@
-"""Shared-nothing parallel execution (section 6 of the paper): the cost
-simulator (:mod:`.simulate`) and the real worker-process executor with
-crash recovery (:mod:`.workers`)."""
+"""Shared-nothing parallel execution (section 6 of the paper): each plan
+written once (:mod:`.plans`) and run by two back-ends -- the cost
+simulator (:mod:`.simulate` over :mod:`.cluster`) and the real
+worker-process executor with crash recovery (:mod:`.workers`)."""
 
 from .cluster import (
     MEASURED_RETRY_POLICY,
@@ -8,9 +9,8 @@ from .cluster import (
     Cluster,
     Node,
     RetryPolicy,
-    hash_partition,
-    partition_owner,
 )
+from .plans import partition_owner, repartition
 from .simulate import (
     ParallelMetrics,
     simulate_decorrelated,
@@ -32,8 +32,8 @@ __all__ = [
     "RetryPolicy",
     "SIMULATED_RETRY_POLICY",
     "MEASURED_RETRY_POLICY",
-    "hash_partition",
     "partition_owner",
+    "repartition",
     "ParallelMetrics",
     "simulate_nested_iteration",
     "simulate_decorrelated",

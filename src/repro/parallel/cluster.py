@@ -1,8 +1,11 @@
 """Cluster model: nodes, partitioned tables, message accounting.
 
 This is a *cost simulator*, not a distributed runtime: it executes the
-actual relational work single-threaded while accounting, per node, for the
-rows processed and messages sent/received, then derives a makespan from a
+actual relational work single-threaded -- every plan fragment runs through
+the same interpreter a real worker process uses
+(:func:`repro.parallel.plans.run_fragment`), on a per-node
+:class:`repro.Database` -- while accounting, per node, for the rows
+processed and messages sent/received, then derives a makespan from a
 simple cost model. Section 6 of the paper presents no measured numbers --
 only an execution-strategy analysis (broadcast-per-tuple nested iteration
 versus fully partitioned decorrelated plans) -- and this model quantifies
@@ -25,10 +28,20 @@ from __future__ import annotations
 import zlib
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Optional
+
+from .plans import (
+    Backend,
+    Task,
+    load_table,
+    node_database,
+    partition_owner,
+    run_fragment,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
     from ..faults import FaultRegistry
+    from ..guard import ExecutionGuard
 
 #: Base recovery/timeout penalty per retry (same arbitrary time units as
 #: the row/message costs of :mod:`repro.parallel.simulate`); the default
@@ -103,31 +116,22 @@ class Node:
     retries: int = 0
     backoff_time: float = 0.0
 
-    def busy_time(self, row_cost: float, message_cost: float) -> float:
+    def busy_time(self, per_row: float, per_message: float) -> float:
         """Simulated busy time under the given cost model (retry backoff
         included -- failures stretch the makespan)."""
         return (
-            self.rows_processed * row_cost
-            + (self.messages_sent + self.messages_received) * message_cost
+            self.rows_processed * per_row
+            + (self.messages_sent + self.messages_received) * per_message
             + self.backoff_time
         )
 
 
-def partition_owner(key: Any, n_nodes: int) -> int:
-    """The node owning ``key`` under hash partitioning (NULL -> node 0).
-
-    Uses a stable hash (CRC32 of the repr) so placements -- and therefore
-    message counts, simulated or measured -- are reproducible across
-    processes regardless of PYTHONHASHSEED. Shared by the simulator and
-    the real worker executor so both ship exactly the same rows.
-    """
-    if key is None:
-        return 0
-    return zlib.crc32(repr(key).encode()) % n_nodes
-
-
-class Cluster:
-    """A set of nodes plus hash-partitioned table storage."""
+class Cluster(Backend):
+    """A set of nodes plus hash-partitioned table storage -- the simulated
+    back-end of the plans in :mod:`repro.parallel.plans`: a fragment
+    executes in-process on its node's own engine, and what it did is
+    charged to that node (:meth:`work` for the rows its ``Metrics`` say it
+    scanned, :meth:`send` for its traffic)."""
 
     def __init__(
         self,
@@ -137,36 +141,62 @@ class Cluster:
     ):
         if n_nodes < 1:
             raise ValueError("cluster needs at least one node")
+        super().__init__()
         self.nodes = [Node(i) for i in range(n_nodes)]
         self.faults = faults
         self.retry_policy = (
             retry_policy if retry_policy is not None else SIMULATED_RETRY_POLICY
         )
-        #: table name -> list of per-node row lists
-        self.partitions: dict[str, list[list[tuple]]] = {}
+        #: Absorbs every fragment's ``Metrics``, so simulated remote work
+        #: counts against the coordinator's budgets (set by the caller).
+        self.guard: Optional["ExecutionGuard"] = None
+        self.tasks_dispatched = 0
+        #: One engine per node: shared nothing, not even a catalog.
+        self._databases = [node_database() for _ in self.nodes]
 
     @property
     def n_nodes(self) -> int:
         """Cluster size."""
         return len(self.nodes)
 
+    n_workers = n_nodes
+
     def owner(self, key: Any) -> int:
         """The node owning ``key`` (see :func:`partition_owner`)."""
         return partition_owner(key, self.n_nodes)
 
-    def load_partitioned(
-        self, name: str, rows: Iterable[tuple], key: Callable[[tuple], Any]
+    def _load(
+        self, partition: int, name: str, columns: tuple,
+        primary_key: tuple, rows: list,
     ) -> None:
-        """Load ``rows`` hash-partitioned on ``key(row)`` (no messages: this
-        models the initial physical placement)."""
-        partitions: list[list[tuple]] = [[] for _ in self.nodes]
-        for row in rows:
-            partitions[self.owner(key(row))].append(row)
-        self.partitions[name] = partitions
+        load_table(
+            self._databases[partition].catalog, name, columns, primary_key, rows
+        )
 
-    def local_rows(self, name: str, node_id: int) -> list[tuple]:
-        """The partition of table ``name`` stored at ``node_id``."""
-        return self.partitions[name][node_id]
+    def run_tasks(self, tasks: list[Task]) -> dict:
+        """Execute each fragment on its partition's node, charging the
+        node its traffic and the rows it scanned. Returns
+        ``{task_id: result}``."""
+        results = {}
+        for task in tasks:
+            self.tasks_dispatched += 1
+            for sender, receiver in task.traffic():
+                self.send(sender, receiver)
+            outcome, metrics = run_fragment(
+                self._databases[task.partition], task.op, task.payload
+            )
+            self.work(task.partition, metrics.rows_scanned)
+            if self.guard is not None:
+                self.guard.absorb(metrics)
+            results[task.task_id] = outcome
+        return results
+
+    def _backoff(self, node: Node) -> None:
+        """One retry at ``node``: the :class:`RetryPolicy` delay for this
+        attempt is added to its busy time."""
+        attempt = node.retries
+        node.retries += 1
+        node.backoff_time += self.retry_policy.delay(attempt, seed=node.node_id)
 
     def send(self, sender: int, receiver: int, n_messages: int = 1) -> None:
         """Record ``n_messages`` from ``sender`` to ``receiver`` (loopback
@@ -182,10 +212,7 @@ class Cluster:
         if self.faults is not None and self.faults.should_fire(
             "cluster.deliver", detail=f"{sender}->{receiver}"
         ):
-            node = self.nodes[sender]
-            attempt = node.retries
-            node.retries += 1
-            node.backoff_time += self.retry_policy.delay(attempt, seed=sender)
+            self._backoff(self.nodes[sender])
             n_messages *= 2
         self.nodes[sender].messages_sent += n_messages
         self.nodes[receiver].messages_received += n_messages
@@ -210,9 +237,7 @@ class Cluster:
             and self.faults.should_fire("cluster.node", detail=f"node {node_id}")
         ):
             node.failures += 1
-            attempt = node.retries
-            node.retries += 1
-            node.backoff_time += self.retry_policy.delay(attempt, seed=node_id)
+            self._backoff(node)
             n_rows *= 2
         node.rows_processed += n_rows
 
@@ -225,32 +250,3 @@ class Cluster:
             node.failures = 0
             node.retries = 0
             node.backoff_time = 0.0
-
-
-#: Rows per network message during set-oriented repartitioning. Bulk
-#: exchanges ship rows in page-sized batches; nested iteration's
-#: per-invocation request/reply messages cannot be batched -- the asymmetry
-#: at the heart of the paper's section 6 argument.
-ROWS_PER_MESSAGE = 50
-
-
-def hash_partition(
-    cluster: Cluster,
-    source: Sequence[Sequence[tuple]],
-    key: Callable[[tuple], Any],
-) -> list[list[tuple]]:
-    """Repartition per-node row lists by a new key, counting batched
-    messages (one per :data:`ROWS_PER_MESSAGE` rows per sender/receiver
-    pair). ``source[i]`` are the rows currently at node ``i``."""
-    result: list[list[tuple]] = [[] for _ in cluster.nodes]
-    shipped: dict[tuple[int, int], int] = {}
-    for sender, rows in enumerate(source):
-        for row in rows:
-            receiver = cluster.owner(key(row))
-            if sender != receiver:
-                shipped[(sender, receiver)] = shipped.get((sender, receiver), 0) + 1
-            result[receiver].append(row)
-    for (sender, receiver), n_rows in shipped.items():
-        n_messages = -(-n_rows // ROWS_PER_MESSAGE)  # ceil division
-        cluster.send(sender, receiver, n_messages)
-    return result

@@ -1,30 +1,18 @@
-"""Parallel execution strategies for the section-2 example query.
+"""Parallel execution strategies for the section-2 example query, priced.
 
-The simulated query is the paper's running example::
+The plans themselves -- the query, its fragments and its exchanges -- are
+written once in :mod:`repro.parallel.plans`; here they run over a
+:class:`~repro.parallel.cluster.Cluster`, the simulated back-end, and the
+real worker pool runs the same functions.
 
-    Select D.name From Dept D
-    Where D.budget < 10000 and D.num_emps >
-      (Select Count(*) From Emp E Where D.building = E.building)
-
-with DEPT and EMP hash-partitioned on their primary keys (the section 6
-"common case" where neither table is partitioned on the correlation
-attribute and neither is small enough to replicate).
-
-* :func:`simulate_nested_iteration` -- section 6.1: for each qualifying
-  DEPT tuple, the requesting node broadcasts the binding to all nodes, each
-  node computes a local count over its EMP partition and replies; the
-  requesting node combines the partial counts. This produces O(n^2)
-  computation fragments (every node serves subqueries for every node) and
-  per-binding broadcast traffic.
-
-* :func:`simulate_decorrelated` -- section 6.2: the supplementary table and
-  the magic table are computed locally, repartitioned on the correlation
-  attribute, the decorrelated subquery is evaluated with local joins and
-  local aggregation (the GROUP BY is on the partitioning attribute), and the
-  final join is local too. Every exchange is a single hash repartitioning.
+* :func:`simulate_nested_iteration` -- section 6.1,
+  :func:`~repro.parallel.plans.ni_plan`.
+* :func:`simulate_decorrelated` -- section 6.2,
+  :func:`~repro.parallel.plans.decorrelated_plan`.
 
 Both simulations compute the *actual* query answer (verified against the
-single-node engine in tests) while accounting work and messages.
+single-node engine in tests), by running the engine inside every node,
+while accounting work and messages.
 """
 
 from __future__ import annotations
@@ -32,23 +20,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
-from ..exec.metrics import Metrics
 from ..guard import guard_for
-from .cluster import Cluster, RetryPolicy, hash_partition
+from .cluster import Cluster, RetryPolicy
+from .plans import PLANS, place
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
     from ..faults import FaultRegistry
-    from ..guard import ExecutionGuard, Limits
+    from ..guard import Limits
 
 #: Cost model (arbitrary units): a network message is much more expensive
 #: than touching a row, the defining property of shared-nothing systems.
 ROW_COST = 1.0
 MESSAGE_COST = 50.0
-
-#: DEPT rows are (name, budget, num_emps, building); EMP rows are
-#: (empno, name, building, salary) -- as produced by repro.tpcd.empdept.
-_D_NAME, _D_BUDGET, _D_NUMEMPS, _D_BUILDING = range(4)
-_E_BUILDING = 2
 
 
 @dataclass
@@ -71,15 +54,12 @@ class ParallelMetrics:
     node_failures: int = 0
     retries: int = 0
     backoff_time: float = 0.0
+    #: Plan fragments executed (scans, probes, local pipelines).
+    tasks: int = 0
 
     def speedup_reference(self) -> float:
         """Total work if executed serially (for speedup computations)."""
         return self.rows_processed * ROW_COST
-
-
-def _load(cluster: Cluster, dept_rows: list[tuple], emp_rows: list[tuple]) -> None:
-    cluster.load_partitioned("dept", dept_rows, key=lambda r: r[_D_NAME])
-    cluster.load_partitioned("emp", emp_rows, key=lambda r: r[0])
 
 
 def _metrics(
@@ -98,20 +78,32 @@ def _metrics(
         node_failures=sum(n.failures for n in cluster.nodes),
         retries=sum(n.retries for n in cluster.nodes),
         backoff_time=sum(n.backoff_time for n in cluster.nodes),
+        tasks=cluster.tasks_dispatched,
     )
 
 
-def _checkpoint(cluster: Cluster, guard: Optional["ExecutionGuard"]) -> None:
-    """Map the cluster's work onto the guard's counters and check budgets.
+def _simulate(
+    strategy: str,
+    dept_rows: list[tuple],
+    emp_rows: list[tuple],
+    n_nodes: int,
+    budget_limit: float,
+    faults: Optional["FaultRegistry"],
+    limits: Optional["Limits"],
+    retry_policy: Optional[RetryPolicy],
+) -> ParallelMetrics:
+    """Run one plan over a fresh cluster and price what it did.
 
-    Rows processed across the cluster count against ``max_rows_scanned``;
-    the wall-clock timeout and cancellation apply as in the single-node
-    engine. Called once per simulated node step.
+    Rows scanned across the cluster count against ``max_rows_scanned``
+    (every fragment's ``Metrics`` is absorbed by the guard, as the real
+    coordinator does); the wall-clock timeout and cancellation apply as in
+    the single-node engine, checked once per fragment.
     """
-    if guard is None:
-        return
-    guard.metrics.rows_scanned = sum(n.rows_processed for n in cluster.nodes)
-    guard.check()
+    cluster = Cluster(n_nodes, faults=faults, retry_policy=retry_policy)
+    cluster.guard = guard_for(limits)
+    place(cluster, dept_rows, emp_rows)
+    answer, fragments = PLANS[strategy](cluster, budget_limit)
+    return _metrics(cluster, strategy, answer, fragments)
 
 
 def simulate_nested_iteration(
@@ -124,37 +116,10 @@ def simulate_nested_iteration(
     retry_policy: Optional[RetryPolicy] = None,
 ) -> ParallelMetrics:
     """Section 6.1: broadcast-per-tuple nested iteration."""
-    cluster = Cluster(n_nodes, faults=faults, retry_policy=retry_policy)
-    guard = guard_for(limits)
-    if guard is not None:
-        guard.attach(Metrics())
-    _load(cluster, dept_rows, emp_rows)
-    answer: list[tuple] = []
-    fragment_pairs: set[tuple[int, int]] = set()
-    for node in cluster.nodes:
-        local_depts = cluster.local_rows("dept", node.node_id)
-        cluster.work(node.node_id, len(local_depts))  # the outer scan
-        _checkpoint(cluster, guard)
-        for dept in local_depts:
-            if not (dept[_D_BUDGET] is not None and dept[_D_BUDGET] < budget_limit):
-                continue
-            # Broadcast the correlation binding to every node...
-            cluster.broadcast(node.node_id)
-            total = 0
-            for server in cluster.nodes:
-                # ...each node scans its EMP partition for a local count...
-                emp_partition = cluster.local_rows("emp", server.node_id)
-                cluster.work(server.node_id, len(emp_partition))
-                total += sum(
-                    1 for e in emp_partition if e[_E_BUILDING] == dept[_D_BUILDING]
-                )
-                fragment_pairs.add((node.node_id, server.node_id))
-                # ...and returns its partial count.
-                cluster.send(server.node_id, node.node_id)
-            _checkpoint(cluster, guard)
-            if dept[_D_NUMEMPS] is not None and dept[_D_NUMEMPS] > total:
-                answer.append((dept[_D_NAME],))
-    return _metrics(cluster, "nested_iteration", answer, len(fragment_pairs))
+    return _simulate(
+        "nested_iteration", dept_rows, emp_rows, n_nodes,
+        budget_limit, faults, limits, retry_policy,
+    )
 
 
 def simulate_decorrelated(
@@ -167,60 +132,10 @@ def simulate_decorrelated(
     retry_policy: Optional[RetryPolicy] = None,
 ) -> ParallelMetrics:
     """Section 6.2: the magic-decorrelated plan, fully partition-parallel."""
-    cluster = Cluster(n_nodes, faults=faults, retry_policy=retry_policy)
-    guard = guard_for(limits)
-    if guard is not None:
-        guard.attach(Metrics())
-    _load(cluster, dept_rows, emp_rows)
-
-    # 1. Supplementary table computed locally, repartitioned on building.
-    supp_local: list[list[tuple]] = []
-    for node in cluster.nodes:
-        local = cluster.local_rows("dept", node.node_id)
-        cluster.work(node.node_id, len(local))
-        supp_local.append(
-            [d for d in local if d[_D_BUDGET] is not None and d[_D_BUDGET] < budget_limit]
-        )
-    supp = hash_partition(cluster, supp_local, key=lambda d: d[_D_BUILDING])
-    _checkpoint(cluster, guard)
-
-    # 2. Magic: distinct bindings, projected locally (already partitioned).
-    magic: list[set] = []
-    for node in cluster.nodes:
-        cluster.work(node.node_id, len(supp[node.node_id]))
-        magic.append({d[_D_BUILDING] for d in supp[node.node_id]})
-    _checkpoint(cluster, guard)
-
-    # 3. EMP repartitioned on the correlation attribute; the decorrelated
-    # subquery (join + GROUP BY on building) is then entirely local.
-    emp_by_building = hash_partition(
-        cluster,
-        [cluster.local_rows("emp", n.node_id) for n in cluster.nodes],
-        key=lambda e: e[_E_BUILDING],
+    return _simulate(
+        "magic_decorrelated", dept_rows, emp_rows, n_nodes,
+        budget_limit, faults, limits, retry_policy,
     )
-    counts: list[dict] = []
-    for node in cluster.nodes:
-        local_emp = emp_by_building[node.node_id]
-        cluster.work(node.node_id, len(local_emp))
-        local_counts: dict = {}
-        for e in local_emp:
-            if e[_E_BUILDING] in magic[node.node_id]:
-                local_counts[e[_E_BUILDING]] = local_counts.get(e[_E_BUILDING], 0) + 1
-        counts.append(local_counts)
-    _checkpoint(cluster, guard)
-
-    # 4. Final join: SUPP and the decorrelated counts are co-partitioned on
-    # building, so the join (with the COUNT-bug COALESCE) is local.
-    answer: list[tuple] = []
-    for node in cluster.nodes:
-        local_supp = supp[node.node_id]
-        cluster.work(node.node_id, len(local_supp))
-        for dept in local_supp:
-            count = counts[node.node_id].get(dept[_D_BUILDING], 0)
-            if dept[_D_NUMEMPS] is not None and dept[_D_NUMEMPS] > count:
-                answer.append((dept[_D_NAME],))
-    _checkpoint(cluster, guard)
-    return _metrics(cluster, "magic_decorrelated", answer, cluster.n_nodes)
 
 
 def sweep_nodes(

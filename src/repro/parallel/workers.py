@@ -5,7 +5,8 @@ execution strategies under a cost model, this module *runs* them: base
 tables are hash-partitioned across real ``multiprocessing`` worker
 processes, plan fragments execute inside each worker through the ordinary
 :class:`repro.Database` facade (parser, rewriter, iterator executor), and
-the coordinator merges partial results. The same strategies are measured:
+the coordinator merges partial results. The same plan functions
+(:mod:`repro.parallel.plans`) are measured:
 
 * ``nested_iteration`` -- per qualifying DEPT binding, a COUNT probe is
   dispatched to every EMP partition (the O(n^2)-fragment pathology);
@@ -13,12 +14,13 @@ the coordinator merges partial results. The same strategies are measured:
   correlation attribute and the decorrelated query runs locally per
   partition (the engine's MAGIC strategy inside each worker).
 
-Message accounting is *point-to-point parity* with the simulator: the
-coordinator mediates every exchange over queues, but messages are counted
-as if partitions shipped rows directly (loopback free, bulk rows batched
-``ROWS_PER_MESSAGE`` per message, the same crc32 :func:`partition_owner`
-placement), so a fault-free measured run reports exactly the simulator's
-message count -- the calibration hook of :mod:`repro.bench.calibration`.
+Message accounting is *point-to-point*: the coordinator mediates every
+exchange over queues, but messages are counted as if partitions shipped
+rows directly (loopback free, bulk rows batched ``ROWS_PER_MESSAGE`` per
+message, the crc32 :func:`partition_owner` placement) -- the rules of
+:mod:`repro.parallel.plans`, which the simulator charges too, so a
+fault-free measured run reports exactly the simulator's message count and
+row work: the calibration hook of :mod:`repro.bench.calibration`.
 
 Robustness contract (the part the simulator only priced):
 
@@ -74,60 +76,38 @@ rule the counters follow).
 from __future__ import annotations
 
 import multiprocessing
+import multiprocessing.connection
 import os
 import signal
 import time
 import zlib
 from dataclasses import dataclass, field
 from queue import Empty
-from typing import TYPE_CHECKING, Any, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..errors import WorkerPoolError, WorkerTaskError
 from ..exec.metrics import Metrics
+from ..faults import FaultRegistry
 from ..guard import guard_for
 from ..rewrite.engine import DegradationEvent
-from ..trace.tracer import _span_from_dict
-from .cluster import (
-    MEASURED_RETRY_POLICY,
-    ROWS_PER_MESSAGE,
-    RetryPolicy,
-    partition_owner,
+from ..trace.tracer import Tracer, _span_from_dict
+from .cluster import MEASURED_RETRY_POLICY, RetryPolicy
+from .plans import (
+    PLANS,
+    Backend,
+    Task,
+    batches,
+    load_table,
+    node_database,
+    place,
+    run_fragment,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
-    from ..faults import FaultRegistry
     from ..guard import Limits
-
-#: Column specs shipped to workers: (name, SQLType member name, nullable).
-DEPT_COLUMNS: tuple = (
-    ("name", "STR", False),
-    ("budget", "FLOAT", True),
-    ("num_emps", "INT", True),
-    ("building", "STR", True),
-)
-EMP_COLUMNS: tuple = (
-    ("empno", "INT", False),
-    ("name", "STR", True),
-    ("building", "STR", True),
-    ("salary", "FLOAT", True),
-)
 
 #: The worker-side fault sites this executor honours.
 WORKER_FAULT_SITES = ("worker.crash", "worker.stall", "exchange.drop")
-
-
-def _row_key(row: Sequence) -> tuple:
-    """A total order over rows that may contain NULLs (None sorts first
-    within a column; the placeholder is only compared between two Nones)."""
-    return tuple((v is None, "" if v is None else v) for v in row)
-
-
-def _sql_literal(value: Any) -> str:
-    if value is None:
-        return "NULL"
-    if isinstance(value, str):
-        return "'" + value.replace("'", "''") + "'"
-    return repr(value)
 
 
 # -- worker process side -------------------------------------------------------
@@ -136,15 +116,13 @@ def _worker_main(worker_id: int, config: dict, task_queue, result_queue) -> None
     """The worker loop: heartbeat, load partitions, execute plan fragments.
 
     Runs in a child process. Every fragment executes through a
-    worker-local :class:`repro.Database` (full parse -> rewrite -> iterate
-    pipeline); results go back as ``(kind, worker_id, ...)`` tuples on the
-    per-worker result queue.
+    worker-local :class:`repro.Database` with
+    :func:`~repro.parallel.plans.run_fragment`, the interpreter the
+    simulated nodes run too; results go back as ``(kind, worker_id, ...)``
+    tuples on the per-worker result queue. What is left here is what only
+    a process has: queues, heartbeats and the three process-level fault
+    sites.
     """
-    from ..api import Database, Strategy
-    from ..faults import FaultRegistry
-    from ..storage import Catalog, Column, Schema
-    from ..types import SQLType
-
     faults = (
         FaultRegistry.parse(config["fault_spec"])
         if config.get("fault_spec")
@@ -153,11 +131,7 @@ def _worker_main(worker_id: int, config: dict, task_queue, result_queue) -> None
     heartbeat_interval = config["heartbeat_interval"]
     stall_seconds = config["stall_seconds"]
     trace = bool(config.get("trace"))
-    catalog = Catalog()
-    # An explicit empty registry: the worker must not pick engine-level
-    # faults out of REPRO_FAULTS -- process-level sites are injected here,
-    # engine-level sites belong to the single-node fault tests.
-    db = Database(catalog, faults=FaultRegistry(0, []))
+    db = node_database()
 
     def heartbeat() -> None:
         result_queue.put(("heartbeat", worker_id))
@@ -171,37 +145,11 @@ def _worker_main(worker_id: int, config: dict, task_queue, result_queue) -> None
             "worker.stall", detail=f"w{worker_id}:{task_id}"
         ):
             time.sleep(stall_seconds)  # no heartbeats while stalled
-        tracer = None
-        if trace:
-            # A child tracer per task: its span tree rides back with the
-            # result and the coordinator grafts it under the dispatch span.
-            from ..trace import Tracer
-
-            tracer = Tracer()
+        # A child tracer per task: its span tree rides back with the
+        # result and the coordinator grafts it under the dispatch span.
+        tracer = Tracer() if trace else None
         try:
-            if op == "sql":
-                sql, strategy_value = payload
-                result = db.execute(
-                    sql, strategy=Strategy(strategy_value), tracer=tracer
-                )
-                rows = sorted(result.rows, key=_row_key)
-                outcome: Any = rows
-                metrics = result.metrics
-            elif op == "count":
-                table, column, value = payload
-                if value is None:
-                    # SQL equality with NULL matches nothing: the count is
-                    # 0 by definition, no scan needed.
-                    outcome, metrics = 0, Metrics()
-                else:
-                    result = db.execute(
-                        f"Select Count(*) From {table} "
-                        f"Where {column} = {_sql_literal(value)}",
-                        tracer=tracer,
-                    )
-                    outcome, metrics = result.scalar(), result.metrics
-            else:
-                raise ValueError(f"unknown worker op {op!r}")
+            outcome, metrics = run_fragment(db, op, payload, tracer)
         except Exception as exc:  # typed reply; the coordinator re-raises
             result_queue.put(
                 ("error", worker_id, task_id, attempt,
@@ -232,58 +180,15 @@ def _worker_main(worker_id: int, config: dict, task_queue, result_queue) -> None
                 break
             kind = message[0]
             if kind == "load":
-                _, name, columns, primary_key, rows = message
-                if catalog.has_table(name):
-                    catalog.drop_table(name)
-                catalog.create_table(
-                    name,
-                    Schema(
-                        [
-                            Column(cname, SQLType[tname], nullable)
-                            for cname, tname, nullable in columns
-                        ],
-                        primary_key=primary_key,
-                    ),
-                )
-                catalog.table(name).insert_many(rows)
-                catalog.invalidate_stats(name)
+                load_table(db.catalog, *message[1:])
             elif kind == "task":
-                _, task_id, attempt, op, payload = message
-                execute(task_id, attempt, op, payload)
+                execute(*message[1:])
             heartbeat()
     except (KeyboardInterrupt, EOFError, OSError):  # pragma: no cover
         pass
 
 
 # -- coordinator side ----------------------------------------------------------
-
-@dataclass
-class Task:
-    """One plan fragment addressed to a partition (not a worker: the
-    host mapping may change when workers are lost)."""
-
-    task_id: str
-    partition: int
-    op: str
-    payload: tuple
-    #: Messages charged on *every* dispatch of this task (a retried probe
-    #: doubles its traffic, exactly like the simulator's fault paths).
-    message_cost: int = 0
-    attempt: int = 0
-    worker_id: int = -1
-    dispatched_at: float = 0.0
-    done: bool = False
-    result: Any = None
-
-
-@dataclass
-class _TableSpec:
-    """A partitioned table the coordinator retains for re-hosting."""
-
-    columns: tuple
-    primary_key: tuple
-    partitions: list
-
 
 @dataclass
 class _WorkerState:
@@ -312,15 +217,18 @@ class WorkerRunMetrics:
     recovery_time: float      # summed retry backoff (seconds)
     degraded: bool = False
     degradations: list = field(default_factory=list)
+    tasks: int = 0            # fragment dispatches, retries included
 
 
-class WorkerPool:
+class WorkerPool(Backend):
     """A coordinator over ``n_workers`` real worker processes.
 
     The pool owns the task ledger (see the module docstring for the
     liveness/recovery contract), the partition -> worker host map, and the
-    point-to-point message accounting. ``clock``/``sleep`` are injectable
-    for deterministic liveness tests; ``events`` (an
+    point-to-point message accounting. ``clock`` is injectable for
+    deterministic liveness tests and ``sleep`` for the retry backoff (the
+    ledger itself never sleeps: it blocks on the workers' result pipes);
+    ``events`` (an
     :class:`repro.obs.events.EventLog`) receives ``worker.*`` lifecycle
     events; ``guard`` (an :class:`repro.guard.ExecutionGuard`) absorbs
     every accepted result's :class:`Metrics`, so remote work counts
@@ -345,6 +253,7 @@ class WorkerPool:
             raise WorkerPoolError(
                 "worker pool needs at least one worker", 0, n_workers
             )
+        super().__init__()
         self.n_workers = n_workers
         self.faults = faults
         self.retry_policy = (
@@ -367,7 +276,6 @@ class WorkerPool:
         self._ctx = multiprocessing.get_context("fork")
         self._workers: list[_WorkerState] = []
         self._hosts = list(range(n_workers))  # partition index -> worker id
-        self._tables: dict[str, _TableSpec] = {}
         self._pending: dict[str, Task] = {}
         self._started = False
         self._closed = False
@@ -471,72 +379,22 @@ class WorkerPool:
 
     # -- data placement ----------------------------------------------------
 
-    def _send_load(
-        self, worker_id: int, name: str, columns: tuple,
+    def _load(
+        self, partition: int, name: str, columns: tuple,
         primary_key: tuple, rows: list,
     ) -> None:
-        self._workers[worker_id].task_queue.put(
+        """Ship ``rows`` to the partition's current host; the coordinator
+        retains them (``_tables``) for re-hosting after a worker loss."""
+        self._require_started()
+        self._workers[self._hosts[partition]].task_queue.put(
             ("load", name, columns, primary_key, rows)
         )
 
-    def load_partitioned(
-        self,
-        name: str,
-        columns: tuple,
-        primary_key: tuple,
-        rows: list,
-        key: Callable[[tuple], Any],
-    ) -> None:
-        """Hash-partition ``rows`` on ``key`` and ship partition ``p`` to
-        its host as table ``{name}_p{p}``. Initial placement is free of
-        message charges, exactly like the simulator's ``load_partitioned``;
-        the rows are retained for re-hosting after a worker loss."""
-        self._require_started()
-        partitions: list[list] = [[] for _ in range(self.n_workers)]
-        for row in rows:
-            partitions[partition_owner(key(row), self.n_workers)].append(row)
-        self._tables[name] = _TableSpec(columns, primary_key, partitions)
-        for p, part_rows in enumerate(partitions):
-            self._send_load(
-                self._hosts[p], f"{name}_p{p}", columns, primary_key, part_rows
-            )
-
-    def exchange(
-        self,
-        name: str,
-        columns: tuple,
-        primary_key: tuple,
-        row_sources: list,
-        key: Callable[[tuple], Any],
-    ) -> None:
-        """Hash-repartition rows on a *new* key -- the set-oriented
-        exchange of the decorrelated plan. ``row_sources[p]`` are the rows
-        whose current home is partition ``p``; messages are charged
-        point-to-point and batched (:data:`ROWS_PER_MESSAGE` rows per
-        message, loopback free), mirroring the simulator's
-        :func:`~repro.parallel.cluster.hash_partition`."""
-        self._require_started()
-        partitions: list[list] = [[] for _ in range(self.n_workers)]
-        shipped: dict[tuple, int] = {}
-        for source, rows in enumerate(row_sources):
-            for row in rows:
-                target = partition_owner(key(row), self.n_workers)
-                if source != target:
-                    shipped[(source, target)] = shipped.get(
-                        (source, target), 0
-                    ) + 1
-                partitions[target].append(row)
-        for n_rows in shipped.values():
-            self.messages += -(-n_rows // ROWS_PER_MESSAGE)  # ceil
-        self._tables[name] = _TableSpec(columns, primary_key, partitions)
-        for p, part_rows in enumerate(partitions):
-            self._send_load(
-                self._hosts[p], f"{name}_p{p}", columns, primary_key, part_rows
-            )
-
-    def table_partitions(self, name: str) -> list:
-        """The retained per-partition row lists of a loaded table."""
-        return self._tables[name].partitions
+    def send(self, sender: int, receiver: int, n_messages: int = 1) -> None:
+        """Count ``n_messages`` point-to-point (loopback free): the
+        coordinator mediates the bytes, the accounting is the plan's."""
+        if sender != receiver:
+            self.messages += n_messages
 
     # -- the task ledger ---------------------------------------------------
 
@@ -555,7 +413,8 @@ class WorkerPool:
         task.worker_id = worker_id
         task.dispatched_at = self._clock()
         self._pending[task.task_id] = task
-        self.messages += task.message_cost
+        for sender, receiver in task.traffic():
+            self.send(sender, receiver)
         self.tasks_dispatched += 1
         state.task_queue.put(
             ("task", task.task_id, task.attempt, task.op, task.payload)
@@ -603,16 +462,13 @@ class WorkerPool:
         for p in range(self.n_workers):
             if self._hosts[p] != state.worker_id:
                 continue
-            replacement = live[p % len(live)].worker_id
-            self._hosts[p] = replacement
+            self._hosts[p] = live[p % len(live)].worker_id
             for name, spec in self._tables.items():
                 rows = spec.partitions[p]
-                if rows:
-                    # Re-hosting is real recovery traffic, charged batched.
-                    self.messages += -(-len(rows) // ROWS_PER_MESSAGE)
-                self._send_load(
-                    replacement, f"{name}_p{p}",
-                    spec.columns, spec.primary_key, rows,
+                # Re-hosting is real recovery traffic, charged batched.
+                self.messages += batches(len(rows))
+                self._load(
+                    p, f"{name}_p{p}", spec.columns, spec.primary_key, rows
                 )
         for task in list(self._pending.values()):
             if task.worker_id == state.worker_id and not task.done:
@@ -714,11 +570,21 @@ class WorkerPool:
             dspan._index[child.key] = child
             dspan.children.append(child)
 
-    def _drain(self) -> bool:
-        progressed = False
-        for state in self._workers:
-            if state.lost and not state.process.is_alive():
-                continue  # nothing further can arrive; skip the dead queue
+    def _drain(self) -> None:
+        """Block until some result pipe is readable -- at most one poll
+        interval, so liveness and task-timeout checks keep ticking -- then
+        handle everything that has arrived."""
+        # Nothing further can arrive from a lost, dead worker: skip the
+        # dead queue (a lost but stalled one is drained, never trusted).
+        draining = [
+            state for state in self._workers
+            if not state.lost or state.process.is_alive()
+        ]
+        multiprocessing.connection.wait(
+            [state.result_queue._reader for state in draining],
+            timeout=self._poll_interval,
+        )
+        for state in draining:
             while True:
                 try:
                     message = state.result_queue.get_nowait()
@@ -726,9 +592,7 @@ class WorkerPool:
                     break
                 except (EOFError, OSError):  # pragma: no cover
                     break
-                progressed = True
                 self._handle(state, message)
-        return progressed
 
     def _check_liveness(self) -> None:
         now = self._clock()
@@ -761,100 +625,13 @@ class WorkerPool:
         for task in tasks:
             self._dispatch(task)
         while self._pending:
-            progressed = self._drain()
+            self._drain()
             self._check_liveness()
             self._check_timeouts()
-            if not progressed and self._pending:
-                self._sleep(self._poll_interval)
         return {task.task_id: task.result for task in tasks}
 
 
 # -- the section-6 strategies on real processes --------------------------------
-
-def _scan_sql(partition: int, budget_limit: float) -> str:
-    return (
-        f"Select name, budget, num_emps, building From dept_p{partition} "
-        f"Where budget < {budget_limit!r}"
-    )
-
-
-def _ni_plan(pool: WorkerPool, budget_limit: float) -> tuple:
-    """Nested iteration: qualifying bindings probe every EMP partition."""
-    n = pool.n_workers
-    scans = [
-        Task(f"ni.scan.{p}", p, "sql", (_scan_sql(p, budget_limit), "ni"))
-        for p in range(n)
-    ]
-    supp_by_home = pool.run_tasks(scans)
-    fragments: set = set()
-    probes: list[Task] = []
-    bindings: list[tuple] = []
-    for p in range(n):
-        for i, (name, _budget, num_emps, building) in enumerate(
-            supp_by_home[f"ni.scan.{p}"]
-        ):
-            probe_ids = []
-            for q in range(n):
-                fragments.add((p, q))
-                task_id = f"ni.count.{p}.{i}.{q}"
-                probes.append(
-                    Task(
-                        task_id, q, "count",
-                        (f"emp_p{q}", "building", building),
-                        # Request + reply, loopback free -- the simulator's
-                        # broadcast/reply accounting per remote partition.
-                        message_cost=0 if q == p else 2,
-                    )
-                )
-                probe_ids.append(task_id)
-            bindings.append((name, num_emps, probe_ids))
-    counts = pool.run_tasks(probes)
-    answer = sorted(
-        (name,)
-        for name, num_emps, probe_ids in bindings
-        if num_emps is not None
-        and num_emps > sum(counts[t] for t in probe_ids)
-    )
-    return answer, len(fragments)
-
-
-def _decorrelated_plan(pool: WorkerPool, budget_limit: float) -> tuple:
-    """Magic decorrelation: repartition once on the correlation attribute,
-    then one fully local decorrelated query per partition."""
-    n = pool.n_workers
-    scans = [
-        Task(f"mag.scan.{p}", p, "sql", (_scan_sql(p, budget_limit), "ni"))
-        for p in range(n)
-    ]
-    supp_by_home = pool.run_tasks(scans)
-    pool.exchange(
-        "supp", DEPT_COLUMNS, ("name",),
-        [supp_by_home[f"mag.scan.{p}"] for p in range(n)],
-        key=lambda row: row[3],
-    )
-    pool.exchange(
-        "empb", EMP_COLUMNS, ("empno",),
-        pool.table_partitions("emp"),
-        key=lambda row: row[2],
-    )
-    finals = [
-        Task(
-            f"mag.local.{j}", j, "sql",
-            (
-                f"Select D.name From supp_p{j} D Where D.num_emps > "
-                f"(Select Count(*) From empb_p{j} E "
-                f"Where D.building = E.building)",
-                "magic",
-            ),
-        )
-        for j in range(n)
-    ]
-    locals_ = pool.run_tasks(finals)
-    answer = sorted(
-        row for j in range(n) for row in locals_[f"mag.local.{j}"]
-    )
-    return answer, n
-
 
 def local_reference(
     dept_rows: list, emp_rows: list, budget_limit: float = 10000.0
@@ -876,12 +653,6 @@ def local_reference(
         strategy=Strategy.MAGIC,
     )
     return sorted(result.rows)
-
-
-_PLANS = {
-    "nested_iteration": _ni_plan,
-    "magic_decorrelated": _decorrelated_plan,
-}
 
 
 def run_real(
@@ -914,23 +685,37 @@ def run_real(
     trees under the ``parallel <strategy>`` span opened here (see the
     module docstring for the grafting contract).
     """
-    if strategy not in _PLANS:
+    if strategy not in PLANS:
         raise ValueError(
-            f"unknown strategy {strategy!r}; expected one of {sorted(_PLANS)}"
+            f"unknown strategy {strategy!r}; expected one of {sorted(PLANS)}"
         )
-    guard = guard_for(limits)
-    if guard is not None:
-        guard.attach(Metrics())
     pool = WorkerPool(
         n_workers,
         faults=faults,
         retry_policy=retry_policy,
         events=events,
-        guard=guard,
+        guard=guard_for(limits),
         tracer=tracer,
         **pool_kwargs,
     )
     started = pool._clock()
+
+    def outcome(answer: list, fragments: int, since: float, **degradation):
+        return WorkerRunMetrics(
+            strategy=strategy,
+            n_workers=n_workers,
+            answer=answer,
+            fragments=fragments,
+            messages=pool.messages,
+            makespan=pool._clock() - since,
+            rows_processed=pool.rows_processed,
+            retries=pool.retries,
+            workers_lost=pool.workers_lost,
+            recovery_time=pool.recovery_time,
+            tasks=pool.tasks_dispatched,
+            **degradation,
+        )
+
     frame = None
     if tracer is not None:
         # The distributing operator's span: every grafted worker/dispatch
@@ -941,31 +726,15 @@ def run_real(
         pool.graft_parent = frame.span
     try:
         pool.start()
-        pool.load_partitioned(
-            "dept", DEPT_COLUMNS, ("name",), dept_rows, key=lambda r: r[0]
-        )
-        pool.load_partitioned(
-            "emp", EMP_COLUMNS, ("empno",), emp_rows, key=lambda r: r[0]
-        )
+        place(pool, dept_rows, emp_rows)
         if on_pool is not None:
             on_pool(pool)
         t0 = pool._clock()
-        answer, fragments = _PLANS[strategy](pool, budget_limit)
+        answer, fragments = PLANS[strategy](pool, budget_limit)
         if frame is not None:
             tracer.end(frame, rows_out=len(answer))
             frame = None
-        return WorkerRunMetrics(
-            strategy=strategy,
-            n_workers=n_workers,
-            answer=answer,
-            fragments=fragments,
-            messages=pool.messages,
-            makespan=pool._clock() - t0,
-            rows_processed=pool.rows_processed,
-            retries=pool.retries,
-            workers_lost=pool.workers_lost,
-            recovery_time=pool.recovery_time,
-        )
+        return outcome(answer, fragments, t0)
     except (WorkerTaskError, WorkerPoolError) as exc:
         if not degrade:
             raise
@@ -984,19 +753,8 @@ def run_real(
                 message=event.message,
             )
         answer = local_reference(dept_rows, emp_rows, budget_limit)
-        return WorkerRunMetrics(
-            strategy=strategy,
-            n_workers=n_workers,
-            answer=answer,
-            fragments=1,
-            messages=pool.messages,
-            makespan=pool._clock() - started,
-            rows_processed=pool.rows_processed,
-            retries=pool.retries,
-            workers_lost=pool.workers_lost,
-            recovery_time=pool.recovery_time,
-            degraded=True,
-            degradations=[event],
+        return outcome(
+            answer, 1, started, degraded=True, degradations=[event]
         )
     finally:
         if frame is not None:

@@ -4,7 +4,12 @@ import math
 
 import pytest
 
-from repro.bench.calibration import qerror, render_calibration, run_calibration
+from repro.bench.calibration import (
+    MEASURED_RUNS,
+    qerror,
+    render_calibration,
+    run_calibration,
+)
 from repro.bench.history import load_history
 from repro.tpcd import load_empdept
 
@@ -41,6 +46,21 @@ class TestRunCalibration:
         assert report["calibration"]["messages_exact"]
         assert report["calibration"]["ni_message_qerror"] == 1.0
         assert report["calibration"]["decorrelated_message_qerror"] == 1.0
+        # Row work and task counts are exact too: one plan, one fragment
+        # interpreter, whichever back-end runs them.
+        assert report["calibration"]["rows_exact"]
+        for strategy in ("ni", "decorrelated"):
+            sim, real = report["simulated"][strategy], report["measured"][strategy]
+            assert real["rows_processed"] == sim["rows_processed"] > 0
+            assert real["tasks"] == sim["tasks"] > 0
+            # Wall-clock is a median with quartiles, never one draw.
+            q1, q3 = real["makespan_quartiles"]
+            assert 0 < q1 <= real["makespan"] <= q3
+        assert report["measured"]["runs"] == MEASURED_RUNS == 5
+        q1, q3 = report["measured"]["advantage_quartiles"]
+        assert q1 <= report["measured"]["advantage"] <= q3
+        q1, q3 = report["calibration"]["advantage_qerror_quartiles"]
+        assert 1.0 <= q1 <= report["calibration"]["advantage_qerror"] <= q3
         # NI must pay more traffic than the decorrelated plan on both
         # sides -- the paper's section-6 claim, simulated and measured.
         assert (report["measured"]["ni"]["messages"]
@@ -56,6 +76,7 @@ class TestRunCalibration:
             "nested_iteration", "magic_decorrelated",
         }
         assert records[2]["messages_exact"] is True
+        assert records[2]["rows_exact"] is True
 
     def test_record_history_false_writes_nothing(self, data, tmp_path):
         dept_rows, emp_rows = data
@@ -76,5 +97,6 @@ class TestRunCalibration:
         )
         text = render_calibration(report)
         assert "messages exact: True" in text
+        assert "rows exact: True" in text
         assert "answers agree: True" in text
         assert "NI/decorr ratio" in text

@@ -3,15 +3,21 @@
 import pytest
 
 from repro import Database
+from repro.errors import BudgetExceeded
+from repro.guard import Limits
 from repro.parallel import (
     Cluster,
     ParallelMetrics,
-    hash_partition,
+    repartition,
     simulate_decorrelated,
     simulate_nested_iteration,
     sweep_nodes,
 )
+from repro.parallel.plans import batches
 from repro.tpcd import EMP_DEPT_QUERY, load_empdept
+
+#: A two-column table for the placement tests.
+KV = (("k", "INT", False), ("v", "STR", True))
 
 
 @pytest.fixture(scope="module")
@@ -28,20 +34,19 @@ class TestCluster:
     def test_partitioning_covers_all_rows(self):
         cluster = Cluster(4)
         rows = [(i, f"v{i}") for i in range(100)]
-        cluster.load_partitioned("t", rows, key=lambda r: r[0])
-        total = sum(len(cluster.local_rows("t", i)) for i in range(4))
+        cluster.load_partitioned("t", KV, (), rows, key=lambda r: r[0])
+        total = sum(len(part) for part in cluster.table_partitions("t"))
         assert total == 100
 
     def test_same_key_same_node(self):
         cluster = Cluster(4)
-        rows = [(i % 5, i) for i in range(50)]
-        cluster.load_partitioned("t", rows, key=lambda r: r[0])
+        rows = [(i % 5, f"v{i}") for i in range(50)]
+        cluster.load_partitioned("t", KV, (), rows, key=lambda r: r[0])
+        parts = cluster.table_partitions("t")
         for node in range(4):
-            keys = {r[0] for r in cluster.local_rows("t", node)}
+            keys = {r[0] for r in parts[node]}
             for other in range(node + 1, 4):
-                assert keys.isdisjoint(
-                    {r[0] for r in cluster.local_rows("t", other)}
-                )
+                assert keys.isdisjoint({r[0] for r in parts[other]})
 
     def test_loopback_is_free(self):
         cluster = Cluster(2)
@@ -59,13 +64,37 @@ class TestCluster:
         assert cluster.owner(None) == 0
 
     def test_hash_partition_counts_row_shipping(self):
-        cluster = Cluster(2)
-        source = [[(1,), (2,)], [(3,), (4,)]]
-        result = hash_partition(cluster, source, key=lambda r: r[0])
+        source = [[(1, "a"), (2, "b")], [(3, "c"), (4, "d")]]
+        result, shipped_rows = repartition(2, source, key=lambda r: r[0])
         assert sum(len(p) for p in result) == 4
+        kept = sum(
+            1 for home, rows in enumerate(source)
+            for row in rows if row in result[home]
+        )
+        assert sum(shipped_rows.values()) + kept == 4
+        assert all(sender != receiver for sender, receiver in shipped_rows)
+        # An exchange charges each sender/receiver pair its own batches.
+        cluster = Cluster(2)
+        cluster.exchange("t", KV, (), source, key=lambda r: r[0])
         shipped = sum(n.messages_sent for n in cluster.nodes)
+        assert shipped == sum(batches(n) for n in shipped_rows.values())
         locally_kept = 4 - shipped
         assert 0 <= shipped <= 4 and locally_kept >= 0
+
+    def test_exchange_batches_per_sender_receiver_pair(self):
+        # 120 rows leave node 1: ceil(rows / 50) messages to each receiver,
+        # never one per row and never one ceil over the sender's total.
+        source = [[], [(i, "x") for i in range(120)], []]
+        _, shipped_rows = repartition(3, source, key=lambda r: r[0])
+        assert set(shipped_rows) == {(1, 0), (1, 2)}
+        cluster = Cluster(3)
+        cluster.exchange("t", KV, (), source, key=lambda r: r[0])
+        for (sender, receiver), n_rows in shipped_rows.items():
+            assert cluster.nodes[receiver].messages_received == -(-n_rows // 50)
+        assert cluster.nodes[1].messages_sent == sum(
+            -(-n // 50) for n in shipped_rows.values()
+        )
+        assert [batches(n) for n in (0, 1, 50, 51)] == [0, 1, 1, 2]
 
     def test_single_node_cluster(self):
         cluster = Cluster(1)
@@ -126,8 +155,17 @@ class TestSimulations:
     def test_decorrelated_work_is_constant_in_nodes(self, empdept_rows):
         dept, emp, _ = empdept_rows
         m1 = simulate_decorrelated(dept, emp, 1)
+        for n in (2, 3):
+            assert simulate_decorrelated(dept, emp, n).rows_processed == (
+                m1.rows_processed
+            )
+        # At 8 nodes one EMP partition holds only buildings without a
+        # qualifying department: its magic table is empty and the engine
+        # inside that node does not scan EMP at all (49 rows) -- exactly
+        # what the real workers measure there. Never more than one node's
+        # work, the section 6.2 claim.
         m8 = simulate_decorrelated(dept, emp, 8)
-        assert m8.rows_processed == m1.rows_processed
+        assert m8.rows_processed == m1.rows_processed - 49
 
     def test_sweep(self, empdept_rows):
         dept, emp, _ = empdept_rows
@@ -136,6 +174,18 @@ class TestSimulations:
         for ni, magic in results:
             assert isinstance(ni, ParallelMetrics)
             assert ni.answer == magic.answer
+
+    @pytest.mark.parametrize(
+        "simulate", [simulate_nested_iteration, simulate_decorrelated]
+    )
+    def test_limits_trip_with_a_metrics_snapshot(self, empdept_rows, simulate):
+        # Simulated remote work reaches the guard the way measured work
+        # does (``absorb``), and governance propagates typed.
+        dept, emp, _ = empdept_rows
+        with pytest.raises(BudgetExceeded) as excinfo:
+            simulate(dept, emp, 2, limits=Limits(max_rows_scanned=5))
+        assert excinfo.value.budget == "max_rows_scanned"
+        assert excinfo.value.metrics.rows_scanned > 5
 
     def test_null_building_department(self):
         # A NULL correlation binding must not crash or change the answer.

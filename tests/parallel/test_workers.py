@@ -24,7 +24,8 @@ from repro.parallel import (
     simulate_decorrelated,
     simulate_nested_iteration,
 )
-from repro.parallel.cluster import RETRY_BACKOFF
+from repro.parallel import plans
+from repro.parallel.cluster import RETRY_BACKOFF, Cluster
 from repro.parallel.workers import Task, _WorkerState
 from repro.tpcd import load_empdept
 
@@ -46,6 +47,20 @@ def data():
 @pytest.fixture(scope="module")
 def reference(data):
     return local_reference(*data)
+
+
+#: One qualifying department whose correlation binding is NULL (d0), one
+#: bound one, one that fails the outer predicate -- the input on which
+#: substituting the binding and correlating on it part ways.
+NULL_BINDING = (
+    [("d0", 500.0, 1, None), ("d1", 500.0, 9, "B1"), ("d2", 99999.0, 1, "B2")],
+    [(i, f"e{i}", f"B{i % 3}", 10.0) for i in range(20)],
+)
+
+STRATEGIES = {
+    "nested_iteration": simulate_nested_iteration,
+    "magic_decorrelated": simulate_decorrelated,
+}
 
 
 class TestRetryPolicy:
@@ -93,24 +108,85 @@ class TestRetryPolicy:
 
 class TestFaultFreeParity:
     """Fault-free, the measured run must agree with both the fault-free
-    single-process reference and the simulator's message accounting."""
+    single-process reference and the simulator's accounting -- both
+    back-ends run the same plan functions, so this holds for any input."""
+
+    @pytest.fixture(params=["generator", "null_binding"])
+    def rows(self, request, data):
+        return data if request.param == "generator" else NULL_BINDING
 
     @pytest.mark.parametrize("runner,simulator", [
         (run_real_nested_iteration, simulate_nested_iteration),
         (run_real_decorrelated, simulate_decorrelated),
     ])
     def test_answer_and_messages_match_the_simulator(
-        self, data, reference, runner, simulator
+        self, data, runner, simulator
     ):
-        dept_rows, emp_rows = data
-        sim = simulator(dept_rows, emp_rows, 3)
-        run = runner(dept_rows, emp_rows, 3, **FAST)
-        assert run.answer == reference
-        assert sorted(sim.answer) == reference
-        assert run.messages == sim.messages
-        assert run.fragments == sim.fragments
-        assert not run.degraded
-        assert run.retries == 0 and run.workers_lost == 0
+        for dept_rows, emp_rows in (data, NULL_BINDING):
+            reference = local_reference(dept_rows, emp_rows)
+            for n in (1, 2, 3):
+                sim = simulator(dept_rows, emp_rows, n)
+                run = runner(dept_rows, emp_rows, n, **FAST)
+                assert run.answer == sim.answer == reference
+                assert run.messages == sim.messages
+                assert run.fragments == sim.fragments
+                assert run.rows_processed == sim.rows_processed
+                assert run.tasks == sim.tasks
+                assert not run.degraded
+                assert run.retries == 0 and run.workers_lost == 0
+
+    @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+    def test_both_back_ends_are_asked_the_same_things(
+        self, rows, strategy, monkeypatch
+    ):
+        # The ledger: every fragment a plan hands to run_tasks and every
+        # exchange it asks for, recorded at each back-end's own methods.
+        ledgers = {Cluster: [], WorkerPool: []}
+
+        def record(cls):
+            run_tasks, exchange = cls.run_tasks, cls.exchange
+
+            def recording_run_tasks(self, tasks):
+                tasks = list(tasks)
+                ledgers[cls].extend(
+                    (t.task_id, t.partition, t.op, t.payload, t.origin)
+                    for t in tasks
+                )
+                return run_tasks(self, tasks)
+
+            def recording_exchange(self, name, *args, **kwargs):
+                exchange(self, name, *args, **kwargs)
+                ledgers[cls].append(
+                    (name, [len(p) for p in self.table_partitions(name)])
+                )
+
+            monkeypatch.setattr(cls, "run_tasks", recording_run_tasks)
+            monkeypatch.setattr(cls, "exchange", recording_exchange)
+
+        record(Cluster)
+        record(WorkerPool)
+        dept_rows, emp_rows = rows
+        STRATEGIES[strategy](dept_rows, emp_rows, 3)
+        run_real(strategy, dept_rows, emp_rows, 3, **FAST)
+        assert ledgers[Cluster], "nothing recorded"
+        assert ledgers[Cluster] == ledgers[WorkerPool]
+
+    @pytest.mark.parametrize("strategy", sorted(STRATEGIES))
+    def test_both_back_ends_call_the_same_plan_function(
+        self, data, strategy, monkeypatch
+    ):
+        plan = plans.PLANS[strategy]
+        assert plan in (plans.ni_plan, plans.decorrelated_plan)
+        handed = []
+
+        def spy(backend, budget_limit):
+            handed.append(type(backend))
+            return plan(backend, budget_limit)
+
+        monkeypatch.setitem(plans.PLANS, strategy, spy)
+        STRATEGIES[strategy](*data, 2)
+        run_real(strategy, *data, 2, **FAST)
+        assert handed == [Cluster, WorkerPool]
 
     def test_rejects_unknown_strategy(self, data):
         with pytest.raises(ValueError, match="unknown strategy"):
