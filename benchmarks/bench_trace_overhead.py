@@ -4,14 +4,15 @@
 Tracing follows the ``limits=None`` pattern of :mod:`repro.guard`: when no
 tracer is attached the executor and rewrite engine must take the plain
 code path -- no span bookkeeping, no clock reads, no snapshots. The same
-contract covers the PR-5 observability surfaces: a database without an
-event log or slow-query log must never construct, consult or emit into
-either. Two kinds of guard enforce it:
+contract covers the event log: a database without one must never
+construct, consult or emit into it (a facade owns no query lifecycle and
+no slow-query log; those are the query service's). Two kinds of guard
+enforce it:
 
 * *structural* checks: with every :class:`~repro.trace.Tracer` (resp.
-  :class:`~repro.obs.events.EventLog` / slow-log) entry point
-  booby-trapped, a plain run must still succeed -- the disabled path
-  provably never touches the machinery;
+  :class:`~repro.obs.events.EventLog`) entry point booby-trapped, a
+  plain run must still succeed -- the disabled path provably never
+  touches the machinery;
 * *timing* checks: the disabled median must not exceed the enabled
   median by more than 5% -- the disabled path regressing towards (or
   past) the cost of the enabled one is exactly the bug this catches.
@@ -23,7 +24,7 @@ import time
 import pytest
 
 from repro import Database, Strategy
-from repro.obs import EventLog, RingSink, SlowQueryLog
+from repro.obs import EventLog
 from repro.tpcd import QUERY_2, load_tpcd
 from repro.trace import Tracer
 
@@ -83,9 +84,9 @@ def test_disabled_overhead_within_tolerance(db):
 
 
 def test_unobserved_path_never_touches_the_event_log(db, monkeypatch):
-    """Structural zero overhead for the event log and slow-query log: with
-    every emission/observation entry point booby-trapped, a database built
-    without ``events``/``slow_query_ms`` must never reach either."""
+    """Structural zero overhead for the event log: with every emission
+    entry point booby-trapped, a database built without ``events`` must
+    never reach it."""
     def boom(*args, **kwargs):  # pragma: no cover - failure path
         raise AssertionError(
             "observability machinery reached on the disabled path"
@@ -93,35 +94,8 @@ def test_unobserved_path_never_touches_the_event_log(db, monkeypatch):
 
     for name in ("emit", "scope", "current_query_id"):
         monkeypatch.setattr(EventLog, name, boom)
-    monkeypatch.setattr(SlowQueryLog, "observe", boom)
     result = db.execute(QUERY_2, strategy=Strategy.MAGIC)
     assert result.rows
-
-
-def test_disabled_events_overhead_within_tolerance(db):
-    """Timing zero overhead for the observed path: a plain database must
-    not regress to more than ``OVERHEAD_TOLERANCE`` of one running with an
-    event log *and* a (never-triggering) slow-query log."""
-    observed_db = Database(
-        catalog=db.catalog, events=EventLog(RingSink(capacity=65536)),
-        slow_query_ms=60_000.0,
-    )
-
-    def plain():
-        db.execute(QUERY_2, strategy=Strategy.MAGIC)
-
-    def observed():
-        observed_db.execute(QUERY_2, strategy=Strategy.MAGIC)
-
-    plain()  # warm caches outside the measurement
-    observed()
-    plain_median = _median_seconds(plain)
-    observed_median = _median_seconds(observed)
-    assert plain_median <= observed_median * OVERHEAD_TOLERANCE, (
-        f"plain median {plain_median * 1000:.3f}ms exceeds "
-        f"{OVERHEAD_TOLERANCE}x observed median "
-        f"{observed_median * 1000:.3f}ms"
-    )
 
 
 def test_unvalidated_path_never_touches_the_plan_verifier(db, monkeypatch):

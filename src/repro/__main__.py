@@ -147,6 +147,15 @@ def cmd_shell(args: argparse.Namespace) -> int:
             print(f"error: {exc}")
 
 
+def _write_json(path: str, payload, note: str = "") -> None:
+    import json
+
+    with open(path, "w") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"wrote {path}{note}")
+
+
 def _write_profile(profiler, title: str, speedscope_out, collapsed_out) -> None:
     """Export a finished sampling profile; print its top operators."""
     import json
@@ -265,7 +274,6 @@ def cmd_soak(args: argparse.Namespace) -> int:
     import contextlib
     import faulthandler
     import functools
-    import json
 
     from .obs import EventLog, FileSink, RingSink, TeeSink
     from .serve import soak
@@ -344,14 +352,8 @@ def cmd_soak(args: argparse.Namespace) -> int:
     if profiler is not None:
         _write_profile(profiler, "repro soak", args.profile_out,
                        args.profile_collapsed)
-    def write_json(path, payload, note="") -> None:
-        with open(path, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {path}{note}")
-
     if args.trace_out and report.traces:
-        write_json(
+        _write_json(
             args.trace_out, report.traces[-1],
             f" ({report.facts['trace_reconciled']}/{len(report.traces)} "
             f"epochs reconciled)",
@@ -372,7 +374,7 @@ def cmd_soak(args: argparse.Namespace) -> int:
             if written is not None:
                 print(f"appended history record to {written}")
     if args.json:
-        write_json(args.json, report.as_dict())
+        _write_json(args.json, report.as_dict())
     title = "soak" if report.scenario == "chaos" else f"{report.scenario} soak"
     if args.real_workers:
         _summarise_worker(title, report)
@@ -403,8 +405,6 @@ def cmd_parallel(args: argparse.Namespace) -> int:
     run the same plan functions, so any difference is a bug); ``1``
     otherwise.
     """
-    import json
-
     from .faults import FaultRegistry
     from .parallel import simulate_decorrelated, simulate_nested_iteration
     from .tpcd import load_empdept
@@ -452,10 +452,7 @@ def cmd_parallel(args: argparse.Namespace) -> int:
     if not args.no_history:
         print("appended measured + calibration records to perf history")
     if args.json:
-        with open(args.json, "w") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.json}")
+        _write_json(args.json, report)
     calibration = report["calibration"]
     ok = report["answers_agree"] and (
         report["faulty"]
@@ -556,25 +553,15 @@ def cmd_explain(args: argparse.Namespace) -> int:
         sql, strategy, analyze=True, cse_mode=args.cse_mode, tracer=tracer,
     ))
     if args.trace_out:
-        import json
-
-        payload = tracer.export(sql=sql, strategy=strategy.value)
-        with open(args.trace_out, "w") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {args.trace_out}")
+        _write_json(
+            args.trace_out, tracer.export(sql=sql, strategy=strategy.value)
+        )
     return 0
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
-    """``repro stats``: run a seeded workload through the query service
-    with tracing on and print the service metrics export.
-
-    The workload is the paper trio (Q1/Q2/Q3) plus EMP/DEPT across all
-    four strategies -- enough traffic to populate the latency and
-    queue-depth histograms and the per-query trace ring. ``--format
-    prometheus`` prints the text exposition format; ``json`` (default)
-    the full snapshot including recent traces."""
+def _serve_paper_workload(args: argparse.Namespace, **service_options):
+    """The paper trio (Q1/Q2/Q3) plus EMP/DEPT across all four strategies
+    through a traced query service, drained: ``(service, tickets)``."""
     from .serve.service import QueryService
     from .tpcd import (
         EMP_DEPT_QUERY, QUERY_1, QUERY_2, QUERY_3, load_empdept, load_tpcd,
@@ -586,8 +573,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     queries = [QUERY_1, QUERY_2, QUERY_3, EMP_DEPT_QUERY]
     strategies = ["ni", "kim", "dayal", "magic"]
     with QueryService(
-        db, workers=args.workers, trace=True,
-        trace_history=args.trace_history,
+        db, workers=args.workers, trace=True, **service_options
     ) as service:
         tickets = [
             service.submit(sql, strategy=strategy)
@@ -596,7 +582,22 @@ def cmd_stats(args: argparse.Namespace) -> int:
         for ticket in tickets:
             ticket.wait(timeout=120)
         service.drain(timeout=120)
-        stats = service.stats()
+    return service, tickets
+
+
+def cmd_stats(args: argparse.Namespace) -> int:
+    """``repro stats``: run a seeded workload through the query service
+    with tracing on and print the service metrics export.
+
+    The workload is the paper trio (Q1/Q2/Q3) plus EMP/DEPT across all
+    four strategies -- enough traffic to populate the latency and
+    queue-depth histograms and the per-query trace ring. ``--format
+    prometheus`` prints the text exposition format; ``json`` (default)
+    the full snapshot including recent traces."""
+    service, _ = _serve_paper_workload(
+        args, trace_history=args.trace_history
+    )
+    stats = service.stats()
     if args.phases:
         histograms = stats.phase_histograms
         if not histograms:
@@ -890,30 +891,13 @@ def cmd_slow(args: argparse.Namespace) -> int:
     """
     import json
 
-    from .serve.service import QueryService
     from .obs import render_slow_log
-    from .tpcd import (
-        EMP_DEPT_QUERY, QUERY_1, QUERY_2, QUERY_3, load_empdept, load_tpcd,
-    )
 
-    catalog = load_tpcd(scale_factor=args.scale)
-    load_empdept(catalog=catalog)
-    db = Database(catalog=catalog)
-    queries = [QUERY_1, QUERY_2, QUERY_3, EMP_DEPT_QUERY]
-    strategies = ["ni", "kim", "dayal", "magic"]
-    with QueryService(
-        db, workers=args.workers, trace=True,
-        slow_query_ms=args.threshold_ms,
-    ) as service:
-        tickets = [
-            service.submit(sql, strategy=strategy)
-            for sql in queries for strategy in strategies
-        ]
-        for ticket in tickets:
-            ticket.wait(timeout=120)
-        service.drain(timeout=120)
-        records = service.slow_queries()
-        total = service.slow_log.total
+    service, tickets = _serve_paper_workload(
+        args, slow_query_ms=args.threshold_ms
+    )
+    records = service.slow_queries()
+    total = service.slow_log.total
     print(
         f"slow queries (> {args.threshold_ms} ms): {total} of "
         f"{len(tickets)} submitted"

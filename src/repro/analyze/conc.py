@@ -30,10 +30,10 @@ Documented intentional exceptions (DESIGN section 9) the lint encodes:
 * a method whose docstring says the *caller holds the lock* (e.g.
   ``CircuitBreaker._transition``) is checked at its call sites' level,
   not lexically;
-* ``QueryService._transitions`` is lock-free by design (atomic list
-  append; taking the service lock there could deadlock against
-  ``_breaker()``), so it is deliberately absent from
-  :data:`GUARDED_ATTRS`;
+* ``BreakerBoard.transitions`` is lock-free by design (an atomic list
+  append made under the transitioning breaker's lock), so it is
+  deliberately absent from :data:`GUARDED_ATTRS`; the board's own lock
+  sits at the breaker rank and guards only the creation of a breaker;
 * the admission policy (``QueryService._policy``, see
   :mod:`repro.serve.overload`) holds the overload-control state and takes
   no lock of its own: its mutating methods carry the *caller holds the
@@ -88,6 +88,7 @@ CLASS_LOCKS: dict[str, dict[str, str]] = {
     "catalog": {"_lock": "catalog"},
     "table": {"_lock": "table"},
     "circuitbreaker": {"_lock": "breaker"},
+    "breakerboard": {"_lock": "breaker"},
     "eventlog": {"_lock": "events"},
 }
 
@@ -95,8 +96,7 @@ CLASS_LOCKS: dict[str, dict[str, str]] = {
 #: under that class's lock (DESIGN section 9, "who owns what").
 GUARDED_ATTRS: dict[str, frozenset[str]] = {
     "queryservice": frozenset({
-        "_queue", "_tickets", "_closed", "_breakers",
-        "_counts", "_in_flight",
+        "_queue", "_tickets", "_closed", "_counts", "_in_flight",
         "_latencies", "_queue_wait_samples", "_queue_depth_samples",
         "_phase_samples", "_trace_history",
     }),
@@ -106,12 +106,13 @@ GUARDED_ATTRS: dict[str, frozenset[str]] = {
     "circuitbreaker": frozenset({
         "_state", "_consecutive_failures", "_opened_at", "_probe_inflight",
     }),
+    "breakerboard": frozenset({"_breakers"}),
 }
 
 #: Documented lock-free shared state (listed so the contract is explicit;
 #: the lint does not check these -- see the module docstring).
 LOCK_FREE_BY_DESIGN: dict[str, frozenset[str]] = {
-    "queryservice": frozenset({"_transitions"}),
+    "breakerboard": frozenset({"transitions"}),
 }
 
 #: Receiver-name nouns used to resolve ``<var>._lock`` acquisitions.

@@ -12,7 +12,6 @@ Typical use::
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 from typing import Any, Optional, TYPE_CHECKING
 
@@ -102,14 +101,15 @@ class Database:
     (:class:`repro.faults.FaultRegistry`); ``None`` defers to the
     ``REPRO_FAULTS`` environment variable (unset = no injection).
 
-    ``events`` (a :class:`repro.obs.events.EventLog`) turns on structured
-    lifecycle events: each query emits ``query.started`` and
-    ``query.finished`` (with its ``Metrics`` snapshot), and the rewrite
-    engine, guard and fault registry emit their own events into the same
-    log. ``slow_query_ms`` enables the slow-query log: any query (rewrite
-    + execution) slower than the threshold is captured in a bounded ring
-    on ``self.slow_log`` (pass ``slow_log=`` to share a ring across
-    facades instead). Both default to ``None`` -- the zero-overhead path.
+    ``events`` (a :class:`repro.obs.events.EventLog`) receives the
+    engine-level events -- the rewrite engine (``query.degraded``), the
+    guard (``guard.budget_exceeded``), the fault registry (``fault.fired``)
+    and the plan verifier (``plan.verified``) emit into it, attributed to
+    whatever query id the caller has scoped. A query's *lifecycle*
+    (``query.started`` / ``query.finished``, slow-query capture) has one
+    owner, the :class:`~repro.serve.service.QueryService`; a one-worker
+    service is how to get it around a single query. ``None`` (the
+    default) is the zero-overhead path.
 
     ``plan_cache`` (a :class:`repro.plan.cache.PlanCache`, shareable
     across facades) turns on prepared statements: repeated submissions of
@@ -125,12 +125,8 @@ class Database:
         validate: Optional[bool] = None,
         faults: Optional[FaultRegistry] = None,
         events=None,
-        slow_query_ms: Optional[float] = None,
-        slow_log=None,
         plan_cache=None,
     ):
-        import itertools
-
         from ..rewrite import RewriteEngine
 
         self.catalog = catalog if catalog is not None else Catalog()
@@ -141,16 +137,7 @@ class Database:
         )
         if events is not None and self.faults is not None:
             self.faults.events = events
-        if slow_log is not None:
-            self.slow_log = slow_log
-        elif slow_query_ms is not None:
-            from ..obs.slowlog import SlowQueryLog
-
-            self.slow_log = SlowQueryLog(slow_query_ms, events=events)
-        else:
-            self.slow_log = None
         self.plan_cache = plan_cache
-        self._query_ids = itertools.count(1)
 
     # -- DDL / DML -----------------------------------------------------------
 
@@ -376,13 +363,9 @@ class Database:
             # rewrite/optimize/execute marks.
             phases.mark("plan_cache")
         if prepared is not None and prepared.entry is not None:
-            return self._run_guarded(
-                lambda guard: self._run_cached(
-                    prepared, sql=sql, cse_mode=cse_mode, guard=guard,
-                    phases=phases,
-                ),
-                sql=sql, key=prepared.strategy_key,
-                limits=limits, guard=guard,
+            return self._run_cached(
+                prepared, sql=sql, cse_mode=cse_mode,
+                guard=self._guard(limits, guard), phases=phases,
             )
         statement = parse_statement(sql)
         if not isinstance(statement, (ast.Select, ast.SetOp)):
@@ -421,6 +404,17 @@ class Database:
             phases.mark("execute")
         return Result(entry.graph.output_names(), rows, metrics, sql=sql)
 
+    def _guard(
+        self, limits: Optional[Limits], guard: Optional[ExecutionGuard]
+    ) -> Optional[ExecutionGuard]:
+        """The one place ``limits`` become a guard, and the guard gets
+        this facade's event log (budget trips are engine-level events)."""
+        if guard is None:
+            guard = guard_for(limits)
+        if guard is not None and self.events is not None:
+            guard.events = self.events
+        return guard
+
     def _run_query(
         self,
         statement: ast.QueryBody,
@@ -428,130 +422,18 @@ class Database:
         cse_mode: str,
         *,
         sql: Optional[str] = None,
-        limits: Optional[Limits] = None,
-        guard: Optional[ExecutionGuard] = None,
-        tracer: Optional["Tracer"] = None,
-        **options: Any,
-    ) -> Result:
-        """Rewrite and execute one query body; ``options`` are the
-        remaining keywords of :meth:`_run_query_inner`, passed through."""
-        if sql is None:
-            sql = to_sql(statement)
-        return self._run_guarded(
-            lambda guard: self._run_query_inner(
-                statement, strategy, cse_mode,
-                sql=sql, guard=guard, tracer=tracer, **options,
-            ),
-            sql=sql, key=getattr(strategy, "value", strategy),
-            limits=limits, guard=guard, tracer=tracer,
-        )
-
-    def _run_guarded(
-        self,
-        run,
-        *,
-        sql: str,
-        key,
-        limits: Optional[Limits],
-        guard: Optional[ExecutionGuard],
-        tracer: Optional["Tracer"] = None,
-    ) -> Result:
-        """``run(guard)`` -- plainly, or under lifecycle events and the
-        slow-query log when this facade has either. The one place that is
-        decided, and the one place ``limits`` become a guard.
-
-        Lifecycle events (``query.started`` / ``query.finished``) are
-        emitted only when no outer scope owns the query already -- the
-        query service binds its ticket id around ``execute()`` and emits
-        its own lifecycle, so facade databases contribute engine-level
-        events (degradations, faults, budget trips) without duplicating
-        the service's.
-        """
-        if guard is None:
-            guard = guard_for(limits)
-        events = self.events
-        if events is None and self.slow_log is None:
-            return run(guard)
-        import time as _time
-
-        from ..errors import QueryCancelled
-
-        if events is not None and guard is not None:
-            guard.events = events
-        owns_lifecycle = (
-            events is not None and events.current_query_id() is None
-        )
-        if owns_lifecycle:
-            query_id: Optional[int] = next(self._query_ids)
-        elif events is not None:
-            query_id = events.current_query_id()
-        else:
-            query_id = None
-        outcome = "failed"
-        error_type: Optional[str] = None
-        result: Optional[Result] = None
-        scope = (
-            events.scope(query_id) if owns_lifecycle
-            else contextlib.nullcontext()
-        )
-        started = _time.perf_counter()
-        with scope:
-            if owns_lifecycle:
-                events.emit("query.started", strategy=key)
-            try:
-                result = run(guard)
-                outcome = "completed"
-                return result
-            except QueryCancelled:
-                outcome, error_type = "cancelled", "QueryCancelled"
-                raise
-            except BaseException as exc:
-                error_type = type(exc).__name__
-                raise
-            finally:
-                latency_ms = (_time.perf_counter() - started) * 1000
-                if owns_lifecycle:
-                    if outcome == "cancelled":
-                        events.emit("query.cancelled")
-                    events.emit(
-                        "query.finished",
-                        outcome=outcome,
-                        strategy=key,
-                        latency_ms=round(latency_ms, 3),
-                        error_type=error_type,
-                        metrics=(
-                            result.metrics.as_dict()
-                            if result is not None else None
-                        ),
-                    )
-                if self.slow_log is not None:
-                    self.slow_log.observe(
-                        latency_ms,
-                        sql=sql,
-                        strategy=key,
-                        query_id=query_id,
-                        outcome=outcome,
-                        degradations=(
-                            result.degradations if result is not None else ()
-                        ),
-                        metrics=result.metrics if result is not None else None,
-                        tracer=tracer,
-                    )
-
-    def _run_query_inner(
-        self,
-        statement: ast.QueryBody,
-        strategy: Strategy,
-        cse_mode: str,
-        *,
-        sql: str,
         decorrelate_existential: bool = True,
+        limits: Optional[Limits] = None,
         guard: Optional[ExecutionGuard] = None,
         fallback: bool = False,
         disabled=None,
         tracer: Optional["Tracer"] = None,
         phases=None,
     ) -> Result:
+        """Rewrite and execute one query body."""
+        if sql is None:
+            sql = to_sql(statement)
+        guard = self._guard(limits, guard)
         degradations: list = []
         if fallback:
             graph, degradations = self.engine.rewrite_with_fallback(
@@ -583,10 +465,16 @@ class Database:
                 # "optimize" = static plan verification; absent entirely
                 # when validation is off (no work, no phase).
                 phases.mark("optimize")
-        rows, metrics = execute_graph(
-            graph, self.catalog, cse_mode=cse_mode,
-            guard=guard, faults=self.faults, tracer=tracer,
-        )
+        try:
+            rows, metrics = execute_graph(
+                graph, self.catalog, cse_mode=cse_mode,
+                guard=guard, faults=self.faults, tracer=tracer,
+            )
+        except ReproError as exc:
+            # The plan that failed is the one the chain ended on: the chain
+            # leaves with the error, as it does from rewrite_with_fallback.
+            exc.degradations = degradations  # type: ignore[attr-defined]
+            raise
         if phases is not None:
             phases.mark("execute")
         return Result(

@@ -10,6 +10,7 @@ was assembled from exactly these runs.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Sequence
 
 from ..api import Database, Strategy
@@ -48,7 +49,8 @@ def _figure_section(report: FigureReport) -> list[str]:
     return lines
 
 
-def _parallel_section() -> list[str]:
+@functools.cache  # constants in, ~10 s of engine runs: once per process
+def _parallel_section() -> tuple[str, ...]:
     from ..parallel import simulate_decorrelated, simulate_nested_iteration
 
     catalog = load_empdept(n_depts=400, n_emps=8000, n_buildings=40)
@@ -70,7 +72,7 @@ def _parallel_section() -> list[str]:
             f"| {ni.makespan / mag.makespan:.1f}x |"
         )
     lines.append("")
-    return lines
+    return tuple(lines)
 
 
 def _ablation_section(scale_factor: float) -> list[str]:

@@ -5,16 +5,11 @@ answers "what happened to *every* query" -- a durable, append-only record
 of the service's lifecycle that a soak run, a CI job or an operator can
 replay after the fact.
 
-Schema (version 2; version-1 streams still validate): one flat JSON
+Schema (version 2, the one version written and accepted): one flat JSON
 object per event::
 
     {"v": 2, "seq": 17, "ts": 1754222000.123, "kind": "query.finished",
      "query_id": 9, "outcome": "completed", "latency_ms": 4.2, ...}
-
-Version 2 adds exactly one kind over version 1 -- ``query.phases``, the
-per-query phase budget (see :mod:`repro.obs.phases`) -- so a v1 stream
-is a valid v2 stream and :func:`validate_events` accepts both versions
-side by side (a tee of old and new producers stays valid).
 
 ``v``/``seq``/``ts``/``kind``/``query_id`` are the envelope (``seq`` is
 strictly increasing per log, ``query_id`` may be ``None`` for
@@ -48,12 +43,9 @@ from typing import Any, Callable, Iterable, Optional
 
 from ..errors import EventLogError
 
-#: Event-stream schema version (bump on incompatible layout changes).
+#: Event-stream schema version (bump on incompatible layout changes);
+#: the one version :func:`validate_events` accepts.
 EVENTS_VERSION = 2
-
-#: Schema versions :func:`validate_events` accepts: v2 only *adds* the
-#: ``query.phases`` kind, so v1 streams remain valid.
-ACCEPTED_VERSIONS = frozenset((1, 2))
 
 #: The envelope keys every event carries (in this order, first).
 ENVELOPE_KEYS = ("v", "seq", "ts", "kind", "query_id")
@@ -281,10 +273,9 @@ def _validate_event(
         if name not in event:
             problems.append(f"{path}: missing envelope field {name!r}")
             return last_seq
-    if event["v"] not in ACCEPTED_VERSIONS:
+    if event["v"] != EVENTS_VERSION:
         problems.append(
-            f"{path}: v must be one of "
-            f"{sorted(ACCEPTED_VERSIONS)}, got {event['v']!r}"
+            f"{path}: v must be {EVENTS_VERSION}, got {event['v']!r}"
         )
     seq = event["seq"]
     if not isinstance(seq, int) or seq < 1:
@@ -319,7 +310,7 @@ def _validate_event(
 
 
 def validate_events(events: Iterable[Any]) -> int:
-    """Validate an event stream against the schema (v1 or v2 envelopes).
+    """Validate an event stream against the schema.
 
     Checks the envelope of every event (version, strictly-increasing
     ``seq``, timestamp, known ``kind``, well-typed ``query_id``) and that

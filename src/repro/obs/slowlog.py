@@ -7,12 +7,12 @@ summaries from its tracer (when it ran traced), and the ``Metrics``
 snapshot. The ring is bounded (``capacity``), so a pathological workload
 cannot grow the log without bound; ``total`` still counts every capture.
 
-Wired into :class:`~repro.api.database.Database` (``slow_query_ms=...``,
-covering rewrite + execution) and
-:class:`~repro.serve.service.QueryService` (``slow_query_ms=...``,
-covering queue wait too, surfaced on ``ServiceStats``). Disabled
-(``slow_query_ms=None``) means no log object exists and the execute path
-pays one ``is None`` test -- the usual zero-overhead contract.
+Wired into :class:`~repro.serve.service.QueryService`
+(``slow_query_ms=...``: submission to completion, queue wait included,
+surfaced on ``ServiceStats``), which hands it each finished ticket's
+summary. Disabled (``slow_query_ms=None``) means no log object exists and
+settling a ticket pays one ``is None`` test -- the usual zero-overhead
+contract.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from __future__ import annotations
 import threading
 import time
 from collections import deque
-from typing import Any, Optional
+from typing import Optional
 
 from ..errors import EventLogError
 
@@ -61,60 +61,22 @@ class SlowQueryLog:
         #: Every capture ever, including entries the ring has dropped.
         self.total = 0
 
-    def observe(
-        self,
-        latency_ms: float,
-        sql: str = "",
-        strategy: str = "",
-        query_id: Optional[int] = None,
-        outcome: str = "completed",
-        degradations: Any = (),
-        metrics=None,
-        tracer=None,
-        phases: Optional[dict] = None,
-        brownout_level: Optional[int] = None,
-    ) -> Optional[dict]:
+    def capture(self, summary: dict) -> Optional[dict]:
         """Record the query if it was slow; returns the captured record
         (or ``None`` below the threshold).
 
-        ``phases`` (phase name -> milliseconds, see
-        :mod:`repro.obs.phases`) and ``brownout_level`` (the rung
-        snapshotted at dequeue) let the record answer "slow because
-        queued or slow because executing" without a separate trace."""
-        if latency_ms < self.threshold_ms:
-            return None
-        return self._keep({
-            "query_id": query_id,
-            "sql": sql,
-            "strategy": strategy,
-            "outcome": outcome,
-            "latency_ms": round(latency_ms, 3),
-            "degradations": [str(event) for event in degradations],
-            "metrics": metrics.as_dict() if metrics is not None else None,
-            "operators": (
-                tracer.operator_summaries(top=self.top_operators)
-                if tracer is not None else []
-            ),
-            "phases": dict(phases) if phases is not None else None,
-            "brownout_level": brownout_level,
-        })
-
-    def capture(self, summary: dict) -> Optional[dict]:
-        """:meth:`observe` for a query that is already summarised (the
-        query service's :meth:`~repro.serve.service.Ticket.summary`): the
-        record is a key-subset of ``summary``, its ``operators`` (absent
-        for an untraced run) cut to ``top_operators``."""
+        ``summary`` is a per-query summary (the query service's
+        :meth:`~repro.serve.service.Ticket.summary`): the record is a
+        key-subset of it -- ``phases`` and ``brownout_level`` let it
+        answer "slow because queued or slow because executing" without a
+        separate trace -- with its ``operators`` (absent for an untraced
+        run) cut to ``top_operators``."""
         if summary["latency_ms"] < self.threshold_ms:
             return None
-        fields = {key: summary[key] for key in _SUMMARY_KEYS}
-        fields["operators"] = (
-            summary.get("operators", [])[:self.top_operators]
-        )
-        return self._keep(fields)
-
-    def _keep(self, fields: dict) -> dict:
         record = {
-            "ts": self._clock(), "threshold_ms": self.threshold_ms, **fields
+            "ts": self._clock(), "threshold_ms": self.threshold_ms,
+            **{key: summary[key] for key in _SUMMARY_KEYS},
+            "operators": summary.get("operators", [])[:self.top_operators],
         }
         with self._lock:
             self._ring.append(record)

@@ -259,8 +259,8 @@ class RewriteEngine:
         rewrite faults) each append a :class:`DegradationEvent`; the chain
         ends at nested iteration, which is always applicable, so an answer
         is guaranteed whenever NI itself can produce one. If even the last
-        strategy fails, the final error propagates (with the full event log
-        available on ``self.degradations``).
+        strategy fails, the final error propagates with the full chain on
+        it as ``exc.degradations``.
 
         ``disabled`` lets a caller veto chain entries without paying for
         the rewrite attempt at all: it receives each strategy key before
@@ -276,9 +276,6 @@ class RewriteEngine:
         chain = [requested]
         chain.extend(k for k in FALLBACK_CHAIN if k not in chain)
         events: list[DegradationEvent] = []
-        #: The most recent fallback log (also returned), kept on the engine
-        #: so failures that propagate can still be diagnosed.
-        self.degradations = events
         for position, key in enumerate(chain):
             if disabled is not None:
                 reason = disabled(key)
@@ -326,5 +323,6 @@ class RewriteEngine:
                     ),
                 )
                 if not fallback:
+                    exc.degradations = events  # type: ignore[attr-defined]
                     raise
         raise RewriteError("empty fallback chain")  # pragma: no cover

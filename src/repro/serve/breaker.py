@@ -20,8 +20,13 @@ attempted, e.g. it was cancelled) stays HALF_OPEN with the probe slot
 freed, so the next ``try_pass`` claims a fresh probe.
 
 All methods are thread-safe; ``clock`` is injectable for deterministic
-tests. Every transition is reported through ``on_transition`` (the service
-aggregates them into ``service.stats().breaker_transitions``).
+tests. Every transition is reported through ``on_transition``.
+
+A service holds one :class:`BreakerBoard` -- every breaker, the transition
+list (``service.stats().breaker_transitions``) and the shared ``threshold``
+/ ``cooldown`` / ``clock`` -- and gives each query an :class:`Attempt`:
+the veto hook the rewrite engine consults, and the one place the query's
+outcome is booked to the strategies it says something about.
 """
 
 from __future__ import annotations
@@ -29,11 +34,33 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
+
+from ..errors import (
+    BindError,
+    BudgetExceeded,
+    CatalogError,
+    QueryCancelled,
+    ReproError,
+    SQLError,
+)
 
 CLOSED = "closed"
 OPEN = "open"
 HALF_OPEN = "half_open"
+
+#: The strategy of last resort: nothing follows it in the fallback chain,
+#: so its breaker never blocks.
+LAST_RESORT = "ni"
+#: ``error_type`` of a degradation whose strategy was *vetoed* (by an open
+#: breaker or a brownout), not attempted: it says nothing about health.
+VETOED = "CircuitBreakerOpen"
+#: Errors that say nothing about the strategy whose plan was running: a
+#: budget or a cancel is the caller's, and a statement error (syntax,
+#: binding, unknown table) fails identically under every strategy.
+_NOT_THE_STRATEGY = (
+    BudgetExceeded, QueryCancelled, SQLError, BindError, CatalogError,
+)
 
 
 @dataclass(frozen=True)
@@ -177,3 +204,117 @@ class CircuitBreaker:
         with self._lock:
             if self._state == HALF_OPEN and self._probe_inflight:
                 self._probe_inflight = False
+
+
+class BreakerBoard:
+    """One service's strategy health: every :class:`CircuitBreaker`
+    (created when its strategy is first consulted), their transitions and
+    the ``threshold`` / ``cooldown`` / ``clock`` they share. ``events`` (an
+    :class:`~repro.obs.events.EventLog`) gets one ``breaker.transition``
+    per state change."""
+
+    def __init__(self, threshold: int, cooldown: float, clock, events=None):
+        self.threshold = threshold
+        self.cooldown = cooldown
+        self._clock = clock
+        self._events = events
+        self._lock = threading.Lock()
+        self._breakers: dict[str, CircuitBreaker] = {}
+        #: Every transition so far, oldest first.
+        self.transitions: list[BreakerTransition] = []
+
+    def breaker(self, strategy: str) -> CircuitBreaker:
+        breaker = self._breakers.get(strategy)  # no lock once it exists
+        if breaker is None:
+            with self._lock:
+                breaker = self._breakers.setdefault(strategy, CircuitBreaker(
+                    strategy, self.threshold, self.cooldown, self._clock,
+                    on_transition=self._record,
+                ))
+        return breaker
+
+    def _record(self, event: BreakerTransition) -> None:
+        # Called with the breaker's lock held; appending to a list is
+        # atomic, so no extra lock here. The event log's lock is a leaf
+        # (it never takes another lock), so emitting under the breaker
+        # lock is safe.
+        self.transitions.append(event)
+        if self._events is not None:
+            self._events.emit(
+                "breaker.transition",
+                strategy=event.strategy,
+                from_state=event.from_state,
+                to_state=event.to_state,
+                reason=event.reason,
+            )
+
+    def snapshot(self) -> dict:
+        """Every consulted strategy's :meth:`CircuitBreaker.snapshot`."""
+        return {
+            key: breaker.snapshot()
+            for key, breaker in list(self._breakers.items())
+        }
+
+    def attempt(self, requested: str, forced: Optional[str] = None) -> "Attempt":
+        return Attempt(self, requested, forced)
+
+
+class Attempt:
+    """What one query may do to strategy health: veto, settle, release.
+    ``requested`` is the strategy it asked for; ``forced`` (brownout level
+    3) vetoes every other but the last resort."""
+
+    def __init__(self, board: BreakerBoard, requested: str, forced=None):
+        self._board = board
+        self.requested = requested
+        self.forced = forced
+        self._probes: list[str] = []  # half-open probes this attempt holds
+
+    def disabled(self, key: str) -> Optional[str]:
+        """The rewrite engine's veto hook: a reason to skip ``key``, or
+        ``None`` to attempt it. A half-open probe claimed here is this
+        attempt's to resolve (:meth:`settle`) or give back."""
+        if key == LAST_RESORT or key in self._probes:
+            return None
+        if self.forced is not None and key != self.forced:
+            # Recorded as a VETOED degradation, which settle() skips: a
+            # brownout must not poison strategy health.
+            return f"brownout: forcing cheapest strategy {self.forced!r}"
+        reason, probe = self._board.breaker(key).try_pass()
+        if probe:
+            self._probes.append(key)
+        return reason
+
+    def settle(self, degradations: Iterable, error=None) -> None:
+        """Book the query's outcome from its own chain --
+        ``Result.degradations``, or the one its ``error`` carried. Every
+        strategy that *failed* on the way down takes a failure; the one
+        whose plan then ran takes a success, or a failure when ``error``
+        is about that plan: not a budget, a cancel or a statement error,
+        and not the chain running out (its last entry is already booked).
+        Probes still unresolved are released."""
+        board, ran, resolved = self._board, self.requested, set()
+        for event in degradations:
+            if event.error_type != VETOED:
+                board.breaker(event.attempted).record_failure(
+                    f"{event.error_type}: {event.message}"
+                )
+                resolved.add(event.attempted)
+            ran = event.fallback  # "" once the chain ran out
+        if ran and error is None:
+            board.breaker(ran).record_success()
+            resolved.add(ran)
+        elif ran and isinstance(error, ReproError) and not isinstance(
+            error, _NOT_THE_STRATEGY
+        ):
+            board.breaker(ran).record_failure(f"{type(error).__name__}: {error}")
+            resolved.add(ran)
+        self._probes = [key for key in self._probes if key not in resolved]
+        self.release()
+
+    def release(self) -> None:
+        """Give back the probes this attempt still holds (the query died
+        before the probed strategy was attempted)."""
+        for key in self._probes:
+            self._board.breaker(key).release_probe()
+        self._probes.clear()

@@ -26,7 +26,7 @@ all workers and is internally synchronized (see
 :class:`~repro.storage.catalog.Catalog` and
 :class:`~repro.storage.table.Table`). Each worker gets its **own**
 ``Database`` facade over that catalog, because the rewrite engine keeps
-per-rewrite diagnostic state (``steps`` / ``degradations``) that must not
+per-rewrite diagnostic state (``steps``, the active tracer) that must not
 be shared across threads. Fault injection follows ``fault_scope``:
 
 * ``"shared"`` (default): all workers share the base database's
@@ -71,12 +71,11 @@ from ..errors import (
     BudgetExceeded,
     QueryCancelled,
     QueryShed,
-    ReproError,
 )
 from ..exec.metrics import Metrics
 from ..guard import ExecutionGuard, Limits
 from ..obs.phases import PHASES, PhaseTimeline
-from .breaker import BreakerTransition, CircuitBreaker
+from .breaker import BreakerBoard
 from .overload import OverloadConfig, admission_policy, priority_rank
 
 #: Ticket lifecycle states.
@@ -88,9 +87,6 @@ CANCELLED = "cancelled"
 #: Overload-control outcomes: evicted from the queue without running.
 SHED = "shed"
 EXPIRED = "expired"
-
-#: The strategy of last resort; its breaker never blocks (see module doc).
-_LAST_RESORT = "ni"
 
 
 class Ticket:
@@ -699,11 +695,11 @@ class QueryService:
             and plan_cache.events is None
         ):
             plan_cache.events = events
-        # breakers
-        self._breaker_threshold = breaker_threshold
-        self._breaker_cooldown = breaker_cooldown
-        self._breakers: dict[str, CircuitBreaker] = {}
-        self._transitions: list[BreakerTransition] = []
+        #: Strategy health: the breakers and who feeds them (it takes its
+        #: own locks; the service lock is never needed to consult it).
+        self._health = BreakerBoard(
+            breaker_threshold, breaker_cooldown, clock, events
+        )
         self._tls = threading.local()
         # workers
         self._threads = [
@@ -953,9 +949,8 @@ class QueryService:
                 validate=self._db.engine.validate,
                 faults=faults,
                 # Engine-level events (degradations, faults, budget trips)
-                # flow into the service's log; lifecycle events stay with
-                # the service (the worker runs inside the ticket's scope,
-                # so the facade never claims the lifecycle itself).
+                # flow into the service's log under the ticket's scope;
+                # the lifecycle is the service's alone.
                 events=self.events,
                 # One shared cache across facades: the whole point is
                 # that worker B hits on the template worker A filled.
@@ -963,35 +958,6 @@ class QueryService:
             )
             local.db = db
         return db
-
-    def _breaker(self, strategy: str) -> CircuitBreaker:
-        with self._lock:
-            breaker = self._breakers.get(strategy)
-            if breaker is None:
-                breaker = CircuitBreaker(
-                    strategy,
-                    threshold=self._breaker_threshold,
-                    cooldown=self._breaker_cooldown,
-                    clock=self._clock,
-                    on_transition=self._record_transition,
-                )
-                self._breakers[strategy] = breaker
-            return breaker
-
-    def _record_transition(self, event: BreakerTransition) -> None:
-        # Called with the breaker's lock held; appending to a list is
-        # atomic, so no extra lock here (and taking self._lock could
-        # deadlock against _breaker()). The event log's lock is a leaf
-        # (it never takes another lock), so emitting under the breaker
-        # lock is safe.
-        self._transitions.append(event)
-        self._emit(
-            "breaker.transition",
-            strategy=event.strategy,
-            from_state=event.from_state,
-            to_state=event.to_state,
-            reason=event.reason,
-        )
 
     def _worker_loop(self) -> None:
         while True:
@@ -1040,25 +1006,9 @@ class QueryService:
 
     def _run_ticket_inner(self, ticket: Ticket) -> None:
         db = self._worker_db()
-        claimed: dict[str, bool] = {}  # strategy -> probe claimed
-        resolved: set[str] = set()
-        forced = ticket.forced_strategy
-
-        def disabled(key: str) -> Optional[str]:
-            if key == _LAST_RESORT:
-                return None
-            if forced is not None and key != forced:
-                # Brownout level 3: veto everything but the cheapest
-                # learned strategy. The veto records a degradation with
-                # error_type "CircuitBreakerOpen", which the breaker
-                # bookkeeping below already exempts -- a brownout must
-                # not poison strategy health.
-                return f"brownout: forcing cheapest strategy {forced!r}"
-            reason, probe = self._breaker(key).try_pass()
-            if probe:
-                claimed[key] = True
-            return reason
-
+        # Brownout level 3 vetoes everything but the cheapest learned
+        # strategy through the same hook the breakers use.
+        attempt = self._health.attempt(ticket.strategy, ticket.forced_strategy)
         outcome = FAILED
         error: Optional[BaseException] = None
         result: Optional[Result] = None
@@ -1079,47 +1029,23 @@ class QueryService:
                 cse_mode=ticket.cse_mode,
                 guard=ticket.guard,
                 fallback=True,
-                disabled=disabled,
+                disabled=attempt.disabled,
                 tracer=tracer,
                 phases=ticket.phases,
             )
             outcome = COMPLETED
-            # Breaker bookkeeping: every strategy that *failed* on the way
-            # down the chain takes a failure; the strategy that finally
-            # produced the answer takes a success.
-            effective = ticket.strategy
-            for event in result.degradations:
-                if event.error_type != "CircuitBreakerOpen":
-                    self._breaker(event.attempted).record_failure(
-                        f"{event.error_type}: {event.message}"
-                    )
-                    resolved.add(event.attempted)
-                effective = event.fallback or effective
-            self._breaker(effective).record_success()
-            resolved.add(effective)
         except QueryCancelled as exc:
             outcome, error = CANCELLED, exc
-        except BudgetExceeded as exc:
-            # A budget/deadline trip says nothing about the strategy's
-            # health; it does not feed the breaker.
-            outcome, error = FAILED, exc
-        except ReproError as exc:
-            outcome, error = FAILED, exc
-            # Execution-stage failure: attribute to the strategy whose
-            # plan was executing (the last fallback taken, else requested).
-            effective = ticket.strategy
-            for event in db.engine.degradations:
-                effective = event.fallback or effective
-            self._breaker(effective).record_failure(
-                f"{type(exc).__name__}: {exc}"
-            )
-            resolved.add(effective)
-        except BaseException as exc:  # pragma: no cover - invariant breach
+        except BaseException as exc:  # a typed failure, or an invariant breach
             outcome, error = FAILED, exc
         finally:
-            for key, was_probe in claimed.items():
-                if was_probe and key not in resolved:
-                    self._breaker(key).release_probe()
+            # Strategy health is fed from the query's own chain: the
+            # result's, or the one its error carried out.
+            attempt.settle(
+                result.degradations if result is not None
+                else getattr(error, "degradations", ()),
+                error,
+            )
             self._finish(ticket, outcome, result, error, tracer=tracer)
 
     def _finish(
@@ -1322,11 +1248,8 @@ class QueryService:
                     round(_percentile(latencies, 0.95) * 1000, 3)
                     if latencies else None
                 ),
-                breakers={
-                    key: breaker.snapshot()
-                    for key, breaker in self._breakers.items()
-                },
-                breaker_transitions=list(self._transitions),
+                breakers=self._health.snapshot(),
+                breaker_transitions=list(self._health.transitions),
                 latency_histogram=_histogram(latencies, LATENCY_BUCKETS),
                 queue_depth_histogram=_histogram(
                     self._queue_depth_samples, QUEUE_DEPTH_BUCKETS

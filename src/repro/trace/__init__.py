@@ -22,7 +22,6 @@ exactly -- see :meth:`Tracer.metric_totals`.
 """
 
 from .tracer import (
-    ACCEPTED_TRACE_VERSIONS,
     SPAN_KINDS,
     TRACE_VERSION,
     OperatorStats,
@@ -37,7 +36,6 @@ from .tracer import (
 )
 
 __all__ = [
-    "ACCEPTED_TRACE_VERSIONS",
     "SPAN_KINDS",
     "TRACE_VERSION",
     "OperatorStats",

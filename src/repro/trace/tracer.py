@@ -22,13 +22,9 @@ from typing import Any, Callable, Optional
 from ..errors import TraceError
 from ..exec.metrics import SUM_FIELD_NAMES, Metrics
 
-#: Trace JSON schema version (bump on incompatible layout changes).
-#: Version 2 only *adds* the cross-process span kinds (``worker``,
-#: ``dispatch``), so v1 payloads still validate.
+#: Trace JSON schema version (bump on incompatible layout changes);
+#: the one version :func:`validate_trace` accepts.
 TRACE_VERSION = 2
-
-#: Schema versions :func:`validate_trace` accepts.
-ACCEPTED_TRACE_VERSIONS = frozenset((1, 2))
 
 _N_COUNTERS = len(SUM_FIELD_NAMES)
 _ZEROS = (0,) * _N_COUNTERS
@@ -449,9 +445,9 @@ def validate_trace(payload: Any) -> None:
     problems: list[str] = []
     if not isinstance(payload, dict):
         raise TraceError("trace must be a JSON object")
-    if payload.get("version") not in ACCEPTED_TRACE_VERSIONS:
+    if payload.get("version") != TRACE_VERSION:
         problems.append(
-            f"version must be one of {sorted(ACCEPTED_TRACE_VERSIONS)}, "
+            f"version must be {TRACE_VERSION}, "
             f"got {payload.get('version')!r}"
         )
     for name in ("sql", "strategy"):

@@ -123,24 +123,31 @@ def _mutated_self_attrs(function):
     return found
 
 
-def test_every_shared_queryservice_attribute_is_declared():
-    """The guarded set cannot go stale: whatever ``__init__`` creates and
-    another method mutates is either checked or documented lock-free."""
+def _assert_declared_set_is_current(module, class_name):
     serve = default_targets()[0]
-    service = _class_def(os.path.join(serve, "service.py"), "QueryService")
-    methods = [n for n in service.body if isinstance(n, ast.FunctionDef)]
+    owner = _class_def(os.path.join(serve, module), class_name)
+    methods = [n for n in owner.body if isinstance(n, ast.FunctionDef)]
     init = next(m for m in methods if m.name == "__init__")
-    created = {a for a in _mutated_self_attrs(init) if a.startswith("_")}
+    created = _mutated_self_attrs(init)
     shared = set()
     for method in methods:
         if method is not init:
             shared |= _mutated_self_attrs(method) & created
-    declared = (
-        GUARDED_ATTRS["queryservice"] | LOCK_FREE_BY_DESIGN["queryservice"]
-    )
+    key = class_name.lower()
+    declared = GUARDED_ATTRS[key] | LOCK_FREE_BY_DESIGN.get(key, frozenset())
     assert shared <= declared, sorted(shared - declared)
     # ... and nothing is declared that the class no longer has.
     assert declared <= created, sorted(declared - created)
+
+
+def test_every_shared_queryservice_attribute_is_declared():
+    """The guarded set cannot go stale: whatever ``__init__`` creates and
+    another method mutates is either checked or documented lock-free."""
+    _assert_declared_set_is_current("service.py", "QueryService")
+
+
+def test_every_shared_breakerboard_attribute_is_declared():
+    _assert_declared_set_is_current("breaker.py", "BreakerBoard")
 
 
 def test_policy_methods_that_mutate_state_say_who_holds_the_lock():

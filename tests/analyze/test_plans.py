@@ -230,21 +230,21 @@ def test_verify_pre_execution_returns_summary(empdept_catalog):
 def test_validated_execution_emits_plan_verified_event(empdept_catalog):
     from repro.api.database import Database
     from repro.obs import EventLog, RingSink
+    from repro.serve import QueryService
 
-    db = Database(
-        catalog=empdept_catalog, validate=True,
-        events=EventLog(RingSink()),
-    )
-    result = db.execute(AVG_SUBQUERY, strategy=Strategy("magic"))
-    assert result.rows is not None
-    verified = [
-        e for e in db.events.events() if e["kind"] == "plan.verified"
-    ]
+    log = EventLog(RingSink())
+    db = Database(catalog=empdept_catalog, validate=True)
+    # The query's id is its ticket's: the service owns the lifecycle and
+    # its worker facade emits the engine-level event inside that scope.
+    with QueryService(db, workers=1, events=log) as service:
+        ticket = service.submit(AVG_SUBQUERY, strategy="magic")
+        assert ticket.result(timeout=30).rows is not None
+    verified = [e for e in log.events() if e["kind"] == "plan.verified"]
     assert len(verified) == 1
     event = verified[0]
     assert event["errors"] == 0
     assert event["plans"] >= 1
-    assert event["query_id"] is not None
+    assert event["query_id"] == ticket.query_id
     assert {"boxes", "steps", "columns", "nullable_columns",
             "tainted_columns", "warnings"} <= set(event)
 

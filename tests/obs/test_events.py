@@ -187,48 +187,47 @@ class TestHelpers:
 
 
 class TestDatabaseEmission:
-    def test_lifecycle_events_for_a_facade_query(self, empdept_catalog):
-        log, sink = _log()
-        db = Database(empdept_catalog, events=log)
-        result = db.execute(QUERY, strategy=Strategy.MAGIC)
-        assert result.rows
-        kinds = [e["kind"] for e in sink.events()]
-        assert kinds == ["query.started", "query.finished"]
-        finished = sink.events()[-1]
-        assert finished["outcome"] == "completed"
-        assert finished["strategy"] == "magic"
-        assert finished["metrics"]["rows_output"] == len(result.rows)
-        assert finished["query_id"] == sink.events()[0]["query_id"]
-        assert validate_events(sink.events()) == 2
+    """A facade built with ``events=`` feeds engine-level events into the
+    log; the lifecycle around them belongs to the query service."""
 
-    def test_query_ids_are_distinct_per_query(self, empdept_catalog):
+    def _service(self, catalog, log, **options):
+        from repro.serve import QueryService
+
+        db = Database(catalog, **options)
+        return QueryService(db, workers=1, events=log)
+
+    def test_a_facade_emits_no_lifecycle_of_its_own(self, empdept_catalog):
         log, sink = _log()
         db = Database(empdept_catalog, events=log)
-        db.execute(QUERY, strategy=Strategy.MAGIC)
-        db.execute(QUERY, strategy=Strategy.NESTED_ITERATION)
-        ids = {e["query_id"] for e in sink.events()}
-        assert len(ids) == 2
+        assert db.execute(QUERY, strategy=Strategy.MAGIC).rows
+        with pytest.raises(Exception):
+            db.execute("SELECT nope FROM dept", strategy=Strategy.MAGIC)
+        kinds = {e["kind"] for e in sink.events()}
+        assert not kinds & {
+            "query.started", "query.finished", "query.cancelled", "query.slow"
+        }
 
     def test_failed_query_records_error_type(self, empdept_catalog):
         log, sink = _log()
-        db = Database(empdept_catalog, events=log)
-        with pytest.raises(Exception):
-            db.execute("SELECT nope FROM dept", strategy=Strategy.MAGIC)
+        with self._service(empdept_catalog, log) as service:
+            ticket = service.submit("SELECT nope FROM dept", strategy="magic")
+            assert ticket.wait(30)
         finished = sink.events()[-1]
         assert finished["kind"] == "query.finished"
         assert finished["outcome"] == "failed"
-        assert finished["error_type"]
+        assert finished["error_type"] == "BindError"
 
     def test_degradation_emits_query_degraded(self, empdept_catalog):
         faults = FaultRegistry(0, (FaultRule("rewrite.strategy", 1.0),))
         log, sink = _log()
-        db = Database(empdept_catalog, events=log, faults=faults)
         # Every rewrite attempt faults; the chain ends at NI which is
         # applied without a rewrite fault only if its trigger misses --
         # with rate 1.0 even NI faults, so the query fails after a full
         # chain of degradations.
-        with pytest.raises(FaultInjectedError):
-            db.execute(QUERY, strategy=Strategy.MAGIC, fallback=True)
+        with self._service(empdept_catalog, log, faults=faults) as service:
+            ticket = service.submit(QUERY, strategy="magic")
+            with pytest.raises(FaultInjectedError):
+                ticket.result(timeout=30)
         kinds = count_by_kind(sink.events())
         assert kinds.get("query.degraded", 0) >= 1
         assert kinds.get("fault.fired", 0) >= 1
@@ -237,39 +236,39 @@ class TestDatabaseEmission:
         ]
         assert degraded[0]["requested"] == "magic"
         # Engine-level events carry the same query id as the lifecycle.
-        qid = sink.events()[0]["query_id"]
-        assert all(e["query_id"] == qid for e in sink.events())
+        assert all(e["query_id"] == ticket.query_id for e in sink.events())
 
     def test_budget_trip_emits_guard_event(self, empdept_catalog):
         log, sink = _log()
-        db = Database(empdept_catalog, events=log)
         from repro.errors import BudgetExceeded
 
-        with pytest.raises(BudgetExceeded):
-            db.execute(
-                QUERY, strategy=Strategy.NESTED_ITERATION,
-                limits=Limits(max_rows_scanned=1),
+        with self._service(empdept_catalog, log) as service:
+            ticket = service.submit(
+                QUERY, strategy="ni", limits=Limits(max_rows_scanned=1)
             )
+            with pytest.raises(BudgetExceeded):
+                ticket.result(timeout=30)
         kinds = count_by_kind(sink.events())
         assert kinds.get("guard.budget_exceeded") == 1
         trip = [
             e for e in sink.events() if e["kind"] == "guard.budget_exceeded"
         ][0]
         assert trip["budget"] == "max_rows_scanned"
-        assert trip["query_id"] == sink.events()[0]["query_id"]
+        assert trip["query_id"] == ticket.query_id
 
     def test_events_export_is_json_serialisable(self, empdept_catalog):
         log, sink = _log()
-        db = Database(empdept_catalog, events=log)
-        db.execute(QUERY, strategy=Strategy.MAGIC)
+        with self._service(empdept_catalog, log) as service:
+            service.submit(QUERY, strategy="magic").result(timeout=30)
+        assert count_by_kind(sink.events())["query.finished"] == 1
         for event in sink.events():
             assert json.loads(json.dumps(event)) == event
 
 
 class TestSchemaV2:
-    """PR 10: v2 only *adds* the ``query.phases`` kind -- v1 streams must
-    keep validating, emissions must stamp v=2, and truncating FileSink
-    mode keeps a re-written path loadable."""
+    """PR 10: v2 added the ``query.phases`` kind. Emissions stamp v=2,
+    the validator accepts the version it writes and no other, and
+    truncating FileSink mode keeps a re-written path loadable."""
 
     def _event(self, **overrides):
         event = {
@@ -280,23 +279,12 @@ class TestSchemaV2:
         return event
 
     def test_current_version_is_two(self):
-        from repro.obs.events import ACCEPTED_VERSIONS
-
         assert EVENTS_VERSION == 2
-        assert ACCEPTED_VERSIONS == frozenset((1, 2))
+        assert validate_events([self._event()]) == 1
 
-    def test_v1_streams_remain_valid(self):
-        assert validate_events([
-            self._event(v=1),
-            self._event(v=1, seq=2, kind="query.finished"),
-        ]) == 2
-
-    def test_mixed_version_stream_is_valid(self):
-        assert validate_events([
-            self._event(v=1),
-            self._event(seq=2, kind="query.phases",
-                        phases={"execute": 1.0}),
-        ]) == 2
+    def test_v1_envelope_is_refused(self):
+        with pytest.raises(EventLogError, match="v must be 2, got 1"):
+            validate_events([self._event(), self._event(v=1, seq=2)])
 
     def test_emissions_stamp_the_current_version(self):
         sink = RingSink()

@@ -16,7 +16,7 @@ import json
 
 import pytest
 
-from repro import Database, Strategy
+from repro import Database
 from repro.obs import (
     EventLog,
     FileSink,
@@ -27,6 +27,7 @@ from repro.obs import (
     load_events,
     validate_events,
 )
+from repro.serve import QueryService
 from repro.serve.soak import chaos_scenario, run_scenario
 
 QUERY = (
@@ -122,14 +123,16 @@ class TestEventsJsonSchema:
 
     @pytest.fixture
     def stream(self, empdept_catalog, tmp_path):
-        """A real event stream: two queries through an observed facade,
-        teed to a ring and a JSONL file."""
+        """A real event stream: two queries through an observed
+        one-worker service, teed to a ring and a JSONL file."""
         path = tmp_path / "events.jsonl"
         ring = RingSink()
         log = EventLog(TeeSink(ring, FileSink(str(path))))
-        db = Database(empdept_catalog, events=log)
-        db.execute(QUERY, strategy=Strategy.MAGIC)
-        db.execute(QUERY, strategy=Strategy.NESTED_ITERATION)
+        with QueryService(
+            Database(empdept_catalog), workers=1, events=log
+        ) as service:
+            service.submit(QUERY, strategy="magic").result(timeout=30)
+            service.submit(QUERY, strategy="ni").result(timeout=30)
         log.close()
         return ring.events(), str(path)
 

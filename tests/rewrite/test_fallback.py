@@ -64,9 +64,9 @@ class TestFallbackChain:
             empdept_catalog,
             faults=FaultRegistry.parse("0:rewrite.strategy=1"),
         )
-        with pytest.raises(FaultInjectedError):
+        with pytest.raises(FaultInjectedError) as raised:
             db.execute(EMP_DEPT_QUERY, strategy=Strategy.KIM, fallback=True)
-        events = db.engine.degradations
+        events = raised.value.degradations
         assert [e.attempted for e in events] == ["kim", "magic", "ni"]
         assert events[-1].fallback == ""
         assert all(e.requested == "kim" for e in events)

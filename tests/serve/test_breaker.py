@@ -3,11 +3,27 @@
 import pytest
 
 from repro import Database, FaultRegistry, QueryService
-from repro.errors import FaultInjectedError
-from repro.serve.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
-from repro.tpcd import EMP_DEPT_QUERY
+from repro.errors import (
+    BindError,
+    BudgetExceeded,
+    CatalogError,
+    ExecutionError,
+    FaultInjectedError,
+    ParseError,
+    QueryCancelled,
+)
+from repro.rewrite.engine import DegradationEvent
+from repro.serve.breaker import (
+    CLOSED,
+    HALF_OPEN,
+    OPEN,
+    VETOED,
+    BreakerBoard,
+    CircuitBreaker,
+)
+from repro.tpcd import EMP_DEPT_QUERY, QUERY_3, load_tpcd
 
-from .test_service import EXPECTED
+from .test_service import EXPECTED, JoinFault
 
 
 class FakeClock:
@@ -196,6 +212,153 @@ class TestHalfOpenConcurrency:
         assert breaker.state == OPEN
 
 
+def _step(attempted, fallback, error_type="NotApplicableError"):
+    return DegradationEvent("kim", attempted, fallback, error_type, "why")
+
+
+FAILED, OK = "failure", "success"
+#: DESIGN section 9's attribution rule, one row per clause:
+#: (requested, the query's chain, its error) -> what each strategy is
+#: booked; a strategy not named is not touched, and when that is the
+#: requested one the half-open probe the attempt held on it is released.
+RULE = {
+    "answered as requested": ("magic", [], None, {"magic": OK}),
+    "a failed rewrite, then an answer": (
+        "kim", [_step("kim", "magic")], None, {"kim": FAILED, "magic": OK},
+    ),
+    "a veto is not a failure": (
+        "kim", [_step("kim", "magic", VETOED)], None, {"magic": OK},
+    ),
+    "a veto, a failed rewrite, then an answer": (
+        "kim",
+        [_step("kim", "magic", VETOED),
+         _step("magic", "ni", "FaultInjectedError")],
+        None, {"magic": FAILED, "ni": OK},
+    ),
+    "the plan that ran failed": (
+        "magic", [], FaultInjectedError("exec.join", 0, "boom"),
+        {"magic": FAILED},
+    ),
+    "a failed rewrite, then the fallback's plan failed": (
+        "kim", [_step("kim", "magic")], ExecutionError("boom"),
+        {"kim": FAILED, "magic": FAILED},
+    ),
+    "the chain ran out: its last entry is the error": (
+        "kim",
+        [_step("kim", "magic", "FaultInjectedError"),
+         _step("magic", "ni", "FaultInjectedError"),
+         _step("ni", "", "FaultInjectedError")],
+        FaultInjectedError("rewrite.strategy", 2, "boom"),
+        {"kim": FAILED, "magic": FAILED, "ni": FAILED},
+    ),
+    "a budget trip says nothing": (
+        "magic", [], BudgetExceeded("timeout", 1.0, 2.0), {},
+    ),
+    "a cancel says nothing": ("magic", [], QueryCancelled("stop"), {}),
+    "... but the rewrite that failed before it still did": (
+        "kim", [_step("kim", "magic")], QueryCancelled("stop"),
+        {"kim": FAILED},
+    ),
+    "a syntax error is the statement's": (
+        "magic", [], ParseError("bad"), {},
+    ),
+    "an unknown column is the statement's": (
+        "magic", [], BindError("no such column"), {},
+    ),
+    "an unknown table is the statement's": (
+        "magic", [], CatalogError("no such table"), {},
+    ),
+    "an invariant breach is nobody's": ("magic", [], RuntimeError("bug"), {}),
+}
+
+
+class TestAttempt:
+    """The attempt object on its own board -- no service, no engine."""
+
+    THRESHOLD = 3
+
+    @pytest.fixture
+    def board(self, clock) -> BreakerBoard:
+        return BreakerBoard(self.THRESHOLD, cooldown=10.0, clock=clock)
+
+    def _half_open(self, board, clock, strategy):
+        for _ in range(self.THRESHOLD):
+            board.breaker(strategy).record_failure("boom")
+        clock.advance(10.0)
+
+    @pytest.mark.parametrize("clause", RULE)
+    def test_settle_books_what_the_rule_says(self, board, clock, clause):
+        requested, chain, error, expected = RULE[clause]
+        # Every other strategy starts one failure in, so a success (reset
+        # to 0), a failure (2) and no booking (1) all show; the requested
+        # one is open past its cooldown and this attempt claims its probe.
+        others = {"ni", "kim", "dayal", "magic"} - {requested}
+        for strategy in others:
+            board.breaker(strategy).record_failure("earlier")
+        self._half_open(board, clock, requested)
+        attempt = board.attempt(requested)
+        assert attempt.disabled(requested) is None
+        assert board.snapshot()[requested]["probe_inflight"]
+
+        attempt.settle(chain, error)
+
+        snapshot = board.snapshot()
+        booked = {}
+        for strategy in others:
+            count = snapshot[strategy]["consecutive_failures"]
+            if count != 1:
+                booked[strategy] = OK if count == 0 else FAILED
+                assert count in (0, 2)
+        probe = snapshot[requested]
+        assert not probe["probe_inflight"]
+        if probe["state"] != HALF_OPEN:
+            booked[requested] = OK if probe["state"] == CLOSED else FAILED
+        else:  # released: the next query may claim a fresh probe
+            assert board.attempt(requested).disabled(requested) is None
+        assert booked == expected
+
+    def test_an_attempt_is_not_vetoed_by_its_own_probe(self, board, clock):
+        """The plan cache and the rewrite engine both consult the hook
+        for the requested strategy."""
+        self._half_open(board, clock, "magic")
+        attempt = board.attempt("magic")
+        assert attempt.disabled("magic") is None
+        assert attempt.disabled("magic") is None
+        assert "probe in flight" in board.attempt("magic").disabled("magic")
+        attempt.settle([])
+        assert board.snapshot()["magic"]["state"] == CLOSED
+
+    def test_release_gives_an_unresolved_probe_back(self, board, clock):
+        self._half_open(board, clock, "magic")
+        attempt = board.attempt("magic")
+        assert attempt.disabled("magic") is None
+        attempt.release()
+        assert board.snapshot()["magic"] == {
+            "state": HALF_OPEN, "consecutive_failures": self.THRESHOLD,
+            "probe_inflight": False,
+        }
+
+    def test_last_resort_and_brownout_veto_consult_no_breaker(self, board):
+        attempt = board.attempt("dayal", forced="magic")
+        assert attempt.disabled("ni") is None
+        assert attempt.disabled("dayal").startswith("brownout")
+        assert board.snapshot() == {}
+        assert attempt.disabled("magic") is None
+        assert list(board.snapshot()) == ["magic"]
+
+    def test_transitions_reach_the_list_and_the_event_log(self, clock):
+        from repro.obs import EventLog, RingSink
+
+        sink = RingSink()
+        board = BreakerBoard(1, 10.0, clock, events=EventLog(sink))
+        board.attempt("kim").settle([_step("kim", "magic")])
+        [transition] = board.transitions
+        assert (transition.strategy, transition.to_state) == ("kim", OPEN)
+        [event] = sink.events()
+        assert event["kind"] == "breaker.transition"
+        assert event["reason"] == "NotApplicableError: why"
+
+
 class FlakyRegistry(FaultRegistry):
     """Fails every ``magic`` rewrite attempt while ``failing`` is set."""
 
@@ -276,3 +439,63 @@ class TestServiceIntegration:
                 EMP_DEPT_QUERY, strategy="ni"
             ).result(timeout=30)
             assert sorted(result.rows) == EXPECTED
+
+
+def _health(service):
+    return {
+        strategy: (snapshot["state"], snapshot["consecutive_failures"])
+        for strategy, snapshot in service.stats().breakers.items()
+    }
+
+
+class TestAttribution:
+    """What the service books, and to whom (DESIGN section 9)."""
+
+    STATEMENT_ERRORS = (
+        ("Selec nonsense frm", ParseError),
+        ("Select nosuch From dept", BindError),
+        ("Select name From nosuch", CatalogError),
+    )
+
+    def test_statement_errors_open_no_breaker(self, empdept_catalog):
+        db = Database(empdept_catalog)
+        with QueryService(db, workers=1, breaker_threshold=3) as service:
+            service.submit(EMP_DEPT_QUERY, strategy="magic").result(30)
+            for sql, error_class in self.STATEMENT_ERRORS:
+                ticket = service.submit(sql, strategy="magic")
+                assert ticket.wait(30)
+                assert type(ticket.error()) is error_class
+            assert _health(service) == {"magic": ("closed", 0)}
+            result = service.submit(EMP_DEPT_QUERY, strategy="magic").result(30)
+            assert result.degradations == []
+            assert sorted(result.rows) == EXPECTED
+
+    def test_a_failure_is_booked_from_its_own_chain(self):
+        """Q3 under Kim is not applicable and falls back to magic; the
+        next ticket's syntax error must not be booked to that chain."""
+        db = Database(load_tpcd(scale_factor=0.001))
+        with QueryService(db, workers=1) as service:
+            result = service.submit(QUERY_3, strategy="kim").result(60)
+            assert [(e.attempted, e.fallback) for e in result.degradations] == [
+                ("kim", "magic")
+            ]
+            before = _health(service)
+            assert before == {"kim": ("closed", 1), "magic": ("closed", 0)}
+            ticket = service.submit("Selec nonsense", strategy="dayal")
+            assert ticket.wait(30)
+            assert isinstance(ticket.error(), ParseError)
+            assert _health(service) == before
+
+    def test_execution_failure_feeds_the_plan_that_ran(self):
+        """... and the rewrite that failed on the way to it: the chain
+        leaves the facade on the error."""
+        db = Database(load_tpcd(scale_factor=0.001), faults=JoinFault())
+        with QueryService(db, workers=1) as service:
+            ticket = service.submit(QUERY_3, strategy="kim")
+            assert ticket.wait(60)
+            error = ticket.error()
+            assert isinstance(error, FaultInjectedError)
+            assert [e.attempted for e in error.degradations] == ["kim"]
+            assert _health(service) == {
+                "kim": ("closed", 1), "magic": ("closed", 1)
+            }

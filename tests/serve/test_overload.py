@@ -818,8 +818,12 @@ class TestBrownoutLadderIntegration:
             gate.release.set()
             service.close(drain=True, timeout=30)
         # Five consecutive vetoes of "dayal" must not have opened its
-        # breaker: a brownout veto is not a strategy failure.
-        assert service.stats().breakers["dayal"]["state"] == "closed"
+        # breaker: a brownout veto is not a strategy failure. (The veto
+        # consults no breaker, so "dayal" has one only if the estimator
+        # happened to price it cheapest for some ticket -- a matter of
+        # timings, not of this test.)
+        dayal = service.stats().breakers.get("dayal", {"state": "closed"})
+        assert dayal["state"] == "closed"
         assert service.stats().reconciles()
 
 

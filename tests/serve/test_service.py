@@ -8,6 +8,8 @@ from repro import Database, FaultRegistry, Limits, QueryService, Strategy
 from repro.errors import (
     AdmissionRejected,
     BudgetExceeded,
+    FaultInjectedError,
+    ParseError,
     QueryCancelled,
     ReproError,
 )
@@ -282,6 +284,56 @@ class TestCancellation:
             assert victim.done
             assert isinstance(victim.error(), QueryCancelled)
         assert service.stats().reconciles()
+
+
+class JoinFault(FaultRegistry):
+    """Fails the first hash-join build, then none."""
+
+    def __init__(self):
+        super().__init__(0, ())
+        self.armed = True
+
+    def trigger(self, site: str, detail: str = "") -> None:
+        if site == "exec.join" and self.armed:
+            self.armed = False
+            raise FaultInjectedError(site, 0, "synthetic join failure")
+
+
+class TestFirstQueryFails:
+    """A worker thread survives a failure that is the first thing its
+    facade ever sees (its engine has run no fallback yet)."""
+
+    def _then_serves(self, service, first):
+        assert first.wait(30)
+        assert first.state == "failed"
+        assert all(thread.is_alive() for thread in service._threads)
+        result = service.submit(EMP_DEPT_QUERY, strategy="magic").result(30)
+        assert sorted(result.rows) == EXPECTED
+        service.close(timeout=30)
+        assert not any(thread.is_alive() for thread in service._threads)
+        assert service.stats().reconciles()
+
+    def test_malformed_statement(self, db):
+        service = QueryService(db, workers=1)
+        first = service.submit("Selec nonsense frm", strategy="magic")
+        self._then_serves(service, first)
+        assert isinstance(first.error(), ParseError)
+
+    def test_execution_fault_on_a_plan_cache_hit(self, empdept_catalog):
+        from repro.plan.cache import PlanCache
+
+        cache = PlanCache()
+        # Another facade over the same catalog fills the shared cache.
+        Database(empdept_catalog, plan_cache=cache).execute(
+            EMP_DEPT_QUERY, strategy=Strategy.MAGIC
+        )
+        db = Database(empdept_catalog, faults=JoinFault())
+        service = QueryService(db, workers=1, plan_cache=cache)
+        first = service.submit(EMP_DEPT_QUERY, strategy="magic")
+        self._then_serves(service, first)
+        assert isinstance(first.error(), FaultInjectedError)
+        assert cache.snapshot()["hits"] == 2
+        assert service.stats().breakers["magic"]["consecutive_failures"] == 0
 
 
 class TestStats:

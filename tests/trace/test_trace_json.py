@@ -66,6 +66,12 @@ class TestValidation:
         with pytest.raises(TraceError, match="version"):
             validate_trace(payload)
 
+    def test_v1_payload_is_refused(self, payload):
+        """The validator accepts the version it writes and no older one."""
+        payload["version"] = 1
+        with pytest.raises(TraceError, match="version must be 2, got 1"):
+            validate_trace(payload)
+
     def test_unknown_kind_rejected(self, payload):
         payload["spans"][0]["kind"] = "mystery"
         with pytest.raises(TraceError, match="unknown kind"):
