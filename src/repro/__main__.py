@@ -73,34 +73,32 @@ def cmd_run(args: argparse.Namespace) -> int:
     limits = None
     if args.timeout is not None or args.max_rows is not None:
         limits = Limits(timeout=args.timeout, max_rows_scanned=args.max_rows)
-    from .sql.parser import parse_statements
-    from .sql import ast as sql_ast
-
+    failure = None
     try:
-        for statement in parse_statements(sql):
-            if isinstance(statement, (sql_ast.Select, sql_ast.SetOp)):
-                result = db._run_query(
-                    statement, strategy, args.cse_mode,
-                    limits=limits, fallback=args.fallback,
-                )
-                for event in result.degradations:
-                    print(f"-- {event}")
-                _print_result(result)
-            else:
-                db._execute_statement(statement)
-    except BudgetExceeded as exc:
-        print(f"guardrail: {exc}", file=sys.stderr)
-        if exc.metrics is not None:
-            print(f"guardrail: work at trip time: {exc.metrics.as_dict()}",
-                  file=sys.stderr)
-        return EXIT_TIMEOUT if exc.budget == "timeout" else EXIT_BUDGET
-    except QueryCancelled as exc:
-        print(f"guardrail: {exc}", file=sys.stderr)
-        return EXIT_CANCELLED
+        results = db.execute_script(
+            sql, strategy=strategy, cse_mode=args.cse_mode,
+            limits=limits, fallback=args.fallback,
+        )
     except ReproError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    return 0
+        results, failure = getattr(exc, "results", []), exc
+    for result in results:
+        if result.columns:  # a query: DDL and INSERT print nothing
+            for event in result.degradations:
+                print(f"-- {event}")
+            _print_result(result)
+    if failure is None:
+        return 0
+    if isinstance(failure, BudgetExceeded):
+        print(f"guardrail: {failure}", file=sys.stderr)
+        if failure.metrics is not None:
+            print(f"guardrail: work at trip time: {failure.metrics.as_dict()}",
+                  file=sys.stderr)
+        return EXIT_TIMEOUT if failure.budget == "timeout" else EXIT_BUDGET
+    if isinstance(failure, QueryCancelled):
+        print(f"guardrail: {failure}", file=sys.stderr)
+        return EXIT_CANCELLED
+    print(f"error: {type(failure).__name__}: {failure}", file=sys.stderr)
+    return EXIT_ERROR
 
 
 def cmd_shell(args: argparse.Namespace) -> int:

@@ -30,11 +30,14 @@ Two entry points:
   registered as lint rules so :meth:`repro.rewrite.engine.RewriteEngine.check`
   re-verifies typed interfaces after every FEED/ABSORB step.
 * :func:`verify_query_plan` / :func:`verify_pre_execution` -- additionally
-  plans every SPJ box and checks the step lists (reference binding order,
+  check the step list of every SPJ box (reference binding order,
   index/key agreement, ``correlated_to_self`` markings, arities,
-  cardinality sanity). ``Database`` runs this pre-execution when
-  ``REPRO_VALIDATE`` is on; with validation off the verifier is never
-  imported (zero overhead, like the ``tracer is None`` fast paths).
+  cardinality sanity): the plans they are handed, or a fresh one for a box
+  they are handed none for. The compile step
+  (:func:`repro.plan.compile.compile_query`) runs this on the plans it is
+  about to return when ``REPRO_VALIDATE`` is on; with validation off the
+  verifier is never imported (zero overhead, like the ``tracer is None``
+  fast paths).
 
 Like :mod:`repro.analyze.lint`, imports from ``repro.plan`` stay at module
 level (no cycle: the plan package never imports the analyzers), while this
@@ -45,7 +48,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Union
+from typing import Any, Callable, Mapping, Optional, Union
 
 from ..errors import CatalogError, PlanError, SchemaError
 from ..plan.cost import estimate_box_rows
@@ -851,35 +854,42 @@ def verify_select_plan(
 
 
 def verify_query_plan(
-    catalog: Catalog, graph: Union[QueryGraph, Box]
+    catalog: Catalog,
+    graph: Union[QueryGraph, Box],
+    plans: Optional[Mapping[int, Any]] = None,
 ) -> tuple[list[Diagnostic], dict]:
-    """Full verification: typed interfaces plus a planned-and-checked step
-    list for every SPJ box. Returns the diagnostics and a contract summary
-    (the payload of the ``plan.verified`` event)."""
+    """Full verification: typed interfaces plus a checked step list for
+    every SPJ box -- the one in ``plans`` (``{box.id: plan}``, what the
+    executor is about to run), planned here only for a box that has none
+    (a bare graph: ``repro lint``, the analysis report). Returns the
+    diagnostics and a contract summary (the payload of the
+    ``plan.verified`` event)."""
     root = _root_of(graph)
     inferencer = check_interfaces(root, catalog)
     diagnostics = list(inferencer.problems)
-    plans = 0
+    checked = 0
     steps = 0
     for box in iter_boxes(root):
         if not isinstance(box, SelectBox):
             continue
-        try:
-            plan = plan_select_box(catalog, box)
-        except PlanError as exc:
-            diagnostics.append(Diagnostic(
-                "PLN008", Severity.ERROR,
-                f"box {box.id} (select): planning failed: {exc}",
-            ))
-            continue
+        plan = plans.get(box.id) if plans else None
+        if plan is None:
+            try:
+                plan = plan_select_box(catalog, box)
+            except PlanError as exc:
+                diagnostics.append(Diagnostic(
+                    "PLN008", Severity.ERROR,
+                    f"box {box.id} (select): planning failed: {exc}",
+                ))
+                continue
         diagnostics.extend(verify_select_plan(catalog, plan, inferencer))
-        plans += 1
+        checked += 1
         steps += len(plan.steps)
     contracts = list(inferencer.memo.values())
     columns = [col for c in contracts for col in c.columns]
     summary = {
         "boxes": len(contracts),
-        "plans": plans,
+        "plans": checked,
         "steps": steps,
         "columns": len(columns),
         "nullable_columns": sum(1 for col in columns if col.nullable),
@@ -892,12 +902,16 @@ def verify_query_plan(
     return diagnostics, summary
 
 
-def verify_pre_execution(catalog: Catalog, graph: QueryGraph) -> dict:
+def verify_pre_execution(
+    catalog: Catalog,
+    graph: QueryGraph,
+    plans: Optional[Mapping[int, Any]] = None,
+) -> dict:
     """The ``REPRO_VALIDATE`` pre-execution gate: verify every plan of the
-    rewritten graph, raising :class:`~repro.errors.PlanError` on any
-    error-level finding; returns the contract summary for the
-    ``plan.verified`` event."""
-    diagnostics, summary = verify_query_plan(catalog, graph)
+    rewritten graph (``plans``: the ones about to run), raising
+    :class:`~repro.errors.PlanError` on any error-level finding; returns
+    the contract summary for the ``plan.verified`` event."""
+    diagnostics, summary = verify_query_plan(catalog, graph, plans)
     errors = [d for d in diagnostics if d.severity is Severity.ERROR]
     if errors:
         details = "; ".join(f"[{d.code}] {d.message}" for d in errors)

@@ -16,13 +16,15 @@ from dataclasses import dataclass, field
 from typing import Any, Optional, TYPE_CHECKING
 
 from ..errors import BindError, ExecutionError, ReproError
-from ..exec import Metrics, execute_graph
+from ..exec import ExecutionContext, Metrics, execute_graph
 from ..faults import FaultRegistry
 from ..guard import ExecutionGuard, Limits, guard_for
+from ..plan.cache import CachedPlan
+from ..plan.compile import compile_query, no_mark
 from ..qgm import build_qgm, graph_to_text
 from ..qgm.model import QueryGraph
 from ..sql import ast
-from ..sql.parser import parse_statement, parse_statements
+from ..sql.parser import parse_statement
 from ..sql.printer import to_sql
 from ..storage import Catalog, Column, Schema
 from ..types import SQLType
@@ -113,10 +115,9 @@ class Database:
 
     ``plan_cache`` (a :class:`repro.plan.cache.PlanCache`, shareable
     across facades) turns on prepared statements: repeated submissions of
-    one template with different literals reuse the parse/bind/rewrite/
-    optimize artifacts and pay only executor time, invalidating on any
-    catalog change. ``None`` (the default) leaves the seed query path
-    untouched.
+    one template with different literals reuse one compiled query and pay
+    only executor time, invalidating on any catalog change. ``None`` (the
+    default) compiles every submission.
     """
 
     def __init__(
@@ -141,7 +142,14 @@ class Database:
 
     # -- DDL / DML -----------------------------------------------------------
 
-    def execute_script(self, sql: str) -> list[Result]:
+    def execute_script(
+        self,
+        sql: str,
+        strategy: Strategy = Strategy.NESTED_ITERATION,
+        cse_mode: str = "recompute",
+        limits: Optional[Limits] = None,
+        fallback: bool = False,
+    ) -> list[Result]:
         """Run a ``;``-separated script; returns one Result per statement.
 
         Each statement's source text is threaded onto its :class:`Result`
@@ -149,17 +157,26 @@ class Database:
         INSERT names the originating statement the same way
         :meth:`Result.scalar` names its query. The whole script is parsed
         before the first statement executes, so a syntax error anywhere
-        runs nothing."""
+        runs nothing. ``strategy``, ``cse_mode``, ``limits`` and
+        ``fallback`` are :meth:`execute`'s, applied to every query in the
+        script (``limits`` to each one afresh). The error of a failing
+        statement carries the results of the ones before it
+        (``exc.results``)."""
         from ..sql.splitter import split_statements
 
         sources = split_statements(sql)
         statements = [parse_statement(s) for s in sources]
-        if len(statements) != len(sources):  # pragma: no cover - paranoia
-            return [self._execute_statement(s) for s in parse_statements(sql)]
-        return [
-            self._execute_statement(statement, sql=source)
-            for statement, source in zip(statements, sources)
-        ]
+        results: list[Result] = []
+        for statement, source in zip(statements, sources):
+            try:
+                results.append(self._execute_statement(
+                    statement, source, strategy=strategy, cse_mode=cse_mode,
+                    limits=limits, fallback=fallback,
+                ))
+            except ReproError as exc:
+                exc.results = results  # type: ignore[attr-defined]
+                raise
+        return results
 
     @staticmethod
     def _name_statement(exc: ReproError, sql: str) -> None:
@@ -174,16 +191,18 @@ class Database:
         exc.args = (f"{exc.args[0]} [in statement: {text}]",) + exc.args[1:]
 
     def _execute_statement(
-        self, statement: ast.Statement, sql: str = ""
+        self, statement: ast.Statement, sql: str = "", **query
     ) -> Result:
+        """One parsed statement; ``query`` holds the options of
+        :meth:`_query`, used when the statement is one."""
         try:
-            return self._execute_statement_inner(statement, sql)
+            return self._execute_statement_inner(statement, sql, query)
         except ReproError as exc:
             self._name_statement(exc, sql)
             raise
 
     def _execute_statement_inner(
-        self, statement: ast.Statement, sql: str = ""
+        self, statement: ast.Statement, sql: str, query: dict
     ) -> Result:
         if isinstance(statement, ast.CreateTable):
             columns = [
@@ -217,10 +236,7 @@ class Database:
         if isinstance(statement, ast.Insert):
             return self._insert(statement, sql=sql)
         if isinstance(statement, (ast.Select, ast.SetOp)):
-            return self._run_query(
-                statement, Strategy.NESTED_ITERATION, "recompute",
-                sql=sql or None,
-            )
+            return self._query(statement, sql=sql, **query)
         raise BindError(f"unsupported statement {type(statement).__name__}")
 
     def _insert(self, statement: ast.Insert, sql: str = "") -> Result:
@@ -229,10 +245,7 @@ class Database:
         columns = [c.lower() for c in statement.columns] or names
         positions = {c: names.index(c) for c in columns}
         if statement.query is not None:
-            source = self._run_query(
-                statement.query, Strategy.NESTED_ITERATION, "recompute"
-            )
-            value_rows: list[tuple] = source.rows
+            value_rows: list[tuple] = self._query(statement.query).rows
         else:
             value_rows = [
                 tuple(_const_value(e) for e in row_exprs)
@@ -269,6 +282,15 @@ class Database:
     ) -> Result:
         """Parse, bind, rewrite per ``strategy``, and execute one statement.
 
+        A query takes two steps: it is compiled
+        (:func:`repro.plan.compile.compile_query` -- parse, bind, rewrite,
+        plan every box, verify under validation) and the compiled query is
+        run. With a plan cache the lookup comes first: a hit runs the
+        stored entry with this submission's literal values, a miss compiles
+        the parameterized text -- once, on this facade's engine, under the
+        options below -- stores it (:meth:`repro.plan.cache.PlanCache.compile`
+        holds the rule) and runs it the same way.
+
         ``cse_mode`` controls whether shared boxes created by decorrelation
         (the supplementary table) are recomputed per reference (the paper's
         Starburst behaviour) or materialised once.
@@ -302,107 +324,50 @@ class Database:
         ``phases`` (a :class:`repro.obs.phases.PhaseTimeline`) receives
         phase marks as the pipeline advances -- ``plan_cache`` after the
         cache lookup, ``rewrite`` after parse+rewrite, ``optimize`` after
-        static plan verification, ``execute`` after the operator graph
-        runs -- so a caller measuring whole-query latency on the same
-        clock can attribute every interval. ``None`` (the default) adds
-        no overhead.
+        physical planning (and plan verification, under validation),
+        ``execute`` after the operator graph runs -- so a caller measuring
+        whole-query latency on the same clock can attribute every
+        interval. ``None`` (the default) adds no overhead.
         """
-        if self.plan_cache is not None:
-            return self._execute_with_plan_cache(
-                sql, strategy, cse_mode,
-                decorrelate_existential=decorrelate_existential,
-                limits=limits, guard=guard, fallback=fallback,
-                disabled=disabled, tracer=tracer, phases=phases,
-            )
-        statement = parse_statement(sql)
-        if not isinstance(statement, (ast.Select, ast.SetOp)):
-            return self._execute_statement(statement, sql=sql)
-        return self._run_query(
-            statement, strategy, cse_mode,
-            decorrelate_existential=decorrelate_existential,
-            limits=limits, guard=guard, fallback=fallback, sql=sql,
-            disabled=disabled, tracer=tracer, phases=phases,
+        mark = no_mark if phases is None else phases.mark
+        guard = self._guard(limits, guard)
+        live = dict(
+            fallback=fallback, disabled=disabled, guard=guard,
+            faults=self.faults, tracer=tracer, mark=mark,
         )
-
-    def _execute_with_plan_cache(
-        self,
-        sql: str,
-        strategy: Strategy,
-        cse_mode: str,
-        *,
-        decorrelate_existential: bool,
-        limits: Optional[Limits],
-        guard: Optional[ExecutionGuard],
-        fallback: bool,
-        disabled,
-        tracer: Optional["Tracer"],
-        phases=None,
-    ) -> Result:
-        """:meth:`execute` with the plan cache engaged.
-
-        The catalog generation is read *before* the lookup, so an artifact
-        filled after this miss carries a stamp from no later than its own
-        build inputs -- DDL racing the build leaves the stored stamp
-        behind and the entry self-invalidates on the next lookup. A hit
-        executes the cached parameterized graph with this submission's
-        extracted values; tracing is the one feature that opts out (span
-        trees annotate the rewrite pipeline a hit skips)."""
-        cache = self.plan_cache
-        prepared = (
-            cache.prepare(
+        compiled, values = None, ()
+        if self.plan_cache is not None:
+            # The catalog generation is read *before* the lookup, so an
+            # artifact stored after this miss carries a stamp from no later
+            # than its own build inputs -- DDL racing the compile leaves
+            # the stored stamp behind and the entry self-invalidates on the
+            # next lookup.
+            prepared = self.plan_cache.prepare(
                 sql, strategy=strategy, cse_mode=cse_mode,
                 decorrelate_existential=decorrelate_existential,
-                generation=self.catalog.generation(),
-                disabled=disabled,
+                generation=self.catalog.generation(), disabled=disabled,
             )
-            if tracer is None else None
-        )
-        if phases is not None:
-            # Hit or miss, the lookup (and parameter extraction) itself
-            # is plan-cache time; a miss's rebuild lands on the later
-            # rewrite/optimize/execute marks.
-            phases.mark("plan_cache")
-        if prepared is not None and prepared.entry is not None:
-            return self._run_cached(
-                prepared, sql=sql, cse_mode=cse_mode,
-                guard=self._guard(limits, guard), phases=phases,
+            mark("plan_cache")
+            if prepared is not None:
+                compiled = prepared.entry
+                if compiled is None and prepared.fillable:
+                    compiled = self.plan_cache.compile(
+                        prepared, self.catalog, self.engine, **live
+                    )
+                if compiled is not None:
+                    values = prepared.values
+        if compiled is None:
+            statement = parse_statement(sql)
+            if not isinstance(statement, (ast.Select, ast.SetOp)):
+                return self._execute_statement(statement, sql)
+            compiled = compile_query(
+                statement, self.catalog, self.engine, strategy,
+                decorrelate_existential=decorrelate_existential, **live,
             )
-        statement = parse_statement(sql)
-        if not isinstance(statement, (ast.Select, ast.SetOp)):
-            return self._execute_statement(statement, sql=sql)
-        result = self._run_query(
-            statement, strategy, cse_mode,
-            decorrelate_existential=decorrelate_existential,
-            limits=limits, guard=guard, fallback=fallback, sql=sql,
-            disabled=disabled, tracer=tracer, phases=phases,
+        return self._run(
+            compiled, values, cse_mode,
+            sql=sql, guard=guard, tracer=tracer, mark=mark,
         )
-        if prepared is not None and prepared.fillable:
-            cache.fill(prepared, self.catalog)
-        return result
-
-    def _run_cached(
-        self,
-        prepared,
-        *,
-        sql: str,
-        cse_mode: str,
-        guard: Optional[ExecutionGuard],
-        phases=None,
-    ) -> Result:
-        from ..exec import ExecutionContext
-
-        entry = prepared.entry
-        ctx = ExecutionContext(
-            self.catalog, entry.graph.root, cse_mode,
-            guard=guard, faults=self.faults, params=prepared.values,
-        )
-        ctx.seed_plans(entry.plans, entry.shared)
-        rows, metrics = execute_graph(
-            entry.graph, self.catalog, cse_mode=cse_mode, ctx=ctx
-        )
-        if phases is not None:
-            phases.mark("execute")
-        return Result(entry.graph.output_names(), rows, metrics, sql=sql)
 
     def _guard(
         self, limits: Optional[Limits], guard: Optional[ExecutionGuard]
@@ -415,71 +380,55 @@ class Database:
             guard.events = self.events
         return guard
 
-    def _run_query(
+    def _query(
         self,
         statement: ast.QueryBody,
-        strategy: Strategy,
-        cse_mode: str,
-        *,
-        sql: Optional[str] = None,
-        decorrelate_existential: bool = True,
+        strategy: Strategy = Strategy.NESTED_ITERATION,
+        cse_mode: str = "recompute",
         limits: Optional[Limits] = None,
-        guard: Optional[ExecutionGuard] = None,
         fallback: bool = False,
-        disabled=None,
-        tracer: Optional["Tracer"] = None,
-        phases=None,
+        sql: str = "",
     ) -> Result:
-        """Rewrite and execute one query body."""
-        if sql is None:
-            sql = to_sql(statement)
-        guard = self._guard(limits, guard)
-        degradations: list = []
-        if fallback:
-            graph, degradations = self.engine.rewrite_with_fallback(
-                lambda: build_qgm(statement, self.catalog), strategy,
-                decorrelate_existential=decorrelate_existential,
-                disabled=disabled, tracer=tracer,
-            )
-        else:
-            graph = self.rewrite(
-                statement, strategy,
-                decorrelate_existential=decorrelate_existential,
-                tracer=tracer,
-            )
-        if phases is not None:
-            # "rewrite" covers QGM construction + the strategy rewrite
-            # (and, on the uncached path, the parse that preceded this
-            # call -- parsing is part of producing the rewritten plan).
-            phases.mark("rewrite")
-        if self.engine.validate:
-            # REPRO_VALIDATE gates the static plan verifier: every plan the
-            # executor is about to run is checked against the inferred box
-            # contracts (repro.analyze.plans). Off means not even imported.
-            from ..analyze.plans import verify_pre_execution
+        """Compile and run a query that arrived parsed (a script's, an
+        ``INSERT ... SELECT``'s): no plan cache, this facade's engine."""
+        guard = self._guard(limits, None)
+        compiled = compile_query(
+            statement, self.catalog, self.engine, strategy,
+            fallback=fallback, guard=guard, faults=self.faults,
+        )
+        return self._run(compiled, (), cse_mode, sql=sql, guard=guard)
 
-            contract_summary = verify_pre_execution(self.catalog, graph)
-            if self.events is not None:
-                self.events.emit("plan.verified", **contract_summary)
-            if phases is not None:
-                # "optimize" = static plan verification; absent entirely
-                # when validation is off (no work, no phase).
-                phases.mark("optimize")
+    def _run(
+        self,
+        compiled: CachedPlan,
+        values: tuple = (),
+        cse_mode: str = "recompute",
+        *,
+        sql: str = "",
+        guard: Optional[ExecutionGuard] = None,
+        tracer: Optional["Tracer"] = None,
+        mark=no_mark,
+    ) -> Result:
+        """The one run step: execute a compiled query with this
+        submission's ``?`` values. The artifact is only read -- its plans
+        are copied into the execution's own context -- so one cached entry
+        serves concurrent runs."""
+        ctx = ExecutionContext(
+            self.catalog, compiled.graph.root, cse_mode,
+            guard=guard, faults=self.faults, tracer=tracer, params=values,
+        )
+        ctx.seed_plans(compiled.plans, compiled.shared)
         try:
-            rows, metrics = execute_graph(
-                graph, self.catalog, cse_mode=cse_mode,
-                guard=guard, faults=self.faults, tracer=tracer,
-            )
+            rows, metrics = execute_graph(compiled.graph, self.catalog, ctx)
         except ReproError as exc:
             # The plan that failed is the one the chain ended on: the chain
             # leaves with the error, as it does from rewrite_with_fallback.
-            exc.degradations = degradations  # type: ignore[attr-defined]
+            exc.degradations = list(compiled.degradations)  # type: ignore[attr-defined]
             raise
-        if phases is not None:
-            phases.mark("execute")
+        mark("execute")
         return Result(
-            graph.output_names(), rows, metrics,
-            sql=sql, degradations=degradations, tracer=tracer,
+            compiled.graph.output_names(), rows, metrics, sql=sql,
+            degradations=list(compiled.degradations), tracer=tracer,
         )
 
     def rewrite(
@@ -526,11 +475,8 @@ class Database:
         deltas reproduce the whole-query totals exactly. ``tracer`` lets
         callers pass a pre-built collector (e.g. with a fake clock) and
         inspect the span tree afterwards."""
-        statement = parse_statement(sql)
-        if not isinstance(statement, (ast.Select, ast.SetOp)):
-            raise BindError("EXPLAIN is only available for queries")
         if not analyze:
-            return graph_to_text(self.rewrite(statement, strategy))
+            return graph_to_text(self._compile(sql, "EXPLAIN", strategy).graph)
 
         from ..exec.metrics import SUM_FIELD_NAMES
         from ..plan.pretty import plan_to_text
@@ -542,11 +488,9 @@ class Database:
 
         if tracer is None:
             tracer = Tracer()
-        graph = self.rewrite(statement, strategy, tracer=tracer)
-        rows, metrics = execute_graph(
-            graph, self.catalog, cse_mode=cse_mode,
-            faults=self.faults, tracer=tracer,
-        )
+        compiled = self._compile(sql, "EXPLAIN", strategy, tracer)
+        result = self._run(compiled, (), cse_mode, tracer=tracer)
+        rows, metrics = result.rows, result.metrics
         span_totals = tracer.metric_totals()
         query_totals = {
             name: getattr(metrics, name) for name in SUM_FIELD_NAMES
@@ -562,7 +506,11 @@ class Database:
             verdict = f"per-span metric deltas DIVERGE from query totals ({diffs})"
         key = getattr(strategy, "value", strategy)
         return "\n".join([
-            plan_to_text(self.catalog, graph, tracer=tracer),
+            # The step lists the executor ran, not a fresh plan of them.
+            plan_to_text(
+                self.catalog, compiled.graph, tracer=tracer,
+                plans=compiled.plans,
+            ),
             "",
             "Rewrite timeline:",
             render_rewrite_timeline(tracer, indent="  "),
@@ -584,11 +532,8 @@ class Database:
         concern -- where correlated subqueries are evaluated."""
         from ..plan.pretty import plan_to_text
 
-        statement = parse_statement(sql)
-        if not isinstance(statement, (ast.Select, ast.SetOp)):
-            raise BindError("EXPLAIN PLAN is only available for queries")
-        graph = self.rewrite(statement, strategy)
-        return plan_to_text(self.catalog, graph)
+        compiled = self._compile(sql, "EXPLAIN PLAN", strategy)
+        return plan_to_text(self.catalog, compiled.graph, plans=compiled.plans)
 
     def rewritten_sql(
         self, sql: str, strategy: Strategy = Strategy.MAGIC
@@ -598,7 +543,17 @@ class Database:
         magic-decorrelated example."""
         from ..qgm.sqlgen import graph_to_sql
 
+        return graph_to_sql(self._compile(sql, "rewritten_sql", strategy).graph)
+
+    def _compile(
+        self, sql: str, what: str, strategy: Strategy, tracer=None
+    ) -> CachedPlan:
+        """The compiled query an explain entry point renders; ``what``
+        names the entry point to a caller who handed it something else."""
         statement = parse_statement(sql)
         if not isinstance(statement, (ast.Select, ast.SetOp)):
-            raise BindError("rewritten_sql is only available for queries")
-        return graph_to_sql(self.rewrite(statement, strategy))
+            raise BindError(f"{what} is only available for queries")
+        return compile_query(
+            statement, self.catalog, self.engine, strategy,
+            faults=self.faults, tracer=tracer,
+        )

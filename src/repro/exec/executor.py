@@ -7,10 +7,11 @@ executor: nested iteration and the decorrelated strategies differ only in
 the QGM they hand over, which mirrors how the paper compares rewrites inside
 a single system (Starburst).
 
-Expressions are not interpreted per row. The first time a box runs, its
+Expressions are not interpreted per row. Before a query runs (or, in a
+context nothing was seeded into, the first time a box runs) each box's
 expressions and plan steps are compiled into closures (:func:`plan_box`,
 "compiled plans" below) that are kept beside the physical plan, so every
-later invocation of the box -- each outer row of a nested iteration, each
+invocation of the box -- each outer row of a nested iteration, each
 hit of a cached plan -- only calls them. Rows have one representation, the
 flat tuple; a correlated box is handed the outer values it reads as the
 first slots of its row.
@@ -160,25 +161,23 @@ class ExecutionContext:
         :func:`plan_box` returns them) and, with ``shared``, the graph fact
         that travels beside it (:func:`~repro.qgm.analysis.shared_boxes`).
 
-        Plan-cache hits seed what was computed at fill time; the shared
-        dict is copied from, never mutated, so one cached entry -- and the
-        closures compiled into it -- can serve concurrent executions. A
-        :class:`SelectPlan` straight from the planner is compiled in place
-        when its box first runs, so it must not be seeded into contexts
-        that run concurrently. Whatever is not seeded is derived on first
-        use."""
+        Every run of a compiled query seeds what its compile step built;
+        the shared dict is copied from, never mutated, so one cached entry
+        -- and the closures compiled into it -- can serve concurrent
+        executions. A :class:`SelectPlan` straight from the planner is
+        compiled in place when its box first runs, so it must not be
+        seeded into contexts that run concurrently. Whatever is not seeded
+        is derived on first use."""
         self._plans.update(plans)
         self._shared = shared
 
     def plan(self, box: Box):
         """The compiled plan of one SPJ, GROUP BY, set-operation or
-        outer-join box: built the first time the box runs, reused by every
-        later invocation of it."""
+        outer-join box: the seeded one, else built the first time the box
+        runs; reused by every later invocation of it."""
         plan = self._plans.get(box.id)
         if plan is None:
-            if self.faults is not None and isinstance(box, SelectBox):
-                self.faults.trigger("plan.select", detail=f"box {box.id}")
-            plan = plan_box(self.catalog, box, guard=self.guard)
+            plan = plan_box(self.catalog, box, self.guard, self.faults)
             self._plans[box.id] = plan
         if isinstance(plan, SelectPlan):
             if plan.compiled is None:
@@ -583,12 +582,16 @@ class SetOpPlan:
     inputs: tuple[Pick, ...]
 
 
-def plan_box(catalog: Catalog, box: Box, guard=None):
+def plan_box(catalog: Catalog, box: Box, guard=None, faults=None):
     """The executor's plan for one box, its expressions compiled: a
     :class:`SelectPlan` (cost-based, see :mod:`repro.plan.planner`) for an
     SPJ box, a :class:`GroupByPlan`, :class:`OuterJoinPlan` or
-    :class:`SetOpPlan` for those kinds, ``None`` for a base table."""
+    :class:`SetOpPlan` for those kinds, ``None`` for a base table.
+    ``guard`` makes planning an SPJ box cancellable; ``faults`` carries the
+    ``plan.select`` injection site."""
     if isinstance(box, SelectBox):
+        if faults is not None:
+            faults.trigger("plan.select", detail=f"box {box.id}")
         plan = plan_select_box(catalog, box, guard=guard)
         plan.compiled = compile_select(plan)
         return plan
@@ -955,30 +958,17 @@ def _equi_condition(box: OuterJoinBox):
 def execute_graph(
     graph: QueryGraph,
     catalog: Catalog,
-    cse_mode: str = "recompute",
     ctx: Optional[ExecutionContext] = None,
-    limits=None,
-    guard: Optional["ExecutionGuard"] = None,
-    faults: Optional["FaultRegistry"] = None,
-    tracer: Optional["Tracer"] = None,
 ) -> tuple[list[tuple], Metrics]:
     """Execute a QGM query graph; returns (rows, metrics).
 
-    ``limits`` (a :class:`repro.guard.Limits`) builds a fresh guard for this
-    execution; alternatively pass a pre-built ``guard`` (e.g. to cancel the
-    query from another thread). ``faults`` enables deterministic fault
-    injection, ``tracer`` per-operator span collection. All default to
-    ``None`` -- no overhead.
+    ``ctx`` is the execution's :class:`ExecutionContext` -- it carries the
+    ``cse_mode``, the bound ``?`` values, the guard, the fault registry,
+    the tracer and whatever plans were seeded into it. Without one the
+    graph runs in a bare context that plans each box as it first runs.
     """
     if ctx is None:
-        if guard is None and limits is not None:
-            from ..guard import guard_for
-
-            guard = guard_for(limits)
-        ctx = ExecutionContext(
-            catalog, graph.root, cse_mode,
-            guard=guard, faults=faults, tracer=tracer,
-        )
+        ctx = ExecutionContext(catalog, graph.root)
     if ctx.tracer is None:
         try:
             rows = _run_graph(graph, ctx)

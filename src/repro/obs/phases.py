@@ -5,13 +5,18 @@ fixed taxonomy of contiguous phases::
 
     admit      admission control: parse-free checks, quota, capacity
     queue      waiting in the run queue for a worker thread
-    plan_cache plan-cache lookup (and fill bookkeeping on a miss)
+    plan_cache plan-cache lookup only (fingerprint, extraction, probe)
     rewrite    parsing + QGM construction + decorrelation rewrite
-    optimize   static plan verification (the PR-4 contract checker)
+    optimize   physical planning of every box, expressions compiled
+               (plus static plan verification when validation is on)
     execute    operator-graph execution
     drain      everything after execution until the ticket resolves
                (result hand-off, counter updates; failures land their
                residual tail here too)
+
+``rewrite`` and ``optimize`` are marked by the one compile step
+(:func:`repro.plan.compile.compile_query`), so every compile -- a cache
+miss's included -- reports both and a cache hit reports neither.
 
 The timeline is *mark-based*: each ``mark(phase)`` attributes the time
 since the previous mark to ``phase``, on the same injectable clock the
@@ -57,8 +62,8 @@ class PhaseTimeline:
     ``start`` is the query's birth (``ticket.submitted_at``); ``clock``
     the same injectable clock the service measures latency with. Each
     :meth:`mark` attributes ``now - last_mark`` to the named phase; a
-    phase may be marked more than once (retries, cache-miss-then-build)
-    and accumulates.
+    phase may be marked more than once (a refused parameterized compile,
+    then the literal one) and accumulates.
     """
 
     __slots__ = ("_clock", "_last", "durations")

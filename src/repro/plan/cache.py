@@ -15,17 +15,20 @@ module makes that true for the serving layer:
   literal's decoded value and source range, in the exact order the
   template's ``?`` markers appear.
 * :class:`PlanCache` -- maps (fingerprint, strategy, cse_mode, flags,
-  parameter types) to a *parameterized* rewritten query graph plus its
-  precomputed physical plans. A hit binds the extracted values into a
-  fresh :class:`~repro.exec.executor.ExecutionContext` and pays only
-  executor time.
+  parameter types) to a *parameterized* compiled query (rewritten graph
+  plus physical plans). A hit binds the extracted values into a fresh
+  :class:`~repro.exec.executor.ExecutionContext` and pays only executor
+  time.
 
-Filling is done by re-parsing the statement with its literals spliced out
-as ``?`` markers (the parser numbers them in source order). That keeps
-correctness trivially audit-able: the cached graph is built by the same
-parser/binder/rewriter as any other query, and shapes whose literals are
+A miss compiles the statement with its literals spliced out as ``?``
+markers (the parser numbers them in source order), once, on the submitting
+query's own engine, runs what it compiled with the extracted values and
+stores it (:meth:`PlanCache.compile`). That keeps correctness trivially
+audit-able: the cached graph is built -- and, under validation, checked --
+by the same one function as any other query
+(:func:`repro.plan.compile.compile_query`), and shapes whose literals are
 consumed at *build* time -- ``LIMIT n``, ``ORDER BY 2`` ordinals -- fail
-the parameterized build with a typed error and are tombstoned as
+the parameterized compile with a typed error and are tombstoned as
 uncacheable rather than cached wrongly. IN-list arity intentionally stays
 part of the shape: ``x IN (?, ?)`` and ``x IN (?, ?, ?)`` are different
 templates, so rebinding can never change predicate structure.
@@ -224,26 +227,36 @@ def render_parameterized(sql: str, extracted: ExtractedQuery) -> str:
     return "".join(out)
 
 
+#: Steps down the fallback chain that say nothing about the shape: the
+#: requested strategy was not refused, it was interrupted or vetoed.
+_TRANSIENT_STEPS = frozenset({"FaultInjectedError", "CircuitBreakerOpen"})
+
+
 @dataclass
 class CachedPlan:
-    """One reusable artifact: a parameterized graph plus its physical plans.
+    """One compiled query -- what :func:`repro.plan.compile.compile_query`
+    returns, what every way of running or explaining a query reads, and
+    what the cache stores: a rewritten graph plus its physical plans.
 
     ``graph is None`` marks a tombstone -- the shape was proven
-    uncacheable (its parameterized form fails to parse, bind or rewrite,
-    e.g. ``LIMIT n`` or ordinal ``ORDER BY``) and misses should not keep
-    re-attempting the fill. ``generation`` is the catalog epoch observed
-    *before* the artifact was built."""
+    uncacheable (its parameterized form fails to parse, bind, rewrite or
+    plan, e.g. ``LIMIT n`` or ordinal ``ORDER BY``, or the requested
+    strategy refuses it) and misses should not keep re-attempting the
+    compile. ``generation`` is the catalog epoch observed *before* the
+    artifact was built, stamped by the cache when it stores it."""
 
-    generation: int
-    strategy: str
-    param_count: int = 0
+    generation: int = 0
+    strategy: str = ""
     graph: Optional[Any] = None
     #: ``{box.id: plan}`` with every expression compiled, and beside it the
     #: fact about the graph the executor would otherwise derive per
-    #: execution (:func:`~repro.qgm.analysis.shared_boxes`); ``None`` =
-    #: not computed, hits derive it.
+    #: execution (:func:`~repro.qgm.analysis.shared_boxes`).
     plans: dict = field(default_factory=dict)
     shared: Optional[frozenset[int]] = None
+    #: The fallback chain the graph was rewritten under
+    #: (:class:`~repro.rewrite.engine.DegradationEvent`s): empty when the
+    #: requested strategy produced it -- the only kind the cache keeps.
+    degradations: list[Any] = field(default_factory=list)
 
     @property
     def is_tombstone(self) -> bool:
@@ -261,7 +274,6 @@ class PreparedStatement:
     types: tuple
     generation: int
     strategy: Any
-    strategy_key: str
     cse_mode: str
     decorrelate_existential: bool
     parameterized_sql: str = ""
@@ -275,7 +287,7 @@ class PlanCache:
     Thread-safe: one non-reentrant lock (rank "plan_cache" in the DESIGN
     section 9 order) guards the table and the counters; ``plan.cache_*``
     events are emitted inside the critical section so the counters
-    reconcile exactly against the event stream. The expensive fill work
+    reconcile exactly against the event stream. The expensive compile
     (parse/bind/rewrite/plan) runs *outside* the lock -- concurrent misses
     may both build, and the second store is a harmless overwrite of an
     identical artifact.
@@ -335,7 +347,7 @@ class PlanCache:
         )
         prepared = PreparedStatement(
             key=key, values=values, types=types, generation=generation,
-            strategy=strategy, strategy_key=strategy_key, cse_mode=cse_mode,
+            strategy=strategy, cse_mode=cse_mode,
             decorrelate_existential=bool(decorrelate_existential),
         )
         with self._lock:
@@ -377,64 +389,66 @@ class PlanCache:
 
     # -- fill --------------------------------------------------------------
 
+    def compile(
+        self,
+        prepared: PreparedStatement,
+        catalog: Any,
+        engine: Any,
+        **live: Any,
+    ) -> Optional[CachedPlan]:
+        """Compile a missed shape's *parameterized* text on ``engine``
+        (``live``: what the submitting query compiles under, handed to
+        :func:`~repro.plan.compile.compile_query`) and apply the store rule.
+        Returns the artifact to run with this submission's values, ``None``
+        when the text was refused and its literal text must be compiled.
+
+        * The requested strategy produced it (empty chain): stored.
+        * The text or the requested strategy was refused with a typed error
+          (``LIMIT ?``, ordinal ``ORDER BY ?``, not applicable, rejected by
+          the validating engine): a tombstone. A degraded plan is one
+          submission's accident, never the shape's plan -- it runs once.
+        * Anything transient (injected fault, budget trip, cancel): nothing
+          is stored, the next miss tries again; as an error it propagates.
+        """
+        from ..errors import FaultInjectedError, GuardrailError, ReproError
+        from .compile import compile_query
+
+        try:
+            compiled: Optional[CachedPlan] = compile_query(
+                prepared.parameterized_sql, catalog, engine,
+                prepared.strategy,
+                decorrelate_existential=prepared.decorrelate_existential,
+                **live,
+            )
+        except (FaultInjectedError, GuardrailError):
+            raise
+        except ReproError:
+            compiled = None
+        if compiled is not None and not compiled.degradations:
+            entry = compiled
+        elif compiled is not None and (
+            compiled.degradations[0].error_type in _TRANSIENT_STEPS
+        ):
+            return compiled
+        else:
+            entry = CachedPlan()
+        entry.generation = prepared.generation
+        self._store(prepared.key, entry)
+        return compiled
+
     def fill(
         self, prepared: PreparedStatement, catalog: Any
     ) -> Optional[CachedPlan]:
-        """Build and store the reusable artifact for a missed shape.
-
-        Runs the standard pipeline over the parameterized text (literals
-        as ``?``): parse, bind, the *requested* strategy's rewrite (no
-        fallback -- a degraded plan is one submission's accident, not the
-        shape's plan), then the executor's plan for every box, expressions
-        compiled (:func:`repro.exec.executor.plan_box`), and which boxes are
-        shared, so hits neither plan, compile nor walk the graph.
-        Any typed failure tombstones the shape instead; later misses skip
-        the re-attempt. The fill deliberately uses a private, quiet
-        rewrite engine: no validation hooks, no fault injection, no
-        events -- the live query already ran with all of those."""
-        from ..errors import ReproError
-        from ..exec.executor import plan_box
-        from ..qgm import build_qgm, iter_boxes
-        from ..qgm.analysis import shared_boxes
+        """:meth:`compile` on a private, quiet rewrite engine -- no
+        validation hooks, no fault injection, no events, no fallback --
+        for callers that hold no live query: the benchmark ladder's probe
+        of the compile cost, and the staleness-race tests. Returns the
+        stored entry, ``None`` when the shape was tombstoned."""
         from ..rewrite import RewriteEngine
-        from ..sql import ast
-        from ..sql.parser import parse_statement
 
-        try:
-            statement = parse_statement(prepared.parameterized_sql)
-            if not isinstance(statement, (ast.Select, ast.SetOp)):
-                raise ReproError("not a cacheable query")
-            graph = build_qgm(statement, catalog)
-            engine = RewriteEngine(catalog, validate=False)
-            graph = engine.rewrite(
-                graph, prepared.strategy,
-                decorrelate_existential=prepared.decorrelate_existential,
-            )
-            plans: dict = {}
-            try:
-                for box in iter_boxes(graph.root):
-                    plan = plan_box(catalog, box)
-                    if plan is not None:
-                        plans[box.id] = plan
-            except ReproError:
-                # Planning hiccups are not fatal: hits re-plan lazily.
-                plans = {}
-            entry = CachedPlan(
-                generation=prepared.generation,
-                strategy=prepared.strategy_key,
-                param_count=len(prepared.values),
-                graph=graph,
-                plans=plans,
-                shared=shared_boxes(graph.root),
-            )
-        except ReproError:
-            entry = CachedPlan(
-                generation=prepared.generation,
-                strategy=prepared.strategy_key,
-                param_count=len(prepared.values),
-            )
-        self._store(prepared.key, entry)
-        return None if entry.is_tombstone else entry
+        return self.compile(
+            prepared, catalog, RewriteEngine(catalog, validate=False)
+        )
 
     def _store(self, key: tuple, entry: CachedPlan) -> None:
         with self._lock:

@@ -12,7 +12,7 @@ cache hits, elapsed) pulled from the tracer's per-operator aggregates.
 
 from __future__ import annotations
 
-from typing import Optional, TYPE_CHECKING
+from typing import Any, Mapping, Optional, TYPE_CHECKING
 
 from ..qgm.analysis import iter_boxes
 from ..qgm.model import (
@@ -85,8 +85,11 @@ def plan_to_text(
     catalog: Catalog,
     graph: QueryGraph | Box,
     tracer: Optional["Tracer"] = None,
+    plans: Optional[Mapping[int, Any]] = None,
 ) -> str:
-    """Render the physical plan of every box in the graph.
+    """Render the physical plan of every box in the graph: the step list
+    in ``plans`` (``{box.id: plan}``, a compiled query's), planned here
+    only for an SPJ box that has none (a bare graph).
 
     With ``tracer`` (the span collector of an actual execution) every box
     header and step line is annotated ``EXPLAIN ANALYZE``-style with the
@@ -108,7 +111,9 @@ def plan_to_text(
     sections: list[str] = []
     for box in iter_boxes(root):
         if isinstance(box, SelectBox):
-            plan = plan_select_box(catalog, box)
+            plan = plans.get(box.id) if plans else None
+            if plan is None:
+                plan = plan_select_box(catalog, box)
             own = {id(q) for q in box.quantifiers}
             lines = [
                 f"[{box.id}] SELECT{' DISTINCT' if box.distinct else ''} "

@@ -166,3 +166,81 @@ def test_policy_methods_that_mutate_state_say_who_holds_the_lock():
                 f"{name}.{method.name} mutates policy state without the "
                 "'caller holds the lock' marker"
             )
+
+
+# -- one pipeline: the forks in front of the executor cannot come back --------
+
+SRC = os.path.dirname(default_targets()[0])  # .../src/repro
+
+
+class _Sites(ast.NodeVisitor):
+    """Where under ``src/repro`` a name is called, and where a private
+    ``Database`` attribute is read off anything but ``self``."""
+
+    def __init__(self, private):
+        self.private = private
+        self.calls = {}    # called name -> ["pkg/module.py::Class.function"]
+        self.reaches = []  # "pkg/module.py::function reads ._name"
+        self._where = []
+
+    def scan(self, path):
+        self._where = [os.path.relpath(path, SRC).replace(os.sep, "/") + ":"]
+        with open(path, encoding="utf-8") as handle:
+            self.visit(ast.parse(handle.read()))
+
+    def _scoped(self, node):
+        self._where.append(node.name)
+        self.generic_visit(node)
+        self._where.pop()
+
+    visit_ClassDef = visit_FunctionDef = _scoped
+
+    def _here(self):
+        return self._where[0] + ":" + ".".join(self._where[1:])
+
+    def visit_Call(self, node):
+        func = node.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        self.calls.setdefault(name, []).append(self._here())
+        self.generic_visit(node)
+
+    def visit_Attribute(self, node):
+        receiver = node.value
+        if node.attr in self.private and not (
+            isinstance(receiver, ast.Name) and receiver.id in ("self", "cls")
+        ):
+            self.reaches.append(f"{self._here()} reads .{node.attr}")
+        self.generic_visit(node)
+
+
+def test_the_pipeline_in_front_of_the_executor_is_written_once():
+    """One compile function, one run step: the executor has one caller,
+    boxes are planned by the compile step (or lazily by a bare context),
+    the plan cache parses nothing itself, and nobody outside ``api/``
+    reaches into a ``Database``."""
+    from repro import Database
+
+    private = {
+        name for name in vars(Database)
+        if name.startswith("_") and not name.startswith("__")
+    }
+    assert {"_run", "_query", "_execute_statement"} <= private
+    sites = _Sites(private)
+    for path in iter_python_files([SRC]):
+        if not path.startswith(os.path.join(SRC, "api") + os.sep):
+            sites.scan(path)
+    assert sites.reaches == []
+    api = _Sites(private)
+    for path in iter_python_files([os.path.join(SRC, "api")]):
+        api.scan(path)
+    assert "execute_graph" not in sites.calls
+    assert api.calls["execute_graph"] == ["api/database.py::Database._run"]
+    assert "plan_box" not in api.calls
+    assert sorted(sites.calls["plan_box"]) == [
+        "exec/executor.py::ExecutionContext.plan",
+        "plan/compile.py::compile_query",
+    ]
+    assert not [
+        where for where in sites.calls["parse_statement"]
+        if where.startswith("plan/cache.py")
+    ]

@@ -56,6 +56,16 @@ class TestRun:
         assert result.returncode != 0
         assert "unknown strategy" in result.stderr
 
+    def test_a_failing_statement_is_named_after_what_ran_before_it(self, script):
+        script.write_text(script.read_text() + "SELECT nosuch FROM t;\nSELECT v FROM t;")
+        result = run_cli("run", str(script))
+        assert result.returncode == 1
+        assert "error: BindError: unknown column 'nosuch'" in result.stderr
+        assert "[in statement: SELECT nosuch FROM t]" in result.stderr
+        # The query before it printed; the one after it never ran.
+        assert result.stdout.count("(1 rows") == 1
+        assert "(2 rows" not in result.stdout
+
 
 class TestExplain:
     def test_explain_with_schema(self, script):

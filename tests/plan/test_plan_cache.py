@@ -205,11 +205,37 @@ class TestPlanCache:
         )
         assert cache.snapshot()["hits"] == cache.snapshot()["misses"] == 0
 
-    def test_traced_queries_bypass_the_cache(self, db, cache):
+    def test_traced_queries_use_the_cache(self, db, plain, cache):
+        """Tracing no longer changes which path runs: a traced hit is a
+        hit, its span tree has the ``query`` / operator / step spans and --
+        nothing was rewritten -- no rewrite span, and the per-span metric
+        deltas still add up to the query's totals."""
+        from dataclasses import asdict
+
+        from repro.exec.metrics import SUM_FIELD_NAMES
         from repro.trace import Tracer
 
-        db.execute("select name from emp where salary > 50", tracer=Tracer())
-        assert cache.snapshot()["hits"] == cache.snapshot()["misses"] == 0
+        sql = "select name from emp where salary > {} order by name"
+        miss = db.execute(sql.format(50), tracer=Tracer())
+        hit = db.execute(sql.format(60), tracer=Tracer())
+        assert (cache.snapshot()["misses"], cache.snapshot()["hits"]) == (1, 1)
+        assert hit.rows == plain.execute(sql.format(60)).rows
+
+        def kinds(result) -> set:
+            found, stack = set(), list(result.tracer.roots)
+            while stack:
+                span = stack.pop()
+                found.add(span.kind)
+                stack.extend(span.children)
+            return found
+
+        assert kinds(miss) == {"rewrite", "query", "operator", "step"}
+        assert kinds(hit) == {"query", "operator", "step"}
+        for result in (miss, hit):
+            totals = asdict(result.metrics)
+            assert result.tracer.metric_totals() == {
+                name: totals[name] for name in SUM_FIELD_NAMES
+            }
 
     def test_lru_eviction(self):
         catalog = load_empdept()
@@ -473,14 +499,25 @@ class TestTombstones:
         assert cache.snapshot()["hits"] == 0
 
     def test_second_miss_skips_the_refill(self, db, cache, monkeypatch):
+        """The first miss tries the parameterized text, is refused and
+        compiles the literal one; the second goes straight to it."""
+        from repro.api import database
+        from repro.plan import compile as compile_module
+
+        compiled: list = []
+        real = compile_module.compile_query
+
+        def spy(source, *args, **kwargs):
+            compiled.append(source if isinstance(source, str) else "literal")
+            return real(source, *args, **kwargs)
+
+        monkeypatch.setattr(compile_module, "compile_query", spy)
+        monkeypatch.setattr(database, "compile_query", spy)
         sql = "select name from emp order by name limit 2"
         db.execute(sql)  # tombstones
-
-        def boom(*args, **kwargs):  # pragma: no cover - failure path
-            raise AssertionError("tombstoned shape was re-filled")
-
-        monkeypatch.setattr(cache, "fill", boom)
+        assert compiled == ["select name from emp order by name limit ?", "literal"]
         db.execute(sql)
+        assert compiled[2:] == ["literal"]
 
     def test_order_by_parameter_is_a_typed_bind_error(self, db):
         statement = parse_statement("select name from emp order by ?")

@@ -866,7 +866,10 @@ def test_prometheus_text_is_byte_identical_to_the_parent(empdept_catalog):
 
 
 #: ``export("prometheus")`` of ``_fixed_run`` at the commit before the
-#: service was reorganised around one policy and one settle function.
+#: service was reorganised around one policy and one settle function, plus
+#: the ``optimize`` phase block: physical planning is a phase of every
+#: compile since the pipeline became one function (it was booked to
+#: ``execute`` before, and reported only under validation).
 PARENT_PROMETHEUS = """\
 # HELP repro_queries_submitted_total Queries submitted (admitted + rejected)
 # TYPE repro_queries_submitted_total counter
@@ -1010,6 +1013,18 @@ repro_phase_seconds_bucket{phase="rewrite",le="30.0"} 3
 repro_phase_seconds_bucket{phase="rewrite",le="+Inf"} 3
 repro_phase_seconds_sum{phase="rewrite"} 0.0
 repro_phase_seconds_count{phase="rewrite"} 3
+repro_phase_seconds_bucket{phase="optimize",le="0.001"} 3
+repro_phase_seconds_bucket{phase="optimize",le="0.005"} 3
+repro_phase_seconds_bucket{phase="optimize",le="0.01"} 3
+repro_phase_seconds_bucket{phase="optimize",le="0.05"} 3
+repro_phase_seconds_bucket{phase="optimize",le="0.1"} 3
+repro_phase_seconds_bucket{phase="optimize",le="0.5"} 3
+repro_phase_seconds_bucket{phase="optimize",le="1.0"} 3
+repro_phase_seconds_bucket{phase="optimize",le="5.0"} 3
+repro_phase_seconds_bucket{phase="optimize",le="30.0"} 3
+repro_phase_seconds_bucket{phase="optimize",le="+Inf"} 3
+repro_phase_seconds_sum{phase="optimize"} 0.0
+repro_phase_seconds_count{phase="optimize"} 3
 repro_phase_seconds_bucket{phase="execute",le="0.001"} 0
 repro_phase_seconds_bucket{phase="execute",le="0.005"} 0
 repro_phase_seconds_bucket{phase="execute",le="0.01"} 0
