@@ -32,8 +32,9 @@ Common-subexpression handling follows the paper:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import combinations, repeat
 from operator import itemgetter
 from typing import (
     Any,
@@ -45,7 +46,7 @@ from typing import (
     TYPE_CHECKING,
 )
 
-from ..errors import ExecutionError
+from ..errors import ExecutionError, SchemaError
 from ..qgm.analysis import shared_boxes
 from ..qgm.expr import ColumnRef, column_refs, conjuncts
 from ..qgm.model import (
@@ -69,10 +70,10 @@ from ..plan.planner import (
 )
 from ..sql import ast
 from ..storage.catalog import Catalog
-from ..types import sort_key
+from ..types import comparable_classes, sort_key
 from .aggregates import compute_aggregate
 from .evaluate import (
-    Compiled,
+    Filter,
     LookupFilter,
     Offsets,
     Pick,
@@ -344,16 +345,29 @@ class ExecutionContext:
 
         # A member is the outer values, then the input row.
         members = [outer + row for row in input_rows] if outer else input_rows
-        groups: dict[tuple, list] = {}
-        for key, member in zip(plan.keys(members, self), members):
-            group = groups.get(key)
-            if group is None:
-                groups[key] = [member]
-            else:
-                group.append(member)
-
-        if box.is_scalar and not groups:
-            groups[()] = []
+        # Aggregation by value: a group is the aggregate arguments of its
+        # members (see ``GroupByPlan.arguments``), not the members, and
+        # the first member of each stands for it in the plain outputs.
+        arguments = plan.arguments(members, self)
+        if plan.keys is None:
+            # A scalar aggregate: one group, over no rows too -- the input
+            # columns of its plain outputs are then NULL.
+            firsts = members[:1] or [outer + plan.no_row]
+            groups = [list(arguments)]
+        else:
+            firsts = []
+            partition: dict = {}
+            find = partition.get
+            for key, member, value in zip(
+                plan.keys(members, self), members, arguments
+            ):
+                group = find(key)
+                if group is None:
+                    partition[key] = [value]
+                    firsts.append(member)
+                else:
+                    group.append(value)
+            groups = list(partition.values())
 
         # The grouping work table holds the full input partitioned by key
         # until aggregation finishes -- a transient materialisation.
@@ -361,23 +375,27 @@ class ExecutionContext:
         self.checkpoint()
         try:
             guard = self.guard
-            rows: list[tuple] = []
-            for group in groups.values():
-                values = []
-                for func, distinct, argument, value in plan.outputs:
-                    if func is None:
-                        # Over no rows, the input columns are NULL.
-                        values.append(value(
-                            group[0] if group else outer + plan.no_row, self
-                        ))
-                    else:
-                        values.append(compute_aggregate(
-                            func,
-                            None if argument is None else argument(group, self),
-                            len(group), distinct, guard=guard,
-                        ))
-                rows.append(tuple(values))
-            return rows
+            sizes = list(map(len, groups))
+            if plan.n_arguments > 1:
+                # Per group, one tuple of values per argument.
+                no_values = ((),) * plan.n_arguments
+                groups = [tuple(zip(*group)) or no_values for group in groups]
+            columns = []
+            for func, distinct, slot, values in plan.outputs:
+                if func is None:
+                    columns.append(values(firsts, self))
+                    continue
+                if slot is None:
+                    inputs: Iterable = repeat(None)  # COUNT(*): the sizes
+                elif plan.n_arguments == 1:
+                    inputs = groups
+                else:
+                    inputs = map(itemgetter(slot), groups)
+                columns.append([
+                    compute_aggregate(func, group, n, distinct, guard)
+                    for group, n in zip(inputs, sizes)
+                ])
+            return list(zip(*columns)) if columns else [()] * len(sizes)
         finally:
             self.metrics.release(len(input_rows))
 
@@ -386,12 +404,11 @@ class ExecutionContext:
     def _rows_setop(
         self, box: SetOpBox, plan: "SetOpPlan", outer: tuple
     ) -> list[tuple]:
-        from collections import Counter
-
         child_rows = [
             self.box_rows(q.box, pick(outer))
             for q, pick in zip(box.quantifiers, plan.inputs)
         ]
+        _check_setop_classes(box, child_rows)
         if box.op == "union":
             merged: list[tuple] = []
             for rows in child_rows:
@@ -444,53 +461,37 @@ class ExecutionContext:
         left_rows = self.box_rows(left_q.box, plan.inputs[0](outer))
         right_rows = self.box_rows(right_q.box, plan.inputs[1](outer))
         null_row = (None,) * len(right_q.box.output_names())
-        condition = plan.condition
 
         # A member is the outer values, then the left row, then the right.
         lefts = [outer + row for row in left_rows] if outer else left_rows
 
-        buckets: Optional[dict[tuple, list[tuple]]] = None
         n_built = 0
-        if plan.left_keys is not None:
-            null_safe = plan.null_safe
-            buckets = {}
-            for key, row in zip(plan.right_keys(right_rows, self), right_rows):
-                if None in key:
-                    key = _join_key(key, null_safe)
-                    if key is None:
-                        continue
-                bucket = buckets.get(key)
-                if bucket is None:
-                    buckets[key] = [row]
-                else:
-                    bucket.append(row)
-                n_built += 1
+        if plan.keys is None:
+            # No equi-key: every right row is a candidate of every left.
+            candidates: Iterable = repeat(right_rows)
+        else:
+            buckets, n_built = _hash_build(plan.keys, right_rows, self)
             # Transient build-side materialisation, as in a hash-join step.
             self.metrics.materialize(n_built)
             self.checkpoint()
-            left_keys = plan.left_keys(lefts, self)
-        else:
-            left_keys = repeat(None)
+            candidates = map(buckets.get, plan.keys.probe(lefts, self))
 
         joined: list = []
         n_joined = 0
         try:
-            for key, left in zip(left_keys, lefts):
-                if buckets is None:
-                    matches: Sequence[tuple] = right_rows
-                else:
-                    if None in key:
-                        key = _join_key(key, null_safe)
-                    matches = () if key is None else buckets.get(key, ())
-                matched = False
-                for row in matches:
-                    both = left + row
-                    if condition is None or condition(both, self) is True:
-                        matched = True
-                        n_joined += 1
-                        joined.append(both)
-                if not matched:
-                    joined.append(left + null_row)
+            for left, matches in zip(lefts, candidates):
+                if matches:
+                    # The ON condition over the whole batch of candidates: a
+                    # hash match is re-checked, because two values that hash
+                    # alike need not be comparable (1 and TRUE).
+                    both = [left + row for row in matches]
+                    for keep in plan.condition:
+                        both = keep(both, self)
+                    if both:
+                        n_joined += len(both)
+                        joined.extend(both)
+                        continue
+                joined.append(left + null_row)
             return list(plan.project(joined, self))
         finally:
             self.metrics.rows_joined += n_joined
@@ -542,14 +543,15 @@ class CompiledSelect:
 
 
 class CompiledOutput(NamedTuple):
-    """One GROUP BY output: an aggregate (``func`` set; ``argument`` maps
-    a group's members to its input values, ``None`` for ``COUNT(*)``) or a
-    plain expression evaluated on a representative member (``value``)."""
+    """One GROUP BY output: an aggregate (``func`` set; ``argument`` is its
+    slot among the box's aggregate arguments, ``None`` for ``COUNT(*)``)
+    or a plain expression over the first member of each group
+    (``values``)."""
 
     func: Optional[str] = None
     distinct: bool = False
-    argument: Optional[BatchFunction] = None
-    value: Optional[Compiled] = None
+    argument: Optional[int] = None
+    values: Optional[BatchFunction] = None
 
 
 @dataclass(frozen=True)
@@ -557,7 +559,14 @@ class GroupByPlan:
     params: tuple[ColumnRef, ...]
     #: One :data:`Pick` per child quantifier (here and below).
     inputs: tuple[Pick, ...]
-    keys: BatchFunction
+    #: The group key of each member (:func:`_compile_key`); ``None`` for a
+    #: scalar aggregate, whose input is one group.
+    keys: Optional[BatchFunction]
+    #: What each member adds to its group, by the same compiler: the
+    #: arguments of the box's aggregates -- the value itself when there is
+    #: one, a tuple of several, ``()`` of none.
+    arguments: BatchFunction
+    n_arguments: int
     outputs: tuple[CompiledOutput, ...]
     #: An all-NULL input row: what the plain outputs of a scalar aggregate
     #: over no rows are evaluated on.
@@ -568,11 +577,12 @@ class GroupByPlan:
 class OuterJoinPlan:
     params: tuple[ColumnRef, ...]
     inputs: tuple[Pick, ...]
-    #: Hash keys of an all-equality ON condition, else all three ``None``.
-    left_keys: Optional[BatchFunction]
-    right_keys: Optional[BatchFunction]
-    null_safe: Optional[tuple[bool, ...]]
-    condition: Optional[Compiled]
+    #: The hash keys of an all-equality ON condition -- the right rows are
+    #: built, the left members probe -- else ``None``.
+    keys: Optional["JoinKeys"]
+    #: The ON condition, one filter per conjunct: ``left + right``
+    #: candidates -> those it is TRUE for.
+    condition: tuple[Filter, ...]
     project: BatchFunction
 
 
@@ -654,29 +664,42 @@ def _kept_by_lookup(ctx, members, outer):
 
 
 def _compile_values(expr: ast.Expr, offsets: Offsets) -> BatchFunction:
-    """``expr`` over a batch of members."""
+    """``expr`` over a batch of members, as an iterator that costs a Python
+    call per member only where ``expr`` needs its closure: a column is an
+    ``itemgetter`` map, a literal repeats."""
     if isinstance(expr, ColumnRef):
         getter = itemgetter(flat_position(expr, offsets))
         return lambda members, ctx: map(getter, members)
+    if isinstance(expr, ast.Literal):
+        value = expr.value
+        return lambda members, ctx: repeat(value, len(members))
     fn = compile_expr(expr, offsets)
     return lambda members, ctx: map(fn, members, repeat(ctx))
 
 
 def _compile_tuples(exprs: Sequence[ast.Expr], offsets: Offsets) -> BatchFunction:
-    """The tuple of ``exprs`` over a batch of members: join and group keys,
-    projections."""
-    if len(exprs) == 1:
-        values = _compile_values(exprs[0], offsets)
-        return lambda members, ctx: zip(values(members, ctx))
-    if exprs and all(isinstance(e, ColumnRef) for e in exprs):
+    """Columnar projection -- the tuple of ``exprs`` over a batch of members
+    (output rows, composite keys): the columns of :func:`_compile_values`
+    zipped, so the tuples are built in C whatever the columns are, and as
+    many as there are members although a literal reads none."""
+    if not exprs:
+        return lambda members, ctx: repeat((), len(members))
+    if len(exprs) > 1 and all(isinstance(e, ColumnRef) for e in exprs):
         getter = itemgetter(*[flat_position(e, offsets) for e in exprs])
         return lambda members, ctx: map(getter, members)
-    fns = tuple(compile_expr(e, offsets) for e in exprs)
+    columns = [_compile_values(e, offsets) for e in exprs]
+    return lambda members, ctx: zip(*[column(members, ctx) for column in columns])
 
-    def tuple_of(member, ctx):
-        return tuple([fn(member, ctx) for fn in fns])
 
-    return lambda members, ctx: map(tuple_of, members, repeat(ctx))
+def _compile_key(exprs: Sequence[ast.Expr], offsets: Offsets) -> BatchFunction:
+    """The key ``exprs`` make of each member -- hash-join, outer-join and
+    index probe keys, group keys, aggregate arguments: the bare value of a
+    one-column key (what magic decorrelation's join on the correlation
+    column is), a tuple otherwise. NULL is a value like any other here; a
+    join says which of them match nothing in its :class:`JoinKeys`."""
+    if len(exprs) == 1:
+        return _compile_values(exprs[0], offsets)
+    return _compile_tuples(exprs, offsets)
 
 
 def _compile_step(step, offsets: Offsets) -> StepFunction:
@@ -739,11 +762,7 @@ def _compile_index_lookup(
     q = step.quantifier
     table_name = q.box.table_name
     index_name = step.index_name
-    keys = (
-        _compile_values(step.key_exprs[0], offsets)
-        if len(step.key_exprs) == 1
-        else _compile_tuples(step.key_exprs, offsets)
-    )
+    keys = _compile_key(step.key_exprs, offsets)
 
     def index_lookup(ctx, members, outer):
         if ctx.faults is not None:
@@ -781,74 +800,120 @@ def _compile_hash_join(step: HashJoinStep, offsets: Offsets) -> StepFunction:
     child = q.box
     detail = f"hash join {q.name}"
     pick = outer_values(child, offsets)
-    null_safe = step.null_safe if any(step.null_safe) else None
     # The build side is plain columns of ``q`` (see the planner): it reads
     # the child's rows as they are.
-    build_keys = _compile_tuples(step.build_exprs, {q: 0})
-    probe_keys = _compile_tuples(step.probe_exprs, offsets)
+    keys = _compile_join_keys(
+        step.build_exprs, {q: 0}, step.probe_exprs, offsets, step.null_safe
+    )
 
     def hash_join(ctx, members, outer):
         if ctx.faults is not None:
             ctx.faults.trigger("exec.join", detail=detail)
         metrics = ctx.metrics
         child_rows = ctx.box_rows(child, pick(outer))
-        buckets: dict[tuple, list[tuple]] = {}
-        n_built = 0
-        for key, row in zip(build_keys(child_rows, ctx), child_rows):
-            if None in key:
-                key = _join_key(key, null_safe)
-                if key is None:
-                    continue
-            bucket = buckets.get(key)
-            if bucket is None:
-                buckets[key] = [row]
-            else:
-                bucket.append(row)
-            n_built += 1
+        buckets, n_built = _hash_build(keys, child_rows, ctx)
         # The build side is a transient materialisation: it lives for
         # the probe phase only, so it counts against the live/high-water
         # figures and is released when the step completes.
         metrics.materialize(n_built)
         ctx.checkpoint()
-        n_joined = 0
+        result: list[tuple] = []
         try:
-            result = []
-            for key, member in zip(probe_keys(members, ctx), members):
-                if None in key:
-                    key = _join_key(key, null_safe)
-                    if key is None:
-                        continue
-                matches = buckets.get(key)
-                if matches is not None:
-                    n_joined += len(matches)
+            for member, matches in zip(
+                members, map(buckets.get, keys.probe(members, ctx))
+            ):
+                if matches:
                     result.extend([member + row for row in matches])
             return result
         finally:
-            metrics.rows_joined += n_joined
+            metrics.rows_joined += len(result)
             metrics.release(n_built)
 
     return hash_join
 
 
+class JoinKeys(NamedTuple):
+    """The equi-key of a hash-join step or of an outer join, compiled
+    (:func:`_compile_key`) for each side."""
+
+    #: Over the rows that are built into the hash table.
+    build: BatchFunction
+    #: Over the members that probe it.
+    probe: BatchFunction
+    #: Which NULLs match nothing: ``True`` / ``False`` for the one-column
+    #: key that is compared with ``=`` / ``<=>``, the positions of the
+    #: ``=`` components of a composite key.
+    strict: Any
+
+
+def _compile_join_keys(
+    build_exprs: Sequence[ast.Expr], build_offsets: Offsets,
+    probe_exprs: Sequence[ast.Expr], probe_offsets: Offsets,
+    null_safe: Sequence[bool],
+) -> JoinKeys:
+    """``null_safe[i]``: component ``i`` is compared with ``<=>``."""
+    if len(null_safe) == 1:
+        strict: Any = not null_safe[0]
+    else:
+        strict = tuple(i for i, safe in enumerate(null_safe) if not safe)
+    return JoinKeys(
+        _compile_key(build_exprs, build_offsets),
+        _compile_key(probe_exprs, probe_offsets),
+        strict,
+    )
+
+
+def _hash_build(
+    keys: JoinKeys, rows: Sequence[tuple], ctx: "ExecutionContext"
+) -> tuple[dict, int]:
+    """``rows`` by join key -- the one hash build, a hash-join step's and an
+    outer join's -- and how many rows it holds.
+
+    NULL is decided after the build, once per distinct key and not once
+    per row: ``None`` hashes and equals only itself, so a component
+    compared with ``<=>`` needs nothing, and the keys with a NULL in a
+    component compared with ``=`` (``keys.strict``) are dropped -- a probe
+    for one then finds nothing."""
+    buckets: dict = {}
+    find = buckets.get
+    for key, row in zip(keys.build(rows, ctx), rows):
+        bucket = find(key)
+        if bucket is None:
+            buckets[key] = [row]
+        else:
+            bucket.append(row)
+    strict = keys.strict
+    if strict is True:
+        buckets.pop(None, None)
+    elif strict:
+        for key in [key for key in buckets if None in key]:
+            if any(key[i] is None for i in strict):
+                del buckets[key]
+    return buckets, sum(map(len, buckets.values()))
+
+
 def _compile_groupby(box: GroupByBox) -> GroupByPlan:
     q = box.quantifier
     params, offsets = row_layout(box, (q,))
+    arguments: list[ast.Expr] = []
     outputs = []
     for output in box.outputs:
         expr = output.expr
         if not isinstance(expr, ast.AggregateCall):
-            outputs.append(CompiledOutput(value=compile_expr(expr, offsets)))
+            outputs.append(CompiledOutput(values=_compile_values(expr, offsets)))
         elif expr.argument is None:
             outputs.append(CompiledOutput(expr.func, expr.distinct))
         else:
-            outputs.append(CompiledOutput(
-                expr.func, expr.distinct,
-                _compile_values(expr.argument, offsets),
-            ))
+            outputs.append(
+                CompiledOutput(expr.func, expr.distinct, len(arguments))
+            )
+            arguments.append(expr.argument)
     return GroupByPlan(
         params=params,
         inputs=_inputs(box, offsets),
-        keys=_compile_tuples(box.group_by, offsets),
+        keys=None if box.is_scalar else _compile_key(box.group_by, offsets),
+        arguments=_compile_key(arguments, offsets),
+        n_arguments=len(arguments),
         outputs=tuple(outputs),
         no_row=(None,) * len(q.box.output_names()),
     )
@@ -857,68 +922,55 @@ def _compile_groupby(box: GroupByBox) -> GroupByPlan:
 def _compile_outerjoin(box: OuterJoinBox) -> OuterJoinPlan:
     left_q, right_q = box.preserved, box.null_producing
     params, offsets = row_layout(box, (left_q, right_q))
-    left_keys = right_keys = null_safe = None
+    keys = None
     equi = _equi_condition(box)
     if equi is not None:
-        left_exprs, right_exprs, flags = equi
+        left_exprs, right_exprs, null_safe = equi
         # Left keys read columns of the preserved side only, which come
         # before the right row: the same closures serve a member that has
         # no right row yet. Right keys read the right row alone.
-        left_keys = _compile_tuples(left_exprs, offsets)
-        right_keys = _compile_tuples(right_exprs, {right_q: 0})
-        null_safe = flags if any(flags) else None
+        keys = _compile_join_keys(
+            right_exprs, {right_q: 0}, left_exprs, offsets, null_safe
+        )
     return OuterJoinPlan(
         params=params,
         inputs=_inputs(box, offsets),
-        left_keys=left_keys,
-        right_keys=right_keys,
-        null_safe=null_safe,
-        condition=(
-            None if box.condition is None
-            else compile_expr(box.condition, offsets)
+        keys=keys,
+        condition=tuple(
+            compile_filter(conjunct, offsets)
+            for conjunct in conjuncts(box.condition)
         ),
         project=_compile_tuples([o.expr for o in box.outputs], offsets),
     )
 
 
-class _NullKey:
-    """Sentinel standing in for NULL in null-safe join keys."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "<NULL>"
-
-
-_NULL_KEY = _NullKey()
-
-
-def _join_key(values: tuple, null_safe: Optional[tuple[bool, ...]]):
-    """The hashable form of join-key ``values`` that hold a NULL (the
-    others are their own keys): ``None`` when a component that is not
-    null-safe is NULL -- at once when ``null_safe`` is ``None``, the join
-    having no ``<=>`` pair at all."""
-    if null_safe is None:
-        return None
-    key = []
-    for value, safe in zip(values, null_safe):
-        if value is None:
-            if not safe:
-                return None
-            key.append(_NULL_KEY)
-        else:
-            key.append(value)
-    return tuple(key)
-
-
 def _dedupe(rows: list[tuple]) -> list[tuple]:
-    seen: set[tuple] = set()
-    result = []
-    for row in rows:
-        if row not in seen:
-            seen.add(row)
-            result.append(row)
-    return result
+    """``rows`` without duplicates, in first-appearance order."""
+    return list(dict.fromkeys(rows))
+
+
+def _check_setop_classes(box: SetOpBox, child_rows: Sequence[list]) -> None:
+    """A set operation puts the columns of several boxes into one, and what
+    reads it next -- DISTINCT, GROUP BY, the set operation itself -- goes by
+    hash, where 1 and TRUE are one value: the classes its branches deliver
+    per column must be comparable by the rule of ``=``
+    (:func:`~repro.types.comparable_classes`; NULL goes with everything)."""
+    for position, name in enumerate(box.output_names()):
+        column = itemgetter(position)
+        classes: set = set()
+        for rows in child_rows:
+            classes.update(map(type, map(column, rows)))
+        classes.discard(type(None))
+        if not comparable_classes(classes):
+            first, second = next(
+                pair for pair in combinations(
+                    sorted(classes, key=lambda cls: cls.__name__), 2
+                ) if not comparable_classes(set(pair))
+            )
+            raise SchemaError(
+                f"{box.op} column {name!r} cannot compare "
+                f"{first.__name__} with {second.__name__}"
+            )
 
 
 def _equi_condition(box: OuterJoinBox):

@@ -93,19 +93,19 @@ def is_true(t: Truth) -> bool:
     return t is True
 
 
-_NUMERIC = (int, float)
+_NUMBERS = frozenset((int, float))
 
 
-def _comparable(a: Any, b: Any) -> bool:
-    if isinstance(a, bool) or isinstance(b, bool):
-        return isinstance(a, bool) and isinstance(b, bool)
-    if isinstance(a, _NUMERIC) and isinstance(b, _NUMERIC):
-        return True
-    return isinstance(a, str) and isinstance(b, str)
+def comparable_classes(classes: set) -> bool:
+    """The rule of comparability, over the classes of non-NULL values (two
+    operands, or a whole column): may any two of them be compared? Values
+    of one class may, and int with float; nothing else -- ``bool`` is its
+    own class here, not Python's kind of ``int``."""
+    return len(classes) <= 1 or classes <= _NUMBERS
 
 
 def _check_comparable(a: Any, b: Any) -> None:
-    if not _comparable(a, b):
+    if not comparable_classes({a.__class__, b.__class__}):
         raise SchemaError(f"cannot compare {a!r} with {b!r}")
 
 

@@ -12,6 +12,7 @@ from repro.exec.aggregates import (
     agg_sum,
     compute_aggregate,
 )
+from repro.types import sort_key
 
 
 class TestIndividualAggregates:
@@ -74,3 +75,81 @@ class TestDispatch:
     )
     def test_each_function(self, func, expected):
         assert compute_aggregate(func, [2, 3, None], 3, False) == expected
+
+
+FUNCTIONS = ("count", "sum", "avg", "min", "max")
+
+
+def _reference(func, values, distinct):
+    """Every aggregate by its definition: drop NULLs, drop duplicates when
+    asked, order by ``sort_key``."""
+    kept = [v for v in values if v is not None]
+    if distinct:
+        kept = [v for i, v in enumerate(kept) if v not in kept[:i]]
+    if func == "count":
+        return len(kept)
+    if not kept:
+        return None
+    if func == "sum":
+        return sum(kept)
+    if func == "avg":
+        return sum(kept) / len(kept)
+    return (min if func == "min" else max)(kept, key=sort_key)
+
+
+class TestGroupsOfEveryShape:
+    """What the kernels test before they walk a group -- is there a NULL in
+    it, is it of one class -- changes no answer."""
+
+    GROUPS = [
+        [], [None], [None, None], [3], [3, 1, 2], [2, None, 3, None],
+        [1, 1, 2, None, 2], [2, 2.0, 1.5], [2.0, 2, 3], [1.5, None, 1],
+        ["b", "a", None, "b"], [True, False, True],
+    ]
+
+    @pytest.mark.parametrize("distinct", [False, True])
+    @pytest.mark.parametrize("func", FUNCTIONS)
+    def test_null_distinct_and_empty_groups(self, func, distinct):
+        for group in self.GROUPS:
+            if func in ("sum", "avg") and any(isinstance(v, str) for v in group):
+                continue
+            for values in (group, tuple(group)):
+                result = compute_aggregate(func, values, len(group), distinct)
+                expected = _reference(func, group, distinct)
+                assert result == expected, (group, distinct)
+                assert type(result) is type(expected), (group, distinct)
+
+    def test_count_star_counts_nulls_and_ignores_distinct(self):
+        assert compute_aggregate("count", None, 0, False) == 0
+        assert compute_aggregate("count", None, 3, True) == 3
+
+    def test_min_max_of_ints_and_floats_are_the_builtins(self):
+        """int with float is one class: no ``sort_key`` call, the first of
+        two equal extremes wins as it does with the key."""
+        assert agg_min([2, 2.0, 3]) == 2 and type(agg_min([2, 2.0, 3])) is int
+        assert type(agg_min([2.0, 2, 3])) is float
+        assert type(agg_max([1, 3.0, 3])) is float
+        assert agg_max([1, None, 2.5]) == 2.5
+
+    def test_min_max_over_mixed_classes_keep_the_sort_key_order(self):
+        """bool sorts before number before string, whatever ``<`` would say
+        (``True < 2``) or refuse to say (``1 < "a"``)."""
+        mixed = [2, "a", None, True, 1.5, False, "b", 0]
+        assert agg_min(mixed) is False
+        assert agg_max(mixed) == "b"
+        assert agg_min([0, True]) is True  # a bool, not the smaller number
+        assert agg_max([5, True, False]) == 5
+        assert agg_max([False, -1]) == -1
+
+    def test_the_guard_is_checked_once_per_aggregate(self):
+        class Guard:
+            checks = 0
+
+            def check(self):
+                self.checks += 1
+
+        guard = Guard()
+        for func in FUNCTIONS:
+            compute_aggregate(func, [1, None, 2], 3, False, guard)
+        compute_aggregate("count", None, 3, False, guard=guard)
+        assert guard.checks == len(FUNCTIONS) + 1

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import Database, Strategy
+from repro.errors import SchemaError
 
 
 @pytest.fixture
@@ -39,6 +40,63 @@ class TestSetOpEdges:
             "EXCEPT SELECT building FROM emp WHERE building = 'B3'"
         )
         assert ("B3",) not in result.rows
+
+
+class TestSetOpColumnClasses:
+    """A set operation is where two declared types meet in one column. By
+    hash 1 and TRUE are one value, by ``=`` they cannot be compared: the
+    set operation refuses the column before anything groups on it."""
+
+    @pytest.fixture
+    def mixed(self) -> Database:
+        db = Database()
+        db.execute_script(
+            "create table a(i int, x int); "
+            "create table b(f boolean, y int, z float, s varchar(5)); "
+            "insert into a values (1,10),(0,20),(null,30); "
+            "insert into b values (true,1,1.0,'1'),(false,2,0.5,'0'),"
+            "(null,3,null,null);"
+        )
+        return db
+
+    def test_grouping_a_union_of_int_and_boolean_is_a_schema_error(self, mixed):
+        """Was ``[(1, 2), (0, 2), (None, 2)]``: ``1 = TRUE`` raises, and
+        GROUP BY had folded the two."""
+        with pytest.raises(
+            SchemaError, match="union column 'i' cannot compare bool with int"
+        ):
+            mixed.execute(
+                "select i, count(*) from (select i from a union all "
+                "select f from b) t(i) group by i"
+            )
+
+    @pytest.mark.parametrize(
+        "op", ["union", "union all", "intersect", "except"]
+    )
+    @pytest.mark.parametrize("column, classes", [
+        ("f", "bool with int"), ("s", "int with str"),
+    ])
+    def test_every_set_operation_checks_every_column(
+        self, mixed, op, column, classes
+    ):
+        name = op.split()[0]
+        with pytest.raises(
+            SchemaError, match=f"{name} column 'i' cannot compare {classes}"
+        ):
+            # The second column: the first one is int on both sides.
+            mixed.execute(f"select x, i from a {op} select y, {column} from b")
+
+    def test_int_with_float_and_null_with_anything_pass(self, mixed):
+        assert mixed.execute(
+            "select i from a union select z from b"
+        ).rows == [(1,), (0,), (None,), (0.5,)]
+        assert mixed.execute(
+            "select i, x from a union all select null, y from b where y = 1"
+        ).rows == [(1, 10), (0, 20), (None, 30), (None, 1)]
+        # A branch that delivers no row delivers no class.
+        assert mixed.execute(
+            "select i from a except select f from b where y > 5"
+        ).rows == [(1,), (0,), (None,)]
 
 
 class TestOuterJoinEdges:

@@ -203,3 +203,45 @@ class TestConcurrentDeterminism:
         # them advanced the base registry's counters.
         assert all(r == reference for r in results)
         assert base.log() == []
+
+
+class _Recorder(FaultRegistry):
+    """Never fires; remembers every site that asked."""
+
+    def __init__(self):
+        super().__init__(0, ())
+        self.asked = []
+
+    def trigger(self, site: str, detail: str = "") -> None:
+        self.asked.append(site)
+
+
+class TestExecutorSites:
+    """``exec.group`` is asked once per GROUP BY box run and ``exec.join``
+    once per scan / hash-join step run, whatever kernel does the work."""
+
+    @pytest.mark.parametrize("strategy, asked", [
+        # NI: the subquery's GROUP BY once per qualifying department.
+        (Strategy.NESTED_ITERATION, {"exec.join": 1, "exec.group": 6}),
+        (Strategy.KIM, {"exec.join": 3, "exec.group": 1}),
+        (Strategy.DAYAL, {"exec.join": 3, "exec.group": 1}),
+        (Strategy.MAGIC, {"exec.join": 6, "exec.group": 1}),
+    ], ids=lambda value: getattr(value, "value", None))
+    def test_sites_fire_once_per_box_and_step(
+        self, empdept_catalog, strategy, asked
+    ):
+        recorder = _Recorder()
+        db = Database(empdept_catalog, faults=recorder)
+        db.execute(EMP_DEPT_QUERY, strategy=strategy)
+        assert {
+            site: recorder.asked.count(site) for site in asked
+        } == asked
+
+    @pytest.mark.parametrize("site", ["exec.group", "exec.join"])
+    def test_a_fired_site_is_the_typed_error(self, empdept_catalog, site):
+        db = Database(
+            empdept_catalog, faults=FaultRegistry.parse(f"1:{site}=1")
+        )
+        with pytest.raises(FaultInjectedError) as info:
+            db.execute(EMP_DEPT_QUERY, strategy=Strategy.MAGIC)
+        assert info.value.site == site

@@ -219,3 +219,121 @@ class TestCrossThreadCancellationPerStrategy:
         assert isinstance(error, QueryCancelled), error
         assert error.metrics is not None
         assert guard.tripped is error
+
+
+GROUP_BY = "select building, count(*), min(salary) from emp group by building"
+OUTER_JOIN = (
+    "select d.name, e.name from dept d left join emp e "
+    "on d.building = e.building"
+)
+
+
+class _CancelAtCheck(ExecutionGuard):
+    """Counts its checks, and cancels the query at the ``at``-th one."""
+
+    def __init__(self, at=None):
+        super().__init__(Limits())
+        self.at = at
+        self.checks = 0
+
+    def check(self):
+        self.checks += 1
+        if self.checks == self.at:
+            self.cancel()
+        super().check()
+
+
+def _work(metrics):
+    """The counters that moved."""
+    return {name: n for name, n in metrics.as_dict().items() if n}
+
+
+class TestKernelsKeepTheirChecks:
+    """The batch kernels of GROUP BY and the outer join (one hash build,
+    grouping by value, the ON condition as a filter) do their work between
+    the same checkpoints: a budget trips, and a cancel lands, where it
+    always did and with the same counters."""
+
+    @pytest.mark.parametrize("sql, limit, snapshot", [
+        # The SPJ box under the GROUP BY keeps its six rows as a temp, the
+        # work table adds six.
+        (GROUP_BY, 11, {
+            "rows_scanned": 6, "rows_joined": 6, "rows_grouped": 6,
+            "rows_materialized": 12, "peak_rows_materialized": 12,
+            "total_work": 18,
+        }),
+        (OUTER_JOIN, 5, {
+            "rows_scanned": 13, "rows_materialized": 6,
+            "peak_rows_materialized": 6, "total_work": 13,
+        }),
+    ], ids=["group-by", "outer-join"])
+    def test_a_work_table_one_row_over_the_budget_trips_it(
+        self, db, sql, limit, snapshot
+    ):
+        """Six emp rows partitioned by key, or built into the hash table of
+        the join, under a budget of rows materialized that is one short."""
+        with pytest.raises(BudgetExceeded) as info:
+            db.execute(sql, limits=Limits(max_rows_materialized=limit))
+        error = info.value
+        assert (error.budget, error.limit, error.observed) == (
+            "max_rows_materialized", limit, limit + 1
+        )
+        assert _work(error.metrics) == snapshot
+        assert db.execute(sql, limits=Limits(max_rows_materialized=100)).rows
+
+    @pytest.mark.parametrize("sql, states", [
+        (GROUP_BY, [
+            (3, {}),
+            (1, {"rows_scanned": 6, "total_work": 6}),
+            (1, {
+                "rows_scanned": 6, "rows_joined": 6, "rows_materialized": 6,
+                "peak_rows_materialized": 6, "total_work": 12,
+            }),
+            (1, {
+                "rows_scanned": 6, "rows_joined": 6, "rows_grouped": 6,
+                "rows_materialized": 6, "peak_rows_materialized": 6,
+                "total_work": 18,
+            }),
+            # The work table, then one check per aggregate per group: 2 x 3.
+            (7, {
+                "rows_scanned": 6, "rows_joined": 6, "rows_grouped": 6,
+                "rows_materialized": 12, "peak_rows_materialized": 12,
+                "total_work": 18,
+            }),
+            (1, {
+                "rows_scanned": 6, "rows_joined": 6, "rows_grouped": 6,
+                "rows_materialized": 15, "rows_freed": 6,
+                "peak_rows_materialized": 12, "total_work": 18,
+            }),
+        ]),
+        (OUTER_JOIN, [
+            (3, {}),
+            (1, {"rows_scanned": 7, "total_work": 7}),
+            (1, {"rows_scanned": 13, "total_work": 13}),
+            # The hash build of emp, then the joined rows, kept as a temp.
+            (1, {
+                "rows_scanned": 13, "rows_materialized": 6,
+                "peak_rows_materialized": 6, "total_work": 13,
+            }),
+            (1, {
+                "rows_scanned": 13, "rows_joined": 15, "rows_materialized": 22,
+                "rows_freed": 6, "peak_rows_materialized": 16, "total_work": 28,
+            }),
+            (1, {
+                "rows_scanned": 13, "rows_joined": 31, "rows_materialized": 38,
+                "rows_freed": 6, "peak_rows_materialized": 32, "total_work": 44,
+            }),
+        ]),
+    ], ids=["group-by", "outer-join"])
+    def test_a_cancel_lands_at_every_checkpoint_with_its_counters(
+        self, db, sql, states
+    ):
+        """``states``: run lengths of checks over the counters they see."""
+        counting = _CancelAtCheck()
+        db.execute(sql, guard=counting)
+        assert counting.checks == sum(n for n, _ in states)
+        expected = [work for n, work in states for _ in range(n)]
+        for at, work in enumerate(expected, start=1):
+            with pytest.raises(QueryCancelled) as info:
+                db.execute(sql, guard=_CancelAtCheck(at))
+            assert _work(info.value.metrics) == work, at

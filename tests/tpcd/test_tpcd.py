@@ -210,6 +210,85 @@ def test_q1_variant_under_ni_does_it_in_the_pinned_steps(ladder_db):
     ]
 
 
+#: The set-oriented cells of the ladder as counts, at the ladder's
+#: ``nested_iteration`` scale: (query, strategy) -> rows, then the work.
+SET_ORIENTED_WORK = {
+    ("q2", Strategy.DAYAL): (1, {
+        "rows_scanned": 30_000, "index_rows": 288, "rows_joined": 37_817,
+        "rows_grouped": 7_586, "rows_materialized": 75_662,
+        "peak_rows_materialized": 60_244, "total_work": 75_700,
+    }),
+    ("q2", Strategy.KIM): (1, {
+        "rows_scanned": 30_000, "index_rows": 288, "rows_joined": 9,
+        "rows_grouped": 30_014, "rows_materialized": 32_030,
+        "peak_rows_materialized": 30_000, "total_work": 60_320,
+    }),
+    ("q1v", Strategy.MAGIC): (123, {
+        "rows_scanned": 2_150, "index_rows": 5_712, "rows_joined": 1_478,
+        "rows_grouped": 241, "rows_materialized": 3_097,
+        "peak_rows_materialized": 1_000, "total_work": 9_653,
+    }),
+}
+
+
+@pytest.mark.parametrize(
+    "query, strategy", sorted(SET_ORIENTED_WORK, key=str),
+    ids=lambda value: getattr(value, "value", value),
+)
+def test_the_set_oriented_cells_do_the_pinned_work(ladder_db, query, strategy):
+    """What ``test_q1_variant_under_ni_does_the_pinned_work`` is to nested
+    iteration: the hash joins, the outer join and the GROUP BYs of a
+    decorrelated plan may get cheaper per row, and build, join, group and
+    hold exactly these many."""
+    sql = {"q2": QUERY_2, "q1v": QUERY_1_VARIANT}[query]
+    n_rows, pinned = SET_ORIENTED_WORK[query, strategy]
+    result = ladder_db.execute(sql, strategy=strategy)
+    work = result.metrics.as_dict()
+    assert len(result.rows) == n_rows
+    assert {name: work[name] for name in pinned} == pinned
+
+
+def test_q2_under_dayal_does_it_in_the_pinned_spans(ladder_db):
+    """The same cell span by span, as the plan is written: the outer join
+    with its two inputs -- every step of the preserved side -- under the
+    GROUP BY on the outer block's key. Per span: calls, rows in, rows out."""
+    result = ladder_db.execute(QUERY_2, strategy=Strategy.DAYAL, tracer=Tracer())
+
+    def tree(span):
+        name = span.name.split(" [")[0]  # without the box id
+        return (
+            (name, span.calls, span.rows_in, span.rows_out),
+            [tree(child) for child in span.children],
+        )
+
+    def find(node, name):
+        if node[0][0] == name:
+            yield node
+        for child in node[1]:
+            yield from find(child, name)
+
+    (query,) = [root for root in result.tracer.roots if root.kind == "query"]
+    (group_by,) = [
+        node for node in find(tree(query), "groupby") if node[0][3] == 244
+    ]
+    assert group_by == (("groupby", 1, 0, 244), [
+        (("outerjoin", 1, 0, 7_572), [
+            (("select", 1, 0, 244), [
+                (("index lookup p via p_brand_idx", 1, 1, 44), []),
+                (("filter", 1, 44, 44), []),
+                (("filter", 1, 44, 8), []),
+                (("index lookup l via l_partkey_idx", 1, 8, 244), []),
+                (("filter", 1, 244, 244), []),
+            ]),
+            (("select", 1, 0, 30_000), [
+                (("scan l1", 1, 1, 30_000), [
+                    (("table lineitem", 1, 0, 30_000), []),
+                ]),
+            ]),
+        ]),
+    ])
+
+
 class TestEmpDept:
     def test_load_empdept(self):
         catalog = load_empdept(n_depts=20, n_emps=100, n_buildings=5)
