@@ -4,11 +4,14 @@
     python3 .github/check_ladder_counts.py --update   # re-cut ladder_counts.json
 
 Runs ``benchmarks/ladder/run.py --workload <w> --seed 1 --seconds 2 --trace 1``
-for each workload in ``ladder_counts.json`` and compares every ``exec.*``
-metric whose unit is ``count`` with the committed value. The counts are the
-paper's claims (invocations, rows scanned / joined / grouped) and repeat
-exactly, so "cheaper work, not less of it" is checked to the row; a change
-that means to do less work re-cuts the file, on purpose, in the same commit.
+for each workload in ``ladder_counts.json`` and compares every metric of the
+compile and execution layers (``sql.*``, ``qgm.*``, ``rewrite.*``, ``plan.*``,
+``exec.*``) whose unit is ``count`` with the committed value. The execution
+counts are the paper's claims (invocations, rows scanned / joined / grouped),
+the compile counts say the same query went through the same front end
+(tokens, boxes built and rewritten, boxes planned); all repeat exactly, so
+"cheaper work, not less of it" is checked to the row. A change that means to
+do less work re-cuts the file, on purpose, in the same commit.
 """
 
 from __future__ import annotations
@@ -21,10 +24,11 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 PINNED = HERE / "ladder_counts.json"
 RUN = HERE.parent / "benchmarks" / "ladder" / "run.py"
+LAYERS = ("sql.", "qgm.", "rewrite.", "plan.", "exec.")
 
 
 def measure(workload: str) -> tuple[dict[str, int], int]:
-    """(the ``exec.*`` counts, ``failed``) of one traced run."""
+    """(the pinned layers' counts, ``failed``) of one traced run."""
     done = subprocess.run(
         [sys.executable, str(RUN), "--workload", workload, "--seed", "1",
          "--seconds", "2", "--trace", "1"],
@@ -33,7 +37,7 @@ def measure(workload: str) -> tuple[dict[str, int], int]:
     payload = json.loads(done.stdout.decode().splitlines()[-1])
     counts = {
         name: entry["value"] for name, entry in payload["metrics"].items()
-        if name.startswith("exec.") and entry["unit"] == "count"
+        if name.startswith(LAYERS) and entry["unit"] == "count"
     }
     return counts, payload["failed"]
 

@@ -21,7 +21,7 @@ paper measures.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Union
+from typing import Any, NamedTuple, Optional, Union
 
 from ..errors import PlanError
 from ..qgm.analysis import external_column_refs
@@ -34,7 +34,7 @@ from ..qgm.expr import (
 from ..qgm.model import BaseTableBox, Box, Quantifier, SelectBox
 from ..sql import ast
 from ..storage.catalog import Catalog
-from .cost import estimate_box_rows, predicate_selectivity
+from .cost import column_ndv, estimate_box_rows, predicate_selectivity
 
 
 @dataclass
@@ -129,17 +129,6 @@ class SelectPlan:
     compiled: Optional[Any] = field(default=None, repr=False, compare=False)
 
 
-def _own_refs(box: SelectBox, expr: ast.Expr) -> set[int]:
-    """ids of this box's quantifiers referenced directly by ``expr``
-    (not entering subquery bodies)."""
-    own = {id(q) for q in box.quantifiers}
-    return {
-        id(node.quantifier)
-        for node in walk_expr(expr)
-        if isinstance(node, ColumnRef) and id(node.quantifier) in own
-    }
-
-
 def _subtree_refs_to_box(box: SelectBox, subquery_box: Box) -> set[int]:
     """ids of ``box``'s quantifiers referenced from anywhere inside a
     subquery's subtree (its correlations into this box)."""
@@ -151,21 +140,185 @@ def _subtree_refs_to_box(box: SelectBox, subquery_box: Box) -> set[int]:
     }
 
 
-def _predicate_requirements(box: SelectBox, predicate: ast.Expr) -> set[int]:
-    """Quantifiers of ``box`` that must be bound before ``predicate`` can be
-    evaluated. Scalar subquery *bodies* are excluded (their values arrive
-    via SubqueryEvalStep), every other subquery runs inline."""
-    required = _own_refs(box, predicate)
-    for node in walk_expr(predicate):
-        if isinstance(node, BOX_SUBQUERY_TYPES) and not isinstance(
-            node, BoxScalarSubquery
+# ---- the fact table ---------------------------------------------------------
+#
+# Everything the join-order search asks about a box is derived once, when
+# plan_select_box starts, and read from here by every candidate the search
+# tries. A set of this box's quantifiers is a bitmask: bit i is
+# box.quantifiers[i]. The table lives for one call (DESIGN section 18).
+
+
+class _EqKey(NamedTuple):
+    """A join key for binding one quantifier: a subquery-free ``=`` / ``<=>``
+    predicate with a plain column of the quantifier on one side, usable
+    once everything the other side reads is bound."""
+
+    pred: int  # index into _BoxFacts.predicates
+    ref: ColumnRef  # a column of the quantifier being bound
+    other: ast.Expr  # over bound quantifiers and anything outer
+    other_requires: int  # this box's quantifiers ``other`` reads
+    null_safe: bool
+
+
+class _QuantifierFacts:
+    """What the search reads about one quantifier of the box."""
+
+    __slots__ = ("q", "bit", "requires", "correlated", "rows", "keys", "probes", "ndv")
+
+    def __init__(self, q: Quantifier, bit: int, requires: int, rows: float):
+        self.q = q
+        self.bit = bit
+        #: Quantifiers the child's subtree references: they are bound first,
+        #: and the child is re-run per member row (``correlated_to_self``).
+        self.requires = requires
+        self.correlated = bool(requires)
+        self.rows = rows
+        self.keys: list[_EqKey] = []
+        #: key column -> (its single-column index's name, rows per probe),
+        #: None when the column has no such index
+        self.probes: dict[str, Optional[tuple[str, float]]] = {}
+        #: key column -> distinct values (for a hash join's selectivity)
+        self.ndv: dict[str, int] = {}
+
+
+class _PredicateFacts:
+    """What the search reads about one predicate of the box."""
+
+    __slots__ = ("expr", "requires", "scalars", "selectivity")
+
+    def __init__(self, expr: ast.Expr, requires: int, scalars: list[BoxScalarSubquery]):
+        self.expr = expr
+        #: Quantifiers bound before the predicate can run. Scalar subquery
+        #: bodies are excluded (their values arrive via SubqueryEvalStep);
+        #: every other subquery runs inline, so its correlations count.
+        self.requires = requires
+        self.scalars = scalars
+        #: Computed on first use (_apply_path_preds).
+        self.selectivity: Optional[float] = None
+
+
+class _BoxFacts:
+    """What the join-order search reads about one SPJ box."""
+
+    def __init__(self, catalog: Catalog, box: SelectBox):
+        self.catalog = catalog
+        self.box = box
+        self._bit = {id(q): 1 << i for i, q in enumerate(box.quantifiers)}
+        self.quantifiers = [
+            _QuantifierFacts(
+                q, 1 << i, self._subtree_mask(q.box), estimate_box_rows(catalog, q.box)
+            )
+            for i, q in enumerate(box.quantifiers)
+        ]
+        self._by_id = {id(qf.q): qf for qf in self.quantifiers}
+        self.predicates: list[_PredicateFacts] = []
+        for predicate in box.predicates:
+            self._add_predicate(predicate)
+        for qf in self.quantifiers:
+            if qf.keys:
+                self._key_facts(qf)
+
+        # Scalar subquery nodes in predicates and outputs, with the
+        # quantifiers their correlations require.
+        nodes = [node for pf in self.predicates for node in pf.scalars]
+        for output in box.outputs:
+            nodes += [n for n in walk_expr(output.expr) if isinstance(n, BoxScalarSubquery)]
+        self.scalars: list[tuple[BoxScalarSubquery, int]] = []
+        seen: set[int] = set()
+        for node in nodes:
+            if id(node) not in seen:
+                seen.add(id(node))
+                self.scalars.append((node, self._subtree_mask(node.box)))
+
+    def _subtree_mask(self, subquery_box: Box) -> int:
+        mask = 0
+        for qid in _subtree_refs_to_box(self.box, subquery_box):
+            mask |= self._bit[qid]
+        return mask
+
+    def _refs_mask(self, expr: ast.Expr) -> int:
+        """This box's quantifiers ``expr`` references directly (not
+        entering subquery bodies)."""
+        mask = 0
+        for node in walk_expr(expr):
+            if isinstance(node, ColumnRef):
+                mask |= self._bit.get(id(node.quantifier), 0)
+        return mask
+
+    def _add_predicate(self, predicate: ast.Expr) -> None:
+        pi = len(self.predicates)
+        requires = 0
+        scalars: list[BoxScalarSubquery] = []
+        inline: list[ast.Expr] = []
+        for node in walk_expr(predicate):
+            if isinstance(node, ColumnRef):
+                requires |= self._bit.get(id(node.quantifier), 0)
+            elif isinstance(node, BoxScalarSubquery):
+                scalars.append(node)
+            elif isinstance(node, BOX_SUBQUERY_TYPES):
+                inline.append(node)
+        for node in inline:
+            requires |= self._subtree_mask(node.box)
+        self.predicates.append(_PredicateFacts(predicate, requires, scalars))
+
+        if scalars or inline or not isinstance(predicate, ast.Comparison) \
+                or predicate.op not in ("=", "<=>"):
+            return
+        for side, other in (
+            (predicate.left, predicate.right),
+            (predicate.right, predicate.left),
         ):
-            required |= _subtree_refs_to_box(box, node.box)
-    return required
+            qf = self._by_id.get(id(side.quantifier)) if isinstance(side, ColumnRef) else None
+            if qf is None:
+                continue
+            other_requires = self._refs_mask(other)
+            if not other_requires & qf.bit:
+                qf.keys.append(
+                    _EqKey(pi, side, other, other_requires, predicate.op == "<=>")
+                )
+
+    def _key_facts(self, qf: _QuantifierFacts) -> None:
+        """Index and distinct-value facts for the columns of ``qf``'s keys."""
+        catalog = self.catalog
+        if isinstance(qf.q.box, BaseTableBox):
+            table = catalog.table(qf.q.box.table_name)
+            stats = catalog.stats(qf.q.box.table_name)
+            for key in qf.keys:
+                column = key.ref.column
+                if key.null_safe or column in qf.probes:
+                    continue
+                index = table.find_index([column])
+                if index is None:
+                    qf.probes[column] = None
+                else:
+                    ndv = max(1, stats.column(column).n_distinct)
+                    qf.probes[column] = (index.name, max(stats.row_count / ndv, 0.001))
+        if not qf.correlated:
+            for key in qf.keys:
+                if key.ref.column not in qf.ndv:
+                    qf.ndv[key.ref.column] = column_ndv(catalog, key.ref) or 10
+
+
+_AccessStep = Union[ScanStep, IndexLookupStep, HashJoinStep]
+#: (cost, out_rows, step, predicates the step's estimate already applies)
+_Access = tuple[float, float, _AccessStep, tuple[int, ...]]
+
+
+class _Barrier(NamedTuple):
+    """One point of a join order: the access step that binds a quantifier
+    (none at barrier 0), everything bound by then, the estimated rows
+    after it, and the predicates that become eligible there."""
+
+    step: Optional[_AccessStep]
+    bound: int
+    rows: float
+    placed: tuple[int, ...]
 
 
 def plan_select_box(catalog: Catalog, box: SelectBox, guard=None) -> SelectPlan:
-    """Greedy cost-based ordering of one SPJ box.
+    """Cost-based plan of one SPJ box: exact join ordering (dynamic
+    programming) up to ``_DP_LIMIT`` quantifiers, greedy beyond; ties
+    between equally cheap orders go to FROM-list order.
 
     ``guard`` (a :class:`repro.guard.ExecutionGuard`) makes planning itself
     a cooperative cancellation/timeout point: plans are built lazily during
@@ -173,97 +326,56 @@ def plan_select_box(catalog: Catalog, box: SelectBox, guard=None) -> SelectPlan:
     """
     if guard is not None:
         guard.check()
-    quantifier_by_id = {id(q): q for q in box.quantifiers}
-
-    simple_preds: list[tuple[ast.Expr, set[int], list[BoxScalarSubquery]]] = []
-    for predicate in box.predicates:
-        scalars = [
-            node
-            for node in walk_expr(predicate)
-            if isinstance(node, BoxScalarSubquery)
-        ]
-        simple_preds.append(
-            (predicate, _predicate_requirements(box, predicate), scalars)
-        )
-
-    # Scalar subquery nodes in predicates and outputs, with the quantifiers
-    # their correlations require.
-    scalar_nodes: list[tuple[BoxScalarSubquery, set[int]]] = []
-    seen_scalar_ids: set[int] = set()
-
-    def note_scalars(expr: ast.Expr) -> None:
-        for node in walk_expr(expr):
-            if isinstance(node, BoxScalarSubquery) and id(node) not in seen_scalar_ids:
-                seen_scalar_ids.add(id(node))
-                scalar_nodes.append((node, _subtree_refs_to_box(box, node.box)))
-
-    for predicate in box.predicates:
-        note_scalars(predicate)
-    for output in box.outputs:
-        note_scalars(output.expr)
-
-    # Child-box correlation into this box (correlated derived tables).
-    child_requirements: dict[int, set[int]] = {}
-    child_rows: dict[int, float] = {}
-    for q in box.quantifiers:
-        child_requirements[id(q)] = _subtree_refs_to_box(box, q.box)
-        child_rows[id(q)] = estimate_box_rows(catalog, q.box)
+    facts = _BoxFacts(catalog, box)
 
     # ---- join-order search -------------------------------------------------
     # Selinger-style dynamic programming over quantifier subsets for small
     # FROM lists (exact under the step cost model), greedy beyond that.
     search = _order_dp if len(box.quantifiers) <= _DP_LIMIT else _order_greedy
-    barriers, pred_barrier = search(
-        catalog, box, simple_preds, child_requirements, child_rows,
-        quantifier_by_id,
-    )
+    barriers = search(facts)
 
     # ---- scalar subquery placement (paper section 7) ---------------------
     scalar_barrier: dict[int, int] = {}
-    for node, required in scalar_nodes:
+    for node, required in facts.scalars:
         feasible = [
-            i for i in range(len(barriers))
-            if required <= _bound_at(box, barriers, i)
+            i for i, barrier in enumerate(barriers) if not required & ~barrier.bound
         ]
         if not feasible:
             raise PlanError(f"scalar subquery of box {box.id} cannot be placed")
         # Cheapest point = fewest invocations = smallest member cardinality.
-        best_barrier = min(feasible, key=lambda i: (barriers[i]["rows"], i))
-        scalar_barrier[id(node)] = best_barrier
+        scalar_barrier[id(node)] = min(feasible, key=lambda i: (barriers[i].rows, i))
 
     # Predicates that read scalar values must wait for their evaluation.
-    for pi, (predicate, required, scalars) in enumerate(simple_preds):
-        if pi in pred_barrier and scalars:
-            barrier = max(
-                [pred_barrier[pi]] + [scalar_barrier[id(s)] for s in scalars]
+    pred_barrier = {pi: i for i, barrier in enumerate(barriers) for pi in barrier.placed}
+    for pi, pf in enumerate(facts.predicates):
+        if pf.scalars:
+            pred_barrier[pi] = max(
+                [pred_barrier[pi]] + [scalar_barrier[id(s)] for s in pf.scalars]
             )
-            pred_barrier[pi] = barrier
 
     # ---- assemble -------------------------------------------------------
+    # Within a barrier: its access step, then scalar-free predicates, then
+    # scalar evaluations (invoked on the survivors), then the predicates
+    # that read their values.
     steps: list[Step] = []
     for index, barrier in enumerate(barriers):
-        steps.extend(barrier["steps"])
-        for node, _ in scalar_nodes:
-            if scalar_barrier[id(node)] == index:
-                steps.append(SubqueryEvalStep(node))
-        for pi, (predicate, _, scalars) in enumerate(simple_preds):
-            if pred_barrier.get(pi) == index:
-                # Scalar-free predicates go before scalar evaluations of the
-                # same barrier; handled by ordering below.
-                steps.append(PredicateStep(predicate))
+        if barrier.step is not None:
+            steps.append(barrier.step)
+        here = [pf for pi, pf in enumerate(facts.predicates) if pred_barrier[pi] == index]
+        steps += [PredicateStep(pf.expr) for pf in here if not pf.scalars]
+        steps += [
+            SubqueryEvalStep(node)
+            for node, _ in facts.scalars
+            if scalar_barrier[id(node)] == index
+        ]
+        steps += [PredicateStep(pf.expr) for pf in here if pf.scalars]
 
-    steps = _order_within_barriers(steps)
-    join_order = [
-        step.quantifier
-        for step in steps
-        if isinstance(step, (ScanStep, IndexLookupStep, HashJoinStep))
-    ]
     return SelectPlan(
         box=box,
         steps=steps,
-        estimated_rows=barriers[-1]["rows"],
+        estimated_rows=barriers[-1].rows,
         scalar_placement=scalar_barrier,
-        join_order=join_order,
+        join_order=[b.step.quantifier for b in barriers if b.step is not None],
     )
 
 
@@ -272,334 +384,164 @@ _DP_LIMIT = 8
 
 
 def _apply_path_preds(
-    catalog: Catalog,
-    simple_preds,
-    bound: set[int],
-    pending: set[int],
-    consumed: set[int],
+    facts: _BoxFacts,
+    bound: int,
+    pending: tuple[int, ...],
+    used: tuple[int, ...],
     rows: float,
-    barrier_index: int,
-    pred_barrier: dict[int, int],
-) -> tuple[float, set[int]]:
-    """Apply newly-eligible predicates at a barrier: record their placement
-    and multiply in their selectivity (unless an access path consumed it)."""
-    still_pending = set(pending)
-    for pi in sorted(pending):
-        predicate, required, _scalars = simple_preds[pi]
-        if required <= bound:
-            still_pending.discard(pi)
-            pred_barrier[pi] = barrier_index
-            if pi not in consumed:
-                rows = max(rows * predicate_selectivity(catalog, predicate), 0.001)
-    return rows, still_pending
+) -> tuple[float, tuple[int, ...], tuple[int, ...]]:
+    """Place the pending predicates ``bound`` makes eligible and multiply in
+    their selectivity, unless the access path that bound them (``used``)
+    already accounts for it. Returns ``(rows, placed, still_pending)``."""
+    placed: list[int] = []
+    still: list[int] = []
+    for pi in pending:
+        pf = facts.predicates[pi]
+        if pf.requires & ~bound:
+            still.append(pi)
+            continue
+        placed.append(pi)
+        if pi not in used:
+            if pf.selectivity is None:
+                pf.selectivity = predicate_selectivity(facts.catalog, pf.expr)
+            rows = max(rows * pf.selectivity, 0.001)
+    return rows, tuple(placed), tuple(still)
 
 
-def _order_greedy(
-    catalog, box, simple_preds, child_requirements, child_rows, quantifier_by_id
-) -> tuple[list[dict], dict[int, int]]:
-    """Greedy ordering: cheapest next access at every step."""
-    bound: set[int] = set()
-    remaining = [id(q) for q in box.quantifiers]
-    barriers: list[dict] = [{"steps": [], "rows": 1.0}]
-    pending: set[int] = set(range(len(simple_preds)))
-    pred_barrier: dict[int, int] = {}
-    consumed: set[int] = set()
-    est_rows, pending = _apply_path_preds(
-        catalog, simple_preds, bound, pending, consumed, 1.0, 0, pred_barrier
-    )
-    barriers[0]["rows"] = est_rows
+def _first_barrier(facts: _BoxFacts) -> tuple[_Barrier, tuple[int, ...]]:
+    """Barrier 0, before any quantifier is bound, and what is pending after it."""
+    everything = tuple(range(len(facts.predicates)))
+    rows, placed, pending = _apply_path_preds(facts, 0, everything, (), 1.0)
+    return _Barrier(None, 0, rows, placed), pending
 
+
+def _order_greedy(facts: _BoxFacts) -> list[_Barrier]:
+    """Greedy ordering: cheapest next access at every step; of equally
+    cheap ones, the first in FROM order."""
+    first, pending = _first_barrier(facts)
+    barriers = [first]
+    bound = 0
+    remaining = list(facts.quantifiers)
     while remaining:
-        best = None
-        for qid in remaining:
-            if not child_requirements[qid] <= bound:
+        best: Optional[tuple[_QuantifierFacts, _Access]] = None
+        for qf in remaining:
+            if qf.requires & ~bound:
                 continue
-            q = quantifier_by_id[qid]
-            access = _best_access(
-                catalog, box, q, bound, simple_preds, sorted(pending),
-                est_rows, child_rows[qid],
-            )
-            if access is None:
-                continue
-            cost, out_rows, step, used_preds = access
-            key = (cost, out_rows, qid)
-            if best is None or key < (best[0], best[1], best[2]):
-                best = (cost, out_rows, qid, step, used_preds)
+            access = _best_access(facts, qf, bound, barriers[-1].rows)
+            if best is None or access[:2] < best[1][:2]:
+                best = (qf, access)
         if best is None:
             raise PlanError(
-                f"cannot order quantifiers of box {box.id}: "
+                f"cannot order quantifiers of box {facts.box.id}: "
                 "circular correlated derived tables?"
             )
-        _, out_rows, qid, step, used_preds = best
-        bound.add(qid)
-        remaining.remove(qid)
-        consumed |= used_preds
-        est_rows = max(out_rows, 0.001)
-        barriers.append({"steps": [step], "rows": est_rows})
-        est_rows, pending = _apply_path_preds(
-            catalog, simple_preds, bound, pending, consumed, est_rows,
-            len(barriers) - 1, pred_barrier,
+        qf, (_, out_rows, step, used) = best
+        bound |= qf.bit
+        remaining.remove(qf)
+        rows, placed, pending = _apply_path_preds(
+            facts, bound, pending, used, max(out_rows, 0.001)
         )
-        barriers[-1]["rows"] = est_rows
-    return barriers, pred_barrier
+        barriers.append(_Barrier(step, bound, rows, placed))
+    return barriers
 
 
-def _order_dp(
-    catalog, box, simple_preds, child_requirements, child_rows, quantifier_by_id
-) -> tuple[list[dict], dict[int, int]]:
+def _order_dp(facts: _BoxFacts) -> list[_Barrier]:
     """Exact join ordering: dynamic programming over quantifier subsets.
 
-    Each DP state keeps the cheapest way to have bound that subset; the
-    value carries accumulated cost, estimated rows, the chosen steps, and
-    which predicates were consumed by access paths along the way.
+    Layer k holds, per subset of k quantifiers (a bitmask), the cheapest
+    way found to bind it: accumulated cost, the predicates still pending,
+    and its barriers. States are expanded in the order they were reached,
+    quantifiers in FROM order, and a candidate replaces a state only when
+    strictly cheaper, so ties go to the order found first. The winner's
+    barriers are the plan: their rows are the estimates the search
+    computed, so the order is not planned a second time.
     """
-    all_ids = [id(q) for q in box.quantifiers]
-    n = len(all_ids)
-    # state value: (cost, rows, steps, consumed, order)
-    initial_pending = frozenset(range(len(simple_preds)))
-    start_rows = 1.0
-    throwaway: dict[int, int] = {}
-    start_rows, start_pending = _apply_path_preds(
-        catalog, simple_preds, set(), set(initial_pending), set(),
-        start_rows, 0, throwaway,
-    )
-    states: dict[frozenset, tuple] = {
-        frozenset(): (0.0, start_rows, [], frozenset(), [])
+    first, pending = _first_barrier(facts)
+    states: dict[int, tuple[float, tuple[int, ...], tuple[_Barrier, ...]]] = {
+        0: (0.0, pending, (first,))
     }
-    for _ in range(n):
-        next_states: dict[frozenset, tuple] = {}
-        for subset, (cost, rows, steps, consumed, order) in states.items():
-            if len(subset) != len(order):
-                continue
-            bound = set(subset)
-            pending = {
-                pi for pi in initial_pending
-                if not simple_preds[pi][1] <= bound
-            }
-            for qid in all_ids:
-                if qid in subset or not child_requirements[qid] <= bound:
+    for _ in facts.quantifiers:
+        next_states: dict[int, tuple[float, tuple[int, ...], tuple[_Barrier, ...]]] = {}
+        for bound, (cost, pending, barriers) in states.items():
+            env_rows = barriers[-1].rows
+            for qf in facts.quantifiers:
+                if qf.bit & bound or qf.requires & ~bound:
                     continue
-                q = quantifier_by_id[qid]
-                access = _best_access(
-                    catalog, box, q, bound, simple_preds, sorted(pending),
-                    rows, child_rows[qid],
-                )
-                if access is None:
-                    continue
-                step_cost, out_rows, step, used = access
-                new_bound = bound | {qid}
-                new_consumed = set(consumed) | used
-                new_rows, _ = _apply_path_preds(
-                    catalog, simple_preds, new_bound,
-                    {pi for pi in pending
-                     if simple_preds[pi][1] <= new_bound},
-                    new_consumed, max(out_rows, 0.001), 0, {},
-                )
-                key = frozenset(new_bound)
-                candidate = (
-                    cost + step_cost, new_rows, steps + [step],
-                    frozenset(new_consumed), order + [qid],
-                )
+                step_cost, out_rows, step, used = _best_access(facts, qf, bound, env_rows)
+                total = cost + step_cost
+                key = bound | qf.bit
                 existing = next_states.get(key)
-                if existing is None or candidate[0] < existing[0]:
-                    next_states[key] = candidate
-        if not next_states and n:
+                if existing is not None and not total < existing[0]:
+                    continue
+                rows, placed, still = _apply_path_preds(
+                    facts, key, pending, used, max(out_rows, 0.001)
+                )
+                next_states[key] = (total, still, barriers + (_Barrier(step, key, rows, placed),))
+        if not next_states:
             raise PlanError(
-                f"cannot order quantifiers of box {box.id}: "
+                f"cannot order quantifiers of box {facts.box.id}: "
                 "circular correlated derived tables?"
             )
-        states = next_states if next_states else states
-        if frozenset(all_ids) in states:
-            break
-    final = states.get(frozenset(all_ids))
-    if final is None and n > 0:
-        raise PlanError(f"cannot order quantifiers of box {box.id}")
-    if n == 0:
-        final = (0.0, start_rows, [], frozenset(), [])
-
-    # Replay the winning order to build barriers and predicate placement.
-    _, _, steps, consumed_f, order = final
-    consumed = set(consumed_f)
-    barriers: list[dict] = [{"steps": [], "rows": 1.0}]
-    pending = set(initial_pending)
-    pred_barrier: dict[int, int] = {}
-    bound: set[int] = set()
-    rows, pending = _apply_path_preds(
-        catalog, simple_preds, bound, pending, consumed, 1.0, 0, pred_barrier
-    )
-    barriers[0]["rows"] = rows
-    for step, qid in zip(steps, order):
-        bound.add(qid)
-        # Re-estimate rows from the access step's statistics by replaying
-        # _best_access is unnecessary: recompute from scratch keeps the DP
-        # and replay consistent enough for placement purposes.
-        q = quantifier_by_id[qid]
-        access = _best_access(
-            catalog, box, q, bound - {qid}, simple_preds, sorted(pending),
-            rows, child_rows[qid],
-        )
-        out_rows = access[1] if access is not None else rows
-        rows = max(out_rows, 0.001)
-        barriers.append({"steps": [step], "rows": rows})
-        rows, pending = _apply_path_preds(
-            catalog, simple_preds, bound, pending, consumed, rows,
-            len(barriers) - 1, pred_barrier,
-        )
-        barriers[-1]["rows"] = rows
-    return barriers, pred_barrier
-
-
-def _bound_at(box: SelectBox, barriers: list[dict], index: int) -> set[int]:
-    bound: set[int] = set()
-    for barrier in barriers[: index + 1]:
-        for step in barrier["steps"]:
-            if isinstance(step, (ScanStep, IndexLookupStep, HashJoinStep)):
-                bound.add(id(step.quantifier))
-    return bound
-
-
-def _order_within_barriers(steps: list[Step]) -> list[Step]:
-    """Within one barrier, run scalar-free predicates before scalar
-    evaluations (filter first, then invoke subqueries on survivors)."""
-    result: list[Step] = []
-    block: list[Step] = []
-
-    def flush() -> None:
-        plain = [
-            s for s in block
-            if isinstance(s, PredicateStep)
-            and not any(
-                isinstance(n, BoxScalarSubquery) for n in walk_expr(s.predicate)
-            )
-        ]
-        evals = [s for s in block if isinstance(s, SubqueryEvalStep)]
-        scalar_preds = [
-            s for s in block
-            if isinstance(s, PredicateStep) and not any(s is p for p in plain)
-        ]
-        result.extend(plain + evals + scalar_preds)
-        block.clear()
-
-    for step in steps:
-        if isinstance(step, (ScanStep, IndexLookupStep, HashJoinStep)):
-            flush()
-            result.append(step)
-        else:
-            block.append(step)
-    flush()
-    return result
+        states = next_states
+    ((_, _, barriers),) = states.values()
+    return list(barriers)
 
 
 def _best_access(
-    catalog: Catalog,
-    box: SelectBox,
-    q,
-    bound: set[int],
-    simple_preds,
-    pending_preds,
-    env_rows: float,
-    q_rows: float,
-) -> Optional[tuple[float, float, Step, set[int]]]:
-    """Best access path for binding ``q`` next.
+    facts: _BoxFacts, qf: _QuantifierFacts, bound: int, env_rows: float
+) -> _Access:
+    """Best access path for binding ``qf``'s quantifier next, after
+    ``bound`` with ``env_rows`` rows so far.
 
-    Returns ``(cost, out_rows, step, consumed_pred_indexes)`` -- the last
-    element lists predicates whose selectivity the access path already
-    accounts for (so the caller does not apply it twice).
+    Returns ``(cost, out_rows, step, used)`` -- ``used`` lists predicates
+    whose selectivity the access path already accounts for (so the caller
+    does not apply it twice). Arithmetic on the fact table only.
     """
-    correlated_to_self = bool(_subtree_refs_to_box(box, q.box))
-    own_id = id(q)
+    # Keys whose other side is computable from bound quantifiers (plus
+    # anything outer, which is always available). Their predicates require
+    # this quantifier, so they are all still pending.
+    keys = [key for key in qf.keys if not key.other_requires & ~bound]
 
-    # Collect equality predicates usable for index lookup / hash join:
-    # one side is a plain column of q, the other is computable from bound
-    # quantifiers (plus anything outer, which is always available).
-    # (pred_index, col, q_side, other, null_safe)
-    eq_pairs: list[tuple[int, str, ast.Expr, ast.Expr, bool]] = []
-    for pi in pending_preds:
-        predicate, _, scalars = simple_preds[pi]
-        if scalars or not isinstance(predicate, ast.Comparison) \
-                or predicate.op not in ("=", "<=>"):
-            continue
-        if any(isinstance(n, BOX_SUBQUERY_TYPES) for n in walk_expr(predicate)):
-            continue
-        for q_side, other in (
-            (predicate.left, predicate.right),
-            (predicate.right, predicate.left),
-        ):
-            if not (isinstance(q_side, ColumnRef) and q_side.quantifier is q):
-                continue
-            other_own = _own_refs(box, other)
-            if other_own <= bound and own_id not in other_own:
-                eq_pairs.append(
-                    (pi, q_side.column, q_side, other, predicate.op == "<=>")
-                )
-                break
+    # (cost, out_rows, how): how is (key, index name) for an index lookup,
+    # every key for a hash join, None for a scan.
+    candidates: list[tuple[float, float, Union[tuple[_EqKey, str], list[_EqKey], None]]] = []
 
-    candidates: list[tuple[float, float, Step, set[int]]] = []
-
-    # Index lookup on a base table (not for null-safe pairs: hash indexes
+    # Index lookup on a base table (not for null-safe keys: hash indexes
     # drop NULL probes by design).
-    if isinstance(q.box, BaseTableBox) and eq_pairs:
-        table = catalog.table(q.box.table_name)
-        stats = catalog.stats(q.box.table_name)
-        for pi, column, _, other, null_safe in eq_pairs:
-            if null_safe:
-                continue
-            index = table.find_index([column])
-            if index is None:
-                continue
-            ndv = max(1, stats.column(column).n_distinct)
-            matches = max(stats.row_count / ndv, 0.001)
-            cost = env_rows * (1.0 + matches)
-            out_rows = max(env_rows * matches, 0.001)
+    for key in keys:
+        probe = None if key.null_safe else qf.probes.get(key.ref.column)
+        if probe is not None:
+            index_name, matches = probe
             candidates.append(
-                (
-                    cost,
-                    out_rows,
-                    IndexLookupStep(q, index.name, (column,), (other,)),
-                    {pi},
-                )
+                (env_rows * (1.0 + matches), max(env_rows * matches, 0.001), (key, index_name))
             )
 
     # Hash join (child must not depend on this box's other quantifiers).
-    if eq_pairs and not correlated_to_self:
-        build = tuple(pair[2] for pair in eq_pairs)
-        probe = tuple(pair[3] for pair in eq_pairs)
-        null_safe = tuple(pair[4] for pair in eq_pairs)
+    if keys and not qf.correlated:
         selectivity = 1.0
-        for _, column, q_side, _, _ in eq_pairs:
-            ndv = _ndv_of(catalog, q_side)
-            selectivity *= 1.0 / max(1, ndv)
-        matches = max(q_rows * selectivity, 0.001)
-        cost = q_rows + env_rows * (1.0 + matches)
-        out_rows = max(env_rows * matches, 0.001)
+        for key in keys:
+            selectivity *= 1.0 / max(1, qf.ndv[key.ref.column])
+        matches = max(qf.rows * selectivity, 0.001)
         candidates.append(
-            (
-                cost,
-                out_rows,
-                HashJoinStep(q, build, probe, null_safe),
-                {pair[0] for pair in eq_pairs},
-            )
+            (qf.rows + env_rows * (1.0 + matches), max(env_rows * matches, 0.001), keys)
         )
 
     # Plain (nested-loop) scan is always possible.
-    scan_cost = env_rows * q_rows + (q_rows if not correlated_to_self else 0.0)
-    candidates.append(
-        (
-            scan_cost,
-            max(env_rows * q_rows, 0.001),
-            ScanStep(q, correlated_to_self),
-            set(),
+    scan_cost = env_rows * qf.rows + (qf.rows if not qf.correlated else 0.0)
+    candidates.append((scan_cost, max(env_rows * qf.rows, 0.001), None))
+
+    cost, out_rows, how = min(candidates, key=lambda c: (c[0], c[1]))
+    q = qf.q
+    if how is None:
+        return cost, out_rows, ScanStep(q, qf.correlated), ()
+    if isinstance(how, list):
+        step = HashJoinStep(
+            q,
+            tuple(key.ref for key in how),
+            tuple(key.other for key in how),
+            tuple(key.null_safe for key in how),
         )
-    )
-
-    return min(candidates, key=lambda c: (c[0], c[1])) if candidates else None
-
-
-def _ndv_of(catalog: Catalog, ref: ast.Expr) -> int:
-    from .cost import column_ndv
-
-    if isinstance(ref, ColumnRef):
-        ndv = column_ndv(catalog, ref)
-        if ndv:
-            return ndv
-    return 10
+        return cost, out_rows, step, tuple(key.pred for key in how)
+    key, index_name = how
+    lookup = IndexLookupStep(q, index_name, (key.ref.column,), (key.other,))
+    return cost, out_rows, lookup, (key.pred,)

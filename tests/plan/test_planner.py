@@ -1,9 +1,17 @@
 """Unit tests for the cost-based planner: access paths, join order,
 correlated-subquery placement (paper section 7)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro.api.strategies import Strategy
 from repro.errors import PlanError
+from repro.plan import planner
+from repro.plan.cost import column_ndv, predicate_selectivity
 from repro.plan.planner import (
     HashJoinStep,
     IndexLookupStep,
@@ -13,10 +21,13 @@ from repro.plan.planner import (
     plan_select_box,
 )
 from repro.qgm import build_qgm
-from repro.qgm.expr import BoxScalarSubquery, walk_expr
+from repro.qgm.analysis import external_column_refs, iter_boxes
+from repro.qgm.expr import BOX_SUBQUERY_TYPES, BoxScalarSubquery, walk_expr
 from repro.qgm.model import SelectBox
+from repro.rewrite import RewriteEngine
 from repro.sql.parser import parse_statement
 from repro.storage import Catalog, Column, Schema
+from repro.tpcd import QUERY_1, QUERY_2, load_tpcd
 from repro.types import SQLType
 
 
@@ -226,3 +237,111 @@ class TestDPvsGreedy:
         sql = f"SELECT 1 FROM {froms}"
         plan = plan_for(catalog, sql)
         assert len(access_steps(plan)) == 10
+        # Every step ties: the greedy search keeps FROM order.
+        assert [q.name for q in plan.join_order] == [f"s{i}" for i in range(10)]
+
+
+# -- greedy ties go to FROM order ----------------------------------------------
+
+#: Beyond the exact search's limit; eight of the ten scans tie at every step.
+TIED_SQL = (
+    "SELECT 1 FROM " + ", ".join(f"small s{i}" for i in range(10))
+    + " WHERE s0.v = s1.v"
+)
+
+#: Plans TIED_SQL after allocating ``argv[1]`` lists, which moves every
+#: later object to another address; prints the join order.
+TIED_SCRIPT = """
+import sys
+junk = [[0] * (i % 7) for i in range(int(sys.argv[1]))]
+from repro.plan.planner import plan_select_box
+from repro.qgm import build_qgm
+from repro.sql.parser import parse_statement
+from repro.storage import Catalog, Column, Schema
+from repro.types import SQLType
+catalog = Catalog()
+small = catalog.create_table("small", Schema(
+    [Column("id", SQLType.INT, nullable=False),
+     Column("k", SQLType.INT), Column("v", SQLType.INT)],
+    primary_key=["id"]))
+small.insert_many([(i, i % 4, i % 5) for i in range(20)])
+graph = build_qgm(parse_statement(sys.argv[2]), catalog)
+print(" ".join(q.name for q in plan_select_box(catalog, graph.root).join_order))
+"""
+
+
+class TestGreedyTies:
+    def test_order_does_not_depend_on_memory_addresses(self):
+        src = str(Path(__file__).resolve().parents[2] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        orders = {
+            subprocess.run(
+                [sys.executable, "-c", TIED_SCRIPT, str(garbage), TIED_SQL],
+                env=env, check=True, capture_output=True, text=True,
+            ).stdout.strip()
+            for garbage in (0, 4099, 70001)
+        }
+        assert orders == {" ".join(f"s{i}" for i in range(10))}
+
+
+# -- each fact is derived once per call -----------------------------------------
+
+
+class FactSpy:
+    """Counts the planner's calls into what its fact table derives: subtree
+    walks, predicate selectivities and column distinct-value counts."""
+
+    def __init__(self, monkeypatch):
+        self.walks = 0
+        self.selectivities: list[int] = []
+        self.ndvs: list[tuple[int, str]] = []
+        for name in ("external_column_refs", "predicate_selectivity", "column_ndv"):
+            monkeypatch.setattr(planner, name, getattr(self, name))
+
+    def external_column_refs(self, box):
+        self.walks += 1
+        return external_column_refs(box)
+
+    def predicate_selectivity(self, catalog, predicate):
+        self.selectivities.append(id(predicate))
+        return predicate_selectivity(catalog, predicate)
+
+    def column_ndv(self, catalog, ref):
+        self.ndvs.append((id(ref.quantifier), ref.column))
+        return column_ndv(catalog, ref)
+
+
+def _subquery_nodes(box):
+    """(distinct scalar subquery nodes, other subquery nodes in predicates)."""
+    scalars, inline = {}, 0
+    exprs = list(box.predicates) + [o.expr for o in box.outputs]
+    for position, expr in enumerate(exprs):
+        for node in walk_expr(expr):
+            if isinstance(node, BoxScalarSubquery):
+                scalars[id(node)] = node
+            elif isinstance(node, BOX_SUBQUERY_TYPES) and position < len(box.predicates):
+                inline += 1
+    return len(scalars), inline
+
+
+@pytest.fixture(scope="module")
+def tpcd_catalog():
+    return load_tpcd(scale_factor=0.001)
+
+
+@pytest.mark.parametrize("sql", [QUERY_1, QUERY_2], ids=["q1", "q2"])
+@pytest.mark.parametrize("strategy", ["magic", "dayal"])
+def test_each_fact_is_derived_once_per_call(tpcd_catalog, monkeypatch, sql, strategy):
+    graph = build_qgm(parse_statement(sql), tpcd_catalog)
+    graph = RewriteEngine(tpcd_catalog, validate=False).rewrite(graph, Strategy(strategy))
+    boxes = [b for b in iter_boxes(graph.root) if isinstance(b, SelectBox)]
+    assert len(boxes) >= 2
+    for box in boxes:
+        spy = FactSpy(monkeypatch)
+        plan_select_box(tpcd_catalog, box)
+        monkeypatch.undo()
+        scalars, inline = _subquery_nodes(box)
+        assert spy.walks <= len(box.quantifiers) + scalars + inline
+        assert len(spy.selectivities) == len(set(spy.selectivities))
+        assert set(spy.selectivities) <= {id(p) for p in box.predicates}
+        assert len(spy.ndvs) == len(set(spy.ndvs))
