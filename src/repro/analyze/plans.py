@@ -59,10 +59,9 @@ from ..plan.planner import (
     ScanStep,
     SelectPlan,
     SubqueryEvalStep,
-    _subtree_refs_to_box,
     plan_select_box,
 )
-from ..qgm.analysis import iter_boxes
+from ..qgm.analysis import external_column_refs, iter_boxes
 from ..qgm.expr import (
     BoxExists,
     BoxInSubquery,
@@ -113,6 +112,18 @@ class ColumnContract:
         if self.taint:
             text += " [" + ",".join(sorted(self.taint)) + "]"
         return text
+
+
+def _subtree_refs_to_box(box: SelectBox, subquery_box: Box) -> set[int]:
+    """ids of ``box``'s quantifiers referenced from anywhere inside a
+    subquery's subtree (its correlations into this box), by a walk of its
+    own: the verifier does not read the planner's graph facts."""
+    own = {id(q) for q in box.quantifiers}
+    return {
+        id(ref.quantifier)
+        for _, ref in external_column_refs(subquery_box)
+        if id(ref.quantifier) in own
+    }
 
 
 _UNKNOWN = ColumnContract("", None, True)

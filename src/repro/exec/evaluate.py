@@ -31,12 +31,11 @@ read from its slot instead.
 from __future__ import annotations
 
 import operator
-from itertools import chain
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional
 
 from ..errors import ExecutionError
-from ..qgm.analysis import box_children
+from ..qgm.analysis import GraphFacts
 from ..qgm.model import Box, Quantifier
 from ..qgm.expr import (
     BoxExists,
@@ -44,7 +43,6 @@ from ..qgm.expr import (
     BoxQuantifiedComparison,
     BoxScalarSubquery,
     ColumnRef,
-    column_refs,
 )
 from ..sql import ast
 from ..types import (
@@ -102,30 +100,22 @@ def flat_position(ref: ColumnRef, offsets: Offsets) -> int:
     return slot
 
 
-def outer_refs(box: Box, below: Optional[Iterable[tuple]] = None) -> tuple[ColumnRef, ...]:
-    """The distinct columns ``box``'s subtree reads from quantifiers outside
-    itself, in a fixed order: the values whoever runs the box hands it, and
-    the first slots of its row. Empty = the box is uncorrelated. ``below``
-    is the same for each child of the box, when the caller has them: a box
-    composes its order from its children's, so it and whoever runs it agree
-    on it by construction."""
-    if below is None:
-        below = [outer_refs(child) for child in box_children(box)]
-    owned = set(box.child_quantifiers())
-    refs: dict[tuple, ColumnRef] = {}
-    for ref in chain((r for e in box.own_exprs() for r in column_refs(e)), *below):
-        if ref.quantifier not in owned:
-            refs.setdefault((ref.quantifier, ref.column), ref)
-    return tuple(refs.values())
+def outer_refs(box: Box) -> tuple[ColumnRef, ...]:
+    """:meth:`GraphFacts.outer_refs <repro.qgm.analysis.GraphFacts.outer_refs>`,
+    from a table of ``box``'s own."""
+    return GraphFacts(box).outer_refs(box)
 
 
-def row_layout(box: Box, members: Iterable) -> tuple[tuple[ColumnRef, ...], dict]:
+def row_layout(
+    box: Box, members: Iterable, graph_facts: Optional[GraphFacts] = None
+) -> tuple[tuple[ColumnRef, ...], dict]:
     """The outer references of ``box`` and the layout of its flat row: their
     values first, one slot each, then ``members`` in order -- a quantifier
     takes one slot per column, a pre-evaluated scalar subquery node one --
-    and, for every box this one runs, where that box's outer values sit."""
-    children = {child: outer_refs(child) for child in box_children(box)}
-    params = outer_refs(box, children.values())
+    and, for every box this one runs, where that box's outer values sit.
+    ``graph_facts`` as for :func:`~repro.plan.planner.plan_select_box`."""
+    facts = graph_facts or GraphFacts(box)
+    params = facts.outer_refs(box)
     offsets: dict = {
         (ref.quantifier, ref.column): slot for slot, ref in enumerate(params)
     }
@@ -136,8 +126,8 @@ def row_layout(box: Box, members: Iterable) -> tuple[tuple[ColumnRef, ...], dict
             width += len(member.box.output_names())
         else:
             width += 1
-    for child, refs in children.items():
-        offsets[child] = tuple(flat_position(ref, offsets) for ref in refs)
+    for child in facts.children(box):
+        offsets[child] = tuple(flat_position(ref, offsets) for ref in facts.outer_refs(child))
     return params, offsets
 
 

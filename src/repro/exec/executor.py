@@ -47,7 +47,7 @@ from typing import (
 )
 
 from ..errors import ExecutionError, SchemaError
-from ..qgm.analysis import shared_boxes
+from ..qgm.analysis import GraphFacts, shared_boxes
 from ..qgm.expr import ColumnRef, column_refs, conjuncts
 from ..qgm.model import (
     BaseTableBox,
@@ -592,25 +592,31 @@ class SetOpPlan:
     inputs: tuple[Pick, ...]
 
 
-def plan_box(catalog: Catalog, box: Box, guard=None, faults=None):
+def plan_box(
+    catalog: Catalog, box: Box, guard=None, faults=None, graph_facts: Optional[GraphFacts] = None
+):
     """The executor's plan for one box, its expressions compiled: a
     :class:`SelectPlan` (cost-based, see :mod:`repro.plan.planner`) for an
     SPJ box, a :class:`GroupByPlan`, :class:`OuterJoinPlan` or
     :class:`SetOpPlan` for those kinds, ``None`` for a base table.
     ``guard`` makes planning an SPJ box cancellable; ``faults`` carries the
-    ``plan.select`` injection site."""
+    ``plan.select`` injection site; ``graph_facts`` as for
+    :func:`~repro.plan.planner.plan_select_box`."""
+    if isinstance(box, BaseTableBox):
+        return None
+    if isinstance(box, SelectBox) and faults is not None:
+        faults.trigger("plan.select", detail=f"box {box.id}")
+    facts = graph_facts or GraphFacts(box)
     if isinstance(box, SelectBox):
-        if faults is not None:
-            faults.trigger("plan.select", detail=f"box {box.id}")
-        plan = plan_select_box(catalog, box, guard=guard)
-        plan.compiled = compile_select(plan)
+        plan = plan_select_box(catalog, box, guard, facts)
+        plan.compiled = compile_select(plan, facts)
         return plan
     if isinstance(box, GroupByBox):
-        return _compile_groupby(box)
+        return _compile_groupby(box, facts)
     if isinstance(box, OuterJoinBox):
-        return _compile_outerjoin(box)
+        return _compile_outerjoin(box, facts)
     if isinstance(box, SetOpBox):
-        params, offsets = row_layout(box, ())
+        params, offsets = row_layout(box, (), facts)
         return SetOpPlan(params, _inputs(box, offsets))
     return None
 
@@ -620,7 +626,7 @@ def _inputs(box: Box, offsets: Offsets) -> tuple[Pick, ...]:
     return tuple(outer_values(q.box, offsets) for q in box.child_quantifiers())
 
 
-def compile_select(plan: SelectPlan) -> CompiledSelect:
+def compile_select(plan: SelectPlan, graph_facts: Optional[GraphFacts] = None) -> CompiledSelect:
     """Compile the steps and the projection of one SPJ plan.
 
     A filter right after an index lookup that tests a column of the fetched
@@ -632,7 +638,7 @@ def compile_select(plan: SelectPlan) -> CompiledSelect:
     params, offsets = row_layout(box, [
         step.node if isinstance(step, SubqueryEvalStep) else step.quantifier
         for step in plan.steps if not isinstance(step, PredicateStep)
-    ])
+    ], graph_facts)
     steps: list[StepFunction] = []
     fused: set[int] = set()
     for index, step in enumerate(plan.steps):
@@ -892,9 +898,9 @@ def _hash_build(
     return buckets, sum(map(len, buckets.values()))
 
 
-def _compile_groupby(box: GroupByBox) -> GroupByPlan:
+def _compile_groupby(box: GroupByBox, graph_facts: GraphFacts) -> GroupByPlan:
     q = box.quantifier
-    params, offsets = row_layout(box, (q,))
+    params, offsets = row_layout(box, (q,), graph_facts)
     arguments: list[ast.Expr] = []
     outputs = []
     for output in box.outputs:
@@ -919,9 +925,9 @@ def _compile_groupby(box: GroupByBox) -> GroupByPlan:
     )
 
 
-def _compile_outerjoin(box: OuterJoinBox) -> OuterJoinPlan:
+def _compile_outerjoin(box: OuterJoinBox, graph_facts: GraphFacts) -> OuterJoinPlan:
     left_q, right_q = box.preserved, box.null_producing
-    params, offsets = row_layout(box, (left_q, right_q))
+    params, offsets = row_layout(box, (left_q, right_q), graph_facts)
     keys = None
     equi = _equi_condition(box)
     if equi is not None:

@@ -18,8 +18,8 @@ from typing import Any, Callable, Optional, Union
 
 from ..errors import BindError, ReproError
 from ..exec.executor import plan_box
-from ..qgm import build_qgm, iter_boxes
-from ..qgm.analysis import shared_boxes
+from ..qgm import build_qgm
+from ..qgm.analysis import GraphFacts
 from ..sql import ast
 from ..sql.parser import parse_statement
 from ..storage.catalog import Catalog
@@ -74,9 +74,12 @@ def compile_query(
         )
     mark("rewrite")
     try:
+        # The rewritten graph is final: one table of its facts serves the
+        # planning of every box (DESIGN section 19).
+        facts = GraphFacts(graph.root)
         plans: dict[int, Any] = {}
-        for box in iter_boxes(graph.root):
-            plan = plan_box(catalog, box, guard, faults)
+        for box in facts.boxes:
+            plan = plan_box(catalog, box, guard, faults, facts)
             if plan is not None:
                 plans[box.id] = plan
         if engine.validate:
@@ -97,7 +100,7 @@ def compile_query(
         strategy=str(getattr(strategy, "value", strategy)),
         graph=graph,
         plans=plans,
-        shared=shared_boxes(graph.root),
+        shared=facts.shared,
         degradations=chain,
     )
     mark("optimize")

@@ -90,23 +90,32 @@ def predicate_selectivity(catalog: Catalog, predicate: ast.Expr) -> float:
     return DEFAULT_OTHER_SELECTIVITY
 
 
-def estimate_box_rows(catalog: Catalog, box: Box, _depth: int = 0) -> float:
-    """Estimated output cardinality of a box."""
-    if _depth > 32:
-        return 1000.0
+def estimate_box_rows(catalog: Catalog, box: Box, memo: Optional[dict] = None) -> float:
+    """Estimated output cardinality of a box: a function of the box alone
+    (the graph is acyclic), whoever asks. ``memo`` (box id -> estimate,
+    :attr:`GraphFacts.rows <repro.qgm.analysis.GraphFacts>`) serves the
+    calls over one graph nobody mutates meanwhile."""
+    if memo is None:
+        memo = {}
+    if box.id not in memo:
+        memo[box.id] = _derive_rows(catalog, box, memo)
+    return memo[box.id]
+
+
+def _derive_rows(catalog: Catalog, box: Box, memo: dict[int, float]) -> float:
     if isinstance(box, BaseTableBox):
         return float(max(1, catalog.stats(box.table_name).row_count))
     if isinstance(box, SelectBox):
         rows = 1.0
         for q in box.quantifiers:
-            rows *= estimate_box_rows(catalog, q.box, _depth + 1)
+            rows *= estimate_box_rows(catalog, q.box, memo)
         for predicate in box.predicates:
             rows *= predicate_selectivity(catalog, predicate)
         if box.distinct:
             rows = max(1.0, rows * 0.9)
         return max(1.0, rows)
     if isinstance(box, GroupByBox):
-        input_rows = estimate_box_rows(catalog, box.quantifier.box, _depth + 1)
+        input_rows = estimate_box_rows(catalog, box.quantifier.box, memo)
         if box.is_scalar:
             return 1.0
         ndv_product = 1.0
@@ -121,13 +130,11 @@ def estimate_box_rows(catalog: Catalog, box: Box, _depth: int = 0) -> float:
             return max(1.0, min(input_rows, ndv_product))
         return max(1.0, input_rows ** 0.5)
     if isinstance(box, SetOpBox):
-        total = sum(
-            estimate_box_rows(catalog, q.box, _depth + 1) for q in box.quantifiers
-        )
+        total = sum(estimate_box_rows(catalog, q.box, memo) for q in box.quantifiers)
         return max(1.0, total)
     if isinstance(box, OuterJoinBox):
-        left = estimate_box_rows(catalog, box.preserved.box, _depth + 1)
-        right = estimate_box_rows(catalog, box.null_producing.box, _depth + 1)
+        left = estimate_box_rows(catalog, box.preserved.box, memo)
+        right = estimate_box_rows(catalog, box.null_producing.box, memo)
         selectivity = (
             predicate_selectivity(catalog, box.condition)
             if box.condition is not None

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, NamedTuple, Optional, Union
 
 from ..errors import PlanError
-from ..qgm.analysis import external_column_refs
+from ..qgm.analysis import GraphFacts
 from ..qgm.expr import (
     BOX_SUBQUERY_TYPES,
     BoxScalarSubquery,
@@ -129,23 +129,15 @@ class SelectPlan:
     compiled: Optional[Any] = field(default=None, repr=False, compare=False)
 
 
-def _subtree_refs_to_box(box: SelectBox, subquery_box: Box) -> set[int]:
-    """ids of ``box``'s quantifiers referenced from anywhere inside a
-    subquery's subtree (its correlations into this box)."""
-    own = {id(q) for q in box.quantifiers}
-    return {
-        id(ref.quantifier)
-        for _, ref in external_column_refs(subquery_box)
-        if id(ref.quantifier) in own
-    }
-
-
 # ---- the fact table ---------------------------------------------------------
 #
 # Everything the join-order search asks about a box is derived once, when
 # plan_select_box starts, and read from here by every candidate the search
 # tries. A set of this box's quantifiers is a bitmask: bit i is
-# box.quantifiers[i]. The table lives for one call (DESIGN section 18).
+# box.quantifiers[i]. The table lives for one call (DESIGN section 18); what
+# it needs of the box's children -- their correlations and row estimates --
+# it reads from the graph's table, which the compile step shares among all
+# boxes of the final graph (DESIGN section 19).
 
 
 class _EqKey(NamedTuple):
@@ -200,13 +192,15 @@ class _PredicateFacts:
 class _BoxFacts:
     """What the join-order search reads about one SPJ box."""
 
-    def __init__(self, catalog: Catalog, box: SelectBox):
+    def __init__(self, catalog: Catalog, box: SelectBox, graph: GraphFacts):
         self.catalog = catalog
         self.box = box
+        self.graph = graph
         self._bit = {id(q): 1 << i for i, q in enumerate(box.quantifiers)}
         self.quantifiers = [
             _QuantifierFacts(
-                q, 1 << i, self._subtree_mask(q.box), estimate_box_rows(catalog, q.box)
+                q, 1 << i, self._subtree_mask(q.box),
+                estimate_box_rows(catalog, q.box, graph.rows),
             )
             for i, q in enumerate(box.quantifiers)
         ]
@@ -231,9 +225,11 @@ class _BoxFacts:
                 self.scalars.append((node, self._subtree_mask(node.box)))
 
     def _subtree_mask(self, subquery_box: Box) -> int:
+        """This box's quantifiers the subtree of ``subquery_box`` reads: its
+        correlations into this box."""
         mask = 0
-        for qid in _subtree_refs_to_box(self.box, subquery_box):
-            mask |= self._bit[qid]
+        for ref in self.graph.outer_refs(subquery_box):
+            mask |= self._bit.get(id(ref.quantifier), 0)
         return mask
 
     def _refs_mask(self, expr: ast.Expr) -> int:
@@ -315,7 +311,9 @@ class _Barrier(NamedTuple):
     placed: tuple[int, ...]
 
 
-def plan_select_box(catalog: Catalog, box: SelectBox, guard=None) -> SelectPlan:
+def plan_select_box(
+    catalog: Catalog, box: SelectBox, guard=None, graph_facts: Optional[GraphFacts] = None
+) -> SelectPlan:
     """Cost-based plan of one SPJ box: exact join ordering (dynamic
     programming) up to ``_DP_LIMIT`` quantifiers, greedy beyond; ties
     between equally cheap orders go to FROM-list order.
@@ -323,10 +321,13 @@ def plan_select_box(catalog: Catalog, box: SelectBox, guard=None) -> SelectPlan:
     ``guard`` (a :class:`repro.guard.ExecutionGuard`) makes planning itself
     a cooperative cancellation/timeout point: plans are built lazily during
     execution, so a tripped budget must also stop the planner.
+    ``graph_facts`` is the table of a graph holding ``box`` that nobody
+    mutates meanwhile (the compile step's); without one the call builds
+    its own, of ``box``'s subtree.
     """
     if guard is not None:
         guard.check()
-    facts = _BoxFacts(catalog, box)
+    facts = _BoxFacts(catalog, box, graph_facts or GraphFacts(box))
 
     # ---- join-order search -------------------------------------------------
     # Selinger-style dynamic programming over quantifier subsets for small

@@ -4,18 +4,23 @@ Section 4.1 of the paper: "the algorithm utilizes the following information:
 (1) a list of its ancestors, (2) a list of its descendants, (3) which of its
 ancestors it is correlated to, and (4) which descendant box caused each
 correlation. In our implementation, this information is precomputed by a
-traversal of the graph". :func:`analyze_correlations` is that traversal.
+traversal of the graph". :class:`GraphFacts` is that traversal, built once
+per compile stage -- by the validator, each cleanup pass and the compile
+step (DESIGN section 19); :func:`analyze_correlations` adds the ancestor,
+descendant and cause lists.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterator, Optional
 
 from ..sql import ast
 from .expr import (
     BOX_SUBQUERY_TYPES,
     ColumnRef,
+    column_refs,
     replace_column_refs,
     walk_expr,
 )
@@ -52,6 +57,101 @@ def iter_boxes(root: Box) -> Iterator[Box]:
         stack.extend(reversed(box_children(box)))
 
 
+class GraphFacts:
+    """The facts of the graph under ``root`` that a compile stage reads;
+    valid until somebody mutates the graph (DESIGN section 19). Each is
+    derived the first time it is asked for, then kept:
+
+    - ``boxes``: one pre-order walk, :func:`iter_boxes` order; ``parents``
+      (box id -> the boxes referencing it, one entry per reference) and
+      ``owner`` (``id(quantifier)`` -> the first box, in walk order, whose
+      FROM holds it) from it;
+    - per box, :meth:`children` and, bottom-up, :meth:`outer_refs`; ``rows``
+      is the memo of :func:`repro.plan.cost.estimate_box_rows`.
+
+    A caller that asks about one subtree walks that subtree only.
+    """
+
+    def __init__(self, root: Box):
+        self.root = root
+        self.rows: dict[int, float] = {}
+        self._children: dict[int, list[Box]] = {}
+        self._outer_refs: dict[int, tuple[ColumnRef, ...]] = {}
+        self._boxes: Optional[list[Box]] = None
+        self._parents: Optional[dict[int, list[Box]]] = None
+        self._owner: Optional[dict[int, Box]] = None
+
+    @property
+    def boxes(self) -> list[Box]:
+        if self._boxes is None:
+            boxes, seen, stack = [], set(), [self.root]
+            while stack:
+                box = stack.pop()
+                if box.id not in seen:
+                    seen.add(box.id)
+                    boxes.append(box)
+                    stack.extend(reversed(self.children(box)))
+            self._boxes = boxes
+        return self._boxes
+
+    @property
+    def parents(self) -> dict[int, list[Box]]:
+        if self._parents is None:
+            parents: dict[int, list[Box]] = {self.root.id: []}
+            for box in self.boxes:
+                for child in self.children(box):
+                    parents.setdefault(child.id, []).append(box)
+            self._parents = parents
+        return self._parents
+
+    @property
+    def owner(self) -> dict[int, Box]:
+        if self._owner is None:
+            owner: dict[int, Box] = {}
+            for box in self.boxes:
+                for q in box.child_quantifiers():
+                    owner.setdefault(id(q), box)
+            self._owner = owner
+        return self._owner
+
+    @property
+    def shared(self) -> frozenset[int]:
+        """ids of the boxes with several parents: the common subexpressions
+        whose re-execution ``cse_mode`` governs."""
+        return frozenset(
+            box_id for box_id, parents in self.parents.items() if len(parents) > 1
+        )
+
+    def children(self, box: Box) -> list[Box]:
+        children = self._children.get(box.id)
+        if children is None:
+            children = self._children[box.id] = box_children(box)
+        return children
+
+    def outer_refs(self, box: Box) -> tuple[ColumnRef, ...]:
+        """The distinct columns ``box``'s subtree reads from quantifiers
+        outside itself, in a fixed order: the values whoever runs the box
+        hands it, and the first slots of its row. Empty = the box is
+        uncorrelated. A box composes its order from its children's, so it
+        and whoever runs it agree on it by construction."""
+        refs = self._outer_refs.get(box.id)
+        if refs is None:
+            refs = self._outer_refs[box.id] = self._derive_outer_refs(box)
+        return refs
+
+    def _derive_outer_refs(self, box: Box) -> tuple[ColumnRef, ...]:
+        exprs, children = box.own_exprs(), self.children(box)
+        if not exprs and not children:  # a base table reads nothing
+            return ()
+        owned = set(box.child_quantifiers())
+        refs: dict[tuple, ColumnRef] = {}
+        own = (ref for expr in exprs for ref in column_refs(expr))
+        for ref in chain(own, *map(self.outer_refs, children)):
+            if ref.quantifier not in owned:
+                refs.setdefault((ref.quantifier, ref.column), ref)
+        return tuple(refs.values())
+
+
 def parent_edges(root: Box) -> dict[int, list[Box]]:
     """Map from box id to the list of parent boxes referencing it.
 
@@ -59,30 +159,17 @@ def parent_edges(root: Box) -> dict[int, list[Box]]:
     parent); magic decorrelation introduces shared boxes (the supplementary
     common subexpression), making this a DAG.
     """
-    parents: dict[int, list[Box]] = {root.id: []}
-    for box in iter_boxes(root):
-        for child in box_children(box):
-            parents.setdefault(child.id, []).append(box)
-    return parents
+    return GraphFacts(root).parents
 
 
 def shared_boxes(root: Box) -> frozenset[int]:
-    """ids of the boxes with several parents: the common subexpressions
-    whose re-execution ``cse_mode`` governs."""
-    return frozenset(
-        box_id
-        for box_id, parents in parent_edges(root).items()
-        if len(parents) > 1
-    )
+    """ids of the boxes with several parents (:attr:`GraphFacts.shared`)."""
+    return GraphFacts(root).shared
 
 
 def quantifier_owner_map(root: Box) -> dict[int, Box]:
     """Map ``id(quantifier)`` to the box whose FROM it belongs to."""
-    owners: dict[int, Box] = {}
-    for box in iter_boxes(root):
-        for q in box.child_quantifiers():
-            owners[id(q)] = box
-    return owners
+    return GraphFacts(root).owner
 
 
 def owned_quantifier_ids(box: Box) -> set[int]:

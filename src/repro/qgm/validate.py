@@ -26,7 +26,8 @@ from typing import Optional
 from ..errors import QGMConsistencyError
 from ..sql import ast
 from ..storage.catalog import Catalog
-from .analysis import box_children, iter_boxes, quantifier_owner_map
+from .analysis import GraphFacts
+from .builder import expr_equal
 from .expr import ColumnRef, contains_aggregate, walk_expr
 from .model import (
     BaseTableBox,
@@ -45,27 +46,21 @@ def _fail(box: Box, message: str) -> None:
 def validate_graph(graph: QueryGraph | Box, catalog: Optional[Catalog] = None) -> None:
     """Validate the whole graph; raises :class:`QGMConsistencyError`."""
     root = graph.root if isinstance(graph, QueryGraph) else graph
-    boxes = list(iter_boxes(root))
-    owners = quantifier_owner_map(root)
-    # Reverse edges, computed once for the whole graph: validation runs after
-    # every rewrite step under REPRO_VALIDATE, so rebuilding the parent map
-    # per box (O(boxes^2)) would dominate the validator's cost.
-    parents: dict[int, list[Box]] = {}
-    for box in boxes:
-        for child in box_children(box):
-            parents.setdefault(child.id, []).append(box)
+    # One walk: validation runs at bind, at the end and, under
+    # REPRO_VALIDATE, after every rewrite step.
+    facts = GraphFacts(root)
 
-    # Quantifier ownership is unique by construction of quantifier_owner_map
-    # only if no quantifier appears in two boxes' FROM lists; check that.
-    seen_quantifiers: dict[int, Box] = {}
-    for box in boxes:
+    # ``owner`` keeps the first box to claim a quantifier; any other box
+    # holding it is the second owner.
+    for box in facts.boxes:
         for q in box.child_quantifiers():
-            if id(q) in seen_quantifiers and seen_quantifiers[id(q)] is not box:
+            if facts.owner[id(q)] is not box:
                 _fail(box, f"quantifier {q.name} owned by two boxes")
-            seen_quantifiers[id(q)] = box
 
-    for box in boxes:
-        _validate_box(box, parents, owners, catalog)
+    target_names: dict[int, frozenset[str]] = {}
+    visible: dict[int, set[int]] = {}
+    for box in facts.boxes:
+        _validate_box(box, facts, target_names, visible, catalog)
 
     if isinstance(graph, QueryGraph):
         n_outputs = len(root.output_names())
@@ -78,10 +73,14 @@ def validate_graph(graph: QueryGraph | Box, catalog: Optional[Catalog] = None) -
 
 def _validate_box(
     box: Box,
-    parents: dict[int, list[Box]],
-    owners: dict[int, Box],
+    facts: GraphFacts,
+    target_names: dict[int, frozenset[str]],
+    visible: dict[int, set[int]],
     catalog: Optional[Catalog],
 ) -> None:
+    """``target_names`` and ``visible`` are the memos :func:`validate_graph`
+    keeps for the whole graph: a target box's output names, and
+    :func:`_visible_quantifiers`."""
     names = box.output_names()
     if len(set(names)) != len(names):
         _fail(box, f"duplicate output names: {names}")
@@ -105,23 +104,26 @@ def _validate_box(
         return
 
     # Expression-bearing boxes: check refs.
-    visible = _visible_quantifiers(box, parents)
+    seen = _visible_quantifiers(box, facts.parents, visible)
     for expr in box.own_exprs():
         for node in walk_expr(expr):
             if isinstance(node, ColumnRef):
-                if id(node.quantifier) not in owners:
+                if id(node.quantifier) not in facts.owner:
                     _fail(box, f"ref {node!r} to unreachable quantifier")
-                if id(node.quantifier) not in visible:
+                if id(node.quantifier) not in seen:
                     _fail(
                         box,
                         f"ref {node!r} to quantifier not visible here "
                         "(neither own nor ancestor)",
                     )
-                if node.column not in node.quantifier.box.output_names():
+                target = node.quantifier.box
+                if target.id not in target_names:
+                    target_names[target.id] = frozenset(target.output_names())
+                if node.column not in target_names[target.id]:
                     _fail(
                         box,
                         f"ref {node!r}: no such output column on box "
-                        f"{node.quantifier.box.id}",
+                        f"{target.id}",
                     )
 
     if isinstance(box, GroupByBox):
@@ -132,15 +134,12 @@ def _validate_box(
             if contains_aggregate(output.expr):
                 if not isinstance(output.expr, ast.AggregateCall):
                     _fail(box, "aggregates must be top-level output expressions")
-            else:
-                from .builder import expr_equal
-
-                if not any(expr_equal(output.expr, g) for g in box.group_by):
-                    _fail(
-                        box,
-                        f"output {output.name!r} is neither an aggregate nor "
-                        "a grouping expression",
-                    )
+            elif not any(expr_equal(output.expr, g) for g in box.group_by):
+                _fail(
+                    box,
+                    f"output {output.name!r} is neither an aggregate nor "
+                    "a grouping expression",
+                )
     if isinstance(box, SelectBox):
         for predicate in box.predicates:
             if contains_aggregate(predicate):
@@ -150,23 +149,19 @@ def _validate_box(
                 _fail(box, "aggregate call in SPJ output")
 
 
-def _visible_quantifiers(box: Box, parents: dict[int, list[Box]]) -> set[int]:
+def _visible_quantifiers(
+    box: Box, parents: dict[int, list[Box]], memo: dict[int, set[int]]
+) -> set[int]:
     """Quantifier ids visible inside ``box``: its own plus all ancestors'.
 
     With shared boxes (post-rewrite DAGs) a box can have several parents; a
     quantifier is visible if *some* ancestor chain provides it, so visibility
-    is the union over all parents. ``parents`` is the reverse-edge map
-    computed once by :func:`validate_graph`.
+    is the union over all parents. ``memo`` holds each box's set, so every
+    parent's is computed once for the whole graph.
     """
-    visible: set[int] = {id(q) for q in box.child_quantifiers()}
-    frontier = [box]
-    seen = {box.id}
-    while frontier:
-        current = frontier.pop()
-        for parent in parents.get(current.id, []):
-            if parent.id in seen:
-                continue
-            seen.add(parent.id)
-            visible |= {id(q) for q in parent.child_quantifiers()}
-            frontier.append(parent)
+    visible = memo.get(box.id)
+    if visible is None:
+        visible = memo[box.id] = {id(q) for q in box.child_quantifiers()}
+        for parent in parents.get(box.id, ()):
+            visible |= _visible_quantifiers(parent, parents, memo)
     return visible

@@ -11,29 +11,21 @@ These are those rules:
   any parent kind.
 
 Both preserve QGM consistency at every application, as section 3 requires.
+Each pass reads one :class:`~repro.qgm.analysis.GraphFacts` of the graph
+and builds a new one only after it has changed the graph.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..qgm.analysis import (
-    external_column_refs,
-    iter_boxes,
-    parent_edges,
-    rewrite_subtree_refs,
-)
+from ..qgm.analysis import GraphFacts, rewrite_subtree_refs
 from ..qgm.expr import (
     BOX_SUBQUERY_TYPES,
     ColumnRef,
     walk_expr,
 )
-from ..qgm.model import Box, QueryGraph, SelectBox
-
-
-def _single_parent(root: Box, child: Box) -> bool:
-    parents = parent_edges(root)
-    return len(parents.get(child.id, [])) == 1
+from ..qgm.model import QueryGraph, SelectBox
 
 
 def _has_subquery_outputs(box: SelectBox) -> bool:
@@ -47,7 +39,8 @@ def _has_subquery_outputs(box: SelectBox) -> bool:
 def merge_spj_boxes(graph: QueryGraph) -> bool:
     """One pass of SPJ-into-SPJ merging; returns True when anything merged."""
     changed = False
-    for parent in list(iter_boxes(graph.root)):
+    facts = current = GraphFacts(graph.root)
+    for parent in facts.boxes:
         if not isinstance(parent, SelectBox):
             continue
         for q in list(parent.quantifiers):
@@ -56,15 +49,18 @@ def merge_spj_boxes(graph: QueryGraph) -> bool:
                 continue
             if child.distinct or _has_subquery_outputs(child):
                 continue
-            if not _single_parent(graph.root, child):
+            if current is None:
+                current = GraphFacts(graph.root)
+            if len(current.parents.get(child.id, ())) != 1:
                 continue
             # Never merge an uncorrelated child into a correlated parent:
             # the child is a materialise-once boundary (the decorrelated
             # subquery probed by a CI box) and merging would re-correlate it.
-            if not external_column_refs(child) and external_column_refs(parent):
+            if not current.outer_refs(child) and current.outer_refs(parent):
                 continue
             _merge_child(graph, parent, q, child)
             changed = True
+            current = None
     return changed
 
 
@@ -85,7 +81,8 @@ def _merge_child(graph: QueryGraph, parent: SelectBox, q, child: SelectBox) -> N
 def remove_trivial_selects(graph: QueryGraph) -> bool:
     """Bypass SPJ boxes that only rename/project a single input."""
     changed = False
-    for owner in list(iter_boxes(graph.root)):
+    facts = current = GraphFacts(graph.root)
+    for owner in facts.boxes:
         for q in owner.child_quantifiers():
             child = q.box
             if not isinstance(child, SelectBox):
@@ -98,7 +95,9 @@ def remove_trivial_selects(graph: QueryGraph) -> bool:
                 for output in child.outputs
             ):
                 continue
-            if not _single_parent(graph.root, child):
+            if current is None:
+                current = GraphFacts(graph.root)
+            if len(current.parents.get(child.id, ())) != 1:
                 continue
             column_map = {
                 output.name: output.expr.column for output in child.outputs
@@ -113,6 +112,7 @@ def remove_trivial_selects(graph: QueryGraph) -> bool:
             rewrite_subtree_refs(owner, substitute)
             q.box = grandchild
             changed = True
+            current = None
     return changed
 
 

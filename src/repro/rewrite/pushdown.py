@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..qgm.analysis import parent_edges
+from ..qgm.analysis import GraphFacts
 from ..qgm.expr import (
     BOX_SUBQUERY_TYPES,
     ColumnRef,
@@ -131,12 +131,12 @@ def _push_into(child: Box, predicate: ast.Expr, quantifier) -> bool:
 
 
 def push_down_predicates(graph: QueryGraph) -> bool:
-    """One pass of predicate pushdown; True when anything moved."""
-    from ..qgm.analysis import iter_boxes
-
+    """One pass of predicate pushdown; True when anything moved. A moved
+    predicate is subquery-free, so the pass never changes which box is
+    whose parent, and one table of the graph serves all of it."""
     changed = False
-    parents = parent_edges(graph.root)
-    for box in list(iter_boxes(graph.root)):
+    facts = GraphFacts(graph.root)
+    for box in facts.boxes:
         if not isinstance(box, SelectBox):
             continue
         for predicate in list(box.predicates):
@@ -144,7 +144,7 @@ def push_down_predicates(graph: QueryGraph) -> bool:
             if quantifier is None:
                 continue
             child = quantifier.box
-            if len(parents.get(child.id, [])) != 1:
+            if len(facts.parents.get(child.id, ())) != 1:
                 continue  # shared boxes must not grow per-parent filters
             worth_it = (
                 (isinstance(child, SelectBox) and child.distinct)

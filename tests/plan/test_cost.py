@@ -2,14 +2,17 @@
 
 import pytest
 
+from repro.plan.compile import compile_query
 from repro.plan.cost import (
     DEFAULT_EQ_SELECTIVITY,
     column_ndv,
     estimate_box_rows,
     predicate_selectivity,
 )
-from repro.qgm import build_qgm
-from repro.qgm.model import GroupByBox
+from repro.plan.planner import plan_select_box
+from repro.qgm import build_qgm, iter_boxes
+from repro.qgm.model import GroupByBox, SelectBox
+from repro.rewrite import RewriteEngine
 from repro.sql.parser import parse_statement
 from repro.storage import Catalog, Column, Schema
 from repro.types import SQLType
@@ -145,3 +148,51 @@ class TestBoxEstimates:
         )
         oj = box.quantifiers[0].box
         assert estimate_box_rows(catalog, oj) >= 200.0
+
+
+class TestDeepGraphs:
+    """An estimate is a function of the box alone, whoever asks: a memo
+    shared by the boxes of one graph must not make plans depend on the
+    order they are planned in."""
+
+    #: Derived tables wrapped around the filtered scan.
+    DEPTH = 40
+
+    @pytest.fixture
+    def deep(self):
+        catalog = Catalog()
+        catalog.create_table(
+            "t",
+            Schema(
+                [Column("a", SQLType.INT, nullable=False), Column("b", SQLType.INT)],
+                primary_key=["a"],
+            ),
+        )
+        for i in range(50):
+            catalog.table("t").insert((i, i % 7))
+        sql = "SELECT a, b FROM t WHERE b = 3"
+        for level in range(self.DEPTH):
+            sql = f"SELECT a, b FROM ({sql}) AS d{level}"
+        return catalog, sql
+
+    def test_the_root_estimate_is_the_innermost_boxs(self, deep):
+        catalog, sql = deep
+        root = root_of(catalog, sql)
+        (innermost,) = [
+            box for box in iter_boxes(root)
+            if isinstance(box, SelectBox) and box.predicates
+        ]
+        assert estimate_box_rows(catalog, innermost) == pytest.approx(50 / 7)
+        # Every level above it passes its rows through.
+        assert estimate_box_rows(catalog, root) == estimate_box_rows(catalog, innermost)
+
+    def test_a_shared_table_plans_like_one_table_per_box(self, deep):
+        catalog, sql = deep
+        compiled = compile_query(
+            sql, catalog, RewriteEngine(catalog, validate=False), "ni"
+        )
+        selects = [b for b in iter_boxes(compiled.graph.root) if isinstance(b, SelectBox)]
+        assert len(selects) == self.DEPTH + 1
+        for box in selects:
+            assert compiled.plans[box.id] == plan_select_box(catalog, box)
+            assert compiled.plans[box.id].estimated_rows == pytest.approx(50 / 7)

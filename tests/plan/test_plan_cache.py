@@ -303,18 +303,19 @@ class TestCompiledClosures:
     @staticmethod
     def _forbid_compiling(monkeypatch):
         """Booby-trap the compiler and the graph walks behind the facts
-        that travel with the plans (``shared_boxes`` is ``parent_edges``)."""
+        that travel with the plans (``shared_boxes`` is ``parent_edges``,
+        both a ``GraphFacts`` walk)."""
         from repro.exec import evaluate, executor
         from repro.qgm import analysis
 
         def trap(*args, **kwargs):
             raise AssertionError("a plan-cache hit compiled or analysed something")
 
-        for name in ("plan_box", "compile_select", "compile_expr", "shared_boxes"):
+        for name in ("plan_box", "compile_select", "compile_expr", "shared_boxes", "GraphFacts"):
             monkeypatch.setattr(executor, name, trap)
-        for name in ("parent_edges", "external_column_refs", "box_children"):
+        for name in ("parent_edges", "external_column_refs", "box_children", "GraphFacts"):
             monkeypatch.setattr(analysis, name, trap)
-        for name in ("outer_refs", "row_layout", "box_children"):
+        for name in ("outer_refs", "row_layout", "GraphFacts"):
             monkeypatch.setattr(evaluate, name, trap)
 
     @staticmethod

@@ -21,8 +21,8 @@ from repro.plan.planner import (
     plan_select_box,
 )
 from repro.qgm import build_qgm
-from repro.qgm.analysis import external_column_refs, iter_boxes
-from repro.qgm.expr import BOX_SUBQUERY_TYPES, BoxScalarSubquery, walk_expr
+from repro.qgm.analysis import GraphFacts, iter_boxes
+from repro.qgm.expr import BoxScalarSubquery, walk_expr
 from repro.qgm.model import SelectBox
 from repro.rewrite import RewriteEngine
 from repro.sql.parser import parse_statement
@@ -288,19 +288,28 @@ class TestGreedyTies:
 
 
 class FactSpy:
-    """Counts the planner's calls into what its fact table derives: subtree
-    walks, predicate selectivities and column distinct-value counts."""
+    """Counts the planner's calls into what its fact table derives: graph
+    tables built, the outer references derived in them, predicate
+    selectivities and column distinct-value counts."""
 
     def __init__(self, monkeypatch):
-        self.walks = 0
+        self.tables = 0
+        self.derived: list[int] = []
         self.selectivities: list[int] = []
         self.ndvs: list[tuple[int, str]] = []
-        for name in ("external_column_refs", "predicate_selectivity", "column_ndv"):
+        for name in ("GraphFacts", "predicate_selectivity", "column_ndv"):
             monkeypatch.setattr(planner, name, getattr(self, name))
+        derive = GraphFacts._derive_outer_refs
 
-    def external_column_refs(self, box):
-        self.walks += 1
-        return external_column_refs(box)
+        def derive_outer_refs(table, box):
+            self.derived.append(box.id)
+            return derive(table, box)
+
+        monkeypatch.setattr(GraphFacts, "_derive_outer_refs", derive_outer_refs)
+
+    def GraphFacts(self, root):
+        self.tables += 1
+        return GraphFacts(root)
 
     def predicate_selectivity(self, catalog, predicate):
         self.selectivities.append(id(predicate))
@@ -309,19 +318,6 @@ class FactSpy:
     def column_ndv(self, catalog, ref):
         self.ndvs.append((id(ref.quantifier), ref.column))
         return column_ndv(catalog, ref)
-
-
-def _subquery_nodes(box):
-    """(distinct scalar subquery nodes, other subquery nodes in predicates)."""
-    scalars, inline = {}, 0
-    exprs = list(box.predicates) + [o.expr for o in box.outputs]
-    for position, expr in enumerate(exprs):
-        for node in walk_expr(expr):
-            if isinstance(node, BoxScalarSubquery):
-                scalars[id(node)] = node
-            elif isinstance(node, BOX_SUBQUERY_TYPES) and position < len(box.predicates):
-                inline += 1
-    return len(scalars), inline
 
 
 @pytest.fixture(scope="module")
@@ -340,8 +336,9 @@ def test_each_fact_is_derived_once_per_call(tpcd_catalog, monkeypatch, sql, stra
         spy = FactSpy(monkeypatch)
         plan_select_box(tpcd_catalog, box)
         monkeypatch.undo()
-        scalars, inline = _subquery_nodes(box)
-        assert spy.walks <= len(box.quantifiers) + scalars + inline
+        # One table of the box's subtree, each box's correlations derived once.
+        assert spy.tables == 1
+        assert len(spy.derived) == len(set(spy.derived))
         assert len(spy.selectivities) == len(set(spy.selectivities))
         assert set(spy.selectivities) <= {id(p) for p in box.predicates}
         assert len(spy.ndvs) == len(set(spy.ndvs))

@@ -17,6 +17,7 @@ from repro.qgm.model import (
     BaseTableBox,
     GroupByBox,
     OutputColumn,
+    QueryGraph,
     SelectBox,
 )
 from repro.sql import ast
@@ -200,3 +201,121 @@ class TestValidator:
         g.root.add_quantifier(inner, "i")
         with pytest.raises(QGMConsistencyError):
             validate_graph(g, empdept_catalog)
+
+
+# -- every message, and visibility in a DAG ------------------------------------
+
+
+def _foreign_ref(g, catalog):
+    """A reference to a quantifier of another graph: reachable from nowhere."""
+    other = build("SELECT name FROM emp", catalog)
+    g.root.outputs.append(OutputColumn("bad", other.root.quantifiers[0].ref("name")))
+
+
+def _sibling_ref(g, catalog):
+    """A reference, from the root, to a quantifier a derived table owns."""
+    derived = g.root.quantifiers[1].box
+    g.root.outputs.append(OutputColumn("bad", derived.quantifiers[0].ref("name")))
+
+
+def _nested_aggregate_output(g, catalog):
+    group = g.root
+    group.outputs.append(OutputColumn(
+        "bad", ast.BinaryOp("+", ast.AggregateCall("count", None), ast.Literal(1))
+    ))
+
+
+def _aggregate_group_key(g, catalog):
+    g.root.group_by.append(ast.AggregateCall("count", None))
+
+
+def _aggregate_spj_output(g, catalog):
+    g.root.outputs.append(OutputColumn("bad", ast.AggregateCall("count", None)))
+
+
+def _one_armed_union(g, catalog):
+    del g.root.quantifiers[1:]
+
+
+def _order_by_past_the_outputs(g, catalog):
+    g.order_by.append((len(g.root.outputs), False))
+
+
+BROKEN = {
+    "unreachable": (
+        "SELECT name FROM dept", _foreign_ref, "to unreachable quantifier",
+    ),
+    "invisible": (
+        "SELECT d.name FROM dept d, (SELECT e.name FROM emp e) AS x",
+        _sibling_ref, "not visible here",
+    ),
+    "nested-aggregate": (
+        "SELECT building, count(*) FROM emp GROUP BY building",
+        _nested_aggregate_output, "aggregates must be top-level",
+    ),
+    "aggregate-group-key": (
+        "SELECT building, count(*) FROM emp GROUP BY building",
+        _aggregate_group_key, "aggregate call in GROUP BY expression",
+    ),
+    "aggregate-spj-output": (
+        "SELECT name FROM dept", _aggregate_spj_output, "aggregate call in SPJ output",
+    ),
+    "one-armed-setop": (
+        "SELECT building FROM dept UNION SELECT building FROM emp",
+        _one_armed_union, "needs at least two inputs",
+    ),
+    "order-by-position": (
+        "SELECT name FROM dept ORDER BY name", _order_by_past_the_outputs,
+        r"ORDER BY position \d+ out of range",
+    ),
+}
+
+
+@pytest.mark.parametrize("sql, damage, message", BROKEN.values(), ids=BROKEN)
+def test_each_broken_invariant_is_named(empdept_catalog, sql, damage, message):
+    g = build(sql, empdept_catalog)
+    validate_graph(g, empdept_catalog)
+    damage(g, empdept_catalog)
+    with pytest.raises(QGMConsistencyError, match=message):
+        validate_graph(g, empdept_catalog)
+
+
+def _dag(catalog, via):
+    """A root over two boxes A and B that share one box S (returned with the
+    graph), S over a derived box T; ``via`` names the box whose quantifier
+    T's output reads.
+
+    A owns ``a`` (over dept) and B ``b``; C, a third child of the root, owns
+    ``c``, and is no ancestor of T.
+    """
+    dept = build("SELECT name FROM dept", catalog).root.quantifiers[0].box
+    t = SelectBox()
+    t_dept = t.add_quantifier(dept, "t")
+    t.outputs = [OutputColumn("name", t_dept.ref("name"))]
+    s = SelectBox()
+    s_t = s.add_quantifier(t, "s")
+    s.outputs = [OutputColumn("name", s_t.ref("name"))]
+    root = SelectBox()
+    owners = {}
+    for label in ("a", "b", "c"):
+        box = SelectBox()
+        owners[label] = box.add_quantifier(dept, label)
+        if label != "c":
+            box.add_quantifier(s, f"{label}s")
+        box.outputs = [OutputColumn("name", owners[label].ref("name"))]
+        root.add_quantifier(box, f"r{label}")
+    root.outputs = [OutputColumn("name", root.quantifiers[0].ref("name"))]
+    t.outputs.append(OutputColumn("outer", owners[via].ref("name")))
+    return QueryGraph(root=root), s
+
+
+@pytest.mark.parametrize("via", ["a", "b"])
+def test_a_shared_box_sees_what_one_of_its_parents_provides(empdept_catalog, via):
+    graph, shared = _dag(empdept_catalog, via)
+    assert len(parent_edges(graph.root)[shared.id]) == 2
+    validate_graph(graph, empdept_catalog)
+
+
+def test_a_shared_box_does_not_see_what_neither_parent_provides(empdept_catalog):
+    with pytest.raises(QGMConsistencyError, match="not visible here"):
+        validate_graph(_dag(empdept_catalog, "c")[0], empdept_catalog)
