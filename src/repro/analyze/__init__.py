@@ -3,12 +3,15 @@
 The pipeline run by :func:`analyze_sql`:
 
 1. parse (lex/parse failures become ``SYN001``/``SYN002`` diagnostics);
-2. semantic analysis over the AST (:mod:`repro.analyze.semantic`) --
-   error-tolerant name resolution, aggregate placement, arity checks and
-   correlation-depth analysis, all as coded ``SEM`` diagnostics;
-3. when no semantic errors were found, bind to QGM and run the lint rules
+2. bind with the one binder, collecting
+   (:func:`repro.qgm.builder.bind_collecting`): every rule the statement
+   breaks becomes the coded ``SEM`` diagnostic of the error
+   :func:`~repro.qgm.build_qgm` would raise for it -- same code, message,
+   span and hint -- and every correlated reference an informational
+   ``SEM101`` with the number of query blocks it crosses;
+3. when the query bound cleanly, run the lint rules
    (:mod:`repro.analyze.lint`), the correlation-pattern classifier and the
-   per-strategy applicability checkers.
+   per-strategy applicability checkers over its graph.
 
 Exposed to users as ``Database.analyze()`` and ``python -m repro lint``.
 """
@@ -18,7 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..errors import BindError, CatalogError, LexError, ParseError
+from ..errors import LexError, ParseError
+from ..qgm.builder import bind_collecting
 from ..sql import ast
 from ..sql.parser import parse_statement
 from ..storage.catalog import Catalog
@@ -41,7 +45,6 @@ from .lint import (
     strategy_verdicts,
     verdict_diagnostics,
 )
-from .semantic import SemanticAnalyzer, analyze_statement
 
 __all__ = [
     "CODES",
@@ -55,8 +58,6 @@ __all__ = [
     "StrategyVerdict",
     "classify_patterns",
     "lint_graph",
-    "SemanticAnalyzer",
-    "analyze_statement",
     "strategy_verdicts",
     "AnalysisReport",
     "analyze_sql",
@@ -156,26 +157,23 @@ def analyze_sql(sql: str, catalog: Catalog) -> AnalysisReport:
         )
         return report
 
-    report.diagnostics.extend(analyze_statement(statement, catalog))
-    if not isinstance(statement, (ast.Select, ast.SetOp)):
-        return report
-    if report.errors:
-        # Binding would raise on the first of these anyway; the semantic
-        # pass already reported them all, with spans.
-        report.diagnostics.sort(key=sort_key)
-        return report
-
-    from ..qgm.builder import build_qgm
-
-    try:
-        graph = build_qgm(statement, catalog)
-    except (BindError, CatalogError, ParseError) as exc:
-        # A binder rule the semantic pass does not model; keep the message
-        # but mark it as uncoded so the gap is visible (and testable).
-        report.diagnostics.append(Diagnostic(
-            "SEM099", Severity.ERROR, str(exc),
-            span=getattr(exc, "span", None),
-        ))
+    bound = bind_collecting(statement, catalog)
+    report.diagnostics.extend(
+        # A binder error without a code is a rule no SEM code names yet.
+        Diagnostic(exc.code or "SEM099", Severity.ERROR, exc.message,
+                   exc.span, exc.hint)
+        for exc in bound.errors
+    )
+    report.diagnostics.extend(
+        Diagnostic(
+            "SEM101", Severity.INFO,
+            f"{name!r} is a correlated reference crossing {depth} query "
+            "block level(s)", span,
+        )
+        for name, depth, span in bound.correlations
+    )
+    graph = bound.graph
+    if graph is None:
         report.diagnostics.sort(key=sort_key)
         return report
 

@@ -63,7 +63,7 @@ def register_code(code: str, title: str) -> str:
 SYN001 = register_code("SYN001", "invalid character sequence (lexer)")
 SYN002 = register_code("SYN002", "syntax error (parser)")
 
-# -- semantic analysis (SEM): pre-execution checks over the SQL AST ----------
+# -- binding (SEM): the rules repro.qgm.builder enforces, one code per rule --
 SEM001 = register_code("SEM001", "unknown table or view")
 SEM002 = register_code("SEM002", "unknown column")
 SEM003 = register_code("SEM003", "ambiguous column reference")

@@ -22,6 +22,7 @@ from ..guard import ExecutionGuard, Limits, guard_for
 from ..plan.cache import CachedPlan
 from ..plan.compile import compile_query, no_mark
 from ..qgm import build_qgm, graph_to_text
+from ..qgm.builder import bind_table
 from ..qgm.model import QueryGraph
 from ..sql import ast
 from ..sql.parser import parse_statement
@@ -214,7 +215,7 @@ class Database:
             )
             return Result([], [], Metrics(), sql=sql)
         if isinstance(statement, ast.CreateIndex):
-            table = self.catalog.table(statement.table)
+            table = bind_table(statement.table, self.catalog)
             table.create_index(
                 statement.name, list(statement.columns),
                 unique=statement.unique, kind=statement.kind,
@@ -225,7 +226,7 @@ class Database:
             self.catalog.invalidate_stats(statement.table)
             return Result([], [], Metrics(), sql=sql)
         if isinstance(statement, ast.DropIndex):
-            self.catalog.table(statement.table).drop_index(statement.name)
+            bind_table(statement.table, self.catalog).drop_index(statement.name)
             self.catalog.invalidate_stats(statement.table)
             return Result([], [], Metrics(), sql=sql)
         if isinstance(statement, ast.CreateView):
@@ -240,7 +241,7 @@ class Database:
         raise BindError(f"unsupported statement {type(statement).__name__}")
 
     def _insert(self, statement: ast.Insert, sql: str = "") -> Result:
-        table = self.catalog.table(statement.table)
+        table = bind_table(statement.table, self.catalog)
         names = table.schema.names()
         columns = [c.lower() for c in statement.columns] or names
         positions = {c: names.index(c) for c in columns}

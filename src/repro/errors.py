@@ -45,7 +45,24 @@ class ParseError(SQLError):
         self.span = span
 
 
-class CatalogError(ReproError):
+class _BinderFinding(ReproError):
+    """What the binder (:mod:`repro.qgm.builder`) knows about a statement
+    it rejected: ``message`` without a location, the ``span`` of the
+    offending AST node (the formatted text appends its location), the SEM
+    diagnostic ``code`` of the rule broken (``None`` for a rule without one)
+    and an optional did-you-mean ``hint``. The analyzer reports exactly
+    these fields."""
+
+    def __init__(self, message: str, span: Optional["Span"] = None,
+                 code: Optional[str] = None, hint: Optional[str] = None):
+        super().__init__(message if span is None else f"{message} ({span.location()})")
+        self.message = message
+        self.span = span
+        self.code = code
+        self.hint = hint
+
+
+class CatalogError(_BinderFinding):
     """Raised for catalog problems: unknown/duplicate tables, columns, indexes."""
 
 
@@ -53,20 +70,9 @@ class SchemaError(ReproError):
     """Raised for schema violations: arity mismatch, bad types, key violations."""
 
 
-class BindError(ReproError):
+class BindError(_BinderFinding):
     """Raised during AST -> QGM building when a name cannot be resolved or is
-    ambiguous, or when a construct is used in an invalid context.
-
-    When the offending AST node carries a source span (stamped by the
-    parser), the binder threads it through so binder errors point at the
-    same location the diagnostics framework reports.
-    """
-
-    def __init__(self, message: str, span: Optional["Span"] = None):
-        if span is not None:
-            message = f"{message} ({span.location()})"
-        super().__init__(message)
-        self.span = span
+    ambiguous, or when a construct is used in an invalid context."""
 
 
 class QGMConsistencyError(ReproError):

@@ -10,18 +10,29 @@ Responsibilities:
   three-box pipeline SPJ -> GroupBy -> SPJ, which is the shape the
   decorrelation algorithm operates on (Figure 1 of the paper);
 * view expansion, derived tables (including correlated ones, needed for the
-  paper's Query 3), star expansion, explicit inner/outer joins.
+  paper's Query 3), star expansion, explicit inner/outer joins;
+* the rules a statement must keep -- names, aggregate placement, arities --
+  each violation tagged with its SEM diagnostic code.
+
+This is the one binder. Every violation goes through one funnel
+(:meth:`_Builder._fail`): :func:`build_qgm` raises the first, and
+:func:`bind_collecting` -- the static analyzer's entry point -- records
+each one and keeps binding. While collecting, an unknown table or a view
+that does not bind becomes a *wildcard* binding that every column resolves
+against silently, so one typo does not cascade into more errors.
 """
 
 from __future__ import annotations
 
+import difflib
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
-from ..errors import BindError, CatalogError
+from ..errors import BindError, CatalogError, SQLError
 from ..sql import ast
 from ..sql.parser import parse_statement
 from ..storage.catalog import Catalog
+from ..storage.table import Table
 from .expr import (
     BoxExists,
     BoxInSubquery,
@@ -29,6 +40,7 @@ from .expr import (
     BoxScalarSubquery,
     ColumnRef,
     column_refs,
+    conjuncts,
     contains_aggregate,
     transform_expr,
     walk_expr,
@@ -45,6 +57,18 @@ from .model import (
     SetOpBox,
 )
 
+#: Clauses in which an aggregate call is illegal: it would end up inside an
+#: SPJ predicate, which ``validate_graph`` rejects.
+_NO_AGGREGATE_CLAUSES = frozenset({"WHERE", "GROUP BY", "join condition"})
+
+#: What a name that failed to bind stands for while collecting.
+_STAND_IN = ast.Literal(None)
+
+
+def _did_you_mean(name: str, candidates) -> Optional[str]:
+    close = difflib.get_close_matches(name.lower(), candidates, n=1)
+    return f"did you mean {close[0]!r}?" if close else None
+
 
 @dataclass
 class Binding:
@@ -53,55 +77,45 @@ class Binding:
     ``columns`` maps user-visible column names to the quantifier's actual
     output column names (they differ for outer-join flattening, where both
     sides' columns are exposed through one quantifier with mangled names).
+    A ``wildcard`` binding (collecting only) stands for a relation whose
+    columns are unknown: no column matches it, and none is an error.
     """
 
     alias: str
     quantifier: Quantifier
     columns: dict[str, str]  # visible name -> actual output column
+    wildcard: bool = False
 
     def ref(self, visible: str) -> ColumnRef:
         return ColumnRef(self.quantifier, self.columns[visible])
 
 
+def _binding(alias: str, quantifier: Quantifier, columns: Optional[dict[str, str]]) -> Binding:
+    """A binding of ``columns``; ``None`` makes it a wildcard."""
+    return Binding(alias, quantifier, columns or {}, columns is None)
+
+
 @dataclass
 class Scope:
-    """A lexical scope: the bindings of one query block, linked outward."""
+    """A lexical scope: the bindings of one query block, linked outward.
+    A join condition's scope is not a ``block`` of its own: a name it
+    resolves in the FROM clause around it is not a correlation."""
 
     parent: Optional["Scope"] = None
     bindings: list[Binding] = field(default_factory=list)
+    block: bool = True
 
-    def add(self, binding: Binding, span: Optional[ast.Span] = None) -> None:
-        if any(b.alias == binding.alias for b in self.bindings):
-            raise BindError(f"duplicate alias {binding.alias!r} in FROM", span=span)
-        self.bindings.append(binding)
 
-    def resolve_qualified(
-        self, alias: str, column: str, span: Optional[ast.Span] = None
-    ) -> ColumnRef:
-        scope: Optional[Scope] = self
-        while scope is not None:
-            for binding in scope.bindings:
-                if binding.alias == alias:
-                    if column not in binding.columns:
-                        raise BindError(
-                            f"column {column!r} not found in {alias!r}", span=span
-                        )
-                    return binding.ref(column)
-            scope = scope.parent
-        raise BindError(f"unknown alias {alias!r}", span=span)
+@dataclass
+class BindReport:
+    """What :func:`bind_collecting` found in one statement: every rule
+    violation (a :class:`BindError` or :class:`CatalogError`, in the order
+    found), every correlated reference as ``(name, block levels crossed,
+    span)``, and the query's graph when it bound without a violation."""
 
-    def resolve_unqualified(
-        self, column: str, span: Optional[ast.Span] = None
-    ) -> ColumnRef:
-        scope: Optional[Scope] = self
-        while scope is not None:
-            matches = [b for b in scope.bindings if column in b.columns]
-            if len(matches) > 1:
-                raise BindError(f"ambiguous column {column!r}", span=span)
-            if matches:
-                return matches[0].ref(column)
-            scope = scope.parent
-        raise BindError(f"unknown column {column!r}", span=span)
+    errors: list[Union[BindError, CatalogError]] = field(default_factory=list)
+    correlations: list[tuple[str, int, Optional[ast.Span]]] = field(default_factory=list)
+    graph: Optional[QueryGraph] = None
 
 
 def expr_equal(a: ast.Expr, b: ast.Expr) -> bool:
@@ -126,30 +140,56 @@ def expr_equal(a: ast.Expr, b: ast.Expr) -> bool:
     return all(expr_equal(x, y) for x, y in zip(children_a, children_b))
 
 
-class _Builder:
-    """Stateful AST -> QGM translator for one statement."""
+def _names_outside_aggregates(expr: ast.Expr):
+    if isinstance(expr, ast.Name):
+        yield expr
+    elif not isinstance(expr, ast.AggregateCall):
+        for child in expr.children():
+            yield from _names_outside_aggregates(child)
 
-    def __init__(self, catalog: Catalog):
+
+class _Builder:
+    """Stateful AST -> QGM translator for one statement. With a ``report``
+    it collects every violation into it instead of raising the first."""
+
+    def __init__(self, catalog: Catalog, report: Optional[BindReport] = None):
         self.catalog = catalog
         self._name_counter = 0
         self._view_stack: list[str] = []
+        self._report = report
+        #: Ids of the boxes whose output columns are unknown because they
+        #: read a wildcard; only a collecting builder makes one.
+        self._opaque: set[int] = set()
+
+    def _fail(
+        self, message: str, span: Optional[ast.Span] = None, code: Optional[str] = None,
+        hint: Optional[str] = None, error: type = BindError,
+    ) -> ast.Expr:
+        """The one funnel for a rule violation: raise it, or record it and
+        hand back what the caller binds in place of what failed."""
+        exc = error(message, span, code, hint)
+        if self._report is None:
+            raise exc
+        self._report.errors.append(exc)
+        return _STAND_IN
+
+    def _known(self, *boxes: Box) -> bool:
+        """Are the output columns of ``boxes`` known?"""
+        return not self._opaque or not any(id(b) in self._opaque for b in boxes)
 
     # -- entry points ------------------------------------------------------
 
     def build(self, body: ast.QueryBody) -> QueryGraph:
-        self._order_result: Optional[list[tuple[int, bool]]] = None
+        self._order_result: list[tuple[int, bool]] = []
         self._visible_columns: Optional[int] = None
         if isinstance(body, ast.Select):
             box = self.build_select(body, Scope(), top=True)
         else:
             box = self.build_query(body, Scope())
-        if self._order_result is not None:
-            order_by = self._order_result
-        else:
-            order_by = self._resolve_order(body, box)
-        limit = body.limit if isinstance(body, (ast.Select, ast.SetOp)) else None
+            if body.order_by:
+                self._resolve_order(body, box, Scope(), allow_hidden=False)
         return QueryGraph(
-            root=box, order_by=order_by, limit=limit,
+            root=box, order_by=self._order_result, limit=body.limit,
             visible_columns=self._visible_columns,
         )
 
@@ -167,10 +207,11 @@ class _Builder:
         right = self.build_query(body.right, scope)
         left_names = left.output_names()
         right_names = right.output_names()
-        if len(left_names) != len(right_names):
-            raise BindError(
+        known = self._known(left, right)
+        if len(left_names) != len(right_names) and known:
+            self._fail(
                 f"{body.op.upper()} arms have different arities "
-                f"({len(left_names)} vs {len(right_names)})"
+                f"({len(left_names)} vs {len(right_names)})", ast.span_of(body), "SEM012",
             )
         box = SetOpBox(
             body.op, body.all,
@@ -178,6 +219,8 @@ class _Builder:
             output_names=left_names,
         )
         box.quantifiers = [Quantifier.fresh(left, "u"), Quantifier.fresh(right, "u")]
+        if not known:
+            self._opaque.add(id(box))
         return box
 
     # -- SELECT blocks -----------------------------------------------------
@@ -190,61 +233,58 @@ class _Builder:
         for item in select.from_items:
             self._add_from_item(spj, item, scope)
 
-        where_expr = self._bind(select.where, scope) if select.where else None
-        group_exprs = [self._bind(g, scope) for g in select.group_by]
-        having_expr = self._bind(select.having, scope) if select.having else None
-        select_items = self._expand_stars(select.items, scope)
+        where_expr = self._bind(select.where, scope, "WHERE") if select.where else None
+        group_exprs = [self._bind(g, scope, "GROUP BY") for g in select.group_by]
+        having_expr = self._bind(select.having, scope, "HAVING") if select.having else None
+        select_items, opaque = self._expand_stars(select.items, scope)
         bound_items = [
-            (self._bind(item.expr, scope), item.alias) for item in select_items
+            (self._bind(item.expr, scope, "select list"), item.alias) for item in select_items
         ]
-
-        from .expr import conjuncts
         spj.predicates.extend(conjuncts(where_expr))
 
         has_aggregates = any(contains_aggregate(e) for e, _ in bound_items)
-        if having_expr is not None and not group_exprs and not contains_aggregate(having_expr) and not has_aggregates:
-            raise BindError("HAVING requires GROUP BY or aggregates")
-        needs_groupby = bool(group_exprs) or has_aggregates or (
-            having_expr is not None and contains_aggregate(having_expr)
-        )
-
-        if not needs_groupby:
+        having_aggregates = having_expr is not None and contains_aggregate(having_expr)
+        if having_expr is not None and not group_exprs and not having_aggregates and not has_aggregates:
+            self._fail("HAVING requires GROUP BY or aggregates", ast.span_of(select.having), "SEM008")
+        if group_exprs or has_aggregates or having_aggregates:
+            box = self._build_aggregation(
+                spj, select, scope, select_items, group_exprs, having_expr, bound_items
+            )
+        else:
             spj.distinct = select.distinct
             spj.outputs = self._make_outputs(bound_items)
-            if top and select.order_by:
-                self._resolve_top_order(select, spj, scope)
-            return spj
-
-        box = self._build_aggregation(
-            spj, group_exprs, having_expr, bound_items, select.distinct
-        )
+            box = spj
+        if opaque:
+            self._opaque.add(id(box))
         if top and select.order_by:
-            self._resolve_top_order(select, box, scope, allow_hidden=False)
+            self._resolve_order(select, box, scope, allow_hidden=box is spj)
         return box
 
-    def _resolve_top_order(
-        self, select: ast.Select, box: Box, scope: Scope, allow_hidden: bool = True
+    def _resolve_order(
+        self, body: Union[ast.Select, ast.SetOp], box: Box, scope: Scope, allow_hidden: bool
     ) -> None:
         """Resolve top-level ORDER BY: by output name, position, or -- for
         plain SELECTs -- by any expression over the FROM scope, appending a
         hidden sort column when needed."""
         names = box.output_names()
         visible = len(names)
-        resolved: list[tuple[int, bool]] = []
-        for item in select.order_by:
+        items = body.items if isinstance(body, ast.Select) else ()
+        for item in body.order_by:
             expr = item.expr
+            span = ast.span_of(expr)
             if isinstance(expr, ast.Parameter):
                 # A literal here would have been an ordinal, resolved at
                 # build time; a parameter cannot be (its value arrives at
                 # execution). Refusing keeps the plan cache from freezing
                 # one submission's sort position into the shared plan.
-                raise BindError("ORDER BY position cannot be a parameter")
+                self._fail("ORDER BY position cannot be a parameter", span)
+                continue
             position: Optional[int] = None
             # Syntactic match against a select item (covers qualified names
             # and expressions repeated verbatim, e.g. ORDER BY d.name) --
             # only when no * expansion shifted the positions.
-            if not any(isinstance(i.expr, ast.Star) for i in select.items):
-                for i, select_item in enumerate(select.items[:visible]):
+            if not any(isinstance(i.expr, ast.Star) for i in items):
+                for i, select_item in enumerate(items[:visible]):
                     if select_item.expr == expr:
                         position = i
                         break
@@ -252,43 +292,50 @@ class _Builder:
                 pass
             elif isinstance(expr, ast.Literal) and isinstance(expr.value, int):
                 position = expr.value - 1
-                if not 0 <= position < visible:
-                    raise BindError(f"ORDER BY position {expr.value} out of range")
+                if not 0 <= position < visible and self._known(box):
+                    self._fail(
+                        f"ORDER BY position {expr.value} out of range "
+                        f"(query produces {visible} column(s))", span, "SEM013",
+                    )
+                    continue
             elif isinstance(expr, ast.Name) and len(expr.parts) == 1 \
                     and expr.parts[0].lower() in names:
                 position = names.index(expr.parts[0].lower())
+            elif not allow_hidden or not isinstance(box, SelectBox):
+                self._fail(
+                    "ORDER BY over aggregated queries and set operations "
+                    "supports output column names or positions only", span,
+                )
+                continue
             else:
-                if not allow_hidden or not isinstance(box, SelectBox):
-                    raise BindError(
-                        "ORDER BY over aggregated queries supports output "
-                        "column names or positions only"
-                    )
-                bound = self._bind(expr, scope)
+                bound = self._bind(expr, scope, "ORDER BY")
                 for i, output in enumerate(box.outputs):
                     if expr_equal(output.expr, bound):
                         position = i
                         break
                 if position is None:
                     if box.distinct:
-                        raise BindError(
+                        self._fail(
                             "ORDER BY expression must be in the select list "
-                            "of a SELECT DISTINCT"
+                            "of a SELECT DISTINCT", span,
                         )
+                        continue
                     hidden_name = self._fresh_name("ord")
                     box.outputs.append(OutputColumn(hidden_name, bound))
                     position = len(box.outputs) - 1
-            resolved.append((position, item.descending))
-        self._order_result = resolved
+            self._order_result.append((position, item.descending))
         if len(box.output_names()) != visible:
             self._visible_columns = visible
 
     def _build_aggregation(
         self,
         spj: SelectBox,
+        select: ast.Select,
+        scope: Scope,
+        select_items: list[ast.SelectItem],
         group_exprs: list[ast.Expr],
         having_expr: Optional[ast.Expr],
         bound_items: list[tuple[ast.Expr, Optional[str]]],
-        distinct: bool,
     ) -> Box:
         """Normalise into SPJ -> GroupBy -> SPJ (Figure 1's box pipeline)."""
         # 1. Collect aggregate calls appearing anywhere above the SPJ.
@@ -305,10 +352,6 @@ class _Builder:
         if having_expr is not None:
             collect(having_expr)
 
-        for agg in aggregates:
-            if agg.argument is not None and contains_aggregate(agg.argument):
-                raise BindError("nested aggregate calls are not allowed")
-
         # 2. SPJ outputs: each group expression and each aggregate argument.
         spj_outputs: list[tuple[str, ast.Expr]] = []
 
@@ -316,7 +359,7 @@ class _Builder:
             for name, existing in spj_outputs:
                 if expr_equal(existing, expr):
                     return name
-            name = self._fresh_name("g" if not spj_outputs else "g")
+            name = self._fresh_name("g")
             spj_outputs.append((name, expr))
             return name
 
@@ -354,7 +397,7 @@ class _Builder:
         # expression and there is no HAVING/DISTINCT, the GroupBy box itself
         # is the block (this matches the paper's Figure 1, where the
         # correlated subquery is a bare Aggregate box over an SPJ box).
-        if having_expr is None and not distinct:
+        if having_expr is None and not select.distinct:
             direct: list[OutputColumn] = []
             for expr, alias in bound_items:
                 matched: Optional[ast.Expr] = None
@@ -382,10 +425,10 @@ class _Builder:
 
         # 5. Final SPJ: HAVING + select items over the GroupBy box. Aggregates
         # and group expressions are replaced by references to GroupBy outputs.
-        top = SelectBox(distinct=distinct)
+        top = SelectBox(distinct=select.distinct)
         tq = top.add_quantifier(group_box, "h")
 
-        def to_group_level(expr: ast.Expr) -> ast.Expr:
+        def to_group_level(expr: ast.Expr, original: ast.Expr, clause: str) -> ast.Expr:
             def substitute(node: ast.Expr) -> Optional[ast.Expr]:
                 for agg, name in zip(aggregates, agg_col_names):
                     if expr_equal(node, agg):
@@ -396,25 +439,44 @@ class _Builder:
                 return None
 
             rewritten = transform_expr(expr, substitute)
-            # Any remaining reference into the SPJ means a non-grouped column.
-            for ref in column_refs(rewritten):
-                if ref.quantifier in spj.quantifiers:
-                    raise BindError(
-                        f"column {ref.column!r} must appear in GROUP BY "
-                        "or be used in an aggregate"
-                    )
+            # Any remaining reference into the SPJ means a non-grouped column
+            # (unless a grouping expression failed to bind while collecting).
+            stray = [ref for ref in column_refs(rewritten) if ref.quantifier in spj.quantifiers]
+            if stray and all(g is not _STAND_IN for g in group_exprs):
+                self._ungrouped(original, clause, stray, scope)
             self._retarget_subquery_correlations(
                 rewritten, spj, group_exprs, group_col_names, tq
             )
             return rewritten
 
+        top.outputs = self._make_outputs([
+            (to_group_level(e, item.expr, "select list"), alias)
+            for (e, alias), item in zip(bound_items, select_items)
+        ])
         if having_expr is not None:
-            from .expr import conjuncts
-            top.predicates = conjuncts(to_group_level(having_expr))
-        top.outputs = self._make_outputs(
-            [(to_group_level(e), alias) for e, alias in bound_items]
-        )
+            top.predicates = conjuncts(to_group_level(having_expr, select.having, "HAVING"))
         return top
+
+    def _ungrouped(
+        self, original: ast.Expr, clause: str, stray: list[ColumnRef], scope: Scope
+    ) -> None:
+        """SEM011 at each name of ``original`` (the unbound expression) that
+        bound to a column left ungrouped."""
+        culprits = [
+            (str(name), ast.span_of(name))
+            for name in _names_outside_aggregates(original)
+            if any(
+                b.quantifier is ref.quantifier
+                and b.columns.get(name.parts[-1].lower()) == ref.column
+                and (len(name.parts) == 1 or b.alias == name.parts[0].lower())
+                for b in scope.bindings for ref in stray
+            )
+        ]
+        for text, span in culprits or [(stray[0].column, None)]:
+            self._fail(
+                f"column {text!r} in {clause} must appear in GROUP BY or "
+                "inside an aggregate", span, "SEM011",
+            )
 
     def _retarget_subquery_correlations(
         self,
@@ -438,7 +500,7 @@ class _Builder:
             for g, name in zip(group_exprs, group_col_names):
                 if isinstance(g, ColumnRef) and g.same(ref):
                     return tq.ref(name)
-            raise BindError(
+            return self._fail(
                 f"correlated reference to non-grouped column {ref.column!r} "
                 "from a HAVING/select-level subquery"
             )
@@ -451,36 +513,42 @@ class _Builder:
     # -- FROM items ------------------------------------------------------------
 
     def _add_from_item(self, spj: SelectBox, item: ast.FromItem, scope: Scope) -> None:
-        if isinstance(item, ast.TableRef):
-            box, columns = self._relation_box(item.name, span=ast.span_of(item))
+        if isinstance(item, (ast.TableRef, ast.DerivedTable)):
+            box, columns = self._relation(item, scope)
             q = spj.add_quantifier(box, item.binding_name)
             q.name = item.binding_name
-            scope.add(
-                Binding(item.binding_name, q, {c: c for c in columns}),
-                span=ast.span_of(item),
-            )
-            return
-        if isinstance(item, ast.DerivedTable):
-            box = self.build_query(item.query, scope)
-            columns = self._apply_column_aliases(box, item.column_aliases)
-            q = spj.add_quantifier(box, item.binding_name)
-            q.name = item.binding_name
-            scope.add(
-                Binding(item.binding_name, q, {c: c for c in columns}),
-                span=ast.span_of(item),
-            )
+            self._add_binding(scope, _binding(item.binding_name, q, columns), ast.span_of(item))
             return
         if isinstance(item, ast.Join):
             if item.kind == "inner":
                 self._add_from_item(spj, item.left, scope)
                 self._add_from_item(spj, item.right, scope)
                 if item.condition is not None:
-                    from .expr import conjuncts
-                    spj.predicates.extend(conjuncts(self._bind(item.condition, scope)))
+                    spj.predicates.extend(
+                        conjuncts(self._bind(item.condition, scope, "join condition"))
+                    )
                 return
             self._add_outer_join(spj, item, scope)
             return
         raise BindError(f"unsupported FROM item {type(item).__name__}")
+
+    def _relation(
+        self, item: Union[ast.TableRef, ast.DerivedTable], scope: Scope
+    ) -> tuple[Box, Optional[dict[str, str]]]:
+        """The box a table, view or derived table binds to, and its column
+        view (``None``: a wildcard)."""
+        if isinstance(item, ast.TableRef):
+            box, columns = self._relation_box(item.name, ast.span_of(item))
+        else:
+            box = self.build_query(item.query, scope)
+            columns = self._apply_column_aliases(box, item)
+        return box, None if columns is None else {c: c for c in columns}
+
+    def _add_binding(self, scope: Scope, binding: Binding, span: Optional[ast.Span] = None) -> None:
+        if any(b.alias == binding.alias for b in scope.bindings):
+            self._fail(f"duplicate alias {binding.alias!r} in FROM", span, "SEM005")
+            return
+        scope.bindings.append(binding)
 
     def _add_outer_join(self, spj: SelectBox, item: ast.Join, scope: Scope) -> None:
         """LEFT OUTER JOIN: build an OuterJoinBox exposing both sides' columns
@@ -490,47 +558,43 @@ class _Builder:
         preserved = Quantifier.fresh(left_box, "ojl")
         null_producing = Quantifier.fresh(right_box, "ojr")
 
-        join_scope = Scope(parent=scope)
+        join_scope = Scope(parent=scope, block=False)
         outputs: list[OutputColumn] = []
-        outer_bindings: list[tuple[str, dict[str, str]]] = []
+        outer_bindings: list[tuple[str, Optional[dict[str, str]]]] = []
         for quantifier, side_bindings in (
             (preserved, left_bindings),
             (null_producing, right_bindings),
         ):
             for alias, colmap in side_bindings:
-                join_scope.add(Binding(alias, quantifier, dict(colmap)))
+                self._add_binding(join_scope, _binding(alias, quantifier, colmap))
                 mangled: dict[str, str] = {}
-                for visible, actual in colmap.items():
+                for visible, actual in (colmap or {}).items():
                     out_name = self._fresh_name(f"{alias}_{visible}")
                     outputs.append(OutputColumn(out_name, quantifier.ref(actual)))
                     mangled[visible] = out_name
-                outer_bindings.append((alias, mangled))
+                outer_bindings.append((alias, None if colmap is None else mangled))
 
-        condition = self._bind(item.condition, join_scope) if item.condition else None
+        condition = self._bind(item.condition, join_scope, "join condition") if item.condition else None
         oj_box = OuterJoinBox(preserved, null_producing, condition, outputs)
         q = spj.add_quantifier(oj_box, "oj")
-        for alias, mangled in outer_bindings:
-            scope.add(Binding(alias, q, mangled))
+        for alias, columns in outer_bindings:
+            self._add_binding(scope, _binding(alias, q, columns))
 
     def _from_item_as_box(
         self, item: ast.FromItem, scope: Scope
-    ) -> tuple[Box, list[tuple[str, dict[str, str]]]]:
+    ) -> tuple[Box, list[tuple[str, Optional[dict[str, str]]]]]:
         """Build one side of an outer join as a standalone box plus the alias
-        views it exposes."""
-        if isinstance(item, ast.TableRef):
-            box, columns = self._relation_box(item.name)
-            return box, [(item.binding_name, {c: c for c in columns})]
-        if isinstance(item, ast.DerivedTable):
-            box = self.build_query(item.query, scope)
-            columns = self._apply_column_aliases(box, item.column_aliases)
-            return box, [(item.binding_name, {c: c for c in columns})]
+        views it exposes (``None``: a wildcard)."""
+        if isinstance(item, (ast.TableRef, ast.DerivedTable)):
+            box, colmap = self._relation(item, scope)
+            return box, [(item.binding_name, colmap)]
         if isinstance(item, ast.Join):
             # Wrap a nested join in its own SPJ box.
             inner = SelectBox()
-            inner_scope = Scope(parent=scope)
+            inner_scope = Scope(parent=scope, block=False)
             self._add_from_item(inner, item, inner_scope)
             outputs: list[OutputColumn] = []
-            bindings: list[tuple[str, dict[str, str]]] = []
+            bindings: list[tuple[str, Optional[dict[str, str]]]] = []
             for binding in inner_scope.bindings:
                 mangled: dict[str, str] = {}
                 for visible, actual in binding.columns.items():
@@ -539,139 +603,218 @@ class _Builder:
                         OutputColumn(out_name, binding.quantifier.ref(actual))
                     )
                     mangled[visible] = out_name
-                bindings.append((binding.alias, mangled))
+                bindings.append((binding.alias, None if binding.wildcard else mangled))
             inner.outputs = outputs
             return inner, bindings
         raise BindError(f"unsupported FROM item {type(item).__name__}")
 
-    def _relation_box(
-        self, name: str, span: Optional[ast.Span] = None
-    ) -> tuple[Box, list[str]]:
-        """A fresh box for a base table or (expanded) view."""
+    def _relation_box(self, name: str, span: Optional[ast.Span]) -> tuple[Box, Optional[list[str]]]:
+        """A fresh box for a base table or (expanded) view, and its column
+        names: ``None`` for a relation that is unknown or does not bind,
+        which only a collecting builder gets past."""
         if self.catalog.has_view(name):
-            key = name.lower()
-            if key in self._view_stack:
-                cycle = " -> ".join(self._view_stack + [key])
-                raise BindError(f"cyclic view definition: {cycle}")
-            statement = parse_statement(self.catalog.view_sql(name))
-            if not isinstance(statement, (ast.Select, ast.SetOp)):
-                raise BindError(f"view {name!r} does not define a query")
-            self._view_stack.append(key)
-            try:
-                box = self.build_query(statement, Scope())
-            finally:
-                self._view_stack.pop()
-            return box, box.output_names()
-        try:
-            table = self.catalog.table(name)
-        except CatalogError as exc:
-            if span is None:
-                raise
-            located = CatalogError(f"{exc} ({span.location()})")
-            located.span = span  # type: ignore[attr-defined]
-            raise located from None
+            return self._view_box(name, span)
+        table = self._table(name, "table or view", span)
+        if table is None:
+            return BaseTableBox(name, []), None
         box = BaseTableBox(table.name, table.schema.names())
         return box, box.column_names
 
-    @staticmethod
-    def _apply_column_aliases(box: Box, aliases: tuple[str, ...]) -> list[str]:
-        if not aliases:
-            return box.output_names()
-        names = box.output_names()
-        if len(aliases) != len(names):
-            raise BindError(
-                f"derived table alias list has {len(aliases)} names "
-                f"for {len(names)} columns"
+    def _table(self, name: str, what: str, span: Optional[ast.Span] = None) -> Optional[Table]:
+        try:
+            return self.catalog.table(name)
+        except CatalogError:
+            hint = _did_you_mean(name, self.catalog.relation_names())
+            self._fail(f"unknown {what} {name!r}", span, "SEM001", hint, CatalogError)
+            return None
+
+    def _view_box(self, name: str, span: Optional[ast.Span]) -> tuple[Box, Optional[list[str]]]:
+        """Expand a view. Its body binds raising -- its own errors were its
+        CREATE VIEW's to report -- and one that does not bind is reported
+        once, at the outermost reference to a view in the statement."""
+        key = name.lower()
+        if key in self._view_stack:  # inside a view body: raises
+            cycle = " -> ".join([*self._view_stack, key])
+            self._fail(f"cyclic view definition: {cycle}", span, "SEM001")
+        self._view_stack.append(key)
+        report, self._report = self._report, None
+        try:
+            statement = parse_statement(self.catalog.view_sql(name))
+            if not isinstance(statement, (ast.Select, ast.SetOp)):
+                raise BindError(f"view {name!r} does not define a query")
+            box = self.build_query(statement, Scope())
+            return box, box.output_names()
+        except (SQLError, BindError, CatalogError) as exc:
+            if len(self._view_stack) > 1:
+                raise
+            self._report = report
+            self._fail(
+                f"view {name!r} does not bind: {getattr(exc, 'message', exc)}", span,
+                getattr(exc, "code", None), error=CatalogError if isinstance(exc, CatalogError) else BindError,
             )
-        lowered = [a.lower() for a in aliases]
-        if isinstance(box, (SelectBox, GroupByBox, OuterJoinBox)):
-            for output, alias in zip(box.outputs, lowered):
-                output.name = alias
+            return BaseTableBox(name, []), None
+        finally:
+            self._view_stack.pop()
+            self._report = report
+
+    def _apply_column_aliases(self, box: Box, item: ast.DerivedTable) -> Optional[list[str]]:
+        if not self._known(box):
+            return None
+        names = box.output_names()
+        aliases = [a.lower() for a in item.column_aliases]
+        if not aliases:
+            return names
+        if len(aliases) != len(names):
+            self._fail(
+                f"derived table {item.alias!r} alias list names {len(aliases)} "
+                f"column(s) but the query produces {len(names)}", ast.span_of(item), "SEM012",
+            )
         elif isinstance(box, SetOpBox):
-            box._output_names = lowered
-        else:
-            raise BindError("cannot alias columns of this relation")
-        return lowered
+            box._output_names = aliases
+        else:  # a SELECT block: an SPJ or a GroupBy box
+            for output, alias in zip(box.outputs, aliases):  # type: ignore[attr-defined]
+                output.name = alias
+        return aliases
 
     # -- expressions ---------------------------------------------------------
 
-    def _bind(self, expr: ast.Expr, scope: Scope) -> ast.Expr:
+    def _bind(self, expr: ast.Expr, scope: Scope, clause: str) -> ast.Expr:
         def substitute(node: ast.Expr) -> Optional[ast.Expr]:
             if isinstance(node, ast.Name):
                 return self._resolve_name(node, scope)
+            if isinstance(node, ast.AggregateCall):
+                return self._check_aggregate(node, clause)
             if isinstance(node, ast.ScalarSubquery):
-                return BoxScalarSubquery(self.build_query(node.query, scope))
+                box = self.build_query(node.query, scope)
+                self._require_single_column(box, "scalar", node)
+                return BoxScalarSubquery(box)
             if isinstance(node, ast.Exists):
                 return BoxExists(self.build_query(node.query, scope), node.negated)
             if isinstance(node, ast.InSubquery):
                 box = self.build_query(node.query, scope)
-                self._require_single_column(box, "IN", span=ast.span_of(node))
+                self._require_single_column(box, "IN", node)
                 return BoxInSubquery(node.operand, box, node.negated)
             if isinstance(node, ast.QuantifiedComparison):
                 box = self.build_query(node.query, scope)
-                self._require_single_column(
-                    box, node.quantifier.upper(), span=ast.span_of(node)
-                )
+                self._require_single_column(box, node.quantifier.upper(), node)
                 return BoxQuantifiedComparison(
                     node.op, node.operand, node.quantifier, box
                 )
             if isinstance(node, ast.Star):
-                raise BindError(
-                    "* is only allowed in the select list", span=ast.span_of(node)
-                )
+                return self._fail(f"* is not allowed in {clause}", ast.span_of(node), "SEM010")
             return None
 
         return transform_expr(expr, substitute)
 
-    @staticmethod
-    def _require_single_column(
-        box: Box, construct: str, span: Optional[ast.Span] = None
-    ) -> None:
-        if len(box.output_names()) != 1:
-            raise BindError(
-                f"{construct} subquery must produce exactly one column", span=span
+    def _check_aggregate(self, call: ast.AggregateCall, clause: str) -> Optional[ast.Expr]:
+        """SEM006 / SEM007 at an aggregate call, its argument already bound."""
+        if clause in _NO_AGGREGATE_CLAUSES:
+            return self._fail(
+                f"aggregate {call.func.upper()} is not allowed in {clause}",
+                ast.span_of(call), "SEM006",
+            )
+        nested = call.argument is not None and next(
+            (n for n in walk_expr(call.argument) if isinstance(n, ast.AggregateCall)), None
+        )
+        if nested:
+            self._fail("aggregate calls cannot be nested", ast.span_of(nested), "SEM007")
+        return None
+
+    def _require_single_column(self, box: Box, construct: str, node: ast.Expr) -> None:
+        n = len(box.output_names())
+        if n != 1 and self._known(box):
+            self._fail(
+                f"{construct} subquery must produce exactly one column, got {n}",
+                ast.span_of(node), "SEM009",
             )
 
-    def _resolve_name(self, name: ast.Name, scope: Scope) -> ColumnRef:
+    def _resolve_name(self, name: ast.Name, scope: Scope) -> ast.Expr:
         span = ast.span_of(name)
+        current: Optional[Scope] = scope
         if len(name.parts) == 1:
-            return scope.resolve_unqualified(name.parts[0].lower(), span=span)
+            column = name.parts[0].lower()
+            while current is not None:
+                matches = [b for b in current.bindings if column in b.columns]
+                if len(matches) > 1:
+                    aliases = " and ".join(repr(m.alias) for m in matches)
+                    return self._fail(f"ambiguous column {column!r} (in {aliases})", span, "SEM003")
+                if matches:
+                    if self._report is not None and current is not scope:
+                        self._correlated(column, scope, current, span)
+                    return matches[0].ref(column)
+                current = current.parent
+            return self._unknown_column(column, scope, span)
         if len(name.parts) == 2:
-            return scope.resolve_qualified(
-                name.parts[0].lower(), name.parts[1].lower(), span=span
-            )
-        raise BindError(f"over-qualified name {'.'.join(name.parts)!r}", span=span)
+            alias, column = name.parts[0].lower(), name.parts[1].lower()
+            while current is not None:
+                for binding in current.bindings:
+                    if binding.alias != alias:
+                        continue
+                    if column in binding.columns:
+                        if self._report is not None and current is not scope:
+                            self._correlated(str(name), scope, current, span)
+                        return binding.ref(column)
+                    if binding.wildcard:
+                        return _STAND_IN
+                    return self._fail(
+                        f"column {column!r} not found in {alias!r}", span,
+                        "SEM002", _did_you_mean(column, binding.columns),
+                    )
+                current = current.parent
+            return self._fail(f"unknown alias {alias!r}", span, "SEM004")
+        return self._fail(f"over-qualified name {'.'.join(name.parts)!r}", span, "SEM004")
+
+    def _unknown_column(self, column: str, scope: Scope, span: Optional[ast.Span]) -> ast.Expr:
+        candidates: list[str] = []
+        current: Optional[Scope] = scope
+        while current is not None:
+            for binding in current.bindings:
+                if binding.wildcard:
+                    return _STAND_IN
+                candidates.extend(binding.columns)
+            current = current.parent
+        hint = _did_you_mean(column, candidates)
+        return self._fail(f"unknown column {column!r}", span, "SEM002", hint)
+
+    def _correlated(self, name: str, scope: Scope, found: Scope, span: Optional[ast.Span]) -> None:
+        """Record a correlated reference with the query blocks it crosses."""
+        depth, current = 0, scope
+        while current is not found and current is not None:
+            depth += current.block
+            current = current.parent
+        if depth and self._report is not None:
+            self._report.correlations.append((name, depth, span))
 
     def _expand_stars(
         self, items: tuple[ast.SelectItem, ...], scope: Scope
-    ) -> list[ast.SelectItem]:
+    ) -> tuple[list[ast.SelectItem], bool]:
+        """The select list with every ``*`` expanded, and whether one of them
+        read a wildcard (the block's outputs are then unknown)."""
         expanded: list[ast.SelectItem] = []
+        opaque = False
         for item in items:
-            if isinstance(item.expr, ast.Star):
-                if item.expr.qualifier is None:
-                    bindings = scope.bindings
-                    if not bindings:
-                        raise BindError(
-                            "* with no FROM clause", span=ast.span_of(item.expr)
-                        )
-                else:
-                    alias = item.expr.qualifier.lower()
-                    bindings = [b for b in scope.bindings if b.alias == alias]
-                    if not bindings:
-                        raise BindError(
-                            f"unknown alias {alias!r} in {alias}.*",
-                            span=ast.span_of(item.expr),
-                        )
-                for binding in bindings:
-                    for visible in binding.columns:
-                        expanded.append(
-                            ast.SelectItem(
-                                ast.Name((binding.alias, visible)), alias=visible
-                            )
-                        )
-            else:
+            if not isinstance(item.expr, ast.Star):
                 expanded.append(item)
-        return expanded
+                continue
+            span = ast.span_of(item.expr)
+            if item.expr.qualifier is None:
+                bindings = scope.bindings
+                if not bindings:
+                    self._fail("* with no FROM clause", span, "SEM010")
+            else:
+                alias = item.expr.qualifier.lower()
+                bindings = [b for b in scope.bindings if b.alias == alias]
+                if not bindings:
+                    self._fail(f"unknown alias {alias!r} in {alias}.*", span, "SEM004")
+            for binding in bindings:
+                opaque = opaque or binding.wildcard
+                for visible in binding.columns:
+                    expanded.append(
+                        ast.SelectItem(
+                            ast.Name((binding.alias, visible)), alias=visible
+                        )
+                    )
+        return expanded, opaque
 
     def _make_outputs(
         self, bound_items: list[tuple[ast.Expr, Optional[str]]]
@@ -697,34 +840,6 @@ class _Builder:
             outputs.append(OutputColumn(name, expr))
         return outputs
 
-    def _resolve_order(self, body: ast.QueryBody, box: Box) -> list[tuple[int, bool]]:
-        order_items = body.order_by if isinstance(body, (ast.Select, ast.SetOp)) else ()
-        if not order_items:
-            return []
-        names = box.output_names()
-        resolved: list[tuple[int, bool]] = []
-        for item in order_items:
-            expr = item.expr
-            if isinstance(expr, ast.Parameter):
-                raise BindError("ORDER BY position cannot be a parameter")
-            if isinstance(expr, ast.Literal) and isinstance(expr.value, int):
-                position = expr.value - 1
-                if not 0 <= position < len(names):
-                    raise BindError(f"ORDER BY position {expr.value} out of range")
-            elif isinstance(expr, ast.Name) and len(expr.parts) == 1:
-                column = expr.parts[0].lower()
-                if column not in names:
-                    raise BindError(
-                        f"ORDER BY column {column!r} is not in the select list"
-                    )
-                position = names.index(column)
-            else:
-                raise BindError(
-                    "ORDER BY supports output column names or positions only"
-                )
-            resolved.append((position, item.descending))
-        return resolved
-
     def _fresh_name(self, prefix: str) -> str:
         self._name_counter += 1
         return f"{prefix}_{self._name_counter}"
@@ -733,3 +848,35 @@ class _Builder:
 def build_qgm(body: ast.QueryBody, catalog: Catalog) -> QueryGraph:
     """Bind a parsed query body against ``catalog`` and return its QGM."""
     return _Builder(catalog).build(body)
+
+
+def bind_table(name: str, catalog: Catalog) -> Table:
+    """The base table a statement names: an INSERT's target, or the table
+    of a CREATE / DROP INDEX."""
+    table = _Builder(catalog)._table(name, "table")
+    assert table is not None  # a raising builder returns one or raises
+    return table
+
+
+def bind_collecting(statement: ast.Statement, catalog: Catalog) -> BindReport:
+    """Bind ``statement`` as :func:`build_qgm` does, recording every rule
+    violation instead of raising the first: the static analyzer's entry
+    point. An INSERT's target and the query of an ``INSERT ... SELECT`` or
+    a CREATE VIEW bind the same way; only a query gets a graph."""
+    report = BindReport()
+    builder = _Builder(catalog, report)
+    if isinstance(statement, ast.Insert):
+        builder._table(statement.table, "table")
+    body = statement if isinstance(statement, (ast.Select, ast.SetOp)) else (
+        statement.query if isinstance(statement, (ast.CreateView, ast.Insert)) else None
+    )
+    if body is None:
+        return report
+    try:
+        graph = builder.build(body)
+    except (BindError, CatalogError) as exc:
+        report.errors.append(exc)
+        return report
+    if body is statement and not report.errors:
+        report.graph = graph
+    return report

@@ -88,12 +88,19 @@ BOX_SUBQUERY_TYPES = (
 )
 
 
+def _respan(new: ast.Expr, old: ast.Expr) -> ast.Expr:
+    span = ast.span_of(old)
+    return new if span is None else ast.set_span(new, span)
+
+
 def transform_expr(expr: ast.Expr, fn: Callable[[ast.Expr], Optional[ast.Expr]]) -> ast.Expr:
     """Rebuild ``expr`` bottom-up; ``fn`` may return a replacement node.
 
     ``fn`` is applied to every node *after* its children were transformed;
     returning ``None`` keeps the (possibly rebuilt) node. Subquery bodies
-    (boxes) are not entered -- rewrites address boxes explicitly.
+    (boxes) are not entered -- rewrites address boxes explicitly. A rebuilt
+    aggregate call or subquery predicate keeps its source span: the binder
+    reports misuse of either at it.
     """
 
     def rebuild(node: ast.Expr) -> ast.Expr:
@@ -125,18 +132,22 @@ def transform_expr(expr: ast.Expr, fn: Callable[[ast.Expr], Optional[ast.Expr]])
             node = ast.FunctionCall(node.name, tuple(rebuild(a) for a in node.args))
         elif isinstance(node, ast.AggregateCall):
             if node.argument is not None:
-                node = ast.AggregateCall(node.func, rebuild(node.argument), node.distinct)
+                node = _respan(ast.AggregateCall(
+                    node.func, rebuild(node.argument), node.distinct
+                ), node)
         elif isinstance(node, ast.Case):
             node = ast.Case(
                 tuple((rebuild(c), rebuild(v)) for c, v in node.whens),
                 None if node.otherwise is None else rebuild(node.otherwise),
             )
         elif isinstance(node, ast.InSubquery):
-            node = ast.InSubquery(rebuild(node.operand), node.query, node.negated)
+            node = _respan(ast.InSubquery(
+                rebuild(node.operand), node.query, node.negated
+            ), node)
         elif isinstance(node, ast.QuantifiedComparison):
-            node = ast.QuantifiedComparison(
+            node = _respan(ast.QuantifiedComparison(
                 node.op, rebuild(node.operand), node.quantifier, node.query
-            )
+            ), node)
         elif isinstance(node, BoxInSubquery):
             node = BoxInSubquery(rebuild(node.operand), node.box, node.negated)
         elif isinstance(node, BoxQuantifiedComparison):

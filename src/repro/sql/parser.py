@@ -242,10 +242,12 @@ class _Parser:
     def parse_query(self) -> ast.QueryBody:
         body = self._query_term()
         while self.at_keyword("UNION", "INTERSECT", "EXCEPT"):
-            op = self.advance().text.lower()
+            operator = self.advance()
             all_flag = self.accept_keyword("ALL")
             right = self._query_term()
-            body = ast.SetOp(op, all_flag, body, right)
+            body = self._spanned(
+                ast.SetOp(operator.text.lower(), all_flag, body, right), operator
+            )
         order_by, limit = self._order_limit()
         if order_by or limit is not None:
             if isinstance(body, ast.Select):
@@ -256,8 +258,11 @@ class _Parser:
                     order_by=order_by, limit=limit,
                 )
             else:
-                body = ast.SetOp(body.op, body.all, body.left, body.right,
-                                 order_by=order_by, limit=limit)
+                body = ast.set_span(
+                    ast.SetOp(body.op, body.all, body.left, body.right,
+                              order_by=order_by, limit=limit),
+                    ast.span_of(body),
+                )
         return body
 
     def _query_term(self) -> ast.QueryBody:

@@ -115,6 +115,11 @@ class Catalog:
         with self._lock:
             return name.lower() in self._views
 
+    def relation_names(self) -> list[str]:
+        """Every table and view name (one snapshot, under the lock)."""
+        with self._lock:
+            return [*self._tables, *self._views]
+
     def view_sql(self, name: str) -> str:
         with self._lock:
             try:
