@@ -22,7 +22,7 @@ from ..guard import ExecutionGuard, Limits, guard_for
 from ..plan.cache import CachedPlan
 from ..plan.compile import compile_query, no_mark
 from ..qgm import build_qgm, graph_to_text
-from ..qgm.builder import bind_table
+from ..qgm.builder import bind_insert, bind_table
 from ..qgm.model import QueryGraph
 from ..sql import ast
 from ..sql.parser import parse_statement
@@ -241,10 +241,9 @@ class Database:
         raise BindError(f"unsupported statement {type(statement).__name__}")
 
     def _insert(self, statement: ast.Insert, sql: str = "") -> Result:
-        table = bind_table(statement.table, self.catalog)
-        names = table.schema.names()
-        columns = [c.lower() for c in statement.columns] or names
-        positions = {c: names.index(c) for c in columns}
+        """All rows or none: every row is built and checked before the
+        table takes any (:meth:`~repro.storage.table.Table.insert_many`)."""
+        table, positions = bind_insert(statement, self.catalog)
         if statement.query is not None:
             value_rows: list[tuple] = self._query(statement.query).rows
         else:
@@ -252,15 +251,18 @@ class Database:
                 tuple(_const_value(e) for e in row_exprs)
                 for row_exprs in statement.rows
             ]
-        inserted = 0
+        rows = []
         for values in value_rows:
-            if len(values) != len(columns):
-                raise BindError("INSERT arity mismatch")
-            row: list[Any] = [None] * len(names)
-            for column, value in zip(columns, values):
-                row[positions[column]] = value
-            table.insert(row)
-            inserted += 1
+            if len(values) != len(positions):
+                raise BindError(
+                    f"INSERT arity mismatch: {len(positions)} column(s), "
+                    f"a row of {len(values)} value(s)"
+                )
+            row: list[Any] = [None] * len(table.schema)
+            for position, value in zip(positions, values):
+                row[position] = value
+            rows.append(row)
+        inserted = table.insert_many(rows)
         self.catalog.invalidate_stats(table.name)
         metrics = Metrics()
         metrics.rows_output = inserted

@@ -628,6 +628,36 @@ class _Builder:
             self._fail(f"unknown {what} {name!r}", span, "SEM001", hint, CatalogError)
             return None
 
+    def _insert_target(
+        self, statement: ast.Insert
+    ) -> Optional[tuple[Table, tuple[int, ...]]]:
+        """The table an INSERT writes and the position in it of each column
+        the statement's list names -- every column, in order, when it names
+        none. An unknown column is SEM002; a column named twice is an
+        error too, not a last value that wins."""
+        table = self._table(statement.table, "table")
+        if table is None:
+            return None
+        names = table.schema.names()
+        if not statement.columns:
+            return table, tuple(range(len(names)))
+        positions: list[int] = []
+        for column in statement.columns:
+            name = column.lower()
+            if name not in names:
+                self._fail(
+                    f"unknown column {name!r} in table {table.name!r}",
+                    ast.span_of(statement), "SEM002", _did_you_mean(name, names),
+                )
+            elif names.index(name) in positions:
+                self._fail(
+                    f"column {name!r} is named twice in the INSERT column list",
+                    ast.span_of(statement),
+                )
+            else:
+                positions.append(names.index(name))
+        return table, tuple(positions)
+
     def _view_box(self, name: str, span: Optional[ast.Span]) -> tuple[Box, Optional[list[str]]]:
         """Expand a view. Its body binds raising -- its own errors were its
         CREATE VIEW's to report -- and one that does not bind is reported
@@ -851,11 +881,20 @@ def build_qgm(body: ast.QueryBody, catalog: Catalog) -> QueryGraph:
 
 
 def bind_table(name: str, catalog: Catalog) -> Table:
-    """The base table a statement names: an INSERT's target, or the table
-    of a CREATE / DROP INDEX."""
+    """The base table a CREATE / DROP INDEX names."""
     table = _Builder(catalog)._table(name, "table")
     assert table is not None  # a raising builder returns one or raises
     return table
+
+
+def bind_insert(
+    statement: ast.Insert, catalog: Catalog
+) -> tuple[Table, tuple[int, ...]]:
+    """An INSERT's target table and where each of its listed columns sits
+    in a row of it (see ``_Builder._insert_target``)."""
+    target = _Builder(catalog)._insert_target(statement)
+    assert target is not None  # a raising builder returns one or raises
+    return target
 
 
 def bind_collecting(statement: ast.Statement, catalog: Catalog) -> BindReport:
@@ -866,7 +905,7 @@ def bind_collecting(statement: ast.Statement, catalog: Catalog) -> BindReport:
     report = BindReport()
     builder = _Builder(catalog, report)
     if isinstance(statement, ast.Insert):
-        builder._table(statement.table, "table")
+        builder._insert_target(statement)
     body = statement if isinstance(statement, (ast.Select, ast.SetOp)) else (
         statement.query if isinstance(statement, (ast.CreateView, ast.Insert)) else None
     )
