@@ -51,10 +51,11 @@ class TPCDGenerator:
         rng = self._rng("suppliers")
         table = catalog.table("suppliers")
         n = self.counts()["suppliers"]
-        for key in range(1, n + 1):
-            nation, region = NATIONS[rng.randrange(len(NATIONS))]
-            table.insert(
-                (
+
+        def rows():
+            for key in range(1, n + 1):
+                nation, region = NATIONS[rng.randrange(len(NATIONS))]
+                yield (
                     key,
                     f"Supplier#{key:09d}",
                     f"{rng.randrange(1, 999)} Main St",
@@ -64,58 +65,57 @@ class TPCDGenerator:
                     round(rng.uniform(-999.99, 9999.99), 2),
                     "generated supplier",
                 )
-            )
-        return n
+
+        return table.insert_many(rows())
 
     def generate_parts(self, catalog: Catalog) -> int:
         rng = self._rng("parts")
         table = catalog.table("parts")
         n = self.counts()["parts"]
-        for key in range(1, n + 1):
-            table.insert(
-                (
-                    key,
-                    f"Part#{key:09d}",
-                    PART_BRANDS[rng.randrange(len(PART_BRANDS))],
-                    PART_TYPES[rng.randrange(len(PART_TYPES))],
-                    PART_SIZES[rng.randrange(len(PART_SIZES))],
-                    PART_CONTAINERS[rng.randrange(len(PART_CONTAINERS))],
-                    round(900 + (key % 1000) * 0.5, 2),
-                )
+        return table.insert_many(
+            (
+                key,
+                f"Part#{key:09d}",
+                PART_BRANDS[rng.randrange(len(PART_BRANDS))],
+                PART_TYPES[rng.randrange(len(PART_TYPES))],
+                PART_SIZES[rng.randrange(len(PART_SIZES))],
+                PART_CONTAINERS[rng.randrange(len(PART_CONTAINERS))],
+                round(900 + (key % 1000) * 0.5, 2),
             )
-        return n
+            for key in range(1, n + 1)
+        )
 
     def generate_partsupp(self, catalog: Catalog) -> int:
         rng = self._rng("partsupp")
         table = catalog.table("partsupp")
         counts = self.counts()
         n_suppliers = counts["suppliers"]
-        inserted = 0
-        for part in range(1, counts["parts"] + 1):
-            # TPC-D picks 4 distinct suppliers per part.
-            suppliers = rng.sample(
-                range(1, n_suppliers + 1), min(SUPPLIERS_PER_PART, n_suppliers)
-            )
-            for supplier in suppliers:
-                table.insert(
-                    (
+
+        def rows():
+            for part in range(1, counts["parts"] + 1):
+                # TPC-D picks 4 distinct suppliers per part.
+                suppliers = rng.sample(
+                    range(1, n_suppliers + 1), min(SUPPLIERS_PER_PART, n_suppliers)
+                )
+                for supplier in suppliers:
+                    yield (
                         part,
                         supplier,
                         rng.randrange(1, 10_000),
                         round(rng.uniform(1.0, 1000.0), 2),
                     )
-                )
-                inserted += 1
-        return inserted
+
+        return table.insert_many(rows())
 
     def generate_customers(self, catalog: Catalog) -> int:
         rng = self._rng("customers")
         table = catalog.table("customers")
         n = self.counts()["customers"]
-        for key in range(1, n + 1):
-            nation, region = NATIONS[rng.randrange(len(NATIONS))]
-            table.insert(
-                (
+
+        def rows():
+            for key in range(1, n + 1):
+                nation, region = NATIONS[rng.randrange(len(NATIONS))]
+                yield (
                     key,
                     f"Customer#{key:09d}",
                     nation,
@@ -123,8 +123,8 @@ class TPCDGenerator:
                     round(rng.uniform(-999.99, 9999.99), 2),
                     MARKET_SEGMENTS[rng.randrange(len(MARKET_SEGMENTS))],
                 )
-            )
-        return n
+
+        return table.insert_many(rows())
 
     def generate_lineitem(self, catalog: Catalog) -> int:
         rng = self._rng("lineitem")
@@ -133,14 +133,15 @@ class TPCDGenerator:
         n = counts["lineitem"]
         n_parts = counts["parts"]
         n_suppliers = counts["suppliers"]
-        order = 0
-        line = 7  # forces a new order at the first row
-        for _ in range(n):
-            if line >= 7:
-                order += 1
-                line = 1
-            table.insert(
-                (
+
+        def rows():
+            order = 0
+            line = 7  # forces a new order at the first row
+            for _ in range(n):
+                if line >= 7:
+                    order += 1
+                    line = 1
+                yield (
                     order,
                     line,
                     rng.randrange(1, n_parts + 1),
@@ -149,9 +150,9 @@ class TPCDGenerator:
                     round(rng.uniform(900.0, 105_000.0), 2),
                     round(rng.uniform(0.0, 0.1), 2),
                 )
-            )
-            line += rng.randrange(1, 3)
-        return n
+                line += rng.randrange(1, 3)
+
+        return table.insert_many(rows())
 
     def generate_all(self, catalog: Catalog) -> dict[str, int]:
         """Generate every table; returns actual row counts per table."""
