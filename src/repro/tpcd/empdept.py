@@ -67,22 +67,22 @@ def load_empdept(
     buildings = [f"B{i}" for i in range(n_buildings)]
     n_empty = max(1, int(n_buildings * empty_building_fraction))
     staffed = buildings[:-n_empty] if n_empty < n_buildings else buildings[:1]
-    for i in range(n_depts):
-        dept.insert(
-            (
-                f"dept{i:04d}",
-                round(rng.uniform(100.0, 20000.0), 2),
-                rng.randrange(0, 60),
-                buildings[rng.randrange(len(buildings))],
-            )
+    dept.insert_many([
+        (
+            f"dept{i:04d}",
+            round(rng.uniform(100.0, 20000.0), 2),
+            rng.randrange(0, 60),
+            buildings[rng.randrange(len(buildings))],
         )
-    for i in range(n_emps):
-        emp.insert(
-            (
-                i + 1,
-                f"emp{i:05d}",
-                staffed[rng.randrange(len(staffed))],
-                round(rng.uniform(40.0, 200.0), 2),
-            )
+        for i in range(n_depts)
+    ])
+    emp.insert_many([
+        (
+            i + 1,
+            f"emp{i:05d}",
+            staffed[rng.randrange(len(staffed))],
+            round(rng.uniform(40.0, 200.0), 2),
         )
+        for i in range(n_emps)
+    ])
     return catalog

@@ -5,6 +5,7 @@ asserts the invariant the lock is supposed to protect.  A barrier lines
 every thread up on the contended operation to maximise interleaving.
 """
 
+import sys
 import threading
 
 import pytest
@@ -184,3 +185,74 @@ class TestTableRaces:
             table.insert((1, "dup"))
         assert len(table) == 1
         assert list(table.scan()) == [(1, "a")]
+
+
+class TestLookupRaces:
+    """Lock-free readers probe an index while inserts add rows under keys
+    it already holds, so a key's bucket grows during the probe. Threads
+    switch every microsecond here, so that a reader is interrupted between
+    any two of its reads."""
+
+    @pytest.fixture(autouse=True)
+    def _switch_often(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        yield
+        sys.setswitchinterval(interval)
+
+    def test_a_probe_is_a_copy_of_each_bucket(self):
+        catalog = Catalog()
+        table = catalog.create_table("t", _schema())
+        index = table.create_index("t_val", ["val"])
+        table.insert_many([(k, f"v{k % 4}") for k in range(8)])
+        keys = [f"v{k}" for k in range(4)] * 4
+
+        def work(i: int):
+            if i < 2:
+                for k in range(300):
+                    table.insert((1000 * (i + 1) + k, f"v{k % 4}"))
+                return None
+            for _ in range(100):
+                found = index.probe(keys)
+                sizes = list(map(len, found))
+                pairs = [
+                    (key, table.rows[row_id][1])
+                    for key, ids in zip(keys, found) for row_id in ids
+                ]
+                assert all(key == val for key, val in pairs)
+                assert list(map(len, found)) == sizes
+            return None
+
+        results = _run_threads(6, work)
+        assert not any(isinstance(r, Exception) for r in results), results
+
+    def test_an_index_lookup_joins_each_row_to_its_own_key(self):
+        from repro import Database, Strategy
+
+        db = Database()
+        db.execute_script(
+            "CREATE TABLE dept (name TEXT PRIMARY KEY, budget FLOAT, building TEXT);"
+            "CREATE TABLE emp (empno INT PRIMARY KEY, building TEXT);"
+            "CREATE INDEX emp_building ON emp (building);"
+            "INSERT INTO dept VALUES ('a', 1.0, 'B1'), ('b', 2.0, 'B2'),"
+            " ('c', 3.0, 'B1'), ('d', 4.0, 'B3');"
+            "INSERT INTO emp VALUES (1, 'B1'), (2, 'B2'), (3, 'B2'), (4, 'B3');"
+        )
+        emp = db.catalog.table("emp")
+        sql = (
+            "SELECT d.building, e.building FROM dept d, emp e "
+            "WHERE e.building = d.building AND d.budget > 0"
+        )
+
+        def work(i: int):
+            if i < 2:
+                for k in range(200):
+                    emp.insert((1000 * (i + 1) + k, f"B{k % 3 + 1}"))
+                return None
+            for _ in range(30):
+                rows = db.execute(sql, strategy=Strategy.MAGIC).rows
+                assert rows and all(left == right for left, right in rows)
+            return None
+
+        results = _run_threads(4, work)
+        assert not any(isinstance(r, Exception) for r in results), results
