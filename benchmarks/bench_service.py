@@ -1,16 +1,13 @@
-"""Query-service throughput/latency baseline (``BENCH_service.json``).
+"""Query-service throughput under a fault-free closed-loop soak.
 
-A fault-free soak at the default benchmark scale: how many mixed queries
-per second does the concurrent service sustain, and what are the p50/p95
-latencies? The committed ``BENCH_service.json`` at the repo root records
-the first baseline; regenerate it by running the soak and cutting the
-baseline from the ``service_soak`` record it appends to the history (the
-record has the baseline's layout, plus the envelope and a few extras)::
+How many mixed queries per second does the concurrent service sustain at
+1, 4 and 8 workers? Each case runs :func:`repro.serve.soak.chaos_scenario`
+for two seconds at scale 0.002 with no faults, cancels or tight
+deadlines, and fails if any soak invariant is violated. The gated
+service numbers are the ladder's ``service_cached`` workload
+(``benchmarks/ladder``); this module is the pytest-benchmark view::
 
-    python -m repro soak --workers 8 --seconds 10 --seed 42 \
-        --cancel-rate 0 --tight-deadline-rate 0
-    tail -n 1 BENCH_history.jsonl | python -m json.tool --sort-keys \
-        > BENCH_service.json
+    PYTHONPATH=src python -m pytest benchmarks/bench_service.py --benchmark-only
 """
 
 import pytest

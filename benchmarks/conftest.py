@@ -4,11 +4,6 @@ Scale factor comes from ``REPRO_BENCH_SF`` (default 0.01, i.e. one tenth of
 the paper's database -- the paper's Table 1 corresponds to 0.1). Raising it
 towards 0.1 reproduces the paper-scale database at the cost of much longer
 nested-iteration runs.
-
-Every ``--benchmark``-enabled session also appends one perf-history record
-per measured benchmark to ``BENCH_history.jsonl`` (see
-:mod:`repro.bench.history`); set ``REPRO_BENCH_HISTORY`` to an alternate
-path, or to an empty string to disable the append.
 """
 
 import os
@@ -33,34 +28,3 @@ def run_once(benchmark, fn):
     for a deterministic in-memory engine)."""
     return benchmark.pedantic(fn, rounds=1, iterations=1, warmup_rounds=0)
 
-
-def pytest_sessionfinish(session, exitstatus):
-    """Append one perf-history record per measured benchmark.
-
-    Reads pytest-benchmark's session store defensively (its internals are
-    not a public API and the plugin may be absent or disabled); history
-    failures never fail the benchmark run itself.
-    """
-    try:
-        from repro.bench import history as bench_history
-
-        bench_session = getattr(
-            session.config, "_benchmarksession", None
-        )
-        benchmarks = getattr(bench_session, "benchmarks", None) or []
-        for bench in benchmarks:
-            stats = getattr(bench, "stats", None)
-            if stats is None:
-                continue
-            record = bench_history.make_record(
-                getattr(bench, "name", "?"),
-                group=getattr(bench, "group", None),
-                scale=BENCH_SCALE,
-                min_s=round(float(stats.min), 6),
-                mean_s=round(float(stats.mean), 6),
-                max_s=round(float(stats.max), 6),
-                rounds=int(getattr(stats, "rounds", 0) or 0),
-            )
-            bench_history.append_record(record)
-    except Exception as exc:  # noqa: BLE001 - history must never break CI
-        print(f"bench history: not recorded ({exc})")

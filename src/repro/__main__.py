@@ -358,19 +358,6 @@ def cmd_soak(args: argparse.Namespace) -> int:
         )
     elif args.trace_out:
         print("soak: no traced epochs to export", file=sys.stderr)
-    if not args.no_history:
-        from .bench import history as bench_history
-        from .errors import HistoryError
-
-        try:
-            written = bench_history.append_record(
-                report.history_record(), path=args.history
-            )
-        except HistoryError as exc:
-            print(f"soak: history not recorded: {exc}", file=sys.stderr)
-        else:
-            if written is not None:
-                print(f"appended history record to {written}")
     if args.json:
         _write_json(args.json, report.as_dict())
     title = "soak" if report.scenario == "chaos" else f"{report.scenario} soak"
@@ -392,10 +379,9 @@ def cmd_parallel(args: argparse.Namespace) -> int:
     By default prices NI vs the decorrelated plan in the cost simulator
     at the given cluster size. ``--real`` additionally executes both
     plans on real worker processes (the measured run), prints the
-    measured-vs-simulated calibration report and appends the measured
-    rows plus a calibration record to the perf history
-    (``BENCH_history.jsonl``). ``--faults`` injects the process-level
-    sites (``worker.crash``/``worker.stall``/``exchange.drop``) into the
+    measured-vs-simulated calibration report (``--json`` writes it as
+    JSON). ``--faults`` injects the process-level sites
+    (``worker.crash``/``worker.stall``/``exchange.drop``) into the
     measured runs only.
 
     Exit ``0`` when every answer agrees (and, fault-free, measured
@@ -443,12 +429,8 @@ def cmd_parallel(args: argparse.Namespace) -> int:
         emp_rows,
         n_workers=args.workers,
         faults=faults,
-        history_path=args.history,
-        record_history=not args.no_history,
     )
     print(render_calibration(report))
-    if not args.no_history:
-        print("appended measured + calibration records to perf history")
     if args.json:
         _write_json(args.json, report)
     calibration = report["calibration"]
@@ -946,58 +928,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
     return code
 
 
-def cmd_bench_compare(args: argparse.Namespace) -> int:
-    """``repro bench-compare``: flag perf regressions against a baseline.
-
-    Compares the newest matching record of the perf history
-    (``BENCH_history.jsonl``) against a named baseline JSON
-    (``BENCH_service.json`` layout): throughput may drop and latencies
-    may rise at most ``--tolerance`` (fractional). Exit 0 within
-    tolerance, 1 on a regression (0 with ``--warn-only``), 2 on bad
-    configuration or malformed files.
-    """
-    import json
-
-    from .bench import history as bench_history
-    from .errors import HistoryError
-
-    try:
-        with open(args.baseline) as handle:
-            baseline = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"bench-compare: cannot read baseline {args.baseline!r}: "
-              f"{exc}", file=sys.stderr)
-        return 2
-    history_path = args.history or bench_history.DEFAULT_HISTORY_PATH
-    try:
-        records = bench_history.load_history(history_path)
-        current = bench_history.latest(records, benchmark=args.benchmark)
-        problems = bench_history.compare(
-            current, baseline, tolerance=args.tolerance
-        )
-    except HistoryError as exc:
-        print(f"bench-compare: {exc}", file=sys.stderr)
-        return 2
-    sha = current.get("git_sha") or "?"
-    print(
-        f"bench-compare: {history_path} [{current['benchmark']} @ {sha}] "
-        f"vs {args.baseline} (tolerance {args.tolerance:.0%})"
-    )
-    for key, _ in bench_history.COMPARE_METRICS:
-        if key in current or key in baseline:
-            print(f"  {key:<18} current={current.get(key)!r:>12} "
-                  f"baseline={baseline.get(key)!r:>12}")
-    if problems:
-        for problem in problems:
-            print(f"REGRESSION: {problem}", file=sys.stderr)
-        if args.warn_only:
-            print("bench-compare: regressions found (warn-only mode)")
-            return 0
-        return 1
-    print("bench-compare: within tolerance")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(
@@ -1079,12 +1009,6 @@ def main(argv: list[str] | None = None) -> int:
     p_soak.add_argument("--slow-ms", type=float, default=None, metavar="MS",
                         help="capture queries slower than this threshold "
                              "on the service slow-query log")
-    p_soak.add_argument("--history", default=None, metavar="PATH",
-                        help="perf-history JSONL to append this run to "
-                             "(default BENCH_history.jsonl; "
-                             "REPRO_BENCH_HISTORY overrides)")
-    p_soak.add_argument("--no-history", action="store_true",
-                        help="skip the perf-history append")
     which = p_soak.add_mutually_exclusive_group()
     which.add_argument("--real-workers", action="store_true",
                        help="chaos-soak the real worker-process executor "
@@ -1129,12 +1053,6 @@ def main(argv: list[str] | None = None) -> int:
     p_par.add_argument("--faults", default=None, metavar="SEED:SPEC",
                        help="process-level fault injection for the measured "
                             "runs, e.g. '7:worker.crash=0.05'")
-    p_par.add_argument("--history", default=None, metavar="PATH",
-                       help="perf-history JSONL to append measured rows to "
-                            "(default BENCH_history.jsonl)")
-    p_par.add_argument("--no-history", action="store_true",
-                       dest="no_history",
-                       help="skip the perf-history append")
     p_par.add_argument("--json", default=None, metavar="PATH",
                        help="write the calibration report as JSON")
     p_par.set_defaults(fn=cmd_parallel)
@@ -1292,25 +1210,6 @@ def main(argv: list[str] | None = None) -> int:
                            help="the repro command to profile "
                                 "(after '--')")
     p_profile.set_defaults(fn=cmd_profile)
-
-    p_compare = sub.add_parser(
-        "bench-compare",
-        help="flag perf regressions: newest history record vs a baseline",
-    )
-    p_compare.add_argument("--baseline", default="BENCH_service.json",
-                           help="baseline JSON (BENCH_service.json layout)")
-    p_compare.add_argument("--history", default=None, metavar="PATH",
-                           help="perf-history JSONL "
-                                "(default BENCH_history.jsonl)")
-    p_compare.add_argument("--benchmark", default=None,
-                           help="restrict to records of this benchmark name")
-    p_compare.add_argument("--tolerance", type=float, default=0.2,
-                           help="fractional regression tolerance "
-                                "(default 0.2)")
-    p_compare.add_argument("--warn-only", action="store_true",
-                           dest="warn_only",
-                           help="report regressions but exit 0")
-    p_compare.set_defaults(fn=cmd_bench_compare)
 
     p_report = sub.add_parser(
         "report", help="write the full evaluation as Markdown"

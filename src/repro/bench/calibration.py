@@ -26,16 +26,13 @@ Two comparisons, deliberately different in strength:
   of one paired with run ``i`` of the other) and makespan, advantage and
   its q-error are reported as a median with quartiles.
 
-:func:`run_calibration` produces the report and (optionally) appends one
-``parallel_section6`` record per strategy plus one ``parallel_calibration``
-record to ``BENCH_history.jsonl`` -- the measured rows the acceptance
-criterion asks for.
+:func:`run_calibration` produces the report as a dict (``repro parallel
+--real --json`` writes it); :func:`render_calibration` prints it.
 """
 
 from __future__ import annotations
 
 import statistics
-from typing import Optional
 
 from ..parallel import (
     run_real_decorrelated,
@@ -43,7 +40,6 @@ from ..parallel import (
     simulate_decorrelated,
     simulate_nested_iteration,
 )
-from .history import append_record, make_record
 
 #: Measured runs per strategy; a ratio of two wall-clock times is never
 #: judged from one draw.
@@ -86,24 +82,20 @@ def run_calibration(
     budget_limit: float = 10000.0,
     faults=None,
     events=None,
-    history_path: Optional[str] = None,
-    record_history: bool = True,
     **pool_kwargs,
 ) -> dict:
     """Run NI and the decorrelated plan both simulated and measured.
 
-    Returns the calibration report (see module docstring); with
-    ``record_history=True`` also appends the per-strategy measured rows
-    and the calibration summary to the benchmark history. ``faults`` (a
+    Returns the calibration report (see module docstring). ``faults`` (a
     :class:`~repro.faults.FaultRegistry`) applies to the *measured* runs
     only -- the simulated side stays fault-free as the prediction being
     tested; with faults injected, ``messages_exact`` and ``rows_exact``
     are expected to be False (recovery traffic and re-run fragments are
     real) and are reported, not asserted.
 
-    Counts in the report (and the history rows) are those of each
-    strategy's median-makespan run; the ``*_exact`` facts and
-    ``answers_agree`` must hold for every run.
+    Counts in the report are those of each strategy's median-makespan
+    run; the ``*_exact`` facts and ``answers_agree`` must hold for every
+    run.
     """
     sims = {
         name: simulate(dept_rows, emp_rows, n_workers, budget_limit=budget_limit)
@@ -176,40 +168,6 @@ def run_calibration(
             "advantage_qerror_quartiles": [round(qe_q1, 4), round(qe_q3, 4)],
         },
     }
-    if record_history:
-        for name, strategy_runs in runs.items():
-            row = dict(measured[name])
-            append_record(
-                make_record(
-                    "parallel_section6",
-                    strategy=strategy_runs[0].strategy,
-                    n_workers=n_workers,
-                    makespan_s=row.pop("makespan"),
-                    makespan_quartiles_s=row.pop("makespan_quartiles"),
-                    recovery_time_s=row.pop("recovery_time"),
-                    runs=MEASURED_RUNS,
-                    faulty=faults is not None,
-                    **row,
-                ),
-                path=history_path,
-            )
-        append_record(
-            make_record(
-                "parallel_calibration",
-                n_workers=n_workers,
-                answers_agree=answers_agree,
-                simulated_advantage=round(sim_advantage, 4),
-                measured_advantage=report["measured"]["advantage"],
-                measured_advantage_quartiles=(
-                    report["measured"]["advantage_quartiles"]
-                ),
-                advantage_qerror=report["calibration"]["advantage_qerror"],
-                messages_exact=report["calibration"]["messages_exact"],
-                rows_exact=report["calibration"]["rows_exact"],
-                faulty=faults is not None,
-            ),
-            path=history_path,
-        )
     return report
 
 

@@ -117,12 +117,6 @@ class EventLogError(ReproError):
     and misconfigured event-log components (bad sink, bad capacity)."""
 
 
-class HistoryError(ReproError):
-    """Raised for malformed benchmark-history records
-    (:mod:`repro.bench.history` schema) and bench-compare configuration
-    problems (missing baseline, unknown metric)."""
-
-
 class GuardrailError(ExecutionError):
     """Base class for execution-governance trips (budgets, cancellation).
 

@@ -38,11 +38,6 @@ def _extreme(builtin, values: Sequence[Any]) -> Any:
     return builtin(kept, key=sort_key)
 
 
-def agg_count_star(n_rows: int) -> int:
-    """COUNT(*): the number of rows, NULLs and all."""
-    return n_rows
-
-
 def agg_count(values: Sequence[Any], distinct: bool = False) -> int:
     """COUNT(x): non-NULL values (optionally distinct)."""
     return len(_non_null(values, distinct))
@@ -128,12 +123,3 @@ def aggregate_column(
         groups = _checked(groups, guard.check)
     return list(map(aggregate, groups))
 
-
-def compute_aggregate(
-    func: str, values: Optional[Sequence[Any]], n_rows: int, distinct: bool,
-    guard=None,
-) -> Any:
-    """One aggregate over one group (:func:`aggregate_column` of a single
-    group); ``values`` is None for COUNT(*)."""
-    groups = None if values is None else (values,)
-    return aggregate_column(func, groups, (n_rows,), distinct, guard)[0]

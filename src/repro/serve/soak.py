@@ -141,15 +141,13 @@ class SoakReport:
     """Outcome of one soak run: per-side records plus what spans sides."""
 
     scenario: str
-    #: Name of the run's perf-history record (``service_soak``, ...).
-    benchmark: str
     #: label -> :class:`SideRecord`; the first side is the one under test.
     sides: dict = field(default_factory=dict)
     #: Cross-side violations: failed gates, event/counter mismatches.
     violations: list = field(default_factory=list)
     #: Counts of the reconciled event family (``plan.cache_*``/``worker.*``).
     event_counts: dict = field(default_factory=dict)
-    #: Scenario-level scalars echoed into JSON and the history record:
+    #: Scenario-level scalars echoed into JSON:
     #: the knobs the run was configured with, the worker-pool counters.
     facts: dict = field(default_factory=dict)
     #: One exported v2 trace per traced real-worker epoch (JSON-ready).
@@ -187,45 +185,6 @@ class SoakReport:
                 for label, side in self.sides.items()
             },
         }
-
-    def history_record(self) -> dict:
-        """The run's perf-history record (:mod:`repro.bench.history`):
-        the primary side's rates, latencies and counters in the committed
-        ``BENCH_*.json`` layout, every other side as ``<label>_*`` keys."""
-        from ..bench.history import make_record, phase_totals_from_stats
-
-        primary = self.primary
-        fields = {
-            "seconds": round(primary.elapsed, 3), "ok": self.ok, **self.facts,
-        }
-        stats = primary.stats
-        if stats is not None:  # the worker soak has pool counters instead
-            fields.update(
-                phase_totals_from_stats(stats),
-                throughput_qps=round(primary.throughput_qps, 2),
-                goodput_qps=round(primary.goodput_qps, 2),
-                goodput=primary.goodput,
-                futile_executions=primary.futile_executions,
-                **{name: getattr(stats, name) for name in (
-                    "latency_p50_ms", "latency_p95_ms", "submitted",
-                    "completed", "failed", "cancelled", "rejected", "shed",
-                    "expired_in_queue", "rejected_futile",
-                )},
-                brownout_transitions=len(stats.brownout_transitions),
-                hit_rate=stats.plan_cache.get("hit_rate"),
-                hits=stats.plan_cache_hits,
-                misses=stats.plan_cache_misses,
-                invalidations=stats.plan_cache_invalidations,
-                operator_totals={
-                    op["name"]: op.get("elapsed_ms", 0.0)
-                    for op in primary.operator_totals
-                },
-            )
-            for label, side in list(self.sides.items())[1:]:
-                fields[f"{label}_goodput"] = side.goodput
-                fields[f"{label}_goodput_qps"] = round(side.goodput_qps, 2)
-                fields[f"{label}_futile_executions"] = side.futile_executions
-        return make_record(self.benchmark, **fields)
 
 
 def build_soak_catalog(scale: float = 0.005, seed: int = 7) -> Catalog:
@@ -572,9 +531,9 @@ class Scenario:
 
     ``sides`` maps a label to the :class:`QueryService` keywords that
     side passes on top of the scenario-wide ones; the first side is the
-    one under test: it receives the run's event log and headlines the
-    perf-history record. ``gates`` are ``(violation kind, holds)`` pairs,
-    ``holds`` a predicate over the finished side records in order -- a
+    one under test: it receives the run's event log. ``gates`` are
+    ``(violation kind, holds)`` pairs, ``holds`` a predicate over the
+    finished side records in order -- a
     scenario with no gates only verifies per side. ``rewritable_only``
     restricts each query to the strategies that rewrite it cleanly (see
     :func:`_cacheable_workload`). A scenario is single-use when a side
@@ -582,7 +541,6 @@ class Scenario:
     """
 
     name: str
-    benchmark: str
     arrivals: object  # ClosedLoop | OpenLoop
     sides: dict
     gates: tuple = ()
@@ -653,7 +611,6 @@ def run_scenario(
     log = events if events is not None else EventLog(RingSink(262144))
     report = SoakReport(
         scenario=scenario.name,
-        benchmark=scenario.benchmark,
         facts={
             "seed": scenario.seed, "workers": scenario.workers,
             "scale": scenario.scale, "faults": scenario.faults or "",
@@ -704,8 +661,7 @@ def chaos_scenario(
     tracer (merged per-operator totals of the last 256 land on the side
     record, a phase timeline on every ticket)."""
     return Scenario(
-        "chaos", "service_soak",
-        ClosedLoop(seconds, cancel_rate, tight_deadline_rate),
+        "chaos", ClosedLoop(seconds, cancel_rate, tight_deadline_rate),
         sides={"chaos": {
             "breaker_threshold": 3, "breaker_cooldown": 1.0,
             "trace_history": 256, **service,
@@ -731,7 +687,7 @@ def overload_scenario(phases=OVERLOAD_PHASES, **knobs) -> Scenario:
     # *and* back up; production defaults are far more patient.
     config = OverloadConfig(brownout_dwell_s=0.3, brownout_cooldown_s=0.8)
     return Scenario(
-        "overload", "service_overload", OpenLoop(tuple(phases)),
+        "overload", OpenLoop(tuple(phases)),
         sides={"adaptive": {"overload": config}, "fifo": {}},
         gates=(
             ("goodput_regression", lambda a, fifo: a.goodput >= fifo.goodput),
@@ -804,7 +760,7 @@ def plan_cache_scenario(phases=PLAN_CACHE_PHASES, **knobs) -> Scenario:
     its ``plan.cache_*`` events exactly against the cache's counters.
     """
     return Scenario(
-        "plan-cache", "service_plan_cache", OpenLoop(tuple(phases)),
+        "plan-cache", OpenLoop(tuple(phases)),
         sides={"cached": {"plan_cache": PlanCache()}, "baseline": {}},
         gates=(
             ("cache_no_win", lambda cached, base: cached.goodput > base.goodput),
@@ -879,7 +835,6 @@ def run_worker_soak(
     side = SideRecord(label="real", offered=epochs)
     report = SoakReport(
         scenario="worker",
-        benchmark="worker_soak",
         sides={"real": side},
         facts={
             "seed": seed, "faults": faults or "",

@@ -6,19 +6,17 @@ from repro.errors import ExecutionError
 from repro.exec.aggregates import (
     agg_avg,
     agg_count,
-    agg_count_star,
     agg_max,
     agg_min,
     agg_sum,
-    compute_aggregate,
+    aggregate_column,
 )
 from repro.types import sort_key
 
 
 class TestIndividualAggregates:
     def test_count_star(self):
-        assert agg_count_star(0) == 0
-        assert agg_count_star(5) == 5
+        assert aggregate_column("count", None, (0, 5), False) == [0, 5]
 
     def test_count_skips_nulls(self):
         assert agg_count([1, None, 2, None]) == 2
@@ -59,22 +57,22 @@ class TestIndividualAggregates:
 
 class TestDispatch:
     def test_count_star_dispatch(self):
-        assert compute_aggregate("count", None, 7, False) == 7
+        assert aggregate_column("count", None, (7,), False) == [7]
 
     def test_star_only_valid_for_count(self):
-        with pytest.raises(ExecutionError):
-            compute_aggregate("sum", None, 7, False)
+        with pytest.raises(ExecutionError, match=r"sum\(\*\)"):
+            aggregate_column("sum", None, (7,), False)
 
     def test_unknown_aggregate(self):
-        with pytest.raises(ExecutionError):
-            compute_aggregate("median", [1], 1, False)
+        with pytest.raises(ExecutionError, match="median"):
+            aggregate_column("median", ([1],), (1,), False)
 
     @pytest.mark.parametrize(
         "func,expected",
         [("count", 2), ("sum", 5), ("avg", 2.5), ("min", 2), ("max", 3)],
     )
     def test_each_function(self, func, expected):
-        assert compute_aggregate(func, [2, 3, None], 3, False) == expected
+        assert aggregate_column(func, ([2, 3, None],), (3,), False) == [expected]
 
 
 FUNCTIONS = ("count", "sum", "avg", "min", "max")
@@ -110,18 +108,21 @@ class TestGroupsOfEveryShape:
     @pytest.mark.parametrize("distinct", [False, True])
     @pytest.mark.parametrize("func", FUNCTIONS)
     def test_null_distinct_and_empty_groups(self, func, distinct):
-        for group in self.GROUPS:
-            if func in ("sum", "avg") and any(isinstance(v, str) for v in group):
-                continue
-            for values in (group, tuple(group)):
-                result = compute_aggregate(func, values, len(group), distinct)
-                expected = _reference(func, group, distinct)
-                assert result == expected, (group, distinct)
-                assert type(result) is type(expected), (group, distinct)
+        groups = [
+            group for group in self.GROUPS
+            if func not in ("sum", "avg")
+            or not any(isinstance(v, str) for v in group)
+        ]
+        sizes = [len(group) for group in groups]
+        expected = [_reference(func, group, distinct) for group in groups]
+        for shaped in (groups, [tuple(group) for group in groups]):
+            result = aggregate_column(func, shaped, sizes, distinct)
+            assert result == expected, distinct
+            assert list(map(type, result)) == list(map(type, expected))
 
     def test_count_star_counts_nulls_and_ignores_distinct(self):
-        assert compute_aggregate("count", None, 0, False) == 0
-        assert compute_aggregate("count", None, 3, True) == 3
+        assert aggregate_column("count", None, (0, 3), False) == [0, 3]
+        assert aggregate_column("count", None, (3,), True) == [3]
 
     def test_min_max_of_ints_and_floats_are_the_builtins(self):
         """int with float is one class: no ``sort_key`` call, the first of
@@ -149,7 +150,10 @@ class TestGroupsOfEveryShape:
                 self.checks += 1
 
         guard = Guard()
+        groups, sizes = ([1, None, 2], [3]), (3, 1)
         for func in FUNCTIONS:
-            compute_aggregate(func, [1, None, 2], 3, False, guard)
-        compute_aggregate("count", None, 3, False, guard=guard)
-        assert guard.checks == len(FUNCTIONS) + 1
+            for distinct in (False, True):
+                aggregate_column(func, groups, sizes, distinct, guard)
+        aggregate_column("count", None, sizes, False, guard=guard)
+        # One check per group of every output: 2 groups x (10 + 1) outputs.
+        assert guard.checks == len(groups) * (2 * len(FUNCTIONS) + 1)

@@ -3,21 +3,10 @@
 import json
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from repro.__main__ import main
-
-
-def assert_has_baseline_keys(history_path, baseline_name):
-    """The run appended one history record carrying every key of the
-    committed baseline ``repro bench-compare`` reads it against."""
-    (record,) = [json.loads(line) for line in open(history_path)]
-    path = Path(__file__).resolve().parents[2] / baseline_name
-    baseline = json.loads(path.read_text())
-    assert set(baseline) <= set(record)
-    assert record["benchmark"] == baseline["benchmark"]
 
 
 def run_cli(*args, input_text=None):
@@ -135,23 +124,23 @@ class TestParallel:
         assert "simulated section 6 @ 3 nodes" in out
         assert "NI/decorrelated makespan ratio" in out
 
-    def test_real_mode_writes_history_and_calibration(
-        self, tmp_path, capsys
+    def test_real_mode_writes_only_the_calibration(
+        self, tmp_path, capsys, monkeypatch
     ):
-        history = tmp_path / "hist.jsonl"
-        report_json = tmp_path / "calibration.json"
+        monkeypatch.chdir(tmp_path)
         code = main([
             "parallel", "--real", "--workers", "2",
-            "--depts", "12", "--emps", "60",
-            "--history", str(history), "--json", str(report_json),
+            "--depts", "12", "--emps", "60", "--json", "calibration.json",
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "messages exact: True" in out
         assert "answers agree: True" in out
-        assert report_json.exists()
-        lines = history.read_text().splitlines()
-        assert len(lines) == 3  # ni + decorrelated + calibration records
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "calibration.json"
+        ]
+        report = json.loads((tmp_path / "calibration.json").read_text())
+        assert report["calibration"]["messages_exact"] is True
 
     def test_bad_faults_spec_exits_nonzero(self):
         result = run_cli("parallel", "--real", "--faults", "nonsense")
@@ -192,20 +181,22 @@ class TestSoakCLI:
         import io
 
         monkeypatch.setattr(sys, "stderr", io.StringIO())
-        events = tmp_path / "events.jsonl"
-        history = tmp_path / "history.jsonl"
+        monkeypatch.chdir(tmp_path)
         code = main([
             "soak", "--seconds", "0.5", "--workers", "2", "--scale", "0.002",
             "--faults", "7:rewrite.strategy=0.1", "--trace",
-            "--history", str(history),
-            "--events-out", str(events), "--json", str(tmp_path / "r.json"),
+            "--events-out", "events.jsonl", "--json", "r.json",
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "soak [chaos]:" in out
         assert "soak: all invariants held" in out
-        assert events.exists()
-        assert_has_baseline_keys(history, "BENCH_service.json")
+        # Only the files asked for: the event stream and the report.
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "events.jsonl", "r.json",
+        ]
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["ok"] is True and report["scenario"] == "chaos"
 
     @pytest.mark.parametrize("flag, side, held", [
         ("--overload", "adaptive", "overload soak: all invariants held"),
@@ -215,19 +206,16 @@ class TestSoakCLI:
         self, monkeypatch, tmp_path, capsys, flag, side, held
     ):
         self.compress(monkeypatch, gated=False)
-        history = tmp_path / "history.jsonl"
         code = main([
             "soak", flag, "--workers", "2", "--max-queue", "8",
-            "--scale", "0.002", "--history", str(history),
-            "--json", str(tmp_path / "r.json"),
+            "--scale", "0.002", "--json", str(tmp_path / "r.json"),
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert f"soak [{side}]:" in out
         assert held in out
-        assert_has_baseline_keys(
-            history, "BENCH_" + flag.strip("-").replace("-", "_") + ".json"
-        )
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert report["ok"] is True and side in report["sides"]
 
     def test_a_failed_gate_exits_1(self, capsys, monkeypatch):
         from repro.serve import soak
@@ -236,7 +224,7 @@ class TestSoakCLI:
         monkeypatch.setattr(soak, "MIN_HIT_RATE", 1.0)  # unreachable floor
         code = main([
             "soak", "--plan-cache", "--workers", "2", "--max-queue", "8",
-            "--scale", "0.002", "--no-history",
+            "--scale", "0.002",
         ])
         captured = capsys.readouterr()
         assert code == 1
@@ -258,7 +246,6 @@ class TestSoakCLI:
         code = main([
             "soak", "--seconds", "0.3", "--workers", "2", "--scale", "0.002",
             "--cancel-rate", "0", "--tight-deadline-rate", "0",
-            "--no-history",
         ])
         captured = capsys.readouterr()
         assert code == 1
@@ -275,7 +262,7 @@ class TestSoakCLI:
         events = tmp_path / "events.jsonl"
         code = main([
             "soak", "--real-workers", "--workers", "3", "--epochs", "2",
-            "--faults", "5:worker.crash=0.2", "--no-history",
+            "--faults", "5:worker.crash=0.2",
             "--events-out", str(events),
             "--json", str(tmp_path / "report.json"),
         ])

@@ -2,8 +2,7 @@
 
 These tests assert exact event streams and counter reconciliation, so an
 ambient ``REPRO_FAULTS``/``REPRO_VALIDATE`` (e.g. from a CI matrix job)
-must not leak in; fault behaviour is pinned per-test. History appends are
-likewise disabled so test runs never touch ``BENCH_history.jsonl``.
+must not leak in; fault behaviour is pinned per-test.
 """
 
 import pytest
@@ -15,7 +14,6 @@ from repro import Database
 def _no_ambient_env(monkeypatch):
     monkeypatch.delenv("REPRO_FAULTS", raising=False)
     monkeypatch.delenv("REPRO_VALIDATE", raising=False)
-    monkeypatch.setenv("REPRO_BENCH_HISTORY", "")
 
 
 @pytest.fixture

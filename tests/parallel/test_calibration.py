@@ -10,7 +10,6 @@ from repro.bench.calibration import (
     render_calibration,
     run_calibration,
 )
-from repro.bench.history import load_history
 from repro.tpcd import load_empdept
 
 
@@ -34,12 +33,10 @@ class TestQError:
 
 
 class TestRunCalibration:
-    def test_fault_free_run_is_exact_and_recorded(self, data, tmp_path):
+    def test_fault_free_run_is_exact_and_recorded(self, data):
         dept_rows, emp_rows = data
-        history = tmp_path / "hist.jsonl"
         report = run_calibration(
             dept_rows, emp_rows, n_workers=2,
-            history_path=str(history),
             heartbeat_interval=0.02, heartbeat_timeout=0.5,
         )
         assert report["answers_agree"]
@@ -68,31 +65,10 @@ class TestRunCalibration:
         assert (report["simulated"]["ni"]["messages"]
                 > report["simulated"]["decorrelated"]["messages"])
 
-        records = load_history(str(history))
-        assert [r["benchmark"] for r in records] == [
-            "parallel_section6", "parallel_section6", "parallel_calibration",
-        ]
-        assert {r.get("strategy") for r in records[:2]} == {
-            "nested_iteration", "magic_decorrelated",
-        }
-        assert records[2]["messages_exact"] is True
-        assert records[2]["rows_exact"] is True
-
-    def test_record_history_false_writes_nothing(self, data, tmp_path):
+    def test_render_is_human_readable(self, data):
         dept_rows, emp_rows = data
-        history = tmp_path / "hist.jsonl"
         report = run_calibration(
             dept_rows, emp_rows, n_workers=2,
-            history_path=str(history), record_history=False,
-            heartbeat_interval=0.02, heartbeat_timeout=0.5,
-        )
-        assert report["answers_agree"]
-        assert not history.exists()
-
-    def test_render_is_human_readable(self, data, tmp_path):
-        dept_rows, emp_rows = data
-        report = run_calibration(
-            dept_rows, emp_rows, n_workers=2, record_history=False,
             heartbeat_interval=0.02, heartbeat_timeout=0.5,
         )
         text = render_calibration(report)
