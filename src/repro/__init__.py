@@ -4,13 +4,13 @@ Public entry points: Database, Strategy, Result, the execution guardrails
 (Limits, ExecutionGuard), the deterministic fault-injection registry
 (FaultRegistry), the concurrent query service (QueryService), the span
 collector behind EXPLAIN ANALYZE (Tracer), and the continuous
-observability surfaces (EventLog, SamplingProfiler, SlowQueryLog).
+observability surfaces (EventLog, SlowQueryLog).
 """
 
 from .api import Database, Result, Strategy
 from .faults import FaultRegistry
 from .guard import ExecutionGuard, Limits
-from .obs import EventLog, RingSink, SamplingProfiler, SlowQueryLog
+from .obs import EventLog, RingSink, SlowQueryLog
 from .serve import QueryService, ServiceStats
 from .trace import Tracer
 
@@ -27,7 +27,6 @@ __all__ = [
     "Tracer",
     "EventLog",
     "RingSink",
-    "SamplingProfiler",
     "SlowQueryLog",
     "__version__",
 ]

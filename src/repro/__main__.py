@@ -154,26 +154,6 @@ def _write_json(path: str, payload, note: str = "") -> None:
     print(f"wrote {path}{note}")
 
 
-def _write_profile(profiler, title: str, speedscope_out, collapsed_out) -> None:
-    """Export a finished sampling profile; print its top operators."""
-    import json
-
-    if speedscope_out:
-        with open(speedscope_out, "w") as handle:
-            json.dump(profiler.speedscope(title), handle, sort_keys=True)
-            handle.write("\n")
-        print(f"wrote {speedscope_out} ({profiler.sample_count} samples)")
-    if collapsed_out:
-        with open(collapsed_out, "w") as handle:
-            handle.write(profiler.collapsed())
-        print(f"wrote {collapsed_out}")
-    top = list(profiler.operator_samples().items())[:10]
-    if top:
-        print("profile: operator samples (top 10):")
-        for name, samples in top:
-            print(f"  {name:<32} {samples:>6}")
-
-
 def _summarise_service(title: str, report, args) -> None:
     """One line per side, then whatever the side under test recorded:
     breakers, traced operators, slow queries, overload control, cache."""
@@ -269,16 +249,13 @@ def cmd_soak(args: argparse.Namespace) -> int:
     duration (at least 30 s) plus 60 s -- dumps every thread's stack and
     kills the process if the run wedges, rather than hang CI.
     """
-    import contextlib
     import faulthandler
     import functools
 
     from .obs import EventLog, FileSink, RingSink, TeeSink
     from .serve import soak
 
-    profile = bool(args.profile_out or args.profile_collapsed)
-    # Operator attribution needs the tracer's span stack.
-    trace = args.trace or profile or bool(args.trace_out)
+    trace = args.trace or bool(args.trace_out)
     common = dict(seed=args.seed, workers=args.workers,
                   max_queue=args.max_queue, scale=args.scale)
     if args.real_workers:
@@ -321,14 +298,8 @@ def cmd_soak(args: argparse.Namespace) -> int:
         ring = RingSink(capacity=262144)
         file_sink = FileSink(args.events_out, mode="w")
         events_log = EventLog(TeeSink(ring, file_sink))
-    profiler_ctx = contextlib.nullcontext(None)
-    if profile:
-        from .obs import profiling
-
-        profiler_ctx = profiling(interval=args.profile_interval)
     try:
-        with profiler_ctx as profiler:
-            report = run(events=events_log)
+        report = run(events=events_log)
     except ValueError as exc:
         print(f"soak: bad configuration: {exc}", file=sys.stderr)
         return 2
@@ -347,9 +318,6 @@ def cmd_soak(args: argparse.Namespace) -> int:
             print(f"soak: event stream invalid: {exc}", file=sys.stderr)
             return 1
         print(f"wrote {args.events_out} ({count} events)")
-    if profiler is not None:
-        _write_profile(profiler, "repro soak", args.profile_out,
-                       args.profile_collapsed)
     if args.trace_out and report.traces:
         _write_json(
             args.trace_out, report.traces[-1],
@@ -889,45 +857,6 @@ def cmd_slow(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_profile(args: argparse.Namespace) -> int:
-    """``repro profile``: run another repro command under the sampling
-    profiler and export its profile.
-
-    Example::
-
-        repro profile --speedscope-out soak.speedscope.json -- \\
-            soak --seconds 5 --trace
-
-    Tracers created by the wrapped command register automatically, so
-    samples taken while a traced query executes are attributed to its
-    plan operators (``op:`` frames at the flamegraph root).
-    """
-    from .errors import EventLogError
-    from .obs import profiling
-
-    command = list(args.command)
-    if command and command[0] == "--":
-        command = command[1:]
-    if not command:
-        print("profile: no command given (usage: repro profile "
-              "[options] -- <repro args>)", file=sys.stderr)
-        return 2
-    if command[0] == "profile":
-        print("profile: refusing to profile itself", file=sys.stderr)
-        return 2
-    try:
-        with profiling(interval=args.interval) as profiler:
-            code = main(command)
-    except EventLogError as exc:
-        print(f"profile: {exc}", file=sys.stderr)
-        return 2
-    if not args.speedscope_out and not args.collapsed_out:
-        print(profiler.collapsed(), end="")
-    _write_profile(profiler, " ".join(command), args.speedscope_out,
-                   args.collapsed_out)
-    return code
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = argparse.ArgumentParser(
@@ -998,14 +927,6 @@ def main(argv: list[str] | None = None) -> int:
     p_soak.add_argument("--events-out", default=None, metavar="PATH",
                         help="stream structured lifecycle events as JSONL "
                              "(validated after the run)")
-    p_soak.add_argument("--profile-out", default=None, metavar="PATH",
-                        help="write a speedscope JSON profile of the soak "
-                             "(implies --trace for operator attribution)")
-    p_soak.add_argument("--profile-collapsed", default=None, metavar="PATH",
-                        help="write a collapsed-stack (flamegraph.pl) "
-                             "profile (implies --trace)")
-    p_soak.add_argument("--profile-interval", type=float, default=0.002,
-                        help="profiler sampling interval in seconds")
     p_soak.add_argument("--slow-ms", type=float, default=None, metavar="MS",
                         help="capture queries slower than this threshold "
                              "on the service slow-query log")
@@ -1192,24 +1113,6 @@ def main(argv: list[str] | None = None) -> int:
     p_slow.add_argument("--json", action="store_true",
                         help="dump the raw slow-query records as JSON")
     p_slow.set_defaults(fn=cmd_slow)
-
-    p_profile = sub.add_parser(
-        "profile",
-        help="run another repro command under the sampling profiler",
-    )
-    p_profile.add_argument("--interval", type=float, default=0.002,
-                           help="sampling interval in seconds")
-    p_profile.add_argument("--speedscope-out", default=None, metavar="PATH",
-                           dest="speedscope_out",
-                           help="write a speedscope JSON profile")
-    p_profile.add_argument("--collapsed-out", default=None, metavar="PATH",
-                           dest="collapsed_out",
-                           help="write collapsed stacks (flamegraph.pl "
-                                "format)")
-    p_profile.add_argument("command", nargs=argparse.REMAINDER,
-                           help="the repro command to profile "
-                                "(after '--')")
-    p_profile.set_defaults(fn=cmd_profile)
 
     p_report = sub.add_parser(
         "report", help="write the full evaluation as Markdown"

@@ -217,8 +217,7 @@ class Database:
         if isinstance(statement, ast.CreateIndex):
             table = bind_table(statement.table, self.catalog)
             table.create_index(
-                statement.name, list(statement.columns),
-                unique=statement.unique, kind=statement.kind,
+                statement.name, list(statement.columns), unique=statement.unique
             )
             # Index DDL goes through the table, not the catalog: bump the
             # catalog generation explicitly so cached plans (which may have

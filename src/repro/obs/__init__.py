@@ -1,4 +1,4 @@
-"""Continuous observability: event log, sampling profiler, slow-query log.
+"""Continuous observability: event log, slow-query log, phase budgets.
 
 PR 4's tracer (:mod:`repro.trace`) answers "where does the time go?" for a
 *single* query; this package answers it *continuously* -- for a soak run, a
@@ -9,10 +9,6 @@ service under load, or a sequence of benchmark commits:
   degraded/cancelled/finished, breaker transitions, budget trips, fired
   faults) with pluggable sinks (bounded in-memory ring, append-to-file
   JSONL) and a ``validate_events`` checker;
-* :mod:`repro.obs.profiler` -- a background-thread wall-clock sampling
-  profiler over ``sys._current_frames()`` that attributes samples to plan
-  operators via the tracer's active-span context and exports
-  collapsed-stack text (flamegraph.pl format) and speedscope JSON;
 * :mod:`repro.obs.slowlog` -- threshold-based slow-query capture (SQL,
   strategy, degradations, top operators, ``Metrics`` snapshot) in a
   bounded ring;
@@ -24,8 +20,9 @@ service under load, or a sequence of benchmark commits:
   reconstructor joining the event log, trace ring and slow-query log
   into one annotated waterfall.
 
-All three follow the ``limits=None`` / ``tracer=None`` zero-overhead
-pattern: an unconfigured component costs one ``is None`` test.
+The event log and the slow-query log follow the ``limits=None`` /
+``tracer=None`` zero-overhead pattern: an unconfigured one costs one
+``is None`` test.
 """
 
 from .events import (
@@ -47,7 +44,6 @@ from .phases import (
     check_phase_sum,
     render_phases,
 )
-from .profiler import SamplingProfiler, profiling
 from .slowlog import SlowQueryLog, render_slow_log
 from .why import build_timeline, render_timeline, worker_spans
 
@@ -67,8 +63,6 @@ __all__ = [
     "load_events",
     "render_event",
     "validate_events",
-    "SamplingProfiler",
-    "profiling",
     "SlowQueryLog",
     "render_slow_log",
     "build_timeline",

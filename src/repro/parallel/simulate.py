@@ -57,10 +57,6 @@ class ParallelMetrics:
     #: Plan fragments executed (scans, probes, local pipelines).
     tasks: int = 0
 
-    def speedup_reference(self) -> float:
-        """Total work if executed serially (for speedup computations)."""
-        return self.rows_processed * ROW_COST
-
 
 def _metrics(
     cluster: Cluster, strategy: str, answer: list[tuple], fragments: int

@@ -195,24 +195,6 @@ def replace_column_refs(
     return transform_expr(expr, fn)
 
 
-def redirect_quantifier(
-    expr: ast.Expr, old: "Quantifier", new: "Quantifier",
-    column_map: Optional[dict[str, str]] = None,
-) -> ast.Expr:
-    """Retarget refs over quantifier ``old`` to ``new`` (optionally renaming
-    columns through ``column_map``). The workhorse of the FEED/ABSORB stages,
-    which repeatedly 'modify the destination of correlation so that it gets
-    its bindings from Q4 instead of Q1' (paper, section 4.2)."""
-
-    def substitute(ref: ColumnRef) -> Optional[ast.Expr]:
-        if ref.quantifier is old:
-            column = column_map.get(ref.column, ref.column) if column_map else ref.column
-            return ColumnRef(new, column)
-        return None
-
-    return replace_column_refs(expr, substitute)
-
-
 def conjuncts(expr: Optional[ast.Expr]) -> list[ast.Expr]:
     """Flatten a predicate into its top-level AND conjuncts."""
     if expr is None:

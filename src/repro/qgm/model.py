@@ -262,16 +262,3 @@ class QueryGraph:
         if self.visible_columns is not None:
             names = names[: self.visible_columns]
         return names
-
-
-def make_projection_box(
-    source: Box, columns: list[str], distinct: bool = False,
-    name_prefix: str = "q",
-) -> tuple[SelectBox, Quantifier]:
-    """A SelectBox projecting ``columns`` from ``source`` (used for magic
-    tables and other generated plumbing). Returns the box and its quantifier
-    over ``source``."""
-    box = SelectBox(distinct=distinct)
-    q = box.add_quantifier(source, name_prefix)
-    box.outputs = [OutputColumn(c, q.ref(c)) for c in columns]
-    return box, q

@@ -224,13 +224,6 @@ def require_linear(graph_root: Box, method: str) -> None:
             )
 
 
-def single_base_table(box: Box) -> Optional[BaseTableBox]:
-    """The base table under a (possibly trivial) chain, if unique."""
-    if isinstance(box, BaseTableBox):
-        return box
-    return None
-
-
 @dataclass
 class OuterAggSubquery:
     """The single correlated scalar-agg subquery of a linear outer block --

@@ -299,9 +299,6 @@ class QuantifiedComparison(Expr):
         return (self.operand,)
 
 
-SUBQUERY_EXPR_TYPES = (ScalarSubquery, Exists, InSubquery, QuantifiedComparison)
-
-
 # -- query structure -----------------------------------------------------------
 
 
@@ -413,7 +410,6 @@ class CreateIndex:
     table: str
     columns: tuple[str, ...]
     unique: bool = False
-    kind: str = "hash"  # "hash" | "sorted" (USING SORTED)
 
 
 @dataclass(frozen=True)
@@ -440,11 +436,3 @@ class Insert:
 
 
 Statement = Union[QueryBody, CreateTable, CreateIndex, DropIndex, CreateView, Insert]
-
-
-def subquery_bodies(expr: Expr) -> Iterator[QueryBody]:
-    """Yield the query bodies of all subquery expressions directly inside
-    ``expr`` (not recursing into the subqueries themselves)."""
-    for node in expr.walk():
-        if isinstance(node, SUBQUERY_EXPR_TYPES):
-            yield node.query

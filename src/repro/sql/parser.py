@@ -186,13 +186,7 @@ class _Parser:
         self.expect_symbol("(")
         columns = tuple(self._ident_list())
         self.expect_symbol(")")
-        kind = "hash"
-        if self.accept_keyword("USING"):
-            kind_word = self.expect_ident("index kind")
-            if kind_word not in ("hash", "sorted"):
-                raise self.error("index kind must be HASH or SORTED")
-            kind = kind_word
-        return ast.CreateIndex(name, table, columns, unique=unique, kind=kind)
+        return ast.CreateIndex(name, table, columns, unique=unique)
 
     def _drop(self) -> ast.DropIndex:
         self.expect_keyword("DROP")

@@ -128,10 +128,9 @@ def to_sql(body: ast.Statement) -> str:
         return f"CREATE TABLE {body.name} ({', '.join(defs)})"
     if isinstance(body, ast.CreateIndex):
         unique = "UNIQUE " if body.unique else ""
-        using = f" USING {body.kind.upper()}" if body.kind != "hash" else ""
         return (
             f"CREATE {unique}INDEX {body.name} ON {body.table} "
-            f"({', '.join(body.columns)}){using}"
+            f"({', '.join(body.columns)})"
         )
     if isinstance(body, ast.DropIndex):
         return f"DROP INDEX {body.name} ON {body.table}"

@@ -2,7 +2,7 @@
 
 from .schema import Column, Schema
 from .table import Table
-from .index import HashIndex, SortedIndex
+from .index import HashIndex
 from .catalog import Catalog
 from .stats import ColumnStats, TableStats, compute_table_stats
 
@@ -11,7 +11,6 @@ __all__ = [
     "Schema",
     "Table",
     "HashIndex",
-    "SortedIndex",
     "Catalog",
     "ColumnStats",
     "TableStats",

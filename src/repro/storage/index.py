@@ -1,24 +1,18 @@
 """Secondary indexes over in-memory tables.
 
-Two access methods are provided:
-
-* :class:`HashIndex` -- equality lookups on a (possibly composite) key.
-* :class:`SortedIndex` -- single-column sorted index supporting equality and
-  range lookups via binary search (a stand-in for a B-tree).
-
-Both map key values to *row ids* (positions in the owning table's row list),
-which keeps them valid under appends. Tables in this engine are append-only
-once loaded, mirroring the read-mostly decision-support setting of the paper.
+:class:`HashIndex`, the one index kind, serves equality lookups on a
+(possibly composite) key. It maps key values to *row ids*
+(positions in the owning table's row list), which keeps them valid under
+appends. Tables in this engine are append-only once loaded, mirroring the
+read-mostly decision-support setting of the paper.
 """
 
 from __future__ import annotations
 
-import bisect
 from operator import itemgetter
-from typing import Any, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Sequence
 
 from ..errors import SchemaError
-from ..types import sort_key
 
 
 class HashIndex:
@@ -129,97 +123,3 @@ class HashIndex:
             1 if type(b) is int else len(b) for b in self._map.values()
         )
 
-
-class SortedIndex:
-    """Single-column sorted index supporting equality and range scans.
-
-    Entries are ``(value, row_id)`` pairs kept sorted by a NULLs-first total
-    order; NULL entries are stored but excluded from every probe.
-    """
-
-    def __init__(self, name: str, column_position: int, unique: bool = False):
-        self.name = name
-        self.column_positions = (column_position,)
-        self.unique = unique
-        self._keys: list[tuple] = []  # sort_key(value)
-        self._entries: list[tuple[Any, int]] = []  # (value, row_id)
-        self._frozen = False
-
-    def insert(self, row_id: int, row: Sequence[Any]) -> None:
-        """Index ``row`` stored at ``row_id`` (maintains sorted order)."""
-        value = row[self.column_positions[0]]
-        key = sort_key(value)
-        pos = bisect.bisect_right(self._keys, key)
-        if self.unique and value is not None:
-            if (pos > 0 and self._keys[pos - 1] == key) or (
-                pos < len(self._keys) and self._keys[pos] == key
-            ):
-                raise SchemaError(
-                    f"unique index {self.name!r} violated for key {value!r}"
-                )
-        self._keys.insert(pos, key)
-        self._entries.insert(pos, (value, row_id))
-
-    def check_unique(self, rows: Iterable[Sequence[Any]]) -> None:
-        """As :meth:`HashIndex.check_unique`."""
-        if not self.unique:
-            return
-        seen: set = set()
-        for row in rows:
-            value = row[self.column_positions[0]]
-            if value is None:
-                continue
-            key = sort_key(value)
-            pos = bisect.bisect_left(self._keys, key)
-            if (pos < len(self._keys) and self._keys[pos] == key) or key in seen:
-                raise SchemaError(
-                    f"unique index {self.name!r} violated for key {value!r}"
-                )
-            seen.add(key)
-
-    def bulk_load(self, rows: Iterable[tuple[int, Any]]) -> None:
-        """Load ``(row_id, value)`` pairs at once; faster than repeated insert."""
-        pairs = sorted(((sort_key(v), v, rid) for rid, v in rows), key=lambda t: t[0])
-        self._keys = [p[0] for p in pairs]
-        self._entries = [(p[1], p[2]) for p in pairs]
-
-    def lookup(self, key: Any) -> list[int]:
-        """Row ids with value equal to ``key`` (empty for NULL probes)."""
-        if key is None:
-            return []
-        return list(self._scan(low=key, high=key, low_inclusive=True, high_inclusive=True))
-
-    def probe(self, keys: Sequence[Any]) -> list[Sequence[int]]:
-        """:meth:`lookup` of every key of a batch, as :meth:`HashIndex.probe`
-        returns it."""
-        return [self.lookup(key) for key in keys]
-
-    def range(
-        self,
-        low: Any = None,
-        high: Any = None,
-        low_inclusive: bool = True,
-        high_inclusive: bool = True,
-    ) -> list[int]:
-        """Row ids with values in the given range; open bounds via ``None``."""
-        return list(self._scan(low, high, low_inclusive, high_inclusive))
-
-    def _scan(self, low, high, low_inclusive, high_inclusive) -> Iterator[int]:
-        if low is not None:
-            lk = sort_key(low)
-            start = bisect.bisect_left(self._keys, lk) if low_inclusive else bisect.bisect_right(self._keys, lk)
-        else:
-            # Skip NULL entries, which sort first.
-            start = bisect.bisect_right(self._keys, (0, 0))
-        if high is not None:
-            hk = sort_key(high)
-            stop = bisect.bisect_right(self._keys, hk) if high_inclusive else bisect.bisect_left(self._keys, hk)
-        else:
-            stop = len(self._keys)
-        for i in range(start, stop):
-            value, row_id = self._entries[i]
-            if value is not None:
-                yield row_id
-
-    def __len__(self) -> int:
-        return len(self._entries)

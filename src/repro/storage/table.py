@@ -3,13 +3,11 @@
 from __future__ import annotations
 
 import threading
-from typing import Any, Iterable, Iterator, Sequence, Union
+from typing import Any, Iterable, Iterator, Sequence
 
 from ..errors import CatalogError, SchemaError
-from .index import HashIndex, SortedIndex
+from .index import HashIndex
 from .schema import Schema
-
-Index = Union[HashIndex, SortedIndex]
 
 
 class Table:
@@ -35,7 +33,7 @@ class Table:
         self.name = name.lower()
         self.schema = schema
         self.rows: list[tuple] = []
-        self.indexes: dict[str, Index] = {}
+        self.indexes: dict[str, HashIndex] = {}
         self._pk_index: HashIndex | None = None
         self._lock = threading.Lock()
         if schema.primary_key:
@@ -103,12 +101,8 @@ class Table:
 
     def create_index(
         self, index_name: str, columns: Sequence[str], unique: bool = False,
-        kind: str = "hash",
-    ) -> Index:
-        """Create and backfill a secondary index.
-
-        ``kind`` is ``"hash"`` (any number of columns, equality only) or
-        ``"sorted"`` (single column, supports ranges).
+    ) -> HashIndex:
+        """Create and backfill a secondary hash index.
 
         Atomic: the duplicate check, the backfill over existing rows and
         the registration run under the table lock, serialised against
@@ -123,21 +117,9 @@ class Table:
                     f"index {index_name!r} already exists on {self.name!r}"
                 )
             positions = [self.schema.position(c) for c in columns]
-            index: Index
-            if kind == "hash":
-                index = HashIndex(index_name, positions, unique=unique)
-                for row_id, row in enumerate(self.rows):
-                    index.insert(row_id, row)
-            elif kind == "sorted":
-                if len(positions) != 1:
-                    raise CatalogError("sorted indexes take exactly one column")
-                index = SortedIndex(index_name, positions[0], unique=unique)
-                index.bulk_load(
-                    (rid, row[positions[0]])
-                    for rid, row in enumerate(self.rows)
-                )
-            else:
-                raise CatalogError(f"unknown index kind {kind!r}")
+            index = HashIndex(index_name, positions, unique=unique)
+            for row_id, row in enumerate(self.rows):
+                index.insert(row_id, row)
             updated = dict(self.indexes)
             updated[index_name] = index
             self.indexes = updated
@@ -161,9 +143,9 @@ class Table:
             del updated[index_name]
             self.indexes = updated
 
-    def find_index(self, columns: Sequence[str]) -> Index | None:
-        """An index whose key is exactly ``columns`` (order-insensitive for
-        hash indexes), or ``None``. Used by the planner for access selection."""
+    def find_index(self, columns: Sequence[str]) -> HashIndex | None:
+        """An index whose key is exactly ``columns`` (order-insensitive), or
+        ``None``. Used by the planner for access selection."""
         wanted = tuple(sorted(self.schema.position(c) for c in columns))
         for index in self.indexes.values():
             if tuple(sorted(index.column_positions)) == wanted:

@@ -39,12 +39,6 @@ SPAN_KINDS = (
     "worker", "dispatch",
 )
 
-#: Installed by :func:`repro.obs.profiler.activate`: called with each new
-#: Tracer so the sampling profiler can attribute the creating thread's
-#: samples to the tracer's active spans. ``None`` (the default) keeps
-#: tracer creation free of any profiler cost.
-_PROFILER_HOOK = None
-
 
 class Span:
     """One aggregate node of the span tree."""
@@ -170,9 +164,6 @@ class Tracer:
         self._stack: list[_Frame] = []
         self.roots: list[Span] = []
         self._root_index: dict[tuple, Span] = {}
-        hook = _PROFILER_HOOK
-        if hook is not None:
-            hook(self)
 
     # -- wiring -------------------------------------------------------------
 
@@ -262,20 +253,6 @@ class Tracer:
         if attrs:
             span.attrs.update(attrs)
         return span
-
-    def active_operator_stack(self) -> list[str]:
-        """The names of the currently-open operator/step spans, outermost
-        first -- the sampling profiler's attribution context.
-
-        Read racily from the sampling thread while the owning thread keeps
-        executing; a torn read is at worst one mis-attributed sample (see
-        :mod:`repro.obs.profiler`), so no lock is taken here.
-        """
-        return [
-            frame.span.name
-            for frame in list(self._stack)
-            if frame.span.kind in ("operator", "step")
-        ]
 
     # -- aggregation ---------------------------------------------------------
 

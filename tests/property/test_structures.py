@@ -5,43 +5,13 @@ from hypothesis import strategies as st
 
 from repro.sql.parser import parse_expression, parse_statement
 from repro.sql.printer import expr_to_sql, to_sql
-from repro.storage import HashIndex, SortedIndex
+from repro.storage import HashIndex
 from repro.tpcd import TPCDGenerator
 from repro.storage import Catalog
 from repro.tpcd.schema import create_tpcd_schema
 from repro.types import sort_key
 
 values = st.one_of(st.none(), st.integers(-20, 20))
-
-
-class TestSortedIndexEquivalence:
-    @given(st.lists(values, max_size=40),
-           st.integers(-20, 20), st.integers(-20, 20))
-    def test_range_matches_naive_filter(self, data, low, high):
-        if low > high:
-            low, high = high, low
-        index = SortedIndex("i", 0)
-        index.bulk_load(enumerate(data))
-        expected = sorted(
-            i for i, v in enumerate(data) if v is not None and low <= v <= high
-        )
-        assert sorted(index.range(low=low, high=high)) == expected
-
-    @given(st.lists(values, max_size=40), st.integers(-20, 20))
-    def test_lookup_matches_naive(self, data, probe):
-        index = SortedIndex("i", 0)
-        index.bulk_load(enumerate(data))
-        expected = sorted(i for i, v in enumerate(data) if v == probe)
-        assert sorted(index.lookup(probe)) == expected
-
-    @given(st.lists(values, max_size=40))
-    def test_incremental_equals_bulk(self, data):
-        a = SortedIndex("a", 0)
-        b = SortedIndex("b", 0)
-        for i, v in enumerate(data):
-            a.insert(i, (v,))
-        b.bulk_load(enumerate(data))
-        assert a.range() == b.range()
 
 
 class TestHashIndexEquivalence:

@@ -302,9 +302,14 @@ class TestDDL:
     def test_create_index(self):
         s = parse_statement("CREATE INDEX i ON partsupp (ps_suppkey)")
         assert isinstance(s, ast.CreateIndex)
-        assert not s.unique and s.kind == "hash"
-        s = parse_statement("CREATE UNIQUE INDEX i ON t (a, b) USING SORTED")
-        assert s.unique and s.kind == "sorted" and s.columns == ("a", "b")
+        assert not s.unique and s.columns == ("ps_suppkey",)
+        s = parse_statement("CREATE UNIQUE INDEX i ON t (a, b)")
+        assert s.unique and s.columns == ("a", "b")
+        # There is one index kind, so no USING clause to pick one.
+        sql = "CREATE UNIQUE INDEX i ON t (a, b) USING SORTED"
+        with pytest.raises(ParseError) as info:
+            parse_statement(sql)
+        assert info.value.span.start == sql.index("USING")
 
     def test_drop_index(self):
         s = parse_statement("DROP INDEX i ON partsupp")

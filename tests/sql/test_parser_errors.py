@@ -23,7 +23,7 @@ BAD_STATEMENTS = [
     ("CREATE TABLE t", "("),
     ("CREATE TABLE t (a)", "type name"),
     ("CREATE INDEX i ON t", "("),
-    ("CREATE INDEX i ON t (a) USING btree", "HASH or SORTED"),
+    ("CREATE INDEX i ON t (a) USING btree", "trailing"),
     ("DROP INDEX i", "ON"),
     ("INSERT INTO t", "VALUES"),
     ("SELECT a FROM t;;; SELECT", "trailing"),

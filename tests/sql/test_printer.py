@@ -24,7 +24,6 @@ ROUND_TRIP_STATEMENTS = [
     "SELECT coalesce(a, 0), count(DISTINCT b) FROM t",
     "SELECT a FROM t WHERE s LIKE '%x%' AND NOT (a = 1)",
     "CREATE TABLE t (a INT NOT NULL, b FLOAT, PRIMARY KEY (a))",
-    "CREATE UNIQUE INDEX i ON t (a, b) USING SORTED",
     "CREATE INDEX i ON t (a)",
     "DROP INDEX i ON t",
     "CREATE VIEW v AS SELECT a FROM t",

@@ -33,8 +33,6 @@ class TestEmptyTables:
         table = make_table()
         idx = table.create_index("i", ["a"])
         assert idx.lookup(1) == []
-        sorted_idx = table.create_index("s", ["a"], kind="sorted")
-        assert sorted_idx.range() == []
 
 
 class TestAllNullColumn:
@@ -46,14 +44,6 @@ class TestAllNullColumn:
         assert stats.n_null == 2
         assert stats.n_distinct == 0
         assert stats.selectivity_eq(2) == 0.0
-
-    def test_sorted_index_skips_nulls(self):
-        table = make_table()
-        table.insert((None, "x"))
-        table.insert((1, "y"))
-        idx = table.create_index("s", ["a"], kind="sorted")
-        assert idx.range() == [1]
-        assert idx.lookup(None) == []
 
 
 class TestMixedValues:

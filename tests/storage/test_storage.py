@@ -8,7 +8,6 @@ from repro.storage import (
     Column,
     HashIndex,
     Schema,
-    SortedIndex,
     Table,
     compute_table_stats,
 )
@@ -94,16 +93,6 @@ class TestTable:
         assert idx.lookup("B9") == []
         assert idx.lookup(None) == []
 
-    def test_sorted_index_range(self):
-        t = self.make()
-        t.create_index("emp_sal", ["salary"], kind="sorted")
-        idx = t.indexes["emp_sal"]
-        assert sorted(idx.range(low=100.0, high=200.0)) == [0, 1]
-        assert sorted(idx.range(low=150.0)) == [1]
-        assert sorted(idx.range(high=150.0)) == [0]
-        # NULL salary row never matches a range
-        assert 2 not in idx.range()
-
     def test_index_maintained_on_insert(self):
         t = self.make()
         t.create_index("emp_building", ["building"])
@@ -156,22 +145,6 @@ class TestIndexUnits:
         idx = HashIndex("i", (0,), unique=True)
         idx.insert(0, (None,))
         idx.insert(1, (None,))  # SQL allows repeated NULLs in unique indexes
-
-    def test_sorted_unique_violation(self):
-        idx = SortedIndex("i", 0, unique=True)
-        idx.insert(0, (5,))
-        with pytest.raises(SchemaError):
-            idx.insert(1, (5,))
-
-    def test_sorted_bulk_load_matches_inserts(self):
-        a = SortedIndex("a", 0)
-        b = SortedIndex("b", 0)
-        values = [3, 1, None, 2, 1]
-        for rid, v in enumerate(values):
-            a.insert(rid, (v,))
-        b.bulk_load(enumerate(values))
-        assert a.range() == b.range()
-        assert a.lookup(1) == b.lookup(1)
 
 
 class TestCatalog:
