@@ -221,7 +221,10 @@ class RewriteEngine:
 
         if self.validate:
             self.check(result, "final rewrite")
-        else:
+        elif key != "ni":
+            # NI hands back the graph validated above, untouched. The other
+            # strategies rewrite in place, so ``result is graph`` proves
+            # nothing for them.
             validate_graph(result, self.catalog)
         return result
 

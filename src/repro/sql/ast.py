@@ -13,11 +13,10 @@ per-node-type knowledge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, Optional, TypeVar, Union
+from typing import Any, Iterator, NamedTuple, Optional, TypeVar, Union
 
 
-@dataclass(frozen=True)
-class Span:
+class Span(NamedTuple):
     """A half-open ``[start, end)`` character range in the source SQL text.
 
     ``line``/``column`` are 1-based and point at the first character (they

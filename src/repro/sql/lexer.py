@@ -1,15 +1,18 @@
-"""Hand-written SQL lexer.
+"""SQL lexer: one compiled pattern, run once over the text.
 
-Produces a flat list of :class:`Token`. Keywords are not distinguished from
-identifiers here; the parser matches identifier tokens case-insensitively
-against expected keywords, which keeps the lexer reusable for the Starburst
-``DT(cols) AS (...)`` derived-table syntax where e.g. ``DT`` is a name.
+Produces a flat list of :class:`Token`. Keywords are not a token kind: a
+bare identifier carries its upper-case spelling in :attr:`Token.keyword`
+and the parser compares that against the keywords it expects. Quoted
+identifiers carry ``keyword=None``, so ``"order"`` is a name and never the
+keyword ORDER, and the Starburst ``DT(cols) AS (...)`` derived-table syntax
+can use e.g. ``DT`` as a name.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import re
+from typing import NamedTuple, Optional
 
 from ..errors import LexError
 
@@ -22,149 +25,100 @@ class TokenKind(enum.Enum):
     EOF = "EOF"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     value: object  # parsed value for NUMBER/STRING, text otherwise
     position: int
     line: int
     column: int
+    #: One past the token's last source character, quotes included.
+    end: int
+    #: Upper-case text of a bare identifier; ``None`` for every other token,
+    #: quoted identifiers included.
+    keyword: Optional[str]
 
     def matches_keyword(self, word: str) -> bool:
-        """Case-insensitive identifier/keyword match."""
-        return self.kind is TokenKind.IDENT and self.text.upper() == word.upper()
-
-    @property
-    def end(self) -> int:
-        """One past the token's last source character.
-
-        Quoted strings/identifiers re-derive their width from the raw text,
-        which for them equals the unquoted form -- fall back to at least one
-        character so zero-width spans never occur.
-        """
-        return self.position + max(len(self.text), 1)
+        """Is this a bare identifier spelling ``word`` (in any case)?"""
+        return self.keyword == word.upper()
 
 
-#: Multi-character operators, longest first so the scanner is greedy.
-_SYMBOLS = ("<>", "<=", ">=", "!=", "||", "(", ")", ",", ".", "+", "-", "*", "/", "<", ">", "=", ";", "?")
+#: The whole lexical grammar: the blanks before a token, then exactly one
+#: of the groups, tried in order. ``findall`` hands back one tuple of
+#: strings per token, so no match objects are built and a token's position
+#: is the running sum of the lengths before it. A newline is its own group
+#: and the only one that moves the line: strings and quoted identifiers may
+#: span lines without changing the line of the tokens after them. ``bad``
+#: takes the one character no other group accepts; trailing blanks match
+#: nothing and are skipped.
+_TOKEN = re.compile(
+    r"""([ \t\r]*)(?:
+      ([A-Za-z_][A-Za-z0-9_\#$]*)
+    | (<>|<=|>=|!=|\|\||[(),+*/<>=;?]|-(?!-)|\.(?![0-9]))
+    | ((?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+    | (\n)
+    | (--[^\n]*)
+    | ('[^']*(?:''[^']*)*'(?!'))
+    | ("[^"]*")
+    | ([^ \t\r])
+    )""",
+    re.VERBOSE,
+)
 
-_IDENT_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_")
-_IDENT_CONT = _IDENT_START | set("0123456789#$")
-_DIGITS = set("0123456789")
+_IDENT = TokenKind.IDENT
+_NUMBER = TokenKind.NUMBER
+_STRING = TokenKind.STRING
+_SYMBOL = TokenKind.SYMBOL
+#: ``_new(Token, fields)`` is what ``Token(*fields)`` does, without the
+#: Python-level ``__new__`` in between.
+_new = tuple.__new__
 
 
 def tokenize(text: str) -> list[Token]:
     """Tokenize ``text``; raises :class:`LexError` on invalid input."""
     tokens: list[Token] = []
-    i = 0
+    append = tokens.append
     line = 1
     line_start = 0
-    n = len(text)
-
-    def here(pos: int) -> tuple[int, int]:
-        return line, pos - line_start + 1
-
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
+    end = 0
+    for space, ident, symbol, number, newline, comment, string, quoted, bad in (
+        _TOKEN.findall(text)
+    ):
+        start = end + len(space)
+        column = start - line_start + 1
+        if ident:
+            end = start + len(ident)
+            append(_new(Token, (_IDENT, ident, ident, start, line, column, end, ident.upper())))
+        elif symbol:
+            end = start + len(symbol)
+            append(_new(Token, (_SYMBOL, symbol, symbol, start, line, column, end, None)))
+        elif newline:
+            end = line_start = start + 1
             line += 1
-            i += 1
-            line_start = i
-            continue
-        if ch in " \t\r":
-            i += 1
-            continue
-        if ch == "-" and i + 1 < n and text[i + 1] == "-":
-            # Line comment.
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        start = i
-        ln, col = here(i)
-        if ch in _IDENT_START:
-            while i < n and text[i] in _IDENT_CONT:
-                i += 1
-            word = text[start:i]
-            tokens.append(Token(TokenKind.IDENT, word, word, start, ln, col))
-            continue
-        if ch in _DIGITS or (ch == "." and i + 1 < n and text[i + 1] in _DIGITS):
-            i, token = _scan_number(text, start, ln, col)
-            tokens.append(token)
-            continue
-        if ch == "'":
-            i, token = _scan_string(text, start, ln, col)
-            tokens.append(token)
-            continue
-        if ch == '"':
-            i, token = _scan_quoted_ident(text, start, ln, col)
-            tokens.append(token)
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                i += len(sym)
-                tokens.append(Token(TokenKind.SYMBOL, sym, sym, start, ln, col))
-                break
+        elif number:
+            end = start + len(number)
+            value: object = (
+                float(number) if "." in number or "e" in number or "E" in number
+                else int(number)
+            )
+            append(_new(Token, (_NUMBER, number, value, start, line, column, end, None)))
+        elif comment:
+            end = start + len(comment)
+        elif string:
+            end = start + len(string)
+            value = string[1:-1].replace("''", "'")
+            append(_new(Token, (_STRING, string, value, start, line, column, end, None)))
+        elif quoted:
+            end = start + len(quoted)
+            name = quoted[1:-1]
+            append(_new(Token, (_IDENT, name, name, start, line, column, end, None)))
+        elif bad == "'":
+            raise LexError("unterminated string literal", start, line, column)
+        elif bad == '"':
+            raise LexError("unterminated quoted identifier", start, line, column)
         else:
-            raise LexError(f"unexpected character {ch!r}", start, ln, col)
-    tokens.append(Token(TokenKind.EOF, "", None, n, *here(n)))
+            raise LexError(f"unexpected character {bad!r}", start, line, column)
+    # EOF spans one character past the text, so an error there has a width.
+    n = len(text)
+    tokens.append(Token(TokenKind.EOF, "", None, n, line, n - line_start + 1, n + 1, None))
     return tokens
-
-
-def _scan_number(text: str, start: int, ln: int, col: int) -> tuple[int, Token]:
-    i = start
-    n = len(text)
-    is_float = False
-    while i < n and text[i] in _DIGITS:
-        i += 1
-    if i < n and text[i] == ".":
-        is_float = True
-        i += 1
-        while i < n and text[i] in _DIGITS:
-            i += 1
-    if i < n and text[i] in "eE":
-        j = i + 1
-        if j < n and text[j] in "+-":
-            j += 1
-        if j < n and text[j] in _DIGITS:
-            is_float = True
-            i = j
-            while i < n and text[i] in _DIGITS:
-                i += 1
-    word = text[start:i]
-    value: object = float(word) if is_float else int(word)
-    return i, Token(TokenKind.NUMBER, word, value, start, ln, col)
-
-
-def _scan_string(text: str, start: int, ln: int, col: int) -> tuple[int, Token]:
-    # Single-quoted SQL string; '' escapes a quote.
-    i = start + 1
-    n = len(text)
-    parts: list[str] = []
-    while i < n:
-        ch = text[i]
-        if ch == "'":
-            if i + 1 < n and text[i + 1] == "'":
-                parts.append("'")
-                i += 2
-                continue
-            i += 1
-            word = text[start:i]
-            return i, Token(TokenKind.STRING, word, "".join(parts), start, ln, col)
-        parts.append(ch)
-        i += 1
-    raise LexError("unterminated string literal", start, ln, col)
-
-
-def _scan_quoted_ident(text: str, start: int, ln: int, col: int) -> tuple[int, Token]:
-    # Double-quoted identifier (case-preserving not supported: folded lower
-    # like plain identifiers, but allows reserved words / odd characters).
-    i = start + 1
-    n = len(text)
-    while i < n and text[i] != '"':
-        i += 1
-    if i >= n:
-        raise LexError("unterminated quoted identifier", start, ln, col)
-    word = text[start + 1 : i]
-    i += 1
-    return i, Token(TokenKind.IDENT, word, word, start, ln, col)

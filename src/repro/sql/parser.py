@@ -18,13 +18,20 @@ from . import ast
 from .lexer import Token, TokenKind, tokenize
 
 #: Words that terminate clause parsing and therefore cannot be bare aliases.
-_RESERVED = {
+RESERVED = frozenset({
     "SELECT", "FROM", "WHERE", "GROUP", "HAVING", "ORDER", "LIMIT", "ON",
     "UNION", "INTERSECT", "EXCEPT", "JOIN", "LEFT", "RIGHT", "INNER", "OUTER",
     "CROSS", "AS", "AND", "OR", "NOT", "IN", "IS", "LIKE", "BETWEEN",
     "EXISTS", "ANY", "SOME", "ALL", "DISTINCT", "NULL", "VALUES", "SET",
     "BY", "ASC", "DESC", "CASE", "WHEN", "THEN", "ELSE", "END",
-}
+})
+
+#: Bare words that read as something other than a name where the printer
+#: puts one: the reserved words, the literals TRUE and FALSE, and PRIMARY
+#: at the head of a column definition. The printer quotes such a name.
+KEYWORD_NAMES = RESERVED | {"TRUE", "FALSE", "PRIMARY"}
+
+_LITERAL_KEYWORDS = {"NULL": None, "TRUE": True, "FALSE": False}
 
 _TYPE_NAMES = {
     "INT": "INT", "INTEGER": "INT", "SMALLINT": "INT", "BIGINT": "INT",
@@ -37,9 +44,19 @@ _TYPE_NAMES = {
 
 _COMPARISON_OPS = {"=", "<>", "!=", "<", "<=", ">", ">="}
 
+_SYMBOL = TokenKind.SYMBOL
+_IDENT = TokenKind.IDENT
+_EOF = TokenKind.EOF
+
 
 class _Parser:
-    """Token-stream cursor with the grammar productions as methods."""
+    """Token-stream cursor with the grammar productions as methods.
+
+    ``pos`` never passes the EOF token, so the current token is always
+    ``tokens[pos]``. Keywords are tested against ``Token.keyword``, the
+    upper-case form the lexer gives bare identifiers only, and every
+    keyword argument below is written in upper case.
+    """
 
     def __init__(self, text: str):
         self.tokens = tokenize(text)
@@ -51,12 +68,13 @@ class _Parser:
     # -- cursor helpers ----------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        index = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[index]
+        if offset:
+            return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos]
 
     def advance(self) -> Token:
         token = self.tokens[self.pos]
-        if token.kind is not TokenKind.EOF:
+        if token.kind is not _EOF:
             self.pos += 1
         return token
 
@@ -70,30 +88,37 @@ class _Parser:
     def _spanned(self, node, start_token: Token):
         """Stamp ``node`` with the source range from ``start_token`` to the
         most recently consumed token (see :func:`repro.sql.ast.set_span`)."""
-        last = self.tokens[max(self.pos - 1, 0)]
-        end = max(last.end, start_token.position + 1)
+        start = start_token.position
+        last = self.tokens[self.pos - 1] if self.pos else start_token
+        end = max(last.end, start + 1)
         return ast.set_span(
-            node,
-            ast.Span(start_token.position, end, start_token.line, start_token.column),
+            node, ast.Span(start, end, start_token.line, start_token.column)
         )
 
     def at_keyword(self, *words: str) -> bool:
-        return any(self.peek().matches_keyword(w) for w in words)
+        return self.tokens[self.pos].keyword in words
 
     def accept_keyword(self, word: str) -> bool:
-        if self.peek().matches_keyword(word):
-            self.advance()
+        # A token with a keyword is an identifier, never EOF: step over it.
+        if self.tokens[self.pos].keyword == word:
+            self.pos += 1
             return True
         return False
 
     def expect_keyword(self, word: str) -> Token:
-        if not self.peek().matches_keyword(word):
+        token = self.tokens[self.pos]
+        if token.keyword != word:
             raise self.error(f"expected {word}")
-        return self.advance()
+        self.pos += 1
+        return token
 
     def at_symbol(self, symbol: str) -> bool:
-        token = self.peek()
-        return token.kind is TokenKind.SYMBOL and token.text == symbol
+        token = self.tokens[self.pos]
+        return token.text == symbol and token.kind is _SYMBOL
+
+    def symbol_ahead(self, offset: int, symbol: str) -> bool:
+        token = self.peek(offset)
+        return token.text == symbol and token.kind is _SYMBOL
 
     def accept_symbol(self, symbol: str) -> bool:
         if self.at_symbol(symbol):
@@ -107,19 +132,20 @@ class _Parser:
         return self.advance()
 
     def expect_ident(self, what: str = "identifier") -> str:
-        token = self.peek()
-        if token.kind is not TokenKind.IDENT:
+        token = self.tokens[self.pos]
+        if token.kind is not _IDENT:
             raise self.error(f"expected {what}")
-        self.advance()
+        self.pos += 1
         return token.text.lower()
 
     def expect_alias(self) -> str:
         """An alias: an identifier that is not a reserved word (so that
-        ``SELECT a AS FROM t`` fails at the AS, not three tokens later)."""
-        token = self.peek()
-        if token.kind is not TokenKind.IDENT or token.text.upper() in _RESERVED:
+        ``SELECT a AS FROM t`` fails at the AS, not three tokens later).
+        A quoted identifier is never a reserved word."""
+        if not self._at_bare_alias():
             raise self.error("expected alias")
-        self.advance()
+        token = self.tokens[self.pos]
+        self.pos += 1
         return token.text.lower()
 
     # -- statements ----------------------------------------------------------
@@ -210,7 +236,7 @@ class _Parser:
         if self.accept_symbol("("):
             columns = tuple(self._ident_list())
             self.expect_symbol(")")
-        if self.at_keyword("SELECT") or self._starts_query_here():
+        if self._starts_query():
             return ast.Insert(table, columns, (), self.parse_query())
         self.expect_keyword("VALUES")
         rows: list[tuple[ast.Expr, ...]] = []
@@ -333,11 +359,8 @@ class _Parser:
         return ast.SelectItem(expr, alias)
 
     def _at_bare_alias(self) -> bool:
-        token = self.peek()
-        return (
-            token.kind is TokenKind.IDENT
-            and token.text.upper() not in _RESERVED
-        )
+        token = self.tokens[self.pos]
+        return token.kind is _IDENT and token.keyword not in RESERVED
 
     # -- FROM items --------------------------------------------------------------
 
@@ -374,7 +397,7 @@ class _Parser:
     def _from_primary_inner(self) -> ast.FromItem:
         if self.at_symbol("("):
             # Either a parenthesised join/table or a derived table body.
-            if self._paren_starts_query():
+            if self._starts_query():
                 self.expect_symbol("(")
                 query = self.parse_query()
                 self.expect_symbol(")")
@@ -402,12 +425,12 @@ class _Parser:
             alias = self.expect_alias()
         return ast.TableRef(name, alias)
 
-    def _paren_starts_query(self) -> bool:
-        """Does the upcoming parenthesised group contain a query body?"""
+    def _starts_query(self) -> bool:
+        """Is the next thing a query body, behind any number of ``(``?"""
         offset = 0
-        while self.peek(offset).kind is TokenKind.SYMBOL and self.peek(offset).text == "(":
+        while self.symbol_ahead(offset, "("):
             offset += 1
-        return self.peek(offset).matches_keyword("SELECT")
+        return self.peek(offset).keyword == "SELECT"
 
     def _starburst_derived_follows(self) -> bool:
         """After ``name`` and at ``(``: is this ``name(cols) AS (query)``?
@@ -417,20 +440,19 @@ class _Parser:
         offset = 1  # past '('
         # Identifier list: IDENT (, IDENT)*
         while True:
-            if self.peek(offset).kind is not TokenKind.IDENT:
+            if self.peek(offset).kind is not _IDENT:
                 return False
             offset += 1
-            if self.peek(offset).kind is TokenKind.SYMBOL and self.peek(offset).text == ",":
+            if self.symbol_ahead(offset, ","):
                 offset += 1
                 continue
             break
-        if not (self.peek(offset).kind is TokenKind.SYMBOL and self.peek(offset).text == ")"):
+        if not self.symbol_ahead(offset, ")"):
             return False
         offset += 1
-        if not self.peek(offset).matches_keyword("AS"):
+        if self.peek(offset).keyword != "AS":
             return False
-        offset += 1
-        return self.peek(offset).kind is TokenKind.SYMBOL and self.peek(offset).text == "("
+        return self.symbol_ahead(offset + 1, "(")
 
     def _derived_alias(self, required: bool) -> tuple[str, tuple[str, ...]]:
         self.accept_keyword("AS")
@@ -477,13 +499,13 @@ class _Parser:
 
     def _predicate_inner(self) -> ast.Expr:
         left = self._additive()
-        token = self.peek()
-        if token.kind is TokenKind.SYMBOL and token.text in _COMPARISON_OPS:
+        token = self.tokens[self.pos]
+        if token.kind is _SYMBOL and token.text in _COMPARISON_OPS:
             op = self.advance().text
             if op == "!=":
                 op = "<>"
             if self.at_keyword("ANY", "SOME", "ALL"):
-                quantifier = "all" if self.advance().text.lower() == "all" else "any"
+                quantifier = "all" if self.advance().keyword == "ALL" else "any"
                 self.expect_symbol("(")
                 query = self.parse_query()
                 self.expect_symbol(")")
@@ -491,8 +513,7 @@ class _Parser:
             right = self._additive()
             return ast.Comparison(op, left, right)
         negated = False
-        if self.at_keyword("NOT") and self.peek(1).kind is TokenKind.IDENT and \
-                self.peek(1).text.upper() in ("IN", "LIKE", "BETWEEN"):
+        if self.at_keyword("NOT") and self.peek(1).keyword in ("IN", "LIKE", "BETWEEN"):
             self.advance()
             negated = True
         if self.accept_keyword("IS"):
@@ -509,7 +530,7 @@ class _Parser:
             return ast.Like(left, pattern, negated=negated)
         if self.accept_keyword("IN"):
             self.expect_symbol("(")
-            if self._starts_query_here():
+            if self._starts_query():
                 query = self.parse_query()
                 self.expect_symbol(")")
                 return ast.InSubquery(left, query, negated=negated)
@@ -522,17 +543,11 @@ class _Parser:
             raise self.error("expected IN, LIKE or BETWEEN after NOT")
         return left
 
-    def _starts_query_here(self) -> bool:
-        offset = 0
-        while self.peek(offset).kind is TokenKind.SYMBOL and self.peek(offset).text == "(":
-            offset += 1
-        return self.peek(offset).matches_keyword("SELECT")
-
     def _additive(self) -> ast.Expr:
         left = self._multiplicative()
         while True:
-            token = self.peek()
-            if token.kind is TokenKind.SYMBOL and token.text in ("+", "-", "||"):
+            token = self.tokens[self.pos]
+            if token.kind is _SYMBOL and token.text in ("+", "-", "||"):
                 op = self.advance().text
                 right = self._multiplicative()
                 left = ast.BinaryOp(op, left, right)
@@ -542,8 +557,8 @@ class _Parser:
     def _multiplicative(self) -> ast.Expr:
         left = self._unary()
         while True:
-            token = self.peek()
-            if token.kind is TokenKind.SYMBOL and token.text in ("*", "/"):
+            token = self.tokens[self.pos]
+            if token.kind is _SYMBOL and token.text in ("*", "/"):
                 op = self.advance().text
                 right = self._unary()
                 left = ast.BinaryOp(op, left, right)
@@ -564,53 +579,43 @@ class _Parser:
         return self._spanned(self._primary_inner(), start)
 
     def _primary_inner(self) -> ast.Expr:
-        token = self.peek()
-        if token.kind is TokenKind.NUMBER or token.kind is TokenKind.STRING:
-            self.advance()
-            return ast.Literal(token.value)
-        if token.kind is TokenKind.SYMBOL and token.text == "?":
-            self.advance()
-            index = self._param_count
-            self._param_count += 1
-            return ast.Parameter(index)
-        if token.matches_keyword("NULL"):
-            self.advance()
-            return ast.Literal(None)
-        if token.matches_keyword("TRUE"):
-            self.advance()
-            return ast.Literal(True)
-        if token.matches_keyword("FALSE"):
-            self.advance()
-            return ast.Literal(False)
-        if token.matches_keyword("EXISTS"):
-            self.advance()
-            self.expect_symbol("(")
-            query = self.parse_query()
-            self.expect_symbol(")")
-            return ast.Exists(query)
-        if token.matches_keyword("CASE"):
-            return self._case()
-        if self.at_symbol("("):
-            if self._starts_query_after_paren():
+        token = self.tokens[self.pos]
+        kind = token.kind
+        if kind is _IDENT:
+            keyword = token.keyword
+            if keyword in _LITERAL_KEYWORDS:
+                self.pos += 1
+                return ast.Literal(_LITERAL_KEYWORDS[keyword])
+            if keyword == "EXISTS":
+                self.pos += 1
                 self.expect_symbol("(")
                 query = self.parse_query()
                 self.expect_symbol(")")
-                return ast.ScalarSubquery(query)
-            self.expect_symbol("(")
-            expr = self.parse_expr()
-            self.expect_symbol(")")
-            return expr
-        if token.kind is TokenKind.IDENT:
-            if token.text.upper() in _RESERVED:
+                return ast.Exists(query)
+            if keyword == "CASE":
+                return self._case()
+            if keyword in RESERVED:
                 raise self.error("expected an expression")
             return self._name_or_call()
+        if kind is TokenKind.NUMBER or kind is TokenKind.STRING:
+            self.pos += 1
+            return ast.Literal(token.value)
+        if kind is _SYMBOL:
+            if token.text == "?":
+                self.pos += 1
+                index = self._param_count
+                self._param_count += 1
+                return ast.Parameter(index)
+            if token.text == "(":
+                self.pos += 1
+                if self._starts_query():
+                    query = self.parse_query()
+                    self.expect_symbol(")")
+                    return ast.ScalarSubquery(query)
+                expr = self.parse_expr()
+                self.expect_symbol(")")
+                return expr
         raise self.error("expected an expression")
-
-    def _starts_query_after_paren(self) -> bool:
-        offset = 0
-        while self.peek(offset).kind is TokenKind.SYMBOL and self.peek(offset).text == "(":
-            offset += 1
-        return self.peek(offset).matches_keyword("SELECT")
 
     def _case(self) -> ast.Expr:
         """Searched CASE: ``CASE WHEN cond THEN value [...] [ELSE value] END``."""
@@ -636,7 +641,7 @@ class _Parser:
             return self._call(first)
         parts = [first]
         while self.at_symbol("."):
-            if self.peek(1).kind is TokenKind.SYMBOL and self.peek(1).text == "*":
+            if self.symbol_ahead(1, "*"):
                 self.advance()  # '.'
                 self.advance()  # '*'
                 return ast.Star(qualifier=parts[0] if len(parts) == 1 else ".".join(parts))
@@ -669,7 +674,7 @@ def parse_statement(text: str) -> ast.Statement:
     parser = _Parser(text)
     statement = parser.parse_statement()
     parser.accept_symbol(";")
-    if parser.peek().kind is not TokenKind.EOF:
+    if parser.peek().kind is not _EOF:
         raise parser.error("unexpected trailing input")
     return statement
 
@@ -678,7 +683,7 @@ def parse_statements(text: str) -> list[ast.Statement]:
     """Parse a ``;``-separated script."""
     parser = _Parser(text)
     statements: list[ast.Statement] = []
-    while parser.peek().kind is not TokenKind.EOF:
+    while parser.peek().kind is not _EOF:
         statements.append(parser.parse_statement())
         while parser.accept_symbol(";"):
             pass
@@ -689,6 +694,6 @@ def parse_expression(text: str) -> ast.Expr:
     """Parse a standalone expression (used by tests and the REPL example)."""
     parser = _Parser(text)
     expr = parser.parse_expr()
-    if parser.peek().kind is not TokenKind.EOF:
+    if parser.peek().kind is not _EOF:
         raise parser.error("unexpected trailing input")
     return expr

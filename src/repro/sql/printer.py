@@ -6,9 +6,25 @@ property test) and is also used to display rewritten queries in examples.
 
 from __future__ import annotations
 
+import re
 from typing import Any
 
 from . import ast
+from .parser import KEYWORD_NAMES
+
+_BARE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_#$]*")
+
+
+def _name(part: str) -> str:
+    """A name as it reads back: double-quoted when it spells a keyword or
+    is not a bare identifier."""
+    if part.upper() in KEYWORD_NAMES or not _BARE_NAME.fullmatch(part):
+        return f'"{part}"'
+    return part
+
+
+def _names(parts) -> str:
+    return ", ".join(_name(p) for p in parts)
 
 
 def _literal(value: Any) -> str:
@@ -29,9 +45,11 @@ def expr_to_sql(expr: ast.Expr) -> str:
     if isinstance(expr, ast.Literal):
         return _literal(expr.value)
     if isinstance(expr, ast.Name):
-        return ".".join(expr.parts)
+        return ".".join(_name(p) for p in expr.parts)
     if isinstance(expr, ast.Star):
-        return f"{expr.qualifier}.*" if expr.qualifier else "*"
+        if not expr.qualifier:
+            return "*"
+        return ".".join(_name(p) for p in expr.qualifier.split(".")) + ".*"
     if isinstance(expr, ast.BinaryOp):
         return f"({expr_to_sql(expr.left)} {expr.op} {expr_to_sql(expr.right)})"
     if isinstance(expr, ast.UnaryMinus):
@@ -95,11 +113,11 @@ def expr_to_sql(expr: ast.Expr) -> str:
 def _from_item(item: ast.FromItem) -> str:
     if isinstance(item, ast.TableRef):
         if item.alias:
-            return f"{item.name} AS {item.alias}"
-        return item.name
+            return f"{_name(item.name)} AS {_name(item.alias)}"
+        return _name(item.name)
     if isinstance(item, ast.DerivedTable):
-        cols = f"({', '.join(item.column_aliases)})" if item.column_aliases else ""
-        return f"({to_sql(item.query)}) AS {item.alias}{cols}"
+        cols = f"({_names(item.column_aliases)})" if item.column_aliases else ""
+        return f"({to_sql(item.query)}) AS {_name(item.alias)}{cols}"
     if isinstance(item, ast.Join):
         keyword = "LEFT OUTER JOIN" if item.kind == "left" else "JOIN"
         on = f" ON {expr_to_sql(item.condition)}" if item.condition is not None else ""
@@ -122,28 +140,29 @@ def to_sql(body: ast.Statement) -> str:
         defs = []
         for col in body.columns:
             suffix = " NOT NULL" if col.not_null else ""
-            defs.append(f"{col.name} {col.type_name}{suffix}")
+            defs.append(f"{_name(col.name)} {col.type_name}{suffix}")
         if body.primary_key:
-            defs.append(f"PRIMARY KEY ({', '.join(body.primary_key)})")
-        return f"CREATE TABLE {body.name} ({', '.join(defs)})"
+            defs.append(f"PRIMARY KEY ({_names(body.primary_key)})")
+        return f"CREATE TABLE {_name(body.name)} ({', '.join(defs)})"
     if isinstance(body, ast.CreateIndex):
         unique = "UNIQUE " if body.unique else ""
         return (
-            f"CREATE {unique}INDEX {body.name} ON {body.table} "
-            f"({', '.join(body.columns)})"
+            f"CREATE {unique}INDEX {_name(body.name)} ON {_name(body.table)} "
+            f"({_names(body.columns)})"
         )
     if isinstance(body, ast.DropIndex):
-        return f"DROP INDEX {body.name} ON {body.table}"
+        return f"DROP INDEX {_name(body.name)} ON {_name(body.table)}"
     if isinstance(body, ast.CreateView):
-        return f"CREATE VIEW {body.name} AS {to_sql(body.query)}"
+        return f"CREATE VIEW {_name(body.name)} AS {to_sql(body.query)}"
     if isinstance(body, ast.Insert):
-        cols = f" ({', '.join(body.columns)})" if body.columns else ""
+        cols = f" ({_names(body.columns)})" if body.columns else ""
+        table = _name(body.table)
         if body.query is not None:
-            return f"INSERT INTO {body.table}{cols} {to_sql(body.query)}"
+            return f"INSERT INTO {table}{cols} {to_sql(body.query)}"
         rows = ", ".join(
             "(" + ", ".join(expr_to_sql(v) for v in row) + ")" for row in body.rows
         )
-        return f"INSERT INTO {body.table}{cols} VALUES {rows}"
+        return f"INSERT INTO {table}{cols} VALUES {rows}"
     raise TypeError(f"cannot print statement {body!r}")
 
 
@@ -165,7 +184,7 @@ def _select_to_sql(select: ast.Select) -> str:
     for item in select.items:
         text = expr_to_sql(item.expr)
         if item.alias:
-            text += f" AS {item.alias}"
+            text += f" AS {_name(item.alias)}"
         items.append(text)
     parts = ["SELECT "]
     if select.distinct:

@@ -15,6 +15,8 @@ import repro.qgm
 from repro import Database
 from repro.analyze import analyze_sql
 from repro.errors import BindError, CatalogError
+from repro.qgm.builder import bind_collecting
+from repro.sql import parse_statement
 
 from .test_semantic import POSITIVE
 
@@ -84,6 +86,19 @@ def test_statements_around_a_query_bind_it_the_same_way(empdept_catalog, sql, co
 ])
 def test_the_collecting_binder_reports_each_violation_once(empdept_catalog, sql, codes):
     assert [d.code for d in analyze_sql(sql, empdept_catalog).errors] == codes
+
+
+@pytest.mark.parametrize("sql, name", [
+    ('select "nosuch" from emp', '"nosuch"'),
+    ('select e."nosuch" from emp e', 'e."nosuch"'),
+    ('select e.name from emp e where "" > 1', '""'),
+])
+def test_a_quoted_name_is_spanned_to_its_closing_quote(empdept_catalog, sql, name):
+    (collected,) = bind_collecting(parse_statement(sql), empdept_catalog).errors
+    assert sql[collected.span.start:collected.span.end] == name
+    code, message, span, hint = _reported(empdept_catalog, sql)
+    assert (code, span) == ("SEM002", collected.span)
+    assert _raised(empdept_catalog, sql) == (code, message, span, hint)
 
 
 def test_a_view_that_no_longer_binds_is_reported_at_its_reference(empdept_catalog):

@@ -457,3 +457,27 @@ class TestOptMag:
         oracle = run(db, sql, Strategy.NESTED_ITERATION)
         assert run(db, sql, Strategy.MAGIC_OPT) == oracle
         assert opt.boxes_recomputed <= mag.boxes_recomputed
+
+
+@pytest.mark.parametrize("strategy, calls", [("ni", 1), ("magic", 2)])
+def test_validation_off_checks_an_unchanged_graph_once(
+    empdept_catalog, monkeypatch, strategy, calls
+):
+    """Without per-step validation the engine checks the bound graph, then
+    the rewritten one; NI rewrites nothing, so its graph is checked once."""
+    import repro.rewrite.engine as engine_module
+    from repro.qgm import build_qgm
+    from repro.sql import parse_statement
+
+    seen = []
+    real = engine_module.validate_graph
+
+    def spy(graph, catalog):
+        seen.append(graph)
+        return real(graph, catalog)
+
+    monkeypatch.setattr(engine_module, "validate_graph", spy)
+    graph = build_qgm(parse_statement(PAPER_QUERY), empdept_catalog)
+    engine = engine_module.RewriteEngine(empdept_catalog, validate=False)
+    engine.rewrite(graph, strategy)
+    assert len(seen) == calls

@@ -67,6 +67,21 @@ class TestTokenize:
         assert tokens[0].kind is TokenKind.IDENT
         assert tokens[0].text == "select"
 
+    def test_quoted_identifier_ends_after_its_closing_quote(self):
+        tokens = tokenize('a."order" ""')
+        assert [(t.position, t.end) for t in tokens] == [(0, 1), (1, 2), (2, 9), (10, 12), (12, 13)]
+
+    def test_keyword_form_is_for_bare_identifiers_only(self):
+        tokens = tokenize("""select "select" 'select' 1 ( Order""")
+        assert [t.keyword for t in tokens] == ["SELECT", None, None, None, None, "ORDER", None]
+        assert tokens[0].matches_keyword("select")
+        assert not tokens[1].matches_keyword("SELECT")
+
+    def test_token_is_immutable(self):
+        token = tokenize("x")[0]
+        with pytest.raises(AttributeError):
+            token.text = "y"
+
     def test_eof_token_present(self):
         tokens = tokenize("")
         assert len(tokens) == 1

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import ParseError
+from repro.sql import ast
 from repro.sql.parser import parse_expression, parse_statement
 
 BAD_STATEMENTS = [
@@ -61,7 +62,21 @@ def test_reserved_word_as_column_rejected():
 def test_quoted_reserved_word_allowed_as_table():
     # Double quotes turn reserved words into ordinary identifiers.
     statement = parse_statement('SELECT a FROM "select"')
-    from repro.sql import ast
-
     ref = statement.from_items[0]
     assert isinstance(ref, ast.TableRef) and ref.name == "select"
+
+
+@pytest.mark.parametrize("sql, expr, alias", [
+    ('select "order" from t', ast.Name(("order",)), None),
+    ('select x as "from" from t', ast.Name(("x",)), "from"),
+    ('SELECT e."order" FROM emp e WHERE "order" > 1', ast.Name(("e", "order")), None),
+])
+def test_quoted_reserved_word_is_a_name(sql, expr, alias):
+    (item,) = parse_statement(sql).items
+    assert (item.expr, item.alias) == (expr, alias)
+
+
+def test_quoted_keyword_is_never_the_keyword():
+    statement = parse_statement('SELECT "true" FROM t WHERE "null" IS NULL')
+    assert statement.items[0].expr == ast.Name(("true",))
+    assert statement.where.operand == ast.Name(("null",))

@@ -28,6 +28,13 @@ ROUND_TRIP_STATEMENTS = [
     "DROP INDEX i ON t",
     "CREATE VIEW v AS SELECT a FROM t",
     "INSERT INTO t (a, b) VALUES (1, 'x''y'), (2, NULL)",
+    # Quoted identifiers that spell a keyword are names, and print quoted.
+    'create table t ("order" int, "from" int, x int)',
+    'select "order" from t',
+    'select x as "from" from t',
+    'SELECT e."order" FROM emp e WHERE "order" > 1',
+    'SELECT "true", "null", "primary" FROM "select" AS "where"',
+    'CREATE TABLE "primary" ("primary" INT, "a b" INT, PRIMARY KEY ("primary"))',
 ]
 
 
