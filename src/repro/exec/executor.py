@@ -58,6 +58,7 @@ from ..qgm.model import (
     SelectBox,
     SetOpBox,
 )
+from ..plan.cost import TableSource
 from ..plan.planner import (
     HashJoinStep,
     IndexLookupStep,
@@ -631,7 +632,8 @@ class SetOpPlan:
 
 
 def plan_box(
-    catalog: Catalog, box: Box, guard=None, faults=None, graph_facts: Optional[GraphFacts] = None
+    catalog: TableSource, box: Box, guard=None, faults=None,
+    graph_facts: Optional[GraphFacts] = None,
 ):
     """The executor's plan for one box, its expressions compiled: a
     :class:`SelectPlan` (cost-based, see :mod:`repro.plan.planner`) for an

@@ -24,6 +24,7 @@ from ..sql import ast
 from ..sql.parser import parse_statement
 from ..storage.catalog import Catalog
 from .cache import CachedPlan
+from .cost import CompileCatalog
 
 
 def no_mark(phase: str) -> None:
@@ -74,12 +75,15 @@ def compile_query(
         )
     mark("rewrite")
     try:
-        # The rewritten graph is final: one table of its facts serves the
-        # planning of every box (DESIGN section 19).
-        facts = GraphFacts(graph.root)
+        # The rewritten graph is final: one table of its facts -- the one
+        # its final validation built, when nothing has touched it since --
+        # serves the planning of every box, and one view of the catalog
+        # every table and statistics lookup (DESIGN section 19).
+        facts = engine.facts or GraphFacts(graph.root)
+        tables = CompileCatalog(catalog)
         plans: dict[int, Any] = {}
         for box in facts.boxes:
-            plan = plan_box(catalog, box, guard, faults, facts)
+            plan = plan_box(tables, box, guard, faults, facts)
             if plan is not None:
                 plans[box.id] = plan
         if engine.validate:

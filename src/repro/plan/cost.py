@@ -9,9 +9,9 @@ after the outer block's joins (Query 1 vs Query 2 in section 5.3).
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Protocol
 
-from ..qgm.expr import BOX_SUBQUERY_TYPES, ColumnRef, walk_expr
+from ..qgm.expr import ColumnRef, expr_facts
 from ..qgm.model import (
     BaseTableBox,
     Box,
@@ -22,6 +22,43 @@ from ..qgm.model import (
 )
 from ..sql import ast
 from ..storage.catalog import Catalog
+from ..storage.stats import TableStats
+from ..storage.table import Table
+
+
+class TableSource(Protocol):
+    """What planning reads of a catalog: a :class:`Catalog`, or the
+    :class:`CompileCatalog` of one compile."""
+
+    def table(self, name: str) -> Table: ...
+
+    def stats(self, name: str) -> TableStats: ...
+
+
+class CompileCatalog:
+    """The catalog as one compile's planning reads it: each table and its
+    statistics looked up once, under the catalog lock. It lives for one
+    :func:`~repro.plan.compile.compile_query` call, as ``_BoxFacts`` lives
+    for one :func:`~repro.plan.planner.plan_select_box` (DESIGN section
+    18); nothing keeps it."""
+
+    def __init__(self, catalog: Catalog) -> None:
+        self.catalog = catalog
+        self._tables: dict[str, Table] = {}
+        self._stats: dict[str, TableStats] = {}
+
+    def table(self, name: str) -> Table:
+        table = self._tables.get(name)
+        if table is None:
+            table = self._tables[name] = self.catalog.table(name)
+        return table
+
+    def stats(self, name: str) -> TableStats:
+        stats = self._stats.get(name)
+        if stats is None:
+            stats = self._stats[name] = self.catalog.stats(name)
+        return stats
+
 
 #: Fallback selectivities when no statistics apply.
 DEFAULT_EQ_SELECTIVITY = 0.1
@@ -29,7 +66,7 @@ DEFAULT_RANGE_SELECTIVITY = 1.0 / 3.0
 DEFAULT_OTHER_SELECTIVITY = 0.5
 
 
-def column_ndv(catalog: Catalog, ref: ColumnRef) -> Optional[int]:
+def column_ndv(catalog: TableSource, ref: ColumnRef) -> Optional[int]:
     """Distinct-value count when the ref bottoms out at a base-table column."""
     box = ref.quantifier.box
     column = ref.column
@@ -49,9 +86,9 @@ def column_ndv(catalog: Catalog, ref: ColumnRef) -> Optional[int]:
     return None
 
 
-def predicate_selectivity(catalog: Catalog, predicate: ast.Expr) -> float:
+def predicate_selectivity(catalog: TableSource, predicate: ast.Expr) -> float:
     """Estimated fraction of rows satisfying ``predicate``."""
-    if any(isinstance(n, BOX_SUBQUERY_TYPES) for n in walk_expr(predicate)):
+    if expr_facts(predicate).subqueries:
         return DEFAULT_OTHER_SELECTIVITY
     if isinstance(predicate, ast.Comparison):
         if predicate.op == "=":
@@ -90,7 +127,7 @@ def predicate_selectivity(catalog: Catalog, predicate: ast.Expr) -> float:
     return DEFAULT_OTHER_SELECTIVITY
 
 
-def estimate_box_rows(catalog: Catalog, box: Box, memo: Optional[dict] = None) -> float:
+def estimate_box_rows(catalog: TableSource, box: Box, memo: Optional[dict] = None) -> float:
     """Estimated output cardinality of a box: a function of the box alone
     (the graph is acyclic), whoever asks. ``memo`` (box id -> estimate,
     :attr:`GraphFacts.rows <repro.qgm.analysis.GraphFacts>`) serves the
@@ -102,7 +139,7 @@ def estimate_box_rows(catalog: Catalog, box: Box, memo: Optional[dict] = None) -
     return memo[box.id]
 
 
-def _derive_rows(catalog: Catalog, box: Box, memo: dict[int, float]) -> float:
+def _derive_rows(catalog: TableSource, box: Box, memo: dict[int, float]) -> float:
     if isinstance(box, BaseTableBox):
         return float(max(1, catalog.stats(box.table_name).row_count))
     if isinstance(box, SelectBox):

@@ -25,16 +25,10 @@ from typing import Any, NamedTuple, Optional, Union
 
 from ..errors import PlanError
 from ..qgm.analysis import GraphFacts
-from ..qgm.expr import (
-    BOX_SUBQUERY_TYPES,
-    BoxScalarSubquery,
-    ColumnRef,
-    walk_expr,
-)
+from ..qgm.expr import BoxScalarSubquery, ColumnRef, expr_facts
 from ..qgm.model import BaseTableBox, Box, Quantifier, SelectBox
 from ..sql import ast
-from ..storage.catalog import Catalog
-from .cost import column_ndv, estimate_box_rows, predicate_selectivity
+from .cost import TableSource, column_ndv, estimate_box_rows, predicate_selectivity
 
 
 @dataclass
@@ -192,7 +186,7 @@ class _PredicateFacts:
 class _BoxFacts:
     """What the join-order search reads about one SPJ box."""
 
-    def __init__(self, catalog: Catalog, box: SelectBox, graph: GraphFacts):
+    def __init__(self, catalog: TableSource, box: SelectBox, graph: GraphFacts):
         self.catalog = catalog
         self.box = box
         self.graph = graph
@@ -216,7 +210,10 @@ class _BoxFacts:
         # quantifiers their correlations require.
         nodes = [node for pf in self.predicates for node in pf.scalars]
         for output in box.outputs:
-            nodes += [n for n in walk_expr(output.expr) if isinstance(n, BoxScalarSubquery)]
+            nodes += [
+                n for n in expr_facts(output.expr).subqueries
+                if isinstance(n, BoxScalarSubquery)
+            ]
         self.scalars: list[tuple[BoxScalarSubquery, int]] = []
         seen: set[int] = set()
         for node in nodes:
@@ -236,22 +233,19 @@ class _BoxFacts:
         """This box's quantifiers ``expr`` references directly (not
         entering subquery bodies)."""
         mask = 0
-        for node in walk_expr(expr):
-            if isinstance(node, ColumnRef):
-                mask |= self._bit.get(id(node.quantifier), 0)
+        for ref in expr_facts(expr).refs:
+            mask |= self._bit.get(id(ref.quantifier), 0)
         return mask
 
     def _add_predicate(self, predicate: ast.Expr) -> None:
         pi = len(self.predicates)
-        requires = 0
+        requires = self._refs_mask(predicate)
         scalars: list[BoxScalarSubquery] = []
         inline: list[ast.Expr] = []
-        for node in walk_expr(predicate):
-            if isinstance(node, ColumnRef):
-                requires |= self._bit.get(id(node.quantifier), 0)
-            elif isinstance(node, BoxScalarSubquery):
+        for node in expr_facts(predicate).subqueries:
+            if isinstance(node, BoxScalarSubquery):
                 scalars.append(node)
-            elif isinstance(node, BOX_SUBQUERY_TYPES):
+            else:
                 inline.append(node)
         for node in inline:
             requires |= self._subtree_mask(node.box)
@@ -312,7 +306,7 @@ class _Barrier(NamedTuple):
 
 
 def plan_select_box(
-    catalog: Catalog, box: SelectBox, guard=None, graph_facts: Optional[GraphFacts] = None
+    catalog: TableSource, box: SelectBox, guard=None, graph_facts: Optional[GraphFacts] = None
 ) -> SelectPlan:
     """Cost-based plan of one SPJ box: exact join ordering (dynamic
     programming) up to ``_DP_LIMIT`` quantifiers, greedy beyond; ties

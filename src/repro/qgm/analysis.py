@@ -5,9 +5,12 @@ Section 4.1 of the paper: "the algorithm utilizes the following information:
 ancestors it is correlated to, and (4) which descendant box caused each
 correlation. In our implementation, this information is precomputed by a
 traversal of the graph". :class:`GraphFacts` is that traversal, built once
-per compile stage -- by the validator, each cleanup pass and the compile
-step (DESIGN section 19); :func:`analyze_correlations` adds the ancestor,
-descendant and cause lists.
+per compile stage and kept while the graph stands still -- by the
+validator, whose final table the compile step plans with, the cleanup
+passes and each magic rewrite step (DESIGN section 19);
+:func:`analyze_correlations` adds the ancestor, descendant and cause lists.
+What one walk of an expression finds is kept on the expression itself
+(:func:`~repro.qgm.expr.expr_facts`).
 """
 
 from __future__ import annotations
@@ -17,13 +20,7 @@ from itertools import chain
 from typing import Callable, Iterator, Optional
 
 from ..sql import ast
-from .expr import (
-    BOX_SUBQUERY_TYPES,
-    ColumnRef,
-    column_refs,
-    replace_column_refs,
-    walk_expr,
-)
+from .expr import ColumnRef, expr_facts, replace_column_refs
 from .model import (
     Box,
     GroupByBox,
@@ -38,9 +35,7 @@ def box_children(box: Box) -> list[Box]:
     subquery expression nodes of this box's own expressions."""
     children = [q.box for q in box.child_quantifiers()]
     for expr in box.own_exprs():
-        for node in walk_expr(expr):
-            if isinstance(node, BOX_SUBQUERY_TYPES):
-                children.append(node.box)
+        children += [node.box for node in expr_facts(expr).subqueries]
     return children
 
 
@@ -62,7 +57,8 @@ class GraphFacts:
     valid until somebody mutates the graph (DESIGN section 19). Each is
     derived the first time it is asked for, then kept:
 
-    - ``boxes``: one pre-order walk, :func:`iter_boxes` order; ``parents``
+    - ``boxes``: one pre-order walk, :func:`iter_boxes` order (:meth:`walk`
+      is the same walk of any subtree); ``parents``
       (box id -> the boxes referencing it, one entry per reference) and
       ``owner`` (``id(quantifier)`` -> the first box, in walk order, whose
       FROM holds it) from it;
@@ -84,15 +80,19 @@ class GraphFacts:
     @property
     def boxes(self) -> list[Box]:
         if self._boxes is None:
-            boxes, seen, stack = [], set(), [self.root]
-            while stack:
-                box = stack.pop()
-                if box.id not in seen:
-                    seen.add(box.id)
-                    boxes.append(box)
-                    stack.extend(reversed(self.children(box)))
-            self._boxes = boxes
+            self._boxes = self.walk(self.root)
         return self._boxes
+
+    def walk(self, top: Box) -> list[Box]:
+        """The boxes of ``top``'s subtree, :func:`iter_boxes` order."""
+        boxes, seen, stack = [], set(), [top]
+        while stack:
+            box = stack.pop()
+            if box.id not in seen:
+                seen.add(box.id)
+                boxes.append(box)
+                stack.extend(reversed(self.children(box)))
+        return boxes
 
     @property
     def parents(self) -> dict[int, list[Box]]:
@@ -145,7 +145,7 @@ class GraphFacts:
             return ()
         owned = set(box.child_quantifiers())
         refs: dict[tuple, ColumnRef] = {}
-        own = (ref for expr in exprs for ref in column_refs(expr))
+        own = (ref for expr in exprs for ref in expr_facts(expr).refs)
         for ref in chain(own, *map(self.outer_refs, children)):
             if ref.quantifier not in owned:
                 refs.setdefault((ref.quantifier, ref.column), ref)
@@ -187,13 +187,13 @@ def external_column_refs(subtree_root: Box) -> list[tuple[Box, ColumnRef]]:
     internal: set[int] = set()
     for box in boxes:
         internal |= owned_quantifier_ids(box)
-    result: list[tuple[Box, ColumnRef]] = []
-    for box in boxes:
-        for expr in box.own_exprs():
-            for node in walk_expr(expr):
-                if isinstance(node, ColumnRef) and id(node.quantifier) not in internal:
-                    result.append((box, node))
-    return result
+    return [
+        (box, ref)
+        for box in boxes
+        for expr in box.own_exprs()
+        for ref in expr_facts(expr).refs
+        if id(ref.quantifier) not in internal
+    ]
 
 
 def is_correlated(subtree_root: Box) -> bool:
@@ -229,22 +229,21 @@ def analyze_correlations(root: Box) -> dict[int, CorrelationInfo]:
         for ancestor in ancestors:
             info[ancestor.id].descendants.append(box)
         for expr in box.own_exprs():
-            for node in walk_expr(expr):
-                if isinstance(node, ColumnRef):
-                    owner = owners.get(id(node.quantifier))
-                    if owner is not None and owner is not box and owner in ancestors:
-                        # ``box`` is directly correlated to ``owner``; every
-                        # box between them is transitively correlated.
-                        for hop in [box] + [
-                            a for a in ancestors
-                            if a is not owner and info[a.id] and _between(ancestors, a, owner)
-                        ]:
-                            hop_info = info[hop.id]
-                            if owner not in hop_info.correlated_to:
-                                hop_info.correlated_to.append(owner)
-                            hop_info.caused_by.setdefault(owner.id, [])
-                            if box not in hop_info.caused_by[owner.id]:
-                                hop_info.caused_by[owner.id].append(box)
+            for ref in expr_facts(expr).refs:
+                owner = owners.get(id(ref.quantifier))
+                if owner is not None and owner is not box and owner in ancestors:
+                    # ``box`` is directly correlated to ``owner``; every
+                    # box between them is transitively correlated.
+                    for hop in [box] + [
+                        a for a in ancestors
+                        if a is not owner and info[a.id] and _between(ancestors, a, owner)
+                    ]:
+                        hop_info = info[hop.id]
+                        if owner not in hop_info.correlated_to:
+                            hop_info.correlated_to.append(owner)
+                        hop_info.caused_by.setdefault(owner.id, [])
+                        if box not in hop_info.caused_by[owner.id]:
+                            hop_info.caused_by[owner.id].append(box)
         for child in box_children(box):
             visit(child, ancestors + [box])
 

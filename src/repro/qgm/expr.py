@@ -7,12 +7,15 @@ expressions become ``Box*`` nodes holding a reference to a QGM box.
 The generic :func:`transform_expr` walker rebuilds expression trees with a
 node-level substitution function; all rewrite rules are written in terms of
 it, so adding an expression node type only requires extending this module.
+:func:`expr_facts` is what one walk of a bound expression finds -- its
+column references, its subquery nodes, whether it aggregates -- kept on the
+frozen node, so each is derived once per node.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterator, Optional
+from typing import TYPE_CHECKING, Any, Callable, Iterator, NamedTuple, Optional
 
 from ..sql import ast
 
@@ -93,67 +96,104 @@ def _respan(new: ast.Expr, old: ast.Expr) -> ast.Expr:
     return new if span is None else ast.set_span(new, span)
 
 
+class ExprFacts(NamedTuple):
+    """What one walk of a bound expression finds, in pre-order
+    (:func:`walk_expr` order); subquery bodies (boxes) are not entered."""
+
+    #: Every :class:`ColumnRef` node.
+    refs: tuple[ColumnRef, ...]
+    #: Every ``Box*`` subquery node (:data:`BOX_SUBQUERY_TYPES`).
+    subqueries: tuple[ast.Expr, ...]
+    #: Does the expression hold an :class:`~repro.sql.ast.AggregateCall`?
+    aggregate: bool
+
+
+_NO_FACTS = ExprFacts((), (), False)
+
+
+def expr_facts(expr: ast.Expr) -> ExprFacts:
+    """The :class:`ExprFacts` of ``expr``, composed from its children's the
+    first time they are asked for and then kept on the node, out of band as
+    :func:`~repro.sql.ast.set_span` keeps a span. A node is frozen and its
+    facts never reach into a box, so they are a derived field of an
+    immutable value: valid for as long as the node exists."""
+    facts = expr._facts
+    if facts is not None:
+        return facts
+    if isinstance(expr, ColumnRef):
+        facts = ExprFacts((expr,), (), False)
+    else:
+        parts = [expr_facts(child) for child in expr.children()]
+        own_subquery = isinstance(expr, BOX_SUBQUERY_TYPES)
+        own_aggregate = isinstance(expr, ast.AggregateCall)
+        if own_subquery or own_aggregate or len(parts) > 1:
+            facts = ExprFacts(
+                tuple(ref for part in parts for ref in part.refs),
+                ((expr,) if own_subquery else ())
+                + tuple(node for part in parts for node in part.subqueries),
+                own_aggregate or any(part.aggregate for part in parts),
+            )
+        else:  # nothing of its own: its one child's facts, or none
+            facts = parts[0] if parts else _NO_FACTS
+    object.__setattr__(expr, "_facts", facts)
+    return facts
+
+
+#: How each node type with children is rebuilt around new children, given
+#: in :meth:`~repro.sql.ast.Expr.children` order. A rebuilt aggregate call
+#: or subquery predicate keeps its source span: the binder reports misuse
+#: of either at it.
+_REBUILD: dict[type, Callable[[Any, list], ast.Expr]] = {
+    ast.BinaryOp: lambda n, c: ast.BinaryOp(n.op, c[0], c[1]),
+    ast.UnaryMinus: lambda n, c: ast.UnaryMinus(c[0]),
+    ast.Comparison: lambda n, c: ast.Comparison(n.op, c[0], c[1]),
+    ast.And: lambda n, c: ast.And(tuple(c)),
+    ast.Or: lambda n, c: ast.Or(tuple(c)),
+    ast.Not: lambda n, c: ast.Not(c[0]),
+    ast.IsNull: lambda n, c: ast.IsNull(c[0], n.negated),
+    ast.Like: lambda n, c: ast.Like(c[0], c[1], n.negated),
+    ast.Between: lambda n, c: ast.Between(c[0], c[1], c[2], n.negated),
+    ast.InList: lambda n, c: ast.InList(c[0], tuple(c[1:]), n.negated),
+    ast.FunctionCall: lambda n, c: ast.FunctionCall(n.name, tuple(c)),
+    ast.AggregateCall: lambda n, c: _respan(
+        ast.AggregateCall(n.func, c[0], n.distinct), n
+    ),
+    ast.Case: lambda n, c: ast.Case(
+        tuple(zip(c[0:2 * len(n.whens):2], c[1:2 * len(n.whens):2])),
+        c[-1] if n.otherwise is not None else None,
+    ),
+    ast.InSubquery: lambda n, c: _respan(
+        ast.InSubquery(c[0], n.query, n.negated), n
+    ),
+    ast.QuantifiedComparison: lambda n, c: _respan(
+        ast.QuantifiedComparison(n.op, c[0], n.quantifier, n.query), n
+    ),
+    BoxInSubquery: lambda n, c: BoxInSubquery(c[0], n.box, n.negated),
+    BoxQuantifiedComparison: lambda n, c: BoxQuantifiedComparison(
+        n.op, c[0], n.quantifier_kind, n.box
+    ),
+}
+
+
 def transform_expr(expr: ast.Expr, fn: Callable[[ast.Expr], Optional[ast.Expr]]) -> ast.Expr:
     """Rebuild ``expr`` bottom-up; ``fn`` may return a replacement node.
 
     ``fn`` is applied to every node *after* its children were transformed;
-    returning ``None`` keeps the (possibly rebuilt) node. Subquery bodies
-    (boxes) are not entered -- rewrites address boxes explicitly. A rebuilt
-    aggregate call or subquery predicate keeps its source span: the binder
-    reports misuse of either at it.
+    returning ``None`` keeps the (possibly rebuilt) node. A node is rebuilt
+    only when one of its children changed, so a subtree nothing replaced
+    comes back as the same object, its :func:`expr_facts` with it.
+    Subquery bodies (boxes) are not entered -- rewrites address boxes
+    explicitly.
     """
 
     def rebuild(node: ast.Expr) -> ast.Expr:
-        if isinstance(node, ast.BinaryOp):
-            node = ast.BinaryOp(node.op, rebuild(node.left), rebuild(node.right))
-        elif isinstance(node, ast.UnaryMinus):
-            node = ast.UnaryMinus(rebuild(node.operand))
-        elif isinstance(node, ast.Comparison):
-            node = ast.Comparison(node.op, rebuild(node.left), rebuild(node.right))
-        elif isinstance(node, ast.And):
-            node = ast.And(tuple(rebuild(i) for i in node.items))
-        elif isinstance(node, ast.Or):
-            node = ast.Or(tuple(rebuild(i) for i in node.items))
-        elif isinstance(node, ast.Not):
-            node = ast.Not(rebuild(node.operand))
-        elif isinstance(node, ast.IsNull):
-            node = ast.IsNull(rebuild(node.operand), node.negated)
-        elif isinstance(node, ast.Like):
-            node = ast.Like(rebuild(node.operand), rebuild(node.pattern), node.negated)
-        elif isinstance(node, ast.Between):
-            node = ast.Between(
-                rebuild(node.operand), rebuild(node.low), rebuild(node.high), node.negated
-            )
-        elif isinstance(node, ast.InList):
-            node = ast.InList(
-                rebuild(node.operand), tuple(rebuild(i) for i in node.items), node.negated
-            )
-        elif isinstance(node, ast.FunctionCall):
-            node = ast.FunctionCall(node.name, tuple(rebuild(a) for a in node.args))
-        elif isinstance(node, ast.AggregateCall):
-            if node.argument is not None:
-                node = _respan(ast.AggregateCall(
-                    node.func, rebuild(node.argument), node.distinct
-                ), node)
-        elif isinstance(node, ast.Case):
-            node = ast.Case(
-                tuple((rebuild(c), rebuild(v)) for c, v in node.whens),
-                None if node.otherwise is None else rebuild(node.otherwise),
-            )
-        elif isinstance(node, ast.InSubquery):
-            node = _respan(ast.InSubquery(
-                rebuild(node.operand), node.query, node.negated
-            ), node)
-        elif isinstance(node, ast.QuantifiedComparison):
-            node = _respan(ast.QuantifiedComparison(
-                node.op, rebuild(node.operand), node.quantifier, node.query
-            ), node)
-        elif isinstance(node, BoxInSubquery):
-            node = BoxInSubquery(rebuild(node.operand), node.box, node.negated)
-        elif isinstance(node, BoxQuantifiedComparison):
-            node = BoxQuantifiedComparison(
-                node.op, rebuild(node.operand), node.quantifier_kind, node.box
-            )
+        children = node.children()
+        if children:
+            new = [rebuild(child) for child in children]
+            for kept, child in zip(new, children):
+                if kept is not child:
+                    node = _REBUILD[type(node)](node, new)
+                    break
         replacement = fn(node)
         return node if replacement is None else replacement
 
@@ -167,19 +207,19 @@ def walk_expr(expr: ast.Expr) -> Iterator[ast.Expr]:
         yield from walk_expr(child)
 
 
-def column_refs(expr: ast.Expr) -> list[ColumnRef]:
+def column_refs(expr: ast.Expr) -> tuple[ColumnRef, ...]:
     """All :class:`ColumnRef` nodes in ``expr`` (excluding subquery bodies)."""
-    return [node for node in walk_expr(expr) if isinstance(node, ColumnRef)]
+    return expr_facts(expr).refs
 
 
-def box_subquery_exprs(expr: ast.Expr) -> list[ast.Expr]:
+def box_subquery_exprs(expr: ast.Expr) -> tuple[ast.Expr, ...]:
     """All ``Box*`` subquery nodes directly inside ``expr``."""
-    return [node for node in walk_expr(expr) if isinstance(node, BOX_SUBQUERY_TYPES)]
+    return expr_facts(expr).subqueries
 
 
 def contains_aggregate(expr: ast.Expr) -> bool:
     """Does ``expr`` contain an :class:`~repro.sql.ast.AggregateCall`?"""
-    return any(isinstance(node, ast.AggregateCall) for node in walk_expr(expr))
+    return expr_facts(expr).aggregate
 
 
 def replace_column_refs(

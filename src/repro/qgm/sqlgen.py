@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..sql import ast
-from ..sql.printer import _literal
+from ..sql.printer import _literal, _name
 from .analysis import iter_boxes
 from .expr import (
     BoxExists,
@@ -58,7 +58,7 @@ class _SqlGenerator:
     def _assign_names(self) -> None:
         for box in iter_boxes(self.graph.root):
             if isinstance(box, BaseTableBox):
-                self.names[box.id] = box.table_name
+                self.names[box.id] = _name(box.table_name)
             else:
                 prefix = self._prefix_for(box)
                 self.names[box.id] = f"{prefix}_{box.id}"
@@ -79,7 +79,7 @@ class _SqlGenerator:
         def render(n: ast.Expr) -> str:
             if isinstance(n, ColumnRef):
                 alias = local.get(id(n.quantifier), n.quantifier.name)
-                return f"{alias}.{n.column}"
+                return f"{_name(alias)}.{_name(n.column)}"
             if isinstance(n, ast.Literal):
                 return _literal(n.value)
             if isinstance(n, ast.BinaryOp):
@@ -177,14 +177,18 @@ class _SqlGenerator:
             return self._outerjoin_body(box)
         return None
 
+    def _items(self, box: Box, local: dict[int, str]) -> str:
+        """The select list of ``box``'s view: each output under its name."""
+        return ", ".join(
+            f"{self.expr(o.expr, local)} AS {_name(o.name)}" for o in box.outputs
+        )
+
     def _select_body(self, box: SelectBox) -> str:
         local = {id(q): q.name for q in box.quantifiers}
         froms = ", ".join(
-            f"{self.names[q.box.id]} AS {q.name}" for q in box.quantifiers
+            f"{self.names[q.box.id]} AS {_name(q.name)}" for q in box.quantifiers
         )
-        items = ", ".join(
-            f"{self.expr(o.expr, local)} AS {o.name}" for o in box.outputs
-        )
+        items = self._items(box, local)
         text = "SELECT "
         if box.distinct:
             text += "DISTINCT "
@@ -199,10 +203,8 @@ class _SqlGenerator:
     def _groupby_body(self, box: GroupByBox) -> str:
         q = box.quantifier
         local = {id(q): q.name}
-        items = ", ".join(
-            f"{self.expr(o.expr, local)} AS {o.name}" for o in box.outputs
-        )
-        text = f"SELECT {items} FROM {self.names[q.box.id]} AS {q.name}"
+        items = self._items(box, local)
+        text = f"SELECT {items} FROM {self.names[q.box.id]} AS {_name(q.name)}"
         if box.group_by:
             keys = ", ".join(self.expr(g, local) for g in box.group_by)
             text += f" GROUP BY {keys}"
@@ -211,15 +213,13 @@ class _SqlGenerator:
     def _outerjoin_body(self, box: OuterJoinBox) -> str:
         left, right = box.preserved, box.null_producing
         local = {id(left): left.name, id(right): right.name}
-        items = ", ".join(
-            f"{self.expr(o.expr, local)} AS {o.name}" for o in box.outputs
-        )
+        items = self._items(box, local)
         condition = (
             self.expr(box.condition, local) if box.condition is not None else "TRUE"
         )
         return (
-            f"SELECT {items} FROM {self.names[left.box.id]} AS {left.name} "
-            f"LEFT OUTER JOIN {self.names[right.box.id]} AS {right.name} "
+            f"SELECT {items} FROM {self.names[left.box.id]} AS {_name(left.name)} "
+            f"LEFT OUTER JOIN {self.names[right.box.id]} AS {_name(right.name)} "
             f"ON {condition}"
         )
 

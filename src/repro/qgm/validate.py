@@ -28,7 +28,7 @@ from ..sql import ast
 from ..storage.catalog import Catalog
 from .analysis import GraphFacts
 from .builder import expr_equal
-from .expr import ColumnRef, contains_aggregate, walk_expr
+from .expr import contains_aggregate, expr_facts
 from .model import (
     BaseTableBox,
     Box,
@@ -43,8 +43,14 @@ def _fail(box: Box, message: str) -> None:
     raise QGMConsistencyError(f"box {box.id} ({box.kind}): {message}")
 
 
-def validate_graph(graph: QueryGraph | Box, catalog: Optional[Catalog] = None) -> None:
-    """Validate the whole graph; raises :class:`QGMConsistencyError`."""
+def validate_graph(
+    graph: QueryGraph | Box, catalog: Optional[Catalog] = None
+) -> GraphFacts:
+    """Validate the whole graph; raises :class:`QGMConsistencyError`.
+
+    Returns the table of the graph's facts the validation read, valid until
+    somebody mutates the graph: the compile step plans the final graph with
+    the table of its final validation (DESIGN section 19)."""
     root = graph.root if isinstance(graph, QueryGraph) else graph
     # One walk: validation runs at bind, at the end and, under
     # REPRO_VALIDATE, after every rewrite step.
@@ -69,6 +75,7 @@ def validate_graph(graph: QueryGraph | Box, catalog: Optional[Catalog] = None) -
                 raise QGMConsistencyError(
                     f"ORDER BY position {position} out of range"
                 )
+    return facts
 
 
 def _validate_box(
@@ -106,25 +113,24 @@ def _validate_box(
     # Expression-bearing boxes: check refs.
     seen = _visible_quantifiers(box, facts.parents, visible)
     for expr in box.own_exprs():
-        for node in walk_expr(expr):
-            if isinstance(node, ColumnRef):
-                if id(node.quantifier) not in facts.owner:
-                    _fail(box, f"ref {node!r} to unreachable quantifier")
-                if id(node.quantifier) not in seen:
-                    _fail(
-                        box,
-                        f"ref {node!r} to quantifier not visible here "
-                        "(neither own nor ancestor)",
-                    )
-                target = node.quantifier.box
-                if target.id not in target_names:
-                    target_names[target.id] = frozenset(target.output_names())
-                if node.column not in target_names[target.id]:
-                    _fail(
-                        box,
-                        f"ref {node!r}: no such output column on box "
-                        f"{target.id}",
-                    )
+        for ref in expr_facts(expr).refs:
+            if id(ref.quantifier) not in facts.owner:
+                _fail(box, f"ref {ref!r} to unreachable quantifier")
+            if id(ref.quantifier) not in seen:
+                _fail(
+                    box,
+                    f"ref {ref!r} to quantifier not visible here "
+                    "(neither own nor ancestor)",
+                )
+            target = ref.quantifier.box
+            if target.id not in target_names:
+                target_names[target.id] = frozenset(target.output_names())
+            if ref.column not in target_names[target.id]:
+                _fail(
+                    box,
+                    f"ref {ref!r}: no such output column on box "
+                    f"{target.id}",
+                )
 
     if isinstance(box, GroupByBox):
         for group in box.group_by:

@@ -12,7 +12,8 @@ These are those rules:
 
 Both preserve QGM consistency at every application, as section 3 requires.
 Each pass reads one :class:`~repro.qgm.analysis.GraphFacts` of the graph
-and builds a new one only after it has changed the graph.
+and builds a new one only after it has changed the graph; a pass that
+changed nothing hands its table to the next (:func:`run_cleanup`).
 """
 
 from __future__ import annotations
@@ -20,26 +21,20 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ..qgm.analysis import GraphFacts, rewrite_subtree_refs
-from ..qgm.expr import (
-    BOX_SUBQUERY_TYPES,
-    ColumnRef,
-    walk_expr,
-)
+from ..qgm.expr import ColumnRef, expr_facts
 from ..qgm.model import QueryGraph, SelectBox
 
 
 def _has_subquery_outputs(box: SelectBox) -> bool:
-    return any(
-        isinstance(node, BOX_SUBQUERY_TYPES)
-        for output in box.outputs
-        for node in walk_expr(output.expr)
-    )
+    return any(expr_facts(output.expr).subqueries for output in box.outputs)
 
 
-def merge_spj_boxes(graph: QueryGraph) -> bool:
-    """One pass of SPJ-into-SPJ merging; returns True when anything merged."""
+def merge_spj_boxes(graph: QueryGraph, facts: Optional[GraphFacts] = None) -> bool:
+    """One pass of SPJ-into-SPJ merging; returns True when anything merged.
+    ``facts`` is a table of the graph as it stands, when the caller has
+    one."""
     changed = False
-    facts = current = GraphFacts(graph.root)
+    facts = current = facts or GraphFacts(graph.root)
     for parent in facts.boxes:
         if not isinstance(parent, SelectBox):
             continue
@@ -78,10 +73,13 @@ def _merge_child(graph: QueryGraph, parent: SelectBox, q, child: SelectBox) -> N
     parent.predicates.extend(child.predicates)
 
 
-def remove_trivial_selects(graph: QueryGraph) -> bool:
-    """Bypass SPJ boxes that only rename/project a single input."""
+def remove_trivial_selects(
+    graph: QueryGraph, facts: Optional[GraphFacts] = None
+) -> bool:
+    """Bypass SPJ boxes that only rename/project a single input; ``facts``
+    as for :func:`merge_spj_boxes`."""
     changed = False
-    facts = current = GraphFacts(graph.root)
+    facts = current = facts or GraphFacts(graph.root)
     for owner in facts.boxes:
         for q in owner.child_quantifiers():
             child = q.box
@@ -121,19 +119,27 @@ def run_cleanup(
     on_step: Optional[Callable[[str, QueryGraph], None]] = None,
     max_rounds: int = 32,
 ) -> QueryGraph:
-    """Run cleanup rules to fixpoint (bounded); returns the same graph."""
+    """Run cleanup rules to fixpoint (bounded); returns the same graph.
+
+    A pass that changed nothing leaves the graph as its table describes it,
+    so it hands that table to the next pass, into the next round too: a
+    round in which nothing changes builds at most one table."""
     from .pushdown import push_down_predicates
 
+    passes = (
+        ("merge_spj", merge_spj_boxes),
+        ("remove_trivial", remove_trivial_selects),
+        ("push_down_predicates", push_down_predicates),
+    )
+    facts: Optional[GraphFacts] = None
     for _ in range(max_rounds):
-        changed = merge_spj_boxes(graph)
-        if on_step is not None and changed:
-            on_step("merge_spj", graph)
-        removed = remove_trivial_selects(graph)
-        if on_step is not None and removed:
-            on_step("remove_trivial", graph)
-        pushed = push_down_predicates(graph)
-        if on_step is not None and pushed:
-            on_step("push_down_predicates", graph)
-        if not (changed or removed or pushed):
+        quiet = True
+        for description, rule in passes:
+            facts = facts or GraphFacts(graph.root)
+            if rule(graph, facts):
+                quiet, facts = False, None
+                if on_step is not None:
+                    on_step(description, graph)
+        if quiet:
             break
     return graph

@@ -16,12 +16,11 @@ from dataclasses import dataclass
 from typing import Optional
 
 from ...errors import NotApplicableError
-from ...qgm.analysis import external_column_refs, iter_boxes
+from ...qgm.analysis import GraphFacts, external_column_refs
 from ...qgm.expr import (
-    BOX_SUBQUERY_TYPES,
     BoxScalarSubquery,
     ColumnRef,
-    walk_expr,
+    expr_facts,
 )
 from ...qgm.model import (
     BaseTableBox,
@@ -78,10 +77,7 @@ def match_scalar_agg(node: BoxScalarSubquery) -> Optional[ScalarAggPattern]:
         and not box.distinct
         and len(box.outputs) == 1
         and isinstance(box.quantifiers[0].box, GroupByBox)
-        and not any(
-            isinstance(n, BOX_SUBQUERY_TYPES)
-            for n in walk_expr(box.outputs[0].expr)
-        )
+        and not expr_facts(box.outputs[0].expr).subqueries
     ):
         wrapper = box
         box = box.quantifiers[0].box
@@ -100,12 +96,7 @@ def match_scalar_agg(node: BoxScalarSubquery) -> Optional[ScalarAggPattern]:
 
 def subquery_nodes_in(box: SelectBox) -> list[ast.Expr]:
     """All subquery expression nodes in the box's predicates and outputs."""
-    nodes: list[ast.Expr] = []
-    for expr in box.own_exprs():
-        for node in walk_expr(expr):
-            if isinstance(node, BOX_SUBQUERY_TYPES):
-                nodes.append(node)
-    return nodes
+    return [node for expr in box.own_exprs() for node in expr_facts(expr).subqueries]
 
 
 # -- null-rejection analysis -----------------------------------------------------
@@ -148,7 +139,7 @@ def node_use_is_null_rejecting(box: SelectBox, node: ast.Expr) -> bool:
     or IN-list could turn UNKNOWN into TRUE or a value.
     """
     for output in box.outputs:
-        if any(n is node for n in walk_expr(output.expr)):
+        if any(n is node for n in expr_facts(output.expr).subqueries):
             return False
     found = False
     for predicate in box.predicates:
@@ -182,9 +173,7 @@ def extract_equality_correlations(
     inner_ids = {id(q) for q in spj.quantifiers}
     correlations: list[EqualityCorrelation] = []
     for predicate in spj.predicates:
-        refs = [n for n in walk_expr(predicate) if isinstance(n, ColumnRef)]
-        outer_refs = [r for r in refs if id(r.quantifier) in outer_ids]
-        if not outer_refs:
+        if not any(id(r.quantifier) in outer_ids for r in expr_facts(predicate).refs):
             continue
         if (
             isinstance(predicate, ast.Comparison)
@@ -207,17 +196,21 @@ def extract_equality_correlations(
         ):
             # The ref must occur inside one of the matched predicates.
             matched = any(
-                any(n is ref for n in walk_expr(c.predicate)) for c in correlations
+                any(n is ref for n in expr_facts(c.predicate).refs)
+                for c in correlations
             )
             if not matched:
                 return None
     return correlations
 
 
-def require_linear(graph_root: Box, method: str) -> None:
+def require_linear(
+    graph_root: Box, method: str, facts: Optional[GraphFacts] = None
+) -> None:
     """Kim's and Dayal's methods handle only *linear* queries: no set
-    operations anywhere (the paper's Query 3 disqualifies both)."""
-    for box in iter_boxes(graph_root):
+    operations anywhere (the paper's Query 3 disqualifies both). ``facts``
+    is a table of the graph, when the caller has one."""
+    for box in (facts or GraphFacts(graph_root)).boxes:
         if isinstance(box, SetOpBox):
             raise NotApplicableError(
                 method, "query is not linear (contains a set operation)"
@@ -233,6 +226,9 @@ class OuterAggSubquery:
     predicate: ast.Expr  # the conjunct containing the subquery node
     pattern: ScalarAggPattern
     correlations: list[EqualityCorrelation]
+    #: The boxes whose quantifiers range over ``outer``, read before the
+    #: rewrite changes anything.
+    parents: list[Box]
 
 
 def match_outer_agg_subquery(
@@ -244,25 +240,23 @@ def match_outer_agg_subquery(
     has an aggregated outer block, so the correlated predicate sits in the
     SPJ box underneath the outer aggregation.
     """
-    require_linear(root, method)
+    facts = GraphFacts(root)
+    require_linear(root, method, facts)
     candidates: list[tuple[SelectBox, ast.Expr, BoxScalarSubquery]] = []
     subquery_box_ids: set[int] = set()
-    for box in iter_boxes(root):
+    for box in facts.boxes:
         if not isinstance(box, SelectBox) or box.id in subquery_box_ids:
             continue
         for predicate in box.predicates:
-            for node in walk_expr(predicate):
-                if isinstance(node, BOX_SUBQUERY_TYPES):
-                    if not isinstance(node, BoxScalarSubquery):
-                        raise NotApplicableError(
-                            method, "non-scalar (existential/universal) subquery"
-                        )
-                    candidates.append((box, predicate, node))
-                    subquery_box_ids.update(b.id for b in iter_boxes(node.box))
-        for output in box.outputs:
-            for node in walk_expr(output.expr):
-                if isinstance(node, BOX_SUBQUERY_TYPES):
-                    raise NotApplicableError(method, "subquery in the select list")
+            for node in expr_facts(predicate).subqueries:
+                if not isinstance(node, BoxScalarSubquery):
+                    raise NotApplicableError(
+                        method, "non-scalar (existential/universal) subquery"
+                    )
+                candidates.append((box, predicate, node))
+                subquery_box_ids.update(b.id for b in facts.walk(node.box))
+        if any(expr_facts(output.expr).subqueries for output in box.outputs):
+            raise NotApplicableError(method, "subquery in the select list")
     if not candidates:
         raise NotApplicableError(method, "no correlated subquery found")
     if len(candidates) != 1:
@@ -276,7 +270,7 @@ def match_outer_agg_subquery(
     for q in outer.quantifiers:
         if not isinstance(q.box, BaseTableBox):
             raise NotApplicableError(method, "outer block is not over base tables")
-        if external_column_refs(q.box):
+        if facts.outer_refs(q.box):
             raise NotApplicableError(method, "correlated table expression")
     for q in pattern.spj.quantifiers:
         if not isinstance(q.box, BaseTableBox):
@@ -294,4 +288,6 @@ def match_outer_agg_subquery(
         correlations = []
     if require_equality and not correlations:
         raise NotApplicableError(method, "subquery is not correlated")
-    return OuterAggSubquery(outer, predicate, pattern, correlations)
+    return OuterAggSubquery(
+        outer, predicate, pattern, correlations, facts.parents.get(outer.id, [])
+    )

@@ -22,9 +22,9 @@ from __future__ import annotations
 from typing import Callable, Optional
 
 from ...errors import NotApplicableError
-from ...qgm.analysis import parent_edges
-from ...qgm.expr import ColumnRef, replace_column_refs, walk_expr
+from ...qgm.expr import ColumnRef, expr_facts, replace_column_refs
 from ...qgm.model import (
+    Box,
     GroupByBox,
     OuterJoinBox,
     OutputColumn,
@@ -65,8 +65,7 @@ def apply_dayal(
     corr_preds: list[ast.Expr] = []
     inner_preds: list[ast.Expr] = []
     for predicate in spj.predicates:
-        refs = [n for n in walk_expr(predicate) if isinstance(n, ColumnRef)]
-        if any(id(r.quantifier) in outer_ids for r in refs):
+        if any(id(r.quantifier) in outer_ids for r in expr_facts(predicate).refs):
             corr_preds.append(predicate)
         else:
             inner_preds.append(predicate)
@@ -190,17 +189,20 @@ def apply_dayal(
         on_step("dayal: apply subquery comparison as HAVING", graph)
 
     # 7. Splice the rewritten block where the outer block was.
-    _replace_box(graph, outer, top)
+    _replace_box(graph, outer, top, match.parents)
     run_cleanup(graph, on_step=on_step)
     return graph
 
 
-def _replace_box(graph: QueryGraph, old: SelectBox, new: SelectBox) -> None:
+def _replace_box(
+    graph: QueryGraph, old: SelectBox, new: SelectBox, parents: list[Box]
+) -> None:
+    """Put ``new`` where ``old`` was; ``parents`` are the boxes over ``old``
+    (the match's, which no step of the rewrite has changed)."""
     if graph.root is old:
         graph.root = new
         return
-    parents = parent_edges(graph.root)
-    for parent in parents.get(old.id, []):
+    for parent in parents:
         for q in parent.child_quantifiers():
             if q.box is old:
                 q.box = new

@@ -47,8 +47,8 @@ from typing import Callable, Optional
 from ...errors import NotApplicableError, RewriteError
 from ...plan.planner import plan_select_box
 from ...qgm.analysis import (
+    GraphFacts,
     box_children,
-    iter_boxes,
     rewrite_box_exprs,
     rewrite_subtree_refs,
 )
@@ -59,9 +59,9 @@ from ...qgm.expr import (
     BoxQuantifiedComparison,
     BoxScalarSubquery,
     ColumnRef,
+    expr_facts,
     replace_column_refs,
     transform_expr,
-    walk_expr,
 )
 from ...qgm.model import (
     BaseTableBox,
@@ -79,7 +79,6 @@ from ...storage.catalog import Catalog
 from ..cleanup import run_cleanup
 from .common import (
     ScalarAggPattern,
-    correlation_refs_into,
     match_scalar_agg,
     node_use_is_null_rejecting,
 )
@@ -125,6 +124,24 @@ class MagicDecorrelator:
         #: (node objects can be rebuilt by expression transforms, so the
         #: nested box -- which keeps identity -- is the robust key).
         self._no_feed_boxes: set[int] = set()
+        self._facts: Optional[GraphFacts] = None
+
+    @property
+    def facts(self) -> GraphFacts:
+        """The table of the graph as it stands (DESIGN section 19): built
+        when first asked for, dropped by :meth:`_step`, which follows every
+        change the rewrite makes."""
+        if self._facts is None:
+            self._facts = GraphFacts(self.graph.root)
+        return self._facts
+
+    def _correlation_refs(self, child: Box, box: SelectBox) -> list[ColumnRef]:
+        """The correlation bindings ``child``'s subtree draws from ``box``'s
+        quantifiers, deduplicated by (quantifier, column), in walk order."""
+        own = {id(q) for q in box.quantifiers}
+        return [
+            ref for ref in self.facts.outer_refs(child) if id(ref.quantifier) in own
+        ]
 
     # -- driver ----------------------------------------------------------------
 
@@ -144,6 +161,7 @@ class MagicDecorrelator:
             self._process(child)
 
     def _step(self, description: str) -> None:
+        self._facts = None
         if self.on_step is not None:
             self.on_step(description, self.graph)
 
@@ -165,15 +183,14 @@ class MagicDecorrelator:
         for q in box.quantifiers:
             if id(q) in self._no_feed:  # fed quantifiers are final
                 continue
-            if correlation_refs_into(q.box, box):
+            if self._correlation_refs(q.box, box):
                 return ("quantifier", q)
         for expr in box.own_exprs():
-            for node in walk_expr(expr):
-                if isinstance(node, BOX_SUBQUERY_TYPES):
-                    if id(node) in self._no_feed or node.box.id in self._no_feed_boxes:
-                        continue
-                    if correlation_refs_into(node.box, box):
-                        return ("expr", node)
+            for node in expr_facts(expr).subqueries:
+                if id(node) in self._no_feed or node.box.id in self._no_feed_boxes:
+                    continue
+                if self._correlation_refs(node.box, box):
+                    return ("expr", node)
         return None
 
     # -- FEED stage: supplementary and magic boxes ---------------------------------
@@ -195,7 +212,7 @@ class MagicDecorrelator:
         if self.ganski_wong:
             return self._build_feed_ganski_wong(box, corr_refs)
 
-        plan = plan_select_box(self.catalog, box)
+        plan = plan_select_box(self.catalog, box, graph_facts=self.facts)
         join_order = plan.join_order
         needed = {id(r.quantifier) for r in corr_refs}
         if scalar_node is not None and id(scalar_node) in plan.scalar_placement:
@@ -218,15 +235,12 @@ class MagicDecorrelator:
         supp_preds: list[ast.Expr] = []
         kept_preds: list[ast.Expr] = []
         for predicate in box.predicates:
-            has_subquery = any(
-                isinstance(n, BOX_SUBQUERY_TYPES) for n in walk_expr(predicate)
-            )
+            facts = expr_facts(predicate)
             refs = {
-                id(n.quantifier)
-                for n in walk_expr(predicate)
-                if isinstance(n, ColumnRef) and id(n.quantifier) in own_ids
+                id(ref.quantifier)
+                for ref in facts.refs if id(ref.quantifier) in own_ids
             }
-            if not has_subquery and refs <= moved_ids:
+            if not facts.subqueries and refs <= moved_ids:
                 supp_preds.append(predicate)
             else:
                 kept_preds.append(predicate)
@@ -308,20 +322,28 @@ class MagicDecorrelator:
         if self._redirect_map is None:
             return
         moved_ids, supp_columns, sq = self._redirect_map
-        exclude = {b.id for b in iter_boxes(sq.box)}
 
         def substitute(ref: ColumnRef):
             if id(ref.quantifier) in moved_ids:
                 return ColumnRef(sq, supp_columns[(id(ref.quantifier), ref.column)])
             return None
 
-        for candidate in iter_boxes(box):
-            if candidate.id in exclude:
-                continue
-            rewrite_box_exprs(
-                candidate, lambda e: replace_column_refs(e, substitute)
-            )
+        self._rewrite_refs_outside(box, sq.box, substitute)
         self._redirect_map = None
+
+    @staticmethod
+    def _rewrite_refs_outside(box: Box, keep: Box, substitute) -> None:
+        """Apply a ColumnRef substitution to every box of ``box``'s subtree
+        outside ``keep``'s subtree. One table of ``box``'s subtree serves
+        both walks; the substitution never changes which box is whose
+        child, so it holds throughout."""
+        facts = GraphFacts(box)
+        kept = {b.id for b in facts.walk(keep)}
+        for candidate in facts.boxes:
+            if candidate.id not in kept:
+                rewrite_box_exprs(
+                    candidate, lambda e: replace_column_refs(e, substitute)
+                )
 
     # -- ABSORB stage -------------------------------------------------------------
     #
@@ -368,13 +390,7 @@ class MagicDecorrelator:
         # The magic box's own subtree reaches back to SUPP, whose
         # references to the moved quantifiers are legitimate -- the
         # redirect must not walk into it.
-        exclude = {b.id for b in iter_boxes(magic)}
-        for candidate in iter_boxes(box):
-            if candidate.id in exclude:
-                continue
-            rewrite_box_exprs(
-                candidate, lambda e: replace_column_refs(e, substitute)
-            )
+        self._rewrite_refs_outside(box, magic, substitute)
         added: list[str] = []
         existing = set(box.output_names())
         for magic_col in mapping.values():
@@ -439,7 +455,7 @@ class MagicDecorrelator:
     # -- per-child FEED entry points -------------------------------------------
 
     def _feed_expression(self, box: SelectBox, node: ast.Expr) -> None:
-        corr_refs = correlation_refs_into(node.box, box)
+        corr_refs = self._correlation_refs(node.box, box)
         if isinstance(node, BoxScalarSubquery):
             pattern = match_scalar_agg(node)
             if pattern is not None:
@@ -596,13 +612,7 @@ class MagicDecorrelator:
         self._replace_node(box, node, value_expr)
         # As in _redirect_parent_refs: SUPP's subtree keeps its references
         # to the moved quantifiers -- exclude it from the rewrite.
-        exclude = {b.id for b in iter_boxes(supp)}
-        for candidate in iter_boxes(box):
-            if candidate.id in exclude:
-                continue
-            rewrite_box_exprs(
-                candidate, lambda e: replace_column_refs(e, substitute)
-            )
+        self._rewrite_refs_outside(box, supp, substitute)
         self._redirect_map = None
         self._no_feed.add(id(new_q))
 
@@ -749,7 +759,7 @@ class MagicDecorrelator:
     # -- correlated table expressions -------------------------------------------
 
     def _feed_quantifier(self, box: SelectBox, q: Quantifier) -> None:
-        corr_refs = correlation_refs_into(q.box, box)
+        corr_refs = self._correlation_refs(q.box, box)
         if self.ganski_wong:
             raise NotApplicableError(
                 "Ganski/Wong", "correlated table expression"
@@ -799,9 +809,8 @@ class MagicDecorrelator:
     def _replace_node(box: SelectBox, node: ast.Expr, replacement: ast.Expr) -> None:
         """Replace a subquery expression node inside ``box``'s expressions.
 
-        ``transform_expr`` rebuilds nodes bottom-up, so operand-carrying
-        subquery nodes lose object identity before the substitution function
-        sees them; matching on the (unique) nested box identity is robust.
+        The node is matched by identity, or -- should a transform have
+        rebuilt it since it was found -- by its (unique) nested box.
         """
         target_box = getattr(node, "box", None)
 

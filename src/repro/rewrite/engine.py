@@ -32,6 +32,7 @@ from ..storage.catalog import Catalog
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
     from ..faults import FaultRegistry
+    from ..qgm.analysis import GraphFacts
     from ..trace import Tracer
 
 
@@ -97,6 +98,11 @@ class RewriteEngine:
         self.events = events
         #: Step descriptions recorded during the most recent rewrite.
         self.steps: list[str] = []
+        #: The graph-fact table its final validation built of the most
+        #: recent rewrite's result -- valid until somebody mutates that
+        #: graph, so the compile step plans with it (DESIGN section 19);
+        #: ``None`` when the validating engine's lint checked the result.
+        self.facts: Optional["GraphFacts"] = None
         #: Active span collector (set for the duration of a traced rewrite).
         self._tracer: Optional["Tracer"] = None
         self._trace_mark = 0.0
@@ -188,10 +194,12 @@ class RewriteEngine:
         from . import decorrelate
 
         self.steps = []
+        self.facts = None
+        bound = None
         if self.validate:
             self.check(graph, "bind")
         else:
-            validate_graph(graph, self.catalog)
+            bound = validate_graph(graph, self.catalog)
         if self.faults is not None:
             self.faults.trigger("rewrite.strategy", detail=key)
 
@@ -221,11 +229,13 @@ class RewriteEngine:
 
         if self.validate:
             self.check(result, "final rewrite")
-        elif key != "ni":
+        elif key == "ni":
             # NI hands back the graph validated above, untouched. The other
             # strategies rewrite in place, so ``result is graph`` proves
             # nothing for them.
-            validate_graph(result, self.catalog)
+            self.facts = bound
+        else:
+            self.facts = validate_graph(result, self.catalog)
         return result
 
     # -- graceful degradation ---------------------------------------------------

@@ -19,12 +19,7 @@ from __future__ import annotations
 from typing import Optional
 
 from ..qgm.analysis import GraphFacts
-from ..qgm.expr import (
-    BOX_SUBQUERY_TYPES,
-    ColumnRef,
-    replace_column_refs,
-    walk_expr,
-)
+from ..qgm.expr import ColumnRef, expr_facts, replace_column_refs
 from ..qgm.model import (
     Box,
     GroupByBox,
@@ -39,13 +34,10 @@ from ..sql import ast
 def _single_quantifier_pred(box: SelectBox, predicate: ast.Expr):
     """The one quantifier of ``box`` the predicate references, if exactly
     one, the predicate is subquery-free, and no outer references occur."""
-    if any(isinstance(n, BOX_SUBQUERY_TYPES) for n in walk_expr(predicate)):
+    facts = expr_facts(predicate)
+    if facts.subqueries:
         return None
-    quantifiers = {
-        id(n.quantifier): n.quantifier
-        for n in walk_expr(predicate)
-        if isinstance(n, ColumnRef)
-    }
+    quantifiers = {id(ref.quantifier): ref.quantifier for ref in facts.refs}
     own = {id(q) for q in box.quantifiers}
     if len(quantifiers) != 1 or not set(quantifiers) <= own:
         return None
@@ -92,11 +84,10 @@ def _push_into(child: Box, predicate: ast.Expr, quantifier) -> bool:
             for o in child.outputs
             if not isinstance(o.expr, ast.AggregateCall)
         }
-        refs = [
-            n for n in walk_expr(predicate)
-            if isinstance(n, ColumnRef) and n.quantifier is quantifier
-        ]
-        if not all(r.column in grouped for r in refs):
+        if not all(
+            ref.column in grouped
+            for ref in expr_facts(predicate).refs if ref.quantifier is quantifier
+        ):
             return False
         gq_level = _rewrite_to_outputs(predicate, quantifier, child.outputs)
         if gq_level is None:
@@ -130,12 +121,15 @@ def _push_into(child: Box, predicate: ast.Expr, quantifier) -> bool:
     return False
 
 
-def push_down_predicates(graph: QueryGraph) -> bool:
+def push_down_predicates(
+    graph: QueryGraph, facts: Optional[GraphFacts] = None
+) -> bool:
     """One pass of predicate pushdown; True when anything moved. A moved
     predicate is subquery-free, so the pass never changes which box is
-    whose parent, and one table of the graph serves all of it."""
+    whose parent, and one table of the graph serves all of it: ``facts``,
+    a table of the graph as it stands, when the caller has one."""
     changed = False
-    facts = GraphFacts(graph.root)
+    facts = facts or GraphFacts(graph.root)
     for box in facts.boxes:
         if not isinstance(box, SelectBox):
             continue

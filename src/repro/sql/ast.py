@@ -6,14 +6,14 @@ nodes carry a reference to a QGM box instead of a ``Select`` AST. Keeping one
 expression vocabulary avoids a parallel IR and lossy translations.
 
 All nodes are plain dataclasses; ``children()`` exposes sub-expressions so
-generic walkers (used heavily by the decorrelation rules) need no
-per-node-type knowledge.
+the one generic walker (``repro.qgm.expr.walk_expr``, used heavily by the
+decorrelation rules) needs no per-node-type knowledge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterator, NamedTuple, Optional, TypeVar, Union
+from typing import Any, NamedTuple, Optional, TypeVar, Union
 
 
 class Span(NamedTuple):
@@ -57,15 +57,13 @@ def span_of(node: object) -> Optional[Span]:
 class Expr:
     """Base class for expression nodes."""
 
+    #: What one walk of the node finds (``repro.qgm.expr.expr_facts``),
+    #: attached out of band like a span; not a dataclass field.
+    _facts = None
+
     def children(self) -> tuple["Expr", ...]:
         """Direct sub-expressions (not including subquery bodies)."""
         return ()
-
-    def walk(self) -> Iterator["Expr"]:
-        """Pre-order traversal of this expression tree."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
 
 
 @dataclass(frozen=True)

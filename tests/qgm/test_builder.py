@@ -16,6 +16,7 @@ from repro.qgm import (
     validate_graph,
 )
 from repro.qgm.analysis import analyze_correlations, external_column_refs, is_correlated
+from repro.qgm.expr import walk_expr
 from repro.sql.parser import parse_statement
 
 
@@ -197,7 +198,7 @@ class TestCorrelations:
         subqueries = [
             node
             for predicate in g.root.predicates
-            for node in predicate.walk()
+            for node in walk_expr(predicate)
             if isinstance(node, BoxScalarSubquery)
         ]
         assert len(subqueries) == 1
@@ -233,7 +234,7 @@ class TestCorrelations:
         subquery = next(
             node
             for predicate in g.root.predicates
-            for node in predicate.walk()
+            for node in walk_expr(predicate)
             if isinstance(node, BoxScalarSubquery)
         )
         assert not is_correlated(subquery.box)

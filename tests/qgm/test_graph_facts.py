@@ -1,9 +1,10 @@
 """Each graph fact is derived once per compile stage (DESIGN section 19).
 
-Three stages read one :class:`~repro.qgm.analysis.GraphFacts` each: the
-validator, every pass of the cleanup rules (which builds a new table only
-after it changed the graph), and the compile step, which plans every box of
-the final graph from one table.
+The stages read one :class:`~repro.qgm.analysis.GraphFacts` each for as
+long as nobody mutates the graph: the validator; every pass of the cleanup
+rules, which builds a new table only after it changed the graph and hands
+an unchanged one to the next pass; and the compile step, which plans every
+box of the final graph from the table its final validation built.
 """
 
 from collections import Counter
@@ -16,6 +17,7 @@ from repro.plan.compile import compile_query
 from repro.qgm import analysis, build_qgm, validate_graph
 from repro.qgm.analysis import GraphFacts
 from repro.rewrite import cleanup, pushdown
+from repro.rewrite.decorrelate import dayal, kim, magic
 from repro.rewrite.engine import RewriteEngine
 from repro.sql.parser import parse_statement
 from repro.tpcd import (
@@ -102,7 +104,9 @@ def test_compile_derives_each_fact_of_the_final_graph_once(
     except NotApplicableError:
         pytest.skip(f"{strategy} does not apply to {query}")
     boxes = {box.id for box in analysis.iter_boxes(compiled.graph.root)}
-    assert spy.tables == 1
+    # Planning reads the table the final validation built: none is built
+    # after the rewrite.
+    assert spy.tables == 0
     # Every box's row layout reads its outer references: each derived once.
     assert set(spy.outer_refs) == boxes
     assert set(spy.outer_refs.values()) == {1}
@@ -145,39 +149,51 @@ def test_a_cleanup_pass_rebuilds_its_table_only_after_a_change(
 ):
     """Every pass of ``merge_spj_boxes``, ``remove_trivial_selects`` and
     ``push_down_predicates`` builds at most 1 + (changes it applied)
-    tables."""
-    counts = {"tables": 0, "changes": 0}
-    passes: list[tuple[str, int, int]] = []
+    tables, and none before its first change when the pass ahead of it
+    changed nothing; a round of the three in which nothing changed builds
+    one table, or none when the pass ahead of it handed it one."""
+    # The order things happened in: "start" (a run_cleanup call), "table"
+    # (a table built), or (rule, changed, changes) when a pass returns.
+    events: list = []
+    changes = [0]
 
     def counting_table(root):
-        counts["tables"] += 1
+        events.append("table")
         return GraphFacts(root)
 
     rewrite_subtree_refs = cleanup.rewrite_subtree_refs
 
     def merged_or_bypassed(*args):  # once per merge, once per bypass
-        counts["changes"] += 1
+        changes[0] += 1
         return rewrite_subtree_refs(*args)
 
     push_into = pushdown._push_into
 
     def pushed(*args):
         moved = push_into(*args)
-        counts["changes"] += moved
+        changes[0] += moved
         return moved
 
     def recorded(name, rule):
-        def run(graph):
-            counts.update(tables=0, changes=0)
-            changed = rule(graph)
-            passes.append((name, counts["tables"], counts["changes"]))
-            assert changed == bool(counts["changes"])
+        def run(graph, facts=None):
+            changes[0] = 0
+            changed = rule(graph, facts)
+            events.append((name, changed, changes[0]))
+            assert changed == bool(changes[0])
             return changed
 
         return run
 
+    run_cleanup = cleanup.run_cleanup
+
+    def started(*args, **kwargs):
+        events.append("start")
+        return run_cleanup(*args, **kwargs)
+
     for module in (cleanup, pushdown):
         monkeypatch.setattr(module, "GraphFacts", counting_table)
+    for module in (magic, dayal, kim):
+        monkeypatch.setattr(module, "run_cleanup", started)
     monkeypatch.setattr(cleanup, "rewrite_subtree_refs", merged_or_bypassed)
     monkeypatch.setattr(pushdown, "_push_into", pushed)
     for module, name in (
@@ -194,5 +210,25 @@ def test_a_cleanup_pass_rebuilds_its_table_only_after_a_change(
         )
     except NotApplicableError:
         pytest.skip(f"{strategy} does not apply to {query}")
-    for name, tables, changes in passes:
-        assert 1 <= tables <= 1 + changes, (name, tables, changes)
+    passes: list[tuple[str, int, int, bool]] = []  # (rule, tables, changes, fresh)
+    tables, fresh = 0, True
+    for event in events:
+        if event == "start":
+            assert tables == 0
+            fresh = True
+        elif event == "table":
+            tables += 1
+        else:
+            name, changed, applied = event
+            passes.append((name, tables, applied, fresh))
+            tables, fresh = 0, changed
+    assert tables == 0
+    for name, tables, applied, fresh in passes:
+        # A pass handed its predecessor's table builds one only per change.
+        assert tables <= int(fresh) + applied, (name, tables, applied, fresh)
+    for start in range(0, len(passes), 3):
+        round_ = passes[start:start + 3]
+        if not any(applied for _, _, applied, _ in round_):
+            # One table -- none when the round before ended quietly and
+            # handed it its table.
+            assert sum(tables for _, tables, _, _ in round_) == int(round_[0][3])

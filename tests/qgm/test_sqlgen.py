@@ -96,3 +96,32 @@ class TestRoundTrips:
         graph = build_qgm(parse_statement(PAPER_QUERY), db.catalog)
         script = graph_to_sql(graph)
         assert "d.building" in script
+
+
+class TestNamesThatNeedQuotes:
+    """A name that spells a keyword reads back only double-quoted: the
+    script must quote it wherever it appears, as :mod:`repro.sql.printer`
+    does."""
+
+    @pytest.fixture
+    def db(self) -> Database:
+        db = Database()
+        db.execute_script(
+            'CREATE TABLE t ("order" INT PRIMARY KEY, v INT);'
+            "INSERT INTO t VALUES (1, 10), (2, 20), (3, 20);"
+        )
+        return db
+
+    def test_bound_graph_round_trips(self, db):
+        sql = 'select t."order" from t where t."order" > 1'
+        script = db.rewritten_sql(sql, Strategy.NESTED_ITERATION)
+        assert 't."order" AS "order"' in script
+        parse_statement(script.rstrip().rstrip(";"))
+        roundtrip(db, sql, Strategy.NESTED_ITERATION)
+
+    def test_decorrelated_graph_round_trips(self, db):
+        sql = (
+            'select t."order" from t where t.v > '
+            '(select count(*) from t u where u."order" = t."order")'
+        )
+        roundtrip(db, sql, Strategy.MAGIC)
