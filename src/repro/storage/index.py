@@ -22,6 +22,10 @@ class HashIndex:
     but equality probes with NULL never match, matching SQL semantics --
     callers must therefore pre-filter NULL probe values, which
     :meth:`lookup` and :meth:`probe` do for them.
+
+    Rows come in one at a time (:meth:`insert`) or a batch at a time
+    (:meth:`insert_many`: a table's load and an index's backfill); either
+    way the map, its bucket shapes and the NULL flag come out the same.
     """
 
     def __init__(self, name: str, column_positions: Sequence[int], unique: bool = False):
@@ -58,17 +62,45 @@ class HashIndex:
         else:
             bucket.append(row_id)
 
-    def check_unique(self, rows: Iterable[Sequence[Any]]) -> None:
+    def insert_many(self, row_ids: Iterable[int], rows: Sequence[Sequence[Any]]) -> None:
+        """Index each of ``rows`` stored at the matching one of ``row_ids``
+        (ascending): :meth:`insert` of each row in turn, in one pass.
+
+        The rows must have passed :meth:`check_unique`, so the keys a unique
+        index gets are new and distinct, and go in with one ``dict.update``.
+        A non-unique index builds the same buckets :meth:`insert` does, in
+        row-id order. A batch with a NULL in some key goes row by row
+        through :meth:`insert`, which publishes the NULL flag first."""
+        if any(None in map(itemgetter(pos), rows) for pos in self.column_positions):
+            for row_id, row in zip(row_ids, rows):
+                self.insert(row_id, row)
+            return
+        keys = map(self._key_of, rows)
+        index = self._map
+        if self.unique:
+            index.update(zip(keys, row_ids))
+            return
+        get = index.get
+        for row_id, key in zip(row_ids, keys):
+            bucket = get(key)
+            if bucket is None:
+                index[key] = row_id
+            elif bucket.__class__ is int:
+                index[key] = [bucket, row_id]
+            else:
+                bucket.append(row_id)
+
+    def check_unique(self, rows: Sequence[Sequence[Any]]) -> None:
         """Raise the error :meth:`insert` would for the first of ``rows``
         whose key a unique index already holds, or an earlier one of
         ``rows`` has; change nothing."""
         if not self.unique:
             return
-        keys = list(map(self._key_of, rows))
-        if len(set(keys)) == len(keys) and self._map.keys().isdisjoint(keys):
+        keys = set(map(self._key_of, rows))
+        if len(keys) == len(rows) and self._map.keys().isdisjoint(keys):
             return  # no key twice, none held: a NULL would not matter
         seen: set = set()
-        for key in keys:
+        for key in map(self._key_of, rows):
             if self._key_has_null(key):
                 continue
             if key in self._map or key in seen:

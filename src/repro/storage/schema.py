@@ -3,10 +3,21 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Any, Iterable, Sequence
 
 from ..errors import SchemaError
 from ..types import SQLType
+
+#: The one class a value of each type is stored as (what
+#: :meth:`SQLType.validate` returns for a non-NULL value).
+_STORED_CLASS = {
+    SQLType.INT: int,
+    SQLType.FLOAT: float,
+    SQLType.STR: str,
+    SQLType.DATE: str,
+    SQLType.BOOL: bool,
+}
 
 
 @dataclass(frozen=True)
@@ -86,6 +97,26 @@ class Schema:
                 f"row arity {len(row)} does not match schema arity {len(self.columns)}"
             )
         return tuple(col.validate(val) for col, val in zip(self.columns, row))
+
+    def stores_as_is(self, rows: Sequence[Any]) -> bool:
+        """True when every row of ``rows`` is already what
+        :meth:`validate_row` returns for it, with no NULL key: a tuple of
+        the schema's arity whose every value is of the exact class its
+        column's type stores, or NULL where the column is nullable and not
+        part of the primary key.
+
+        One C-level pass per column over the whole batch; False sends the
+        batch to :meth:`validate_row`, which coerces what it may (an int
+        into a FLOAT column) and raises on the rest."""
+        if set(map(type, rows)) - {tuple} or set(map(len, rows)) - {len(self.columns)}:
+            return False
+        for pos, col in enumerate(self.columns):
+            allowed = {_STORED_CLASS[col.type]}
+            if col.nullable and col.name not in self.primary_key:
+                allowed.add(type(None))
+            if not set(map(type, map(itemgetter(pos), rows))) <= allowed:
+                return False
+        return True
 
     def key_positions(self) -> tuple[int, ...]:
         """Ordinal positions of the primary key columns (empty if keyless)."""

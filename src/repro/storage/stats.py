@@ -4,14 +4,31 @@ The optimizer in the paper (section 7) "optimizes the query once without
 decorrelation, and using the chosen join orders repeats the optimization with
 decorrelation"; both passes need cardinality and distinct-value estimates.
 Statistics are computed on demand and cached per table snapshot.
+
+ANALYZE reads a table a column at a time, in C-level passes over the
+column: ``n_distinct`` is the size of the set of its values less NULL,
+``n_null`` counts ``None`` (only when that set holds it), and ``min`` /
+``max`` are the builtins in row order -- in natural order when the
+non-NULL values are of one class or a mix of int and float, by
+:func:`~repro.types.sort_key` for any other mix. Both keep the first of
+tied values (and a leading NaN), as a row-at-a-time "first strictly
+smaller" scan does. No column is materialised: each pass maps
+``itemgetter`` over a slice of the row list.
+
+ANALYZE describes a table's first ``len(table)`` rows, counted once: an
+INSERT holds only the table lock, so it may append while ANALYZE runs,
+and every column must describe the rows ``row_count`` counts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
+from functools import partial
+from itertools import islice
+from operator import countOf, is_not, itemgetter
+from typing import Any, Sequence
 
-from ..types import sort_key
+from ..types import comparable_classes, sort_key
 from .table import Table
 
 
@@ -44,35 +61,41 @@ class TableStats:
 
 def compute_column_stats(table: Table, column: str) -> ColumnStats:
     """Exact statistics for one column (exact is affordable in-memory)."""
-    pos = table.schema.position(column)
-    values = set()
-    n_null = 0
-    min_value = None
-    max_value = None
-    for row in table.rows:
-        v = row[pos]
-        if v is None:
-            n_null += 1
-            continue
-        values.add(v)
-        if min_value is None or sort_key(v) < sort_key(min_value):
-            min_value = v
-        if max_value is None or sort_key(v) > sort_key(max_value):
-            max_value = v
-    return ColumnStats(
-        n_distinct=len(values), n_null=n_null,
-        min_value=min_value, max_value=max_value,
-    )
+    return _column_stats(table.rows, len(table), table.schema.position(column))
 
 
 def compute_table_stats(table: Table) -> TableStats:
-    """Exact statistics for every column of ``table``."""
+    """Exact statistics for every column of ``table``'s first ``len(table)``
+    rows."""
+    rows, n = table.rows, len(table)
     return TableStats(
-        row_count=len(table),
+        row_count=n,
         columns={
-            col.name: compute_column_stats(table, col.name)
-            for col in table.schema
+            col.name: _column_stats(rows, n, pos)
+            for pos, col in enumerate(table.schema)
         },
+    )
+
+
+def _column_stats(rows: Sequence[tuple], n: int, pos: int) -> ColumnStats:
+    """Statistics of column ``pos`` over ``rows[:n]``."""
+
+    def column():
+        return map(itemgetter(pos), islice(rows, n))
+
+    distinct = set(column())
+    n_null = countOf(column(), None) if None in distinct else 0
+    distinct.discard(None)
+    if not distinct:
+        return ColumnStats(n_distinct=0, n_null=n_null, min_value=None, max_value=None)
+
+    def values():
+        return filter(partial(is_not, None), column()) if n_null else column()
+
+    key = None if comparable_classes(set(map(type, values()))) else sort_key
+    return ColumnStats(
+        n_distinct=len(distinct), n_null=n_null,
+        min_value=min(values(), key=key), max_value=max(values(), key=key),
     )
 
 
@@ -91,7 +114,9 @@ class StatsCache:
         if cached is not None and cached[0] == len(table):
             return cached[1]
         stats = compute_table_stats(table)
-        self._cache[table.name] = (len(table), stats)
+        # Keyed by the rows the statistics describe: an INSERT that landed
+        # during ANALYZE makes the next read recompute.
+        self._cache[table.name] = (stats.row_count, stats)
         return stats
 
     def invalidate(self, table_name: str) -> None:

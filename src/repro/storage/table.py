@@ -53,26 +53,32 @@ class Table:
         """Validate and append ``rows``, all or none; returns how many.
 
         Every row is checked before the first is appended -- arity, types
-        and nullability (:meth:`Schema.validate_row`), a NULL primary key,
-        and each unique index against the table and the rows ahead of it
-        in ``rows``. The checks against the table, the row-id assignment
-        and every index update then happen under one hold of the table
-        lock, so a failed call leaves the table as it was and concurrent
-        inserts and index DDL never interleave with it."""
-        validated = [self._validated(row) for row in rows]
+        and nullability, a NULL primary key, and each unique index against
+        the table and the rows ahead of it in ``rows``. A batch that
+        :meth:`Schema.stores_as_is` is stored as it is, checked a column at
+        a time; any other goes row by row through
+        :meth:`Schema.validate_row`, which coerces (an int into a FLOAT
+        column) and raises the error of the first bad row. The checks
+        against the table, the row-id assignment and every index update
+        then happen under one hold of the table lock, so a failed call
+        leaves the table as it was and concurrent inserts and index DDL
+        never interleave with it."""
+        batch = list(rows)
+        if not self.schema.stores_as_is(batch):
+            batch = [self._validated(row) for row in batch]
         with self._lock:
             indexes = self.indexes.values()
             for index in indexes:
-                index.check_unique(validated)
-            for row in validated:
-                # Checked, an insert into an index cannot fail: the row goes
-                # first, so a lock-free probe never finds a row id that
-                # ``rows`` does not hold yet.
-                row_id = len(self.rows)
-                self.rows.append(row)
-                for index in indexes:
-                    index.insert(row_id, row)
-        return len(validated)
+                index.check_unique(batch)
+            # Checked, an insert into an index cannot fail. The rows go in
+            # first, so a lock-free probe never finds a row id that ``rows``
+            # does not hold yet; every index shares one int object per id.
+            first_id = len(self.rows)
+            row_ids = list(range(first_id, first_id + len(batch)))
+            self.rows.extend(batch)
+            for index in indexes:
+                index.insert_many(row_ids, batch)
+        return len(batch)
 
     def _validated(self, row: Sequence[Any]) -> tuple:
         validated = self.schema.validate_row(row)
@@ -118,8 +124,8 @@ class Table:
                 )
             positions = [self.schema.position(c) for c in columns]
             index = HashIndex(index_name, positions, unique=unique)
-            for row_id, row in enumerate(self.rows):
-                index.insert(row_id, row)
+            index.check_unique(self.rows)
+            index.insert_many(range(len(self.rows)), self.rows)
             updated = dict(self.indexes)
             updated[index_name] = index
             self.indexes = updated

@@ -256,3 +256,41 @@ class TestLookupRaces:
 
         results = _run_threads(4, work)
         assert not any(isinstance(r, Exception) for r in results), results
+
+    def test_batches_race_probes_and_analyze(self):
+        # Whole batches go in (some with NULL keys, which go row by row)
+        # while readers probe the index and ANALYZE the table: a probe
+        # finds only rows that are stored under its key, and statistics
+        # describe exactly the rows they count.
+        catalog = Catalog()
+        table = catalog.create_table("t", _schema())
+        index = table.create_index("t_val", ["val"])
+        keys = [f"v{k}" for k in range(5)]
+
+        def work(i: int):
+            if i < 2:
+                for b in range(20):
+                    base = 100_000 * (i + 1) + 100 * b
+                    table.insert_many(
+                        (base + k, None if b % 5 == 0 and k % 7 == 0 else f"v{k % 5}")
+                        for k in range(50)
+                    )
+                return None
+            for _ in range(20):
+                for key, ids in zip(keys, index.probe(keys)):
+                    assert all(table.rows[row_id][1] == key for row_id in ids)
+                stats = catalog.stats("t")
+                val = stats.column("val")
+                assert stats.row_count <= len(table)
+                assert val.n_null + val.n_distinct <= stats.row_count
+                assert val.selectivity_eq(stats.row_count) >= 0
+            return None
+
+        results = _run_threads(4, work)
+        assert not any(isinstance(r, Exception) for r in results), results
+        assert len(table) == 2 * 20 * 50
+        rebuilt = type(index)("t_val", index.column_positions)
+        for row_id, row in enumerate(table.rows):
+            rebuilt.insert(row_id, row)
+        assert repr(rebuilt._map) == repr(index._map)
+        assert rebuilt._nulls == index._nulls
