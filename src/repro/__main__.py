@@ -341,71 +341,72 @@ def cmd_soak(args: argparse.Namespace) -> int:
     return 0
 
 
+def _worker_faults(spec: str | None, real: bool):
+    """The ``repro parallel --faults`` registry, or ``None``. A spec needs
+    ``--real`` and every rule must match a site a worker process honours:
+    a rule that can never fire would label a fault-free run as faulty."""
+    from .faults import FaultRegistry
+    from .parallel.workers import WORKER_FAULT_SITES
+
+    if not spec:
+        return None
+    if not real:
+        raise ValueError(
+            "needs --real (worker faults fire in the measured runs; the "
+            "simulator runs fault-free)"
+        )
+    faults = FaultRegistry.parse(spec)
+    idle = [
+        rule.site for rule in faults.rules
+        if not any(rule.matches(site) for site in WORKER_FAULT_SITES)
+    ]
+    if idle:
+        raise ValueError(
+            f"{', '.join(idle)} never fires in a worker process; worker "
+            f"sites: {', '.join(WORKER_FAULT_SITES)}"
+        )
+    return faults
+
+
 def cmd_parallel(args: argparse.Namespace) -> int:
     """``repro parallel``: the section-6 shared-nothing comparison.
 
-    By default prices NI vs the decorrelated plan in the cost simulator
-    at the given cluster size. ``--real`` additionally executes both
-    plans on real worker processes (the measured run), prints the
-    measured-vs-simulated calibration report (``--json`` writes it as
-    JSON). ``--faults`` injects the process-level sites
-    (``worker.crash``/``worker.stall``/``exchange.drop``) into the
-    measured runs only.
-
-    Exit ``0`` when every answer agrees (and, fault-free, measured
-    message counts *and* row work exactly equal the simulator's -- both
-    run the same plan functions, so any difference is a bug); ``1``
-    otherwise.
+    Prints (and with ``--json`` writes) the simulator's counts of NI and
+    the decorrelated plan; ``--real`` also runs both on worker processes
+    five times each, with ``--faults`` injected there. Exit ``0`` when
+    every answer agrees and, fault-free, all four counts are exact in
+    every measured run (both back-ends run one plan, so a difference is a
+    bug); ``1`` otherwise; ``2`` on a bad ``--faults``.
     """
-    from .faults import FaultRegistry
-    from .parallel import simulate_decorrelated, simulate_nested_iteration
+    from .bench.calibration import (
+        calibration_ok,
+        render_calibration,
+        run_calibration,
+        simulated_report,
+    )
     from .tpcd import load_empdept
 
     try:
-        faults = FaultRegistry.parse(args.faults) if args.faults else None
+        faults = _worker_faults(args.faults, args.real)
     except ValueError as exc:
-        raise SystemExit(f"--faults: {exc}")
+        print(f"parallel: --faults: {exc}", file=sys.stderr)
+        return 2
     catalog = load_empdept(
         n_depts=args.depts, n_emps=args.emps, n_buildings=8, seed=args.seed
     )
     dept_rows = list(catalog.table("dept").rows)
     emp_rows = list(catalog.table("emp").rows)
 
-    if not args.real:
-        sim_ni = simulate_nested_iteration(dept_rows, emp_rows, args.workers)
-        sim_mag = simulate_decorrelated(dept_rows, emp_rows, args.workers)
-        print(
-            f"simulated section 6 @ {args.workers} nodes "
-            f"({args.depts} dept x {args.emps} emp):"
+    if args.real:
+        report = run_calibration(
+            dept_rows, emp_rows, n_workers=args.workers, faults=faults
         )
-        for name, m in (("ni", sim_ni), ("decorrelated", sim_mag)):
-            print(
-                f"  {name:<14} makespan={m.makespan:>10.1f} "
-                f"messages={m.messages:>6} fragments={m.fragments:>6}"
-            )
-        if sim_mag.makespan > 0:
-            print(
-                f"  NI/decorrelated makespan ratio: "
-                f"{sim_ni.makespan / sim_mag.makespan:.2f}x"
-            )
-        return 0
-
-    from .bench.calibration import render_calibration, run_calibration
-
-    report = run_calibration(
-        dept_rows,
-        emp_rows,
-        n_workers=args.workers,
-        faults=faults,
-    )
+    else:
+        report = simulated_report(dept_rows, emp_rows, n_workers=args.workers)
     print(render_calibration(report))
+    ok = calibration_ok(report)
     if args.json:
         _write_json(args.json, report)
-    calibration = report["calibration"]
-    ok = report["answers_agree"] and (
-        report["faulty"]
-        or (calibration["messages_exact"] and calibration["rows_exact"])
-    )
     return 0 if ok else 1
 
 
@@ -956,8 +957,8 @@ def main(argv: list[str] | None = None) -> int:
 
     p_par = sub.add_parser(
         "parallel",
-        help="section-6 shared-nothing comparison: simulator, or --real "
-             "worker processes with measured-vs-simulated calibration",
+        help="section-6 shared-nothing comparison: simulated counts, or "
+             "--real worker processes checked against them",
     )
     p_par.add_argument("--workers", "--nodes", type=int, default=4,
                        dest="workers",
@@ -970,12 +971,12 @@ def main(argv: list[str] | None = None) -> int:
                        help="data-generator seed")
     p_par.add_argument("--real", action="store_true",
                        help="also execute on real worker processes and "
-                            "print the calibration report")
+                            "print the measured-vs-simulated report")
     p_par.add_argument("--faults", default=None, metavar="SEED:SPEC",
-                       help="process-level fault injection for the measured "
-                            "runs, e.g. '7:worker.crash=0.05'")
+                       help="worker fault injection for the measured runs "
+                            "(needs --real), e.g. '7:worker.crash=0.05'")
     p_par.add_argument("--json", default=None, metavar="PATH",
-                       help="write the calibration report as JSON")
+                       help="write the printed report as JSON")
     p_par.set_defaults(fn=cmd_parallel)
 
     p_shell = sub.add_parser("shell", help="interactive SQL shell")

@@ -16,11 +16,7 @@ from .figures import (
     figure9,
     table1,
 )
-from .calibration import (
-    qerror,
-    render_calibration,
-    run_calibration,
-)
+from .calibration import render_calibration, run_calibration
 
 __all__ = [
     "BenchResult",
@@ -35,7 +31,6 @@ __all__ = [
     "figure7",
     "figure8",
     "figure9",
-    "qerror",
     "render_calibration",
     "run_calibration",
 ]

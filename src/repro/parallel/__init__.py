@@ -1,15 +1,9 @@
 """Shared-nothing parallel execution (section 6 of the paper): each plan
-written once (:mod:`.plans`) and run by two back-ends -- the cost
+written once (:mod:`.plans`) and run by two back-ends -- the counting
 simulator (:mod:`.simulate` over :mod:`.cluster`) and the real
 worker-process executor with crash recovery (:mod:`.workers`)."""
 
-from .cluster import (
-    MEASURED_RETRY_POLICY,
-    SIMULATED_RETRY_POLICY,
-    Cluster,
-    Node,
-    RetryPolicy,
-)
+from .cluster import Cluster, Node
 from .plans import partition_owner, repartition
 from .simulate import (
     ParallelMetrics,
@@ -18,6 +12,7 @@ from .simulate import (
     sweep_nodes,
 )
 from .workers import (
+    RetryPolicy,
     WorkerPool,
     WorkerRunMetrics,
     local_reference,
@@ -30,8 +25,6 @@ __all__ = [
     "Cluster",
     "Node",
     "RetryPolicy",
-    "SIMULATED_RETRY_POLICY",
-    "MEASURED_RETRY_POLICY",
     "partition_owner",
     "repartition",
     "ParallelMetrics",

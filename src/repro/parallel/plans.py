@@ -11,9 +11,9 @@ running it:
   repartition rows on a new key (the set-oriented exchange);
 * ``table_partitions(name)`` -- the per-partition rows of a placed table.
 
-Two back-ends run the same plan functions: the cost simulator's
+Two back-ends run the same plan functions: the simulator's
 :class:`~repro.parallel.cluster.Cluster` executes every fragment
-in-process and *prices* it; :class:`~repro.parallel.workers.WorkerPool`
+in-process and *counts* it; :class:`~repro.parallel.workers.WorkerPool`
 ships it to a real worker process and *measures* it. Everything both must
 agree on lives here and only here -- the placement function
 (:func:`partition_owner`), repartitioning and its batching

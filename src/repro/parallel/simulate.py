@@ -1,4 +1,4 @@
-"""Parallel execution strategies for the section-2 example query, priced.
+"""Parallel execution strategies for the section-2 example query, counted.
 
 The plans themselves -- the query, its fragments and its exchanges -- are
 written once in :mod:`repro.parallel.plans`; here they run over a
@@ -12,26 +12,22 @@ real worker pool runs the same functions.
 
 Both simulations compute the *actual* query answer (verified against the
 single-node engine in tests), by running the engine inside every node,
-while accounting work and messages.
+while counting fragments, tasks, messages and row work -- the quantities
+section 6 argues in. Nothing is priced: the real pool measures time.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from ..guard import guard_for
-from .cluster import Cluster, RetryPolicy
+from .cluster import Cluster
 from .plans import PLANS, place
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
     from ..faults import FaultRegistry
     from ..guard import Limits
-
-#: Cost model (arbitrary units): a network message is much more expensive
-#: than touching a row, the defining property of shared-nothing systems.
-ROW_COST = 1.0
-MESSAGE_COST = 50.0
 
 
 @dataclass
@@ -46,36 +42,11 @@ class ParallelMetrics:
     fragments: int
     messages: int
     rows_processed: int
-    makespan: float
-    per_node_busy: list[float] = field(default_factory=list)
-    #: Failure accounting (non-zero only under injected cluster faults);
-    #: the retry backoff is already folded into the per-node busy times and
-    #: therefore into the makespan.
+    #: Failure accounting (non-zero only under injected cluster faults).
     node_failures: int = 0
     retries: int = 0
-    backoff_time: float = 0.0
     #: Plan fragments executed (scans, probes, local pipelines).
     tasks: int = 0
-
-
-def _metrics(
-    cluster: Cluster, strategy: str, answer: list[tuple], fragments: int
-) -> ParallelMetrics:
-    per_node = [n.busy_time(ROW_COST, MESSAGE_COST) for n in cluster.nodes]
-    return ParallelMetrics(
-        strategy=strategy,
-        n_nodes=cluster.n_nodes,
-        answer=sorted(answer),
-        fragments=fragments,
-        messages=sum(n.messages_sent for n in cluster.nodes),
-        rows_processed=sum(n.rows_processed for n in cluster.nodes),
-        makespan=max(per_node) if per_node else 0.0,
-        per_node_busy=per_node,
-        node_failures=sum(n.failures for n in cluster.nodes),
-        retries=sum(n.retries for n in cluster.nodes),
-        backoff_time=sum(n.backoff_time for n in cluster.nodes),
-        tasks=cluster.tasks_dispatched,
-    )
 
 
 def _simulate(
@@ -86,20 +57,30 @@ def _simulate(
     budget_limit: float,
     faults: Optional["FaultRegistry"],
     limits: Optional["Limits"],
-    retry_policy: Optional[RetryPolicy],
 ) -> ParallelMetrics:
-    """Run one plan over a fresh cluster and price what it did.
+    """Run one plan over a fresh cluster and count what it did.
 
     Rows scanned across the cluster count against ``max_rows_scanned``
     (every fragment's ``Metrics`` is absorbed by the guard, as the real
     coordinator does); the wall-clock timeout and cancellation apply as in
     the single-node engine, checked once per fragment.
     """
-    cluster = Cluster(n_nodes, faults=faults, retry_policy=retry_policy)
+    cluster = Cluster(n_nodes, faults=faults)
     cluster.guard = guard_for(limits)
     place(cluster, dept_rows, emp_rows)
     answer, fragments = PLANS[strategy](cluster, budget_limit)
-    return _metrics(cluster, strategy, answer, fragments)
+    nodes = cluster.nodes
+    return ParallelMetrics(
+        strategy=strategy,
+        n_nodes=n_nodes,
+        answer=sorted(answer),
+        fragments=fragments,
+        messages=sum(n.messages_sent for n in nodes),
+        rows_processed=sum(n.rows_processed for n in nodes),
+        node_failures=sum(n.failures for n in nodes),
+        retries=sum(n.retries for n in nodes),
+        tasks=cluster.tasks_dispatched,
+    )
 
 
 def simulate_nested_iteration(
@@ -109,12 +90,11 @@ def simulate_nested_iteration(
     budget_limit: float = 10000.0,
     faults: Optional["FaultRegistry"] = None,
     limits: Optional["Limits"] = None,
-    retry_policy: Optional[RetryPolicy] = None,
 ) -> ParallelMetrics:
     """Section 6.1: broadcast-per-tuple nested iteration."""
     return _simulate(
         "nested_iteration", dept_rows, emp_rows, n_nodes,
-        budget_limit, faults, limits, retry_policy,
+        budget_limit, faults, limits,
     )
 
 
@@ -125,12 +105,11 @@ def simulate_decorrelated(
     budget_limit: float = 10000.0,
     faults: Optional["FaultRegistry"] = None,
     limits: Optional["Limits"] = None,
-    retry_policy: Optional[RetryPolicy] = None,
 ) -> ParallelMetrics:
     """Section 6.2: the magic-decorrelated plan, fully partition-parallel."""
     return _simulate(
         "magic_decorrelated", dept_rows, emp_rows, n_nodes,
-        budget_limit, faults, limits, retry_policy,
+        budget_limit, faults, limits,
     )
 
 

@@ -1,12 +1,12 @@
 """Real shared-nothing execution: worker processes with crash recovery.
 
-Where :mod:`repro.parallel.simulate` *prices* the paper's section-6
-execution strategies under a cost model, this module *runs* them: base
-tables are hash-partitioned across real ``multiprocessing`` worker
-processes, plan fragments execute inside each worker through the ordinary
-:class:`repro.Database` facade (parser, rewriter, iterator executor), and
-the coordinator merges partial results. The same plan functions
-(:mod:`repro.parallel.plans`) are measured:
+Where :mod:`repro.parallel.simulate` *counts* the fragments, messages and
+row work of the paper's section-6 execution strategies, this module *runs*
+them and measures wall-clock: base tables are hash-partitioned across real
+``multiprocessing`` worker processes, plan fragments execute inside each
+worker through the ordinary :class:`repro.Database` facade (parser,
+rewriter, iterator executor), and the coordinator merges partial results.
+The same plan functions (:mod:`repro.parallel.plans`) are measured:
 
 * ``nested_iteration`` -- per qualifying DEPT binding, a COUNT probe is
   dispatched to every EMP partition (the O(n^2)-fragment pathology);
@@ -20,9 +20,9 @@ rows directly (loopback free, bulk rows batched ``ROWS_PER_MESSAGE`` per
 message, the crc32 :func:`partition_owner` placement) -- the rules of
 :mod:`repro.parallel.plans`, which the simulator charges too, so a
 fault-free measured run reports exactly the simulator's message count and
-row work: the calibration hook of :mod:`repro.bench.calibration`.
+row work: the exact comparison of :mod:`repro.bench.calibration`.
 
-Robustness contract (the part the simulator only priced):
+Robustness contract (the part the simulator only counts):
 
 * **Liveness.** Workers heartbeat on their result queue; the coordinator
   timestamps arrivals with its own injectable clock. A worker is *lost*
@@ -33,7 +33,7 @@ Robustness contract (the part the simulator only priced):
   losing a worker re-ships only the lost partitions (under their
   partition-scoped names, e.g. ``emp_p3``, which coexist on the
   replacement) and re-dispatches only the orphaned tasks, with the
-  bounded exponential backoff of :class:`repro.parallel.cluster.RetryPolicy`.
+  bounded exponential backoff of :class:`RetryPolicy`.
 * **No partial results.** Every task carries an ``(task_id, attempt)``
   epoch; marking a worker lost bumps the attempt of its in-flight tasks
   *before* any further message is drained, so a late result from a
@@ -91,7 +91,6 @@ from ..faults import FaultRegistry
 from ..guard import guard_for
 from ..rewrite.engine import DegradationEvent
 from ..trace.tracer import Tracer, _span_from_dict
-from .cluster import MEASURED_RETRY_POLICY, RetryPolicy
 from .plans import (
     PLANS,
     Backend,
@@ -200,6 +199,46 @@ class _WorkerState:
     lost: bool = False
 
 
+@dataclass(frozen=True)
+class RetryPolicy:
+    """Bounded exponential backoff with deterministic jitter, in seconds.
+
+    ``delay(attempt)`` is ``base_delay * multiplier**attempt``, stretched
+    by up to ``jitter`` (a fraction in ``[0, 1]``) using a crc32 draw on
+    ``(seed, attempt)`` -- no ``random`` module, so a seeded run replays
+    identically. ``max_attempts`` bounds the total tries of one task
+    (first attempt included); ``allows(attempt)`` says whether attempt
+    number ``attempt`` (0-based) may still run.
+    """
+
+    base_delay: float = 0.05
+    multiplier: float = 2.0
+    jitter: float = 0.25
+    max_attempts: int = 4
+
+    def __post_init__(self) -> None:
+        if self.base_delay < 0:
+            raise ValueError("retry base_delay must be >= 0")
+        if self.multiplier < 1.0:
+            raise ValueError("retry multiplier must be >= 1")
+        if not 0.0 <= self.jitter <= 1.0:
+            raise ValueError("retry jitter must be in [0, 1]")
+        if self.max_attempts < 1:
+            raise ValueError("retry max_attempts must be >= 1")
+
+    def allows(self, attempt: int) -> bool:
+        """May attempt number ``attempt`` (0-based) still run?"""
+        return attempt < self.max_attempts
+
+    def delay(self, attempt: int, seed: int = 0) -> float:
+        """The backoff before retry number ``attempt`` (0-based)."""
+        delay = self.base_delay * self.multiplier ** attempt
+        if self.jitter:
+            draw = zlib.crc32(f"{seed}:retry:{attempt}".encode()) / 2**32
+            delay *= 1.0 + self.jitter * draw
+        return delay
+
+
 @dataclass
 class WorkerRunMetrics:
     """Outcome of one measured parallel execution (the real-process
@@ -256,9 +295,7 @@ class WorkerPool(Backend):
         super().__init__()
         self.n_workers = n_workers
         self.faults = faults
-        self.retry_policy = (
-            retry_policy if retry_policy is not None else MEASURED_RETRY_POLICY
-        )
+        self.retry_policy = retry_policy or RetryPolicy()
         self.heartbeat_interval = heartbeat_interval
         self.heartbeat_timeout = heartbeat_timeout
         self.task_timeout = task_timeout

@@ -115,14 +115,40 @@ class TestReport:
 
 
 class TestParallel:
+    SMALL = ("--depts", "12", "--emps", "60")
+
     def test_simulator_mode_in_process(self, capsys):
-        code = main([
-            "parallel", "--workers", "3", "--depts", "12", "--emps", "60",
-        ])
+        code = main(["parallel", "--workers", "3", *self.SMALL])
         assert code == 0
         out = capsys.readouterr().out
         assert "simulated section 6 @ 3 nodes" in out
-        assert "NI/decorrelated makespan ratio" in out
+        for count in ("fragments", "messages", "rows_processed", "tasks"):
+            assert f"ni {count}" in out and f"decorrelated {count}" in out
+        assert "answers agree: True" in out
+        assert "makespan" not in out
+
+    def test_simulator_mode_writes_the_counts_report(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        code = main([
+            "parallel", "--workers", "3", *self.SMALL, "--json", "sim.json",
+        ])
+        assert code == 0
+        from repro.parallel import simulate_nested_iteration
+        from repro.tpcd import load_empdept
+
+        report = json.loads((tmp_path / "sim.json").read_text())
+        assert report["n_workers"] == 3 and report["answers_agree"] is True
+        catalog = load_empdept(n_depts=12, n_emps=60, n_buildings=8, seed=2)
+        ni = simulate_nested_iteration(
+            list(catalog.table("dept").rows), list(catalog.table("emp").rows), 3
+        )
+        assert report["simulated"]["ni"] == {
+            "messages": ni.messages, "fragments": ni.fragments,
+            "rows_processed": ni.rows_processed, "tasks": ni.tasks,
+        }
+        assert report["simulated"]["decorrelated"]["fragments"] == 3
 
     def test_real_mode_writes_only_the_calibration(
         self, tmp_path, capsys, monkeypatch
@@ -130,22 +156,54 @@ class TestParallel:
         monkeypatch.chdir(tmp_path)
         code = main([
             "parallel", "--real", "--workers", "2",
-            "--depts", "12", "--emps", "60", "--json", "calibration.json",
+            *self.SMALL, "--json", "calibration.json",
         ])
         assert code == 0
         out = capsys.readouterr().out
         assert "messages exact: True" in out
+        assert "tasks exact: True" in out
         assert "answers agree: True" in out
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "calibration.json"
         ]
         report = json.loads((tmp_path / "calibration.json").read_text())
-        assert report["calibration"]["messages_exact"] is True
+        assert report["exact"] == {
+            "messages": True, "fragments": True,
+            "rows_processed": True, "tasks": True,
+        }
 
     def test_bad_faults_spec_exits_nonzero(self):
         result = run_cli("parallel", "--real", "--faults", "nonsense")
         assert result.returncode != 0
         assert "--faults" in result.stderr
+
+    def test_faults_without_real_is_a_usage_error(self, capsys):
+        code = main([
+            "parallel", *self.SMALL, "--faults", "1:worker.crash=0.5",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--faults" in err and "--real" in err
+
+    @pytest.mark.parametrize("spec", [
+        "1:cluster.node=0.9",
+        "1:cluster.*=0.5",
+        "1:worker.crash=0.1,cluster.deliver=0.5",
+    ])
+    def test_faults_that_never_fire_in_a_worker_are_rejected(
+        self, capsys, spec
+    ):
+        code = main(["parallel", "--real", *self.SMALL, "--faults", spec])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cluster." in err and "worker.crash" in err
+
+    def test_worker_fault_globs_are_accepted(self):
+        from repro.__main__ import _worker_faults
+
+        assert _worker_faults(None, real=False) is None
+        for spec in ("1:worker.*=0.1", "1:exchange.drop=0.2"):
+            assert _worker_faults(spec, real=True).rules
 
 
 class TestSoakCLI:

@@ -32,8 +32,11 @@ def test_count_bug():
 
 
 def test_parallel_cluster():
+    # The example asserts the section-6 fragment counts itself.
     out = run_example("parallel_cluster.py")
-    assert "decorrelated speedup over NI" in out
+    assert "row work" in out
+    assert "   16 | nested_iteration         256" in out
+    assert "makespan" not in out
 
 
 def test_tpcd_decorrelation_small_scale():

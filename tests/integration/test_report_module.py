@@ -33,9 +33,13 @@ def test_claims_rendered_with_verdicts(report_text):
 
 
 def test_parallel_speedup_column(report_text):
-    section = report_text.split("## Section 6")[1]
-    assert "speedup" in section
-    assert "x |" in section
+    # Section 6 is argued in counts: row work, never an estimated time.
+    section = report_text.split("## Section 6")[1].split("## Ablation")[0]
+    assert "| NI rows |" in section and "| Mag rows |" in section
+    assert "makespan" not in section and "speedup" not in section
+    # 400 x 8 000: NI scans every EMP row once per qualifying department.
+    first_row = section.split("\n|---")[1].split("\n")[1]
+    assert first_row.startswith("| 1 | 1 | 0 | 1544400 |")
 
 
 def test_ablation_shows_both_modes(report_text):

@@ -141,8 +141,8 @@ class TestSimulations:
         for n in (2, 4, 8):
             ni = simulate_nested_iteration(dept, emp, n)
             magic = simulate_decorrelated(dept, emp, n)
-            assert magic.makespan < ni.makespan
             assert magic.rows_processed < ni.rows_processed
+            assert magic.messages < ni.messages
 
     def test_ni_work_does_not_scale_down(self, empdept_rows):
         # NI's total row work *grows* with the cluster: every invocation
@@ -198,7 +198,7 @@ class TestSimulations:
 
 
 class TestClusterFaults:
-    """Node-failure simulation: deterministic retries folded into makespan."""
+    """Node-failure simulation: deterministic retries, doubled counts."""
 
     SPEC = "1:cluster.node=0.05,cluster.deliver=0.01"
 
@@ -221,17 +221,6 @@ class TestClusterFaults:
         assert faulty.retries >= faulty.node_failures
         assert faults.log()  # the registry recorded every fired fault
 
-    def test_backoff_is_folded_into_makespan(self, empdept_rows):
-        from repro.parallel.cluster import RETRY_BACKOFF
-
-        faulty, _ = self._run(empdept_rows)
-        assert faulty.backoff_time == pytest.approx(
-            faulty.retries * RETRY_BACKOFF
-        )
-        # Backoff lives inside the per-node busy times, hence the makespan.
-        assert faulty.makespan == pytest.approx(max(faulty.per_node_busy))
-        assert sum(faulty.per_node_busy) >= faulty.backoff_time
-
     def test_simulation_is_deterministic(self, empdept_rows):
         a, fa = self._run(empdept_rows)
         b, fb = self._run(empdept_rows)
@@ -243,7 +232,29 @@ class TestClusterFaults:
         clean = simulate_decorrelated(dept, emp, 4)
         assert clean.node_failures == 0
         assert clean.retries == 0
-        assert clean.backoff_time == 0.0
+        # A registry that never fires leaves every count untouched.
+        silent, _ = self._run(
+            empdept_rows, "1:cluster.node=0,cluster.deliver=0"
+        )
+        assert silent == clean
+        # One that does re-runs work and re-sends traffic: counts only grow.
+        faulty, _ = self._run(empdept_rows)
+        assert faulty.rows_processed >= clean.rows_processed
+        assert faulty.messages >= clean.messages
+        assert (faulty.fragments, faulty.tasks) == (clean.fragments, clean.tasks)
+
+    def test_fired_sites_double_the_step_and_count_it(self):
+        from repro import FaultRegistry
+
+        cluster = Cluster(
+            2, faults=FaultRegistry.parse("1:cluster.node=1,cluster.deliver=1")
+        )
+        cluster.work(0, n_rows=10)
+        cluster.send(0, 1, 3)
+        node = cluster.nodes[0]
+        assert (node.rows_processed, node.messages_sent) == (20, 6)
+        assert cluster.nodes[1].messages_received == 6
+        assert (node.failures, node.retries) == (1, 2)
 
     def test_ni_under_faults_keeps_answer(self, empdept_rows):
         from repro import FaultRegistry
@@ -265,15 +276,3 @@ class TestClusterFaults:
             return sweep_nodes(dept, emp, node_counts=[2, 4], faults=faults)
 
         assert sweep() == sweep()
-
-    def test_reset_counters_clears_failure_fields(self):
-        from repro import FaultRegistry
-        from repro.parallel.cluster import RETRY_BACKOFF
-
-        cluster = Cluster(2, faults=FaultRegistry.parse("1:cluster.node=1"))
-        cluster.work(0, n_rows=10)
-        node = cluster.nodes[0]
-        assert node.failures == 1
-        assert node.backoff_time == RETRY_BACKOFF
-        cluster.reset_counters()
-        assert (node.failures, node.retries, node.backoff_time) == (0, 0, 0.0)

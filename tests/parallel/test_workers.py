@@ -13,8 +13,6 @@ from repro.faults import FaultRegistry
 from repro.guard import Limits
 from repro.obs.events import EventLog, RingSink, count_by_kind
 from repro.parallel import (
-    MEASURED_RETRY_POLICY,
-    SIMULATED_RETRY_POLICY,
     RetryPolicy,
     WorkerPool,
     local_reference,
@@ -25,7 +23,7 @@ from repro.parallel import (
     simulate_nested_iteration,
 )
 from repro.parallel import plans
-from repro.parallel.cluster import RETRY_BACKOFF, Cluster
+from repro.parallel.cluster import Cluster
 from repro.parallel.workers import Task, _WorkerState
 from repro.tpcd import load_empdept
 
@@ -64,12 +62,6 @@ STRATEGIES = {
 
 
 class TestRetryPolicy:
-    def test_simulated_default_is_flat_legacy_backoff(self):
-        # The simulator's accounting identity backoff == retries * RETRY_BACKOFF
-        # must survive the policy refactor.
-        assert SIMULATED_RETRY_POLICY.delay(0) == RETRY_BACKOFF
-        assert SIMULATED_RETRY_POLICY.delay(2) == RETRY_BACKOFF
-
     def test_exponential_growth(self):
         policy = RetryPolicy(base_delay=1.0, multiplier=2.0, jitter=0.0,
                              max_attempts=5)
@@ -99,11 +91,10 @@ class TestRetryPolicy:
             RetryPolicy(**kwargs)
 
     def test_measured_default_is_bounded_exponential_with_jitter(self):
-        assert MEASURED_RETRY_POLICY.multiplier > 1.0
-        assert MEASURED_RETRY_POLICY.jitter > 0.0
-        assert not MEASURED_RETRY_POLICY.allows(
-            MEASURED_RETRY_POLICY.max_attempts
-        )
+        policy = RetryPolicy()
+        assert (policy.base_delay, policy.multiplier, policy.jitter,
+                policy.max_attempts) == (0.05, 2.0, 0.25, 4)
+        assert not policy.allows(policy.max_attempts)
 
 
 class TestFaultFreeParity:
