@@ -343,29 +343,16 @@ def cmd_soak(args: argparse.Namespace) -> int:
 
 def _worker_faults(spec: str | None, real: bool):
     """The ``repro parallel --faults`` registry, or ``None``. A spec needs
-    ``--real`` and every rule must match a site a worker process honours:
-    a rule that can never fire would label a fault-free run as faulty."""
-    from .faults import FaultRegistry
-    from .parallel.workers import WORKER_FAULT_SITES
+    ``--real``, and every rule must match a site a worker process honours
+    (:func:`~repro.parallel.workers.worker_faults`)."""
+    from .parallel.workers import worker_faults
 
-    if not spec:
-        return None
-    if not real:
+    if spec and not real:
         raise ValueError(
             "needs --real (worker faults fire in the measured runs; the "
             "simulator runs fault-free)"
         )
-    faults = FaultRegistry.parse(spec)
-    idle = [
-        rule.site for rule in faults.rules
-        if not any(rule.matches(site) for site in WORKER_FAULT_SITES)
-    ]
-    if idle:
-        raise ValueError(
-            f"{', '.join(idle)} never fires in a worker process; worker "
-            f"sites: {', '.join(WORKER_FAULT_SITES)}"
-        )
-    return faults
+    return worker_faults(spec)
 
 
 def cmd_parallel(args: argparse.Namespace) -> int:

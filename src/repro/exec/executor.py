@@ -28,10 +28,14 @@ Common-subexpression handling follows the paper:
   always recomputes common sub-expressions" (section 5.1) -- while
   ``"materialize"`` computes them once (the paper's hypothesised
   improvement, measured by the ablation benchmark).
+
+An execution runs with the cyclic collector paused (:func:`execute_graph`).
 """
 
 from __future__ import annotations
 
+import gc
+import threading
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
 from itertools import chain, combinations, islice, repeat
@@ -1205,6 +1209,47 @@ def _equi_condition(box: OuterJoinBox):
     return tuple(left_keys), tuple(right_keys), tuple(null_safe)
 
 
+#: Executions in flight in this process, and whether the collector is off
+#: because the first of them turned it off (see :func:`execute_graph`).
+_paused = 0
+_owned = False
+_pause_lock = threading.Lock()
+
+
+def _pause_collector() -> None:
+    global _paused, _owned
+    with _pause_lock:
+        if _paused == 0 and not _owned:
+            _owned = gc.isenabled()
+            gc.disable()
+        _paused += 1
+
+
+def _resume_collector() -> None:
+    """Leave the pause. Every execution that leaves pays what the pause
+    owes -- one collection of the oldest generation past its threshold,
+    the one CPython would have run -- so a pause that other threads keep
+    open never starves the collector; the last one out turns the
+    collector back on if the pause turned it off. The collection runs
+    before that, so no automatic one can run it a second time."""
+    global _paused, _owned
+    with _pause_lock:
+        _paused -= 1
+        owed = _owned
+    if not owed:
+        return
+    counts, thresholds = gc.get_count(), gc.get_threshold()
+    if thresholds[0]:
+        for generation in (2, 1, 0):
+            if counts[generation] > thresholds[generation]:
+                gc.collect(generation)
+                break
+    with _pause_lock:
+        if _paused == 0 and _owned:
+            _owned = False
+            gc.enable()
+
+
 def execute_graph(
     graph: QueryGraph,
     catalog: Catalog,
@@ -1216,9 +1261,23 @@ def execute_graph(
     ``cse_mode``, the bound ``?`` values, the guard, the fault registry,
     the tracer and whatever plans were seeded into it. Without one the
     graph runs in a bare context that plans each box as it first runs.
+
+    The cyclic collector is paused while the graph runs: rows, members
+    and buckets are tuples, lists and dicts of values and never form a
+    cycle, so a collection inside an execution only walks live rows.
     """
     if ctx is None:
         ctx = ExecutionContext(catalog, graph.root)
+    _pause_collector()
+    try:
+        return _execute(graph, ctx)
+    finally:
+        _resume_collector()
+
+
+def _execute(
+    graph: QueryGraph, ctx: ExecutionContext
+) -> tuple[list[tuple], Metrics]:
     if ctx.tracer is None:
         try:
             rows = _run_graph(graph, ctx)

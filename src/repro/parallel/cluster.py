@@ -46,7 +46,6 @@ class Node:
     node_id: int
     rows_processed: int = 0
     messages_sent: int = 0
-    messages_received: int = 0
     failures: int = 0
     retries: int = 0
 
@@ -124,12 +123,6 @@ class Cluster(Backend):
             self.nodes[sender].retries += 1
             n_messages *= 2
         self.nodes[sender].messages_sent += n_messages
-        self.nodes[receiver].messages_received += n_messages
-
-    def broadcast(self, sender: int, n_messages: int = 1) -> None:
-        """One message from ``sender`` to every other node."""
-        for node in self.nodes:
-            self.send(sender, node.node_id, n_messages)
 
     def work(self, node_id: int, n_rows: int) -> None:
         """Account ``n_rows`` of local processing at ``node_id``.

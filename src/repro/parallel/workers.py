@@ -109,6 +109,26 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle avoidance
 WORKER_FAULT_SITES = ("worker.crash", "worker.stall", "exchange.drop")
 
 
+def worker_faults(spec: Optional[str]) -> Optional[FaultRegistry]:
+    """The registry a ``seed:site=rate`` spec builds for worker processes,
+    or ``None`` without one. ``ValueError`` names any rule that matches
+    none of :data:`WORKER_FAULT_SITES`: such a rule never fires in a
+    worker, and would label a fault-free run as faulty."""
+    if not spec:
+        return None
+    faults = FaultRegistry.parse(spec)
+    idle = [
+        rule.site for rule in faults.rules
+        if not any(rule.matches(site) for site in WORKER_FAULT_SITES)
+    ]
+    if idle:
+        raise ValueError(
+            f"{', '.join(idle)} never fires in a worker process; worker "
+            f"sites: {', '.join(WORKER_FAULT_SITES)}"
+        )
+    return faults
+
+
 # -- worker process side -------------------------------------------------------
 
 def _worker_main(worker_id: int, config: dict, task_queue, result_queue) -> None:

@@ -802,7 +802,9 @@ def run_worker_soak(
     criterion demands -- and ``faults`` (a ``seed:site=rate`` spec, e.g.
     ``"7:worker.crash=0.05"``) injects the process-level sites on top,
     re-seeded per epoch (``base_seed + epoch``) so epochs draw independent
-    deterministic schedules.
+    deterministic schedules. A rule no worker process honours is a
+    ``ValueError`` before any worker starts
+    (:func:`~repro.parallel.workers.worker_faults`).
 
     Every epoch's answer is checked against the fault-free single-process
     reference; violations follow :class:`Violation`. The run's
@@ -820,16 +822,17 @@ def run_worker_soak(
     recorded.
     """
     from ..parallel import local_reference, run_real
+    from ..parallel.workers import worker_faults
     from ..trace import Tracer
     from ..trace.tracer import trace_round_trips, validate_trace
 
+    base = worker_faults(faults)
     catalog = load_empdept(
         n_depts=n_depts, n_emps=n_emps, n_buildings=8, seed=seed
     )
     dept_rows = list(catalog.table("dept").rows)
     emp_rows = list(catalog.table("emp").rows)
     reference = local_reference(dept_rows, emp_rows)
-    base = FaultRegistry.parse(faults) if faults else None
     log = events if events is not None else EventLog(RingSink(65536))
 
     side = SideRecord(label="real", offered=epochs)

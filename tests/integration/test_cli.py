@@ -330,6 +330,19 @@ class TestSoakCLI:
         assert "worker.spawned" in out
         assert events.exists()
 
+    def test_real_workers_soak_rejects_a_site_no_worker_honours(
+        self, capsys
+    ):
+        code = main([
+            "soak", "--real-workers", "--workers", "2", "--epochs", "1",
+            "--no-kill", "--faults", "1:cluster.node=0.9",
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "cluster.node never fires" in captured.err
+        assert "worker.crash" in captured.err
+        assert "all invariants held" not in captured.out
+
 
 @pytest.fixture
 def correlated_script(tmp_path):

@@ -53,12 +53,6 @@ class TestCluster:
         cluster.send(0, 0, 10)
         assert cluster.nodes[0].messages_sent == 0
 
-    def test_broadcast_counts(self):
-        cluster = Cluster(5)
-        cluster.broadcast(2)
-        assert cluster.nodes[2].messages_sent == 4
-        assert sum(n.messages_received for n in cluster.nodes) == 4
-
     def test_null_key_routes_to_node_zero(self):
         cluster = Cluster(3)
         assert cluster.owner(None) == 0
@@ -89,8 +83,6 @@ class TestCluster:
         assert set(shipped_rows) == {(1, 0), (1, 2)}
         cluster = Cluster(3)
         cluster.exchange("t", KV, (), source, key=lambda r: r[0])
-        for (sender, receiver), n_rows in shipped_rows.items():
-            assert cluster.nodes[receiver].messages_received == -(-n_rows // 50)
         assert cluster.nodes[1].messages_sent == sum(
             -(-n // 50) for n in shipped_rows.values()
         )
@@ -98,7 +90,7 @@ class TestCluster:
 
     def test_single_node_cluster(self):
         cluster = Cluster(1)
-        cluster.broadcast(0)
+        cluster.exchange("t", KV, (), [[(1, "a"), (2, "b")]], key=lambda r: r[0])
         assert cluster.nodes[0].messages_sent == 0
 
 
@@ -253,7 +245,6 @@ class TestClusterFaults:
         cluster.send(0, 1, 3)
         node = cluster.nodes[0]
         assert (node.rows_processed, node.messages_sent) == (20, 6)
-        assert cluster.nodes[1].messages_received == 6
         assert (node.failures, node.retries) == (1, 2)
 
     def test_ni_under_faults_keeps_answer(self, empdept_rows):
