@@ -370,14 +370,23 @@ def compile_filter(expr: ast.Expr, offsets: Offsets) -> Filter:
     """Compile a WHERE predicate over a batch: ``keep(members, ctx)`` is
     the members ``expr`` is TRUE for -- UNKNOWN does not qualify.
 
-    A column compared with a column (an outer reference is a slot like any
-    other) or with a constant of the batch (a literal, a ``?``) gets a
-    kernel: one list comprehension with no Python call per member. NULL is
-    tested first; two values of one class are comparable (see
-    :mod:`repro.types`) and go to the operator itself; any other pair goes
-    to ``COMPARISONS[op]``, which accepts int against float and raises
-    :class:`~repro.errors.SchemaError` for the rest. Every other
-    expression is evaluated member by member.
+    Two shapes get a kernel: one list comprehension with no Python call per
+    member.
+
+    - A column compared with a column (an outer reference is a slot like
+      any other) or with a constant of the batch (a literal, a ``?``).
+      NULL is tested first; two values of one class are comparable (see
+      :mod:`repro.types`) and go to the operator itself; any other pair
+      goes to ``COMPARISONS[op]``, which accepts int against float and
+      raises :class:`~repro.errors.SchemaError` for the rest.
+    - ``column IN (...)`` whose items are non-NULL literals of one class.
+      A value of that class is kept iff it is one of the items, NULL is
+      dropped, and a value of any other class goes to the member-by-member
+      predicate below, which matches int against float and raises the
+      same ``SchemaError``.
+
+    Every other expression -- ``NOT IN``, a list holding NULL, a ``?`` or
+    values of several classes among them -- is evaluated member by member.
     """
     if (
         isinstance(expr, ast.Comparison)
@@ -415,28 +424,57 @@ def compile_filter(expr: ast.Expr, offsets: Offsets) -> Filter:
 
             return column_to_constant
     predicate = compile_expr(expr, offsets)
+    if isinstance(expr, ast.InList) and _one_class_literals(expr):
+        i = flat_position(expr.operand, offsets)
+        cls = expr.items[0].value.__class__
+        values = frozenset(item.value for item in expr.items)
+        return lambda members, ctx: [
+            m for m in members
+            if (
+                a in values if (a := m[i]).__class__ is cls
+                else a is not None and predicate(m, ctx) is True
+            )
+        ]
     return lambda members, ctx: [
         m for m in members if predicate(m, ctx) is True
     ]
+
+
+def _one_class_literals(expr: ast.InList) -> bool:
+    """``column IN (...)`` over non-NULL literals of one class."""
+    if expr.negated or not isinstance(expr.operand, ColumnRef):
+        return False
+    if not all(
+        isinstance(item, ast.Literal) and item.value is not None
+        for item in expr.items
+    ):
+        return False
+    return len({item.value.__class__ for item in expr.items}) == 1
 
 
 def compile_lookup_filter(
     expr: ast.Expr, offsets: Offsets, quantifier: Quantifier
 ) -> Optional[LookupFilter]:
     """``expr`` as a filter of the rows an index lookup fetches for
-    ``quantifier``, when it is one of :func:`compile_filter`'s kernel shapes
-    with a column of ``quantifier`` on one side and, on the other, a value
-    the member had before the lookup (a slot ahead of the quantifier's) or
-    a constant of the batch; ``None`` for every other expression.
+    ``quantifier``, when it is one of :func:`compile_filter`'s comparison
+    kernels with a column of ``quantifier`` on one side and, on the other,
+    a value the member had before the lookup (a slot ahead of the
+    quantifier's) or a constant of the batch; ``None`` for every other
+    expression.
 
     ``keep(members, found, rows, ctx)`` is called once per batch of
     probes, with the ids of the rows each member's probe fetched
     (``found``) and the table's rows, and tests each fetched row's own
-    column by the rules of the kernels above -- NULL first, one class to
-    the operator, any other pair to ``COMPARISONS[op]`` with the operands
-    left then right -- so that ``member + row`` is built only for the rows
-    that stay. The other operand is read once per member that fetched a
-    row.
+    column by the rules of the kernels -- one class to the operator, any
+    other pair to ``COMPARISONS[op]`` with the operands left then right --
+    so that ``member + row`` is built only for the rows that stay. The
+    other operand is read once per member that fetched a row, and a member
+    whose operand is NULL keeps nothing; the fetched value's class is
+    therefore tested before NULL, since a NULL can never be of the other
+    operand's class. ``=``, the correlation of every paper query, is
+    written out as ``a == b``, in one comprehension for both orientations
+    since it is symmetric; the other operators call their ``operator``
+    function.
     """
     if not (
         isinstance(expr, ast.Comparison)
@@ -458,20 +496,36 @@ def compile_lookup_filter(
     same_class, compare = _SAME_CLASS[expr.op], COMPARISONS[expr.op]
     j = column_position(quantifier.box, fetched.column)
     value = compile_expr(other, offsets)
+    # ``a`` is the fetched value, ``b`` the other operand.
+    if expr.op == "=":
+        equal = compare if fetched_left else lambda a, b: compare(b, a)
+        return lambda members, found, rows, ctx: [
+            m + row for m, ids in zip(members, found)
+            if ids and (b := value(m, ctx)) is not None and (cls := b.__class__)
+            for i in ids
+            if (
+                a == b if (a := (row := rows[i])[j]).__class__ is cls
+                else a is not None and equal(a, b)
+            )
+        ]
     if fetched_left:
         return lambda members, found, rows, ctx: [
             m + row for m, ids in zip(members, found)
             if ids and (b := value(m, ctx)) is not None and (cls := b.__class__)
-            for row in map(rows.__getitem__, ids)
-            if (a := row[j]) is not None
-            and (same_class(a, b) if a.__class__ is cls else compare(a, b))
+            for i in ids
+            if (
+                same_class(a, b) if (a := (row := rows[i])[j]).__class__ is cls
+                else a is not None and compare(a, b)
+            )
         ]
     return lambda members, found, rows, ctx: [
         m + row for m, ids in zip(members, found)
-        if ids and (a := value(m, ctx)) is not None and (cls := a.__class__)
-        for row in map(rows.__getitem__, ids)
-        if (b := row[j]) is not None
-        and (same_class(a, b) if b.__class__ is cls else compare(a, b))
+        if ids and (b := value(m, ctx)) is not None and (cls := b.__class__)
+        for i in ids
+        if (
+            same_class(b, a) if (a := (row := rows[i])[j]).__class__ is cls
+            else a is not None and compare(b, a)
+        )
     ]
 
 

@@ -64,11 +64,6 @@ class Metrics:
         live count falls; the high-water mark is untouched."""
         self.rows_freed += n_rows
 
-    @property
-    def live_rows_materialized(self) -> int:
-        """Materialised rows not yet released (the current memory load)."""
-        return self.rows_materialized - self.rows_freed
-
     def total_work(self) -> int:
         """A single hardware-independent work figure used by benchmarks."""
         return (

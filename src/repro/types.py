@@ -88,11 +88,6 @@ def tv_or(a: Truth, b: Truth) -> Truth:
     return False
 
 
-def is_true(t: Truth) -> bool:
-    """WHERE-clause semantics: only TRUE qualifies (UNKNOWN filters out)."""
-    return t is True
-
-
 _NUMBERS = frozenset((int, float))
 
 

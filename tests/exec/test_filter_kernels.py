@@ -24,7 +24,7 @@ from repro.qgm.model import BaseTableBox, OutputColumn, Quantifier, SelectBox
 from repro.sql import ast
 from repro.storage import Catalog
 from repro.storage.schema import schema_from_pairs
-from repro.types import COMPARISONS, SQLType
+from repro.types import COMPARISONS, SQLType, tv_not
 
 OPS = ("=", "<>", "!=", "<", "<=", ">", ">=")
 #: NULL and two values of each class, 2 and 2.0 equal across classes.
@@ -155,17 +155,94 @@ def test_a_batch_keeps_its_order_and_fails_at_its_first_bad_member(op, name):
         assert _filtered(op, shape, fine) == _kept(op, shape, fine)
 
 
-@pytest.mark.parametrize("name", sorted(SHAPES))
+# -- ``column IN (...)`` ----------------------------------------------------
+
+
+class InList(NamedTuple):
+    """``a IN (items)`` (or ``NOT IN``) over ``(a, None)`` members."""
+
+    items: tuple
+    negated: bool = False
+    kernel: bool = False
+
+    def expr(self):
+        return ast.InList(
+            Q.ref("a"), tuple(ast.Literal(v) for v in self.items), self.negated
+        )
+
+
+IN_LISTS = {
+    "in-bool": InList((True,), kernel=True),
+    "in-int": InList((2, 3), kernel=True),
+    "in-float": InList((2.0, 2.5), kernel=True),
+    "in-str": InList(("b", "c"), kernel=True),
+    "in-with-null": InList((2, None)),
+    "in-mixed-classes": InList((2, "b")),
+    "not-in": InList((2, 3), negated=True),
+}
+
+
+def _in(value, shape):
+    """``value IN (items)`` by ``COMPARISONS["="]``, item by item."""
+    truth = False
+    for item in shape.items:
+        equal = COMPARISONS["="](value, item)
+        if equal is True:
+            truth = True
+            break
+        if equal is None:
+            truth = None
+    return tv_not(truth) if shape.negated else truth
+
+
+@pytest.mark.parametrize("name", sorted(IN_LISTS))
+def test_an_in_list_keeps_and_refuses_what_member_by_member_does(name):
+    """Each value alone, every value as one batch, and the values that
+    compare as one batch: what is kept, in order, and the ``SchemaError``
+    of the first incomparable member."""
+    shape = IN_LISTS[name]
+    keep = compile_filter(shape.expr(), OWN)
+
+    def kept(values):
+        return [(a, None) for a in values if _in(a, shape) is True]
+
+    def filtered(values):
+        return keep([(a, None) for a in values], _ctx())
+
+    for values in [[a] for a in VALUES] + [list(VALUES)]:
+        assert _outcome(lambda: filtered(values)) == _outcome(
+            lambda: kept(values)
+        ), values
+    fine = [a for a in VALUES if not isinstance(_outcome(lambda: kept([a])), tuple)]
+    assert filtered(fine) == kept(fine)
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES) + sorted(IN_LISTS))
 def test_which_shapes_get_a_kernel(name, monkeypatch):
-    """A kernel never compiles the comparison into a per-member closure."""
-    compiled = []
+    """A kernel never compiles the comparison into a per-member closure,
+    and an ``IN`` kernel never calls one for a value of its items' class."""
+    compiled, called = [], []
     compile_expr = evaluate.compile_expr
 
     def spy(expr, offsets):
         compiled.append(type(expr))
-        return compile_expr(expr, offsets)
+        closure = compile_expr(expr, offsets)
+
+        def counted(row, ctx):
+            called.append(type(expr))
+            return closure(row, ctx)
+
+        return counted
 
     monkeypatch.setattr(evaluate, "compile_expr", spy)
+    if name in IN_LISTS:
+        shape = IN_LISTS[name]
+        keep = compile_filter(shape.expr(), OWN)
+        cls = shape.items[0].__class__
+        members = [(a, None) for a in VALUES if a.__class__ is cls]
+        _outcome(lambda: keep(members, _ctx()))  # a mixed list may refuse one
+        assert (ast.InList not in called) == shape.kernel
+        return
     for op in OPS:
         expr, offsets, _ = SHAPES[name].predicate(op, 1)
         compile_filter(expr, offsets)

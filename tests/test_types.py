@@ -7,7 +7,6 @@ from repro.types import (
     ARITHMETIC,
     COMPARISONS,
     SQLType,
-    is_true,
     sort_key,
     sql_add,
     sql_div,
@@ -61,11 +60,6 @@ class TestTruthTables:
     def test_or_symmetric(self, a, b, expected):
         assert tv_or(a, b) is expected
         assert tv_or(b, a) is expected
-
-    def test_is_true_only_for_true(self):
-        assert is_true(True)
-        assert not is_true(False)
-        assert not is_true(None)
 
 
 class TestComparisons:
