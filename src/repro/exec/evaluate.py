@@ -31,6 +31,7 @@ read from its slot instead.
 from __future__ import annotations
 
 import operator
+from itertools import compress
 from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional
 
@@ -55,6 +56,7 @@ from ..types import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover
+    from ..storage.schema import Schema
     from .executor import ExecutionContext
 
 #: A compiled expression: ``fn(row, ctx)`` over the flat row of its box.
@@ -72,9 +74,9 @@ Pick = Callable[[tuple], tuple]
 Filter = Callable[[list, "ExecutionContext"], list]
 #: A WHERE predicate applied by the index lookup ahead of it
 #: (:func:`compile_lookup_filter`): given a batch of members, the ids of the
-#: rows the probe of each fetched and the rows they index, ``member + row``
-#: for each pair it is TRUE for.
-LookupFilter = Callable[[list, list, list, "ExecutionContext"], list]
+#: rows the probe of each fetched, the rows they index and the schema of
+#: their table, ``member + row`` for each pair it is TRUE for.
+LookupFilter = Callable[[list, list, list, "Schema", "ExecutionContext"], list]
 
 
 def column_position(box: Box, column: str) -> int:
@@ -462,19 +464,27 @@ def compile_lookup_filter(
     quantifier's) or a constant of the batch; ``None`` for every other
     expression.
 
-    ``keep(members, found, rows, ctx)`` is called once per batch of
+    ``keep(members, found, rows, schema, ctx)`` is called once per batch of
     probes, with the ids of the rows each member's probe fetched
-    (``found``) and the table's rows, and tests each fetched row's own
-    column by the rules of the kernels -- one class to the operator, any
-    other pair to ``COMPARISONS[op]`` with the operands left then right --
-    so that ``member + row`` is built only for the rows that stay. The
-    other operand is read once per member that fetched a row, and a member
-    whose operand is NULL keeps nothing; the fetched value's class is
-    therefore tested before NULL, since a NULL can never be of the other
-    operand's class. ``=``, the correlation of every paper query, is
-    written out as ``a == b``, in one comprehension for both orientations
-    since it is symmetric; the other operators call their ``operator``
+    (``found``), the table's rows and its schema, and tests each fetched
+    row's own column by the rules of the kernels -- one class to the
+    operator, any other pair to ``COMPARISONS[op]`` with the operands left
+    then right -- so that ``member + row`` is built only for the rows that
+    stay. The other operand is read once per member that fetched a row,
+    and a member whose operand is NULL keeps nothing; the fetched value's
+    class is therefore tested before NULL, since a NULL can never be of the
+    other operand's class. The other operators call their ``operator``
     function.
+
+    ``=``, the correlation of every paper query, is written out as
+    ``a == b``, in one comprehension for both orientations since it is
+    symmetric. When its other operand is the same for the whole batch -- a
+    literal, a ``?``, an outer reference: every member starts with the
+    box's outer values -- it is read once, at the first probe that fetched
+    a row. If it is of the class the schema stores the fetched column as
+    (:meth:`~repro.storage.schema.Schema.stored_class`), every fetched
+    value is of that class or NULL, and ``None == b`` is False: the
+    comprehension tests neither class nor NULL.
     """
     if not (
         isinstance(expr, ast.Comparison)
@@ -499,17 +509,38 @@ def compile_lookup_filter(
     # ``a`` is the fetched value, ``b`` the other operand.
     if expr.op == "=":
         equal = compare if fetched_left else lambda a, b: compare(b, a)
-        return lambda members, found, rows, ctx: [
-            m + row for m, ids in zip(members, found)
-            if ids and (b := value(m, ctx)) is not None and (cls := b.__class__)
-            for i in ids
-            if (
-                a == b if (a := (row := rows[i])[j]).__class__ is cls
-                else a is not None and equal(a, b)
-            )
-        ]
+
+        def each(members, found, rows, schema, ctx):
+            return [
+                m + row for m, ids in zip(members, found)
+                if ids and (b := value(m, ctx)) is not None and (cls := b.__class__)
+                for i in ids
+                if (
+                    a == b if (a := (row := rows[i])[j]).__class__ is cls
+                    else a is not None and equal(a, b)
+                )
+            ]
+
+        if isinstance(other, ColumnRef) and offsets.get(other.quantifier) is not None:
+            return each  # a column of the member's own rows
+
+        def equal_to_constant(members, found, rows, schema, ctx):
+            first = next(compress(members, found), None)
+            if first is None:
+                return []
+            b = value(first, ctx)
+            if b is None:
+                return []
+            if b.__class__ is not schema.stored_class(j):
+                return each(members, found, rows, schema, ctx)
+            return [
+                m + row for m, ids in zip(members, found)
+                for i in ids if (row := rows[i])[j] == b
+            ]
+
+        return equal_to_constant
     if fetched_left:
-        return lambda members, found, rows, ctx: [
+        return lambda members, found, rows, schema, ctx: [
             m + row for m, ids in zip(members, found)
             if ids and (b := value(m, ctx)) is not None and (cls := b.__class__)
             for i in ids
@@ -518,7 +549,7 @@ def compile_lookup_filter(
                 else a is not None and compare(a, b)
             )
         ]
-    return lambda members, found, rows, ctx: [
+    return lambda members, found, rows, schema, ctx: [
         m + row for m, ids in zip(members, found)
         if ids and (b := value(m, ctx)) is not None and (cls := b.__class__)
         for i in ids

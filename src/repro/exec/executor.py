@@ -856,7 +856,7 @@ def _compile_index_lookup(
     table_name = q.box.table_name
     index_name = step.index_name
     keys = _compile_key(step.key_exprs, offsets)
-    key_column = itemgetter(column_position(q.box, step.key_columns[0]))
+    key_position = column_position(q.box, step.key_columns[0])
 
     def index_lookup(ctx, members, outer):
         if ctx.faults is not None:
@@ -875,17 +875,21 @@ def _compile_index_lookup(
         sizes = list(map(len, found))
         ctx.metrics.index_lookups += len(probes)
         ctx.metrics.index_rows += sum(sizes)
-        rows = table.rows
+        rows, schema = table.rows, table.schema
         if keep is not None and not by_key:
-            return keep(members, found, rows, ctx)
-        fetched = list(map(rows.__getitem__, chain.from_iterable(found)))
-        if keep is None or _comparable(probes, map(key_column, fetched)):
-            # The probe's own equality holds for every row the index
-            # matched unless two of the values cannot be compared: then the
-            # filter, pair by pair, raises the error of the first.
+            return keep(members, found, rows, schema, ctx)
+        # The probe's own equality holds for every row the index matched
+        # unless a probe cannot be compared with the keys it fetched, which
+        # are all of the key column's stored class: one value of that class
+        # stands for them. Else the filter, pair by pair, raises the error
+        # of the first pair.
+        if keep is None or _comparable(
+            probes, (schema.stored_class(key_position)(),)
+        ):
+            fetched = map(rows.__getitem__, chain.from_iterable(found))
             owners = chain.from_iterable(map(repeat, members, sizes))
             return list(map(add, owners, fetched))
-        return keep(members, found, rows, ctx)
+        return keep(members, found, rows, schema, ctx)
 
     return index_lookup
 

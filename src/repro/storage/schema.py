@@ -4,13 +4,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Any, Iterable, Sequence
+from typing import Any, Sequence
 
 from ..errors import SchemaError
 from ..types import SQLType
 
 #: The one class a value of each type is stored as (what
-#: :meth:`SQLType.validate` returns for a non-NULL value).
+#: :meth:`SQLType.validate` returns for a non-NULL value, whatever the
+#: class of the value it was handed).
 _STORED_CLASS = {
     SQLType.INT: int,
     SQLType.FLOAT: float,
@@ -88,6 +89,12 @@ class Schema:
         """The :class:`Column` named ``name``."""
         return self.columns[self.position(name)]
 
+    def stored_class(self, position: int) -> type:
+        """The class of every non-NULL value stored in column ``position``:
+        a table holds nothing but what :meth:`validate_row` returns, so a
+        value of the column is exactly this class or ``None``."""
+        return _STORED_CLASS[self.columns[position].type]
+
     # -- validation ------------------------------------------------------
 
     def validate_row(self, row: Sequence[Any]) -> tuple:
@@ -111,7 +118,7 @@ class Schema:
         if set(map(type, rows)) - {tuple} or set(map(len, rows)) - {len(self.columns)}:
             return False
         for pos, col in enumerate(self.columns):
-            allowed = {_STORED_CLASS[col.type]}
+            allowed = {self.stored_class(pos)}
             if col.nullable and col.name not in self.primary_key:
                 allowed.add(type(None))
             if not set(map(type, map(itemgetter(pos), rows))) <= allowed:
@@ -126,8 +133,3 @@ class Schema:
         cols = ", ".join(f"{c.name} {c.type.value}" for c in self.columns)
         pk = f" PRIMARY KEY ({', '.join(self.primary_key)})" if self.primary_key else ""
         return f"Schema({cols}{pk})"
-
-
-def schema_from_pairs(pairs: Iterable[tuple[str, SQLType]], primary_key: Sequence[str] = ()) -> Schema:
-    """Convenience constructor from ``(name, type)`` pairs."""
-    return Schema([Column(n, t) for n, t in pairs], primary_key=primary_key)

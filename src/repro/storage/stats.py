@@ -41,12 +41,6 @@ class ColumnStats:
     min_value: Any
     max_value: Any
 
-    def selectivity_eq(self, row_count: int) -> float:
-        """Estimated selectivity of an equality predicate on this column."""
-        if row_count == 0 or self.n_distinct == 0:
-            return 0.0
-        return (row_count - self.n_null) / row_count / self.n_distinct
-
 
 @dataclass(frozen=True)
 class TableStats:
@@ -57,11 +51,6 @@ class TableStats:
 
     def column(self, name: str) -> ColumnStats:
         return self.columns[name.lower()]
-
-
-def compute_column_stats(table: Table, column: str) -> ColumnStats:
-    """Exact statistics for one column (exact is affordable in-memory)."""
-    return _column_stats(table.rows, len(table), table.schema.position(column))
 
 
 def compute_table_stats(table: Table) -> TableStats:

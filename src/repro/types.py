@@ -39,15 +39,19 @@ class SQLType(enum.Enum):
         """Check (and mildly coerce) ``value`` for this type.
 
         Returns the stored representation or raises :class:`SchemaError`.
-        NULL is accepted for every type; nullability is enforced at the
-        schema level, not here.
+        A non-NULL value is stored as exactly one class per type (``int``,
+        ``float``, ``str`` for STR and DATE, ``bool``): an int becomes a
+        float in a FLOAT column, and an instance of a subclass of ``int``
+        or ``str`` (an ``IntEnum``, a ``str`` enum) the plain value it
+        holds. NULL is accepted for every type; nullability is enforced at
+        the schema level, not here.
         """
         if value is None:
             return None
         if self is SQLType.INT:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise SchemaError(f"expected INT, got {value!r}")
-            return value
+            return int.__int__(value)
         if self is SQLType.FLOAT:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise SchemaError(f"expected FLOAT, got {value!r}")
@@ -55,7 +59,8 @@ class SQLType(enum.Enum):
         if self is SQLType.STR or self is SQLType.DATE:
             if not isinstance(value, str):
                 raise SchemaError(f"expected {self.value}, got {value!r}")
-            return value
+            # Not ``str(value)``: a ``str`` enum's ``__str__`` is its name.
+            return str.__str__(value)
         if self is SQLType.BOOL:
             if not isinstance(value, bool):
                 raise SchemaError(f"expected BOOL, got {value!r}")

@@ -22,8 +22,7 @@ from repro.plan.planner import (
 from repro.qgm.expr import BoxScalarSubquery
 from repro.qgm.model import BaseTableBox, OutputColumn, Quantifier, SelectBox
 from repro.sql import ast
-from repro.storage import Catalog
-from repro.storage.schema import schema_from_pairs
+from repro.storage import Catalog, Column, Schema
 from repro.types import COMPARISONS, SQLType, tv_not
 
 OPS = ("=", "<>", "!=", "<", "<=", ">", ">=")
@@ -332,27 +331,37 @@ def _lookup_plan(predicate_of, then=()):
     return SelectPlan(box, [ScanStep(m), lookup, *after], estimated_rows=0.0)
 
 
+#: The type a column holding values of each class is declared as.
+DECLARED = {
+    bool: SQLType.BOOL, int: SQLType.INT, float: SQLType.FLOAT, str: SQLType.STR,
+}
+
+
+def _declared(name, values):
+    """Column ``name`` declared with the type of the one class of
+    ``values``, NULL aside (INT when they are all NULL)."""
+    classes = {v.__class__ for v in values if v is not None}
+    assert len(classes) <= 1, values
+    return Column(name, DECLARED[classes.pop()] if classes else SQLType.INT)
+
+
 def _lookup_catalog(members, fetched):
     """``members``: the ``v`` of each member; ``fetched``: per member the
-    ``a`` of each row its probe finds."""
+    ``a`` of each row its probe finds. Each column is declared with the type
+    of the class it holds and filled by ``insert_many``: the tables hold
+    what a schema lets in, as every table does."""
     catalog = Catalog()
+    values = [a for row in fetched for a in row]
+    keys = [k for k, row in enumerate(fetched) for _ in row]
     m = catalog.create_table(
-        "m", schema_from_pairs([("k", SQLType.INT), ("v", SQLType.INT)])
+        "m", Schema([Column("k", SQLType.INT), _declared("v", members)])
     )
-    f = catalog.create_table("f", schema_from_pairs(
-        [("k", SQLType.INT), ("a", SQLType.INT), ("n", SQLType.INT)]
-    ))
+    f = catalog.create_table("f", Schema([
+        Column("k", SQLType.INT), _declared("a", values), Column("n", SQLType.INT),
+    ]))
     f.create_index("f_k", ["k"])
-    keys = [k for k, values in enumerate(fetched) for _ in values]
-    m.insert_many((k, None) for k in range(len(members)))
-    f.insert_many((k, None, n) for n, k in enumerate(keys))
-    # Values of every class in one column, past the schema's check: what a
-    # kernel does with a pair must not rest on what a schema lets in.
-    m.rows[:] = [(k, v) for k, v in enumerate(members)]
-    f.rows[:] = [
-        (k, a, n)
-        for n, (k, a) in enumerate(zip(keys, (a for row in fetched for a in row)))
-    ]
+    m.insert_many(enumerate(members))
+    f.insert_many((k, a, n) for n, (k, a) in enumerate(zip(keys, values)))
     return catalog
 
 
@@ -389,22 +398,34 @@ def _looked_up(op, shape, members, fetched, other=None, *, fuse, monkeypatch):
     return rows, ctx.metrics.as_dict()
 
 
+#: NULL and the values of one class: what one declared column may hold.
+COLUMNS = [
+    [v for v in VALUES if v is None or v.__class__ is cls]
+    for cls in (bool, int, float, str)
+]
+
+
 def _batches(shape):
     """(members, fetched, other value, the (a, b) of every fetched row in
-    order) -- each pair alone, then as many at once as the shape holds: every
-    pair when the other operand is the member's, else those sharing it."""
+    order) -- each pair alone, then as many at once as the shape holds: a
+    whole column of each class for one other value, and, when the other
+    operand is the member's, every member of a column of one class against
+    a column of another."""
     flip = (lambda a, b: (a, b)) if shape.fetched == "left" else (
         lambda a, b: (b, a)
     )
     for a, b in PAIRS:  # ``a``: the fetched value, ``b``: the other
         yield [b], [[a]], b, [flip(a, b)]
     for b in VALUES:
-        yield [b], [VALUES], b, [flip(a, b) for a in VALUES]
+        for column in COLUMNS:
+            yield [b], [column], b, [flip(a, b) for a in column]
     if shape.other == "member":
-        yield (
-            VALUES, [VALUES] * len(VALUES), None,
-            [flip(a, b) for b in VALUES for a in VALUES],
-        )
+        for members in COLUMNS:
+            for column in COLUMNS:
+                yield (
+                    members, [column] * len(members), None,
+                    [flip(a, b) for b in members for a in column],
+                )
 
 
 @pytest.mark.parametrize("name", sorted(FUSED))
@@ -456,6 +477,62 @@ def test_null_keeps_nothing_and_the_probe_still_counts(name, monkeypatch):
         assert rows == []
         assert work["index_lookups"] == 1
         assert work["index_rows"] == len(fetched[0])
+
+
+@pytest.mark.parametrize(
+    "name", sorted(n for n, shape in FUSED.items() if shape.other != "member")
+)
+def test_equality_to_an_operand_of_the_stored_class_tests_no_class(
+    name, monkeypatch
+):
+    """``=`` against an operand the whole batch shares reads it once; when
+    it is of the class the fetched column is stored as, the fetched values
+    are compared with it as they are. An operand of another class -- an int
+    against a FLOAT column, a bool against an INT one -- goes to the
+    comprehension that tests each pair's classes, reading it per member."""
+    reads, compared = [], []
+    compile_expr, equal = evaluate.compile_expr, COMPARISONS["="]
+
+    def spy(expr, offsets):
+        closure = compile_expr(expr, offsets)
+
+        def read(row, ctx):
+            reads.append(expr)
+            return closure(row, ctx)
+
+        return read
+
+    def counted(a, b):
+        compared.append((a, b))
+        return equal(a, b)
+
+    monkeypatch.setattr(evaluate, "compile_expr", spy)
+    monkeypatch.setitem(evaluate.COMPARISONS, "=", counted)
+    shape = FUSED[name]
+    for column, b, each in (
+        ([None, 1, 2], 2, False),
+        ([None, 1.5, 2.0], 2.0, False),
+        ([None, "a", "b"], "b", False),
+        ([None, False, True], True, False),
+        ([None, 1.5, 2.0], 2, True),
+        ([None, 1, 2], True, True),
+    ):
+        reads.clear()
+        compared.clear()
+        outcome = _looked_up(
+            "=", shape, [None] * 3, [column] * 3, b,
+            fuse=True, monkeypatch=monkeypatch,
+        )
+        pairs = [(a, b) for _ in range(3) for a in column]
+        if shape.fetched == "right":
+            pairs = [(b, a) for a, b in pairs]
+        expected = _outcome(lambda: [
+            (k // len(column), k) for k, (x, y) in enumerate(pairs)
+            if equal(x, y) is True
+        ])
+        kept = outcome if outcome[0] == "SchemaError" else outcome[0]
+        assert kept == expected, (column, b)
+        assert (len(reads) > 1) == each == bool(compared), (column, b)
 
 
 @pytest.mark.parametrize("fuse", [True, False], ids=["fused", "step-by-step"])

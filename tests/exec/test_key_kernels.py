@@ -20,8 +20,7 @@ from repro.qgm.model import (
     SelectBox,
 )
 from repro.sql import ast
-from repro.storage import Catalog
-from repro.storage.schema import schema_from_pairs
+from repro.storage import Catalog, Column, Schema
 from repro.types import COMPARISONS, SQLType
 
 from .test_filter_kernels import PAIRS, VALUES
@@ -44,7 +43,7 @@ def _catalog(**tables):
     catalog = Catalog()
     for name, keys in tables.items():
         table = catalog.create_table(
-            name, schema_from_pairs([(c, SQLType.INT) for c in COLUMNS])
+            name, Schema([Column(c, SQLType.INT) for c in COLUMNS])
         )
         table.insert_many((None, CONSTANT, n) for n in range(len(keys)))
         table.rows[:] = [(k, CONSTANT, n) for n, k in enumerate(keys)]

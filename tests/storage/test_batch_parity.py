@@ -124,7 +124,7 @@ def test_statistics_cover_the_rows_counted_even_while_the_table_grows():
     stats = compute_table_stats(table)
     assert stats == compute_table_stats(raw_table(rows, width=2))
     for column in stats.columns.values():
-        assert column.selectivity_eq(stats.row_count) >= 0
+        assert column.n_null + column.n_distinct <= stats.row_count
 
 
 def test_statistics_that_raced_an_insert_are_recomputed():

@@ -283,7 +283,6 @@ class TestLookupRaces:
                 val = stats.column("val")
                 assert stats.row_count <= len(table)
                 assert val.n_null + val.n_distinct <= stats.row_count
-                assert val.selectivity_eq(stats.row_count) >= 0
             return None
 
         results = _run_threads(4, work)

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.storage import Catalog, Column, Schema, compute_table_stats
-from repro.storage.stats import compute_column_stats
 from repro.types import SQLType
 
 
@@ -23,7 +22,6 @@ class TestEmptyTables:
         a = stats.column("a")
         assert a.n_distinct == 0 and a.n_null == 0
         assert a.min_value is None and a.max_value is None
-        assert a.selectivity_eq(0) == 0.0
 
     def test_scan_empty(self):
         table = make_table()
@@ -40,10 +38,9 @@ class TestAllNullColumn:
         table = make_table()
         table.insert((None, None))
         table.insert((None, None))
-        stats = compute_column_stats(table, "a")
+        stats = compute_table_stats(table).column("a")
         assert stats.n_null == 2
         assert stats.n_distinct == 0
-        assert stats.selectivity_eq(2) == 0.0
 
 
 class TestMixedValues:
@@ -51,7 +48,7 @@ class TestMixedValues:
         table = make_table()
         table.insert((-5, "a"))
         table.insert((3, "b"))
-        stats = compute_column_stats(table, "a")
+        stats = compute_table_stats(table).column("a")
         assert (stats.min_value, stats.max_value) == (-5, 3)
 
     def test_float_column_coercion_in_stats(self):
@@ -61,7 +58,7 @@ class TestMixedValues:
         )
         t.insert((1,))
         t.insert((2.5,))
-        stats = compute_column_stats(t, "x")
+        stats = compute_table_stats(t).column("x")
         assert stats.min_value == 1.0
         assert stats.n_distinct == 2
 

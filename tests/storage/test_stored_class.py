@@ -1,0 +1,76 @@
+"""A stored non-NULL value is exactly the class its column's type stores
+(``Schema.stored_class``): the fused lookup filter compares a fetched value
+with an operand of that class without testing the value's class, so no way
+into a table may store an instance of a subclass."""
+
+import enum
+
+import pytest
+
+from repro import Database
+from repro.storage import Catalog, Column, Schema
+from repro.tpcd import load_empdept, load_tpcd
+from repro.types import SQLType
+
+
+class Kind(enum.IntEnum):
+    A = 1
+
+
+class Name(str, enum.Enum):
+    X = "x"
+
+
+class Text(str):
+    pass
+
+
+def _insert_one_at_a_time(table, rows):
+    for row in rows:
+        table.insert(row)
+
+
+def _insert_as_a_batch(table, rows):
+    table.insert_many(rows)
+
+
+@pytest.mark.parametrize("indexed", [False, True], ids=["scan", "index"])
+@pytest.mark.parametrize(
+    "insert", [_insert_one_at_a_time, _insert_as_a_batch],
+    ids=["insert", "insert_many"],
+)
+def test_a_subclass_instance_is_stored_as_the_plain_value(insert, indexed):
+    catalog = Catalog()
+    table = catalog.create_table("t", Schema([
+        Column("k", SQLType.INT), Column("s", SQLType.STR),
+        Column("d", SQLType.DATE),
+    ]))
+    if indexed:
+        table.create_index("t_k", ["k"])
+        table.create_index("t_s", ["s"])
+    insert(table, [
+        (Kind.A, Name.X, Text("1996-02-26")),
+        (2, Text("x"), "1996-02-27"),
+        (None, None, None),
+    ])
+    assert table.rows == [(1, "x", "1996-02-26"), (2, "x", "1996-02-27"), (None,) * 3]
+    assert [tuple(map(type, row)) for row in table.rows] == [
+        (int, str, str), (int, str, str), (type(None),) * 3,
+    ]
+    db = Database(catalog)
+    assert db.execute("select k from t where k = 1").rows == [(1,)]
+    assert db.execute("select k from t where s = 'x' order by k").rows == [(1,), (2,)]
+    assert db.execute("select k from t where d = '1996-02-26'").rows == [(1,)]
+
+
+def test_every_loaded_column_holds_its_stored_class_or_null():
+    catalog = load_tpcd(scale_factor=0.01)
+    load_empdept(catalog=catalog)
+    tables = catalog.tables()
+    assert {t.name for t in tables} >= {"lineitem", "partsupp", "emp", "dept"}
+    for table in tables:
+        for pos, column in enumerate(table.schema):
+            classes = {type(row[pos]) for row in table.rows}
+            assert classes <= {table.schema.stored_class(pos), type(None)}, (
+                table.name, column.name, classes,
+            )
