@@ -45,9 +45,8 @@ def test_disabled_path_never_touches_the_overload_machinery(
         )
 
     monkeypatch.setattr(overload_module, "fingerprint", boom)
-    for name in ("ServiceTimeEstimator", "RetryGovernor",
-                 "BrownoutController", "TokenBucket"):
-        for attr in ("observe", "estimate", "admit", "take"):
+    for name in ("ServiceTimeEstimator", "BrownoutController"):
+        for attr in ("observe", "estimate"):
             cls = getattr(overload_module, name)
             if hasattr(cls, attr):
                 monkeypatch.setattr(cls, attr, boom)
@@ -83,9 +82,7 @@ def test_disabled_submit_path_costs_nothing(empdept_db):
     )
     # Policies neutralised so every submit is admitted: the comparison
     # measures per-submit bookkeeping, not shedding.
-    config = OverloadConfig(
-        retry_tokens=0, brownout_max_level=0, class_quotas={}
-    )
+    config = OverloadConfig(brownout_max_level=0, class_quotas={})
     enabled = _median_batch_seconds(
         lambda: QueryService(empdept_db, workers=2, overload=config)
     )

@@ -199,7 +199,6 @@ def _summarise_service(title: str, report, args) -> None:
             f"  {side.label}: shed={stats.shed} "
             f"expired_in_queue={stats.expired_in_queue} "
             f"rejected_futile={stats.rejected_futile} "
-            f"retry_storm_rejected={stats.retry_storm_rejected} "
             f"brownout_transitions={len(stats.brownout_transitions)}"
         )
         for step in stats.brownout_transitions:

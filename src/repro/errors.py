@@ -198,9 +198,8 @@ class AdmissionRejected(ReproError):
     ``reason`` is ``"queue full"`` or ``"service closed"`` -- or, with
     adaptive overload control on, ``"deadline unmeetable"`` (the learned
     service time for the query's shape cannot fit inside its deadline
-    given the current queue), ``"class quota"`` (the priority class's
-    queue share is exhausted), or ``"retry storm"`` (a non-compliant
-    resubmission arrived with the retry token bucket dry).
+    given the current queue) or ``"class quota"`` (the priority class's
+    queue share is exhausted).
 
     ``retry_after_hint`` is the service's estimate, in seconds, of how
     long the client should back off before resubmitting (``None`` when

@@ -40,12 +40,6 @@ class Limits:
     max_rows_materialized: Optional[int] = None
     max_subquery_invocations: Optional[int] = None
 
-    def any_set(self) -> bool:
-        """Is at least one budget configured?"""
-        return any(
-            value is not None for value in dataclasses.asdict(self).values()
-        )
-
 
 class ExecutionGuard:
     """Cooperative budget checker threaded through the executor.

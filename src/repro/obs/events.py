@@ -75,7 +75,6 @@ EVENT_KINDS: tuple[str, ...] = (
     "overload.shed",          # a queued ticket was shed for higher priority
     "overload.expired",       # a queued ticket's deadline passed; evicted
     "overload.brownout",      # the degradation ladder stepped up or down
-    "overload.retry_storm",   # a non-compliant resubmission was rejected
     "overload.futile",        # admission rejected a provably-late deadline
 )
 

@@ -9,7 +9,7 @@ Public surface:
 * :class:`~repro.serve.breaker.CircuitBreaker` / ``BreakerTransition``;
 * :class:`~repro.serve.overload.OverloadConfig` and friends -- adaptive
   overload control (deadline-aware admission, priority shedding, the
-  brownout degradation ladder, retry-storm protection);
+  brownout degradation ladder);
 * :func:`~repro.serve.soak.run_scenario` -- the soak harness behind
   ``python -m repro soak``: one driver and one verifier over a
   :class:`~repro.serve.soak.Scenario` (the chaos, ``--overload`` and
@@ -23,9 +23,7 @@ from .overload import (
     PRIORITIES,
     BrownoutController,
     OverloadConfig,
-    RetryGovernor,
     ServiceTimeEstimator,
-    TokenBucket,
     fingerprint,
     normalize_sql,
 )
@@ -41,8 +39,6 @@ __all__ = [
     "OverloadConfig",
     "BrownoutController",
     "ServiceTimeEstimator",
-    "RetryGovernor",
-    "TokenBucket",
     "BROWNOUT_RUNGS",
     "PRIORITIES",
     "fingerprint",

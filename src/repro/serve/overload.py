@@ -3,11 +3,10 @@
 The paper's thesis is that set-oriented rewrites keep *work proportional
 to the answer* rather than to the offered load; this module applies the
 same discipline to the serving layer. Under overload a FIFO service
-wastes workers in three ways: it executes queries whose deadline already
-cannot be met (futile work), it lets expired tickets squat in queue
-slots, and it treats a retry storm as fresh demand. The primitives here
-let :class:`~repro.serve.service.QueryService` spend workers only on
-queries that can still finish:
+wastes workers in two ways: it executes queries whose deadline already
+cannot be met (futile work), and it lets expired tickets squat in queue
+slots. The primitives here let :class:`~repro.serve.service.QueryService`
+spend workers only on queries that can still finish:
 
 * :func:`fingerprint` -- a stable hash of the *shape* of a query
   (literals stripped, whitespace collapsed), the key under which service
@@ -16,9 +15,6 @@ queries that can still finish:
   execution time, the cost model behind deadline-aware admission and the
   brownout ladder's cheapest-strategy rung (the serving-layer echo of
   the paper's cost-guided strategy selection);
-* :class:`TokenBucket` / :class:`RetryGovernor` -- retry-storm
-  protection that honours clients who respect ``retry_after_hint`` and
-  charges the ones who hot-loop;
 * :class:`BrownoutController` -- a degradation ladder stepping through
   configured rungs at sustained high utilization, with hysteresis on an
   injectable clock so it never flaps;
@@ -82,13 +78,12 @@ class ServiceTimeEstimator:
     Not thread-safe: the owning service mutates it under its own lock.
     """
 
-    def __init__(self, alpha: float = 0.2, max_shapes: int = 4096):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError("alpha must be in (0, 1]")
-        if max_shapes < 1:
-            raise ValueError("max_shapes must be >= 1")
-        self.alpha = alpha
-        self.max_shapes = max_shapes
+    #: EMA weight of the newest observation.
+    ALPHA = 0.2
+    #: LRU bound on each of the key and shape tables.
+    MAX_SHAPES = 4096
+
+    def __init__(self):
         #: (fingerprint, strategy) -> EMA seconds (LRU-bounded).
         self._by_key: OrderedDict[tuple[str, str], float] = OrderedDict()
         #: fingerprint -> EMA seconds across strategies.
@@ -100,9 +95,9 @@ class ServiceTimeEstimator:
         previous = table.pop(key, None)
         table[key] = (
             seconds if previous is None
-            else self.alpha * seconds + (1.0 - self.alpha) * previous
+            else self.ALPHA * seconds + (1.0 - self.ALPHA) * previous
         )
-        while len(table) > self.max_shapes:
+        while len(table) > self.MAX_SHAPES:
             table.popitem(last=False)
 
     def observe(self, fp: str, strategy: str, seconds: float) -> None:
@@ -113,7 +108,7 @@ class ServiceTimeEstimator:
         self._bump(self._by_shape, fp, seconds)
         self._global = (
             seconds if self._global is None
-            else self.alpha * seconds + (1.0 - self.alpha) * self._global
+            else self.ALPHA * seconds + (1.0 - self.ALPHA) * self._global
         )
         self.observations += 1
 
@@ -167,121 +162,6 @@ class ServiceTimeEstimator:
         }
 
 
-# -- retry-storm protection ---------------------------------------------------
-
-class TokenBucket:
-    """A clock-driven token bucket (externally synchronized).
-
-    ``take`` succeeds while tokens remain; tokens refill continuously at
-    ``refill_per_s`` up to ``capacity``. All time comes from the caller
-    (the service passes its injectable clock reading), so fake-clock
-    tests drive refills deterministically.
-    """
-
-    def __init__(self, capacity: float, refill_per_s: float):
-        if capacity <= 0:
-            raise ValueError("capacity must be > 0")
-        if refill_per_s < 0:
-            raise ValueError("refill_per_s must be >= 0")
-        self.capacity = float(capacity)
-        self.refill_per_s = float(refill_per_s)
-        self._tokens = float(capacity)
-        self._last: Optional[float] = None
-
-    def _refill(self, now: float) -> None:
-        if self._last is not None and now > self._last:
-            self._tokens = min(
-                self.capacity,
-                self._tokens + (now - self._last) * self.refill_per_s,
-            )
-        self._last = now
-
-    def take(self, now: float, tokens: float = 1.0) -> bool:
-        """Consume ``tokens`` at time ``now``; False when the bucket
-        cannot cover them (the caller should reject)."""
-        self._refill(now)
-        if self._tokens >= tokens:
-            self._tokens -= tokens
-            return True
-        return False
-
-    def available(self, now: float) -> float:
-        """Tokens available at ``now`` (refilling as a side effect)."""
-        self._refill(now)
-        return self._tokens
-
-
-class RetryGovernor:
-    """Retry-storm protection keyed by query shape.
-
-    Every rejection that carries a ``retry_after_hint`` records when that
-    shape is *welcome back*. A resubmission of the same shape before its
-    earliest-retry time is non-compliant and must pay a token from a
-    shared :class:`TokenBucket`; once the bucket is dry, non-compliant
-    resubmissions are rejected outright (``"retry storm"``) until the
-    bucket refills -- so a polite client is never throttled by an
-    impolite one hot-looping the same template, and the penalty decays
-    at the refill rate rather than lasting forever.
-
-    Externally synchronized (see module doc).
-    """
-
-    def __init__(
-        self,
-        capacity: float = 8.0,
-        refill_per_s: float = 2.0,
-        max_tracked: int = 1024,
-    ):
-        if max_tracked < 1:
-            raise ValueError("max_tracked must be >= 1")
-        self.bucket = TokenBucket(capacity, refill_per_s)
-        self.max_tracked = max_tracked
-        #: fingerprint -> earliest welcome-back time (LRU-bounded).
-        self._earliest: OrderedDict[str, float] = OrderedDict()
-        self.penalized = 0
-        self.rejected = 0
-
-    def record_rejection(
-        self, fp: str, now: float, hint: Optional[float]
-    ) -> None:
-        """Remember that ``fp`` was told to come back after ``hint``
-        seconds (no-op when the rejection carried no hint)."""
-        if hint is None or hint <= 0:
-            return
-        self._earliest.pop(fp, None)
-        self._earliest[fp] = now + hint
-        while len(self._earliest) > self.max_tracked:
-            self._earliest.popitem(last=False)
-
-    def forgive(self, fp: str) -> None:
-        """Drop ``fp``'s welcome-back record without charging anything.
-
-        The service calls this when a resubmission arrives *early* but
-        the queue has meanwhile drained: the hint was an estimate, and
-        arriving early at a service with capacity is not a storm."""
-        self._earliest.pop(fp, None)
-
-    def admit(self, fp: str, now: float) -> tuple[bool, Optional[float]]:
-        """Gate one submission of shape ``fp`` at time ``now``.
-
-        Returns ``(allowed, wait_remaining)``: compliant submissions (no
-        outstanding hint, or the hint was honoured) are always allowed
-        and clear their record; early resubmissions pay a token --
-        ``(True, remaining)`` while the bucket covers them,
-        ``(False, remaining)`` once it is dry.
-        """
-        earliest = self._earliest.get(fp)
-        if earliest is None or now >= earliest:
-            self._earliest.pop(fp, None)
-            return True, None
-        remaining = earliest - now
-        if self.bucket.take(now):
-            self.penalized += 1
-            return True, remaining
-        self.rejected += 1
-        return False, remaining
-
-
 # -- the brownout degradation ladder ------------------------------------------
 
 #: What each brownout rung switches off (rung N applies all effects of
@@ -298,38 +178,33 @@ class BrownoutController:
     """The degradation ladder: utilization in, brownout level out.
 
     Steps *down* (level += 1) after utilization has stayed at or above
-    ``high_watermark`` for ``dwell_s`` seconds; steps *up* (level -= 1)
-    after it has stayed at or below ``low_watermark`` for ``cooldown_s``
-    seconds. The gap between the watermarks plus the two dwell times is
-    the hysteresis -- a service oscillating around one threshold never
-    flaps the ladder. All time comes from the caller's clock readings;
-    one level per transition, so recovery is as gradual as degradation.
+    :attr:`HIGH_WATERMARK` for ``dwell_s`` seconds; steps *up* (level -= 1)
+    after it has stayed at or below :attr:`LOW_WATERMARK` for
+    ``cooldown_s`` seconds. The gap between the watermarks plus the two
+    dwell times is the hysteresis -- a service oscillating around one
+    threshold never flaps the ladder. All time comes from the caller's
+    clock readings; one level per transition, so recovery is as gradual
+    as degradation.
 
     Externally synchronized (see module doc).
     """
 
+    #: Utilization (backlog per worker) that starts the dwell / cooldown.
+    HIGH_WATERMARK = 0.85
+    LOW_WATERMARK = 0.5
+
     def __init__(
         self,
-        high_watermark: float = 0.85,
-        low_watermark: float = 0.5,
         dwell_s: float = 0.5,
         cooldown_s: float = 2.0,
         max_level: int = len(BROWNOUT_RUNGS) - 1,
     ):
-        if not 0.0 < high_watermark <= 1.0:
-            raise ValueError("high_watermark must be in (0, 1]")
-        if not 0.0 <= low_watermark < high_watermark:
-            raise ValueError(
-                "low_watermark must be in [0, high_watermark)"
-            )
         if dwell_s < 0 or cooldown_s < 0:
             raise ValueError("dwell_s and cooldown_s must be >= 0")
         if not 0 <= max_level <= len(BROWNOUT_RUNGS) - 1:
             raise ValueError(
                 f"max_level must be in [0, {len(BROWNOUT_RUNGS) - 1}]"
             )
-        self.high_watermark = high_watermark
-        self.low_watermark = low_watermark
         self.dwell_s = dwell_s
         self.cooldown_s = cooldown_s
         self.max_level = max_level
@@ -344,7 +219,7 @@ class BrownoutController:
     ) -> Optional[tuple[int, int]]:
         """Feed one utilization sample; returns ``(old, new)`` when the
         ladder stepped, else ``None``."""
-        if utilization >= self.high_watermark:
+        if utilization >= self.HIGH_WATERMARK:
             self._low_since = None
             if self._high_since is None:
                 self._high_since = now
@@ -358,7 +233,7 @@ class BrownoutController:
                 return old, self.level
             return None
         self._high_since = None
-        if utilization <= self.low_watermark:
+        if utilization <= self.LOW_WATERMARK:
             if self._low_since is None:
                 self._low_since = now
             if (
@@ -373,11 +248,6 @@ class BrownoutController:
         # Between the watermarks: hold the level, reset both timers.
         self._low_since = None
         return None
-
-    @property
-    def shedding_observability(self) -> bool:
-        """Level >= 1: tracing and slow-query capture are off."""
-        return self.level >= 1
 
     @property
     def tightening_budgets(self) -> bool:
@@ -398,25 +268,11 @@ class OverloadConfig:
 
     Passing an instance to ``QueryService(overload=...)`` turns the
     whole layer on; ``overload=None`` (the default) preserves the seed
-    FIFO behaviour bit for bit. Individual features can be disabled via
-    their flags for ablation (the overload soak's FIFO baseline uses
-    ``overload=None`` instead).
+    FIFO behaviour bit for bit. Deadline-aware admission, eager expiry
+    and priority shedding are always on; the knobs below are the ones a
+    caller tunes.
     """
 
-    #: Reject submissions whose deadline provably cannot be met given
-    #: the current queue and the learned service time for their shape.
-    deadline_admission: bool = True
-    #: Safety factor on the futility test: reject only when
-    #: ``predicted > deadline * admission_slack``. > 1.0 is lenient
-    #: (estimates must overshoot the deadline by the factor), < 1.0 is
-    #: aggressive.
-    admission_slack: float = 1.0
-    #: Evict tickets whose deadline expired while queued (distinct
-    #: ``expired_in_queue`` outcome; the slot frees immediately).
-    eager_expiry: bool = True
-    #: Under queue pressure, shed the newest lowest-priority queued
-    #: ticket to admit a strictly higher-priority arrival.
-    shed_lower_priority: bool = True
     #: Per-class queue quota as a fraction of ``max_queue``; classes
     #: absent from the map are unrestricted. Low-priority work may fill
     #: only half the queue by default, so a low-priority flood can never
@@ -424,46 +280,11 @@ class OverloadConfig:
     class_quotas: dict = field(
         default_factory=lambda: {"low": 0.5, "normal": 0.9}
     )
-    #: Retry-storm token bucket (see :class:`RetryGovernor`); capacity
-    #: <= 0 disables the governor.
-    retry_tokens: float = 8.0
-    retry_refill_per_s: float = 2.0
-    retry_tracked: int = 1024
     #: Brownout ladder (see :class:`BrownoutController`); max_level 0
     #: disables stepping entirely.
-    brownout_high_watermark: float = 0.85
-    brownout_low_watermark: float = 0.5
     brownout_dwell_s: float = 0.5
     brownout_cooldown_s: float = 2.0
     brownout_max_level: int = len(BROWNOUT_RUNGS) - 1
-    #: Budget scale applied at the tighten-budgets rung (level >= 2).
-    brownout_limit_scale: float = 0.5
-    #: Estimator smoothing / capacity.
-    ema_alpha: float = 0.2
-    estimator_shapes: int = 4096
-
-    def build_estimator(self) -> ServiceTimeEstimator:
-        return ServiceTimeEstimator(
-            alpha=self.ema_alpha, max_shapes=self.estimator_shapes
-        )
-
-    def build_governor(self) -> Optional[RetryGovernor]:
-        if self.retry_tokens <= 0:
-            return None
-        return RetryGovernor(
-            capacity=self.retry_tokens,
-            refill_per_s=self.retry_refill_per_s,
-            max_tracked=self.retry_tracked,
-        )
-
-    def build_brownout(self) -> BrownoutController:
-        return BrownoutController(
-            high_watermark=self.brownout_high_watermark,
-            low_watermark=self.brownout_low_watermark,
-            dwell_s=self.brownout_dwell_s,
-            cooldown_s=self.brownout_cooldown_s,
-            max_level=self.brownout_max_level,
-        )
 
     def quota_for(self, priority: str, max_queue: int) -> Optional[int]:
         """The queued-ticket cap for ``priority`` (``None`` =
@@ -520,7 +341,7 @@ class FifoPolicy:
 
     def admit(
         self, queue, in_flight: int, fp: str, strategy: str, rank: int,
-        deadline: Optional[float], now: float,
+        deadline: Optional[float],
     ) -> Verdict:
         """Total-capacity rule: admit while admitted-but-unfinished
         work fits in ``workers + max_queue``.  (Queue depth alone
@@ -581,19 +402,24 @@ class FifoPolicy:
 
 class AdaptivePolicy(FifoPolicy):
     """Adaptive overload control, built from an :class:`OverloadConfig`.
-    Owns what the mechanisms learn and count: estimator, retry governor,
-    brownout ladder and its transitions, the class quotas with the
-    per-rank census of the queue, and the counters of its own decisions.
+    Owns what the mechanisms learn and count: estimator, brownout ladder
+    and its transitions, the class quotas with the per-rank census of the
+    queue, and the counters of its own decisions.
     A ticket it takes out of the queue is counted here, where queue and
     census change, and handed back to the service to settle in the same
     critical section."""
 
+    #: Budget scale applied at the tighten-budgets rung (level >= 2).
+    LIMIT_SCALE = 0.5
+
     def __init__(self, config: OverloadConfig, workers: int, max_queue: int):
         super().__init__(workers, max_queue)
-        self.config = config
-        self.estimator = config.build_estimator()
-        self.governor = config.build_governor()
-        self.brownout = config.build_brownout()
+        self.estimator = ServiceTimeEstimator()
+        self.brownout = BrownoutController(
+            dwell_s=config.brownout_dwell_s,
+            cooldown_s=config.brownout_cooldown_s,
+            max_level=config.brownout_max_level,
+        )
         self._quotas = [
             config.quota_for(priority, max_queue)
             for priority in PRIORITIES  # indexed by rank
@@ -601,8 +427,7 @@ class AdaptivePolicy(FifoPolicy):
         self._queued_by_rank = [0, 0, 0]
         #: Its own decisions, by :class:`ServiceStats` field.
         self.counts = dict.fromkeys(
-            ("rejected_futile", "retry_storm_rejected", "shed",
-             "expired_in_queue"), 0,
+            ("rejected_futile", "shed", "expired_in_queue"), 0,
         )
         self.transitions: list[dict] = []
 
@@ -615,49 +440,26 @@ class AdaptivePolicy(FifoPolicy):
 
     def admit(
         self, queue, in_flight: int, fp: str, strategy: str, rank: int,
-        deadline: Optional[float], now: float,
+        deadline: Optional[float],
     ) -> Verdict:
-        """Overload control, in order: gate retry storms, refuse
-        provably-futile work, enforce class quotas -- then the capacity
-        rule, with priority shedding as the last resort before
-        rejection. Caller holds the lock."""
-        config = self.config
+        """Overload control, in order: refuse provably-futile work,
+        enforce class quotas -- then the capacity rule, with priority
+        shedding as the last resort before rejection. Caller holds the
+        lock."""
         load = in_flight + len(queue)
-        full = load >= self.workers + self.max_queue
-        if self.governor is not None:
-            if full:
-                allowed, wait_remaining = self.governor.admit(fp, now)
-                if not allowed:
-                    hint = (
-                        round(wait_remaining, 6)
-                        if wait_remaining is not None else None
-                    )
-                    self.counts["retry_storm_rejected"] += 1
-                    return Verdict(
-                        "retry storm", hint,
-                        ("overload.retry_storm", {"retry_after_hint": hint}),
-                    )
-            else:
-                # Early resubmission to a service with capacity is
-                # not a storm -- the hint was only an estimate.
-                self.governor.forgive(fp)
-        if (
-            config.deadline_admission
-            and deadline is not None
-            # Futility rejection only pays when the arrival would
-            # contend for a worker: with idle capacity, executing a
-            # doomed-looking query costs nothing (the estimate may
-            # be wrong; an idle worker is wrong for sure).
-            and load >= self.workers
-        ):
+        # Futility rejection only pays when the arrival would contend
+        # for a worker: with idle capacity, executing a doomed-looking
+        # query costs nothing (the estimate may be wrong; an idle worker
+        # is wrong for sure).
+        if deadline is not None and load >= self.workers:
             # No rejection while the estimator is cold (no evidence).
             estimate = self.estimator.estimate(fp, strategy)
             if estimate is not None:
                 wait = self._backlog_seconds(queue, in_flight) / self.workers
-                if wait + estimate > deadline * config.admission_slack:
+                if wait + estimate > deadline:
                     self.counts["rejected_futile"] += 1
-                    return self._refuse(
-                        "deadline unmeetable", fp, now,
+                    return Verdict(
+                        "deadline unmeetable",
                         round(wait, 6) if wait > 0 else None,
                         ("overload.futile", {
                             "predicted_ms": round((wait + estimate) * 1000, 3),
@@ -670,16 +472,10 @@ class AdaptivePolicy(FifoPolicy):
             and load >= self.workers
             and self._queued_by_rank[rank] >= quota
         ):
-            return self._refuse(
-                "class quota", fp, now, self._retry_hint(queue, in_flight)
-            )
-        if not full:
+            return Verdict("class quota", self._retry_hint(queue, in_flight))
+        if load < self.workers + self.max_queue:
             return ADMIT
-        if (
-            config.shed_lower_priority
-            and queue
-            and queue[-1].rank > rank
-        ):
+        if queue and queue[-1].rank > rank:
             # The queue is priority-ordered (FIFO within class),
             # so its tail is the newest lowest-priority ticket.
             victim = queue.pop()
@@ -688,19 +484,7 @@ class AdaptivePolicy(FifoPolicy):
             return Verdict(
                 hint=self._retry_hint(queue, in_flight), shed=victim
             )
-        return self._refuse(
-            "queue full", fp, now, self._retry_hint(queue, in_flight)
-        )
-
-    def _refuse(
-        self, reason: str, fp: str, now: float, hint: Optional[float],
-        marker: Optional[tuple[str, dict]] = None,
-    ) -> Verdict:
-        """A refusal that tells the retry governor when ``fp`` is welcome
-        back. Caller holds the lock."""
-        if self.governor is not None:
-            self.governor.record_rejection(fp, now, hint)
-        return Verdict(reason, hint, marker)
+        return Verdict("queue full", self._retry_hint(queue, in_flight))
 
     def _backlog_seconds(self, queue, in_flight: int) -> float:
         """Estimated seconds of work already admitted: per-shape
@@ -729,12 +513,12 @@ class AdaptivePolicy(FifoPolicy):
 
     def budget(self, limits: Limits) -> Limits:
         """The tighten-budgets brownout rung: scale the row/invocation
-        budgets by ``brownout_limit_scale``. The timeout is *not*
+        budgets by :attr:`LIMIT_SCALE`. The timeout is *not*
         scaled -- the deadline is the client's contract, and shrinking it
         here would corrupt the futility test's arithmetic."""
         if not self.brownout.tightening_budgets:
             return limits
-        scale = self.config.brownout_limit_scale
+        scale = self.LIMIT_SCALE
 
         def scaled(value: Optional[int]) -> Optional[int]:
             return None if value is None else max(1, int(value * scale))
@@ -770,7 +554,7 @@ class AdaptivePolicy(FifoPolicy):
         ``cancelled`` (the ``close(drain=False)`` contract), not as
         expired, even when their deadline also lapsed. Caller holds the
         lock."""
-        if not self.config.eager_expiry or not queue:
+        if not queue:
             return []
         expired = [
             ticket for ticket in queue
@@ -843,22 +627,13 @@ class AdaptivePolicy(FifoPolicy):
             )
 
     def stats(self) -> dict:
-        """The counters above plus the estimator/retry-governor
-        summaries. Caller holds the lock."""
-        summary = {"estimator": self.estimator.as_dict()}
-        penalized = 0
-        if self.governor is not None:
-            penalized = self.governor.penalized
-            summary["retry"] = {
-                "penalized": penalized,
-                "rejected": self.governor.rejected,
-            }
+        """The counters above plus the estimator summary. Caller holds
+        the lock."""
         return {
             **self.counts,
-            "retry_penalized": penalized,
             "brownout_level": self.brownout.level,
             "brownout_transitions": list(self.transitions),
-            "overload": summary,
+            "overload": {"estimator": self.estimator.as_dict()},
         }
 
 

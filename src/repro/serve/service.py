@@ -265,11 +265,6 @@ class ServiceStats:
     #: the learned service time could not fit inside the submission's
     #: deadline given the backlog at arrival. Subset of ``rejected``.
     rejected_futile: int = 0
-    #: Non-compliant resubmissions rejected with the retry token bucket
-    #: dry ("retry storm"). Subset of ``rejected``.
-    retry_storm_rejected: int = 0
-    #: Non-compliant resubmissions that were admitted but paid a token.
-    retry_penalized: int = 0
     completed: int = 0
     failed: int = 0
     cancelled: int = 0
@@ -312,7 +307,7 @@ class ServiceStats:
     #: :func:`_histogram` layout, canonical :data:`repro.obs.phases.PHASES`
     #: order); populated only with phase accounting on.
     phase_histograms: dict = field(default_factory=dict)
-    #: Overload-control internals (estimator/retry-governor summaries);
+    #: Overload-control internals (the estimator summary);
     #: empty without ``overload=``.
     overload: dict = field(default_factory=dict)
     #: Plan-cache counters (all zero without ``plan_cache=``); the full
@@ -381,14 +376,6 @@ class ServiceStats:
         ),
         "rejected_futile": (
             "Rejections because the deadline was provably unmeetable"
-        ),
-        "retry_storm_rejected": (
-            "Non-compliant resubmissions rejected with the retry "
-            "token bucket dry"
-        ),
-        "retry_penalized": (
-            "Non-compliant resubmissions admitted at the cost of a "
-            "retry token"
         ),
         "completed": "Queries that produced a result",
         "failed": "Queries that raised a typed error",
@@ -595,10 +582,10 @@ class QueryService:
     overload:
         An :class:`~repro.serve.overload.OverloadConfig` switches on
         adaptive overload control: deadline-aware admission, priority
-        shedding with class quotas, eager expiry of queued tickets, the
-        retry-storm governor, and the brownout degradation ladder (see
-        module docstring and DESIGN §14). ``None`` (default) is the FIFO
-        policy: plain admission exactly.
+        shedding with class quotas, eager expiry of queued tickets and
+        the brownout degradation ladder (see module docstring and
+        DESIGN §14). ``None`` (default) is the FIFO policy: plain
+        admission exactly.
     plan_cache:
         A :class:`~repro.plan.cache.PlanCache` shared by every worker
         facade: repeated query *templates* (same shape, different
@@ -769,7 +756,7 @@ class QueryService:
             # make room.
             self._expire_queued_locked(now)
             verdict = policy.admit(
-                self._queue, self._in_flight, fp, key, rank, deadline, now
+                self._queue, self._in_flight, fp, key, rank, deadline
             )
             if verdict.refuse is not None:
                 self._reject_locked(
@@ -1275,7 +1262,7 @@ class QueryService:
                     "invalidations", 0
                 ),
                 plan_cache=cache_summary,
-                # The overload outcomes, brownout state and estimator /
-                # governor summaries: zeros and empties under FIFO.
+                # The overload outcomes, brownout state and estimator
+                # summary: zeros and empties under FIFO.
                 **self._policy.stats(),
             )

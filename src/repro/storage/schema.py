@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isnan
 from operator import itemgetter
 from typing import Any, Sequence
 
@@ -35,7 +36,10 @@ class Column:
             if not self.nullable:
                 raise SchemaError(f"column {self.name!r} is NOT NULL")
             return None
-        return self.type.validate(value)
+        try:
+            return self.type.validate(value)
+        except SchemaError as error:
+            raise SchemaError(f"column {self.name!r}: {error}") from None
 
 
 class Schema:
@@ -110,11 +114,13 @@ class Schema:
         :meth:`validate_row` returns for it, with no NULL key: a tuple of
         the schema's arity whose every value is of the exact class its
         column's type stores, or NULL where the column is nullable and not
-        part of the primary key.
+        part of the primary key, and no NaN in a FLOAT column.
 
-        One C-level pass per column over the whole batch; False sends the
-        batch to :meth:`validate_row`, which coerces what it may (an int
-        into a FLOAT column) and raises on the rest."""
+        One C-level pass per column over the whole batch, and a second
+        for FLOAT: its sum is NaN when it holds a NaN (or both infinities,
+        which :meth:`validate_row` then stores). False sends the batch to
+        :meth:`validate_row`, which coerces what it may (an int into a
+        FLOAT column) and raises on the rest."""
         if set(map(type, rows)) - {tuple} or set(map(len, rows)) - {len(self.columns)}:
             return False
         for pos, col in enumerate(self.columns):
@@ -122,6 +128,10 @@ class Schema:
             if col.nullable and col.name not in self.primary_key:
                 allowed.add(type(None))
             if not set(map(type, map(itemgetter(pos), rows))) <= allowed:
+                return False
+            if col.type is SQLType.FLOAT and isnan(
+                sum(filter(None, map(itemgetter(pos), rows)))
+            ):
                 return False
         return True
 

@@ -43,8 +43,8 @@ class SQLType(enum.Enum):
         ``float``, ``str`` for STR and DATE, ``bool``): an int becomes a
         float in a FLOAT column, and an instance of a subclass of ``int``
         or ``str`` (an ``IntEnum``, a ``str`` enum) the plain value it
-        holds. NULL is accepted for every type; nullability is enforced at
-        the schema level, not here.
+        holds. NaN is refused. NULL is accepted for every type; nullability
+        is enforced at the schema level, not here.
         """
         if value is None:
             return None
@@ -55,6 +55,10 @@ class SQLType(enum.Enum):
         if self is SQLType.FLOAT:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise SchemaError(f"expected FLOAT, got {value!r}")
+            if value != value:
+                # NaN equals nothing, itself included: a stored NaN would
+                # join itself through a hash index but not through a scan.
+                raise SchemaError("expected FLOAT, got NaN")
             return float(value)
         if self is SQLType.STR or self is SQLType.DATE:
             if not isinstance(value, str):

@@ -17,11 +17,6 @@ def db(empdept_catalog) -> Database:
 
 
 class TestLimits:
-    def test_any_set(self):
-        assert not Limits().any_set()
-        assert Limits(timeout=1.0).any_set()
-        assert Limits(max_rows_scanned=10).any_set()
-
     def test_guard_for_none_is_none(self):
         assert guard_for(None) is None
         assert isinstance(guard_for(Limits()), ExecutionGuard)

@@ -1,13 +1,14 @@
-"""Adaptive overload control: estimator, governor, brownout, service.
+"""Adaptive overload control: estimator, brownout, service.
 
 The unit half exercises the primitives in ``repro.serve.overload`` on
 explicit fake clocks; the integration half drives a real
 :class:`~repro.serve.QueryService` with gated workers and a settable
 clock, so every overload decision (eager expiry, priority shedding,
-futility rejection, retry-storm gating, the brownout ladder and the
-``retry_after_hint`` arithmetic) is observed through public behaviour.
+futility rejection, the brownout ladder and the ``retry_after_hint``
+arithmetic) is observed through public behaviour.
 """
 
+import dataclasses
 import threading
 
 import pytest
@@ -20,9 +21,7 @@ from repro.serve.overload import (
     BROWNOUT_RUNGS,
     BrownoutController,
     OverloadConfig,
-    RetryGovernor,
     ServiceTimeEstimator,
-    TokenBucket,
     fingerprint,
     normalize_sql,
     priority_rank,
@@ -150,6 +149,13 @@ class TestFingerprint:
 
 # -- unit: service-time estimator --------------------------------------------
 
+def small_estimator(max_shapes: int) -> ServiceTimeEstimator:
+    """An estimator whose LRU tables hold only ``max_shapes`` entries."""
+    est = ServiceTimeEstimator()
+    est.MAX_SHAPES = max_shapes
+    return est
+
+
 class TestEstimator:
     def test_cold_estimator_offers_nothing(self):
         est = ServiceTimeEstimator()
@@ -158,17 +164,17 @@ class TestEstimator:
         assert est.cheapest("fp", ("magic", "ni")) is None
 
     def test_lookup_chain_key_then_shape_then_global(self):
-        est = ServiceTimeEstimator(alpha=0.5)
+        est = ServiceTimeEstimator()
         est.observe("fp1", "magic", 1.0)
         assert est.estimate("fp1", "magic") == 1.0     # exact key
         assert est.estimate("fp1", "dayal") == 1.0     # shape aggregate
         assert est.estimate("other", "magic") == 1.0   # global mean
 
     def test_ema_smoothing(self):
-        est = ServiceTimeEstimator(alpha=0.5)
+        est = ServiceTimeEstimator()
         est.observe("fp", "magic", 1.0)
         est.observe("fp", "magic", 3.0)
-        assert est.estimate("fp", "magic") == pytest.approx(2.0)
+        assert est.estimate("fp", "magic") == pytest.approx(0.2 * 3.0 + 0.8 * 1.0)
 
     def test_cheapest_requires_evidence_per_candidate(self):
         est = ServiceTimeEstimator()
@@ -179,7 +185,7 @@ class TestEstimator:
         assert est.cheapest("fp", ("dayal", "kim")) is None
 
     def test_lru_bound_on_shapes(self):
-        est = ServiceTimeEstimator(max_shapes=2)
+        est = small_estimator(2)
         for i in range(5):
             est.observe(f"fp{i}", "magic", 1.0)
         assert len(est._by_key) == 2
@@ -191,7 +197,7 @@ class TestEstimator:
         checks it every arrival) must survive a flood of one-off shapes
         that are merely observed -- ``estimate()`` hits refresh LRU
         recency on both the key and shape tiers."""
-        est = ServiceTimeEstimator(max_shapes=4)
+        est = small_estimator(4)
         est.observe("hot", "magic", 1.0)
         for i in range(50):
             assert est.estimate("hot", "magic") == 1.0   # key-tier read
@@ -204,7 +210,7 @@ class TestEstimator:
         """Regression: the brownout ladder consults ``cheapest()`` for
         the same hot shape on every forced dequeue; the consulted keys
         must not be evicted by churn between consultations."""
-        est = ServiceTimeEstimator(max_shapes=3)
+        est = small_estimator(3)
         est.observe("hot", "magic", 0.1)
         est.observe("hot", "ni", 0.5)
         for i in range(20):
@@ -214,75 +220,9 @@ class TestEstimator:
         assert ("hot", "ni") in est._by_key
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ServiceTimeEstimator(alpha=0.0)
-        with pytest.raises(ValueError):
-            ServiceTimeEstimator(max_shapes=0)
         est = ServiceTimeEstimator()
         est.observe("fp", "magic", -1.0)  # ignored, not folded in
         assert est.global_mean() is None
-
-
-# -- unit: token bucket and retry governor ------------------------------------
-
-class TestTokenBucket:
-    def test_capacity_then_refill(self):
-        bucket = TokenBucket(capacity=2.0, refill_per_s=1.0)
-        assert bucket.take(0.0)
-        assert bucket.take(0.0)
-        assert not bucket.take(0.0)       # dry
-        assert not bucket.take(0.5)       # half a token is not enough
-        assert bucket.take(1.5)           # 1.5 tokens accrued
-        assert bucket.available(100.0) == pytest.approx(2.0)  # capped
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TokenBucket(0, 1.0)
-        with pytest.raises(ValueError):
-            TokenBucket(1.0, -1.0)
-
-
-class TestRetryGovernor:
-    def test_compliant_clients_are_never_charged(self):
-        gov = RetryGovernor(capacity=1.0, refill_per_s=0.0)
-        gov.record_rejection("fp", now=0.0, hint=5.0)
-        allowed, remaining = gov.admit("fp", now=5.0)  # honoured the hint
-        assert allowed and remaining is None
-        assert gov.penalized == 0
-
-    def test_early_resubmission_pays_then_is_rejected(self):
-        gov = RetryGovernor(capacity=1.0, refill_per_s=0.0)
-        gov.record_rejection("fp", now=0.0, hint=10.0)
-        allowed, remaining = gov.admit("fp", now=1.0)
-        assert allowed and remaining == pytest.approx(9.0)
-        assert gov.penalized == 1
-        gov.record_rejection("fp", now=1.0, hint=9.0)
-        allowed, remaining = gov.admit("fp", now=2.0)
-        assert not allowed
-        assert remaining == pytest.approx(8.0)
-        assert gov.rejected == 1
-
-    def test_penalty_decays_at_the_refill_rate(self):
-        gov = RetryGovernor(capacity=1.0, refill_per_s=1.0)
-        gov.record_rejection("fp", now=0.0, hint=100.0)
-        assert gov.admit("fp", now=0.0)[0]       # pays the only token
-        gov.record_rejection("fp", now=0.0, hint=100.0)
-        assert not gov.admit("fp", now=0.1)[0]   # dry
-        gov.record_rejection("fp", now=0.1, hint=100.0)
-        assert gov.admit("fp", now=2.0)[0]       # bucket refilled
-
-    def test_forgive_drops_the_record_without_charge(self):
-        gov = RetryGovernor(capacity=1.0, refill_per_s=0.0)
-        gov.record_rejection("fp", now=0.0, hint=10.0)
-        gov.forgive("fp")
-        allowed, remaining = gov.admit("fp", now=1.0)
-        assert allowed and remaining is None
-        assert gov.penalized == 0
-
-    def test_hintless_rejections_are_not_tracked(self):
-        gov = RetryGovernor()
-        gov.record_rejection("fp", now=0.0, hint=None)
-        assert gov.admit("fp", now=0.0) == (True, None)
 
 
 # -- unit: the brownout ladder -------------------------------------------------
@@ -301,9 +241,7 @@ class TestBrownoutController:
         assert ctl.level == 3
 
     def test_between_watermarks_resets_both_timers(self):
-        ctl = BrownoutController(
-            high_watermark=0.8, low_watermark=0.4, dwell_s=1.0
-        )
+        ctl = BrownoutController(dwell_s=1.0)
         ctl.observe(0.9, now=0.0)
         ctl.observe(0.6, now=0.5)      # back between the watermarks
         assert ctl.observe(0.9, now=1.2) is None  # dwell restarted
@@ -318,10 +256,7 @@ class TestBrownoutController:
         assert ctl.level == 0
 
     def test_oscillation_around_one_watermark_never_flaps(self):
-        ctl = BrownoutController(
-            high_watermark=0.8, low_watermark=0.4,
-            dwell_s=1.0, cooldown_s=1.0,
-        )
+        ctl = BrownoutController(dwell_s=1.0, cooldown_s=1.0)
         ctl.observe(0.9, now=0.0)
         ctl.observe(0.9, now=1.0)
         assert ctl.level == 1
@@ -338,19 +273,14 @@ class TestBrownoutController:
 
     def test_rung_properties(self):
         ctl = BrownoutController()
-        assert not ctl.shedding_observability
         ctl.level = 1
-        assert ctl.shedding_observability and not ctl.tightening_budgets
+        assert not ctl.tightening_budgets
         ctl.level = 2
         assert ctl.tightening_budgets and not ctl.forcing_cheapest
         ctl.level = 3
         assert ctl.forcing_cheapest
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            BrownoutController(high_watermark=0.0)
-        with pytest.raises(ValueError):
-            BrownoutController(low_watermark=0.9, high_watermark=0.8)
         with pytest.raises(ValueError):
             BrownoutController(dwell_s=-1)
         with pytest.raises(ValueError):
@@ -364,9 +294,14 @@ class TestOverloadConfig:
         assert config.quota_for("normal", 10) == 9
         assert config.quota_for("high", 10) is None
 
-    def test_zero_retry_tokens_disable_the_governor(self):
-        assert OverloadConfig(retry_tokens=0).build_governor() is None
-        assert OverloadConfig().build_governor() is not None
+    def test_only_the_four_tuned_knobs_are_configurable(self):
+        # Deadline admission, eager expiry and priority shedding are
+        # always on; the watermarks, budget scale and estimator smoothing
+        # are constants of the classes that read them.
+        assert [f.name for f in dataclasses.fields(OverloadConfig)] == [
+            "class_quotas", "brownout_dwell_s", "brownout_cooldown_s",
+            "brownout_max_level",
+        ]
 
 
 class TestGuardDeadline:
@@ -399,11 +334,9 @@ def gated_db(empdept_catalog, gate) -> Database:
 
 
 #: Overload control with the adaptive *reactions* most tests don't want
-#: (retry governor, brownout, class quotas) switched off, so each test
-#: isolates one mechanism.
-PLAIN = OverloadConfig(
-    retry_tokens=0, brownout_max_level=0, class_quotas={}
-)
+#: (brownout, class quotas) switched off, so each test isolates one
+#: mechanism.
+PLAIN = OverloadConfig(brownout_max_level=0, class_quotas={})
 
 
 class TestEagerExpiry:
@@ -522,7 +455,7 @@ class TestPriorityScheduling:
         # low tickets while the service is contended.
         service = QueryService(
             gated_db, workers=1, max_queue=4,
-            overload=OverloadConfig(retry_tokens=0, brownout_max_level=0),
+            overload=OverloadConfig(brownout_max_level=0),
         )
         try:
             service.submit(EMP_DEPT_QUERY)
@@ -607,71 +540,6 @@ class TestDeadlineAwareAdmission:
         assert stats.reconciles()
 
 
-class TestRetryStorm:
-    def test_hot_looping_shape_pays_tokens_then_is_rejected(
-        self, empdept_catalog
-    ):
-        clock = SettableClock()
-        gate = ScanGate()
-        db = Database(empdept_catalog, faults=gate)
-        n_scans = count_scans(empdept_catalog, "ni")
-        config = OverloadConfig(
-            retry_tokens=1.0, retry_refill_per_s=0.0,
-            brownout_max_level=0, deadline_admission=False,
-            class_quotas={},
-        )
-        service = QueryService(
-            db, workers=1, max_queue=1, overload=config, clock=clock
-        )
-        try:
-            gate.armed = True
-            warm = service.submit(EMP_DEPT_QUERY)
-            run_through(gate, clock, n_scans, seconds=1.0)
-            warm.result(timeout=30)
-            # Jam the worker and fill the single queue slot.
-            service.submit(EMP_DEPT_QUERY)
-            assert gate.parked.acquire(timeout=30)
-            queued = service.submit(EMP_DEPT_QUERY)
-            # First rejection: full queue, hint recorded for the shape.
-            with pytest.raises(AdmissionRejected) as first:
-                service.submit(EMP_DEPT_QUERY)
-            assert first.value.reason == "queue full"
-            assert first.value.retry_after_hint > 0
-            # Hot-loop resubmission (the clock has not moved): pays the
-            # only token, still rejected on capacity.
-            with pytest.raises(AdmissionRejected) as second:
-                service.submit(EMP_DEPT_QUERY)
-            assert second.value.reason == "queue full"
-            # Next hot-loop: the bucket is dry -> rejected as a storm
-            # before the capacity rule is even consulted.
-            with pytest.raises(AdmissionRejected) as third:
-                service.submit(EMP_DEPT_QUERY)
-            assert third.value.reason == "retry storm"
-            assert third.value.retry_after_hint > 0
-            # Drain, then resubmit the same shape *early* (the clock is
-            # still before its welcome-back time): the service now has
-            # capacity, so the record is forgiven, not charged.
-            gate.proceed.release()
-            for _ in range(n_scans - 1):
-                assert gate.parked.acquire(timeout=30)
-                gate.proceed.release()
-            run_through(gate, clock, n_scans, seconds=1.0)
-            queued.result(timeout=30)
-            forgiven = service.submit(EMP_DEPT_QUERY)
-            run_through(gate, clock, n_scans, seconds=1.0)
-            assert sorted(forgiven.result(timeout=30).rows) == EXPECTED
-        finally:
-            gate.armed = False
-            gate.proceed.release()
-            service.close(drain=True, timeout=30)
-        stats = service.stats()
-        assert stats.retry_penalized == 1
-        assert stats.retry_storm_rejected == 1
-        assert stats.rejected == 3
-        assert stats.reconciles()
-        assert stats.overload["retry"] == {"penalized": 1, "rejected": 1}
-
-
 class TestRetryHintAccuracy:
     def test_hint_tracks_the_actual_drain_time_on_a_stepped_clock(
         self, empdept_catalog
@@ -737,9 +605,7 @@ class TestBrownoutLadderIntegration:
         self, gated_db, gate
     ):
         sink = RingSink(capacity=16384)
-        config = OverloadConfig(
-            retry_tokens=0, brownout_dwell_s=0.0, brownout_cooldown_s=0.0
-        )
+        config = OverloadConfig(brownout_dwell_s=0.0, brownout_cooldown_s=0.0)
         service = QueryService(
             gated_db, workers=1, max_queue=8, overload=config,
             trace=True, events=EventLog(sink),
@@ -796,9 +662,7 @@ class TestBrownoutLadderIntegration:
     def test_brownout_veto_does_not_poison_breakers(
         self, gated_db, gate
     ):
-        config = OverloadConfig(
-            retry_tokens=0, brownout_dwell_s=0.0, brownout_cooldown_s=0.0
-        )
+        config = OverloadConfig(brownout_dwell_s=0.0, brownout_cooldown_s=0.0)
         service = QueryService(
             gated_db, workers=1, max_queue=8, overload=config
         )

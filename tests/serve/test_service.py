@@ -623,7 +623,7 @@ class Exits:
 def _overload(**knobs):
     from repro.serve.overload import OverloadConfig
 
-    base = dict(retry_tokens=0, brownout_max_level=0, class_quotas={})
+    base = dict(brownout_max_level=0, class_quotas={})
     return OverloadConfig(**{**base, **knobs})
 
 
@@ -727,28 +727,11 @@ def _refused_deadline_unmeetable(x):
     return None, "query.rejected", None, "rejected", {"completed": 2}
 
 
-def _refused_retry_storm(x):
-    x.start(
-        max_queue=0,
-        overload=_overload(retry_tokens=1, retry_refill_per_s=0.0),
-    )
-    x.warm()
-    x.park_worker()
-    x.refused("queue full")     # told when to come back ...
-    x.refused("queue full")     # ... early: pays the only token
-    x.refused("retry storm")    # ... early again, bucket dry
-    return (
-        None, "query.rejected", None, "rejected",
-        {"completed": 2, "rejected": 2},
-    )
-
-
 EXITS = [
     _completed, _typed_failure, _budget_expired_at_dequeue,
     _cancelled_while_queued, _cancelled_while_running, _shed,
     _expired_in_queue, _refused_service_closed, _refused_queue_full,
     _refused_class_quota, _refused_deadline_unmeetable,
-    _refused_retry_storm,
 ]
 OUTCOME_COUNTERS = (
     "completed", "failed", "cancelled", "shed", "expired_in_queue",
@@ -886,12 +869,6 @@ repro_queries_rejected_with_hint_total 1
 # HELP repro_queries_rejected_futile_total Rejections because the deadline was provably unmeetable
 # TYPE repro_queries_rejected_futile_total counter
 repro_queries_rejected_futile_total 0
-# HELP repro_queries_retry_storm_rejected_total Non-compliant resubmissions rejected with the retry token bucket dry
-# TYPE repro_queries_retry_storm_rejected_total counter
-repro_queries_retry_storm_rejected_total 0
-# HELP repro_queries_retry_penalized_total Non-compliant resubmissions admitted at the cost of a retry token
-# TYPE repro_queries_retry_penalized_total counter
-repro_queries_retry_penalized_total 0
 # HELP repro_queries_completed_total Queries that produced a result
 # TYPE repro_queries_completed_total counter
 repro_queries_completed_total 3

@@ -8,6 +8,7 @@ import enum
 import pytest
 
 from repro import Database
+from repro.errors import SchemaError
 from repro.storage import Catalog, Column, Schema
 from repro.tpcd import load_empdept, load_tpcd
 from repro.types import SQLType
@@ -61,6 +62,36 @@ def test_a_subclass_instance_is_stored_as_the_plain_value(insert, indexed):
     assert db.execute("select k from t where k = 1").rows == [(1,)]
     assert db.execute("select k from t where s = 'x' order by k").rows == [(1,), (2,)]
     assert db.execute("select k from t where d = '1996-02-26'").rows == [(1,)]
+
+
+@pytest.mark.parametrize(
+    "insert", [_insert_one_at_a_time, _insert_as_a_batch],
+    ids=["insert", "insert_many"],
+)
+def test_a_float_column_refuses_nan(insert):
+    # A NaN equals nothing, itself included, but a hash index matches a
+    # key by identity first: stored, it joined itself through an index
+    # and not through a scan.
+    catalog = Catalog()
+    table = catalog.create_table("t", Schema([
+        Column("k", SQLType.INT), Column("f", SQLType.FLOAT),
+    ]))
+    with pytest.raises(SchemaError, match="column 'f': .* got NaN"):
+        insert(table, [(1, float("nan")), (2, 1.0)])
+    assert table.rows == []
+    insert(table, [(1, None), (2, 1.0), (3, float("inf"))])
+    db = Database(catalog)
+    inner = "select a.k, b.k from t a, t b where a.f = b.f order by a.k"
+    outer = (
+        "select a.k, b.k from t a left outer join t b on a.f = b.f "
+        "order by a.k"
+    )
+    answers = {"inner": [(2, 2), (3, 3)], "outer": [(1, None), (2, 2), (3, 3)]}
+    assert db.execute(inner).rows == answers["inner"]
+    assert db.execute(outer).rows == answers["outer"]
+    table.create_index("t_f", ["f"])
+    assert db.execute(inner).rows == answers["inner"]
+    assert db.execute(outer).rows == answers["outer"]
 
 
 def test_every_loaded_column_holds_its_stored_class_or_null():
