@@ -73,10 +73,10 @@ Pick = Callable[[tuple], tuple]
 #: batch it is TRUE for.
 Filter = Callable[[list, "ExecutionContext"], list]
 #: A WHERE predicate applied by the index lookup ahead of it
-#: (:func:`compile_lookup_filter`): given a batch of members, the ids of the
-#: rows the probe of each fetched, the rows they index and the schema of
-#: their table, ``member + row`` for each pair it is TRUE for.
-LookupFilter = Callable[[list, list, list, "Schema", "ExecutionContext"], list]
+#: (:func:`compile_lookup_filter`): given a batch of members, the rows the
+#: probe of each fetched and the schema of their table, ``member + row``
+#: for each pair it is TRUE for.
+LookupFilter = Callable[[list, list, "Schema", "ExecutionContext"], list]
 
 
 def column_position(box: Box, column: str) -> int:
@@ -464,17 +464,16 @@ def compile_lookup_filter(
     quantifier's) or a constant of the batch; ``None`` for every other
     expression.
 
-    ``keep(members, found, rows, schema, ctx)`` is called once per batch of
-    probes, with the ids of the rows each member's probe fetched
-    (``found``), the table's rows and its schema, and tests each fetched
-    row's own column by the rules of the kernels -- one class to the
-    operator, any other pair to ``COMPARISONS[op]`` with the operands left
-    then right -- so that ``member + row`` is built only for the rows that
-    stay. The other operand is read once per member that fetched a row,
-    and a member whose operand is NULL keeps nothing; the fetched value's
-    class is therefore tested before NULL, since a NULL can never be of the
-    other operand's class. The other operators call their ``operator``
-    function.
+    ``keep(members, found, schema, ctx)`` is called once per batch of
+    probes, with the rows each member's probe fetched (``found``) and
+    their table's schema, and tests each fetched row's own column by the
+    rules of the kernels -- one class to the operator, any other pair to
+    ``COMPARISONS[op]`` with the operands left then right -- so that
+    ``member + row`` is built only for the rows that stay. The other
+    operand is read once per member that fetched a row, and a member whose
+    operand is NULL keeps nothing; the fetched value's class is therefore
+    tested before NULL, since a NULL can never be of the other operand's
+    class. The other operators call their ``operator`` function.
 
     ``=``, the correlation of every paper query, is written out as
     ``a == b``, in one comprehension for both orientations since it is
@@ -510,13 +509,13 @@ def compile_lookup_filter(
     if expr.op == "=":
         equal = compare if fetched_left else lambda a, b: compare(b, a)
 
-        def each(members, found, rows, schema, ctx):
+        def each(members, found, schema, ctx):
             return [
-                m + row for m, ids in zip(members, found)
-                if ids and (b := value(m, ctx)) is not None and (cls := b.__class__)
-                for i in ids
+                m + row for m, matched in zip(members, found)
+                if matched and (b := value(m, ctx)) is not None and (cls := b.__class__)
+                for row in matched
                 if (
-                    a == b if (a := (row := rows[i])[j]).__class__ is cls
+                    a == b if (a := row[j]).__class__ is cls
                     else a is not None and equal(a, b)
                 )
             ]
@@ -524,7 +523,7 @@ def compile_lookup_filter(
         if isinstance(other, ColumnRef) and offsets.get(other.quantifier) is not None:
             return each  # a column of the member's own rows
 
-        def equal_to_constant(members, found, rows, schema, ctx):
+        def equal_to_constant(members, found, schema, ctx):
             first = next(compress(members, found), None)
             if first is None:
                 return []
@@ -532,29 +531,29 @@ def compile_lookup_filter(
             if b is None:
                 return []
             if b.__class__ is not schema.stored_class(j):
-                return each(members, found, rows, schema, ctx)
+                return each(members, found, schema, ctx)
             return [
-                m + row for m, ids in zip(members, found)
-                for i in ids if (row := rows[i])[j] == b
+                m + row for m, matched in zip(members, found)
+                for row in matched if row[j] == b
             ]
 
         return equal_to_constant
     if fetched_left:
-        return lambda members, found, rows, schema, ctx: [
-            m + row for m, ids in zip(members, found)
-            if ids and (b := value(m, ctx)) is not None and (cls := b.__class__)
-            for i in ids
+        return lambda members, found, schema, ctx: [
+            m + row for m, matched in zip(members, found)
+            if matched and (b := value(m, ctx)) is not None and (cls := b.__class__)
+            for row in matched
             if (
-                same_class(a, b) if (a := (row := rows[i])[j]).__class__ is cls
+                same_class(a, b) if (a := row[j]).__class__ is cls
                 else a is not None and compare(a, b)
             )
         ]
-    return lambda members, found, rows, schema, ctx: [
-        m + row for m, ids in zip(members, found)
-        if ids and (b := value(m, ctx)) is not None and (cls := b.__class__)
-        for i in ids
+    return lambda members, found, schema, ctx: [
+        m + row for m, matched in zip(members, found)
+        if matched and (b := value(m, ctx)) is not None and (cls := b.__class__)
+        for row in matched
         if (
-            same_class(b, a) if (a := (row := rows[i])[j]).__class__ is cls
+            same_class(b, a) if (a := row[j]).__class__ is cls
             else a is not None and compare(b, a)
         )
     ]

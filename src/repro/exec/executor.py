@@ -867,17 +867,17 @@ def _compile_index_lookup(
             raise ExecutionError(
                 f"index {index_name!r} disappeared during execution"
             )
-        # One probe of the whole batch (the index's ``probe``), then
-        # ``Table.fetch`` without its Python frame per row: ``rows`` is the
-        # table's append-only read surface.
+        # One probe of the whole batch (the index's ``probe``), which hands
+        # back the rows each key matched: ``table.rows`` is the table's
+        # append-only read surface.
         probes = list(keys(members, ctx))
-        found = index.probe(probes)
+        found = index.probe(probes, table.rows)
         sizes = list(map(len, found))
         ctx.metrics.index_lookups += len(probes)
         ctx.metrics.index_rows += sum(sizes)
-        rows, schema = table.rows, table.schema
+        schema = table.schema
         if keep is not None and not by_key:
-            return keep(members, found, rows, schema, ctx)
+            return keep(members, found, schema, ctx)
         # The probe's own equality holds for every row the index matched
         # unless a probe cannot be compared with the keys it fetched, which
         # are all of the key column's stored class: one value of that class
@@ -886,10 +886,9 @@ def _compile_index_lookup(
         if keep is None or _comparable(
             probes, (schema.stored_class(key_position)(),)
         ):
-            fetched = map(rows.__getitem__, chain.from_iterable(found))
             owners = chain.from_iterable(map(repeat, members, sizes))
-            return list(map(add, owners, fetched))
-        return keep(members, found, rows, schema, ctx)
+            return list(map(add, owners, chain.from_iterable(found)))
+        return keep(members, found, schema, ctx)
 
     return index_lookup
 

@@ -1,6 +1,6 @@
 """Property-based tests for core data structures and the SQL printer."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.sql.parser import parse_expression, parse_statement
@@ -25,6 +25,57 @@ class TestHashIndexEquivalence:
         else:
             expected = sorted(i for i, v in enumerate(data) if v == probe)
             assert sorted(index.lookup(probe)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.booleans(), st.sampled_from([(0,), (0, 1)]),
+        st.lists(
+            st.tuples(st.booleans(), st.lists(
+                st.tuples(st.sampled_from([None, 0, 1, 2]), st.sampled_from([None, "a"])),
+                max_size=6,
+            )),
+            max_size=6,
+        ),
+    )
+    # A unique key that gains a second NULL row, one at a time and in a batch.
+    @example(True, (0,), [(True, [(None, "a")]), (True, [(None, "a")])])
+    @example(True, (0,), [(False, [(None, "a"), (None, "a")])])
+    def test_a_probe_holds_the_rows_of_its_lookup(self, unique, positions, batches):
+        """Any mix of ``insert`` and ``insert_many``: for every key, ``probe``
+        hands back the stored rows at ``lookup``'s ids, in order and by
+        identity, and ``lookup`` finds exactly the rows stored under it."""
+        index = HashIndex("i", positions, unique=unique)
+        rows: list = []
+        for one_at_a_time, values in batches:
+            # Each row is a new object: identity tells the rows apart.
+            batch = [(a, b, len(rows) + n) for n, (a, b) in enumerate(values)]
+            if unique:  # no key without a NULL twice
+                seen = set(map(index._key_of, rows))
+                kept = []
+                for row in batch:
+                    key = index._key_of(row)
+                    if index._key_has_null(key) or key not in seen:
+                        seen.add(key)
+                        kept.append(row)
+                batch = kept
+            index.check_unique(batch)
+            ids = range(len(rows), len(rows) + len(batch))
+            rows.extend(batch)
+            if one_at_a_time:
+                for row_id, row in zip(ids, batch):
+                    index.insert(row_id, row)
+            else:
+                index.insert_many(ids, batch)
+        keys = sorted({index._key_of(row) for row in rows}, key=repr)
+        for key, probed in zip(keys, index.probe(keys, rows)):
+            ids = index.lookup(key)
+            assert len(probed) == len(ids)
+            assert all(row is rows[i] for row, i in zip(probed, ids))
+            assert index.probe([key], rows)[0] == probed
+            assert ids == ([] if index._key_has_null(key) else [
+                i for i, row in enumerate(rows) if index._key_of(row) == key
+            ])
+        assert len(index) == len(rows)
 
 
 class TestSortKeyTotalOrder:

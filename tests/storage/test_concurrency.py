@@ -213,13 +213,11 @@ class TestLookupRaces:
                     table.insert((1000 * (i + 1) + k, f"v{k % 4}"))
                 return None
             for _ in range(100):
-                found = index.probe(keys)
+                found = index.probe(keys, table.rows)
                 sizes = list(map(len, found))
-                pairs = [
-                    (key, table.rows[row_id][1])
-                    for key, ids in zip(keys, found) for row_id in ids
-                ]
-                assert all(key == val for key, val in pairs)
+                assert all(
+                    row[1] == key for key, rows in zip(keys, found) for row in rows
+                )
                 assert list(map(len, found)) == sizes
             return None
 
@@ -277,8 +275,8 @@ class TestLookupRaces:
                     )
                 return None
             for _ in range(20):
-                for key, ids in zip(keys, index.probe(keys)):
-                    assert all(table.rows[row_id][1] == key for row_id in ids)
+                for key, rows in zip(keys, index.probe(keys, table.rows)):
+                    assert all(row[1] == key for row in rows)
                 stats = catalog.stats("t")
                 val = stats.column("val")
                 assert stats.row_count <= len(table)

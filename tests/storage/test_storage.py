@@ -146,6 +146,16 @@ class TestIndexUnits:
         idx.insert(0, (None,))
         idx.insert(1, (None,))  # SQL allows repeated NULLs in unique indexes
 
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_lookup_hands_out_a_new_list(self, rows):
+        idx = HashIndex("i", (0,))
+        for row_id in range(rows):
+            idx.insert(row_id, ("a",))
+        idx.lookup("a").append(7)
+        idx.lookup("a").clear()
+        assert idx.lookup("a") == list(range(rows))
+        assert len(idx) == rows
+
 
 class TestCatalog:
     def test_create_and_lookup(self):
