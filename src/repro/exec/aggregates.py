@@ -14,7 +14,7 @@ from functools import partial
 from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from ..errors import ExecutionError
-from ..types import comparable_classes, sort_key
+from ..types import comparable_classes, not_nan, sort_key
 
 
 def _non_null(values: Sequence[Any], distinct: bool) -> Sequence[Any]:
@@ -49,26 +49,26 @@ def agg_sum(values: Sequence[Any], distinct: bool = False) -> Any:
         # ``sum`` refuses a NULL, and is cheaper than looking for one
         # (``None in values`` asks every number whether it equals None).
         try:
-            return sum(values)
+            return not_nan(sum(values))
         except TypeError:
             pass
     kept = _non_null(values, distinct)
     if not kept:
         return None
-    return sum(kept)
+    return not_nan(sum(kept))
 
 
 def agg_avg(values: Sequence[Any], distinct: bool = False) -> Any:
     """AVG: arithmetic mean of non-NULL values, NULL when there are none."""
     if values and not distinct:
         try:  # as in :func:`agg_sum`
-            return sum(values) / len(values)
+            return not_nan(sum(values) / len(values))
         except TypeError:
             pass
     kept = _non_null(values, distinct)
     if not kept:
         return None
-    return sum(kept) / len(kept)
+    return not_nan(sum(kept) / len(kept))
 
 
 def agg_min(values: Sequence[Any], distinct: bool = False) -> Any:

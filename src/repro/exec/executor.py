@@ -38,7 +38,7 @@ import gc
 import threading
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass
-from itertools import chain, combinations, islice, repeat
+from itertools import accumulate, chain, combinations, compress, islice, repeat
 from operator import add, getitem, itemgetter
 from typing import (
     Any,
@@ -52,7 +52,7 @@ from typing import (
 
 from ..errors import ExecutionError, SchemaError
 from ..qgm.analysis import GraphFacts, shared_boxes
-from ..qgm.expr import ColumnRef, column_refs, conjuncts
+from ..qgm.expr import ColumnRef, box_subquery_exprs, column_refs, conjuncts
 from ..qgm.model import (
     BaseTableBox,
     Box,
@@ -106,6 +106,21 @@ def box_label(box: Box) -> str:
     if isinstance(box, BaseTableBox):
         return f"table {box.table_name} [{box.id}]"
     return f"{box.kind} [{box.id}]"
+
+
+class RunRows(list):
+    """The rows of an outer join, and ``runs``: how many consecutive rows
+    each preserved row produced, in order -- one for a row padded with
+    NULLs. The runs ride on the list, so they live and die with the rows
+    they describe, and a cached result keeps them. A GROUP BY whose keys
+    read only the preserved side (``GroupByPlan.by_runs``) keys each run
+    once instead of each row."""
+
+    __slots__ = ("runs",)
+
+    def __init__(self, rows: Iterable[tuple], runs: list[int]):
+        super().__init__(rows)
+        self.runs = runs
 
 
 class ExecutionContext:
@@ -348,6 +363,7 @@ class ExecutionContext:
         if self.faults is not None:
             self.faults.trigger("exec.group", detail=f"box {box.id}")
         input_rows = self.box_rows(box.quantifier.box, plan.inputs[0](outer))
+        runs = getattr(input_rows, "runs", None) if plan.by_runs else None
         self.metrics.rows_grouped += len(input_rows)
         self.checkpoint()
 
@@ -366,13 +382,21 @@ class ExecutionContext:
             keys: list = []
             groups = [list(arguments)]
         else:
-            key_of = plan.keys(members, self)
+            heads = members
+            if runs is not None and len(runs) < len(members):
+                # The rows one preserved row produced have its key: each
+                # run is keyed by its first member (``plan.by_runs``).
+                starts = islice(accumulate(runs, initial=0), len(runs))
+                heads = list(map(members.__getitem__, starts))
+            else:
+                runs = None
+            key_of = plan.keys(heads, self)
             if plan.firsts:
                 key_of = list(key_of)
                 first_of: dict = {}
-                _drain(map(first_of.setdefault, key_of, members))
+                _drain(map(first_of.setdefault, key_of, heads))
                 firsts = list(first_of.values())
-            partition = _buckets(key_of, arguments)
+            partition = _buckets(key_of, arguments, runs)
             # The first key object of each group, in the order the groups
             # appeared: what ``first_of`` holds them by too.
             keys = list(partition)
@@ -479,21 +503,23 @@ class ExecutionContext:
 
         n_built = 0
         if plan.keys is not None:
-            built = _hash_build(plan.keys, right_rows, self)
+            built = _hash_build(plan.keys, right_rows, lefts, self)
             n_built = built.size
             # Transient build-side materialisation, as in a hash-join step.
             self.metrics.materialize(n_built)
             self.checkpoint()
-            probes = list(plan.keys.probe(lefts, self))
+            probes = list(built.probes)
             found = list(map(built.table.get, probes))
 
         joined: list = []
+        # How many rows each left produced, in order: one when padded.
+        runs: list = []
         n_joined = 0
         try:
             if plan.keys is None:
                 # No equi-key: every right row is a candidate of every left.
                 candidates: Iterable = repeat(right_rows)
-            elif _comparable_keys(plan.keys.width, built.table, probes):
+            elif _comparable_keys(plan.keys.width, built.keys, probes):
                 # The ON condition is the equi-key, which every hash match
                 # satisfies unless two of the key values are incomparable:
                 # the whole batch at once, a left nothing matched padded.
@@ -502,13 +528,15 @@ class ExecutionContext:
                         left + (null_row if row is None else row)
                         for left, row in zip(lefts, found)
                     ]
+                    runs = [1] * len(lefts)
                 else:
                     joined = [
                         left + row for left, rows in zip(lefts, found)
                         for row in rows or (null_row,)
                     ]
+                    runs = [len(rows) if rows else 1 for rows in found]
                 n_joined = len(joined) - found.count(None)
-                return plan.project(joined, self)
+                return RunRows(plan.project(joined, self), runs)
             elif built.unique:
                 # One row per key: the batch of candidates of a left.
                 candidates = [None if row is None else (row,) for row in found]
@@ -526,9 +554,11 @@ class ExecutionContext:
                     if both:
                         n_joined += len(both)
                         joined.extend(both)
+                        runs.append(len(both))
                         continue
                 joined.append(left + null_row)
-            return plan.project(joined, self)
+                runs.append(1)
+            return RunRows(plan.project(joined, self), runs)
         finally:
             self.metrics.rows_joined += n_joined
             self.metrics.release(n_built)
@@ -603,6 +633,10 @@ class GroupByPlan:
     keys: Optional[BatchFunction]
     #: How many expressions the group key has.
     key_width: int
+    #: Does the key read only the preserved side of the outer join the box
+    #: groups (:func:`_keys_read_preserved`)? Then the input's runs are
+    #: keyed, not its rows.
+    by_runs: bool
     #: Does an output read the first member of each group?
     firsts: bool
     #: What each member adds to its group, by the same compiler: the
@@ -702,15 +736,32 @@ def compile_select(plan: SelectPlan, graph_facts: Optional[GraphFacts] = None) -
             fused.add(index)
         else:
             steps.append(_compile_step(step, offsets))
+    project = _compile_rows(
+        [o.expr for o in box.outputs], offsets, _row_width(params, bound)
+    )
+    if len(plan.steps) == 1 and isinstance(plan.steps[0], ScanStep):
+        project = _keeping_runs(project)
     return CompiledSelect(
         params=params,
         steps=tuple(steps),
         labels=tuple(step_label(step) for step in plan.steps),
         fused=frozenset(fused),
-        project=_compile_rows(
-            [o.expr for o in box.outputs], offsets, _row_width(params, bound)
-        ),
+        project=project,
     )
+
+
+def _keeping_runs(project: RowsFunction) -> RowsFunction:
+    """``project`` for a box whose one step is a scan: its members are its
+    child's rows, one for one, so an outer join's runs (:class:`RunRows`)
+    are the runs of the projection too."""
+
+    def keeping_runs(members, ctx):
+        rows = project(members, ctx)
+        if type(members) is RunRows and rows is not members:
+            return RunRows(rows, members.runs)
+        return rows
+
+    return keeping_runs
 
 
 def _kept_by_lookup(ctx, members, outer):
@@ -837,7 +888,10 @@ def _compile_scan(step: ScanStep, offsets: Offsets) -> StepFunction:
         ctx.metrics.rows_joined += len(child_rows) * len(members)
         if len(members) == 1 and not members[0]:
             # The first step of an uncorrelated box: the members are the
-            # child's rows -- a snapshot, as a table may grow meanwhile.
+            # child's rows -- a snapshot, as a table may grow meanwhile --
+            # and an outer join's runs go with them.
+            if type(child_rows) is RunRows:
+                return RunRows(child_rows, child_rows.runs)
             return list(child_rows)
         return [m + row for m in members for row in child_rows]
 
@@ -952,13 +1006,13 @@ def _compile_hash_join(step: HashJoinStep, offsets: Offsets) -> StepFunction:
             ctx.faults.trigger("exec.join", detail=detail)
         metrics = ctx.metrics
         child_rows = ctx.box_rows(child, pick(outer))
-        built = _hash_build(keys, child_rows, ctx)
+        built = _hash_build(keys, child_rows, members, ctx)
         # The build side is a transient materialisation: it lives for
         # the probe phase only, so it counts against the live/high-water
         # figures and is released when the step completes.
         metrics.materialize(built.size)
         ctx.checkpoint()
-        found = map(built.table.get, keys.probe(members, ctx))
+        found = map(built.table.get, built.probes)
         result: list[tuple] = []
         try:
             if built.unique:
@@ -1021,28 +1075,52 @@ class HashTable(NamedTuple):
     #: How many rows it holds.
     size: int
     unique: bool
+    #: The key of every row built: the table itself when ``unique``. A
+    #: bucket holds rows whose keys are equal but may differ in class (``1``
+    #: and ``TRUE``), which its one key does not show.
+    keys: Iterable
+    #: The probe key of each member, in order.
+    probes: Iterable
 
 
 def _hash_build(
-    keys: JoinKeys, rows: Sequence[tuple], ctx: "ExecutionContext"
+    keys: JoinKeys, rows: Sequence[tuple], members: Sequence[tuple],
+    ctx: "ExecutionContext",
 ) -> HashTable:
-    """``rows`` by join key -- the one hash build, a hash-join step's and an
-    outer join's. While no two rows share a key, a key maps to its row and
-    no bucket list is made; the build switches to buckets at the first
-    chunk of rows that shows a duplicate (:func:`_unique_table`), so a
-    build over few distinct keys pays for one chunk.
+    """``rows`` by join key, and the probe keys of ``members`` -- the one
+    hash build, a hash-join step's and an outer join's. While no two rows
+    share a key, a key maps to its row and no bucket list is made; the
+    build switches to buckets at the first chunk of rows that shows a
+    duplicate (:func:`_unique_table`), so a build over few distinct keys
+    pays for one chunk.
+
+    A build with more rows than there are probes (:func:`_keeps_probed`)
+    keeps only the rows whose key some probe carries, the probe keys
+    computed first: a row kept is exactly one a probe's lookup finds, by
+    the same hash and ``==``. Keys of classes that hash alike without being
+    comparable (``1`` and ``TRUE``) are kept, for the re-check that refuses
+    them.
 
     NULL is decided after the build, once per distinct key and not once
     per row: ``None`` hashes and equals only itself, so a component
     compared with ``<=>`` needs nothing, and the keys with a NULL in a
     component compared with ``=`` (``keys.strict``) are dropped -- a probe
     for one then finds nothing."""
+    probes: Iterable = keys.probe(members, ctx)  # lazy
+    if _keeps_probed(members, rows):
+        probes = list(probes)
+        rows = list(compress(
+            rows, map(set(probes).__contains__, keys.build(rows, ctx))
+        ))
+    # The chunks tried are keyed again: a build key reads its row and
+    # nothing else, and the keys are held only when the table is buckets.
     table = _unique_table(keys.build(rows, ctx), rows)
     unique = table is not None
     if table is None:
-        # The chunks tried are keyed again: cheaper than holding every key
-        # in a list, and a build key reads its row and nothing else.
-        table = _buckets(keys.build(rows, ctx), rows)
+        held: Iterable = list(keys.build(rows, ctx))
+        table = _buckets(held, rows)
+    else:
+        held = table
     strict = keys.strict
     if strict is True:
         table.pop(None, None)
@@ -1051,7 +1129,14 @@ def _hash_build(
             if any(key[i] is None for i in strict):
                 del table[key]
     size = len(table) if unique else sum(map(len, table.values()))
-    return HashTable(table, size, unique)
+    return HashTable(table, size, unique, held, probes)
+
+
+def _keeps_probed(members: Sequence, rows: Sequence) -> bool:
+    """Does a build keep only the rows some probe can find? When there are
+    fewer probes than rows to build: a batch of probes as large as the
+    build would cost its set more than the rows it drops."""
+    return len(members) < len(rows)
 
 
 #: How many rows the unique build adds before it looks for a duplicate.
@@ -1070,12 +1155,24 @@ def _unique_table(keys: Iterable, rows: Sequence[tuple]) -> Optional[dict]:
     return table
 
 
-def _buckets(keys: Iterable, values: Iterable) -> dict:
+def _buckets(
+    keys: Iterable, values: Iterable, runs: Optional[Iterable[int]] = None
+) -> dict:
     """``values`` partitioned by ``keys`` (paired in order): key -> the
-    list of its values, keys in the order they first appear. The loop runs
-    in C -- a ``defaultdict`` makes each list, ``list.append`` fills it."""
+    list of its values, keys in the order they first appear. With ``runs``
+    each key is that of a run of so many consecutive values, which all join
+    its group, a run's key computed before its values. The loop runs in C
+    -- a ``defaultdict`` makes each list, ``list.append`` (``list.extend``
+    by a slice of a run) fills it."""
     buckets: defaultdict = defaultdict(list)
-    _drain(map(list.append, map(buckets.__getitem__, keys), values))
+    if runs is None:
+        _drain(map(list.append, map(buckets.__getitem__, keys), values))
+    else:
+        values = iter(values)
+        _drain(map(
+            list.extend, map(buckets.__getitem__, keys),
+            map(islice, repeat(values), runs),
+        ))
     return buckets
 
 
@@ -1113,12 +1210,52 @@ def _compile_groupby(box: GroupByBox, graph_facts: GraphFacts) -> GroupByPlan:
         inputs=_inputs(box, offsets),
         keys=None if box.is_scalar else _compile_key(box.group_by, offsets),
         key_width=len(box.group_by),
+        by_runs=_keys_read_preserved(box),
         firsts=any(o.func is None and o.key is None for o in outputs),
         arguments=_compile_key(arguments, offsets),
         n_arguments=len(arguments),
         outputs=tuple(outputs),
         no_row=(None,) * len(q.box.output_names()),
     )
+
+
+def _keys_read_preserved(box: GroupByBox) -> bool:
+    """Does every group key of ``box`` read only the preserved side of the
+    outer join under it (:func:`_reads_preserved`)? The rows one preserved
+    row produced then have one key."""
+    return not box.is_scalar and all(
+        _reads_preserved(key, box.quantifier) for key in box.group_by
+    )
+
+
+def _reads_preserved(expr: ast.Expr, quantifier) -> bool:
+    """Does ``expr``, over the rows of ``quantifier``, read only columns an
+    outer join takes from its preserved side -- directly, or through SPJ
+    boxes over that join alone, whose one step, a scan, hands its runs on
+    (:func:`_keeping_runs`)? A value of an enclosing box is one per
+    invocation; a subquery is not looked into, and does not qualify."""
+    if box_subquery_exprs(expr):
+        return False
+    box = quantifier.box
+    passes = isinstance(box, SelectBox) and len(box.quantifiers) == 1 and (
+        not box.predicates
+    )
+    for ref in column_refs(expr):
+        if ref.quantifier is not quantifier:
+            continue  # a value of an enclosing box
+        if isinstance(box, OuterJoinBox):
+            column = box.outputs[column_position(box, ref.column)].expr
+            if box_subquery_exprs(column) or any(
+                read.quantifier is box.null_producing
+                for read in column_refs(column)
+            ):
+                return False
+        elif not passes or not _reads_preserved(
+            box.outputs[column_position(box, ref.column)].expr,
+            box.quantifiers[0],
+        ):
+            return False
+    return True
 
 
 def _compile_outerjoin(box: OuterJoinBox, graph_facts: GraphFacts) -> OuterJoinPlan:

@@ -13,9 +13,10 @@ this repository therefore reports these counters next to wall time:
 * ``rows_grouped`` -- input rows consumed by aggregation;
 * ``boxes_recomputed`` -- how many times shared (common-subexpression)
   boxes were re-executed, separating Mag from OptMag behaviour;
-* ``rows_materialized`` / ``rows_freed`` -- rows written into temp-table
-  materialisations (CSE caches, hash-join builds, aggregation work tables)
-  and rows released again when the executor drops a materialisation;
+* ``rows_materialized`` / ``rows_freed`` -- rows a materialisation holds
+  (CSE caches and temps, aggregation work tables, and the rows a hash
+  build of a join keeps: with fewer probes than rows, only those some
+  probe can find) and rows released when the executor drops it;
 * ``peak_rows_materialized`` -- the high-water mark of *live* materialised
   rows (``rows_materialized - rows_freed`` at its maximum over time); this
   is the memory figure bounded by the ``max_rows_materialized`` budget of

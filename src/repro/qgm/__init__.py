@@ -31,7 +31,7 @@ from .model import (
     SetOpBox,
 )
 from .builder import build_qgm
-from .analysis import CorrelationInfo, analyze_correlations, iter_boxes, parent_edges
+from .analysis import iter_boxes, parent_edges
 from .validate import validate_graph
 from .pretty import graph_to_text
 
@@ -58,8 +58,6 @@ __all__ = [
     "build_qgm",
     "iter_boxes",
     "parent_edges",
-    "analyze_correlations",
-    "CorrelationInfo",
     "validate_graph",
     "graph_to_text",
 ]

@@ -7,15 +7,13 @@ correlation. In our implementation, this information is precomputed by a
 traversal of the graph". :class:`GraphFacts` is that traversal, built once
 per compile stage and kept while the graph stands still -- by the
 validator, whose final table the compile step plans with, the cleanup
-passes and each magic rewrite step (DESIGN section 19);
-:func:`analyze_correlations` adds the ancestor, descendant and cause lists.
+passes and each magic rewrite step (DESIGN section 19).
 What one walk of an expression finds is kept on the expression itself
 (:func:`~repro.qgm.expr.expr_facts`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Iterator, Optional
 
@@ -199,61 +197,6 @@ def external_column_refs(subtree_root: Box) -> list[tuple[Box, ColumnRef]]:
 def is_correlated(subtree_root: Box) -> bool:
     """Does the subtree reference any quantifier outside itself?"""
     return bool(external_column_refs(subtree_root))
-
-
-@dataclass
-class CorrelationInfo:
-    """Precomputed correlation facts for one box (paper section 4.1)."""
-
-    box: Box
-    ancestors: list[Box] = field(default_factory=list)
-    descendants: list[Box] = field(default_factory=list)
-    #: Ancestor boxes whose quantifiers are referenced from this subtree,
-    #: i.e. the *sources of correlation*.
-    correlated_to: list[Box] = field(default_factory=list)
-    #: For each source-of-correlation box id: the descendant boxes that
-    #: contain the correlated reference (destinations of correlation).
-    caused_by: dict[int, list[Box]] = field(default_factory=dict)
-
-
-def analyze_correlations(root: Box) -> dict[int, CorrelationInfo]:
-    """One traversal computing the per-box facts of section 4.1."""
-    owners = quantifier_owner_map(root)
-    info: dict[int, CorrelationInfo] = {
-        box.id: CorrelationInfo(box) for box in iter_boxes(root)
-    }
-
-    def visit(box: Box, ancestors: list[Box]) -> None:
-        record = info[box.id]
-        record.ancestors = list(ancestors)
-        for ancestor in ancestors:
-            info[ancestor.id].descendants.append(box)
-        for expr in box.own_exprs():
-            for ref in expr_facts(expr).refs:
-                owner = owners.get(id(ref.quantifier))
-                if owner is not None and owner is not box and owner in ancestors:
-                    # ``box`` is directly correlated to ``owner``; every
-                    # box between them is transitively correlated.
-                    for hop in [box] + [
-                        a for a in ancestors
-                        if a is not owner and info[a.id] and _between(ancestors, a, owner)
-                    ]:
-                        hop_info = info[hop.id]
-                        if owner not in hop_info.correlated_to:
-                            hop_info.correlated_to.append(owner)
-                        hop_info.caused_by.setdefault(owner.id, [])
-                        if box not in hop_info.caused_by[owner.id]:
-                            hop_info.caused_by[owner.id].append(box)
-        for child in box_children(box):
-            visit(child, ancestors + [box])
-
-    def _between(ancestors: list[Box], candidate: Box, owner: Box) -> bool:
-        # ancestors is ordered root..parent; a candidate lies strictly below
-        # the owner when it appears after it in the list.
-        return ancestors.index(candidate) > ancestors.index(owner)
-
-    visit(root, [])
-    return info
 
 
 def rewrite_box_exprs(box: Box, fn: Callable[[ast.Expr], ast.Expr]) -> None:

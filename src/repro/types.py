@@ -25,6 +25,10 @@ from .errors import SchemaError
 Truth = Optional[bool]
 
 
+#: What a NaN -- stored or computed -- is refused with.
+_NAN = "expected FLOAT, got NaN"
+
+
 class SQLType(enum.Enum):
     """Declared column types. Runtime values are duck-typed (see module doc);
     the declared type is used for validation on insert and for display."""
@@ -58,7 +62,7 @@ class SQLType(enum.Enum):
             if value != value:
                 # NaN equals nothing, itself included: a stored NaN would
                 # join itself through a hash index but not through a scan.
-                raise SchemaError("expected FLOAT, got NaN")
+                raise SchemaError(_NAN)
             return float(value)
         if self is SQLType.STR or self is SQLType.DATE:
             if not isinstance(value, str):
@@ -197,25 +201,35 @@ COMPARISONS = {
 }
 
 
+def not_nan(value: Any) -> Any:
+    """``value``, unless it is a float NaN (``inf - inf``, ``0 * inf``):
+    then the :class:`SchemaError` a stored NaN gets, because a NaN equals
+    nothing and would group, join and deduplicate as no value does.
+    Arithmetic and SUM / AVG pass their float results through it."""
+    if type(value) is float and value != value:
+        raise SchemaError(_NAN)
+    return value
+
+
 def sql_add(a: Any, b: Any) -> Any:
     """SQL ``+`` with NULL propagation."""
     if a is None or b is None:
         return None
-    return a + b
+    return not_nan(a + b)
 
 
 def sql_sub(a: Any, b: Any) -> Any:
     """SQL ``-`` with NULL propagation."""
     if a is None or b is None:
         return None
-    return a - b
+    return not_nan(a - b)
 
 
 def sql_mul(a: Any, b: Any) -> Any:
     """SQL ``*`` with NULL propagation."""
     if a is None or b is None:
         return None
-    return a * b
+    return not_nan(a * b)
 
 
 def sql_div(a: Any, b: Any) -> Any:
@@ -225,7 +239,7 @@ def sql_div(a: Any, b: Any) -> Any:
         return None
     if b == 0:
         return None
-    return a / b
+    return not_nan(a / b)
 
 
 #: Arithmetic operator name -> implementation.

@@ -2,7 +2,10 @@
 stands in for: a hash build on a key no two rows share holds rows and no
 bucket lists; a lookup or an outer join re-checks its hash matches by the
 classes of a whole batch; a projection that is the identity hands the
-members on; an index is probed a batch at a time. Forcing the general path -- one switch at a
+members on; an index is probed a batch at a time; a GROUP BY on the
+preserved side of an outer join keys each preserved row's run of rows
+once. (A build that keeps only the probed rows holds fewer rows, so its
+parity is ``test_group_runs.py``'s.) Forcing the general path -- one switch at a
 time and all at once -- must not change a row, its order, a count or an
 error, under any strategy. Then the checks the cheap paths must keep: a
 table that grows while a query runs, a guard that cancels during
@@ -124,6 +127,9 @@ GENERAL = {
         HashIndex, "probe",
         lambda self, keys, rows: [[rows[i] for i in self.lookup(k)] for k in keys],
     ),
+    "group-by-rows": lambda patch: patch.setattr(
+        executor, "_keys_read_preserved", lambda box: False
+    ),
 }
 
 STRATEGIES = list(Strategy)
@@ -185,12 +191,21 @@ def test_the_table_takes_every_cheap_path(monkeypatch):
     spy(HashIndex, "probe", "hash probe", lambda found: any(found) and all(
         type(row) is tuple for rows in found for row in rows
     ))
+    spy(executor, "_keeps_probed", "probe-keyed build", bool)
+    buckets = executor._buckets
+
+    def runs_spy(keys, values, runs=None):
+        if runs is not None:
+            taken.add("group by runs")
+        return buckets(keys, values, runs)
+
+    monkeypatch.setattr(executor, "_buckets", runs_spy)
     outcomes = [
         _outcome(_db(), sql, strategy) for sql in QUERIES.values() for strategy in STRATEGIES
     ]
     assert taken == {
         "unique build", "bucket build", "batch re-check", "pairwise re-check",
-        "identity", "hash probe",
+        "identity", "hash probe", "probe-keyed build", "group by runs",
     }
     errors = {outcome[1] for outcome in outcomes if outcome[0] == "SchemaError"}
     assert any("cannot compare" in error for error in errors)

@@ -15,7 +15,7 @@ from repro.qgm import (
     iter_boxes,
     validate_graph,
 )
-from repro.qgm.analysis import analyze_correlations, external_column_refs, is_correlated
+from repro.qgm.analysis import external_column_refs, is_correlated
 from repro.qgm.expr import walk_expr
 from repro.sql.parser import parse_statement
 
@@ -211,20 +211,6 @@ class TestCorrelations:
         assert ref.column == "building"
         assert isinstance(dest_box, SelectBox)
 
-    def test_correlation_info(self, empdept_catalog):
-        g = build(self.PAPER_QUERY, empdept_catalog)
-        info = analyze_correlations(g.root)
-        root_info = info[g.root.id]
-        assert root_info.ancestors == []
-        # The aggregate box and the SPJ below it are correlated to the root.
-        correlated = [
-            record for record in info.values() if root_info.box in record.correlated_to
-        ]
-        assert len(correlated) >= 2
-        for record in correlated:
-            caused = record.caused_by[g.root.id]
-            assert all(isinstance(b, SelectBox) for b in caused)
-
     def test_uncorrelated_subquery(self, empdept_catalog):
         g = build(
             "SELECT name FROM dept WHERE num_emps > "
@@ -238,24 +224,6 @@ class TestCorrelations:
             if isinstance(node, BoxScalarSubquery)
         )
         assert not is_correlated(subquery.box)
-
-    def test_multi_level_correlation(self, empdept_catalog):
-        # Correlation spanning two levels of nesting.
-        g = build(
-            """
-            SELECT d.name FROM dept d WHERE EXISTS (
-              SELECT 1 FROM emp e WHERE e.building = d.building AND e.salary >
-                (SELECT avg(e2.salary) FROM emp e2 WHERE e2.building = d.building)
-            )
-            """,
-            empdept_catalog,
-        )
-        info = analyze_correlations(g.root)
-        root_correlated = [
-            record for record in info.values()
-            if any(a is g.root for a in record.correlated_to)
-        ]
-        assert len(root_correlated) >= 3  # exists-SPJ, inner agg chain
 
     def test_correlated_derived_table_q3_style(self, empdept_catalog):
         g = build(

@@ -94,6 +94,32 @@ def test_a_float_column_refuses_nan(insert):
     assert db.execute(outer).rows == answers["outer"]
 
 
+@pytest.mark.parametrize("sql", [
+    "select v * 10 - v * 10, count(*) from t group by v * 10 - v * 10",
+    "select distinct v * 10 - v * 10 from t",
+    "select k from t where v * 10 + (0 - v * 10) > 0",
+    "select 0 * (v * 10) from t",
+    "select (v * 10) / (v * 10) from t",
+    "select sum(v * 10) + sum(0 - v * 10) from t",
+    # The aggregates' own sums: inf and -inf in one group.
+    "select sum(x) from (select v * 10 as x from t "
+    "union all select 0 - v * 10 as x from t) u",
+    "select avg(x) from (select v * 10 as x from t "
+    "union all select 0 - v * 10 as x from t) u",
+], ids=["group-by", "distinct", "add", "mul", "div", "sum-plus-sum", "sum", "avg"])
+def test_a_computed_nan_is_refused_as_a_stored_one(sql):
+    # 1e308 * 10 is inf, which is a value; inf - inf is NaN, which groups
+    # and deduplicates as no value does: each NaN its own group.
+    db = Database()
+    db.execute("create table t (k int, v float)")
+    db.execute("insert into t values (1, 1e308), (2, 1e308), (3, 2.0)")
+    assert db.execute("select v * 10 from t").rows == [
+        (float("inf"),), (float("inf"),), (20.0,)
+    ]
+    with pytest.raises(SchemaError, match="^expected FLOAT, got NaN$"):
+        db.execute(sql)
+
+
 def test_every_loaded_column_holds_its_stored_class_or_null():
     catalog = load_tpcd(scale_factor=0.01)
     load_empdept(catalog=catalog)
