@@ -86,9 +86,6 @@ class AnalysisReport:
         """True when the statement has no error-level diagnostics."""
         return not self.errors
 
-    def diagnostics_for(self, code: str) -> list[Diagnostic]:
-        return [d for d in self.diagnostics if d.code == code]
-
     def has(self, code: str) -> bool:
         return any(d.code == code for d in self.diagnostics)
 

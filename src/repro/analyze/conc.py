@@ -376,12 +376,3 @@ def lint_paths(paths: Sequence[str]) -> list[Diagnostic]:
     return diagnostics
 
 
-def default_targets(root: Optional[str] = None) -> list[str]:
-    """The subsystems the DESIGN section-9 contract covers."""
-    if root is None:
-        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    return [
-        os.path.join(root, "serve"),
-        os.path.join(root, "storage"),
-        os.path.join(root, "plan", "cache.py"),
-    ]

@@ -11,11 +11,11 @@ Three cooperating pieces, all operating on a *bound* query graph:
   subquery per the paper's section-2 taxonomy: scalar aggregate, plain
   scalar, existential (EXISTS), set containment (IN), quantified comparison
   (ANY/ALL), and correlated table expressions;
-* per-strategy applicability checkers (:func:`strategy_verdicts`) that reuse
-  the rewrite engine's own matchers to report *why* each historical method
-  (Kim, Dayal, Ganski/Wong) does or does not apply, and what magic
-  decorrelation will do (full, partial via correlated-input boxes, or
-  nothing).
+* per-strategy verdicts (:func:`strategy_verdicts`) that run each
+  historical method's rewrite (Kim, Dayal, Ganski/Wong) on a copy of the
+  graph to report whether it applies and, if not, the rewrite's own reason,
+  and describe what magic decorrelation will do (full, partial via
+  correlated-input boxes, or nothing).
 
 The heavy imports from ``repro.rewrite`` are deferred into the functions so
 that ``repro.rewrite.engine`` can import this module without a cycle.
@@ -23,6 +23,7 @@ that ``repro.rewrite.engine`` can import this module without a cycle.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -303,18 +304,34 @@ def _box_by_id(root: Box, box_id: int) -> Optional[Box]:
 
 # -- strategy applicability ----------------------------------------------------
 
+#: The historical methods of section 2: strategy, label, and what a query
+#: they rewrite looks like.
+_HISTORICAL_METHODS = (
+    ("kim", "Kim's method",
+     "single correlated scalar-aggregate subquery with pure equality "
+     "correlation over base tables"),
+    ("dayal", "Dayal's method",
+     "scalar-aggregate subquery and every outer table has a declared key to "
+     "group on"),
+    ("ganski_wong", "Ganski/Wong",
+     "scalar-aggregate subquery correlated to a single outer base table"),
+)
+_NO_OP = "no correlated subquery or table expression; no-op"
+
 
 def strategy_verdicts(graph: QueryGraph, catalog: Catalog) -> list[StrategyVerdict]:
     """Report, for every decorrelation strategy, whether it applies to the
-    *freshly bound* graph and why. Purely analytical: the graph is never
-    mutated (the checks reuse the rewrite engine's matchers)."""
-    from ..rewrite.decorrelate.common import (
-        correlation_refs_into,
-        match_outer_agg_subquery,
-    )
+    *freshly bound* graph and why. Kim, Dayal and Ganski/Wong are judged by
+    running their rewrite on a copy of the graph, exactly as execution
+    would: a refusal reports the rewrite's own reason. The graph itself is
+    never mutated."""
+    from ..errors import RewriteError
     from ..rewrite.decorrelate.encapsulators import subtree_can_absorb
+    from ..rewrite.engine import RewriteEngine
 
     root = graph.root
+    patterns = classify_patterns(root)
+    correlated = [p for p in patterns if p.correlated]
     verdicts: list[StrategyVerdict] = [
         StrategyVerdict(
             "ni", "nested iteration", True,
@@ -322,56 +339,21 @@ def strategy_verdicts(graph: QueryGraph, catalog: Catalog) -> list[StrategyVerdi
             "per outer binding",
         )
     ]
-
-    def attempt(strategy: str, label: str, matcher: Callable[[], str]) -> None:
+    engine = RewriteEngine(catalog, validate=False)
+    for strategy, label, shape in _HISTORICAL_METHODS:
         try:
-            reason = matcher()
+            engine.rewrite(copy.deepcopy(graph), strategy)
         except NotApplicableError as exc:
             verdicts.append(StrategyVerdict(strategy, label, False, exc.reason))
+        except (RewriteError, QGMConsistencyError) as exc:
+            verdicts.append(StrategyVerdict(strategy, label, False, str(exc)))
         else:
+            reason = shape if correlated else _NO_OP
             verdicts.append(StrategyVerdict(strategy, label, True, reason))
 
-    def match_kim() -> str:
-        match_outer_agg_subquery(root, "Kim", require_equality=True)
-        return ("single correlated scalar-aggregate subquery with pure "
-                "equality correlation over base tables")
-
-    def match_dayal() -> str:
-        match = match_outer_agg_subquery(root, "Dayal", require_equality=False)
-        for q in match.outer.quantifiers:
-            table = catalog.table(q.box.table_name)
-            if not table.schema.primary_key:
-                raise NotApplicableError(
-                    "Dayal", f"outer table {table.name!r} has no key to group on"
-                )
-        return ("scalar-aggregate subquery and every outer table has a "
-                "declared key to group on")
-
-    def match_ganski_wong() -> str:
-        match = match_outer_agg_subquery(
-            root, "Ganski/Wong", require_equality=False
-        )
-        if len(match.outer.quantifiers) != 1:
-            raise NotApplicableError(
-                "Ganski/Wong", "outer block references more than one table"
-            )
-        refs = correlation_refs_into(match.pattern.node.box, match.outer)
-        if len({id(r.quantifier) for r in refs}) > 1:
-            raise NotApplicableError(
-                "Ganski/Wong", "correlation spans more than one outer table"
-            )
-        return ("scalar-aggregate subquery correlated to a single outer "
-                "base table")
-
-    attempt("kim", "Kim's method", match_kim)
-    attempt("dayal", "Dayal's method", match_dayal)
-    attempt("ganski_wong", "Ganski/Wong", match_ganski_wong)
-
     # Magic decorrelation is always applicable; describe what it will do.
-    patterns = classify_patterns(root)
-    correlated = [p for p in patterns if p.correlated]
     if not correlated:
-        magic_reason = "no correlated subquery or table expression; no-op"
+        magic_reason = _NO_OP
     else:
         parts: list[str] = []
         full = partial = left = 0

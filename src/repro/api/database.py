@@ -12,8 +12,8 @@ Typical use::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional, TYPE_CHECKING
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Any, Iterator, Optional, TYPE_CHECKING
 
 from ..errors import BindError, ExecutionError, ReproError
 from ..exec import ExecutionContext, Metrics, execute_graph
@@ -75,6 +75,18 @@ class Result:
                 f"result{origin}"
             )
         return self.rows[0][0]
+
+
+def _parameters(node: Any) -> Iterator[ast.Parameter]:
+    """Every ``?`` marker anywhere under an AST node."""
+    if isinstance(node, ast.Parameter):
+        yield node
+    elif isinstance(node, (list, tuple)):
+        for child in node:
+            yield from _parameters(child)
+    elif is_dataclass(node):
+        for f in fields(node):
+            yield from _parameters(getattr(node, f.name))
 
 
 def _const_value(expr: ast.Expr) -> Any:
@@ -229,8 +241,16 @@ class Database:
             self.catalog.invalidate_stats(statement.table)
             return Result([], [], Metrics(), sql=sql)
         if isinstance(statement, ast.CreateView):
-            # Views are validated eagerly then stored as SQL text.
+            # Views are validated eagerly then stored as SQL text, which no
+            # value is ever bound to.
             build_qgm(statement.query, self.catalog)
+            marker = min(_parameters(statement.query), default=None,
+                         key=lambda p: p.index)
+            if marker is not None:
+                raise BindError(
+                    f"view {statement.name!r} cannot hold the parameter "
+                    f"marker ? (marker {marker.index + 1})", ast.span_of(marker),
+                )
             self.catalog.create_view(statement.name, to_sql(statement.query))
             return Result([], [], Metrics(), sql=sql)
         if isinstance(statement, ast.Insert):

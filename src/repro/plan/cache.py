@@ -4,16 +4,17 @@ The paper's economics assume the parse -> QGM -> rewrite -> optimize
 pipeline is paid once per query *shape*, not once per submission. This
 module makes that true for the serving layer:
 
-* :func:`normalize_sql` / :func:`fingerprint` -- the canonical template of
-  a query (literals replaced by ``?``) and its stable hash. Promoted here
-  from ``repro.serve.overload`` so the admission estimator and the plan
-  cache key on the same shape. Unlike the regex predecessor, the scanner
-  is quote-aware: ``--`` line comments are stripped (the lexer already
-  accepts them), literals inside quoted identifiers stay identifiers, and
-  ``''`` escapes never terminate a string early.
-* :func:`extract_parameters` -- the same single pass also captures each
-  literal's decoded value and source range, in the exact order the
-  template's ``?`` markers appear.
+* :func:`extract_parameters` -- one pass of the lexer's token pattern
+  (:data:`repro.sql.lexer.TOKEN_PATTERN`) yields the canonical template of
+  a query (literals replaced by ``?``, ``--`` comments and blanks collapsed
+  to one space, words folded to lower case) together with each literal's
+  decoded value and source range, in the order the template's ``?``
+  markers appear. A literal is exactly what the lexer would make a NUMBER
+  or STRING token of, decoded by the lexer's own functions, so text inside
+  comments and quoted identifiers never becomes a parameter.
+* :func:`normalize_sql` / :func:`fingerprint` -- the template and its
+  stable hash, the key under which the admission estimator and the plan
+  cache learn a shape.
 * :class:`PlanCache` -- maps (fingerprint, strategy, cse_mode, flags,
   parameter types) to a *parameterized* compiled query (rewritten graph
   plus physical plans). A hit binds the extracted values into a fresh
@@ -54,11 +55,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
-_DIGITS = frozenset("0123456789")
-_IDENT_START = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
-)
-_IDENT_CONT = _IDENT_START | _DIGITS | frozenset("#$")
+from ..sql.lexer import TOKEN_PATTERN, number_value, string_value
 
 
 @dataclass(frozen=True)
@@ -79,13 +76,12 @@ class ExtractedQuery:
     ok: bool = True                        #: False on malformed input
 
 
-def _scan(sql: str) -> ExtractedQuery:
-    """One quote-aware pass: template, extracted literals, well-formedness.
+def extract_parameters(sql: str) -> ExtractedQuery:
+    """Template plus the literals it replaced, in ``?``-marker order.
 
-    Mirrors the lexer's decoding exactly -- ``''`` unescapes to ``'``,
-    numbers become ``int`` unless a fraction or exponent makes them
-    ``float`` -- so an extracted value always equals the ``ast.Literal``
-    the parser would have produced. Unterminated strings or quoted
+    One pass of the lexer's own pattern, decoding each literal with the
+    lexer's own functions, so an extracted value always equals the
+    ``ast.Literal`` the parser would produce. Unterminated strings or quoted
     identifiers mark the query ``ok=False``: splicing ``?`` into malformed
     text could yield a *valid* statement, and caching that would turn a
     lex error into a successful result.
@@ -93,107 +89,38 @@ def _scan(sql: str) -> ExtractedQuery:
     out: list[str] = []
     params: list[ExtractedParam] = []
     ok = True
-    i = 0
-    n = len(sql)
+    end = 0
     gap = False  # whitespace/comment pending between emitted chunks
-
-    def emit(chunk: str) -> None:
-        nonlocal gap
-        if gap and out:
+    for space, ident, symbol, number, newline, comment, string, quoted, bad in (
+        TOKEN_PATTERN.findall(sql)
+    ):
+        start = end + len(space)
+        text = ident or symbol or number or newline or comment or string or quoted or bad
+        end = start + len(text)
+        if newline or comment:
+            gap = True
+            continue
+        if ident or quoted:
+            # The engine folds identifiers to lower case at bind time, so
+            # folding here merges genuinely equivalent shapes; digits inside
+            # a quoted identifier stay identifier content.
+            text = text.lower()
+        elif number:
+            params.append(ExtractedParam(start, end, number_value(number)))
+            text = "?"
+        elif string:
+            params.append(ExtractedParam(start, end, string_value(string)))
+            text = "?"
+        elif bad == "'" or bad == '"':
+            ok = False
+            text = sql[start:]
+        if (gap or space) and out:
             out.append(" ")
         gap = False
-        out.append(chunk)
-
-    while i < n:
-        ch = sql[i]
-        if ch in " \t\r\n":
-            gap = True
-            i += 1
-            continue
-        if ch == "-" and i + 1 < n and sql[i + 1] == "-":
-            # Line comment: acts as whitespace, exactly like the lexer.
-            while i < n and sql[i] != "\n":
-                i += 1
-            gap = True
-            continue
-        if ch == "'":
-            start = i
-            i += 1
-            parts: list[str] = []
-            closed = False
-            while i < n:
-                if sql[i] == "'":
-                    if i + 1 < n and sql[i + 1] == "'":
-                        parts.append("'")
-                        i += 2
-                        continue
-                    i += 1
-                    closed = True
-                    break
-                parts.append(sql[i])
-                i += 1
-            if not closed:
-                ok = False
-                emit(sql[start:])
-                break
-            emit("?")
-            params.append(ExtractedParam(start, i, "".join(parts)))
-            continue
-        if ch == '"':
-            start = i
-            i += 1
-            while i < n and sql[i] != '"':
-                i += 1
-            if i >= n:
-                ok = False
-                emit(sql[start:])
-                break
-            i += 1
-            # The engine folds identifiers to lower case at bind time, so
-            # folding here merges genuinely equivalent shapes; digits
-            # inside stay identifier content, never parameters.
-            emit(sql[start:i].lower())
-            continue
-        if ch in _IDENT_START:
-            start = i
-            while i < n and sql[i] in _IDENT_CONT:
-                i += 1
-            emit(sql[start:i].lower())
-            continue
-        if ch in _DIGITS or (ch == "." and i + 1 < n and sql[i + 1] in _DIGITS):
-            start = i
-            is_float = False
-            while i < n and sql[i] in _DIGITS:
-                i += 1
-            if i < n and sql[i] == ".":
-                is_float = True
-                i += 1
-                while i < n and sql[i] in _DIGITS:
-                    i += 1
-            if i < n and sql[i] in "eE":
-                j = i + 1
-                if j < n and sql[j] in "+-":
-                    j += 1
-                if j < n and sql[j] in _DIGITS:
-                    is_float = True
-                    i = j
-                    while i < n and sql[i] in _DIGITS:
-                        i += 1
-            word = sql[start:i]
-            emit("?")
-            params.append(
-                ExtractedParam(start, i, float(word) if is_float else int(word))
-            )
-            continue
-        emit(ch)
-        i += 1
-
+        out.append(text)
+        if not ok:
+            break
     return ExtractedQuery("".join(out), tuple(params), ok)
-
-
-def extract_parameters(sql: str) -> ExtractedQuery:
-    """Template plus the literals it replaced, in ``?``-marker order."""
-    return _scan(sql)
 
 
 def normalize_sql(sql: str) -> str:
@@ -202,7 +129,7 @@ def normalize_sql(sql: str) -> str:
     folded outside string literals and quoted identifiers' quotes. Two
     submissions of the same template with different constants normalize
     identically."""
-    return _scan(sql).template
+    return extract_parameters(sql).template
 
 
 def fingerprint(sql: str) -> str:
@@ -328,7 +255,7 @@ class PlanCache:
         (it stamps any artifact filled later; see :class:`CachedPlan`).
         """
         strategy_key = str(getattr(strategy, "value", strategy))
-        extracted = _scan(sql)
+        extracted = extract_parameters(sql)
         template = extracted.template
         if not extracted.ok:
             return None

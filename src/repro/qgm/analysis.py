@@ -165,11 +165,6 @@ def shared_boxes(root: Box) -> frozenset[int]:
     return GraphFacts(root).shared
 
 
-def quantifier_owner_map(root: Box) -> dict[int, Box]:
-    """Map ``id(quantifier)`` to the box whose FROM it belongs to."""
-    return GraphFacts(root).owner
-
-
 def owned_quantifier_ids(box: Box) -> set[int]:
     return {id(q) for q in box.child_quantifiers()}
 

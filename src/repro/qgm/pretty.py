@@ -38,6 +38,8 @@ def expr_to_text(expr: ast.Expr, own_quantifiers: set[int]) -> str:
             return f"{marker}{node.quantifier.name}.{node.column}"
         if isinstance(node, ast.Literal):
             return _literal(node.value)
+        if isinstance(node, ast.Parameter):
+            return "?"
         if isinstance(node, ast.BinaryOp):
             return f"({render(node.left)} {node.op} {render(node.right)})"
         if isinstance(node, ast.UnaryMinus):
@@ -53,15 +55,18 @@ def expr_to_text(expr: ast.Expr, own_quantifiers: set[int]) -> str:
         if isinstance(node, ast.IsNull):
             return f"{render(node.operand)} IS {'NOT ' if node.negated else ''}NULL"
         if isinstance(node, ast.Like):
-            return f"{render(node.operand)} LIKE {render(node.pattern)}"
+            keyword = "NOT LIKE" if node.negated else "LIKE"
+            return f"{render(node.operand)} {keyword} {render(node.pattern)}"
         if isinstance(node, ast.Between):
+            keyword = "NOT BETWEEN" if node.negated else "BETWEEN"
             return (
-                f"{render(node.operand)} BETWEEN {render(node.low)} "
+                f"{render(node.operand)} {keyword} {render(node.low)} "
                 f"AND {render(node.high)}"
             )
         if isinstance(node, ast.InList):
+            keyword = "NOT IN" if node.negated else "IN"
             return (
-                f"{render(node.operand)} IN "
+                f"{render(node.operand)} {keyword} "
                 f"({', '.join(render(i) for i in node.items)})"
             )
         if isinstance(node, ast.Case):

@@ -18,15 +18,9 @@ from __future__ import annotations
 from typing import Optional
 
 from ..sql import ast
-from ..sql.printer import _literal, _name
+from ..sql.printer import _name, expr_to_sql
 from .analysis import iter_boxes
-from .expr import (
-    BoxExists,
-    BoxInSubquery,
-    BoxQuantifiedComparison,
-    BoxScalarSubquery,
-    ColumnRef,
-)
+from .expr import BOX_SUBQUERY_TYPES, BoxExists, BoxInSubquery, BoxScalarSubquery, ColumnRef
 from .model import (
     BaseTableBox,
     Box,
@@ -73,79 +67,33 @@ class _SqlGenerator:
     # -- expressions ----------------------------------------------------------
 
     def expr(self, node: ast.Expr, local: dict[int, str]) -> str:
-        """Render one expression; ``local`` maps quantifier ids to the
-        aliases used in the current view's FROM clause."""
+        """Render one expression with :func:`~repro.sql.printer.expr_to_sql`;
+        ``local`` maps quantifier ids to the aliases used in the current
+        view's FROM clause. The hook prints what only a graph holds: a column
+        by its view alias, a subquery box by its view's name, and ``<=>``
+        spelled out in plain SQL."""
 
-        def render(n: ast.Expr) -> str:
+        def hook(n: ast.Expr) -> Optional[str]:
             if isinstance(n, ColumnRef):
                 alias = local.get(id(n.quantifier), n.quantifier.name)
                 return f"{_name(alias)}.{_name(n.column)}"
-            if isinstance(n, ast.Literal):
-                return _literal(n.value)
-            if isinstance(n, ast.BinaryOp):
-                return f"({render(n.left)} {n.op} {render(n.right)})"
-            if isinstance(n, ast.UnaryMinus):
-                return f"(- {render(n.operand)})"
-            if isinstance(n, ast.Comparison):
-                if n.op == "<=>":
-                    left, right = render(n.left), render(n.right)
-                    return (
-                        f"({left} = {right} OR ({left} IS NULL "
-                        f"AND {right} IS NULL))"
-                    )
-                return f"{render(n.left)} {n.op} {render(n.right)}"
-            if isinstance(n, ast.And):
-                return "(" + " AND ".join(render(i) for i in n.items) + ")"
-            if isinstance(n, ast.Or):
-                return "(" + " OR ".join(render(i) for i in n.items) + ")"
-            if isinstance(n, ast.Not):
-                return f"NOT ({render(n.operand)})"
-            if isinstance(n, ast.IsNull):
-                suffix = "IS NOT NULL" if n.negated else "IS NULL"
-                return f"{render(n.operand)} {suffix}"
-            if isinstance(n, ast.Like):
-                keyword = "NOT LIKE" if n.negated else "LIKE"
-                return f"{render(n.operand)} {keyword} {render(n.pattern)}"
-            if isinstance(n, ast.Between):
-                keyword = "NOT BETWEEN" if n.negated else "BETWEEN"
-                return (
-                    f"{render(n.operand)} {keyword} {render(n.low)} "
-                    f"AND {render(n.high)}"
-                )
-            if isinstance(n, ast.InList):
-                keyword = "NOT IN" if n.negated else "IN"
-                inner = ", ".join(render(i) for i in n.items)
-                return f"{render(n.operand)} {keyword} ({inner})"
-            if isinstance(n, ast.FunctionCall):
-                return f"{n.name}({', '.join(render(a) for a in n.args)})"
-            if isinstance(n, ast.AggregateCall):
-                if n.argument is None:
-                    return "count(*)"
-                prefix = "DISTINCT " if n.distinct else ""
-                return f"{n.func}({prefix}{render(n.argument)})"
-            if isinstance(n, ast.Case):
-                whens = " ".join(
-                    f"WHEN {render(c)} THEN {render(v)}" for c, v in n.whens
-                )
-                otherwise = f" ELSE {render(n.otherwise)}" if n.otherwise else ""
-                return f"CASE {whens}{otherwise} END"
+            if isinstance(n, ast.Comparison) and n.op == "<=>":
+                left, right = render(n.left), render(n.right)
+                return f"({left} = {right} OR ({left} IS NULL AND {right} IS NULL))"
+            if not isinstance(n, BOX_SUBQUERY_TYPES):
+                return None
+            view = f"(SELECT * FROM {self.names[n.box.id]})"
             if isinstance(n, BoxScalarSubquery):
-                return f"(SELECT * FROM {self.names[n.box.id]})"
+                return view
             if isinstance(n, BoxExists):
-                keyword = "NOT EXISTS" if n.negated else "EXISTS"
-                return f"{keyword} (SELECT 1 FROM {self.names[n.box.id]})"
+                return f"{'NOT EXISTS' if n.negated else 'EXISTS'} {view}"
             if isinstance(n, BoxInSubquery):
                 keyword = "NOT IN" if n.negated else "IN"
-                return (
-                    f"{render(n.operand)} {keyword} "
-                    f"(SELECT * FROM {self.names[n.box.id]})"
-                )
-            if isinstance(n, BoxQuantifiedComparison):
-                return (
-                    f"{render(n.operand)} {n.op} {n.quantifier_kind.upper()} "
-                    f"(SELECT * FROM {self.names[n.box.id]})"
-                )
-            return repr(n)
+                return f"({render(n.operand)} {keyword} {view})"
+            return f"({render(n.operand)} {n.op} {n.quantifier_kind.upper()} {view})"
+
+        def render(n: ast.Expr) -> str:
+            return expr_to_sql(n, hook)
 
         return render(node)
 

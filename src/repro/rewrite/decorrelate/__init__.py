@@ -4,7 +4,6 @@ Kim, Dayal and Ganski/Wong baselines it compares against."""
 from .common import (
     EqualityCorrelation,
     ScalarAggPattern,
-    correlation_refs_into,
     match_outer_agg_subquery,
     match_scalar_agg,
     node_use_is_null_rejecting,
@@ -21,7 +20,6 @@ __all__ = [
     "MagicDecorrelator",
     "match_scalar_agg",
     "match_outer_agg_subquery",
-    "correlation_refs_into",
     "node_use_is_null_rejecting",
     "ScalarAggPattern",
     "EqualityCorrelation",

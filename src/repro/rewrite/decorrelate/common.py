@@ -1,6 +1,5 @@
 """Shared analysis for the decorrelation rewrites.
 
-* collecting a subtree's correlated references into a given box;
 * recognising the *scalar aggregate subquery* pattern all three historical
   methods require (GroupBy box with no grouping columns over an SPJ box);
 * the null-rejection analysis that decides whether magic decorrelation needs
@@ -30,22 +29,6 @@ from ...qgm.model import (
     SetOpBox,
 )
 from ...sql import ast
-
-
-def correlation_refs_into(subtree_root: Box, source: SelectBox) -> list[ColumnRef]:
-    """Correlated references from ``subtree_root``'s subtree into the
-    quantifiers of ``source`` (the paper's correlation *bindings*),
-    deduplicated by (quantifier, column)."""
-    own = {id(q) for q in source.quantifiers}
-    seen: set[tuple[int, str]] = set()
-    refs: list[ColumnRef] = []
-    for _, ref in external_column_refs(subtree_root):
-        if id(ref.quantifier) in own:
-            key = (id(ref.quantifier), ref.column)
-            if key not in seen:
-                seen.add(key)
-                refs.append(ref)
-    return refs
 
 
 @dataclass

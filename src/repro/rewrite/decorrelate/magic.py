@@ -283,19 +283,16 @@ class MagicDecorrelator:
     ) -> _FeedContext:
         """Ganski/Wong: magic projected from the *single* outer base table,
         no supplementary predicates (section 2 / section 7 of the paper)."""
-        quantifiers = {id(r.quantifier) for r in corr_refs}
-        if len(quantifiers) != 1:
+        # ``corr_refs`` point into ``box``'s own quantifiers, so one outer
+        # table also means the correlation spans one table.
+        if len(box.quantifiers) != 1:
             raise NotApplicableError(
-                "Ganski/Wong", "correlation spans more than one outer table"
+                "Ganski/Wong", "outer block references more than one table"
             )
         outer_q = corr_refs[0].quantifier
         if not isinstance(outer_q.box, BaseTableBox):
             raise NotApplicableError(
                 "Ganski/Wong", "outer block is not a plain base table"
-            )
-        if len(box.quantifiers) != 1:
-            raise NotApplicableError(
-                "Ganski/Wong", "outer block references more than one table"
             )
         table = self.catalog.table(outer_q.box.table_name)
         base = BaseTableBox(table.name, table.schema.names())

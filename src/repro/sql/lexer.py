@@ -38,10 +38,6 @@ class Token(NamedTuple):
     #: quoted identifiers included.
     keyword: Optional[str]
 
-    def matches_keyword(self, word: str) -> bool:
-        """Is this a bare identifier spelling ``word`` (in any case)?"""
-        return self.keyword == word.upper()
-
 
 #: The whole lexical grammar: the blanks before a token, then exactly one
 #: of the groups, tried in order. ``findall`` hands back one tuple of
@@ -50,8 +46,9 @@ class Token(NamedTuple):
 #: and the only one that moves the line: strings and quoted identifiers may
 #: span lines without changing the line of the tokens after them. ``bad``
 #: takes the one character no other group accepts; trailing blanks match
-#: nothing and are skipped.
-_TOKEN = re.compile(
+#: nothing and are skipped. The plan cache's literal extraction
+#: (:func:`repro.plan.cache.extract_parameters`) runs the same pattern.
+TOKEN_PATTERN = re.compile(
     r"""([ \t\r]*)(?:
       ([A-Za-z_][A-Za-z0-9_\#$]*)
     | (<>|<=|>=|!=|\|\||[(),+*/<>=;?]|-(?!-)|\.(?![0-9]))
@@ -64,6 +61,18 @@ _TOKEN = re.compile(
     )""",
     re.VERBOSE,
 )
+
+
+def number_value(text: str) -> object:
+    """A NUMBER token's value: ``float`` when a fraction or an exponent is
+    spelled, ``int`` otherwise."""
+    return float(text) if "." in text or "e" in text or "E" in text else int(text)
+
+
+def string_value(text: str) -> str:
+    """A STRING token's value: the quotes dropped and ``''`` unescaped."""
+    return text[1:-1].replace("''", "'")
+
 
 _IDENT = TokenKind.IDENT
 _NUMBER = TokenKind.NUMBER
@@ -82,7 +91,7 @@ def tokenize(text: str) -> list[Token]:
     line_start = 0
     end = 0
     for space, ident, symbol, number, newline, comment, string, quoted, bad in (
-        _TOKEN.findall(text)
+        TOKEN_PATTERN.findall(text)
     ):
         start = end + len(space)
         column = start - line_start + 1
@@ -97,17 +106,12 @@ def tokenize(text: str) -> list[Token]:
             line += 1
         elif number:
             end = start + len(number)
-            value: object = (
-                float(number) if "." in number or "e" in number or "E" in number
-                else int(number)
-            )
-            append(_new(Token, (_NUMBER, number, value, start, line, column, end, None)))
+            append(_new(Token, (_NUMBER, number, number_value(number), start, line, column, end, None)))
         elif comment:
             end = start + len(comment)
         elif string:
             end = start + len(string)
-            value = string[1:-1].replace("''", "'")
-            append(_new(Token, (_STRING, string, value, start, line, column, end, None)))
+            append(_new(Token, (_STRING, string, string_value(string), start, line, column, end, None)))
         elif quoted:
             end = start + len(quoted)
             name = quoted[1:-1]

@@ -7,12 +7,15 @@ property test) and is also used to display rewritten queries in examples.
 from __future__ import annotations
 
 import re
-from typing import Any
+from typing import Any, Callable, Optional
 
 from . import ast
 from .parser import KEYWORD_NAMES
 
 _BARE_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_#$]*")
+
+#: Renders one node, or returns ``None`` to leave it to the printer.
+Hook = Callable[[ast.Expr], Optional[str]]
 
 
 def _name(part: str) -> str:
@@ -40,10 +43,24 @@ def _literal(value: Any) -> str:
     return repr(value)
 
 
-def expr_to_sql(expr: ast.Expr) -> str:
-    """Render an expression; parenthesises conservatively."""
+def expr_to_sql(expr: ast.Expr, hook: Optional[Hook] = None) -> str:
+    """Render an expression; parenthesises conservatively.
+
+    ``hook`` is asked first for every node of the tree; a string it returns
+    is that node's text. :mod:`repro.qgm.sqlgen` prints the nodes only a
+    query graph holds this way."""
+    if hook is not None:
+        text = hook(expr)
+        if text is not None:
+            return text
+
+    def sub(node: ast.Expr) -> str:
+        return expr_to_sql(node, hook)
+
     if isinstance(expr, ast.Literal):
         return _literal(expr.value)
+    if isinstance(expr, ast.Parameter):
+        return "?"
     if isinstance(expr, ast.Name):
         return ".".join(_name(p) for p in expr.parts)
     if isinstance(expr, ast.Star):
@@ -51,49 +68,49 @@ def expr_to_sql(expr: ast.Expr) -> str:
             return "*"
         return ".".join(_name(p) for p in expr.qualifier.split(".")) + ".*"
     if isinstance(expr, ast.BinaryOp):
-        return f"({expr_to_sql(expr.left)} {expr.op} {expr_to_sql(expr.right)})"
+        return f"({sub(expr.left)} {expr.op} {sub(expr.right)})"
     if isinstance(expr, ast.UnaryMinus):
-        return f"(- {expr_to_sql(expr.operand)})"
+        return f"(- {sub(expr.operand)})"
     if isinstance(expr, ast.Comparison):
-        return f"({expr_to_sql(expr.left)} {expr.op} {expr_to_sql(expr.right)})"
+        return f"({sub(expr.left)} {expr.op} {sub(expr.right)})"
     if isinstance(expr, ast.And):
-        return "(" + " AND ".join(expr_to_sql(e) for e in expr.items) + ")"
+        return "(" + " AND ".join(sub(e) for e in expr.items) + ")"
     if isinstance(expr, ast.Or):
-        return "(" + " OR ".join(expr_to_sql(e) for e in expr.items) + ")"
+        return "(" + " OR ".join(sub(e) for e in expr.items) + ")"
     if isinstance(expr, ast.Not):
-        return f"(NOT {expr_to_sql(expr.operand)})"
+        return f"(NOT {sub(expr.operand)})"
     if isinstance(expr, ast.IsNull):
         keyword = "IS NOT NULL" if expr.negated else "IS NULL"
-        return f"({expr_to_sql(expr.operand)} {keyword})"
+        return f"({sub(expr.operand)} {keyword})"
     if isinstance(expr, ast.Like):
         keyword = "NOT LIKE" if expr.negated else "LIKE"
-        return f"({expr_to_sql(expr.operand)} {keyword} {expr_to_sql(expr.pattern)})"
+        return f"({sub(expr.operand)} {keyword} {sub(expr.pattern)})"
     if isinstance(expr, ast.Between):
         keyword = "NOT BETWEEN" if expr.negated else "BETWEEN"
         return (
-            f"({expr_to_sql(expr.operand)} {keyword} "
-            f"{expr_to_sql(expr.low)} AND {expr_to_sql(expr.high)})"
+            f"({sub(expr.operand)} {keyword} "
+            f"{sub(expr.low)} AND {sub(expr.high)})"
         )
     if isinstance(expr, ast.InList):
         keyword = "NOT IN" if expr.negated else "IN"
-        inner = ", ".join(expr_to_sql(e) for e in expr.items)
-        return f"({expr_to_sql(expr.operand)} {keyword} ({inner}))"
+        inner = ", ".join(sub(e) for e in expr.items)
+        return f"({sub(expr.operand)} {keyword} ({inner}))"
     if isinstance(expr, ast.Case):
         parts = ["CASE"]
         for condition, value in expr.whens:
-            parts.append(f"WHEN {expr_to_sql(condition)} THEN {expr_to_sql(value)}")
+            parts.append(f"WHEN {sub(condition)} THEN {sub(value)}")
         if expr.otherwise is not None:
-            parts.append(f"ELSE {expr_to_sql(expr.otherwise)}")
+            parts.append(f"ELSE {sub(expr.otherwise)}")
         parts.append("END")
         return "(" + " ".join(parts) + ")"
     if isinstance(expr, ast.FunctionCall):
-        args = ", ".join(expr_to_sql(a) for a in expr.args)
+        args = ", ".join(sub(a) for a in expr.args)
         return f"{expr.name}({args})"
     if isinstance(expr, ast.AggregateCall):
         if expr.argument is None:
             return "count(*)"
         prefix = "DISTINCT " if expr.distinct else ""
-        return f"{expr.func}({prefix}{expr_to_sql(expr.argument)})"
+        return f"{expr.func}({prefix}{sub(expr.argument)})"
     if isinstance(expr, ast.ScalarSubquery):
         return f"({to_sql(expr.query)})"
     if isinstance(expr, ast.Exists):
@@ -101,10 +118,10 @@ def expr_to_sql(expr: ast.Expr) -> str:
         return f"{keyword} ({to_sql(expr.query)})"
     if isinstance(expr, ast.InSubquery):
         keyword = "NOT IN" if expr.negated else "IN"
-        return f"({expr_to_sql(expr.operand)} {keyword} ({to_sql(expr.query)}))"
+        return f"({sub(expr.operand)} {keyword} ({to_sql(expr.query)}))"
     if isinstance(expr, ast.QuantifiedComparison):
         return (
-            f"({expr_to_sql(expr.operand)} {expr.op} {expr.quantifier.upper()} "
+            f"({sub(expr.operand)} {expr.op} {expr.quantifier.upper()} "
             f"({to_sql(expr.query)}))"
         )
     raise TypeError(f"cannot print expression {expr!r}")

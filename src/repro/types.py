@@ -92,15 +92,6 @@ def tv_and(a: Truth, b: Truth) -> Truth:
     return True
 
 
-def tv_or(a: Truth, b: Truth) -> Truth:
-    """3VL OR: TRUE dominates, UNKNOWN otherwise propagates."""
-    if a is True or b is True:
-        return True
-    if a is None or b is None:
-        return None
-    return False
-
-
 _NUMBERS = frozenset((int, float))
 
 

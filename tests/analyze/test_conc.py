@@ -4,6 +4,7 @@ DESIGN section-9 contract must hold in CI, not just in prose."""
 import ast
 import os
 
+import repro
 from repro.analyze.conc import (
     _CALLER_HOLDS_MARKERS,
     _MUTATORS,
@@ -12,20 +13,28 @@ from repro.analyze.conc import (
     LOCK_FREE_BY_DESIGN,
     LOCK_ORDER,
     _self_attr,
-    default_targets,
     iter_python_files,
     lint_paths,
     lint_source,
 )
 
+SRC = os.path.dirname(os.path.abspath(repro.__file__))  # .../src/repro
+
+#: The subsystems the DESIGN section-9 contract covers.
+CONTRACT_TARGETS = [
+    os.path.join(SRC, "serve"),
+    os.path.join(SRC, "storage"),
+    os.path.join(SRC, "plan", "cache.py"),
+]
+
 
 def test_serve_and_storage_satisfy_the_contract():
-    findings = lint_paths(default_targets())
+    findings = lint_paths(CONTRACT_TARGETS)
     assert findings == [], [str(d) for d in findings]
 
 
 def test_default_targets_exist_and_contain_modules():
-    targets = default_targets()
+    targets = CONTRACT_TARGETS
     assert all(os.path.exists(t) for t in targets)
     files = list(iter_python_files(targets))
     names = {os.path.basename(f) for f in files}
@@ -124,7 +133,7 @@ def _mutated_self_attrs(function):
 
 
 def _assert_declared_set_is_current(module, class_name):
-    serve = default_targets()[0]
+    serve = CONTRACT_TARGETS[0]
     owner = _class_def(os.path.join(serve, module), class_name)
     methods = [n for n in owner.body if isinstance(n, ast.FunctionDef)]
     init = next(m for m in methods if m.name == "__init__")
@@ -151,7 +160,7 @@ def test_every_shared_breakerboard_attribute_is_declared():
 
 
 def test_policy_methods_that_mutate_state_say_who_holds_the_lock():
-    serve = default_targets()[0]
+    serve = CONTRACT_TARGETS[0]
     path = os.path.join(serve, "overload.py")
     for name in ("FifoPolicy", "AdaptivePolicy"):
         for method in _class_def(path, name).body:
@@ -170,7 +179,6 @@ def test_policy_methods_that_mutate_state_say_who_holds_the_lock():
 
 # -- one pipeline: the forks in front of the executor cannot come back --------
 
-SRC = os.path.dirname(default_targets()[0])  # .../src/repro
 
 
 class _Sites(ast.NodeVisitor):

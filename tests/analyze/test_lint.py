@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import Database
 from repro.analyze import (
     CODES,
     Severity,
@@ -13,6 +14,14 @@ from repro.analyze import (
 from repro.qgm import build_qgm
 from repro.sql.parser import parse_statement
 from repro.storage import Catalog, Column, Schema
+from repro.tpcd.queries import (
+    EMP_DEPT_QUERY,
+    QUERY_1,
+    QUERY_1_VARIANT,
+    QUERY_2,
+    QUERY_3,
+)
+from repro.tpcd.schema import create_tpcd_schema
 from repro.types import SQLType
 
 COUNT_SUBQUERY = (
@@ -110,7 +119,7 @@ def test_qgm001_silent_on_consistent_graph(empdept_catalog):
 
 def test_qgm002_warns_on_correlated_count(empdept_catalog):
     report = analyze_sql(COUNT_SUBQUERY, empdept_catalog)
-    (diag,) = report.diagnostics_for("QGM002")
+    (diag,) = [d for d in report.diagnostics if d.code == "QGM002"]
     assert diag.severity is Severity.WARNING
     # The comparison use is null-rejecting, so the hint applies.
     assert diag.hint is not None and "plain join" in diag.hint
@@ -151,7 +160,7 @@ QGM004_SQL = (
 
 def test_qgm004_fires_on_multi_quantifier_correlation(empdept_catalog):
     report = analyze_sql(QGM004_SQL, empdept_catalog)
-    (diag,) = report.diagnostics_for("QGM004")
+    (diag,) = [d for d in report.diagnostics if d.code == "QGM004"]
     assert "2 outer quantifiers" in diag.message
 
 
@@ -258,3 +267,66 @@ def test_verdicts_never_mutate_the_graph(empdept_catalog):
     classify_patterns(graph)
     lint_graph(graph, empdept_catalog)
     assert graph_to_text(graph) == before
+
+
+# -- a verdict is what the rewrite does ----------------------------------------
+
+SELECT_LIST_SUBQUERY = (
+    "SELECT d.name, (SELECT max(e.salary) FROM emp e "
+    "WHERE e.building = d.building) FROM dept d"
+)
+
+VERDICT_CORPUS = {
+    "q1": QUERY_1,
+    "q1_variant": QUERY_1_VARIANT,
+    "q2": QUERY_2,
+    "q3": QUERY_3,
+    "emp_dept": EMP_DEPT_QUERY,
+    "select_list": SELECT_LIST_SUBQUERY,
+    "exists": ("SELECT d.name FROM dept d WHERE EXISTS "
+               "(SELECT 1 FROM emp e WHERE e.building = d.building)"),
+    "table_expression": (
+        "SELECT d.name, t.avg_sal FROM dept d, T(avg_sal) AS "
+        "(SELECT avg(e.salary) FROM emp e WHERE e.building = d.building)"
+    ),
+    "two_outer_tables": QGM004_SQL,
+    "uncorrelated": ("SELECT d.name FROM dept d WHERE d.budget > "
+                     "(SELECT avg(e.salary) FROM emp e)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VERDICT_CORPUS))
+def test_verdict_is_what_execution_does(empdept_catalog, name):
+    """For Kim, Dayal and Ganski/Wong the verdict is applicable exactly when
+    executing under that strategy needs no fallback, and a refusal's
+    reason is the one the rewrite gave execution."""
+    sql = VERDICT_CORPUS[name]
+    if name.startswith("q"):
+        catalog = Catalog()
+        create_tpcd_schema(catalog)  # schema only: the verdict needs no rows
+    else:
+        catalog = empdept_catalog
+    verdicts = {v.strategy: v for v in strategy_verdicts(_graph(catalog, sql), catalog)}
+    db = Database(catalog)
+    for strategy in ("kim", "dayal", "ganski_wong"):
+        verdict = verdicts[strategy]
+        steps = db.execute(sql, strategy=strategy, fallback=True).degradations
+        refused = [s for s in steps if s.attempted == strategy]
+        assert verdict.applicable == (not refused), (strategy, verdict, steps)
+        if refused:
+            assert refused[0].error_type == "NotApplicableError"
+            assert refused[0].message.endswith(f": {verdict.reason}")
+
+
+def test_ganski_wong_decorrelates_a_select_list_subquery(empdept_catalog):
+    """The section-2 special case covers a scalar aggregate in the select
+    list: the verdict says so, and execution bears it out."""
+    verdict = _verdict(empdept_catalog, SELECT_LIST_SUBQUERY, "ganski_wong")
+    assert verdict.applicable
+    db = Database(empdept_catalog)
+    ni = db.execute(SELECT_LIST_SUBQUERY)
+    gw = db.execute(SELECT_LIST_SUBQUERY, strategy="ganski_wong")
+    assert gw.degradations == []
+    assert sorted(gw.rows) == sorted(ni.rows)
+    assert ni.metrics.subquery_invocations > 0
+    assert gw.metrics.subquery_invocations == 0

@@ -54,6 +54,17 @@ class TestFacade:
         with pytest.raises(BindError):
             db.execute("CREATE VIEW bad AS SELECT nosuch FROM t")
 
+    def test_view_with_a_parameter_marker_is_a_bind_error(self, db):
+        """A view is stored as text and no value is ever bound to it: a
+        ``?`` in its body is refused at bind time, naming the marker."""
+        with pytest.raises(BindError, match=r"marker \? \(marker 1\)") as info:
+            db.execute(
+                "CREATE VIEW vp AS SELECT id FROM t WHERE v = 'a' AND id IN "
+                "(SELECT id FROM t WHERE id > ?) AND id < ?"
+            )
+        assert info.value.span.column == 89
+        assert not db.catalog.has_view("vp")
+
     def test_duplicate_table(self, db):
         with pytest.raises(CatalogError):
             db.execute("CREATE TABLE t (x INT)")

@@ -3,6 +3,8 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.exec.evaluate import compile_expr
+from repro.sql import ast
 from repro.types import (
     COMPARISONS,
     sql_eq,
@@ -11,8 +13,13 @@ from repro.types import (
     sql_lt,
     tv_and,
     tv_not,
-    tv_or,
 )
+
+
+def tv_or(a, b):
+    """3VL OR as the executor evaluates ``a OR b``."""
+    return compile_expr(ast.Or((ast.Literal(a), ast.Literal(b))), {})(None, None)
+
 
 truth = st.sampled_from([True, False, None])
 values = st.one_of(st.none(), st.integers(-5, 5))

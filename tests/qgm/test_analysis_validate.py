@@ -5,11 +5,11 @@ import pytest
 from repro.errors import QGMConsistencyError
 from repro.qgm import build_qgm, validate_graph
 from repro.qgm.analysis import (
+    GraphFacts,
     box_children,
     external_column_refs,
     iter_boxes,
     parent_edges,
-    quantifier_owner_map,
     rewrite_subtree_refs,
 )
 from repro.qgm.expr import ColumnRef
@@ -69,7 +69,7 @@ class TestTraversal:
 
     def test_quantifier_owner_map(self, empdept_catalog):
         g = build("SELECT d.name FROM dept d, emp e", empdept_catalog)
-        owners = quantifier_owner_map(g.root)
+        owners = GraphFacts(g.root).owner
         for q in g.root.quantifiers:
             assert owners[id(q)] is g.root
 

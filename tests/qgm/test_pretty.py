@@ -1,5 +1,6 @@
 """Tests for the QGM pretty-printer."""
 
+import pytest
 
 from repro.qgm import build_qgm, graph_to_text
 from repro.qgm.pretty import box_to_text, expr_to_text
@@ -91,3 +92,30 @@ class TestBoxRendering:
             empdept_catalog,
         )
         assert "group by" in graph_to_text(g)
+
+
+class TestNegatedAndParameterForms:
+    """EXPLAIN shows the predicate the query has, negation included, and a
+    ``?`` marker as ``?``."""
+
+    @staticmethod
+    def _rendered(catalog, where):
+        g = build(f"SELECT name FROM dept WHERE {where}", catalog)
+        return expr_to_text(
+            g.root.predicates[0], {id(q) for q in g.root.quantifiers}
+        )
+
+    @pytest.mark.parametrize(
+        "where, expected",
+        [
+            ("budget NOT IN (5, 6)", "dept.budget NOT IN (5, 6)"),
+            ("name NOT LIKE 'd%'", "dept.name NOT LIKE 'd%'"),
+            ("budget NOT BETWEEN 1 AND 2", "dept.budget NOT BETWEEN 1 AND 2"),
+            ("budget IN (5, 6)", "dept.budget IN (5, 6)"),
+            ("name LIKE 'd%'", "dept.name LIKE 'd%'"),
+            ("budget BETWEEN 1 AND 2", "dept.budget BETWEEN 1 AND 2"),
+            ("budget > ?", "dept.budget > ?"),
+        ],
+    )
+    def test_rendered_as_written(self, empdept_catalog, where, expected):
+        assert self._rendered(empdept_catalog, where) == expected

@@ -11,7 +11,7 @@ import pytest
 
 from repro import Database, Strategy
 from repro.qgm.sqlgen import graph_to_sql
-from repro.sql.parser import parse_statement
+from repro.sql.parser import parse_statement, parse_statements
 
 PAPER_QUERY = """
     SELECT d.name FROM dept d
@@ -125,3 +125,40 @@ class TestNamesThatNeedQuotes:
             '(select count(*) from t u where u."order" = t."order")'
         )
         roundtrip(db, sql, Strategy.MAGIC)
+
+
+class TestEveryPrintedFormReadsBack:
+    """The script is the query: each form the printer writes parses, and
+    the views replay to nested iteration's answer."""
+
+    @pytest.mark.parametrize(
+        "sql, strategy",
+        [
+            pytest.param(
+                "SELECT d.name FROM dept d "
+                "WHERE (d.budget > 1000) = (d.building = 'B1')",
+                Strategy.NESTED_ITERATION, id="nested-comparison",
+            ),
+            pytest.param(
+                "SELECT d.name FROM dept d WHERE d.name NOT IN ('x', 'y') "
+                "AND d.name NOT LIKE 'z%' AND d.name LIKE 'd%' "
+                "AND d.budget NOT BETWEEN 1 AND 2 AND d.num_emps > "
+                "(SELECT count(*) FROM emp e WHERE e.building = d.building)",
+                Strategy.MAGIC, id="negated-forms",
+            ),
+            pytest.param(
+                "SELECT d.name, CASE WHEN d.budget > 1000 THEN 'big' "
+                "ELSE 'small' END FROM dept d WHERE d.budget > "
+                "(SELECT min(e.salary) FROM emp e WHERE e.building = d.building)",
+                Strategy.MAGIC, id="case",
+            ),
+            pytest.param(PAPER_QUERY, Strategy.MAGIC_OPT, id="null-safe-join"),
+        ],
+    )
+    def test_script_parses_and_replays_to_ni(self, db, sql, strategy):
+        script = db.rewritten_sql(sql, strategy)
+        parse_statements(script)
+        if strategy is not Strategy.NESTED_ITERATION:
+            # magic re-joins on ``<=>``, spelled out in plain SQL
+            assert "IS NULL AND" in script and "<=>" not in script
+        roundtrip(db, sql, strategy)

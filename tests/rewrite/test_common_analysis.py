@@ -5,8 +5,8 @@ import pytest
 from repro.errors import NotApplicableError
 from repro.qgm import build_qgm
 from repro.qgm.expr import BoxScalarSubquery, walk_expr
+from repro.qgm.analysis import GraphFacts
 from repro.rewrite.decorrelate.common import (
-    correlation_refs_into,
     extract_equality_correlations,
     match_outer_agg_subquery,
     match_scalar_agg,
@@ -239,5 +239,6 @@ class TestOuterMatch:
             empdept_catalog,
         )
         _, node = scalar_node(g)
-        refs = correlation_refs_into(node.box, g.root)
+        # The bindings magic decorrelation feeds the subquery with.
+        refs = GraphFacts(g.root).outer_refs(node.box)
         assert len(refs) == 1  # (d, building) referenced twice, counted once

@@ -18,9 +18,7 @@ class TestTokenize:
     def test_idents_and_keywords_are_idents(self):
         tokens = tokenize("SELECT name FROM dept")
         assert [t.kind for t in tokens[:-1]] == [TokenKind.IDENT] * 4
-        assert tokens[0].matches_keyword("select")
-        assert tokens[0].matches_keyword("SELECT")
-        assert not tokens[1].matches_keyword("SELECT")
+        assert [t.keyword for t in tokens[:-1]] == ["SELECT", "NAME", "FROM", "DEPT"]
 
     def test_numbers(self):
         tokens = tokenize("1 2.5 0.2 1e3 2E-2 10000")
@@ -74,8 +72,6 @@ class TestTokenize:
     def test_keyword_form_is_for_bare_identifiers_only(self):
         tokens = tokenize("""select "select" 'select' 1 ( Order""")
         assert [t.keyword for t in tokens] == ["SELECT", None, None, None, None, "ORDER", None]
-        assert tokens[0].matches_keyword("select")
-        assert not tokens[1].matches_keyword("SELECT")
 
     def test_token_is_immutable(self):
         token = tokenize("x")[0]

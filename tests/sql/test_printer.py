@@ -23,6 +23,8 @@ ROUND_TRIP_STATEMENTS = [
     "SELECT a FROM t WHERE a BETWEEN 1 AND 2 OR a IS NOT NULL",
     "SELECT coalesce(a, 0), count(DISTINCT b) FROM t",
     "SELECT a FROM t WHERE s LIKE '%x%' AND NOT (a = 1)",
+    "SELECT a FROM t WHERE (a > 1) = (b = 'z') AND a NOT BETWEEN 1 AND 2",
+    "SELECT a FROM t WHERE a = ? AND b NOT IN (?, 'x') AND s NOT LIKE ?",
     "CREATE TABLE t (a INT NOT NULL, b FLOAT, PRIMARY KEY (a))",
     "CREATE INDEX i ON t (a)",
     "DROP INDEX i ON t",

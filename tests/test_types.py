@@ -3,6 +3,8 @@
 import pytest
 
 from repro.errors import SchemaError
+from repro.exec.evaluate import compile_expr
+from repro.sql import ast
 from repro.types import (
     ARITHMETIC,
     COMPARISONS,
@@ -21,8 +23,13 @@ from repro.types import (
     sql_sub,
     tv_and,
     tv_not,
-    tv_or,
 )
+
+
+def tv_or(a, b):
+    """3VL OR as the executor evaluates ``a OR b``."""
+    return compile_expr(ast.Or((ast.Literal(a), ast.Literal(b))), {})(None, None)
+
 
 
 class TestTruthTables:
