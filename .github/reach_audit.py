@@ -2,25 +2,33 @@
 
 Two subcommands:
 
-    python .github/reach_audit.py run [--records DIR] -- <command> [args...]
-    python .github/reach_audit.py report [--records DIR] [--out FILE]
+    python .github/reach_audit.py run -- <command> [args...]
+    python .github/reach_audit.py report > unreached.txt
 
 ``run`` executes one command with a ``sitecustomize`` hook on
 ``PYTHONPATH``. The hook installs ``sys.setprofile`` and
 ``threading.setprofile`` in that process and in every Python process it
-starts, and at exit writes the ``(file, first line)`` of each code object
-under ``src/repro`` that was called into ``DIR`` (default
-``reach_records``). Run it once per workload; the records accumulate.
+starts, and when each process ends writes the ``(file, first line)`` of
+each code object under ``src/repro`` that was called into
+``reach_records/`` at the repository root. Run it once per workload; the
+records accumulate.
+
+A process writes its record from ``atexit``. A child forked by
+:mod:`multiprocessing` (the real workers of ``repro parallel --real`` and
+``repro soak --real-workers``) leaves through ``os._exit`` and never runs
+``atexit``, so the hook also registers an after-fork finalizer, which the
+child runs when its target returns. A worker killed by a signal or by
+the ``worker.crash`` fault writes nothing; its siblings cover the same
+code.
 
 ``report`` reads every top-level function and method of ``src/repro``
-with :mod:`ast` and lists those no record names, one per line as
+with :mod:`ast` and prints those no record names, one per line as
 ``path:line qualname (N lines)``, under a count header. Nested functions
 and lambdas are not listed: they run only when their parent does.
 
-A process that leaves with ``os._exit`` writes no record, so what only a
-forked worker runs shows as unreached. The profiler slows what it
-watches, so a run under it must not be judged by its own timing gates.
-The audit gates nothing: it is a list for a reader to act on.
+The profiler slows what it watches, so a run under it must not be judged
+by its own timing gates. The audit gates nothing: it is a list for a
+reader to act on.
 """
 
 from __future__ import annotations
@@ -34,9 +42,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "repro"
+RECORDS = ROOT / "reach_records"
 
 _HOOK = '''\
 import atexit, os, sys, threading
+from multiprocessing import util
 
 _SRC = {src!r}
 _RECORDS = {records!r}
@@ -62,17 +72,20 @@ def _write():
 
 
 atexit.register(_write)
+util.register_after_fork(
+    _write, lambda write: util.Finalize(None, write, exitpriority=100)
+)
 sys.setprofile(_profile)
 threading.setprofile(_profile)
 '''
 
 
-def run(records: Path, command: list[str]) -> int:
+def run(command: list[str]) -> int:
     """Run ``command`` with the hook; returns its exit status."""
-    hook_dir = records / "hook"
+    hook_dir = RECORDS / "hook"
     hook_dir.mkdir(parents=True, exist_ok=True)
     (hook_dir / "sitecustomize.py").write_text(
-        _HOOK.format(src=str(SRC), records=str(records))
+        _HOOK.format(src=str(SRC), records=str(RECORDS))
     )
     env = dict(os.environ)
     paths = [str(hook_dir), str(ROOT / "src"), env.get("PYTHONPATH", "")]
@@ -96,9 +109,9 @@ def functions(path: Path):
                 yield first, prefix + node.name, node.end_lineno - node.lineno + 1
 
 
-def report(records: Path) -> str:
+def report() -> str:
     called: set[tuple[str, int]] = set()
-    for record in records.glob("*.rec"):
+    for record in RECORDS.glob("*.rec"):
         for line in record.read_text().splitlines():
             filename, lineno = line.rsplit("\t", 1)
             called.add((filename, int(lineno)))
@@ -114,7 +127,7 @@ def report(records: Path) -> str:
     header = (
         f"{len(rows)} of {total} top-level functions unreached "
         f"({unreached_lines} of {total_lines} lines) over "
-        f"{len(list(records.glob('*.rec')))} process record(s)"
+        f"{len(list(RECORDS.glob('*.rec')))} process record(s)"
     )
     return "\n".join(
         [header] + [f"{path}:{line} {name} ({size} lines)" for path, line, name, size in rows]
@@ -124,19 +137,13 @@ def report(records: Path) -> str:
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("action", choices=("run", "report"))
-    parser.add_argument("--records", type=Path, default=Path("reach_records"))
-    parser.add_argument("--out", type=Path, help="write the report here too")
     split = argv.index("--") if "--" in argv else len(argv)
     args, command = parser.parse_args(argv[:split]), argv[split + 1:]
-    records = args.records.resolve()
     if args.action == "run":
         if not command:
             parser.error("run needs a command after --")
-        return run(records, command)
-    text = report(records)
-    if args.out is not None:
-        args.out.write_text(text)
-    sys.stdout.write(text)
+        return run(command)
+    sys.stdout.write(report())
     return 0
 
 
